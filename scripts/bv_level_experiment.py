@@ -24,9 +24,7 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    polys = [parse_poly(t) for t in args.factors]
-    num_vars = max(p.num_vars for p in polys)
-    F = FactoredPoly([p.embed(num_vars) for p in polys])
+    F = FactoredPoly([parse_poly(t) for t in args.factors])
 
     setting = check_setting(F)
     level = setting.product_profile.level_exponent

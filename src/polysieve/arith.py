@@ -185,7 +185,6 @@ def tau(n: int) -> int:
 
 # -- Chebyshev psi ----------------------------------------------------------
 
-_BATCH_MIN = 256
 _lambda_table: np.ndarray | None = None
 
 
@@ -214,12 +213,8 @@ def _progression_terms(y: float, m: int, a: int) -> list[float]:
         return []
     a_mod = a % m
     start = a_mod if a_mod >= 1 else m
-    use_batch = ylim >= _BATCH_MIN or (
-        _lambda_table is not None and len(_lambda_table) > ylim)
-    if use_batch:
-        table = von_mangoldt_table(ylim)
-        return [float(table[n]) for n in range(start, ylim + 1, m) if table[n]]
-    return [v for n in range(start, ylim + 1, m) if (v := von_mangoldt(n))]
+    table = von_mangoldt_table(ylim)
+    return [float(table[n]) for n in range(start, ylim + 1, m) if table[n]]
 
 
 def psi_progression(y: float, m: int, a: int) -> float:

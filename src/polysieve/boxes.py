@@ -8,11 +8,13 @@ coordinate across workers and merged by addition.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isnan
 
 from .errors import BudgetError
 from .mvpoly import MvPoly
@@ -51,6 +53,19 @@ def check_box_budget(Q: int, ell: int, budget: int = DEFAULT_BOX_BUDGET) -> None
         raise BudgetError("box enumeration", size, budget)
 
 
+def map_leading(fn, box: DyadicBox, args: tuple, workers: int, min_size: int) -> list:
+    """[fn(args + (leading,)) for each leading-coordinate range of the box].
+
+    A pool of at most min(workers, ranges, cpu count) processes runs them
+    when there are 2 or more ranges and the box has >= min_size tuples.
+    """
+    chunks = [args + (rng,) for rng in box.leading_ranges(workers)]
+    if len(chunks) < 2 or box.size < min_size:
+        return [fn(c) for c in chunks]
+    with ProcessPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as ex:
+        return list(ex.map(fn, chunks))
+
+
 def _count_chunk(args) -> Counter:
     poly, Q, ell, leading = args
     counts: Counter = Counter()
@@ -63,16 +78,31 @@ def _count_chunk(args) -> Counter:
 def value_counts(P: MvPoly, Q: int, workers: int = 1,
                  budget: int = DEFAULT_BOX_BUDGET) -> Counter:
     """Multiplicity of each value P(q) over the box, in one enumeration pass."""
-    box = DyadicBox(Q, P.num_vars)
     check_box_budget(Q, P.num_vars, budget)
-    if workers > 1 and box.size >= _PARALLEL_MIN:
-        chunks = [(P, Q, P.num_vars, rng) for rng in box.leading_ranges(workers)]
-        total: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for part in ex.map(_count_chunk, chunks):
-                total.update(part)
-        return total
-    return _count_chunk((P, Q, P.num_vars, list(range(Q, 2 * Q))))
+    total: Counter = Counter()
+    for part in map_leading(_count_chunk, DyadicBox(Q, P.num_vars),
+                            (P, Q, P.num_vars), workers, _PARALLEL_MIN):
+        total.update(part)
+    return total
+
+
+def fold_moduli(counts, min_modulus=None) -> tuple[dict[int, int], int, int]:
+    """Fold value multiplicities onto moduli |v|: (moduli, skipped_unit,
+    skipped_filtered), where |v| <= 1 is a unit skip and |v| < min_modulus
+    (when given) a filtered one."""
+    if isinstance(min_modulus, float) and isnan(min_modulus):
+        raise ValueError("min_modulus must not be NaN")
+    moduli: dict[int, int] = {}
+    skipped_unit = skipped_filtered = 0
+    for v, mult in counts.items():
+        d = abs(v)
+        if d <= 1:
+            skipped_unit += mult
+        elif min_modulus is not None and d < min_modulus:
+            skipped_filtered += mult
+        else:
+            moduli[d] = moduli.get(d, 0) + mult
+    return moduli, skipped_unit, skipped_filtered
 
 
 def representation_count(P: MvPoly, m: int, Q: int) -> int:

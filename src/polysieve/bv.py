@@ -10,7 +10,6 @@ asserted by the tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -18,7 +17,8 @@ from math import fsum, gcd, log
 
 from .arith import (KahanSum, euler_phi, moebius, von_mangoldt,
                     von_mangoldt_table)
-from .boxes import check_box_budget
+from .boxes import (DyadicBox, check_box_budget, fold_moduli, map_leading,
+                    value_counts)
 from .characters import CHAR_MODULUS_CAP, enumerate_characters
 from .congruence import r_parameter
 from .errors import BudgetError
@@ -275,13 +275,9 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
         raise ValueError("eps_bad must be positive")
     check_box_budget(Q, ell)
     thr = Fraction(eps_bad) * Q ** k
-    chunks = [(F, Q, x, thr.numerator, thr.denominator, ell, rng)
-              for rng in _leading_ranges(Q, workers)]
-    if workers > 1 and Q ** ell >= _PARALLEL_MIN:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_discrepancy_chunk, chunks))
-    else:
-        results = [_discrepancy_chunk(c) for c in chunks]
+    results = map_leading(_discrepancy_chunk, DyadicBox(Q, ell),
+                          (F, Q, x, thr.numerator, thr.denominator, ell),
+                          workers, _PARALLEL_MIN)
     parts, weights = [], []
     excluded = negative = nonzero = 0
     for p, w, e, ng, nz in results:
@@ -295,13 +291,6 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
         Q=Q, x=x, A=A, eps_bad=eps_bad, box_size=Q ** ell,
         excluded_small=excluded, negative_factor_tuples=negative,
         nonzero_weight_tuples=nonzero, weight_sum=fsum(weights))
-
-
-def _leading_ranges(Q: int, workers: int):
-    qs = list(range(Q, 2 * Q))
-    parts = max(1, min(workers, len(qs)))
-    step = -(-len(qs) // parts)
-    return [qs[i:i + step] for i in range(0, len(qs), step)]
 
 
 def _sup_abs_psi_chi(chi, x: float) -> float:
@@ -327,26 +316,31 @@ def _sup_abs_psi_chi(chi, x: float) -> float:
     return best
 
 
+@dataclass(frozen=True)
+class MeanValueReport:
+    """The mean value sum, its moduli |P(q)| with their multiplicities in the
+    box, and the count of tuples skipped because |P(q)| <= 1."""
+    value: float
+    moduli: dict[int, int]
+    skipped_unit_moduli: int
+
+
 def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1,
-                   char_cap: int = CHAR_MODULUS_CAP) -> float:
+                   char_cap: int = CHAR_MODULUS_CAP) -> MeanValueReport:
     """Sum over q ~ Q of P(q)/phi(P(q)) times the sum over primitive
     characters mod P(q) of sup_{y <= x} |psi(y, chi)|.
 
     Moduli are |P(q)|; tuples with |P(q)| <= 1 contribute nothing (there is
     no primitive character to sum over by the convention adopted here).
     """
-    from .boxes import value_counts
-
-    counts = value_counts(P, Q, workers=workers)
+    moduli, skipped, _ = fold_moduli(value_counts(P, Q, workers=workers))
     parts = []
-    for d in sorted(set(abs(v) for v in counts)):
-        if d <= 1:
-            continue
+    for d in sorted(moduli):
         if d > char_cap:
             raise BudgetError("mean value sum modulus", d, char_cap)
-        mult = sum(c for v, c in counts.items() if abs(v) == d)
         sups = [_sup_abs_psi_chi(chi, x) for chi in enumerate_characters(d)
                 if chi.is_primitive]
         if sups:
-            parts.append(mult * d / euler_phi(d) * fsum(sups))
-    return fsum(parts)
+            parts.append(moduli[d] * d / euler_phi(d) * fsum(sups))
+    return MeanValueReport(value=fsum(parts), moduli=moduli,
+                           skipped_unit_moduli=skipped)

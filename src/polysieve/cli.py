@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .arith import euler_phi
-from .boxes import count_bad_moduli, max_representation_count, value_counts
+from .boxes import count_bad_moduli, max_representation_count
 from .bv import (check_setting, default_eps_bad, discrepancy_sum,
                  exponent_profile, mean_value_sum)
 from .congruence import CongruenceInstance, congruence_count_bound
@@ -72,6 +73,20 @@ def _fraction(text: str) -> Fraction:
         raise CliError(f"not a rational number: {text!r}") from exc
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _int_grid(text: str) -> list[int]:
     try:
         grid = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -108,7 +123,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "gnuplot"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
         if poly:
             p.add_argument("--P", required=True, help="polynomial text, e.g. 'x1^2+x2^2'")
         if factors:
@@ -152,14 +167,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bv-sum", help="weighted discrepancy sum over the box")
     common(p, factors=True)
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--A", type=float, default=2.0)
-    p.add_argument("--eps-bad", type=float, default=None)
+    p.add_argument("--eps-bad", type=_finite_float, default=None)
 
     p = sub.add_parser("meanvalue-sum", help="primitive-character mean value sum")
     common(p, poly=True)
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
 
     p = sub.add_parser("norm-form", help="print the expanded incomplete norm form")
     common(p, field=True)
@@ -177,7 +192,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bad-moduli", help="count small |P(q)| over the box")
     common(p, poly=True)
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--eps-bad", type=float, required=True)
+    p.add_argument("--eps-bad", type=_finite_float, required=True)
 
     return parser
 
@@ -188,9 +203,7 @@ def build_parser() -> _Parser:
 
 
 def _parse_factors(texts) -> FactoredPoly:
-    polys = [parse_poly(t) for t in texts]
-    num_vars = max(p.num_vars for p in polys)
-    return FactoredPoly([p.embed(num_vars) for p in polys])
+    return FactoredPoly([parse_poly(t) for t in texts])
 
 
 def _run_congruence_count(args):
@@ -282,19 +295,8 @@ def _run_bv_sum(args):
 
 
 def _run_meanvalue_sum(args):
-    P = parse_poly(args.P)
-    value = mean_value_sum(P, args.Q, args.x, workers=args.workers)
-    counts = value_counts(P, args.Q, workers=args.workers)
-    moduli = {}
-    skipped = 0
-    for v, mult in counts.items():
-        d = abs(v)
-        if d <= 1:
-            skipped += mult
-        else:
-            moduli[d] = moduli.get(d, 0) + mult
-    result = {"value": value, "moduli": moduli, "skipped_unit_moduli": skipped,
-              "Q": args.Q, "x": args.x}
+    rep = mean_value_sum(parse_poly(args.P), args.Q, args.x, workers=args.workers)
+    result = dict(dataclasses.asdict(rep), Q=args.Q, x=args.x)
     return result, None, None
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import euler_phi
-from .boxes import value_counts
+from .boxes import fold_moduli, value_counts
 from .congruence import r_parameter
 from .errors import BudgetError
 from .mvpoly import MvPoly
@@ -57,19 +57,8 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None, workers: int = 1,
     (the count of dropped tuples is reported separately from the |P(q)| <= 1
     skips).
     """
-    counts = value_counts(P, Q, workers=workers)
-    skipped_unit = 0
-    skipped_filtered = 0
-    retained: dict[int, int] = {}
-    for v, mult in counts.items():
-        d = abs(v)
-        if d <= 1:
-            skipped_unit += mult
-            continue
-        if min_modulus is not None and d < min_modulus:
-            skipped_filtered += mult
-            continue
-        retained[d] = retained.get(d, 0) + mult
+    retained, skipped_unit, skipped_filtered = fold_moduli(
+        value_counts(P, Q, workers=workers), min_modulus)
     total = 0
     for d, mult in retained.items():
         total += euler_phi(d) * mult

@@ -2,10 +2,10 @@
 four comparator bounds for the normalized sieve constant.
 
 The double sum runs over q ~ Q and over reduced fractions a/P(q).  Values of
-P are grouped by modulus first (one box pass), then each modulus is handled
-either pointwise or through a length-m discrete Fourier transform of the
-coefficient sequence folded mod m; the two paths agree to rounding and the
-choice is a deterministic work estimate.  Reported bounds set every (QN)^o(1)
+P are grouped by modulus first (one box pass), then each distinct modulus d
+costs one length-d discrete Fourier transform of the coefficient sequence
+folded mod d, which gives S(a/d) for every residue a at once.  exp_sum is the
+pointwise evaluation of a single S(a/m).  Reported bounds set every (QN)^o(1)
 and implied constant to 1 - they are comparators, not certified bounds.
 """
 
@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, fsum, gcd, log, pi
+from math import comb, fsum, log, pi
 
 import numpy as np
 
-from .arith import euler_phi
-from .boxes import value_counts
+from .boxes import fold_moduli, value_counts
 from .congruence import r_parameter
 from .errors import BudgetError
 from .mvpoly import MvPoly
@@ -117,17 +116,11 @@ def exp_sums_all_residues(seq: SieveSequence, m: int) -> np.ndarray:
     return m * np.fft.ifft(folded)
 
 
-def _coprime_residue_sum_bulk(seq: SieveSequence, d: int) -> float:
+def _coprime_residue_sum(seq: SieveSequence, d: int) -> float:
     values = exp_sums_all_residues(seq, d)
     mask = np.gcd(np.arange(d), d) == 1
     mask[0] = False
     return float(np.sum(np.abs(values[mask]) ** 2))
-
-
-def _coprime_residue_sum_pointwise(seq: SieveSequence, d: int) -> float:
-    parts = [abs(exp_sum(seq, Fraction(a, d))) ** 2
-             for a in range(1, d) if gcd(a, d) == 1]
-    return fsum(parts)
 
 
 def sum_sq_over_points(seq: SieveSequence, points) -> float:
@@ -143,8 +136,7 @@ def default_modulus_threshold(Q: int, k: int) -> float:
 
 
 def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,
-              workers: int = 1, budget: int = DEFAULT_WORK_BUDGET,
-              force_path: str | None = None) -> float:
+              workers: int = 1, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2.
 
     min_modulus = None gives the plain sum; a threshold keeps only tuples
@@ -153,30 +145,11 @@ def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,
     multiplicity in the box; the final reduction is an fsum, so results do
     not depend on the worker split.
     """
-    counts = value_counts(P, Q, workers=workers)
-    retained: dict[int, int] = {}
-    for v, mult in counts.items():
-        d = abs(v)
-        if d <= 1:
-            continue
-        if min_modulus is not None and d < min_modulus:
-            continue
-        retained[d] = retained.get(d, 0) + mult
+    retained, _, _ = fold_moduli(value_counts(P, Q, workers=workers), min_modulus)
     work = sum(d + seq.N for d in retained)
     if work > budget:
         raise BudgetError("sieve sum", work, budget)
-    parts = []
-    for d in sorted(retained):
-        if force_path == "pointwise":
-            s = _coprime_residue_sum_pointwise(seq, d)
-        elif force_path == "bulk":
-            s = _coprime_residue_sum_bulk(seq, d)
-        elif euler_phi(d) * seq.N > d * (d.bit_length() + 1) + seq.N:
-            s = _coprime_residue_sum_bulk(seq, d)
-        else:
-            s = _coprime_residue_sum_pointwise(seq, d)
-        parts.append(retained[d] * s)
-    return fsum(parts)
+    return fsum(retained[d] * _coprime_residue_sum(seq, d) for d in sorted(retained))
 
 
 def empirical_delta(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,

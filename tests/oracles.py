@@ -5,7 +5,9 @@ avoiding the library's own code paths, so an agreement test actually checks
 two different routes to the same number.
 """
 
+import cmath
 from fractions import Fraction
+from math import fsum, gcd
 
 import numpy as np
 
@@ -57,6 +59,20 @@ def horner_eval(terms: dict, num_vars: int, point) -> int:
     if prev_power:
         result *= x ** prev_power
     return result
+
+
+def pointwise_sieve_sum(coeffs, M: int, moduli) -> float:
+    """Sum over moduli d (repeated by multiplicity) and reduced a/d of
+    |S(a/d)|^2, where S(a/d) = sum of coeffs[i] e(a n / d) with n = M + 1 + i,
+    evaluated term by term with the exact phase (a*n) % d."""
+    parts = []
+    for d in moduli:
+        for a in range(1, d):
+            if gcd(a, d) == 1:
+                s = sum(complex(c) * cmath.exp(2j * cmath.pi * ((a * n) % d) / d)
+                        for n, c in enumerate(coeffs, start=M + 1))
+                parts.append(abs(s) ** 2)
+    return fsum(parts)
 
 
 def circular_lt(num_a: int, den_a: int, num_b: int, den_b: int, two_n: int) -> bool:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polysieve.boxes as boxes
-from polysieve.boxes import (DyadicBox, count_bad_moduli,
+from polysieve.boxes import (DyadicBox, count_bad_moduli, fold_moduli,
                              max_representation_count, representation_count,
                              value_counts)
 from polysieve.errors import BudgetError
@@ -81,3 +81,41 @@ def test_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
     for Q in (2, 5):
         assert value_counts(P_DIFF_SQ, Q, workers=2) == value_counts(P_DIFF_SQ, Q)
+
+
+def test_fold_moduli():
+    assert fold_moduli(value_counts(P_DIFF_SQ, 2)) == ({5: 2}, 2, 0)  # 5 and -5
+    for Q in (2, 3, 4):
+        values = [q1 * q1 - q2 * q2 for q1, q2 in DyadicBox(Q, 2)]
+        moduli, unit, filtered = fold_moduli(value_counts(P_DIFF_SQ, Q), min_modulus=20)
+        assert unit == values.count(0) == Q
+        assert filtered == sum(1 for v in values if 1 < abs(v) < 20)
+        assert moduli == {d: sum(1 for v in values if abs(v) == d)
+                          for d in {abs(v) for v in values if abs(v) >= 20}}
+    with pytest.raises(ValueError):
+        fold_moduli(value_counts(P_DIFF_SQ, 2), min_modulus=float("nan"))
+
+
+def test_pool_is_capped(monkeypatch):
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(boxes, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(boxes.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
+    assert value_counts(P_DIFF_SQ, 5, workers=64) == value_counts(P_DIFF_SQ, 5)
+    assert sizes == [2]
+    value_counts(P_DIFF_SQ, 1, workers=64)  # one leading range: no pool
+    assert sizes == [2]

@@ -7,6 +7,7 @@ import sympy
 
 import polysieve.bv as bv
 from polysieve.arith import euler_phi
+from polysieve.boxes import fold_moduli, value_counts
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad,
                           discrepancy_sum, exponent_profile,
                           max_progression_discrepancy,
@@ -208,10 +209,18 @@ def test_discrepancy_sum_negative_tuple_reporting():
 
 
 def test_mean_value_examples():
-    assert mean_value_sum(P_SUM_SQ, 1, 10) == 0.0  # no primitive chi mod 2
-    assert mean_value_sum(P_SUM_SQ, 2, 1.9) == 0.0
-    got = mean_value_sum(P_SUM_SQ, 2, 10)
+    assert mean_value_sum(P_SUM_SQ, 1, 10).value == 0.0  # no primitive chi mod 2
+    assert mean_value_sum(P_SUM_SQ, 2, 1.9).value == 0.0
+    got = mean_value_sum(P_SUM_SQ, 2, 10).value
     assert got > 0
+
+
+def test_mean_value_moduli_are_the_box_fold():
+    for P in (P_SUM_SQ, parse_poly("x1^2-x2^2")):
+        rep = mean_value_sum(P, 2, 10)
+        moduli, unit, _ = fold_moduli(value_counts(P, 2))
+        assert rep.moduli == moduli
+        assert rep.skipped_unit_moduli == unit
 
 
 def test_mean_value_matches_character_table_recomputation():
@@ -226,7 +235,7 @@ def test_mean_value_matches_character_table_recomputation():
             sup = max(abs(psi_chi(y, chi)) for y in range(2, int(x) + 1))
             per_mod += sup
         expected += mult * d / euler_phi(d) * per_mod
-    assert mean_value_sum(P_SUM_SQ, 2, x) == pytest.approx(expected, rel=1e-9)
+    assert mean_value_sum(P_SUM_SQ, 2, x).value == pytest.approx(expected, rel=1e-9)
 
 
 def test_default_eps_bad():

@@ -44,6 +44,24 @@ def test_empty_polynomial_is_validation_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("farey-stats", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--min-modulus", "nan"),
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--min-modulus", "nan"),
+    ("bv-sum", "--P", "x1^2+x2^2", "--Q", "1", "--x", "inf"),
+    ("meanvalue-sum", "--P", "x1^2+x2^2", "--Q", "1", "--x", "inf"),
+    ("bad-moduli", "--P", "x1^2-x2^2", "--Q", "2", "--eps-bad", "inf"),
+    ("exponents", "--k", "2", "--ell", "1", "--workers", "0"),
+    ("exponents", "--k", "2", "--ell", "1", "--workers", "-5"),
+])
+def test_bad_numeric_input_is_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "validation"
+
+
 def test_budget_is_resource_error(capsys):
     code, out, err = run_cli(capsys, "farey-stats", "--P", "x1^2+x2^2+x3^2+x4^2+x5^2+x6^2+x7^2+x8^2+x9^2",
                              "--Q", "10", "--N", "4")
@@ -52,12 +70,15 @@ def test_budget_is_resource_error(capsys):
 
 
 def test_determinism_up_to_duration(capsys):
-    args = ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
-            "--sequence", "pm1", "--seed", "42")
-    rep1 = run_json(capsys, *args)
-    rep2 = run_json(capsys, *args)
-    assert rep1.pop("duration_s") != rep2.pop("duration_s") or True
-    assert rep1 == rep2
+    for args in (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
+                  "--sequence", "pm1", "--seed", "42"),
+                 ("meanvalue-sum", "--P", "x1^2-x2^2", "--Q", "2", "--x", "50"),
+                 ("bv-sum", "--P", "x1^2+x2^2", "--Q", "2", "--x", "200")):
+        rep1 = run_json(capsys, *args)
+        rep2 = run_json(capsys, *args)
+        rep1.pop("duration_s")
+        rep2.pop("duration_s")
+        assert rep1 == rep2
 
 
 def test_json_reports_reparse(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from oracles import pointwise_sieve_sum
 
 from polysieve.arith import euler_phi
 from polysieve.errors import BudgetError
@@ -87,12 +88,12 @@ def test_sieve_sum_matches_farey_points():
 
 
 def test_sieve_sum_paths_agree():
-    seq = random_sign_sequence(40, seed=9)
-    bulk = sieve_sum(seq, P_SUM_SQ, 3, force_path="bulk")
-    point = sieve_sum(seq, P_SUM_SQ, 3, force_path="pointwise")
-    auto = sieve_sum(seq, P_SUM_SQ, 3)
-    assert bulk == pytest.approx(point, rel=1e-9)
-    assert auto == pytest.approx(point, rel=1e-9)
+    moduli = [q1 * q1 + q2 * q2 for q1 in range(3, 6) for q2 in range(3, 6)]
+    # N in {1, 2} is where a per-modulus pointwise route used to be chosen
+    for N, M in ((40, 0), (1, 0), (2, 0), (2, 7)):
+        seq = random_sign_sequence(N, seed=9, M=M)
+        assert sieve_sum(seq, P_SUM_SQ, 3) == pytest.approx(
+            pointwise_sieve_sum(seq.coeffs, M, moduli), rel=1e-9)
 
 
 def test_sieve_sum_filter_and_additivity():
