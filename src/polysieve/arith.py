@@ -17,6 +17,8 @@ from math import fsum, gcd, isqrt, log
 
 import numpy as np
 
+from .errors import BudgetError
+
 FACTOR_LIMIT = 2 ** 63
 
 _TRIAL_LIMIT = 10 ** 6
@@ -187,13 +189,24 @@ def tau(n: int) -> int:
 
 _lambda_table: np.ndarray | None = None
 
+# Largest limit von_mangoldt_table builds: the dense table takes 8 bytes per n.
+LAMBDA_LIMIT = 10 ** 7
 
-def von_mangoldt_table(limit: int) -> np.ndarray:
-    """Lambda(n) for n = 0..limit as a float array; grow-only module cache.
 
-    Entries are math.log(p), bit-identical to the pointwise path.
+def von_mangoldt_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime-power stream up to limit: (T, L) with T the prime powers
+    <= limit in increasing order and L = Lambda(T).
+
+    Every Lambda-weighted sum reads this stream.  L holds math.log(p),
+    bit-identical to the pointwise path.  The stream is cut from a grow-only
+    dense module cache; limits above LAMBDA_LIMIT raise BudgetError before
+    anything is allocated.
     """
     global _lambda_table
+    if limit < 0:
+        raise ValueError(f"von_mangoldt_table expects limit >= 0, got {limit}")
+    if limit > LAMBDA_LIMIT:
+        raise BudgetError("von Mangoldt table limit", limit, LAMBDA_LIMIT)
     if _lambda_table is None or len(_lambda_table) <= limit:
         table = np.zeros(limit + 1)
         for p in primes_up_to(limit):
@@ -203,18 +216,8 @@ def von_mangoldt_table(limit: int) -> np.ndarray:
                 table[pk] = lp
                 pk *= p
         _lambda_table = table
-    return _lambda_table
-
-
-def _progression_terms(y: float, m: int, a: int) -> list[float]:
-    """Lambda values on n <= y, n == a (mod m), in increasing n."""
-    ylim = math.floor(y)
-    if ylim < 2:
-        return []
-    a_mod = a % m
-    start = a_mod if a_mod >= 1 else m
-    table = von_mangoldt_table(ylim)
-    return [float(table[n]) for n in range(start, ylim + 1, m) if table[n]]
+    T = np.flatnonzero(_lambda_table[:limit + 1])
+    return T, _lambda_table[T]
 
 
 def psi_progression(y: float, m: int, a: int) -> float:
@@ -223,7 +226,8 @@ def psi_progression(y: float, m: int, a: int) -> float:
         raise ValueError(f"psi expects y >= 0, got {y}")
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    return fsum(_progression_terms(y, m, a))
+    T, L = von_mangoldt_table(math.floor(y))
+    return fsum(L[T % m == a % m].tolist())
 
 
 def chebyshev_psi(y: float) -> float:

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import fsum, gcd, log
+from math import fsum, gcd, log, prod
+
+import numpy as np
 
 from .arith import (KahanSum, euler_phi, moebius, von_mangoldt,
                     von_mangoldt_table)
@@ -133,7 +135,11 @@ def prime_value_weight(F: FactoredPoly, q) -> float:
     squarefree.  Defined as 0 whenever some factor value is < 1 (Lambda of a
     nonpositive integer has no meaning here).
     """
-    vals = F.evaluate_factors(q)
+    return _weight(F.evaluate_factors(q))
+
+
+def _weight(vals) -> float:
+    """mu^2(prod vals) times the product of Lambda(v); 0 if some v < 1."""
     if any(v < 1 for v in vals):
         return 0.0
     weight = 1.0
@@ -142,10 +148,7 @@ def prime_value_weight(F: FactoredPoly, q) -> float:
         if lam == 0.0:
             return 0.0
         weight *= lam
-    p = 1
-    for v in vals:
-        p *= v
-    if moebius(p) == 0:
+    if moebius(prod(vals)) == 0:
         return 0.0
     return weight
 
@@ -170,26 +173,20 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     phi = euler_phi(m)
-    xlim = int(x)
-    lam = von_mangoldt_table(xlim) if xlim >= 2 else None
+    T, L = von_mangoldt_table(int(x))
     acc = {a: KahanSum() for a in range(m) if gcd(a, m) == 1}
     best = DiscrepancyPoint(0.0, 1, 0.0, False)
-    if lam is not None:
-        for t in range(2, xlim + 1):
-            ln = lam[t]
-            if not ln:
-                continue
-            a = t % m
-            s = acc.get(a)
-            if s is None:
-                continue
-            drift = t / phi
-            before = abs(s.total - drift)
-            if before > best.value:
-                best = DiscrepancyPoint(before, a, float(t), True)
-            after = abs(s.add(float(ln)) - drift)
-            if after > best.value:
-                best = DiscrepancyPoint(after, a, float(t), False)
+    for t, ln, a in zip(T.tolist(), L.tolist(), (T % m).tolist()):
+        s = acc.get(a)
+        if s is None:
+            continue
+        drift = t / phi
+        before = abs(s.total - drift)
+        if before > best.value:
+            best = DiscrepancyPoint(before, a, float(t), True)
+        after = abs(s.add(ln) - drift)
+        if after > best.value:
+            best = DiscrepancyPoint(after, a, float(t), False)
     for a, s in acc.items():
         v = abs(s.total - x / phi)
         if v > best.value:
@@ -232,23 +229,15 @@ def _discrepancy_chunk(args):
         for rest in product(range(Q, 2 * Q), repeat=q_ell - 1):
             q = (q1,) + rest
             vals = F.evaluate_factors(q)
-            pval = 1
-            for v in vals:
-                pval *= v
+            pval = prod(vals)
             if abs(pval) * threshold_den <= threshold_num:
                 excluded += 1
                 continue
             if any(v < 1 for v in vals):
                 negative += 1
                 continue
-            w = 1.0
-            for v in vals:
-                lam = von_mangoldt(v)
-                if lam == 0.0:
-                    w = 0.0
-                    break
-                w *= lam
-            if w == 0.0 or moebius(pval) == 0:
+            w = _weight(vals)
+            if w == 0.0:
                 continue
             nonzero += 1
             weights.append(w)
@@ -293,29 +282,6 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
         nonzero_weight_tuples=nonzero, weight_sum=fsum(weights))
 
 
-def _sup_abs_psi_chi(chi, x: float) -> float:
-    """sup over y <= x of |psi(y, chi)| from the running prefix at jumps."""
-    xlim = int(x)
-    if xlim < 2:
-        return 0.0
-    lam = von_mangoldt_table(xlim)
-    vals = chi.values()
-    m = chi.modulus
-    best = 0.0
-    acc = 0j
-    for t in range(2, xlim + 1):
-        ln = lam[t]
-        if not ln:
-            continue
-        z = vals[t % m]
-        if z:
-            acc += ln * z
-            mag = abs(acc)
-            if mag > best:
-                best = mag
-    return best
-
-
 @dataclass(frozen=True)
 class MeanValueReport:
     """The mean value sum, its moduli |P(q)| with their multiplicities in the
@@ -334,12 +300,19 @@ def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1,
     no primitive character to sum over by the convention adopted here).
     """
     moduli, skipped, _ = fold_moduli(value_counts(P, Q, workers=workers))
+    T, L = von_mangoldt_table(max(int(x), 0))
     parts = []
     for d in sorted(moduli):
         if d > char_cap:
             raise BudgetError("mean value sum modulus", d, char_cap)
-        sups = [_sup_abs_psi_chi(chi, x) for chi in enumerate_characters(d)
-                if chi.is_primitive]
+        residues = T % d
+        sups = []
+        for chi in enumerate_characters(d):
+            if chi.is_primitive:
+                # np.hypot rounds like the scalar abs of a complex; np.abs
+                # on complex arrays can differ in the last ulp.
+                c = np.cumsum(L * chi.values()[residues])
+                sups.append(float(np.max(np.hypot(c.real, c.imag), initial=0.0)))
         if sups:
             parts.append(moduli[d] * d / euler_phi(d) * fsum(sups))
     return MeanValueReport(value=fsum(parts), moduli=moduli,

@@ -239,18 +239,8 @@ def psi_chi(y: float, chi: DirichletCharacter) -> complex:
     """psi(y, chi) = sum over n <= y of chi(n) * Lambda(n)."""
     if y < 0:
         raise ValueError(f"psi expects y >= 0, got {y}")
-    ylim = int(y)
-    if ylim < 2:
-        return 0j
-    lam = von_mangoldt_table(ylim)
-    vals = chi.values()
-    m = chi.modulus
-    re, im = [], []
-    for n in range(2, ylim + 1):
-        ln = lam[n]
-        if ln:
-            z = vals[n % m]
-            if z:
-                re.append(ln * z.real)
-                im.append(ln * z.imag)
-    return complex(fsum(re), fsum(im))
+    T, L = von_mangoldt_table(int(y))
+    z = chi.values()[T % chi.modulus]
+    unit = z != 0
+    L, z = L[unit], z[unit]
+    return complex(fsum((L * z.real).tolist()), fsum((L * z.imag).tolist()))

@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
     common(p, factors=True)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--A", type=float, default=2.0)
+    p.add_argument("--A", type=_finite_float, default=2.0)
     p.add_argument("--eps-bad", type=_finite_float, default=None)
 
     p = sub.add_parser("meanvalue-sum", help="primitive-character mean value sum")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt, log
+from math import log
 
 from .arith import factorize, is_prime, primes_up_to
 from .boxes import DyadicBox, check_box_budget
@@ -24,17 +24,22 @@ from .mvpoly import MvPoly, parse_poly
 
 
 def integer_nth_root(x: int, n: int) -> int:
-    """Largest r >= 0 with r^n <= x."""
+    """Largest r >= 0 with r^n <= x, by integer Newton iteration.
+
+    The start 2^ceil(bits(x)/n) lies above the root.  A step from above the
+    root lands at or above it (AM-GM) and strictly below the previous
+    iterate, so the first step that does not decrease starts from the root.
+    """
     if x < 0 or n < 1:
         raise ValueError("need x >= 0 and n >= 1")
     if x == 0:
         return 0
-    r = int(round(x ** (1.0 / n)))
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
@@ -112,11 +117,7 @@ class NumberFieldSpec:
 
 
 def _divisors_with_sign(c0: int):
-    out = []
-    for d in range(1, isqrt(c0) + 1):
-        if c0 % d == 0:
-            out.extend((d, -d, c0 // d, -(c0 // d)))
-    return sorted(set(out))
+    return sorted(s * d for d in factorize(c0).divisors() for s in (1, -1))
 
 
 def _eval_int_poly(coeffs, x: int) -> int:

@@ -3,6 +3,10 @@
 Everything here is deliberately written from scratch against definitions,
 avoiding the library's own code paths, so an agreement test actually checks
 two different routes to the same number.
+
+The loop references at the end walk every n <= x and read Lambda pointwise
+through ``von_mangoldt``.  They add the same terms in the same order as the
+library's prime-power stream kernels, so the two must agree exactly.
 """
 
 import cmath
@@ -10,6 +14,8 @@ from fractions import Fraction
 from math import fsum, gcd
 
 import numpy as np
+
+from polysieve.arith import KahanSum, von_mangoldt
 
 
 def trial_division_factorize(n: int) -> list[tuple[int, int]]:
@@ -191,3 +197,63 @@ def primitive_character_count(m: int, phi) -> int:
         return val
 
     return rec(m)
+
+
+def loop_psi_chi(y: float, chi) -> complex:
+    """psi(y, chi) by fsum over n <= y of Lambda(n) chi(n), split into real
+    and imaginary parts."""
+    vals = chi.values()
+    m = chi.modulus
+    re, im = [], []
+    for n in range(2, int(y) + 1):
+        ln = von_mangoldt(n)
+        if ln:
+            z = vals[n % m]
+            if z:
+                re.append(ln * z.real)
+                im.append(ln * z.imag)
+    return complex(fsum(re), fsum(im))
+
+
+def loop_sup_abs_psi_chi(chi, x: float) -> float:
+    """sup over y <= x of |psi(y, chi)| from the running prefix at jumps."""
+    vals = chi.values()
+    m = chi.modulus
+    best = 0.0
+    acc = 0j
+    for t in range(2, int(x) + 1):
+        ln = von_mangoldt(t)
+        if not ln:
+            continue
+        z = vals[t % m]
+        if z:
+            acc += ln * z
+            best = max(best, abs(acc))
+    return best
+
+
+def loop_discrepancy(m: int, x: float) -> tuple[float, int, float, bool]:
+    """(value, residue, y, left_limit) of the sup over y <= x and coprime a of
+    |psi(y; m, a) - y/phi(m)|, scanning both one-sided limits at each jump
+    with one compensated accumulator per class."""
+    phi = sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
+    acc = {a: KahanSum() for a in range(m) if gcd(a, m) == 1}
+    best = (0.0, 1, 0.0, False)
+    for t in range(2, int(x) + 1):
+        ln = von_mangoldt(t)
+        if not ln or t % m not in acc:
+            continue
+        a = t % m
+        s = acc[a]
+        drift = t / phi
+        before = abs(s.total - drift)
+        if before > best[0]:
+            best = (before, a, float(t), True)
+        after = abs(s.add(ln) - drift)
+        if after > best[0]:
+            best = (after, a, float(t), False)
+    for a, s in acc.items():
+        v = abs(s.total - x / phi)
+        if v > best[0]:
+            best = (v, a, float(x), False)
+    return best

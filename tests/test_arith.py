@@ -1,16 +1,18 @@
 import math
 from math import fsum
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import trial_division_factorize, trial_division_is_prime
-from polysieve.arith import (Factorization, chebyshev_psi, euler_phi,
-                             factorize, is_prime, moebius, primes_up_to,
-                             psi_progression, tau, von_mangoldt,
+from polysieve.arith import (LAMBDA_LIMIT, Factorization, chebyshev_psi,
+                             euler_phi, factorize, is_prime, moebius,
+                             primes_up_to, psi_progression, tau, von_mangoldt,
                              von_mangoldt_table)
+from polysieve.errors import BudgetError
 
 
 def test_factorize_examples():
@@ -157,9 +159,15 @@ def test_psi_batch_and_pointwise_identical():
 
 
 def test_von_mangoldt_table_matches_pointwise():
-    table = von_mangoldt_table(500)
-    for n in range(1, 501):
-        assert float(table[n]) == von_mangoldt(n)
+    for limit in (0, 1, 2, 500, 37):
+        T, L = von_mangoldt_table(limit)
+        assert T.dtype == np.int64 and L.dtype == np.float64
+        assert T.tolist() == [n for n in range(1, limit + 1) if von_mangoldt(n)]
+        assert L.tolist() == [von_mangoldt(n) for n in T.tolist()]
+    with pytest.raises(ValueError):
+        von_mangoldt_table(-1)
+    with pytest.raises(BudgetError):
+        von_mangoldt_table(LAMBDA_LIMIT + 1)
 
 
 def test_factorization_dataclass():

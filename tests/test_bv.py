@@ -1,11 +1,14 @@
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
+from math import fsum
 
 import pytest
 import sympy
 
 import polysieve.bv as bv
+from oracles import loop_discrepancy, loop_sup_abs_psi_chi
 from polysieve.arith import euler_phi
 from polysieve.boxes import fold_moduli, value_counts
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad,
@@ -17,6 +20,8 @@ from polysieve.characters import enumerate_characters, psi_chi
 from polysieve.mvpoly import FactoredPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
+STREAM_MODULI = (*range(3, 41), 97)
+STREAM_X = (1, 2, 10, 500, 4000)
 
 
 def test_profile_3_2_exact():
@@ -136,6 +141,12 @@ def test_discrepancy_matches_independent_oracle():
             _discrepancy_oracle(m, x), rel=1e-9)
 
 
+@pytest.mark.parametrize("x", STREAM_X)
+def test_discrepancy_matches_loop_reference_exactly(x):
+    for m in STREAM_MODULI:
+        assert astuple(max_progression_discrepancy_detail(m, x)) == loop_discrepancy(m, x)
+
+
 def test_discrepancy_grid_beats_random_probes():
     rng = random.Random(5)
     for m, x in ((6, 300), (11, 120)):
@@ -236,6 +247,16 @@ def test_mean_value_matches_character_table_recomputation():
             per_mod += sup
         expected += mult * d / euler_phi(d) * per_mod
     assert mean_value_sum(P_SUM_SQ, 2, x).value == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("x", STREAM_X)
+def test_mean_value_matches_loop_reference_exactly(x):
+    for d in STREAM_MODULI:
+        P = parse_poly(f"x1+{d - 1}")   # Q = 1 boxes the single point q = 1
+        sups = [loop_sup_abs_psi_chi(chi, x) for chi in enumerate_characters(d)
+                if chi.is_primitive]
+        expected = fsum([1 * d / euler_phi(d) * fsum(sups)] if sups else [])
+        assert mean_value_sum(P, 1, x).value == expected
 
 
 def test_default_eps_bad():

@@ -4,7 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import primitive_character_count
+from oracles import loop_psi_chi, primitive_character_count
 from polysieve.arith import chebyshev_psi, euler_phi, factorize, von_mangoldt
 from polysieve.characters import (DirichletCharacter, enumerate_characters,
                                   induce_character_values, psi_chi, unit_group)
@@ -129,6 +129,13 @@ def test_psi_chi_principal_identity():
         assert psi_chi(y, chi0).real == pytest.approx(
             chebyshev_psi(y) - removed, rel=1e-9)
         assert abs(psi_chi(y, chi0).imag) < 1e-9
+
+
+@pytest.mark.parametrize("y", (1, 2, 10, 500, 4000))
+def test_psi_chi_matches_loop_reference_exactly(y):
+    for m in (*range(3, 41), 97):
+        for chi in enumerate_characters(m):
+            assert psi_chi(y, chi) == loop_psi_chi(y, chi)
 
 
 def test_conductor_divides_modulus():

@@ -52,6 +52,12 @@ def test_empty_polynomial_is_validation_error(capsys):
     ("bad-moduli", "--P", "x1^2-x2^2", "--Q", "2", "--eps-bad", "inf"),
     ("exponents", "--k", "2", "--ell", "1", "--workers", "0"),
     ("exponents", "--k", "2", "--ell", "1", "--workers", "-5"),
+    ("bv-sum", "--P", "x1^2+x2^2", "--P", "x3^2+x4^2", "--Q", "1", "--x", "100",
+     "--A", "nan", "--eps-bad", "0.1"),
+    ("bv-sum", "--P", "x1^2+x2^2", "--P", "x3^2+x4^2", "--Q", "1", "--x", "100",
+     "--A", "inf", "--eps-bad", "0.1"),
+    # the constant term is outside the range of the exact factorization
+    ("prime-value-sieve", "--f", "t^2+1000000000000000000000", "--Q", "2"),
 ])
 def test_bad_numeric_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -67,6 +73,23 @@ def test_budget_is_resource_error(capsys):
                              "--Q", "10", "--N", "4")
     assert code == 3
     assert json.loads(err.strip())["kind"] == "resource"
+
+
+@pytest.mark.parametrize("argv", [
+    ("meanvalue-sum", "--P", "x1^2+x2^2", "--Q", "2", "--x", "1e12"),
+    ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "2", "--x", "1e12", "--eps-bad", "0.001"),
+    ("corollary-search", "--f", "t^2+1", "--X", "1" + "0" * 400, "--theta", "2/5"),
+    # raised in a pool worker and pickled back to the parent
+    ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "32", "--x", "1e8", "--eps-bad", "0.001",
+     "--workers", "2"),
+])
+def test_huge_limit_is_resource_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "resource"
 
 
 def test_determinism_up_to_duration(capsys):

@@ -7,8 +7,8 @@ import sympy
 from oracles import sylvester_resultant
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
-from polysieve.normform import (NumberFieldSpec, field_multiply,
-                                integer_nth_root, norm_form,
+from polysieve.normform import (NumberFieldSpec, _divisors_with_sign,
+                                field_multiply, integer_nth_root, norm_form,
                                 prime_divisor_search, prime_value_sieve)
 
 GAUSS = NumberFieldSpec.from_text("t^2+1")
@@ -111,10 +111,16 @@ def test_integer_nth_root():
     assert integer_nth_root(26, 3) == 2
     assert integer_nth_root(27, 3) == 3
     assert integer_nth_root(0, 4) == 0
-    for x in (1, 7, 63, 64, 65, 10 ** 12 - 1, 10 ** 12):
-        for n in (2, 3, 5):
+    for x in (1, 7, 63, 64, 65, 10 ** 12 - 1, 10 ** 12, 2 ** 1000 - 1, 2 ** 1000,
+              (10 ** 57 + 3) ** 7, 3 ** 800 - 1, 10 ** 400 - 1, 10 ** 400):
+        for n in (1, 2, 3, 5, 7):
             r = integer_nth_root(x, n)
             assert r ** n <= x < (r + 1) ** n
+
+
+def test_divisors_with_sign_of_a_large_prime():
+    p = 2 ** 61 - 1
+    assert _divisors_with_sign(p) == [-p, -1, 1, p]
 
 
 def test_prime_value_sieve_examples():
