@@ -54,7 +54,7 @@ def is_prime(n: int) -> bool:
     if n < 1:
         raise ValueError(f"is_prime expects n >= 1, got {n}")
     if n > FACTOR_LIMIT:
-        raise ValueError(f"n={n} exceeds the supported range 2^63")
+        raise BudgetError("primality test argument", n, FACTOR_LIMIT)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -129,7 +129,7 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     if n > FACTOR_LIMIT:
-        raise ValueError(f"n={n} exceeds the supported range 2^63")
+        raise BudgetError("factorization argument", n, FACTOR_LIMIT)
     m = n
     factors: dict[int, int] = {}
     for p in _trial_primes():

@@ -17,7 +17,7 @@ from itertools import product
 from math import isnan
 
 from .errors import BudgetError
-from .mvpoly import MvPoly
+from .mvpoly import FactoredPoly, MvPoly
 
 DEFAULT_BOX_BUDGET = 5_000_000
 _PARALLEL_MIN = 4096
@@ -39,28 +39,26 @@ class DyadicBox:
     def __iter__(self):
         return product(range(self.Q, 2 * self.Q), repeat=self.ell)
 
-    def leading_ranges(self, parts: int):
-        """Split the leading coordinate into at most `parts` contiguous ranges."""
-        qs = list(range(self.Q, 2 * self.Q))
-        parts = max(1, min(parts, len(qs)))
-        step = -(-len(qs) // parts)
-        return [qs[i:i + step] for i in range(0, len(qs), step)]
-
 
 def check_box_budget(Q: int, ell: int, budget: int = DEFAULT_BOX_BUDGET) -> None:
+    if Q < 1 or ell < 1:
+        raise ValueError("Q and ell must be positive")
     size = Q ** ell
     if size > budget:
         raise BudgetError("box enumeration", size, budget)
 
 
-def map_leading(fn, box: DyadicBox, args: tuple, workers: int, min_size: int) -> list:
-    """[fn(args + (leading,)) for each leading-coordinate range of the box].
+def map_chunks(fn, items, args: tuple, workers: int, parallel: bool) -> list:
+    """[fn(args + (chunk,)) for each of at most `workers` contiguous chunks
+    of items], in order.
 
-    A pool of at most min(workers, ranges, cpu count) processes runs them
-    when there are 2 or more ranges and the box has >= min_size tuples.
+    A pool of at most min(workers, chunks, cpu count) processes runs them
+    when `parallel` holds and there are 2 or more chunks.
     """
-    chunks = [args + (rng,) for rng in box.leading_ranges(workers)]
-    if len(chunks) < 2 or box.size < min_size:
+    items = list(items)
+    step = -(-len(items) // max(workers, 1)) or 1
+    chunks = [args + (items[i:i + step],) for i in range(0, len(items), step)]
+    if len(chunks) < 2 or not parallel:
         return [fn(c) for c in chunks]
     with ProcessPoolExecutor(min(workers, len(chunks), os.cpu_count() or 1)) as ex:
         return list(ex.map(fn, chunks))
@@ -75,13 +73,18 @@ def _count_chunk(args) -> Counter:
     return counts
 
 
-def value_counts(P: MvPoly, Q: int, workers: int = 1,
+def value_counts(P: MvPoly | FactoredPoly, Q: int, workers: int = 1,
                  budget: int = DEFAULT_BOX_BUDGET) -> Counter:
-    """Multiplicity of each value P(q) over the box, in one enumeration pass."""
-    check_box_budget(Q, P.num_vars, budget)
+    """Multiplicity of each value P(q) over the box, in one enumeration pass.
+
+    A FactoredPoly's values are its tuples of factor values.  The leading
+    coordinate is split across workers.
+    """
+    ell = P.num_vars
+    check_box_budget(Q, ell, budget)
     total: Counter = Counter()
-    for part in map_leading(_count_chunk, DyadicBox(Q, P.num_vars),
-                            (P, Q, P.num_vars), workers, _PARALLEL_MIN):
+    for part in map_chunks(_count_chunk, range(Q, 2 * Q), (P, Q, ell), workers,
+                           Q ** ell >= _PARALLEL_MIN):
         total.update(part)
     return total
 
@@ -103,11 +106,6 @@ def fold_moduli(counts, min_modulus=None) -> tuple[dict[int, int], int, int]:
         else:
             moduli[d] = moduli.get(d, 0) + mult
     return moduli, skipped_unit, skipped_filtered
-
-
-def representation_count(P: MvPoly, m: int, Q: int) -> int:
-    """Number of q ~ Q with P(q) = m, by exact enumeration."""
-    return sum(1 for q in DyadicBox(Q, P.num_vars) if P.evaluate(q) == m)
 
 
 def max_representation_count(P: MvPoly, Q: int, workers: int = 1,

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import fsum, gcd, log, prod
 
 import numpy as np
 
 from .arith import (KahanSum, euler_phi, moebius, von_mangoldt,
                     von_mangoldt_table)
-from .boxes import (DyadicBox, check_box_budget, fold_moduli, map_leading,
-                    value_counts)
+from .boxes import fold_moduli, map_chunks, value_counts
 from .characters import CHAR_MODULUS_CAP, enumerate_characters
 from .congruence import r_parameter
 from .errors import BudgetError
@@ -135,7 +133,7 @@ def prime_value_weight(F: FactoredPoly, q) -> float:
     squarefree.  Defined as 0 whenever some factor value is < 1 (Lambda of a
     nonpositive integer has no meaning here).
     """
-    return _weight(F.evaluate_factors(q))
+    return _weight(F.evaluate(q))
 
 
 def _weight(vals) -> float:
@@ -220,30 +218,9 @@ class DiscrepancySumReport:
     weight_sum: float
 
 
-def _discrepancy_chunk(args):
-    F, Q, x, threshold_num, threshold_den, q_ell, leading = args
-    parts = []
-    excluded = negative = nonzero = 0
-    weights = []
-    for q1 in leading:
-        for rest in product(range(Q, 2 * Q), repeat=q_ell - 1):
-            q = (q1,) + rest
-            vals = F.evaluate_factors(q)
-            pval = prod(vals)
-            if abs(pval) * threshold_den <= threshold_num:
-                excluded += 1
-                continue
-            if any(v < 1 for v in vals):
-                negative += 1
-                continue
-            w = _weight(vals)
-            if w == 0.0:
-                continue
-            nonzero += 1
-            weights.append(w)
-            disc = max_progression_discrepancy(pval, x)
-            parts.append(w * euler_phi(pval) / Q ** q_ell * disc)
-    return parts, weights, excluded, negative, nonzero
+def _discrepancy_chunk(args) -> list[float]:
+    x, moduli = args
+    return [max_progression_discrepancy(m, x) for m in moduli]
 
 
 def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = None,
@@ -252,9 +229,12 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     weight(q) * phi(P(q)) / Q^ell * discrepancy(P(q), x).
 
     The weight forces every factor value prime and the product squarefree, so
-    only those tuples cost a discrepancy evaluation.  Box chunks are reduced
-    in leading-coordinate order and the final reduction is an fsum, making
-    the result independent of the worker count.
+    only those tuples cost a discrepancy evaluation.  One box pass counts the
+    factor-value tuples; each distinct tuple is classified once and weighted
+    by its multiplicity, and the discrepancy is computed once per distinct
+    modulus (the moduli are split across workers).  The final reductions are
+    fsums of the same multiset of terms, so the result does not depend on the
+    worker count.
     """
     ell = F.num_vars
     k = F.product.total_degree()
@@ -262,22 +242,33 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
         eps_bad = default_eps_bad(Q, k, A, len(F.factors))
     if eps_bad <= 0:
         raise ValueError("eps_bad must be positive")
-    check_box_budget(Q, ell)
-    thr = Fraction(eps_bad) * Q ** k
-    results = map_leading(_discrepancy_chunk, DyadicBox(Q, ell),
-                          (F, Q, x, thr.numerator, thr.denominator, ell),
-                          workers, _PARALLEL_MIN)
-    parts, weights = [], []
+    try:
+        comparator = x / log(x) ** A if x > 1 else float("inf")
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"x/(log x)^A is out of float range at x={x}, A={A}") from None
+    threshold = Fraction(eps_bad) * Q ** k
+    weighted = []   # (weight, modulus, multiplicity)
     excluded = negative = nonzero = 0
-    for p, w, e, ng, nz in results:
-        parts.extend(p)
-        weights.extend(w)
-        excluded += e
-        negative += ng
-        nonzero += nz
+    for vals, mult in value_counts(F, Q, workers=workers).items():
+        m = prod(vals)
+        if abs(m) <= threshold:
+            excluded += mult
+        elif any(v < 1 for v in vals):
+            negative += mult
+        elif (w := _weight(vals)) != 0.0:
+            nonzero += mult
+            weighted.append((w, m, mult))
+    moduli = list(dict.fromkeys(m for _, m, _ in weighted))
+    discs = map_chunks(_discrepancy_chunk, moduli, (x,), workers,
+                       Q ** ell >= _PARALLEL_MIN)
+    disc = dict(zip(moduli, (d for part in discs for d in part)))
+    parts, weights = [], []
+    for w, m, mult in weighted:
+        weights += [w] * mult
+        parts += [w * euler_phi(m) / Q ** ell * disc[m]] * mult
     return DiscrepancySumReport(
-        value=fsum(parts), comparator=x / log(x) ** A if x > 1 else float("inf"),
-        Q=Q, x=x, A=A, eps_bad=eps_bad, box_size=Q ** ell,
+        value=fsum(parts), comparator=comparator, Q=Q, x=x, A=A,
+        eps_bad=eps_bad, box_size=Q ** ell,
         excluded_small=excluded, negative_factor_tuples=negative,
         nonzero_weight_tuples=nonzero, weight_sum=fsum(weights))
 

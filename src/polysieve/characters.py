@@ -123,7 +123,7 @@ class DirichletCharacter:
     representation; value() materializes complex numbers.
     """
 
-    __slots__ = ("group", "exponents", "_values", "_conductor")
+    __slots__ = ("group", "exponents", "_values")
 
     def __init__(self, group: UnitGroup, exponents: tuple[int, ...]):
         if len(exponents) != len(group.components):
@@ -134,7 +134,6 @@ class DirichletCharacter:
         self.group = group
         self.exponents = tuple(exponents)
         self._values = None
-        self._conductor = None
 
     @property
     def modulus(self) -> int:
@@ -179,21 +178,17 @@ class DirichletCharacter:
 
     @property
     def conductor(self) -> int:
-        """Smallest d | m such that chi is trivial on units == 1 (mod d)."""
-        if self._conductor is None:
-            m = self.modulus
-            found = m
-            for d in factorize(m).divisors():
-                trivial = True
-                for n in range(1, m + 1, d):
-                    if gcd(n, m) == 1 and self.value_exponent(n) != 0:
-                        trivial = False
-                        break
-                if trivial:
-                    found = d
-                    break
-            self._conductor = found
-        return self._conductor
+        """Smallest d | m such that chi is trivial on units == 1 (mod d).
+
+        By the local criterion (Montgomery-Vaughan, Multiplicative Number
+        Theory I, 9.1) it is the lcm of the components' conductors.  A
+        nonzero exponent c on the component of q = p^e has conductor
+        q / p^v_p(c) = q / gcd(c, q), except on the -1 component of 2^e,
+        whose conductor is 4.
+        """
+        return lcm(*(4 if comp.modulus % 2 == 0 and comp.generator == comp.modulus - 1
+                     else comp.modulus // gcd(c, comp.modulus)
+                     for c, comp in zip(self.exponents, self.group.components) if c))
 
     @property
     def is_primitive(self) -> bool:

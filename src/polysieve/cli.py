@@ -28,7 +28,8 @@ from .bv import (check_setting, default_eps_bad, discrepancy_sum,
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
-from .largesieve import SEQUENCE_FAMILIES, delta_bounds, empirical_delta
+from .largesieve import (DEFAULT_WORK_BUDGET, SEQUENCE_FAMILIES, delta_bounds,
+                         empirical_delta)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
 
@@ -146,7 +147,7 @@ def build_parser() -> _Parser:
     common(p, poly=True)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--N", type=_int_grid, required=True, help="grid, e.g. 16,64,256")
-    p.add_argument("--min-modulus", type=float, default=None)
+    p.add_argument("--min-modulus", type=_finite_float, default=None)
 
     p = sub.add_parser("sieve-scan", help="empirical sieve constant vs comparators over an N grid")
     common(p, poly=True)
@@ -154,7 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--N", type=_int_grid, required=True)
     p.add_argument("--M", type=int, default=0)
     p.add_argument("--sequence", choices=sorted(SEQUENCE_FAMILIES), default="pm1")
-    p.add_argument("--min-modulus", type=float, default=None)
+    p.add_argument("--min-modulus", type=_finite_float, default=None)
 
     p = sub.add_parser("exponents", help="exact exponent profile for (k, ell)")
     common(p)
@@ -247,6 +248,9 @@ def _split_seed(seed: int, counter: int) -> int:
 
 
 def _run_sieve_scan(args):
+    # the sieve work of one N is at least N: refuse before building a sequence
+    if max(args.N) > DEFAULT_WORK_BUDGET:
+        raise BudgetError("sieve sequence length", max(args.N), DEFAULT_WORK_BUDGET)
     P = parse_poly(args.P)
     k = P.total_degree()
     ell = P.num_vars

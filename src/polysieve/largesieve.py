@@ -36,6 +36,8 @@ class SieveSequence:
             raise ValueError("coeffs must be a nonempty 1-d array")
         if M < 0:
             raise ValueError(f"M must be >= 0, got {M}")
+        if M + len(coeffs) > 2 ** 63 - 1:
+            raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
         self.M = M
         self.N = len(coeffs)
         self.coeffs = coeffs

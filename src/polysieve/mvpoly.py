@@ -336,8 +336,9 @@ class FactoredPoly:
             subsets.append(tuple(i + 1 for i in range(m) if mask >> i & 1))
         return list(zip(subsets, products))
 
-    def evaluate_factors(self, x) -> list[int]:
-        return [f.evaluate(x) for f in self.factors]
+    def evaluate(self, x) -> tuple[int, ...]:
+        """The tuple of factor values at an integer point."""
+        return tuple(f.evaluate(x) for f in self.factors)
 
     def __repr__(self):
         inner = ", ".join(f.to_text() for f in self.factors)

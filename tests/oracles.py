@@ -11,11 +11,14 @@ library's prime-power stream kernels, so the two must agree exactly.
 
 import cmath
 from fractions import Fraction
-from math import fsum, gcd
+from itertools import product
+from math import fsum, gcd, log, prod
 
 import numpy as np
 
-from polysieve.arith import KahanSum, von_mangoldt
+from polysieve.arith import KahanSum, euler_phi, factorize, von_mangoldt
+from polysieve.bv import (DiscrepancySumReport, default_eps_bad,
+                          max_progression_discrepancy, prime_value_weight)
 
 
 def trial_division_factorize(n: int) -> list[tuple[int, int]]:
@@ -199,6 +202,23 @@ def primitive_character_count(m: int, phi) -> int:
     return rec(m)
 
 
+def representation_count(P, m: int, Q: int) -> int:
+    """Number of q ~ Q with P(q) = m, by exact enumeration of the box."""
+    return sum(1 for q in product(range(Q, 2 * Q), repeat=P.num_vars)
+               if P.evaluate(q) == m)
+
+
+def scan_conductor(chi) -> int:
+    """Smallest d | m such that chi(n) = 1 for every unit n == 1 (mod d),
+    by scanning each divisor's progression."""
+    m = chi.modulus
+    for d in factorize(m).divisors():
+        if all(chi.value_exponent(n) == 0 for n in range(1, m + 1, d)
+               if gcd(n, m) == 1):
+            return d
+    return m
+
+
 def loop_psi_chi(y: float, chi) -> complex:
     """psi(y, chi) by fsum over n <= y of Lambda(n) chi(n), split into real
     and imaginary parts."""
@@ -257,3 +277,35 @@ def loop_discrepancy(m: int, x: float) -> tuple[float, int, float, bool]:
         if v > best[0]:
             best = (v, a, float(x), False)
     return best
+
+
+def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
+                         A: float = 2.0) -> DiscrepancySumReport:
+    """discrepancy_sum by walking every tuple of the box and computing one
+    discrepancy per tuple of nonzero weight.
+
+    It shares the library's tuple weight and discrepancy kernel; what it
+    checks is the grouping by distinct tuple and distinct modulus."""
+    ell = F.num_vars
+    k = F.product.total_degree()
+    if eps_bad is None:
+        eps_bad = default_eps_bad(Q, k, A, len(F.factors))
+    threshold = Fraction(eps_bad) * Q ** k
+    parts, weights = [], []
+    excluded = negative = nonzero = 0
+    for q in product(range(Q, 2 * Q), repeat=ell):
+        vals = [f.evaluate(q) for f in F.factors]
+        m = prod(vals)
+        if abs(m) <= threshold:
+            excluded += 1
+        elif any(v < 1 for v in vals):
+            negative += 1
+        elif w := prime_value_weight(F, q):
+            nonzero += 1
+            weights.append(w)
+            parts.append(w * euler_phi(m) / Q ** ell * max_progression_discrepancy(m, x))
+    return DiscrepancySumReport(
+        value=fsum(parts), comparator=x / log(x) ** A if x > 1 else float("inf"),
+        Q=Q, x=x, A=A, eps_bad=eps_bad, box_size=Q ** ell,
+        excluded_small=excluded, negative_factor_tuples=negative,
+        nonzero_weight_tuples=nonzero, weight_sum=fsum(weights))

@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polysieve.boxes as boxes
+from oracles import representation_count
 from polysieve.boxes import (DyadicBox, count_bad_moduli, fold_moduli,
-                             max_representation_count, representation_count,
-                             value_counts)
+                             max_representation_count, value_counts)
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
 

@@ -7,8 +7,10 @@ from math import fsum
 import pytest
 import sympy
 
+import polysieve.boxes as boxes
 import polysieve.bv as bv
-from oracles import loop_discrepancy, loop_sup_abs_psi_chi
+from oracles import (loop_discrepancy, loop_discrepancy_sum,
+                     loop_sup_abs_psi_chi)
 from polysieve.arith import euler_phi
 from polysieve.boxes import fold_moduli, value_counts
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad,
@@ -196,20 +198,29 @@ def test_discrepancy_sum_matches_independent_recomputation():
     assert rep.value == pytest.approx(expected, rel=1e-9)
 
 
-def test_discrepancy_sum_box_partition_additivity():
-    # partitioning by leading coordinate and adding partial values in order
-    # reproduces the total (up to the final fsum regrouping)
-    import polysieve.bv as bvmod
-    F = FactoredPoly([P_SUM_SQ])
-    total = discrepancy_sum(F, 2, 200.0)
-    parts = []
-    for q1 in (2, 3):
-        chunk = bvmod._discrepancy_chunk(
-            (F, 2, 200.0,
-             Fraction(total.eps_bad).numerator * 4,
-             Fraction(total.eps_bad).denominator, 2, [q1]))
-        parts.extend(chunk[0])
-    assert math.fsum(parts) == pytest.approx(total.value, rel=1e-12)
+LOOP_SUM_CASES = (
+    # (factor texts, Q values, eps_bad)
+    (("x1^2+x2^2",), (1, 2, 3), None),
+    (("x1^2+x2^2", "x3^2+x3*x4+3*x4^2"), (2,), None),
+    (("x1^2-3*x2^2",), (1, 2, 3), 1e-9),   # negative factor values
+    (("x1^2",), (1, 2, 3), None),           # no tuple has nonzero weight
+    (("x1-x2",), (1, 2, 3), None),          # repeated zero, negative and prime values
+)
+
+
+def test_discrepancy_sum_matches_loop_reference_exactly(monkeypatch):
+    # one discrepancy per distinct modulus, weighted by multiplicity, gives
+    # the per-tuple loop's report bit for bit, serially and split in pools
+    for workers in (1, 2):
+        if workers == 2:
+            monkeypatch.setattr(bv, "_PARALLEL_MIN", 1)
+            monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
+        for texts, Qs, eps_bad in LOOP_SUM_CASES:
+            F = FactoredPoly([parse_poly(t) for t in texts])
+            for Q in Qs:
+                for x in (10.0, 200.0, 2000.0):
+                    assert (discrepancy_sum(F, Q, x, eps_bad=eps_bad, workers=workers)
+                            == loop_discrepancy_sum(F, Q, x, eps_bad=eps_bad))
 
 
 def test_discrepancy_sum_negative_tuple_reporting():

@@ -4,7 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import loop_psi_chi, primitive_character_count
+from oracles import loop_psi_chi, primitive_character_count, scan_conductor
 from polysieve.arith import chebyshev_psi, euler_phi, factorize, von_mangoldt
 from polysieve.characters import (DirichletCharacter, enumerate_characters,
                                   induce_character_values, psi_chi, unit_group)
@@ -142,6 +142,12 @@ def test_conductor_divides_modulus():
     for m in (24, 36, 60):
         for chi in enumerate_characters(m):
             assert m % chi.conductor == 0
+
+
+def test_conductor_matches_divisor_scan():
+    for m in range(1, 301):
+        for chi in enumerate_characters(m):
+            assert chi.conductor == scan_conductor(chi)
 
 
 def test_modulus_cap():

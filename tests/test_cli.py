@@ -56,8 +56,20 @@ def test_empty_polynomial_is_validation_error(capsys):
      "--A", "nan", "--eps-bad", "0.1"),
     ("bv-sum", "--P", "x1^2+x2^2", "--P", "x3^2+x4^2", "--Q", "1", "--x", "100",
      "--A", "inf", "--eps-bad", "0.1"),
-    # the constant term is outside the range of the exact factorization
-    ("prime-value-sieve", "--f", "t^2+1000000000000000000000", "--Q", "2"),
+    *((*argv, "--Q", Q) for argv in (
+        ("bad-moduli", "--P", "x1^2-x2^2", "--eps-bad", "0.5"),
+        ("meanvalue-sum", "--P", "x1^2+x2^2", "--x", "10"),
+        ("bv-sum", "--P", "x1^2+x2^2", "--x", "10"),
+        ("farey-stats", "--P", "x1^2+x2^2", "--N", "4"),
+        ("sieve-scan", "--P", "x1^2+x2^2", "--N", "4"),
+    ) for Q in ("0", "-3")),
+    # the comparator x/(log x)^A leaves the float range
+    ("bv-sum", "--P", "x1^2+x2^2", "--Q", "1", "--x", "10", "--A", "1e30",
+     "--eps-bad", "0.001"),
+    ("bv-sum", "--P", "x1^2+x2^2", "--Q", "1", "--x", "1.5", "--A", "2000",
+     "--eps-bad", "0.001"),
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--M", str(10 ** 23)),
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--min-modulus", "inf"),
 ])
 def test_bad_numeric_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -82,6 +94,10 @@ def test_budget_is_resource_error(capsys):
     # raised in a pool worker and pickled back to the parent
     ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "32", "--x", "1e8", "--eps-bad", "0.001",
      "--workers", "2"),
+    # the constant term is outside the range of the exact factorization
+    ("prime-value-sieve", "--f", "t^2+1000000000000000000000", "--Q", "2"),
+    # the sieve work of one N is at least N
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", str(10 ** 23)),
 ])
 def test_huge_limit_is_resource_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -90,6 +106,51 @@ def test_huge_limit_is_resource_error(capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "resource"
+
+
+# One numeric flag of one subcommand changes at a time; every other value
+# keeps the run tiny.
+GRID_BASES = {
+    "congruence-count": ("--P", "x1^2+x2^2", "--a", "1", "--m", "3", "--H", "3",
+                         "--L", "0", "--R", "1"),
+    "farey-stats": ("--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--min-modulus", "2"),
+    "sieve-scan": ("--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--M", "0",
+                   "--min-modulus", "2"),
+    "exponents": ("--k", "2", "--ell", "1"),
+    "bv-sum": ("--P", "x1^2+x2^2", "--Q", "1", "--x", "10", "--A", "2",
+               "--eps-bad", "0.001"),
+    "meanvalue-sum": ("--P", "x1^2+x2^2", "--Q", "1", "--x", "10"),
+    "norm-form": ("--f", "t^2+1", "--truncation", "0"),
+    "prime-value-sieve": ("--f", "t^2+1", "--truncation", "0", "--Q", "2"),
+    "corollary-search": ("--f", "t^2+1", "--truncation", "0", "--X", "100",
+                         "--theta", "2/5"),
+    "bad-moduli": ("--P", "x1^2-x2^2", "--Q", "2", "--eps-bad", "0.5"),
+}
+GRID_VALUES = ("nan", "inf", "-inf", "0", "-3", "0.5", "1e30", str(10 ** 23))
+GRID_CASES = [
+    pytest.param((command, *base[:i], value, *base[i + 1:], "--workers", "1"),
+                 id=f"{command} {base[i - 1]} {value}")
+    for command, base in GRID_BASES.items()
+    for i in range(1, len(base), 2) if base[i - 1] not in ("--P", "--f")
+    for value in GRID_VALUES
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("argv", GRID_CASES)
+def test_numeric_flag_grid(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0])
+    else:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 def test_determinism_up_to_duration(capsys):
