@@ -22,26 +22,27 @@ from .errors import BudgetError
 FACTOR_LIMIT = 2 ** 63
 
 _TRIAL_LIMIT = 10 ** 6
-_small_primes: list[int] | None = None
+
+
+def prime_flags(limit: int) -> np.ndarray:
+    """Boolean array f of length max(limit + 1, 0) with f[n] = n is prime,
+    by a numpy sieve of Eratosthenes."""
+    flags = np.ones(max(limit + 1, 0), dtype=bool)
+    flags[:2] = False
+    for p in range(2, isqrt(max(limit, 0)) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    return flags
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a byte sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, f in enumerate(sieve) if f]
+    """All primes <= limit, read from prime_flags."""
+    return np.flatnonzero(prime_flags(limit)).tolist()
 
 
+@lru_cache(maxsize=None)
 def _trial_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = primes_up_to(_TRIAL_LIMIT)
-    return _small_primes
+    return primes_up_to(_TRIAL_LIMIT)
 
 
 # Witnesses proving primality for every n < 3.3 * 10^24, hence for all

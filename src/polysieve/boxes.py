@@ -1,9 +1,9 @@
-"""Dyadic box iteration q ~ Q and representation-count statistics.
+"""Dyadic boxes q ~ Q: value multiplicities and representation-count statistics.
 
-The box is the product of [Q, 2Q) over each of the L coordinates; iteration
-order is lexicographic with the last coordinate fastest.  All aggregations
-here are order-independent counts, so the box may be partitioned by leading
-coordinate across workers and merged by addition.
+The box is the product of [Q, 2Q) over each of the L coordinates, evaluated
+as one numpy grid (MvPoly.grid) in lexicographic order with the last
+coordinate fastest.  All aggregations here are counts, so the box may be
+partitioned by leading coordinate across workers and merged by addition.
 """
 
 from __future__ import annotations
@@ -13,31 +13,13 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isnan
+from math import floor, isnan
 
 from .errors import BudgetError
 from .mvpoly import FactoredPoly, MvPoly
 
 DEFAULT_BOX_BUDGET = 5_000_000
-_PARALLEL_MIN = 4096
-
-
-@dataclass(frozen=True)
-class DyadicBox:
-    Q: int
-    ell: int
-
-    def __post_init__(self):
-        if self.Q < 1 or self.ell < 1:
-            raise ValueError("Q and ell must be positive")
-
-    @property
-    def size(self) -> int:
-        return self.Q ** self.ell
-
-    def __iter__(self):
-        return product(range(self.Q, 2 * self.Q), repeat=self.ell)
+_PARALLEL_MIN = 1_000_000
 
 
 def check_box_budget(Q: int, ell: int, budget: int = DEFAULT_BOX_BUDGET) -> None:
@@ -65,12 +47,12 @@ def map_chunks(fn, items, args: tuple, workers: int, parallel: bool) -> list:
 
 
 def _count_chunk(args) -> Counter:
+    """Value multiplicities over the box slice whose leading coordinate runs
+    through `leading`, keyed in first-seen order (a FactoredPoly's grid rows
+    become factor-value tuples)."""
     poly, Q, ell, leading = args
-    counts: Counter = Counter()
-    for q1 in leading:
-        for rest in product(range(Q, 2 * Q), repeat=ell - 1):
-            counts[poly.evaluate((q1,) + rest)] += 1
-    return counts
+    vals = poly.grid([leading] + [range(Q, 2 * Q)] * (ell - 1))
+    return Counter(vals.tolist() if vals.ndim == 1 else map(tuple, vals.tolist()))
 
 
 def value_counts(P: MvPoly | FactoredPoly, Q: int, workers: int = 1,
@@ -82,9 +64,9 @@ def value_counts(P: MvPoly | FactoredPoly, Q: int, workers: int = 1,
     """
     ell = P.num_vars
     check_box_budget(Q, ell, budget)
-    total: Counter = Counter()
-    for part in map_chunks(_count_chunk, range(Q, 2 * Q), (P, Q, ell), workers,
-                           Q ** ell >= _PARALLEL_MIN):
+    total, *rest = map_chunks(_count_chunk, range(Q, 2 * Q), (P, Q, ell), workers,
+                              Q ** ell >= _PARALLEL_MIN)
+    for part in rest:
         total.update(part)
     return total
 
@@ -111,8 +93,7 @@ def fold_moduli(counts, min_modulus=None) -> tuple[dict[int, int], int, int]:
 def max_representation_count(P: MvPoly, Q: int, workers: int = 1,
                              budget: int = DEFAULT_BOX_BUDGET) -> int:
     """Largest multiplicity of a single value over the box (always >= 1)."""
-    counts = value_counts(P, Q, workers=workers, budget=budget)
-    return max(counts.values())
+    return max(value_counts(P, Q, workers=workers, budget=budget).values())
 
 
 @dataclass(frozen=True)
@@ -132,14 +113,16 @@ class BadModuliReport:
 
 def count_bad_moduli(P: MvPoly, Q: int, eps, workers: int = 1,
                      budget: int = DEFAULT_BOX_BUDGET) -> BadModuliReport:
-    """Exact count of small-value tuples; the threshold is compared exactly."""
+    """Exact count of small-value tuples: |v| <= threshold is -b <= v <= b
+    with b = floor(threshold), since the values are integers."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     k = P.total_degree()
     ell = P.num_vars
     threshold = Fraction(eps) * Q ** k
+    b = floor(threshold)
     counts = value_counts(P, Q, workers=workers, budget=budget)
-    count = sum(mult for v, mult in counts.items() if abs(v) <= threshold)
+    count = sum(mult for v, mult in counts.items() if -b <= v <= b)
     comparator = float(eps) ** (1.0 / k) * Q ** ell if eps > 0 else 0.0
     ratio = count / comparator if comparator > 0 else None
     return BadModuliReport(count=count, box_size=Q ** ell, eps=float(eps),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import (KahanSum, euler_phi, moebius, von_mangoldt,
                     von_mangoldt_table)
-from .boxes import fold_moduli, map_chunks, value_counts
+from .boxes import check_box_budget, fold_moduli, map_chunks, value_counts
 from .characters import CHAR_MODULUS_CAP, enumerate_characters
 from .congruence import r_parameter
 from .errors import BudgetError
@@ -204,9 +204,10 @@ def default_eps_bad(Q: int, k: int, A: float, m: int) -> float:
 @dataclass(frozen=True)
 class DiscrepancySumReport:
     """The weighted average of maximal progression discrepancies over the box,
-    with small moduli excluded, next to the x/(log x)^A comparator."""
+    with small moduli excluded, next to the x/(log x)^A comparator (None
+    when x <= 1, where log x is not positive)."""
     value: float
-    comparator: float
+    comparator: float | None
     Q: int
     x: float
     A: float
@@ -238,12 +239,13 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     """
     ell = F.num_vars
     k = F.product.total_degree()
+    check_box_budget(Q, ell)
     if eps_bad is None:
         eps_bad = default_eps_bad(Q, k, A, len(F.factors))
     if eps_bad <= 0:
         raise ValueError("eps_bad must be positive")
     try:
-        comparator = x / log(x) ** A if x > 1 else float("inf")
+        comparator = x / log(x) ** A if x > 1 else None
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"x/(log x)^A is out of float range at x={x}, A={A}") from None
     threshold = Fraction(eps_bad) * Q ** k

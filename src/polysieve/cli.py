@@ -21,10 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .arith import euler_phi
 from .boxes import count_bad_moduli, max_representation_count
-from .bv import (check_setting, default_eps_bad, discrepancy_sum,
-                 exponent_profile, mean_value_sum)
+from .bv import check_setting, discrepancy_sum, exponent_profile, mean_value_sum
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing

@@ -77,11 +77,6 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None, workers: int = 1,
                        skipped_filtered=skipped_filtered, modulus_counts=retained)
 
 
-def circular_distance(x: Fraction, y: Fraction) -> Fraction:
-    d = abs(x - y) % 1
-    return min(d, 1 - d)
-
-
 def min_spacing(system: FareySystem) -> Fraction:
     """Smallest circular distance between distinct point values, exact."""
     vals = system.distinct_values()

@@ -1,16 +1,22 @@
 """Exact sparse multivariate integer polynomials.
 
 A polynomial in x1..xL is a map from exponent vectors (length-L tuples of
-non-negative ints) to nonzero integer coefficients.  All arithmetic is exact
-(Python ints), so box evaluations of size Q^k times large coefficients never
-overflow.  Instances are immutable after construction and safe to share
-across worker processes.
+non-negative ints) to nonzero integer coefficients.  Pointwise arithmetic
+uses Python ints.  Box evaluation (``grid``) runs in numpy int64 only when
+coefficient_abs_sum * max|x|^k < 2^63, which bounds every partial sum and
+product; otherwise the same code runs on object arrays of Python ints, so no
+value ever overflows.  Instances are immutable after construction and safe to
+share across worker processes.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import combinations
+from math import prod
+
+import numpy as np
 
 Exponents = tuple[int, ...]
 
@@ -80,12 +86,7 @@ class MvPoly:
 
     def used_variables(self) -> frozenset[int]:
         """1-based indices of variables appearing with positive exponent."""
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i + 1)
-        return frozenset(used)
+        return frozenset(i + 1 for exps in self.terms for i, e in enumerate(exps) if e)
 
     def evaluate(self, x) -> int:
         """Exact value at an integer point; length must equal num_vars."""
@@ -103,6 +104,31 @@ class MvPoly:
 
     def coefficient_abs_sum(self) -> int:
         return sum(abs(c) for c in self.terms.values())
+
+    def grid(self, axes) -> np.ndarray:
+        """Values over the product of the integer sequences in axes, flat, in
+        lexicographic order with the last coordinate fastest.
+
+        Each axis is broadcast along its own dimension.  The dtype is int64
+        when coefficient_abs_sum * max|x|^k < 2^63 (checked in Python ints),
+        else object, which runs the same code on exact Python ints.
+        """
+        axes = [list(a) for a in axes]
+        if len(axes) != self.num_vars:
+            raise ValueError(f"grid has {len(axes)} axes, expected {self.num_vars}")
+        k = max(map(sum, self.terms), default=0)
+        top = max((abs(v) for a in axes for v in a), default=0)
+        dtype = np.int64 if self.coefficient_abs_sum() * max(top, 1) ** k < 2 ** 63 else object
+        xs = [np.array(a, dtype=dtype).reshape([-1] + [1] * (len(axes) - 1 - i))
+              for i, a in enumerate(axes)]
+        out = np.zeros([len(a) for a in axes], dtype=dtype)
+        for exps, coef in self.terms.items():
+            term = np.array(coef, dtype=dtype)
+            for x, e in zip(xs, exps):
+                if e:
+                    term = term * x ** e
+            out += term
+        return out.reshape(-1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -287,19 +313,13 @@ class FactoredPoly:
             if f.is_zero() or f.total_degree() < 1:
                 raise ValueError(f"factor {i + 1} is constant")
             var_sets.append(f.used_variables())
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                overlap = var_sets[i] & var_sets[j]
-                if overlap:
-                    raise ValueError(
-                        f"factors {i + 1} and {j + 1} share variables {sorted(overlap)}")
-        product = factors[0]
-        for f in factors[1:]:
-            product = product * f
+        for (i, a), (j, b) in combinations(enumerate(var_sets, start=1), 2):
+            if a & b:
+                raise ValueError(f"factors {i} and {j} share variables {sorted(a & b)}")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "variable_sets", tuple(var_sets))
-        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "product", prod(factors[1:], start=factors[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredPoly is immutable")
@@ -310,35 +330,31 @@ class FactoredPoly:
     def __len__(self):
         return len(self.factors)
 
-    def divisor_products(self) -> list[MvPoly]:
-        """Products over the 2^m - 1 nonempty subsets of factors.
+    def divisor_subsets(self) -> list[tuple[tuple[int, ...], MvPoly]]:
+        """(1-based factor indices, product) over the 2^m - 1 nonempty subsets
+        of factors, by increasing bitmask (factor 1 = lowest bit).
 
         These are exactly the nonconstant monic-subset divisors used when a
         squarefree product of prime factor values is split into divisors.
-        Order: subsets by increasing bitmask (factor 1 = lowest bit).
         """
         out = []
-        m = len(self.factors)
-        for mask in range(1, 1 << m):
-            p = None
-            for i in range(m):
-                if mask >> i & 1:
-                    p = self.factors[i] if p is None else p * self.factors[i]
-            out.append(p)
+        for mask in range(1, 1 << len(self.factors)):
+            indices = tuple(i + 1 for i in range(len(self.factors)) if mask >> i & 1)
+            first, *rest = (self.factors[i - 1] for i in indices)
+            out.append((indices, prod(rest, start=first)))
         return out
 
-    def divisor_subsets(self):
-        """(indices, product) pairs matching divisor_products order."""
-        m = len(self.factors)
-        products = self.divisor_products()
-        subsets = []
-        for mask in range(1, 1 << m):
-            subsets.append(tuple(i + 1 for i in range(m) if mask >> i & 1))
-        return list(zip(subsets, products))
+    def divisor_products(self) -> list[MvPoly]:
+        """The products of divisor_subsets, in its order."""
+        return [p for _, p in self.divisor_subsets()]
 
     def evaluate(self, x) -> tuple[int, ...]:
         """The tuple of factor values at an integer point."""
         return tuple(f.evaluate(x) for f in self.factors)
+
+    def grid(self, axes) -> np.ndarray:
+        """Factor values over the grid of MvPoly.grid: one row per point."""
+        return np.stack([f.grid(axes) for f in self.factors], axis=1)
 
     def __repr__(self):
         inner = ", ".join(f.to_text() for f in self.factors)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import log
 
-from .arith import factorize, is_prime, primes_up_to
-from .boxes import DyadicBox, check_box_budget
+import numpy as np
+
+from .arith import factorize, is_prime, prime_flags
+from .boxes import check_box_budget
 from .errors import BudgetError
 from .mvpoly import MvPoly, parse_poly
 
@@ -42,10 +43,6 @@ def integer_nth_root(x: int, n: int) -> int:
         r = s
 
 
-def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
 def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = a[:]
     while a and a[-1] == 0:
@@ -63,7 +60,7 @@ def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def _is_squarefree_poly(coeffs: tuple[int, ...]) -> bool:
     a = [Fraction(c) for c in coeffs]
-    b = _poly_derivative(a)
+    b = [i * c for i, c in enumerate(a)][1:]  # the derivative
     while b:
         a, b = b, _poly_mod(a, b)
     return len(a) == 1  # gcd is a nonzero constant
@@ -245,14 +242,20 @@ class PrimeValueReport:
 
 def prime_value_sieve(spec: NumberFieldSpec, Q: int,
                       budget: int = 5_000_000) -> PrimeValueReport:
+    """Prime values of the norm form over q ~ Q, each with its points in box
+    order; is_prime runs once per distinct value >= 2, in first-seen order."""
     ell = spec.num_form_vars
     check_box_budget(Q, ell, budget)
-    form = norm_form(spec)
+    vals = norm_form(spec).grid([range(Q, 2 * Q)] * ell)
+    distinct, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
+    distinct = distinct.tolist()
+    prime = np.zeros(len(distinct), dtype=bool)
+    for i in np.argsort(first).tolist():
+        prime[i] = distinct[i] >= 2 and is_prime(distinct[i])
+    hit = np.flatnonzero(prime[inverse])
     values: dict[int, list[tuple[int, ...]]] = {}
-    for q in DyadicBox(Q, ell):
-        v = form.evaluate(q)
-        if v >= 2 and is_prime(v):
-            values.setdefault(v, []).append(q)
+    for v, q in zip(vals[hit].tolist(), _box_points(hit, Q, Q, ell)):
+        values.setdefault(v, []).append(q)
     count = sum(len(qs) for qs in values.values())
     max_mult = max((len(qs) for qs in values.values()), default=0)
     ratio = count / (Q ** ell / log(Q)) if Q >= 2 else None
@@ -285,10 +288,9 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     """Find primes p <= X such that p-1 has a prime divisor d >= p^theta that
     is a norm-form value on positive coordinates.
 
-    The divisor set is sieved first (norm values over 1 <= q_i <= X^(1/n)),
-    then the primes are scanned - one pass each way instead of a
-    representability search per divisor.  The threshold d >= p^theta is
-    decided exactly by integer powering.
+    The norm values over 1 <= q_i <= X^(1/n) that are primes d < X, each
+    with its first point in box order, are read off one sieve up to X.  Each
+    such d then walks p = 1 + j*d while p <= X and p^tn <= d^td (exact).
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -298,25 +300,28 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     qmax = integer_nth_root(X, n)
     if qmax < 1 or (qmax ** ell) > budget:
         raise BudgetError("norm value sieve", max(qmax, 1) ** ell, budget)
-    form = norm_form(spec)
-    norm_primes: dict[int, tuple[int, ...]] = {}
-    for q in product(range(1, qmax + 1), repeat=ell):
-        v = form.evaluate(q)
-        if v >= 2 and v not in norm_primes and is_prime(v):
-            norm_primes[v] = q
-    witnesses = []
-    primes = primes_up_to(X)
+    vals = norm_form(spec).grid([range(1, qmax + 1)] * ell)
+    flags = prime_flags(X)
+    small = np.flatnonzero((vals >= 2) & (vals <= X - 1))
+    hit = small[flags[vals[small].astype(np.int64)]]
+    norm_primes, first = np.unique(vals[hit].astype(np.int64), return_index=True)
+    reps = dict(zip(norm_primes.tolist(), _box_points(hit[first], 1, qmax, ell)))
     tn, td = theta.numerator, theta.denominator
-    for p in primes:
-        hits = []
-        for d in factorize(p - 1).divisors():
-            if d in norm_primes and d ** td >= p ** tn:
-                hits.append(d)
-        if hits:
-            witnesses.append(DivisorWitness(
-                p=p, divisors=tuple(hits),
-                representations={d: norm_primes[d] for d in hits}))
+    hits: dict[int, list[int]] = {}
+    for d in reps:
+        top = min(X, integer_nth_root(d ** td, tn))
+        for p in (1 + d + d * np.flatnonzero(flags[d + 1:top + 1:d])).tolist():
+            hits.setdefault(p, []).append(d)
+    witnesses = tuple(DivisorWitness(p=p, divisors=tuple(ds),
+                                     representations={d: reps[d] for d in ds})
+                      for p, ds in sorted(hits.items()))
+    prime_count = int(np.count_nonzero(flags))
     return DivisorSearchReport(
-        X=X, theta=theta, count=len(witnesses), prime_count=len(primes),
-        density=len(witnesses) / len(primes) if primes else 0.0,
-        q_range=qmax, witnesses=tuple(witnesses))
+        X=X, theta=theta, count=len(witnesses), prime_count=prime_count,
+        density=len(witnesses) / prime_count if prime_count else 0.0,
+        q_range=qmax, witnesses=witnesses)
+
+
+def _box_points(index: np.ndarray, lo: int, side: int, ell: int) -> list[tuple[int, ...]]:
+    """The points of the grid [lo, lo + side)^ell at the given flat indices."""
+    return list(zip(*((c + lo).tolist() for c in np.unravel_index(index, (side,) * ell))))

@@ -10,15 +10,19 @@ library's prime-power stream kernels, so the two must agree exactly.
 """
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import fsum, gcd, log, prod
 
 import numpy as np
 
-from polysieve.arith import KahanSum, euler_phi, factorize, von_mangoldt
+from polysieve.arith import (KahanSum, euler_phi, factorize, is_prime,
+                             primes_up_to, von_mangoldt)
 from polysieve.bv import (DiscrepancySumReport, default_eps_bad,
                           max_progression_discrepancy, prime_value_weight)
+from polysieve.normform import (DivisorSearchReport, DivisorWitness,
+                                PrimeValueReport, integer_nth_root, norm_form)
 
 
 def trial_division_factorize(n: int) -> list[tuple[int, int]]:
@@ -202,6 +206,62 @@ def primitive_character_count(m: int, phi) -> int:
     return rec(m)
 
 
+def loop_value_counts(P, Q: int) -> Counter:
+    """Multiplicity of each value over the box, one evaluate call per point
+    in box order (a FactoredPoly's values are factor-value tuples)."""
+    counts: Counter = Counter()
+    for q in product(range(Q, 2 * Q), repeat=P.num_vars):
+        counts[P.evaluate(q)] += 1
+    return counts
+
+
+def loop_prime_value_sieve(spec, Q: int) -> PrimeValueReport:
+    """prime_value_sieve by evaluating the norm form point by point and
+    testing every value >= 2 for primality."""
+    ell = spec.num_form_vars
+    form = norm_form(spec)
+    values: dict[int, list[tuple[int, ...]]] = {}
+    for q in product(range(Q, 2 * Q), repeat=ell):
+        v = form.evaluate(q)
+        if v >= 2 and is_prime(v):
+            values.setdefault(v, []).append(q)
+    count = sum(len(qs) for qs in values.values())
+    return PrimeValueReport(
+        Q=Q, num_vars=ell, degree=spec.degree, values=values, count=count,
+        distinct=len(values),
+        max_multiplicity=max((len(qs) for qs in values.values()), default=0),
+        density_ratio=count / (Q ** ell / log(Q)) if Q >= 2 else None,
+        maynard_condition_ok=Fraction(ell) >= Fraction(3 * spec.degree, 4))
+
+
+def loop_prime_divisor_search(spec, X: int, theta) -> DivisorSearchReport:
+    """prime_divisor_search by testing every norm value below X for
+    primality (a larger one cannot divide p - 1) and scanning the divisors of
+    p - 1 for every prime p <= X."""
+    theta = Fraction(theta)
+    ell = spec.num_form_vars
+    qmax = integer_nth_root(X, spec.degree)
+    form = norm_form(spec)
+    norm_primes: dict[int, tuple[int, ...]] = {}
+    for q in product(range(1, qmax + 1), repeat=ell):
+        v = form.evaluate(q)
+        if 2 <= v < X and v not in norm_primes and is_prime(v):
+            norm_primes[v] = q
+    witnesses = []
+    primes = primes_up_to(X)
+    for p in primes:
+        hits = [d for d in factorize(p - 1).divisors()
+                if d in norm_primes and d ** theta.denominator >= p ** theta.numerator]
+        if hits:
+            witnesses.append(DivisorWitness(
+                p=p, divisors=tuple(hits),
+                representations={d: norm_primes[d] for d in hits}))
+    return DivisorSearchReport(
+        X=X, theta=theta, count=len(witnesses), prime_count=len(primes),
+        density=len(witnesses) / len(primes) if primes else 0.0,
+        q_range=qmax, witnesses=tuple(witnesses))
+
+
 def representation_count(P, m: int, Q: int) -> int:
     """Number of q ~ Q with P(q) = m, by exact enumeration of the box."""
     return sum(1 for q in product(range(Q, 2 * Q), repeat=P.num_vars)
@@ -305,7 +365,7 @@ def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
             weights.append(w)
             parts.append(w * euler_phi(m) / Q ** ell * max_progression_discrepancy(m, x))
     return DiscrepancySumReport(
-        value=fsum(parts), comparator=x / log(x) ** A if x > 1 else float("inf"),
+        value=fsum(parts), comparator=x / log(x) ** A if x > 1 else None,
         Q=Q, x=x, A=A, eps_bad=eps_bad, box_size=Q ** ell,
         excluded_small=excluded, negative_factor_tuples=negative,
         nonzero_weight_tuples=nonzero, weight_sum=fsum(weights))

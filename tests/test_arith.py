@@ -174,3 +174,10 @@ def test_factorization_dataclass():
     f = factorize(360)
     assert isinstance(f, Factorization)
     assert f.n == 360 and f.rebuild() == 360
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 10 ** 5])
+def test_primes_up_to_matches_sympy(limit):
+    primes = primes_up_to(limit)
+    assert primes == list(sympy.primerange(limit + 1))
+    assert all(type(p) is int for p in primes)

@@ -1,26 +1,29 @@
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import polysieve.boxes as boxes
-from oracles import representation_count
-from polysieve.boxes import (DyadicBox, count_bad_moduli, fold_moduli,
+from oracles import loop_value_counts, representation_count
+from polysieve.boxes import (count_bad_moduli, fold_moduli,
                              max_representation_count, value_counts)
 from polysieve.errors import BudgetError
-from polysieve.mvpoly import parse_poly
+from polysieve.mvpoly import FactoredPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 P_DIFF_SQ = parse_poly("x1^2-x2^2")
 
 
 def test_box_iteration():
-    box = DyadicBox(3, 2)
-    tuples = list(box)
-    assert len(tuples) == 9 == box.size
-    assert all(3 <= c < 6 for t in tuples for c in t)
-    assert tuples[0] == (3, 3) and tuples[1] == (3, 4)  # last coordinate fastest
+    P = parse_poly("10*x1+x2")
+    vals = P.grid([range(3, 6)] * 2).tolist()
+    assert vals == [10 * q1 + q2 for q1, q2 in product(range(3, 6), repeat=2)]
+    assert vals[:2] == [33, 34]  # last coordinate fastest
+    with pytest.raises(ValueError):
+        P.grid([range(3, 6)])
 
 
 def test_representation_counts():
@@ -86,7 +89,7 @@ def test_parallel_matches_serial(monkeypatch):
 def test_fold_moduli():
     assert fold_moduli(value_counts(P_DIFF_SQ, 2)) == ({5: 2}, 2, 0)  # 5 and -5
     for Q in (2, 3, 4):
-        values = [q1 * q1 - q2 * q2 for q1, q2 in DyadicBox(Q, 2)]
+        values = [q1 * q1 - q2 * q2 for q1, q2 in product(range(Q, 2 * Q), repeat=2)]
         moduli, unit, filtered = fold_moduli(value_counts(P_DIFF_SQ, Q), min_modulus=20)
         assert unit == values.count(0) == Q
         assert filtered == sum(1 for v in values if 1 < abs(v) < 20)
@@ -119,3 +122,41 @@ def test_pool_is_capped(monkeypatch):
     assert sizes == [2]
     value_counts(P_DIFF_SQ, 1, workers=64)  # one leading range: no pool
     assert sizes == [2]
+
+
+GRID_POLYS = [
+    P_DIFF_SQ,                                    # zeros and negative values
+    parse_poly("x1^3-3*x1*x2^2+x2^3-40"),
+    parse_poly("x1*x2*x3-x2^2-7"),
+    FactoredPoly([parse_poly("x1^2+x2^2"), parse_poly("x3-2*x4")]),
+]
+
+
+@pytest.mark.parametrize("P", GRID_POLYS, ids=repr)
+@pytest.mark.parametrize("Q", [1, 2, 3, 7])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_value_counts_matches_loop_reference(monkeypatch, P, Q, workers):
+    monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
+    got = value_counts(P, Q, workers=workers)
+    expected = loop_value_counts(P, Q)
+    assert got == expected
+    assert list(got.items()) == list(expected.items())   # first-seen key order
+    keys = [k if isinstance(k, tuple) else (k,) for k in got]
+    assert all(type(v) is int for k in keys for v in k)   # Python ints, not np.int64
+
+
+# coefficient_abs_sum * (2Q - 1)^k is 2^63 - 1 (int64 holds every value) and
+# 2^63 (the guard fails and the grid is exact Python ints; int64 would wrap
+# the value 2^63 to -2^63 without a warning).  2^63 - 1 = 7 * 1317624576693539401.
+@pytest.mark.parametrize("text, Q, dtype", [
+    ("1317624576693539401*x1", 4, np.int64),
+    ("4611686018427387904*x1+4611686018427387903*x2", 1, np.int64),
+    ("4611686018427387904*x1+4611686018427387904*x2", 1, object),
+    ("4611686018427387904*x1-4611686018427387904*x2^2", 1, object),
+])
+def test_grid_overflow_guard_boundary(text, Q, dtype):
+    P = parse_poly(text)
+    assert P.coefficient_abs_sum() * (2 * Q - 1) ** P.total_degree() in (2 ** 63 - 1, 2 ** 63)
+    assert P.grid([range(Q, 2 * Q)] * P.num_vars).dtype == dtype
+    assert value_counts(P, Q) == loop_value_counts(P, Q)
+    assert max(abs(v) for v in value_counts(P, Q)) in (2 ** 63 - 1, 2 ** 63, 0)

@@ -153,6 +153,23 @@ def test_numeric_flag_grid(capsys, argv):
         json.loads(out, parse_constant=_reject_constant)
 
 
+def test_bv_sum_comparator_is_null_at_x_at_most_one(capsys):
+    for P in (("--P", "x1^2"), ("--P", "x1^2+x2^2")):
+        code, out, err = run_cli(capsys, "bv-sum", *P, "--Q", "1", "--x", "1")
+        assert code == 0, err
+        rep = json.loads(out, parse_constant=_reject_constant)
+        assert rep["result"]["comparator"] is None
+        assert '"comparator": null' in out
+
+
+@pytest.mark.parametrize("Q", ["-3", "-1", "0"])
+def test_bv_sum_checks_q_before_the_default_eps_bad(capsys, Q):
+    code, out, err = run_cli(capsys, "bv-sum", "--P", "x1^2+x2^2", "--Q", Q, "--x", "10")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "Q and ell must be positive", "kind": "validation"}
+
+
 def test_determinism_up_to_duration(capsys):
     for args in (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
                   "--sequence", "pm1", "--seed", "42"),

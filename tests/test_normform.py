@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import sylvester_resultant
+from oracles import (loop_prime_divisor_search, loop_prime_value_sieve,
+                     sylvester_resultant)
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
 from polysieve.normform import (NumberFieldSpec, _divisors_with_sign,
@@ -178,3 +179,33 @@ def test_prime_divisor_search_validation_and_budget():
         prime_divisor_search(GAUSS, 100, Fraction(7, 5))
     with pytest.raises(BudgetError):
         prime_divisor_search(GAUSS, 10 ** 9, Fraction(2, 5), budget=1000)
+
+
+ORACLE_FIELDS = [NumberFieldSpec.from_text("t^2+1"), NumberFieldSpec.from_text("t^2+t+3"),
+                 CUBE2_TRUNC]
+
+
+# From X = 100 on, t^2 + 10^17 takes the object grid and has norm values
+# above 2^63, which is_prime refuses; they are >= X and never tested.
+BIG_FIELD = NumberFieldSpec.from_text("t^2+" + str(10 ** 17))
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS + [BIG_FIELD], ids=repr)
+@pytest.mark.parametrize("X", [2, 3, 100, 3000])
+@pytest.mark.parametrize("theta", [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
+                                   Fraction(99, 100)], ids=str)
+def test_prime_divisor_search_matches_loop_reference(spec, X, theta):
+    got = prime_divisor_search(spec, X, theta)
+    expected = loop_prime_divisor_search(spec, X, theta)
+    assert got == expected
+    for w, v in zip(got.witnesses, expected.witnesses):
+        assert list(w.representations.items()) == list(v.representations.items())
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS + [CUBE2, QUARTIC], ids=repr)
+@pytest.mark.parametrize("Q", [1, 2, 3, 7])
+def test_prime_value_sieve_matches_loop_reference(spec, Q):
+    got = prime_value_sieve(spec, Q)
+    expected = loop_prime_value_sieve(spec, Q)
+    assert got == expected
+    assert list(got.values.items()) == list(expected.values.items())
