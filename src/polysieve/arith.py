@@ -1,19 +1,20 @@
-"""Elementary arithmetic functions: factorization, Lambda, mu, phi, tau,
-deterministic primality, and Chebyshev psi sums over progressions.
+"""Elementary arithmetic functions: factorization, Lambda, mu, phi,
+deterministic primality, the numpy prime sieve, and the prime-power stream
+(T, Lambda(T)) that every Lambda-weighted sum reads.
 
 Everything here is deterministic: primality uses a Miller-Rabin witness set
 that is exact for all 64-bit inputs, and factorization uses trial division
 followed by Brent's cycle variant of Pollard rho with a fixed parameter
-sequence.  Floating-point psi accumulations go through math.fsum, which
-returns the correctly rounded sum of its inputs.
+sequence.  The two dense tables, the prime sieve and the Lambda table, are
+capped (PRIME_SIEVE_LIMIT, LAMBDA_LIMIT) and refuse a larger limit with
+BudgetError before allocating.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, gcd, isqrt, log
+from math import gcd, isqrt, log
 
 import numpy as np
 
@@ -23,10 +24,16 @@ FACTOR_LIMIT = 2 ** 63
 
 _TRIAL_LIMIT = 10 ** 6
 
+# Largest limit prime_flags sieves: the table takes one byte per n.
+PRIME_SIEVE_LIMIT = 10 ** 8
+
 
 def prime_flags(limit: int) -> np.ndarray:
     """Boolean array f of length max(limit + 1, 0) with f[n] = n is prime,
-    by a numpy sieve of Eratosthenes."""
+    by a numpy sieve of Eratosthenes.  Limits above PRIME_SIEVE_LIMIT raise
+    BudgetError before anything is allocated."""
+    if limit > PRIME_SIEVE_LIMIT:
+        raise BudgetError("prime sieve limit", limit, PRIME_SIEVE_LIMIT)
     flags = np.ones(max(limit + 1, 0), dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(max(limit, 0)) + 1):
@@ -111,12 +118,6 @@ class Factorization:
     n: int
     prime_powers: tuple[tuple[int, int], ...]
 
-    def rebuild(self) -> int:
-        out = 1
-        for p, e in self.prime_powers:
-            out *= p ** e
-        return out
-
     def divisors(self) -> list[int]:
         divs = [1]
         for p, e in self.prime_powers:
@@ -178,15 +179,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def tau(n: int) -> int:
-    """Number of divisors."""
-    out = 1
-    for _, e in factorize(n).prime_powers:
-        out *= e + 1
-    return out
-
-
-# -- Chebyshev psi ----------------------------------------------------------
+# -- the prime-power stream ------------------------------------------------
 
 _lambda_table: np.ndarray | None = None
 
@@ -219,21 +212,6 @@ def von_mangoldt_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
         _lambda_table = table
     T = np.flatnonzero(_lambda_table[:limit + 1])
     return T, _lambda_table[T]
-
-
-def psi_progression(y: float, m: int, a: int) -> float:
-    """Sum of Lambda(n) over n <= y with n == a (mod m)."""
-    if y < 0:
-        raise ValueError(f"psi expects y >= 0, got {y}")
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    T, L = von_mangoldt_table(math.floor(y))
-    return fsum(L[T % m == a % m].tolist())
-
-
-def chebyshev_psi(y: float) -> float:
-    """psi(y) = sum of Lambda(n) over n <= y."""
-    return psi_progression(y, 1, 0)
 
 
 class KahanSum:

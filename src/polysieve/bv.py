@@ -126,18 +126,14 @@ def check_setting(F: FactoredPoly) -> SettingReport:
         top_coeffs_are_one=top_ok)
 
 
-def prime_value_weight(F: FactoredPoly, q) -> float:
-    """mu^2(P(q)) times the product of Lambda(H_j(q)).
+def prime_value_weight(vals) -> float:
+    """mu^2(prod vals) times the product of Lambda(v) over the factor values
+    vals = (H_1(q), ..., H_m(q)) of a tuple q.
 
     Nonzero only when every factor value is a prime power and the product is
     squarefree.  Defined as 0 whenever some factor value is < 1 (Lambda of a
     nonpositive integer has no meaning here).
     """
-    return _weight(F.evaluate(q))
-
-
-def _weight(vals) -> float:
-    """mu^2(prod vals) times the product of Lambda(v); 0 if some v < 1."""
     if any(v < 1 for v in vals):
         return 0.0
     weight = 1.0
@@ -257,7 +253,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
             excluded += mult
         elif any(v < 1 for v in vals):
             negative += mult
-        elif (w := _weight(vals)) != 0.0:
+        elif (w := prime_value_weight(vals)) != 0.0:
             nonzero += mult
             weighted.append((w, m, mult))
     moduli = list(dict.fromkeys(m for _, m, _ in weighted))

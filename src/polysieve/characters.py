@@ -1,5 +1,4 @@
-"""Dirichlet characters mod m: enumeration, conductor, primitivity, and the
-character-twisted Chebyshev sum psi(y, chi).
+"""Dirichlet characters mod m: enumeration, conductor and primitivity.
 
 The unit group (Z/m)* is decomposed into cyclic components via CRT over the
 prime powers of m: odd p^e uses the least primitive root, 2^e for e >= 3
@@ -7,7 +6,8 @@ uses the generator pair {-1, 5}.  A character stores one exponent per
 component; its value at n is a root of unity whose exponent (numerator over
 the group exponent) is computed in exact integer arithmetic, so character
 equality and triviality tests never touch floating point.  Complex value
-tables are materialized on demand.
+tables are materialized on demand; a character-twisted Lambda sum reads
+values()[T % m] off the prime-power stream arith.von_mangoldt_table.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import fsum, gcd, lcm, pi
+from math import gcd, lcm, pi
 
 import numpy as np
 
-from .arith import factorize, von_mangoldt_table
+from .arith import factorize
 from .errors import BudgetError
 
 CHAR_MODULUS_CAP = 100_000
@@ -213,29 +213,3 @@ def enumerate_characters(m: int, cap: int = CHAR_MODULUS_CAP) -> list[DirichletC
     group = unit_group(m)
     return [DirichletCharacter(group, exps)
             for exps in product(*(range(c.order) for c in group.components))]
-
-
-def induce_character_values(chi: DirichletCharacter, modulus: int) -> np.ndarray:
-    """Value table mod `modulus` of the character induced by chi.
-
-    Requires chi.modulus | modulus; values are chi(n mod d) on units of the
-    larger modulus and 0 elsewhere.
-    """
-    d = chi.modulus
-    if modulus % d != 0:
-        raise ValueError(f"{d} does not divide {modulus}")
-    n = np.arange(modulus, dtype=np.int64)
-    vals = chi.values()[n % d].copy()
-    vals[np.gcd(n, modulus) != 1] = 0
-    return vals
-
-
-def psi_chi(y: float, chi: DirichletCharacter) -> complex:
-    """psi(y, chi) = sum over n <= y of chi(n) * Lambda(n)."""
-    if y < 0:
-        raise ValueError(f"psi expects y >= 0, got {y}")
-    T, L = von_mangoldt_table(int(y))
-    z = chi.values()[T % chi.modulus]
-    unit = z != 0
-    L, z = L[unit], z[unit]
-    return complex(fsum((L * z.real).tolist()), fsum((L * z.imag).tolist()))

@@ -36,28 +36,10 @@ class CliError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved run configuration, echoed verbatim into every report."""
-    command: str
-    seed: int
-    format: str
-    workers: int
-    params: dict
-
-    def as_flat_dict(self) -> dict:
-        out = {"command": self.command, "seed": self.seed,
-               "format": self.format, "workers": self.workers}
-        out.update(self.params)
-        return dict(sorted(out.items()))
-
-
-def resolve_config(args) -> ExperimentConfig:
-    params = {k: _jsonify(v) for k, v in vars(args).items()
-              if k not in ("command", "seed", "format", "workers", "out")}
-    return ExperimentConfig(command=args.command, seed=args.seed,
-                            format=args.format, workers=args.workers,
-                            params=params)
+def resolve_config(args) -> dict:
+    """The fully resolved run configuration, echoed verbatim into every
+    report: every parsed flag but --out, sorted by name."""
+    return dict(sorted((k, _jsonify(v)) for k, v in vars(args).items() if k != "out"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,14 +200,12 @@ def _run_congruence_count(args):
 
 def _run_farey_stats(args):
     P = parse_poly(args.P)
+    comps = [close_points_comparator(P.total_degree(), P.num_vars, args.Q, N) for N in args.N]
     system = build_farey(P, args.Q, min_modulus=args.min_modulus, workers=args.workers)
-    k = P.total_degree()
-    ell = P.num_vars
     spacing = min_spacing(system) if system.distinct_count >= 2 else None
     rows = []
-    for N in args.N:
+    for N, comp in zip(args.N, comps):
         count = max_close_points(system, N)
-        comp = close_points_comparator(k, ell, args.Q, N)
         rows.append({"N": N, "close_count": count, "comparator": comp,
                      "ratio": count / comp})
     result = {"distinct_count": system.distinct_count,
@@ -399,7 +379,7 @@ def run(args) -> str:
     start = time.perf_counter()
     result, table, blocks = _HANDLERS[args.command](args)
     duration = time.perf_counter() - start
-    return _render(args, config.as_flat_dict(), result, table, blocks, duration)
+    return _render(args, config, result, table, blocks, duration)
 
 
 def main(argv=None) -> int:

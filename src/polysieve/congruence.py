@@ -1,16 +1,22 @@
 """Exact counting of solutions to a*P(x) == y (mod m) in shifted boxes.
 
-Two independent strategies are kept side by side: direct enumeration of the
-x-box, and a residue-class pass that counts each residue tuple once with the
-product of per-coordinate multiplicities.  They must agree exactly; the
-dispatcher picks whichever is cheaper.
+Only residues mod m matter, so one kernel counts every box.  Axis i of the
+grid holds (K_i+1+j) mod m for j < side = min(m, H); the interval
+[K_i+1, K_i+H] hits that residue w_j = H//m + [j < H mod m] times (every
+w_j is 1 when m >= H).  A grid point with d = (a*P - L - 1) mod m has
+R//m + [d < R mod m] partners y in [L+1, L+R], so the count is
+(R//m) H^ell plus the sum of prod w_j over the points with d < R mod m.
+That product depends only on how many coordinates have j < H mod m: one
+bincount and a sum in Python ints give the count exactly.  The residues
+reduce in int64 for m < 2^31 and on exact object ints otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import comb, gcd
+from math import comb, gcd, inf
+
+import numpy as np
 
 from .errors import BudgetError
 from .mvpoly import MvPoly
@@ -46,68 +52,26 @@ class CongruenceInstance:
             raise ValueError("P must have total degree >= 2")
 
 
-def _window_hits(v: int, m: int, L: int, R: int) -> int:
-    """Number of y in [L+1, L+R] with y == v (mod m)."""
-    first = L + 1 + (v - (L + 1)) % m
-    if first > L + R:
-        return 0
-    return (L + R - first) // m + 1
-
-
-def count_by_enumeration(inst: CongruenceInstance,
-                         budget: int = DEFAULT_COUNT_BUDGET) -> int:
-    """Loop over every x in the box, count matching y by residue membership."""
-    ell = inst.P.num_vars
-    work = inst.H ** ell
-    if work > budget:
-        raise BudgetError("congruence x-box enumeration", work, budget)
-    total = 0
-    ranges = [range(k + 1, k + inst.H + 1) for k in inst.K]
-    for x in product(*ranges):
-        v = (inst.a * inst.P.evaluate(x)) % inst.m
-        total += _window_hits(v, inst.m, inst.L, inst.R)
-    return total
-
-
-def count_by_residue_classes(inst: CongruenceInstance,
-                             budget: int = DEFAULT_COUNT_BUDGET) -> int:
-    """Count over residue tuples mod m weighted by coordinate multiplicities.
-
-    Each coordinate interval [K_i+1, K_i+H] meets a residue class t mod m in
-    floor(H/m) or ceil(H/m) points; P is evaluated once per residue tuple.
-    """
-    m, ell = inst.m, inst.P.num_vars
-    work = m ** ell
-    if work > budget:
-        raise BudgetError("congruence residue enumeration", work, budget)
-    mults = []
-    base, rem = divmod(inst.H, m)
-    for k in inst.K:
-        row = [base] * m
-        start = (k + 1) % m
-        for j in range(rem):
-            row[(start + j) % m] += 1
-        mults.append(row)
-    total = 0
-    for t in product(range(m), repeat=ell):
-        w = 1
-        for row, ti in zip(mults, t):
-            w *= row[ti]
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        v = (inst.a * inst.P.evaluate(t)) % m
-        total += w * _window_hits(v, m, inst.L, inst.R)
-    return total
-
-
 def count_solutions(inst: CongruenceInstance,
                     budget: int = DEFAULT_COUNT_BUDGET) -> int:
-    """Exact solution count; uses the residue pass when the box is wider than m."""
-    if inst.m < inst.H:
-        return count_by_residue_classes(inst, budget)
-    return count_by_enumeration(inst, budget)
+    """Exact number of (x, y) in the box with a*P(x) == y (mod m), from one
+    MvPoly.grid pass over min(m, H)^ell residue tuples."""
+    m, H, ell = inst.m, inst.H, inst.P.num_vars
+    side = min(m, H)
+    work = side ** ell
+    if work > budget:
+        raise BudgetError("congruence residue grid", work, budget)
+    base, rem = divmod(H, m)
+    vals = inst.P.grid([[(k + 1 + j) % m for j in range(side)] for k in inst.K])
+    if m >= 2 ** 31:
+        # int64 % m overflows once m >= 2^63, and the product below needs m^2 < 2^63
+        vals = vals.astype(object)
+    d = (inst.a % m * (vals % m) - (inst.L + 1) % m) % m
+    j_small = (np.arange(side) < rem).astype(np.intp)
+    small = sum(j_small.reshape([-1] + [1] * (ell - 1 - i)) for i in range(ell))
+    per_small = np.bincount(small.reshape(-1)[d < inst.R % m], minlength=ell + 1)
+    return inst.R // m * H ** ell + sum(
+        n * (base + 1) ** c * base ** (ell - c) for c, n in enumerate(per_small.tolist()))
 
 
 def r_parameter(k: int, ell: int) -> int:
@@ -135,7 +99,16 @@ def congruence_count_bound(inst: CongruenceInstance,
     ell = inst.P.num_vars
     r = r_parameter(k, ell)
     expo = 1.0 / (r * (k + 1))
-    bound = inst.H ** ell * ((inst.R / inst.m) ** expo + (inst.R / inst.H ** k) ** expo)
+    try:
+        bound = inst.H ** ell * ((inst.R / inst.m) ** expo + (inst.R / inst.H ** k) ** expo)
+    except OverflowError:
+        bound = inf
+    if bound == inf:
+        raise ValueError("the comparator H^ell ((R/m)^e + (R/H^k)^e) is out of float range")
     count = count_solutions(inst, budget)
-    return CongruenceBoundReport(bound=bound, count=count, ratio=count / bound,
+    try:
+        ratio = count / bound
+    except OverflowError:
+        raise ValueError("the ratio count/bound is out of float range") from None
+    return CongruenceBoundReport(bound=bound, count=count, ratio=ratio,
                                  r=r, k=k, ell=ell)

@@ -127,7 +127,15 @@ def max_close_points(system: FareySystem, N: int) -> int:
 
 
 def close_points_comparator(k: int, ell: int, Q: int, N: int) -> float:
-    """Q^(ell + k/(r(k+1))) * N^(-1/(r(k+1))) with the o(1) factor set to 1."""
-    r = r_parameter(k, ell)
-    e = 1.0 / (r * (k + 1))
-    return Q ** (ell + k * e) * N ** (-e)
+    """Q^(ell + k/(r(k+1))) * N^(-1/(r(k+1))) with the o(1) factor set to 1.
+
+    A value out of float range, or a constant P (r = 0), raises ValueError.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    try:
+        e = 1.0 / (r_parameter(k, ell) * (k + 1))
+        return Q ** (ell + k * e) * N ** (-e)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the comparator Q^(ell+k e) N^(-e), e = 1/(r(k+1)), "
+                         "is not a finite float") from None

@@ -4,16 +4,15 @@ four comparator bounds for the normalized sieve constant.
 The double sum runs over q ~ Q and over reduced fractions a/P(q).  Values of
 P are grouped by modulus first (one box pass), then each distinct modulus d
 costs one length-d discrete Fourier transform of the coefficient sequence
-folded mod d, which gives S(a/d) for every residue a at once.  exp_sum is the
-pointwise evaluation of a single S(a/m).  Reported bounds set every (QN)^o(1)
-and implied constant to 1 - they are comparators, not certified bounds.
+folded mod d, which gives S(a/d) for every residue a at once.  Reported
+bounds set every (QN)^o(1) and implied constant to 1 - they are comparators,
+not certified bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, fsum, log, pi
+from math import comb, fsum, pi
 
 import numpy as np
 
@@ -78,36 +77,6 @@ SEQUENCE_FAMILIES = {
 }
 
 
-def exp_sum(seq: SieveSequence, theta) -> complex:
-    """S(theta) = sum a_n e(n theta) at an exact rational theta = a/m.
-
-    The phase is reduced through (a*n mod m)/m before hitting floating
-    point, so large n lose no angular accuracy.  Accumulated with fsum.
-    """
-    theta = Fraction(theta)
-    a, m = theta.numerator, theta.denominator
-    re, im = [], []
-    for offset, coef in enumerate(seq.coeffs):
-        n = seq.M + 1 + offset
-        ang = 2 * pi * ((a * n) % m) / m
-        z = complex(coef) * complex(np.cos(ang), np.sin(ang))
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(fsum(re), fsum(im))
-
-
-def exp_sums_at_points(seq: SieveSequence, points) -> np.ndarray:
-    """S(x) for each exact rational x in points, vectorized per point."""
-    n = seq.indices()
-    out = np.empty(len(points), dtype=np.complex128)
-    for j, theta in enumerate(points):
-        theta = Fraction(theta)
-        a, m = theta.numerator, theta.denominator
-        ang = 2 * pi / m * ((a * n) % m)
-        out[j] = np.sum(seq.coeffs * np.exp(1j * ang))
-    return out
-
-
 def exp_sums_all_residues(seq: SieveSequence, m: int) -> np.ndarray:
     """S(a/m) for a = 0..m-1: fold n into residues mod m, then one DFT."""
     if m < 1:
@@ -123,18 +92,6 @@ def _coprime_residue_sum(seq: SieveSequence, d: int) -> float:
     mask = np.gcd(np.arange(d), d) == 1
     mask[0] = False
     return float(np.sum(np.abs(values[mask]) ** 2))
-
-
-def sum_sq_over_points(seq: SieveSequence, points) -> float:
-    """Sum of |S(x)|^2 over an iterable of exact rationals."""
-    if not len(points):
-        return 0.0
-    return float(np.sum(np.abs(exp_sums_at_points(seq, points)) ** 2))
-
-
-def default_modulus_threshold(Q: int, k: int) -> float:
-    """Keep-threshold Q^k / (log(Q+2))^k for the restricted sieve sum."""
-    return Q ** k * log(Q + 2) ** (-k)
 
 
 def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,

@@ -344,10 +344,6 @@ class FactoredPoly:
             out.append((indices, prod(rest, start=first)))
         return out
 
-    def divisor_products(self) -> list[MvPoly]:
-        """The products of divisor_subsets, in its order."""
-        return [p for _, p in self.divisor_subsets()]
-
     def evaluate(self, x) -> tuple[int, ...]:
         """The tuple of factor values at an integer point."""
         return tuple(f.evaluate(x) for f in self.factors)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import log, log2
 
 import numpy as np
 
@@ -23,19 +23,30 @@ from .boxes import check_box_budget
 from .errors import BudgetError
 from .mvpoly import MvPoly, parse_poly
 
+# Largest size in bits of the exact power d^td that prime_divisor_search
+# compares p^tn against.
+THETA_POWER_BITS = 1 << 16
+
 
 def integer_nth_root(x: int, n: int) -> int:
     """Largest r >= 0 with r^n <= x, by integer Newton iteration.
 
-    The start 2^ceil(bits(x)/n) lies above the root.  A step from above the
-    root lands at or above it (AM-GM) and strictly below the previous
-    iterate, so the first step that does not decrease starts from the root.
+    Newton starts from a float estimate of x^(1/n) raised by 2^-32 relative,
+    if its n-th power exceeds x (checked exactly), else from 2^ceil(bits(x)/n).
+    A step from above the root lands at or above it (AM-GM) and strictly below
+    the previous iterate, so the first step that does not decrease starts
+    from the root.
     """
     if x < 0 or n < 1:
         raise ValueError("need x >= 0 and n >= 1")
     if x == 0:
         return 0
     r = 1 << -(-x.bit_length() // n)
+    e = log2(x) / n
+    shift = max(int(e) - 52, 0)
+    guess = (int(2.0 ** (e - shift) * (1 + 2.0 ** -32)) + 1) << shift
+    if guess < r and guess ** n > x:
+        r = guess
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
         if s >= r:
@@ -201,31 +212,6 @@ def norm_form(spec: NumberFieldSpec) -> MvPoly:
     return _det_poly(multiplication_matrix(spec), spec.num_form_vars)
 
 
-def field_multiply(spec: NumberFieldSpec, u, v) -> tuple[int, ...]:
-    """Power-basis coordinates of the product of two field elements.
-
-    u and v are integer coordinate vectors of length n (full basis, so this
-    is the truncation = 0 context).
-    """
-    n = spec.degree
-    u, v = list(u), list(v)
-    if len(u) != n or len(v) != n:
-        raise ValueError(f"coordinate vectors must have length {n}")
-    conv = [0] * (2 * n - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                conv[i + j] += ui * vj
-    table = power_basis_table(spec)
-    out = [0] * n
-    for j, c in enumerate(conv):
-        if c:
-            row = table[j]
-            for i in range(n):
-                out[i] += c * row[i]
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PrimeValueReport:
     """Prime values of the norm form on the dyadic box, grouped by value."""
@@ -291,6 +277,9 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     The norm values over 1 <= q_i <= X^(1/n) that are primes d < X, each
     with its first point in box order, are read off one sieve up to X.  Each
     such d then walks p = 1 + j*d while p <= X and p^tn <= d^td (exact).
+    Before the sieve, a theta = tn/td whose powers d^td could pass
+    THETA_POWER_BITS bits raises BudgetError, as does X above
+    arith.PRIME_SIEVE_LIMIT.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -300,13 +289,17 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     qmax = integer_nth_root(X, n)
     if qmax < 1 or (qmax ** ell) > budget:
         raise BudgetError("norm value sieve", max(qmax, 1) ** ell, budget)
-    vals = norm_form(spec).grid([range(1, qmax + 1)] * ell)
+    tn, td = theta.numerator, theta.denominator
+    # every d is below X, so d^td has at most td * bits(X) bits
+    if td * X.bit_length() > THETA_POWER_BITS:
+        raise BudgetError("bits of d^td for theta's denominator", td * X.bit_length(),
+                          THETA_POWER_BITS)
     flags = prime_flags(X)
+    vals = norm_form(spec).grid([range(1, qmax + 1)] * ell)
     small = np.flatnonzero((vals >= 2) & (vals <= X - 1))
     hit = small[flags[vals[small].astype(np.int64)]]
     norm_primes, first = np.unique(vals[hit].astype(np.int64), return_index=True)
     reps = dict(zip(norm_primes.tolist(), _box_points(hit[first], 1, qmax, ell)))
-    tn, td = theta.numerator, theta.denominator
     hits: dict[int, list[int]] = {}
     for d in reps:
         top = min(X, integer_nth_root(d ** td, tn))

@@ -88,6 +88,30 @@ def pointwise_sieve_sum(coeffs, M: int, moduli) -> float:
     return fsum(parts)
 
 
+def exp_sum(seq, theta) -> complex:
+    """S(theta) = sum a_n e(n theta) at an exact rational theta = a/m, term by
+    term with the phase reduced through (a*n mod m)/m, accumulated with fsum."""
+    theta = Fraction(theta)
+    a, m = theta.numerator, theta.denominator
+    re, im = [], []
+    for n, coef in enumerate(seq.coeffs, start=seq.M + 1):
+        z = complex(coef) * cmath.exp(2j * cmath.pi * ((a * n) % m) / m)
+        re.append(z.real)
+        im.append(z.imag)
+    return complex(fsum(re), fsum(im))
+
+
+def sum_sq_over_points(seq, points) -> float:
+    """Sum of |S(x)|^2 over exact rationals x, one numpy pass per point."""
+    n = seq.indices()
+    total = 0.0
+    for theta in points:
+        theta = Fraction(theta)
+        ang = 2 * np.pi / theta.denominator * ((theta.numerator * n) % theta.denominator)
+        total += abs(np.sum(seq.coeffs * np.exp(1j * ang))) ** 2
+    return total
+
+
 def circular_lt(num_a: int, den_a: int, num_b: int, den_b: int, two_n: int) -> bool:
     """Exact test: circular distance of a/b_den and b/b_den is < 1/two_n."""
     p = abs(num_a * den_b - num_b * den_a)
@@ -262,6 +286,63 @@ def loop_prime_divisor_search(spec, X: int, theta) -> DivisorSearchReport:
         q_range=qmax, witnesses=tuple(witnesses))
 
 
+def field_multiply(spec, u, v) -> tuple[int, ...]:
+    """Power-basis coordinates of u*v in Z[t]/(f): the product polynomial,
+    reduced from the top degree down with t^n = -(c_0 + ... + c_(n-1) t^(n-1))."""
+    n = spec.degree
+    if len(u) != n or len(v) != n:
+        raise ValueError(f"coordinate vectors must have length {n}")
+    out = [0] * (2 * n - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    for top in range(2 * n - 2, n - 1, -1):
+        c, out[top] = out[top], 0
+        for i in range(n):
+            out[top - n + i] -= c * spec.coeffs[i]
+    return tuple(out[:n])
+
+
+def _window_hits(v: int, m: int, L: int, R: int) -> int:
+    """Number of y in [L+1, L+R] with y == v (mod m)."""
+    first = L + 1 + (v - (L + 1)) % m
+    if first > L + R:
+        return 0
+    return (L + R - first) // m + 1
+
+
+def count_by_enumeration(inst) -> int:
+    """count_solutions by looping over every x in the box and counting the
+    matching y of each value by residue membership."""
+    total = 0
+    for x in product(*(range(k + 1, k + inst.H + 1) for k in inst.K)):
+        v = (inst.a * inst.P.evaluate(x)) % inst.m
+        total += _window_hits(v, inst.m, inst.L, inst.R)
+    return total
+
+
+def count_by_residue_classes(inst) -> int:
+    """count_solutions by one evaluation per residue tuple in [0, m)^ell,
+    weighted by how often each coordinate interval [K_i+1, K_i+H] meets the
+    residue class (floor(H/m) or ceil(H/m) times)."""
+    m, ell = inst.m, inst.P.num_vars
+    base, rem = divmod(inst.H, m)
+    mults = []
+    for k in inst.K:
+        row = [base] * m
+        start = (k + 1) % m
+        for j in range(rem):
+            row[(start + j) % m] += 1
+        mults.append(row)
+    total = 0
+    for t in product(range(m), repeat=ell):
+        w = prod(row[ti] for row, ti in zip(mults, t))
+        if w:
+            v = (inst.a * inst.P.evaluate(t)) % m
+            total += w * _window_hits(v, m, inst.L, inst.R)
+    return total
+
+
 def representation_count(P, m: int, Q: int) -> int:
     """Number of q ~ Q with P(q) = m, by exact enumeration of the box."""
     return sum(1 for q in product(range(Q, 2 * Q), repeat=P.num_vars)
@@ -360,7 +441,7 @@ def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
             excluded += 1
         elif any(v < 1 for v in vals):
             negative += 1
-        elif w := prime_value_weight(F, q):
+        elif w := prime_value_weight(vals):
             nonzero += 1
             weights.append(w)
             parts.append(w * euler_phi(m) / Q ** ell * max_progression_discrepancy(m, x))

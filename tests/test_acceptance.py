@@ -15,18 +15,17 @@ import numpy as np
 import pytest
 import sympy
 
-from oracles import quadratic_close_count_int64
+from oracles import (count_by_enumeration, count_by_residue_classes, field_multiply,
+                     quadratic_close_count_int64, sum_sq_over_points)
 from polysieve.arith import euler_phi
 from polysieve.boxes import value_counts
 from polysieve.bv import discrepancy_sum, exponent_profile, max_progression_discrepancy_detail
 from polysieve.characters import enumerate_characters
-from polysieve.congruence import (CongruenceInstance, count_by_enumeration,
-                                  count_by_residue_classes)
+from polysieve.congruence import CongruenceInstance, count_solutions
 from polysieve.farey import build_farey, max_close_points, min_spacing
-from polysieve.largesieve import (SieveSequence, exp_sums_all_residues,
-                                  sieve_sum, sum_sq_over_points)
+from polysieve.largesieve import SieveSequence, exp_sums_all_residues, sieve_sum
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
-from polysieve.normform import NumberFieldSpec, field_multiply, norm_form, prime_divisor_search
+from polysieve.normform import NumberFieldSpec, norm_form, prime_divisor_search
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 P_CUBIC = parse_poly("x1^3+2*x2^3")
@@ -116,13 +115,14 @@ def _random_congruence_instance(rng):
 
 
 def test_criterion_03_congruence_strategies():
-    with criterion(3, "two congruence-count strategies agree on 50 instances", 10):
+    with criterion(3, "congruence count matches both oracles on 50 instances", 10):
         rng = random.Random(3)
         for _ in range(50):
             inst = _random_congruence_instance(rng)
-            assert count_by_enumeration(inst) == count_by_residue_classes(inst)
+            got = count_solutions(inst)
+            assert got == count_by_enumeration(inst) == count_by_residue_classes(inst)
         worked = CongruenceInstance(P=P_SUM_SQ, a=1, m=3, K=(0, 0), H=3, L=0, R=1)
-        assert count_by_enumeration(worked) == 4
+        assert count_solutions(worked) == 4
 
 
 def test_criterion_04_close_point_algorithms():

@@ -1,5 +1,4 @@
 import math
-from math import fsum
 
 import numpy as np
 import pytest
@@ -8,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import trial_division_factorize, trial_division_is_prime
-from polysieve.arith import (LAMBDA_LIMIT, Factorization, chebyshev_psi,
-                             euler_phi, factorize, is_prime, moebius,
-                             primes_up_to, psi_progression, tau, von_mangoldt,
-                             von_mangoldt_table)
+from polysieve.arith import (LAMBDA_LIMIT, Factorization, euler_phi,
+                             factorize, is_prime, moebius, primes_up_to,
+                             von_mangoldt, von_mangoldt_table)
 from polysieve.errors import BudgetError
 
 
@@ -35,7 +33,7 @@ def test_factorize_matches_trial_division(n):
 @given(st.integers(1, 10 ** 12))
 def test_factorize_rebuilds(n):
     f = factorize(n)
-    assert f.rebuild() == n
+    assert math.prod(p ** e for p, e in f.prime_powers) == n
     assert all(is_prime(p) for p, _ in f.prime_powers)
     assert all(e >= 1 for _, e in f.prime_powers)
     primes = [p for p, _ in f.prime_powers]
@@ -70,12 +68,10 @@ def test_standard_function_values():
     assert von_mangoldt(8) == math.log(2)
     assert moebius(30) == -1
     assert euler_phi(10) == 4
-    assert tau(12) == 6
     # n = 1 conventions
     assert von_mangoldt(1) == 0.0
     assert moebius(1) == 1
     assert euler_phi(1) == 1
-    assert tau(1) == 1
     assert von_mangoldt(10) == 0.0
     assert moebius(12) == 0
 
@@ -115,49 +111,6 @@ def test_divisor_sum_identities():
         assert moebius(n) == mu[n]
 
 
-def test_psi_progression_examples():
-    assert psi_progression(10, 3, 1) == pytest.approx(math.log(14), rel=1e-12)
-    assert psi_progression(0, 5, 2) == 0.0
-    assert psi_progression(10, 1, 0) == pytest.approx(math.log(2520), rel=1e-12)
-    assert chebyshev_psi(10) == psi_progression(10, 1, 0)
-
-
-def test_psi_progression_rejects_bad_input():
-    with pytest.raises(ValueError):
-        psi_progression(-1, 3, 1)
-    with pytest.raises(ValueError):
-        psi_progression(10, 0, 1)
-
-
-def test_psi_class_decomposition_exact():
-    # Partitioning the Lambda terms by residue class and re-merging them in
-    # increasing n reproduces the psi(y) term list, so one fsum of the merged
-    # list is bitwise equal to chebyshev_psi.  The float identity on the
-    # per-class sums holds to accumulation accuracy.
-    for m, y in ((7, 300), (12, 1000), (50, 2500)):
-        merged = []
-        for a in range(m):
-            merged.extend([(n, von_mangoldt(n)) for n in range(1, int(y) + 1)
-                           if n % m == a and von_mangoldt(n) > 0])
-        merged.sort()
-        assert fsum(v for _, v in merged) == chebyshev_psi(y)
-        regrouped = fsum(psi_progression(y, m, a) for a in range(m))
-        assert regrouped == pytest.approx(chebyshev_psi(y), rel=1e-12)
-
-
-def test_psi_batch_and_pointwise_identical():
-    import polysieve.arith as arith
-    y, m, a = 200, 7, 3
-    table_backed = psi_progression(y, m, a)
-    saved = arith._lambda_table
-    try:
-        arith._lambda_table = None
-        pointwise = fsum(von_mangoldt(n) for n in range(a, y + 1, m))
-    finally:
-        arith._lambda_table = saved
-    assert table_backed == pointwise
-
-
 def test_von_mangoldt_table_matches_pointwise():
     for limit in (0, 1, 2, 500, 37):
         T, L = von_mangoldt_table(limit)
@@ -173,7 +126,7 @@ def test_von_mangoldt_table_matches_pointwise():
 def test_factorization_dataclass():
     f = factorize(360)
     assert isinstance(f, Factorization)
-    assert f.n == 360 and f.rebuild() == 360
+    assert f.n == 360 and f.prime_powers == ((2, 3), (3, 2), (5, 1))
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 10 ** 5])

@@ -9,16 +9,16 @@ import sympy
 
 import polysieve.boxes as boxes
 import polysieve.bv as bv
-from oracles import (loop_discrepancy, loop_discrepancy_sum,
+from oracles import (loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
                      loop_sup_abs_psi_chi)
-from polysieve.arith import euler_phi
+from polysieve.arith import euler_phi, von_mangoldt
 from polysieve.boxes import fold_moduli, value_counts
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad,
                           discrepancy_sum, exponent_profile,
                           max_progression_discrepancy,
                           max_progression_discrepancy_detail, mean_value_sum,
                           prime_value_weight)
-from polysieve.characters import enumerate_characters, psi_chi
+from polysieve.characters import enumerate_characters
 from polysieve.mvpoly import FactoredPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
@@ -85,21 +85,19 @@ def test_check_setting_divisor_monotonicity():
 
 def test_prime_value_weight_examples():
     F = FactoredPoly([parse_poly("x1^2+x2^2"), parse_poly("x3^2+x4^2")])
-    w = prime_value_weight(F, (1, 1, 1, 2))
+    w = prime_value_weight(F.evaluate((1, 1, 1, 2)))
     assert w == pytest.approx(math.log(2) * math.log(5), rel=1e-12)
-    assert prime_value_weight(F, (1, 1, 1, 1)) == 0.0  # P = 4 not squarefree
-    line = FactoredPoly([parse_poly("x1")])
-    assert prime_value_weight(line, (10,)) == 0.0  # 10 is no prime power
-    assert prime_value_weight(line, (9,)) == 0.0   # mu^2(9) = 0
-    assert prime_value_weight(line, (3,)) == pytest.approx(math.log(3))
-    assert prime_value_weight(line, (-5,)) == 0.0  # negative factor value
+    assert prime_value_weight(F.evaluate((1, 1, 1, 1))) == 0.0  # P = 4 not squarefree
+    assert prime_value_weight((10,)) == 0.0  # 10 is no prime power
+    assert prime_value_weight((9,)) == 0.0   # mu^2(9) = 0
+    assert prime_value_weight((3,)) == pytest.approx(math.log(3))
+    assert prime_value_weight((-5,)) == 0.0  # negative factor value
 
 
 def test_weight_forces_squarefree_product():
     # equal primes in two factors: P = p^2, weight must vanish
-    F = FactoredPoly([parse_poly("x1"), parse_poly("x2")])
-    assert prime_value_weight(F, (3, 3)) == 0.0
-    assert prime_value_weight(F, (3, 5)) == pytest.approx(
+    assert prime_value_weight((3, 3)) == 0.0
+    assert prime_value_weight((3, 5)) == pytest.approx(
         math.log(3) * math.log(5), rel=1e-12)
 
 
@@ -154,11 +152,11 @@ def test_discrepancy_grid_beats_random_probes():
     for m, x in ((6, 300), (11, 120)):
         sup = max_progression_discrepancy(m, x)
         phi = euler_phi(m)
-        from polysieve.arith import psi_progression
         for _ in range(1000):
             y = rng.uniform(0.01, x)
             for a in (1, m - 1):
-                assert abs(psi_progression(y, m, a) - y / phi) <= sup + 1e-9
+                psi = fsum(von_mangoldt(n) for n in range(a, int(y) + 1, m))
+                assert abs(psi - y / phi) <= sup + 1e-9
 
 
 def test_discrepancy_sum_hand_value():
@@ -254,7 +252,7 @@ def test_mean_value_matches_character_table_recomputation():
         for chi in enumerate_characters(d):
             if not chi.is_primitive:
                 continue
-            sup = max(abs(psi_chi(y, chi)) for y in range(2, int(x) + 1))
+            sup = max(abs(loop_psi_chi(y, chi)) for y in range(2, int(x) + 1))
             per_mod += sup
         expected += mult * d / euler_phi(d) * per_mod
     assert mean_value_sum(P_SUM_SQ, 2, x).value == pytest.approx(expected, rel=1e-9)

