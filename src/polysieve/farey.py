@@ -1,17 +1,17 @@
 """Farey systems of fractions a/P(q) and exact circular spacing statistics.
 
-Points are exact rationals in [0, 1); every comparison (minimum spacing,
-close-point windows) is decided in exact rational arithmetic, so counts do
-not depend on the platform's floating point.  Negative moduli are folded to
-|P(q)|; tuples with |P(q)| <= 1 cannot produce a reduced fraction and are
-skipped, with the skip count reported on the system.
+A system is sorted integer arrays of its distinct points a/d with their
+multiplicities.  Floats only choose where to look; every comparison is
+decided by exact integer cross-multiplication.  Moduli are folded to |P(q)|,
+and tuples with |P(q)| <= 1 are skipped and counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+import numpy as np
 
 from .arith import euler_phi
 from .boxes import fold_moduli, value_counts
@@ -20,33 +20,26 @@ from .errors import BudgetError
 from .mvpoly import MvPoly
 
 DEFAULT_POINT_BUDGET = 3_000_000
+# Float keys a/d sort exactly while max d < 2^FLOAT_KEY_BITS: distinct reduced
+# fractions differ by at least 1/(d_i d_j) > 2^-52, twice their rounding error.
+FLOAT_KEY_BITS = 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FareySystem:
-    """Reduced fractions a/|P(q)| for q ~ Q, stored sorted with multiplicity.
-
-    One entry per (a, q) pair: a modulus value attained by several q
-    contributes each of its fractions that many times.  total_count is the
-    sum of phi(|P(q)|) over retained q.
+    """Reduced fractions a/|P(q)| for q ~ Q: the distinct points a[i]/d[i]
+    in increasing order, mult[i] being the number of retained q with
+    |P(q)| = d[i].  total_count is the sum of phi(|P(q)|) over retained q.
     """
 
-    points: tuple[Fraction, ...]
+    a: np.ndarray
+    d: np.ndarray
+    mult: np.ndarray
     Q: int
     distinct_count: int
     total_count: int
     skipped_unit_moduli: int
     skipped_filtered: int
-    modulus_counts: dict[int, int] = field(repr=False)
-
-    def distinct_values(self) -> list[Fraction]:
-        out = []
-        prev = None
-        for p in self.points:
-            if p != prev:
-                out.append(p)
-                prev = p
-        return out
 
 
 def build_farey(P: MvPoly, Q: int, min_modulus=None, workers: int = 1,
@@ -54,8 +47,8 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None, workers: int = 1,
     """Construct the Farey system for P over the dyadic box q ~ Q.
 
     min_modulus, when given, keeps only tuples with |P(q)| >= min_modulus
-    (the count of dropped tuples is reported separately from the |P(q)| <= 1
-    skips).
+    (counted apart from the |P(q)| <= 1 skips).  The point budget is checked
+    before any point is allocated.
     """
     retained, skipped_unit, skipped_filtered = fold_moduli(
         value_counts(P, Q, workers=workers), min_modulus)
@@ -64,66 +57,77 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None, workers: int = 1,
         total += euler_phi(d) * mult
         if total > point_budget:
             raise BudgetError("farey point set", total, point_budget)
-    points: list[Fraction] = []
-    for d in sorted(retained):
-        mult = retained[d]
-        for a in range(1, d):
-            if gcd(a, d) == 1:
-                points.extend([Fraction(a, d)] * mult)
-    points.sort()
-    distinct = sum(1 for i, p in enumerate(points) if i == 0 or p != points[i - 1])
-    return FareySystem(points=tuple(points), Q=Q, distinct_count=distinct,
-                       total_count=len(points), skipped_unit_moduli=skipped_unit,
-                       skipped_filtered=skipped_filtered, modulus_counts=retained)
+    nums = [np.flatnonzero(np.gcd(np.arange(d), d) == 1) for d in retained]
+    sizes = [len(r) for r in nums]
+    a = np.concatenate([np.zeros(0, dtype=np.int64)] + nums)
+    d, mult = (np.repeat(np.array(list(x), dtype=np.int64), sizes)
+               for x in (retained.keys(), retained.values()))
+    if not len(d) or d.max() < 2 ** FLOAT_KEY_BITS:
+        order = np.argsort(a / d, kind="stable")
+    else:  # floor(a 2^k / d) is exact and separates points 1/max(d)^2 apart
+        k = 2 * int(d.max()).bit_length()
+        order = np.argsort((a.astype(object) << k) // d.astype(object), kind="stable")
+    return FareySystem(a=a[order], d=d[order], mult=mult[order], Q=Q,
+                       distinct_count=len(a), total_count=total,
+                       skipped_unit_moduli=skipped_unit, skipped_filtered=skipped_filtered)
+
+
+def _exact(system: FareySystem, bound: int):
+    """(a, d) in int64 if the products formed are below bound < 2^63, else as Python ints."""
+    if bound < 2 ** 63:
+        return system.a, system.d
+    return system.a.astype(object), system.d.astype(object)
 
 
 def min_spacing(system: FareySystem) -> Fraction:
-    """Smallest circular distance between distinct point values, exact."""
-    vals = system.distinct_values()
-    if len(vals) < 2:
+    """Smallest circular distance between distinct point values, exact:
+    floats pick the cyclic gaps p/q within relative 2^-40 of the smallest."""
+    if system.distinct_count < 2:
         raise ValueError("minimum spacing needs at least 2 distinct points")
-    best = vals[0] + 1 - vals[-1]
-    for a, b in zip(vals, vals[1:]):
-        gap = b - a
-        if gap < best:
-            best = gap
-    return best
+    a, d = _exact(system, 2 * int(system.d.max()) ** 2)
+    a1, d1 = np.roll(a, -1), np.roll(d, -1)
+    a1[-1] += d1[-1]
+    p, q = a1 * d - a * d1, d * d1
+    g = p / q
+    near = np.flatnonzero(g <= g.min() * (1 + 2.0 ** -40))
+    return min(Fraction(x, y) for x, y in set(zip(p[near].tolist(), q[near].tolist())))
 
 
 def max_close_points(system: FareySystem, N: int) -> int:
     """Largest number of points (with multiplicity, self included) within
     circular distance strictly less than 1/(2N) of a single point.
 
-    One sorted pass with two monotone window pointers over the circle
-    unrolled once; ties at exactly 1/(2N) are excluded by exact comparison.
+    On the circle unrolled once, a float searchsorted places the window
+    ends, which then move until 2N(a_j d_i - a_i d_j) against d_i d_j puts
+    them exactly on the boundary (ties at 1/(2N) fall outside).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    vals = list(system.points)
-    n = len(vals)
+    n = system.distinct_count
     if n == 0:
         raise ValueError("empty Farey system")
-    h = Fraction(1, 2 * N)
-    ext = vals + [v + 1 for v in vals]
-    best = 0
-    right = 0
-    left = 0
-    for i in range(n):
-        if i and vals[i] == vals[i - 1]:
-            continue
-        x = vals[i]
-        if right < i:
-            right = i
-        hi = x + h
-        while right < 2 * n and ext[right] < hi:
-            right += 1
-        lo = x + 1 - h
-        while left < i + n and ext[left] <= lo:
-            left += 1
-        count = (right - i) + (i + n - left)
-        if count > best:
-            best = count
-    return best
+    two_n, dmax = 2 * N, int(system.d.max())
+    a, d = _exact(system, two_n * (int(system.a.max()) + dmax) * dmax)
+    ea, ed = np.concatenate((a, a + d)), np.concatenate((d, d))
+    keys = system.a / system.d
+    ext = np.concatenate((keys, keys + 1))
+    i, h = np.arange(n), 1 / two_n
+    # ext[j] < x_i + 1/(2N), and ext[j] <= x_i + 1 - 1/(2N)
+    right = _settle(np.searchsorted(ext, keys + h, "left"), i, n,
+                    lambda j: two_n * (ea[j] * d - a * ed[j]) < d * ed[j])
+    left = _settle(np.searchsorted(ext, keys + (1 - h), "right"), i, n,
+                   lambda j: two_n * ((a + d) * ed[j] - ea[j] * d) >= d * ed[j])
+    c = np.concatenate(([0], np.cumsum(np.concatenate((system.mult, system.mult)))))
+    return int((c[right] - c[i] + c[i + n] - c[left]).max())
+
+
+def _settle(pos, i, n, below):
+    """Move each pos[i] to the first index j with below(j) false; it lies in
+    [i + 1, i + n], as ext[i] = x_i is below and ext[i + n] = x_i + 1 is not."""
+    pos = np.clip(pos, i + 1, i + n)
+    while (step := below(pos).astype(np.int64) - ~below(pos - 1)).any():
+        pos = pos + step
+    return pos
 
 
 def close_points_comparator(k: int, ell: int, Q: int, N: int) -> float:

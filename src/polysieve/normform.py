@@ -26,6 +26,8 @@ from .mvpoly import MvPoly, parse_poly
 # Largest size in bits of the exact power d^td that prime_divisor_search
 # compares p^tn against.
 THETA_POWER_BITS = 1 << 16
+# Relative margin inside which a float d^(td/tn) leaves a walk end undecided.
+WALK_END_MARGIN = 2.0 ** -40
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -139,21 +141,11 @@ def power_basis_table(spec: NumberFieldSpec) -> list[tuple[int, ...]]:
     """Coordinates of w^j on the basis 1..w^(n-1), for j = 0..2n-2."""
     n = spec.degree
     reduction = [-c for c in spec.coeffs[:n]]  # w^n = reduction . basis
-    table = []
-    for j in range(n):
-        row = [0] * n
-        row[j] = 1
-        table.append(tuple(row))
-    for j in range(n, 2 * n - 1):
-        prev = table[j - 1]
-        row = [0] * n
-        for i in range(n - 1):
-            row[i + 1] = prev[i]
-        top = prev[n - 1]
-        if top:
-            for i in range(n):
-                row[i] += top * reduction[i]
-        table.append(tuple(row))
+    table = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for _ in range(n - 1):  # w * (prev) shifts up one place and reduces w^n
+        prev = table[-1]
+        table.append(tuple((prev[i - 1] if i else 0) + prev[-1] * reduction[i]
+                           for i in range(n)))
     return table
 
 
@@ -163,21 +155,9 @@ def multiplication_matrix(spec: NumberFieldSpec) -> list[list[MvPoly]]:
     n = spec.degree
     ell = spec.num_form_vars
     table = power_basis_table(spec)
-    zero_exps = (0,) * ell
-    matrix = []
-    for row in range(n):
-        matrix_row = []
-        for col in range(n):
-            terms = {}
-            for i in range(1, ell + 1):
-                c = table[i - 1 + col][row]
-                if c:
-                    exps = list(zero_exps)
-                    exps[i - 1] = 1
-                    terms[tuple(exps)] = c
-            matrix_row.append(MvPoly(ell, terms))
-        matrix.append(matrix_row)
-    return matrix
+    unit = [tuple(int(k == i) for k in range(ell)) for i in range(ell)]
+    return [[MvPoly(ell, {unit[i]: table[i + col][row] for i in range(ell) if table[i + col][row]})
+             for col in range(n)] for row in range(n)]
 
 
 def _det_poly(matrix: list[list[MvPoly]], ell: int) -> MvPoly:
@@ -300,9 +280,18 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     hit = small[flags[vals[small].astype(np.int64)]]
     norm_primes, first = np.unique(vals[hit].astype(np.int64), return_index=True)
     reps = dict(zip(norm_primes.tolist(), _box_points(hit[first], 1, qmax, ell)))
+    # Each d from d_star, the least d with d^td >= X^tn, walks up to X.  Below
+    # it a float d^(td/tn) (relative error < 1e-13 as its log is < log X) fixes
+    # the last step unless WALK_END_MARGIN moves it; only then is d^td rooted.
+    d_star = integer_nth_root(X ** tn - 1, td) + 1
+    low = norm_primes[:np.searchsorted(norm_primes, d_star)]
+    est = np.exp(np.log(low) * (td / tn))
+    last, last_hi = (np.floor((est * (1 + e) - 1) / low)
+                     for e in (-WALK_END_MARGIN, WALK_END_MARGIN))
     hits: dict[int, list[int]] = {}
-    for d in reps:
-        top = min(X, integer_nth_root(d ** td, tn))
+    for i, d in enumerate(reps):
+        top = (X if i >= len(low) else 1 + int(last[i]) * d if last[i] == last_hi[i]
+               else integer_nth_root(d ** td, tn))
         for p in (1 + d + d * np.flatnonzero(flags[d + 1:top + 1:d])).tolist():
             hits.setdefault(p, []).append(d)
     witnesses = tuple(DivisorWitness(p=p, divisors=tuple(ds),

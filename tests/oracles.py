@@ -155,6 +155,40 @@ def quadratic_close_count_int64(points: list[Fraction], N: int) -> int:
     return best
 
 
+def farey_points(system) -> list[Fraction]:
+    """The points of a FareySystem as Fractions, each repeated by its
+    multiplicity, in the order the system stores them."""
+    return [Fraction(int(a), int(d)) for a, d, m in zip(system.a, system.d, system.mult)
+            for _ in range(int(m))]
+
+
+def loop_max_close_points(points: list[Fraction], N: int) -> int:
+    """Largest number of points within circular distance < 1/(2N) of one
+    point: two monotone window pointers over the sorted points (with
+    multiplicity) unrolled once, in exact rational arithmetic."""
+    vals = list(points)
+    n = len(vals)
+    h = Fraction(1, 2 * N)
+    ext = vals + [v + 1 for v in vals]
+    best = 0
+    right = 0
+    left = 0
+    for i in range(n):
+        if i and vals[i] == vals[i - 1]:
+            continue
+        x = vals[i]
+        if right < i:
+            right = i
+        hi = x + h
+        while right < 2 * n and ext[right] < hi:
+            right += 1
+        lo = x + 1 - h
+        while left < i + n and ext[left] <= lo:
+            left += 1
+        best = max(best, (right - i) + (i + n - left))
+    return best
+
+
 def pairwise_min_spacing(values: list[Fraction]) -> Fraction:
     best = None
     for i, x in enumerate(values):

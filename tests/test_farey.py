@@ -1,30 +1,43 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pairwise_min_spacing, quadratic_close_count
+from oracles import (farey_points, loop_max_close_points, pairwise_min_spacing,
+                     quadratic_close_count, quadratic_close_count_int64)
+from polysieve import farey
 from polysieve.arith import euler_phi
 from polysieve.errors import BudgetError
 from polysieve.farey import (FareySystem, build_farey, close_points_comparator,
                              max_close_points, min_spacing)
-from polysieve.mvpoly import parse_poly
+from polysieve.mvpoly import MvPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 
 
 def make_system(pairs):
-    pts = sorted(Fraction(a, b) for a, b in pairs)
-    distinct = len(set(pts))
-    return FareySystem(points=tuple(pts), Q=0, distinct_count=distinct,
-                       total_count=len(pts), skipped_unit_moduli=0,
-                       skipped_filtered=0, modulus_counts={})
+    """A system of the points a/d (reduced here), one per pair."""
+    counts = Counter(Fraction(a, d) for a, d in pairs)
+    vals = sorted(counts)
+    return FareySystem(a=np.array([v.numerator for v in vals], dtype=np.int64),
+                       d=np.array([v.denominator for v in vals], dtype=np.int64),
+                       mult=np.array([counts[v] for v in vals], dtype=np.int64),
+                       Q=0, distinct_count=len(vals), total_count=len(pairs),
+                       skipped_unit_moduli=0, skipped_filtered=0)
+
+
+def distinct_points(system):
+    return list(dict.fromkeys(farey_points(system)))
 
 
 def test_build_farey_q1():
     system = build_farey(P_SUM_SQ, 1)
-    assert system.points == (Fraction(1, 2),)
+    assert farey_points(system) == [Fraction(1, 2)]
     assert system.total_count == 1
 
 
@@ -57,7 +70,7 @@ def test_min_spacing_requires_two_distinct():
 
 def test_min_spacing_q2_matches_pairwise_oracle():
     system = build_farey(P_SUM_SQ, 2)
-    assert min_spacing(system) == pairwise_min_spacing(system.distinct_values())
+    assert min_spacing(system) == pairwise_min_spacing(distinct_points(system))
 
 
 def test_max_close_points_examples():
@@ -83,7 +96,7 @@ def test_sliding_window_matches_quadratic_oracle_on_systems():
         k = poly.total_degree()
         for N in (Q ** k, 2 * Q ** k, Q ** (2 * k)):
             assert (max_close_points(system, N)
-                    == quadratic_close_count(list(system.points), N))
+                    == quadratic_close_count(farey_points(system), N))
 
 
 franc = st.fractions(min_value=0, max_value=Fraction(99, 100)).map(
@@ -93,11 +106,9 @@ franc = st.fractions(min_value=0, max_value=Fraction(99, 100)).map(
 @given(st.lists(franc, min_size=1, max_size=40), st.integers(1, 64))
 @settings(max_examples=120)
 def test_sliding_window_matches_quadratic_oracle_random(vals, N):
-    pts = tuple(sorted(vals))
-    system = FareySystem(points=pts, Q=0, distinct_count=len(set(pts)),
-                         total_count=len(pts), skipped_unit_moduli=0,
-                         skipped_filtered=0, modulus_counts={})
-    assert max_close_points(system, N) == quadratic_close_count(list(pts), N)
+    pts = sorted(vals)
+    system = make_system([(v.numerator, v.denominator) for v in pts])
+    assert max_close_points(system, N) == quadratic_close_count(pts, N)
 
 
 def test_wide_window_counts_max_multiplicity():
@@ -106,15 +117,15 @@ def test_wide_window_counts_max_multiplicity():
     # once 1/(2N) <= min spacing, only copies of one value can be close
     N = int(1 / (2 * delta)) + 1
     assert Fraction(1, 2 * N) <= delta
-    max_mult = max(
-        sum(1 for p in system.points if p == v) for v in system.distinct_values())
+    pts = farey_points(system)
+    max_mult = max(sum(1 for p in pts if p == v) for v in distinct_points(system))
     assert max_close_points(system, N) == max_mult
 
 
 def test_all_pairs_at_least_min_spacing():
     system = build_farey(P_SUM_SQ, 2)
     delta = min_spacing(system)
-    vals = system.distinct_values()
+    vals = distinct_points(system)
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
             d = abs(x - y)
@@ -134,7 +145,99 @@ def test_point_budget():
 
 def test_points_sorted_and_reduced():
     system = build_farey(P_SUM_SQ, 3)
-    pts = list(system.points)
+    pts = farey_points(system)
     assert pts == sorted(pts)
     for p in pts:
         assert 0 < p < 1
+
+
+def test_point_budget_boundary():
+    # the x1^2+x2^2 system at Q=2 has 34 points: at the budget it is built,
+    # one below it is refused before any point is allocated
+    assert build_farey(P_SUM_SQ, 2, point_budget=34).total_count == 34
+    with pytest.raises(BudgetError, match=r"^farey point set: requires 34, budget is 33$"):
+        build_farey(P_SUM_SQ, 2, point_budget=33)
+
+
+def _quadratic_forms(max_ac, max_b):
+    """Primitive positive definite a*x1^2 + b*x1*x2 + c*x2^2."""
+    for a, c, b in product(range(1, max_ac + 1), range(1, max_ac + 1),
+                           range(-max_b, max_b + 1)):
+        if b * b < 4 * a * c and np.gcd.reduce([a, abs(b), c]) == 1:
+            yield MvPoly(2, {e: v for e, v in (((2, 0), a), ((1, 1), b), ((0, 2), c)) if v})
+
+
+def test_kernels_match_oracles_on_quadratic_forms():
+    rng = random.Random(20261018)
+    forms = rng.sample(list(_quadratic_forms(4, 3)), 2)
+    for poly, Q in product(forms, (5, 6)):
+        system = build_farey(poly, Q)
+        pts = farey_points(system)
+        vals = sorted(set(pts))
+        assert pts == sorted(pts)
+        assert (system.distinct_count, system.total_count) == (len(vals), len(pts))
+        gaps = [y - x for x, y in zip(vals, vals[1:])] + [vals[0] + 1 - vals[-1]]
+        assert min_spacing(system) == min(gaps)
+        for N in (1, 2, 3, 16, 256, 4096, 10 ** 6, 10 ** 30):
+            assert max_close_points(system, N) == loop_max_close_points(pts, N), (Q, N)
+            if Q == 5 and N < 10 ** 30:
+                assert max_close_points(system, N) == quadratic_close_count_int64(pts, N)
+
+
+def test_exact_sort_matches_float_keys(monkeypatch):
+    system = build_farey(parse_poly("4*x1^2+3*x1*x2+4*x2^2"), 4)
+    monkeypatch.setattr(farey, "FLOAT_KEY_BITS", 0)
+    exact = build_farey(parse_poly("4*x1^2+3*x1*x2+4*x2^2"), 4)
+    for name in ("a", "d", "mult"):
+        assert np.array_equal(getattr(system, name), getattr(exact, name))
+
+
+pair = st.integers(1, 12).flatmap(lambda d: st.tuples(st.integers(0, d - 1), st.just(d)))
+
+
+@given(st.lists(pair, min_size=1, max_size=12), st.lists(st.integers(0, 11), max_size=12),
+       st.integers(1, 80))
+@settings(max_examples=200)
+def test_kernels_match_oracles_on_repeated_pairs(pairs, repeats, N):
+    # denominators up to 12 make every gap a multiple of 1/144, so windows of
+    # half-width 1/(2N), N <= 80, often end exactly on a point
+    pairs = pairs + [pairs[r % len(pairs)] for r in repeats]
+    system = make_system(pairs)
+    pts = farey_points(system)
+    assert max_close_points(system, N) == loop_max_close_points(pts, N) \
+        == quadratic_close_count(pts, N)
+    if system.distinct_count >= 2:
+        assert min_spacing(system) == pairwise_min_spacing(distinct_points(system))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(2 ** 40 - 64, 2 ** 40)),
+                min_size=2, max_size=8),
+       st.sampled_from([1, 2, 3, 2 ** 20, 2 ** 79, 10 ** 30]))
+@settings(max_examples=60)
+def test_kernels_exact_beyond_int64_guard(pairs, N):
+    # products of these denominators overflow int64, so both kernels take the
+    # object-int path at every N
+    pairs = [(a % d, d) for a, d in pairs]
+    system = make_system(pairs)
+    pts = farey_points(system)
+    assert max_close_points(system, N) == loop_max_close_points(pts, N) \
+        == quadratic_close_count(pts, N)
+    if system.distinct_count >= 2:
+        assert min_spacing(system) == pairwise_min_spacing(distinct_points(system))
+
+
+def test_kernels_exact_when_float_keys_collide():
+    # Farey neighbours a/d < b/e (b d - a e = 1) near 1/2 with d, e ~ 2^30 and
+    # three of their mediants lie about 2^-60 apart, below the float spacing
+    # 2^-53 there, so the float keys collide and only the exact steps decide
+    d, a = 2 ** 30 + 1, 2 ** 29 + 1
+    e = -pow(a, -1, d) % d
+    b = (1 + a * e) // d
+    pts = [(a, d), (b, e), (a + b, d + e), (2 * a + b, 2 * d + e), (a + 2 * b, d + 2 * e)]
+    system = make_system(pts + pts[:2])
+    assert len(set((system.a / system.d).tolist())) < system.distinct_count
+    fp = farey_points(system)
+    for N in (1, d * e // 2, d * e // 2 + 1, d * e, 2 * d * e, 3 * d * e, 10 ** 30):
+        assert max_close_points(system, N) == loop_max_close_points(fp, N) \
+            == quadratic_close_count(fp, N), N
+    assert min_spacing(system) == pairwise_min_spacing(distinct_points(system))

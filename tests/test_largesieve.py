@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from oracles import exp_sum, pointwise_sieve_sum, sum_sq_over_points
+from oracles import exp_sum, farey_points, pointwise_sieve_sum, sum_sq_over_points
 
 from polysieve.arith import euler_phi
 from polysieve.errors import BudgetError
@@ -82,7 +82,7 @@ def test_sieve_sum_matches_farey_points():
     system = build_farey(P_SUM_SQ, 2)
     seq = random_unit_sequence(16, seed=2)
     direct = sieve_sum(seq, P_SUM_SQ, 2)
-    via_points = sum_sq_over_points(seq, list(system.points))
+    via_points = sum_sq_over_points(seq, farey_points(system))
     assert direct == pytest.approx(via_points, rel=1e-9)
 
 
@@ -113,7 +113,7 @@ def test_montgomery_vaughan_inequality():
     for Q in (2, 3):
         system = build_farey(P_SUM_SQ, Q)
         delta = min_spacing(system)
-        pts = system.distinct_values()
+        pts = list(dict.fromkeys(farey_points(system)))
         for _ in range(5):
             N = int(rng.integers(1, 300))
             seq = SieveSequence(0, rng.normal(size=N) + 1j * rng.normal(size=N))

@@ -6,6 +6,7 @@ import sympy
 
 from oracles import (field_multiply, loop_prime_divisor_search,
                      loop_prime_value_sieve, sylvester_resultant)
+from polysieve import normform
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
 from polysieve.normform import (NumberFieldSpec, _divisors_with_sign,
@@ -213,6 +214,24 @@ def test_prime_divisor_search_matches_loop_reference(spec, X, theta):
     assert got == expected
     for w, v in zip(got.witnesses, expected.witnesses):
         assert list(w.representations.items()) == list(v.representations.items())
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(1, 2), Fraction(999, 1000)], ids=str)
+@pytest.mark.parametrize("X", [10000, 30000])
+def test_prime_divisor_search_walk_bound_threshold(X, theta):
+    # at X = 10000, theta = 1/2 the threshold X^theta = 100 is exact and falls
+    # between the norm primes 97 and 101; at 999/1000 nearly every norm prime
+    # lies below X^theta, where a float estimate fixes its walk's end
+    got = prime_divisor_search(GAUSS, X, theta)
+    assert got == loop_prime_divisor_search(GAUSS, X, theta)
+
+
+@pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(1, 2), Fraction(99, 100)], ids=str)
+def test_prime_divisor_search_exact_walk_ends(monkeypatch, theta):
+    # a margin of 1 leaves every walk end below X^theta to the exact root
+    monkeypatch.setattr(normform, "WALK_END_MARGIN", 1.0)
+    got = prime_divisor_search(GAUSS, 3000, theta)
+    assert got == loop_prime_divisor_search(GAUSS, 3000, theta)
 
 
 @pytest.mark.parametrize("spec", ORACLE_FIELDS + [CUBE2, QUARTIC], ids=repr)
