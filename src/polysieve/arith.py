@@ -47,9 +47,18 @@ def primes_up_to(limit: int) -> list[int]:
     return np.flatnonzero(prime_flags(limit)).tolist()
 
 
-@lru_cache(maxsize=None)
-def _trial_primes() -> list[int]:
-    return primes_up_to(_TRIAL_LIMIT)
+_trial: list[int] = []   # the primes <= _trial_bound
+_trial_bound = 1
+
+
+def _trial_primes(limit: int) -> list[int]:
+    """At least the primes <= min(limit, _TRIAL_LIMIT).  The list grows by
+    doubling, so factoring small numbers never builds the whole table."""
+    global _trial, _trial_bound
+    if _trial_bound < min(limit, _TRIAL_LIMIT):
+        _trial_bound = min(max(limit, 2 * _trial_bound), _TRIAL_LIMIT)
+        _trial = primes_up_to(_trial_bound)
+    return _trial
 
 
 # Witnesses proving primality for every n < 3.3 * 10^24, hence for all
@@ -134,7 +143,7 @@ def factorize(n: int) -> Factorization:
         raise BudgetError("factorization argument", n, FACTOR_LIMIT)
     m = n
     factors: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _trial_primes(isqrt(n)):
         if p * p > m:
             break
         while m % p == 0:

@@ -90,12 +90,6 @@ def fold_moduli(counts, min_modulus=None) -> tuple[dict[int, int], int, int]:
     return moduli, skipped_unit, skipped_filtered
 
 
-def max_representation_count(P: MvPoly, Q: int, workers: int = 1,
-                             budget: int = DEFAULT_BOX_BUDGET) -> int:
-    """Largest multiplicity of a single value over the box (always >= 1)."""
-    return max(value_counts(P, Q, workers=workers, budget=budget).values())
-
-
 @dataclass(frozen=True)
 class BadModuliReport:
     """Count of q ~ Q with |P(q)| <= eps * Q^k, plus the density comparator.

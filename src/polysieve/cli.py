@@ -21,13 +21,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .boxes import count_bad_moduli, max_representation_count
+from .boxes import count_bad_moduli
 from .bv import check_setting, discrepancy_sum, exponent_profile, mean_value_sum
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
-from .largesieve import (DEFAULT_WORK_BUDGET, SEQUENCE_FAMILIES, delta_bounds,
-                         empirical_delta)
+from .largesieve import (DEFAULT_WORK_BUDGET, SEQUENCE_FAMILIES, box_moduli,
+                         delta_bounds, empirical_delta, fft_work)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
 
@@ -226,19 +226,19 @@ def _split_seed(seed: int, counter: int) -> int:
 
 
 def _run_sieve_scan(args):
-    # the sieve work of one N is at least N: refuse before building a sequence
-    if max(args.N) > DEFAULT_WORK_BUDGET:
-        raise BudgetError("sieve sequence length", max(args.N), DEFAULT_WORK_BUDGET)
+    # the sieve work of one N is at least fft_work(N) > N: refuse before
+    # building a sequence
+    if fft_work(max(args.N)) > DEFAULT_WORK_BUDGET:
+        raise BudgetError("sieve sequence FFT", fft_work(max(args.N)), DEFAULT_WORK_BUDGET)
     P = parse_poly(args.P)
     k = P.total_degree()
     ell = P.num_vars
-    r_star = max_representation_count(P, args.Q, workers=args.workers)
+    r_star, moduli = box_moduli(P, args.Q, args.min_modulus, args.workers)
     family = SEQUENCE_FAMILIES[args.sequence]
     rows = []
     for N in args.N:
         seq = family(N, _split_seed(args.seed, N), args.M)
-        emp = empirical_delta(seq, P, args.Q, min_modulus=args.min_modulus,
-                              workers=args.workers)
+        emp = empirical_delta(seq, moduli)
         rows.append(delta_bounds(k, ell, args.Q, N, r_star, empirical=emp))
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,
               "sequence": args.sequence, "rows": rows}

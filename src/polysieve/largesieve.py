@@ -1,21 +1,28 @@
-"""Exponential sums S(a/m), the sieve sum over polynomial moduli, and the
-four comparator bounds for the normalized sieve constant.
+"""The sieve sum over polynomial moduli, and the four comparator bounds for
+the normalized sieve constant.
 
-The double sum runs over q ~ Q and over reduced fractions a/P(q).  Values of
-P are grouped by modulus first (one box pass), then each distinct modulus d
-costs one length-d discrete Fourier transform of the coefficient sequence
-folded mod d, which gives S(a/d) for every residue a at once.  Reported
-bounds set every (QN)^o(1) and implied constant to 1 - they are comparators,
-not certified bounds.
+The double sum runs over q ~ Q and reduced fractions a/P(q).  After one box
+pass groups the values by modulus, expanding the square with Ramanujan's sum
+c_d(h) = sum_{e | (d,h)} e mu(d/e) (Hardy-Wright, Thm 271) gives, with
+R(h) = sum_n a_{n+h} conj(a_n) and G(e) = sum_{d = 0 mod e} mult_d mu(d/e),
+
+    sum_d mult_d sum_{(a,d)=1} |S(a/d)|^2
+        = R(0) sum_d mult_d phi(d) + 2 sum_{e<N} e G(e) Re sum_{j>=1, je<N} R(je).
+
+One zero-padded FFT gives all of R and each divisor e costs one strided sum;
+nothing is done per residue, and the window offset M drops out.  Reported
+bounds set every (QN)^o(1) and implied constant to 1 - they are
+comparators, not certified bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, fsum, pi
+from math import comb, fsum, log2, pi
 
 import numpy as np
 
+from .arith import euler_phi, factorize
 from .boxes import fold_moduli, value_counts
 from .congruence import r_parameter
 from .errors import BudgetError
@@ -77,46 +84,104 @@ SEQUENCE_FAMILIES = {
 }
 
 
-def exp_sums_all_residues(seq: SieveSequence, m: int) -> np.ndarray:
-    """S(a/m) for a = 0..m-1: fold n into residues mod m, then one DFT."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, seq.indices() % m, seq.coeffs)
-    # entry a of m*ifft is sum_t folded[t] e(+a t / m)
-    return m * np.fft.ifft(folded)
+# Integer coefficients give an integer autocorrelation R.  The FFT's absolute
+# error on R is below c 2^-53 norm_sq log2(2N) for a small constant c (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 24), so while
+# norm_sq log2(2N) < 2^EXACT_BITS rounding recovers R, and while
+# N norm_sq < 2^53 every strided float sum of the rounded R is exact.
+EXACT_BITS = 44
 
 
-def _coprime_residue_sum(seq: SieveSequence, d: int) -> float:
-    values = exp_sums_all_residues(seq, d)
-    mask = np.gcd(np.arange(d), d) == 1
-    mask[0] = False
-    return float(np.sum(np.abs(values[mask]) ** 2))
+def box_moduli(P: MvPoly, Q: int, min_modulus=None,
+               workers: int = 1) -> tuple[int, dict[int, int]]:
+    """(r*, retained moduli with multiplicities) from one box pass; r* is the
+    largest multiplicity of a single value P(q)."""
+    counts = value_counts(P, Q, workers=workers)
+    return max(counts.values()), fold_moduli(counts, min_modulus)[0]
+
+
+def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, int], int]:
+    """(sum_d mult_d phi(d), {e: G(e)} over the e < N with G(e) != 0, terms),
+    where e = d/s runs over the squarefree s | d and terms counts the pairs."""
+    phi_total = terms = 0
+    G: dict[int, int] = {}
+    for d, mult in moduli.items():
+        if d < 2:
+            raise ValueError(f"moduli must be >= 2, got {d}")
+        phi_total += mult * euler_phi(d)
+        signed = [(d, mult)]   # (d/s, mult mu(s))
+        for p, _ in factorize(d).prime_powers:
+            signed += [(e // p, -w) for e, w in signed]
+        terms += len(signed)
+        for e, w in signed:
+            if e < N:
+                G[e] = G.get(e, 0) + w
+    return phi_total, {e: g for e, g in G.items() if g}, terms
+
+
+def _autocorrelation(coeffs: np.ndarray) -> np.ndarray:
+    """Re R(h) for 0 <= h < N.  The autocorrelations of the real and imaginary
+    parts add up to Re R, so their power spectra, each zero-padded to 2N and
+    formed in place in its rfft output, add before one inverse FFT."""
+    N, power = len(coeffs), None
+    for part in (coeffs.real, coeffs.imag) if coeffs.imag.any() else (coeffs.real,):
+        f = np.fft.rfft(part, 2 * N)
+        f.real *= f.real
+        f.real += f.imag ** 2
+        f.imag[:] = 0
+        power = f if power is None else np.add(power, f, out=power)
+    return np.fft.irfft(power, 2 * N)[:N]
+
+
+def fft_work(N: int) -> int:
+    """The work estimate of the autocorrelation FFT, zero-padded to 2N."""
+    return 2 * N * (2 * N).bit_length()
+
+
+def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int],
+                     budget: int = DEFAULT_WORK_BUDGET) -> int | float:
+    """The sum over the moduli d >= 2, weighted by multiplicity, and the
+    reduced a/d of |S(a/d)|^2: an exact integer for real integer coefficients
+    within the EXACT_BITS guard, else an fsum.
+
+    The work estimate is fft_work(N) + terms (ramanujan_weights) + the sum
+    of 1 + (N-1)//e over the weights e (the strided sums).  It is refused
+    before the FFT, and its lower bound with len(moduli) for terms before any
+    factorization.
+    """
+    N, c = seq.N, seq.coeffs
+    if fft_work(N) + len(moduli) > budget:
+        raise BudgetError("sieve sum", fft_work(N) + len(moduli), budget)
+    phi_total, weights, terms = ramanujan_weights(moduli, N)
+    work = fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights)
+    if work > budget:
+        raise BudgetError("sieve sum", work, budget)
+    R = _autocorrelation(c)
+    exact = (seq.norm_sq * log2(2 * N) < 2 ** EXACT_BITS and N * seq.norm_sq < 2 ** 53
+             and not c.imag.any() and np.array_equal(c.real, np.rint(c.real)))
+    if exact:
+        np.rint(R, out=R)
+    sums = [(e * g, R[e::e].sum()) for e, g in weights.items()]
+    if exact:
+        return int(R[0]) * phi_total + 2 * sum(w * int(s) for w, s in sums)
+    return fsum([float(R[0]) * phi_total] + [2.0 * w * float(s) for w, s in sums])
 
 
 def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,
-              workers: int = 1, budget: int = DEFAULT_WORK_BUDGET) -> float:
-    """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2.
-
-    min_modulus = None gives the plain sum; a threshold keeps only tuples
-    with |P(q)| >= min_modulus.  Moduli |P(q)| <= 1 never enter.  Distinct
-    moduli are processed in increasing order, each weighted by its
-    multiplicity in the box; the final reduction is an fsum, so results do
-    not depend on the worker split.
-    """
-    retained, _, _ = fold_moduli(value_counts(P, Q, workers=workers), min_modulus)
-    work = sum(d + seq.N for d in retained)
-    if work > budget:
-        raise BudgetError("sieve sum", work, budget)
-    return fsum(retained[d] * _coprime_residue_sum(seq, d) for d in sorted(retained))
+              workers: int = 1, budget: int = DEFAULT_WORK_BUDGET) -> int | float:
+    """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2.  A
+    min_modulus keeps only tuples with |P(q)| >= min_modulus; moduli
+    |P(q)| <= 1 never enter."""
+    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus, workers)[1], budget)
 
 
-def empirical_delta(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,
-                    workers: int = 1) -> float:
-    """sieve_sum / norm_sq, the measured sieve constant for this sequence."""
+def empirical_delta(seq: SieveSequence, moduli: dict[int, int]) -> float:
+    """moduli_sieve_sum / norm_sq, the measured sieve constant for this
+    sequence; an exact integer total gives the correctly rounded quotient."""
     if seq.norm_sq <= 0:
         raise ValueError("sequence norm is zero")
-    return sieve_sum(seq, P, Q, min_modulus=min_modulus, workers=workers) / seq.norm_sq
+    total = moduli_sieve_sum(seq, moduli)
+    return total / (int(seq.norm_sq) if isinstance(total, int) else seq.norm_sq)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from math import fsum, gcd, log, prod
 
 import numpy as np
 
-from polysieve.arith import (KahanSum, euler_phi, factorize, is_prime,
+from polysieve.arith import (KahanSum, euler_phi, factorize, is_prime, moebius,
                              primes_up_to, von_mangoldt)
 from polysieve.bv import (DiscrepancySumReport, default_eps_bad,
                           max_progression_discrepancy, prime_value_weight)
@@ -86,6 +86,46 @@ def pointwise_sieve_sum(coeffs, M: int, moduli) -> float:
                         for n, c in enumerate(coeffs, start=M + 1))
                 parts.append(abs(s) ** 2)
     return fsum(parts)
+
+
+def exp_sums_all_residues(seq, m: int) -> np.ndarray:
+    """S(a/m) for a = 0..m-1: fold n into residues mod m, then one DFT."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    folded = np.zeros(m, dtype=np.complex128)
+    np.add.at(folded, seq.indices() % m, seq.coeffs)
+    # entry a of m*ifft is sum_t folded[t] e(+a t / m)
+    return m * np.fft.ifft(folded)
+
+
+def coprime_residue_sum(seq, d: int) -> float:
+    values = exp_sums_all_residues(seq, d)
+    mask = np.gcd(np.arange(d), d) == 1
+    mask[0] = False
+    return float(np.sum(np.abs(values[mask]) ** 2))
+
+
+def dft_sieve_sum(seq, moduli: dict) -> float:
+    """The sieve sum over {d: mult} by one length-d DFT per modulus (the
+    per-residue route), added in increasing d with an fsum."""
+    return fsum(moduli[d] * coprime_residue_sum(seq, d) for d in sorted(moduli))
+
+
+def exact_sieve_sum(int_coeffs, moduli: dict) -> int:
+    """The sieve sum over {d: mult} of integer coefficients, exactly: R(h) as
+    an O(N^2) integer correlation, and Ramanujan's sums from Hoelder's closed
+    form c_d(h) = mu(d/g) phi(d) / phi(d/g), g = gcd(d, h)."""
+    a = [int(c) for c in int_coeffs]
+    N = len(a)
+    R = [sum(a[n + h] * a[n] for n in range(N - h)) for h in range(N)]
+    total = 0
+    for d, mult in moduli.items():
+        s = 0
+        for h in range(-N + 1, N):
+            g = gcd(d, h)
+            s += R[abs(h)] * moebius(d // g) * (euler_phi(d) // euler_phi(d // g))
+        total += mult * s
+    return total
 
 
 def exp_sum(seq, theta) -> complex:

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import polysieve.boxes as boxes
 from polysieve.cli import main
 
 
@@ -107,6 +109,11 @@ def test_budget_is_resource_error(capsys):
     ("prime-value-sieve", "--f", "t^2+1000000000000000000000", "--Q", "2"),
     # the sieve work of one N is at least N
     ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", str(10 ** 23)),
+    # the FFT's estimate 2N bits(2N) alone is over budget: no sequence is built
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "1500000"),
+    # the FFT fits, but with the divisor terms and strided sums of 451 moduli
+    # the kernel's estimate does not: refused before the FFT
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "30", "--N", "1100000"),
     # passes the norm-value budget; the prime sieve up to X is refused unallocated
     ("corollary-search", "--f", "t^3-2", "--truncation", "1", "--X", str(10 ** 10),
      "--theta", "1/2"),
@@ -306,3 +313,21 @@ def test_workers_flag_does_not_change_results(capsys):
     multi = run_json(capsys, "bad-moduli", "--P", "x1^2-x2^2", "--Q", "8",
                      "--eps-bad", "0.5", "--workers", "2")
     assert base["result"] == multi["result"]
+
+
+def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch):
+    original, calls = boxes.value_counts, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # wherever the box pass is looked up from
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("polysieve") and \
+                getattr(mod, "value_counts", None) is original:
+            monkeypatch.setattr(mod, "value_counts", counting)
+    rep = run_json(capsys, "sieve-scan", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3",
+                   "--N", "9,27,81,243", "--min-modulus", "20")
+    assert len(calls) == 1
+    assert len(rep["result"]["rows"]) == 4

@@ -1,18 +1,24 @@
 from fractions import Fraction
 
+from itertools import product
+
 import mpmath
 import numpy as np
 import pytest
-from oracles import exp_sum, farey_points, pointwise_sieve_sum, sum_sq_over_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_residues,
+                     farey_points, pointwise_sieve_sum, sum_sq_over_points)
 
+import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi
 from polysieve.errors import BudgetError
 from polysieve.farey import build_farey, min_spacing
-from polysieve.largesieve import (DeltaReport, SieveSequence, delta_bounds,
-                                  empirical_delta, exp_sums_all_residues,
-                                  ones_sequence, random_sign_sequence,
-                                  random_unit_sequence, sieve_sum,
-                                  spike_sequence)
+from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, SieveSequence,
+                                  box_moduli, delta_bounds, empirical_delta,
+                                  moduli_sieve_sum, ones_sequence,
+                                  random_sign_sequence, random_unit_sequence,
+                                  ramanujan_weights, sieve_sum, spike_sequence)
 from polysieve.mvpoly import parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
@@ -138,9 +144,10 @@ def test_trivial_bound_inequality():
 
 
 def test_empirical_delta():
-    assert empirical_delta(SieveSequence(0, [1, 0]), P_SUM_SQ, 1) == pytest.approx(1.0)
+    moduli = box_moduli(P_SUM_SQ, 1)[1]
+    assert empirical_delta(SieveSequence(0, [1, 0]), moduli) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        empirical_delta(SieveSequence(0, [0, 0]), P_SUM_SQ, 1)
+        empirical_delta(SieveSequence(0, [0, 0]), moduli)
 
 
 def test_delta_bounds_values():
@@ -188,8 +195,91 @@ def test_budget():
 def test_reported_ratios_are_finite():
     # reporting-only paths: the all-ones ratio at large N and the seed-mean
     # ratio carry no assertion beyond being well defined
-    big = empirical_delta(ones_sequence(400), P_SUM_SQ, 2)
+    moduli = box_moduli(P_SUM_SQ, 2)[1]
+    big = empirical_delta(ones_sequence(400), moduli)
     assert big > 0
-    mean = np.mean([empirical_delta(random_sign_sequence(64, seed=s), P_SUM_SQ, 2)
+    mean = np.mean([empirical_delta(random_sign_sequence(64, seed=s), moduli)
                     for s in range(20)])
     assert np.isfinite(mean) and mean > 0
+
+
+FORMS = [parse_poly(t) for t in ("x1^2+x2^2", "x1^2+x1*x2+3*x2^2", "2*x1^2-x1*x2+x2^2")]
+
+
+def test_integer_families_match_exact_oracle():
+    # x1^2+x2^2 at Q = 5 has moduli 50..162: with N <= 40 every modulus is >= N
+    assert min(box_moduli(P_SUM_SQ, 5)[1]) == 50
+    for P, Q, min_modulus in product(FORMS, (2, 3, 5, 8), (None, 50)):
+        moduli = box_moduli(P, Q, min_modulus)[1]
+        for family, N, M in product(("ones", "spike", "pm1"), (1, 2, 3, 7, 40, 150), (0, 11)):
+            seq = SEQUENCE_FAMILIES[family](N, N + Q, M)
+            total = sieve_sum(seq, P, Q, min_modulus=min_modulus)
+            exact = exact_sieve_sum(seq.coeffs.real, moduli)
+            assert type(total) is int and total == exact
+            assert empirical_delta(seq, moduli) == float(Fraction(exact, int(seq.norm_sq)))
+
+
+def test_unit_family_matches_pointwise_and_dft():
+    for P, Q, N, M in ((P_SUM_SQ, 2, 1, 0), (FORMS[1], 3, 37, 11), (FORMS[2], 2, 150, 4)):
+        moduli = box_moduli(P, Q)[1]
+        seq = random_unit_sequence(N, seed=N, M=M)
+        total = moduli_sieve_sum(seq, moduli)
+        expanded = [d for d, mult in moduli.items() for _ in range(mult)]
+        assert total == pytest.approx(pointwise_sieve_sum(seq.coeffs, M, expanded), rel=1e-12)
+        assert total == pytest.approx(dft_sieve_sum(seq, moduli), rel=1e-12)
+
+
+def test_exact_route_needs_the_guard(monkeypatch):
+    moduli = box_moduli(FORMS[1], 3)[1]
+    seq = random_sign_sequence(90, seed=4)
+    exact = moduli_sieve_sum(seq, moduli)
+    assert type(exact) is int
+    monkeypatch.setattr(largesieve, "EXACT_BITS", 0)
+    rounded = moduli_sieve_sum(seq, moduli)
+    assert type(rounded) is float and rounded == pytest.approx(exact, rel=1e-12)
+    half = SieveSequence(0, seq.coeffs / 2)
+    assert type(moduli_sieve_sum(half, moduli)) is float
+
+
+def test_empirical_quotient_correctly_rounded_past_2_53():
+    # d = 2^61 + 197 is prime, so three ones give N (d - N) = 3 (d - 3), past
+    # 2^53: rounding the total to a float first would be off by an ulp here
+    d = 2 ** 61 + 197
+    seq = ones_sequence(3)
+    assert moduli_sieve_sum(seq, {d: 1}) == 3 * (d - 3) == exact_sieve_sum([1, 1, 1], {d: 1})
+    assert empirical_delta(seq, {d: 1}) == float(d - 3) != float(3 * (d - 3)) / 3
+
+
+def test_ramanujan_weights():
+    # 12 = 2^2 3: e = 12/s over s | 6, mu(s) = 1, -1, -1, 1 for s = 1, 2, 3, 6
+    assert ramanujan_weights({12: 2}, 13) == (8, {12: 2, 6: -2, 4: -2, 2: 2}, 4)
+    assert ramanujan_weights({12: 2}, 5) == (8, {4: -2, 2: 2}, 4)
+    # e = 1 collects mu(d) = -1 from each prime modulus
+    assert ramanujan_weights({2: 1, 3: 1}, 10) == (3, {2: 1, 1: -2, 3: 1}, 4)
+    with pytest.raises(ValueError):
+        ramanujan_weights({1: 1}, 5)
+
+
+def test_budget_is_the_work_estimate():
+    moduli = box_moduli(FORMS[1], 4)[1]
+    seq = random_sign_sequence(100, seed=1)
+    _, weights, terms = ramanujan_weights(moduli, 100)
+    work = 200 * 8 + terms + sum(1 + 99 // e for e in weights)
+    assert moduli_sieve_sum(seq, moduli, budget=work) == exact_sieve_sum(seq.coeffs.real, moduli)
+    with pytest.raises(BudgetError) as info:
+        moduli_sieve_sum(seq, moduli, budget=work - 1)
+    assert info.value.required == work
+    # the lower bound with len(moduli) refuses before any factorization
+    with pytest.raises(BudgetError) as info:
+        moduli_sieve_sum(seq, moduli, budget=200 * 8 + len(moduli) - 1)
+    assert info.value.required == 200 * 8 + len(moduli)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+       st.integers(0, 50),
+       st.dictionaries(st.integers(2, 240), st.integers(1, 4), min_size=1, max_size=6))
+def test_integer_coefficients_exact_property(coeffs, M, moduli):
+    seq = SieveSequence(M, coeffs)
+    total = moduli_sieve_sum(seq, moduli)
+    assert type(total) is int and total == exact_sieve_sum(coeffs, moduli)
