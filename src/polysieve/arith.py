@@ -222,19 +222,3 @@ def von_mangoldt_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     T = np.flatnonzero(_lambda_table[:limit + 1])
     return T, _lambda_table[T]
 
-
-class KahanSum:
-    """Compensated running accumulator for long prefix-sum loops."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self, value: float = 0.0):
-        self.total = value
-        self._c = 0.0
-
-    def add(self, x: float) -> float:
-        t = x - self._c
-        s = self.total + t
-        self._c = (s - self.total) - t
-        self.total = s
-        return s

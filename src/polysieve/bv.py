@@ -16,8 +16,7 @@ from math import fsum, gcd, log, prod
 
 import numpy as np
 
-from .arith import (KahanSum, euler_phi, moebius, von_mangoldt,
-                    von_mangoldt_table)
+from .arith import euler_phi, factorize, moebius, von_mangoldt, von_mangoldt_table
 from .boxes import check_box_budget, fold_moduli, map_chunks, value_counts
 from .characters import CHAR_MODULUS_CAP, enumerate_characters
 from .congruence import r_parameter
@@ -160,7 +159,8 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
 
     Between jump points the difference is linear in y, so the sup is attained
     at y = x or at a one-sided limit of a jump (prime powers coprime to m).
-    The returned point records where.
+    The returned point records where.  One pass over the stream sorted stably
+    by class runs each class's Kahan sum in order: the cost does not grow with m.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -168,23 +168,40 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
         raise ValueError(f"need x >= 1, got {x}")
     phi = euler_phi(m)
     T, L = von_mangoldt_table(int(x))
-    acc = {a: KahanSum() for a in range(m) if gcd(a, m) == 1}
+    keep = np.logical_and.reduce([T % p != 0 for p, _ in factorize(m).prime_powers])
+    T, L = T[keep], L[keep]
+    R = T % m
+    # numpy's stable sort is a radix sort on 8- and 16-bit keys
+    order = np.argsort(R.astype(np.min_scalar_type(m - 1)), kind="stable")
+    classes = R[order]
+    first = np.diff(classes, prepend=-1, append=-1) != 0   # class starts, then True
+    after, total, c = [], 0.0, 0.0
+    for ln, start in zip(L[order].tolist(), first.tolist()):
+        if start:
+            total = c = 0.0
+        t = ln - c
+        s = total + t
+        c = (s - total) - t
+        total = s
+        after.append(s)
+    after = np.array(after, dtype=float)
+    dev = np.empty((len(T), 2))   # (before, after) each jump, in stream order
+    dev[order, 0] = np.where(first[:-1], 0.0, np.roll(after, 1))
+    dev[order, 1] = after
+    # numpy's t / phi rounds like Python's int / int while phi is exact
+    drift = T / float(phi) if float(phi) == phi else np.array([t / phi for t in T.tolist()])
+    dev = np.abs(dev - drift[:, None])
     best = DiscrepancyPoint(0.0, 1, 0.0, False)
-    for t, ln, a in zip(T.tolist(), L.tolist(), (T % m).tolist()):
-        s = acc.get(a)
-        if s is None:
-            continue
-        drift = t / phi
-        before = abs(s.total - drift)
-        if before > best.value:
-            best = DiscrepancyPoint(before, a, float(t), True)
-        after = abs(s.add(ln) - drift)
-        if after > best.value:
-            best = DiscrepancyPoint(after, a, float(t), False)
-    for a, s in acc.items():
-        v = abs(s.total - x / phi)
-        if v > best.value:
-            best = DiscrepancyPoint(v, a, float(x), False)
+    if len(T):
+        i, side = divmod(int(np.argmax(dev)), 2)
+        best = DiscrepancyPoint(float(dev[i, side]), int(R[i]), float(T[i]), side == 0)
+    # y = x: class totals, and x/phi for the first empty class (0 at m if none)
+    present = set(classes[first[1:]].tolist())
+    empty = next((a for a in range(1, m) if a not in present and gcd(a, m) == 1), m)
+    ends = np.append(np.abs(after[first[1:]] - x / phi), x / phi if empty < m else 0.0)
+    residues = np.append(classes[first[1:]], empty)
+    if (value := ends.max()) > best.value:
+        best = DiscrepancyPoint(float(value), int(residues[ends == value].min()), float(x), False)
     return best
 
 

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,6 +96,7 @@ def _jsonify(obj):
     return obj
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="polysieve", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -336,8 +338,6 @@ _HANDLERS = {
     "corollary-search": _run_corollary_search,
     "bad-moduli": _run_bad_moduli,
 }
-
-_GNUPLOT_COMMANDS = {"farey-stats", "sieve-scan"}
 
 
 def _render(args, config, result, table, blocks, duration) -> str:

@@ -18,6 +18,7 @@ comparators, not certified bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, fsum, log2, pi
 
 import numpy as np
@@ -102,10 +103,17 @@ def box_moduli(P: MvPoly, Q: int, min_modulus=None,
 
 def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, int], int]:
     """(sum_d mult_d phi(d), {e: G(e)} over the e < N with G(e) != 0, terms),
-    where e = d/s runs over the squarefree s | d and terms counts the pairs."""
+    where e = d/s runs over the squarefree s | d and terms counts the pairs.
+    Only the cut depends on N: the last moduli's expansion is kept for reuse."""
+    phi_total, G, terms = _signed_divisors(tuple(moduli.items()))
+    return phi_total, {e: g for e, g in G.items() if e < N}, terms
+
+
+@lru_cache(maxsize=1)
+def _signed_divisors(moduli: tuple[tuple[int, int], ...]) -> tuple[int, dict[int, int], int]:
     phi_total = terms = 0
     G: dict[int, int] = {}
-    for d, mult in moduli.items():
+    for d, mult in moduli:
         if d < 2:
             raise ValueError(f"moduli must be >= 2, got {d}")
         phi_total += mult * euler_phi(d)
@@ -114,8 +122,7 @@ def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, in
             signed += [(e // p, -w) for e, w in signed]
         terms += len(signed)
         for e, w in signed:
-            if e < N:
-                G[e] = G.get(e, 0) + w
+            G[e] = G.get(e, 0) + w
     return phi_total, {e: g for e, g in G.items() if g}, terms
 
 

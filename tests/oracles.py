@@ -17,8 +17,8 @@ from math import fsum, gcd, log, prod
 
 import numpy as np
 
-from polysieve.arith import (KahanSum, euler_phi, factorize, is_prime, moebius,
-                             primes_up_to, von_mangoldt)
+from polysieve.arith import (euler_phi, factorize, is_prime, moebius, primes_up_to,
+                             von_mangoldt)
 from polysieve.bv import (DiscrepancySumReport, default_eps_bad,
                           max_progression_discrepancy, prime_value_weight)
 from polysieve.normform import (DivisorSearchReport, DivisorWitness,
@@ -465,6 +465,23 @@ def loop_sup_abs_psi_chi(chi, x: float) -> float:
             acc += ln * z
             best = max(best, abs(acc))
     return best
+
+
+class KahanSum:
+    """Compensated running accumulator for long prefix-sum loops."""
+
+    __slots__ = ("total", "_c")
+
+    def __init__(self, value: float = 0.0):
+        self.total = value
+        self._c = 0.0
+
+    def add(self, x: float) -> float:
+        t = x - self._c
+        s = self.total + t
+        self._c = (s - self.total) - t
+        self.total = s
+        return s
 
 
 def loop_discrepancy(m: int, x: float) -> tuple[float, int, float, bool]:

@@ -6,6 +6,8 @@ from math import fsum
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polysieve.boxes as boxes
 import polysieve.bv as bv
@@ -13,7 +15,7 @@ from oracles import (loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
                      loop_sup_abs_psi_chi)
 from polysieve.arith import euler_phi, von_mangoldt
 from polysieve.boxes import fold_moduli, value_counts
-from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad,
+from polysieve.bv import (DiscrepancyPoint, ExponentProfile, check_setting, default_eps_bad,
                           discrepancy_sum, exponent_profile,
                           max_progression_discrepancy,
                           max_progression_discrepancy_detail, mean_value_sum,
@@ -22,8 +24,9 @@ from polysieve.characters import enumerate_characters
 from polysieve.mvpoly import FactoredPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
-STREAM_MODULI = (*range(3, 41), 97)
-STREAM_X = (1, 2, 10, 500, 4000)
+CHAR_MODULI = (*range(3, 41), 97)   # a character table mod d holds d^2 values
+STREAM_MODULI = (*CHAR_MODULI, 6683, 10007, 12139)
+STREAM_X = (1, 2, 10, 500, 1234.5, 4000)
 
 
 def test_profile_3_2_exact():
@@ -147,6 +150,37 @@ def test_discrepancy_matches_loop_reference_exactly(x):
         assert astuple(max_progression_discrepancy_detail(m, x)) == loop_discrepancy(m, x)
 
 
+def test_discrepancy_matches_loop_reference_at_a_million():
+    m = 10 ** 6 + 3
+    assert astuple(max_progression_discrepancy_detail(m, 5000)) == loop_discrepancy(m, 5000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3000), st.one_of(st.integers(1, 3000), st.floats(1, 3000)))
+def test_discrepancy_matches_loop_reference_property(m, x):
+    assert astuple(max_progression_discrepancy_detail(m, x)) == loop_discrepancy(m, x)
+
+
+@pytest.mark.parametrize("m", [10 ** 9 + 7, 2 ** 61 - 1])
+def test_discrepancy_when_every_class_holds_one_term(m):
+    # m is a prime above x, so each prime power t <= x is alone in its class:
+    # the jump at t goes from t/phi to |log p - t/phi|, and the largest is at
+    # the largest prime, 997; every end value at y = x is smaller
+    phi = m - 1
+    assert max_progression_discrepancy_detail(m, 1000) == DiscrepancyPoint(
+        abs(math.log(997) - 997 / phi), 997, 997.0, False)
+    # no prime power up to x: only the empty classes at y = x remain
+    assert max_progression_discrepancy_detail(m, 1.5) == DiscrepancyPoint(
+        1.5 / phi, 1, 1.5, False)
+
+
+def test_discrepancy_tie_at_x_takes_the_smallest_residue():
+    # mod 33 the classes 2 and 32 each hold one power of 2 up to 81, so they
+    # tie at y = x; the scan over residues keeps the first
+    assert max_progression_discrepancy_detail(33, 81) == DiscrepancyPoint(
+        abs(math.log(2) - 81 / 20), 2, 81.0, False)
+
+
 def test_discrepancy_grid_beats_random_probes():
     rng = random.Random(5)
     for m, x in ((6, 300), (11, 120)):
@@ -260,7 +294,7 @@ def test_mean_value_matches_character_table_recomputation():
 
 @pytest.mark.parametrize("x", STREAM_X)
 def test_mean_value_matches_loop_reference_exactly(x):
-    for d in STREAM_MODULI:
+    for d in CHAR_MODULI:
         P = parse_poly(f"x1+{d - 1}")   # Q = 1 boxes the single point q = 1
         sups = [loop_sup_abs_psi_chi(chi, x) for chi in enumerate_characters(d)
                 if chi.is_primitive]

@@ -1,10 +1,17 @@
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import polysieve.boxes as boxes
-from polysieve.cli import main
+import polysieve.largesieve as largesieve
+from polysieve.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -331,3 +338,39 @@ def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch):
                    "--N", "9,27,81,243", "--min-modulus", "20")
     assert len(calls) == 1
     assert len(rep["result"]["rows"]) == 4
+
+
+def test_sieve_scan_expands_its_moduli_once(capsys):
+    largesieve._signed_divisors.cache_clear()
+    rep = run_json(capsys, "sieve-scan", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3",
+                   "--N", "9,27,81,243")
+    info = largesieve._signed_divisors.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert len(rep["result"]["rows"]) == 4
+
+
+def _without_duration(text):
+    return re.sub(r'"duration_s": [^,\n]+', '"duration_s": null', text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("exponents", "--k", "3", "--ell", "2"),
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16", "--format", "csv"),
+    ("bv-sum", "--P", "x1^2+x2^2", "--Q", "2", "--x", "200"),
+    ("exponents", "--k", "2", "--ell", "2", "--bogus", "1"),
+    ("sieve-scan", "--P", "x1^2", "--Q", "2", "--N", "1500000"),
+])
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys, argv):
+    # the parser of this process has already parsed other subcommands and
+    # other errors; a fresh process builds its own
+    main(["exponents", "--k", "2", "--ell", "1"])
+    main(["bv-sum", "--P", "x1^2", "--Q", "2", "--x", "-5"])
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert code == fresh.returncode
+    assert err == fresh.stderr
+    assert _without_duration(out) == _without_duration(fresh.stdout)
+    assert build_parser() is build_parser()
