@@ -157,10 +157,9 @@ class DiscrepancyPoint:
 def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
     """sup over y <= x and coprime residues a of |psi(y; m, a) - y/phi(m)|.
 
-    Between jump points the difference is linear in y, so the sup is attained
-    at y = x or at a one-sided limit of a jump (prime powers coprime to m).
-    The returned point records where.  One pass over the stream sorted stably
-    by class runs each class's Kahan sum in order: the cost does not grow with m.
+    Between jump points the difference is linear in y, so the sup is at y = x
+    or at a one-sided limit of a jump; the returned point says which.  Each class
+    is summed in order in one pass over the stably sorted stream, whatever m.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -169,38 +168,31 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
     phi = euler_phi(m)
     T, L = von_mangoldt_table(int(x))
     keep = np.logical_and.reduce([T % p != 0 for p, _ in factorize(m).prime_powers])
-    T, L = T[keep], L[keep]
-    R = T % m
-    # numpy's stable sort is a radix sort on 8- and 16-bit keys
-    order = np.argsort(R.astype(np.min_scalar_type(m - 1)), kind="stable")
-    classes = R[order]
-    first = np.diff(classes, prepend=-1, append=-1) != 0   # class starts, then True
-    after, total, c = [], 0.0, 0.0
+    T, L, R = T[keep], L[keep], T[keep] % m
+    order = np.argsort(R.astype(np.min_scalar_type(m - 1)), kind="stable")   # radix if small
+    edges = np.concatenate(([-1], R[order], [-1]))   # sorted residues, padded
+    first = edges[1:] != edges[:-1]   # class starts, then True
+    after, s, c = [], 0.0, 0.0
     for ln, start in zip(L[order].tolist(), first.tolist()):
         if start:
-            total = c = 0.0
-        t = ln - c
-        s = total + t
-        c = (s - total) - t
-        total = s
+            s = c = 0.0
+        y = ln - c
+        s, c = s + y, ((s + y) - s) - y   # Kahan: c is what s + y lost of y
         after.append(s)
-    after = np.array(after, dtype=float)
+    after = np.array(after)
     dev = np.empty((len(T), 2))   # (before, after) each jump, in stream order
-    dev[order, 0] = np.where(first[:-1], 0.0, np.roll(after, 1))
-    dev[order, 1] = after
-    # numpy's t / phi rounds like Python's int / int while phi is exact
-    drift = T / float(phi) if float(phi) == phi else np.array([t / phi for t in T.tolist()])
-    dev = np.abs(dev - drift[:, None])
+    dev[order] = np.column_stack([np.where(first[:-1], 0.0, np.roll(after, 1)), after])
+    dev = np.abs(dev - (T / phi)[:, None])
     best = DiscrepancyPoint(0.0, 1, 0.0, False)
     if len(T):
         i, side = divmod(int(np.argmax(dev)), 2)
         best = DiscrepancyPoint(float(dev[i, side]), int(R[i]), float(T[i]), side == 0)
     # y = x: class totals, and x/phi for the first empty class (0 at m if none)
-    present = set(classes[first[1:]].tolist())
+    present = set(edges[1:-1][first[1:]].tolist())
     empty = next((a for a in range(1, m) if a not in present and gcd(a, m) == 1), m)
     ends = np.append(np.abs(after[first[1:]] - x / phi), x / phi if empty < m else 0.0)
-    residues = np.append(classes[first[1:]], empty)
     if (value := ends.max()) > best.value:
+        residues = np.append(edges[1:-1][first[1:]], empty)
         best = DiscrepancyPoint(float(value), int(residues[ends == value].min()), float(x), False)
     return best
 

@@ -27,8 +27,8 @@ from .bv import check_setting, discrepancy_sum, exponent_profile, mean_value_sum
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
-from .largesieve import (DEFAULT_WORK_BUDGET, SEQUENCE_FAMILIES, box_moduli,
-                         delta_bounds, empirical_delta, fft_work)
+from .largesieve import (DEFAULT_WORK_BUDGET, SEQUENCE_FAMILIES, _signed_divisors,
+                         box_moduli, delta_bounds, empirical_delta, fft_work)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
 
@@ -238,10 +238,13 @@ def _run_sieve_scan(args):
     r_star, moduli = box_moduli(P, args.Q, args.min_modulus, args.workers)
     family = SEQUENCE_FAMILIES[args.sequence]
     rows = []
-    for N in args.N:
-        seq = family(N, _split_seed(args.seed, N), args.M)
-        emp = empirical_delta(seq, moduli)
-        rows.append(delta_bounds(k, ell, args.Q, N, r_star, empirical=emp))
+    try:   # every N reuses one expansion of the moduli, which ends with the op
+        for N in args.N:
+            seq = family(N, _split_seed(args.seed, N), args.M)
+            emp = empirical_delta(seq, moduli)
+            rows.append(delta_bounds(k, ell, args.Q, N, r_star, empirical=emp))
+    finally:
+        _signed_divisors.cache_clear()
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,
               "sequence": args.sequence, "rows": rows}
     header = ["N", "empirical", "trivial_bound", "zhao_conjecture", "old_bound",
@@ -338,6 +341,8 @@ _HANDLERS = {
     "corollary-search": _run_corollary_search,
     "bad-moduli": _run_bad_moduli,
 }
+
+_GNUPLOT_COMMANDS = {"farey-stats", "sieve-scan"}
 
 
 def _render(args, config, result, table, blocks, duration) -> str:

@@ -103,13 +103,12 @@ def box_moduli(P: MvPoly, Q: int, min_modulus=None,
 
 def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, int], int]:
     """(sum_d mult_d phi(d), {e: G(e)} over the e < N with G(e) != 0, terms),
-    where e = d/s runs over the squarefree s | d and terms counts the pairs.
-    Only the cut depends on N: the last moduli's expansion is kept for reuse."""
+    where e = d/s runs over the squarefree s | d and terms counts the pairs."""
     phi_total, G, terms = _signed_divisors(tuple(moduli.items()))
     return phi_total, {e: g for e, g in G.items() if e < N}, terms
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1)   # ramanujan_weights before the cut, for the last moduli
 def _signed_divisors(moduli: tuple[tuple[int, int], ...]) -> tuple[int, dict[int, int], int]:
     phi_total = terms = 0
     G: dict[int, int] = {}

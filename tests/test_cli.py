@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import polysieve.boxes as boxes
+import polysieve.cli as cli
 import polysieve.largesieve as largesieve
 from polysieve.cli import build_parser, main
+from polysieve.errors import BudgetError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -340,13 +342,34 @@ def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch):
     assert len(rep["result"]["rows"]) == 4
 
 
-def test_sieve_scan_expands_its_moduli_once(capsys):
+def test_sieve_scan_expands_its_moduli_once(capsys, monkeypatch):
+    seen = []
+
+    def recording(seq, moduli):
+        out = largesieve.empirical_delta(seq, moduli)
+        info = largesieve._signed_divisors.cache_info()
+        seen.append((info.misses, info.hits))
+        return out
+
+    monkeypatch.setattr(cli, "empirical_delta", recording)
     largesieve._signed_divisors.cache_clear()
     rep = run_json(capsys, "sieve-scan", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3",
                    "--N", "9,27,81,243")
-    info = largesieve._signed_divisors.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert seen == [(1, 0), (1, 1), (1, 2), (1, 3)]
     assert len(rep["result"]["rows"]) == 4
+    # the expansion ends with the op
+    assert largesieve._signed_divisors.cache_info().currsize == 0
+
+
+def test_sieve_scan_drops_its_expansion_when_refused(capsys, monkeypatch):
+    def refusing(seq, moduli):
+        largesieve.empirical_delta(seq, moduli)
+        raise BudgetError("sieve sum", 2, 1)
+
+    monkeypatch.setattr(cli, "empirical_delta", refusing)
+    code, _, err = run_cli(capsys, "sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8")
+    assert code == 3 and "sieve sum" in err
+    assert largesieve._signed_divisors.cache_info().currsize == 0
 
 
 def _without_duration(text):
