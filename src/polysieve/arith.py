@@ -190,9 +190,10 @@ def euler_phi(n: int) -> int:
 
 # -- the prime-power stream ------------------------------------------------
 
-_lambda_table: np.ndarray | None = None
+# (limit, T, L): the stream up to the largest limit asked so far.
+_lambda_stream: tuple[int, np.ndarray, np.ndarray] | None = None
 
-# Largest limit von_mangoldt_table builds: the dense table takes 8 bytes per n.
+# Largest limit von_mangoldt_table builds: its dense table takes 8 bytes per n.
 LAMBDA_LIMIT = 10 ** 7
 
 
@@ -201,16 +202,16 @@ def von_mangoldt_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     <= limit in increasing order and L = Lambda(T).
 
     Every Lambda-weighted sum reads this stream.  L holds math.log(p),
-    bit-identical to the pointwise path.  The stream is cut from a grow-only
-    dense module cache; limits above LAMBDA_LIMIT raise BudgetError before
-    anything is allocated.
+    bit-identical to the pointwise path.  Both arrays are read-only prefixes
+    of a grow-only module stream, cut from a dense table when it grows;
+    limits above LAMBDA_LIMIT raise BudgetError before anything is allocated.
     """
-    global _lambda_table
+    global _lambda_stream
     if limit < 0:
         raise ValueError(f"von_mangoldt_table expects limit >= 0, got {limit}")
     if limit > LAMBDA_LIMIT:
         raise BudgetError("von Mangoldt table limit", limit, LAMBDA_LIMIT)
-    if _lambda_table is None or len(_lambda_table) <= limit:
+    if _lambda_stream is None or _lambda_stream[0] < limit:
         table = np.zeros(limit + 1)
         for p in primes_up_to(limit):
             lp = log(p)
@@ -218,7 +219,10 @@ def von_mangoldt_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
             while pk <= limit:
                 table[pk] = lp
                 pk *= p
-        _lambda_table = table
-    T = np.flatnonzero(_lambda_table[:limit + 1])
-    return T, _lambda_table[T]
-
+        T = np.flatnonzero(table)
+        L = table[T]
+        T.flags.writeable = L.flags.writeable = False
+        _lambda_stream = limit, T, L
+    _, T, L = _lambda_stream
+    k = np.searchsorted(T, limit, "right")
+    return T[:k], L[:k]

@@ -12,18 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, log, prod
+from math import fsum, gcd, log, pi, prod
 
 import numpy as np
 
 from .arith import euler_phi, factorize, moebius, von_mangoldt, von_mangoldt_table
 from .boxes import check_box_budget, fold_moduli, map_chunks, value_counts
-from .characters import CHAR_MODULUS_CAP, enumerate_characters
+from .characters import CHAR_MODULUS_CAP, unit_group
 from .congruence import r_parameter
 from .errors import BudgetError
 from .mvpoly import FactoredPoly, MvPoly
 
 _PARALLEL_MIN = 512
+
+# Complex entries per block of the character sup kernel: keeps its memory flat.
+_SUP_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,49 @@ class MeanValueReport:
     skipped_unit_moduli: int
 
 
+def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
+    """sup over y <= x of |psi(y, chi)| for each primitive character mod d,
+    from the prime-power stream (T, L) up to x.
+
+    Terms with gcd(T, d) > 1 would only repeat a prefix sum, so they are
+    dropped.  A block of characters is one exponent matrix
+    t = (sum_i c_i (e / s_i) dlog_i(T)) mod e, exact in int64 under
+    CHAR_MODULUS_CAP: each of the at most 7 components adds
+    c_i (e / s_i) dlog_i < e s_i <= 10^10.  roots[t] are the floats of
+    chi.values()[T % d] (the same operations on the same integers).
+    """
+    group = unit_group(d)
+    residues = T % d
+    unit = group.unit_mask[residues]
+    e = group.exponent
+    steps = np.array([e // comp.order for comp in group.components], dtype=np.int64)
+    W = steps[:, None] * group.dlog_grid[:, residues[unit]]
+    L = L[unit]
+    roots = np.exp(2j * pi * np.arange(e) / e)
+    chars = group.primitive_exponents
+    step = max(1, _SUP_BLOCK // max(len(L), 1))
+    sups = []
+    for i in range(0, len(chars), step):
+        t = chars[i:i + step] @ W
+        t -= t // e * e   # t % e, about twice as fast
+        c = roots[t]
+        c *= L
+        sups += _row_max_abs(np.cumsum(c, axis=1, out=c)).tolist()
+    return sups
+
+
+def _row_max_abs(c: np.ndarray) -> np.ndarray:
+    """np.max(np.hypot(c.real, c.imag), axis=1, initial=0.0), where np.hypot
+    rounds like the scalar abs of a complex.  The faster np.abs can be an
+    ulp or two off, so it only picks the entries within 2^-40 of their row's
+    largest, and np.hypot decides among them."""
+    a = np.abs(c)
+    near = a >= np.max(a, axis=1, initial=0.0, keepdims=True) * (1 - 2 ** -40)
+    a[:] = 0.0
+    a[near] = np.hypot(c.real[near], c.imag[near])
+    return np.max(a, axis=1, initial=0.0)
+
+
 def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1,
                    char_cap: int = CHAR_MODULUS_CAP) -> MeanValueReport:
     """Sum over q ~ Q of P(q)/phi(P(q)) times the sum over primitive
@@ -303,15 +349,7 @@ def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1,
     for d in sorted(moduli):
         if d > char_cap:
             raise BudgetError("mean value sum modulus", d, char_cap)
-        residues = T % d
-        sups = []
-        for chi in enumerate_characters(d):
-            if chi.is_primitive:
-                # np.hypot rounds like the scalar abs of a complex; np.abs
-                # on complex arrays can differ in the last ulp.
-                c = np.cumsum(L * chi.values()[residues])
-                sups.append(float(np.max(np.hypot(c.real, c.imag), initial=0.0)))
-        if sups:
+        if sups := _primitive_sups(d, T, L):
             parts.append(moduli[d] * d / euler_phi(d) * fsum(sups))
     return MeanValueReport(value=fsum(parts), moduli=moduli,
                            skipped_unit_moduli=skipped)

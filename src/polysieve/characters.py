@@ -6,14 +6,15 @@ uses the generator pair {-1, 5}.  A character stores one exponent per
 component; its value at n is a root of unity whose exponent (numerator over
 the group exponent) is computed in exact integer arithmetic, so character
 equality and triviality tests never touch floating point.  Complex value
-tables are materialized on demand; a character-twisted Lambda sum reads
-values()[T % m] off the prime-power stream arith.von_mangoldt_table.
+tables are materialized on demand.  The primitive characters also come as
+one exponent matrix (UnitGroup.primitive_exponents), so a kernel over all of
+them needs no object per character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm, pi
 
@@ -41,6 +42,16 @@ def _least_primitive_root(q: int, s: int) -> int:
         if gcd(g, q) == 1 and all(pow(g, s // f, q) != 1 for f in s_primes):
             return g
         g += 1
+
+
+def _primitive_exponent(comp: CyclicComponent, c):
+    """Whether exponent c (int or array) on comp may belong to a primitive
+    character: any c on the -1 component of 2^e (e >= 3), else c coprime to
+    the prime power.  With m != 2 (mod 4) this is conductor == m by the local
+    criterion of DirichletCharacter.conductor."""
+    if comp.modulus % 8 == 0 and comp.generator == comp.modulus - 1:
+        return np.ones_like(c, dtype=bool)
+    return np.gcd(c, comp.modulus) == 1
 
 
 def _walk_dlog(q: int, g: int, s: int) -> list[int]:
@@ -89,25 +100,29 @@ class UnitGroup:
         self.order = 1
         for c in components:
             self.order *= c.order
-        self._dlog_grid: np.ndarray | None = None
-        self._unit_mask: np.ndarray | None = None
 
+    @cached_property
     def dlog_grid(self) -> np.ndarray:
         """Array [i, n] = dlog of n in component i, for n = 0..m-1."""
-        if self._dlog_grid is None:
-            m = self.modulus
-            n = np.arange(m, dtype=np.int64)
-            rows = [np.asarray(c.dlog, dtype=np.int64)[n % c.modulus]
-                    for c in self.components]
-            self._dlog_grid = (np.vstack(rows) if rows
-                               else np.zeros((0, m), dtype=np.int64))
-        return self._dlog_grid
+        m = self.modulus
+        n = np.arange(m, dtype=np.int64)
+        rows = [np.asarray(c.dlog, dtype=np.int64)[n % c.modulus] for c in self.components]
+        return np.vstack(rows) if rows else np.zeros((0, m), dtype=np.int64)
 
+    @cached_property
+    def primitive_exponents(self) -> np.ndarray:
+        """The exponent vectors of the primitive characters mod m, one row
+        each in the order of enumerate_characters: the product of the sets
+        _primitive_exponent allows per component, or no rows if m = 2 (mod 4)."""
+        rows = np.zeros((int(self.modulus % 4 != 2), 0), dtype=np.int64)
+        for comp in self.components:
+            c = np.flatnonzero(_primitive_exponent(comp, np.arange(comp.order)))
+            rows = np.column_stack([np.repeat(rows, len(c), axis=0), np.tile(c, len(rows))])
+        return rows
+
+    @cached_property
     def unit_mask(self) -> np.ndarray:
-        if self._unit_mask is None:
-            n = np.arange(self.modulus, dtype=np.int64)
-            self._unit_mask = np.gcd(n, self.modulus) == 1
-        return self._unit_mask
+        return np.gcd(np.arange(self.modulus, dtype=np.int64), self.modulus) == 1
 
 
 @lru_cache(maxsize=256)
@@ -123,7 +138,7 @@ class DirichletCharacter:
     representation; value() materializes complex numbers.
     """
 
-    __slots__ = ("group", "exponents", "_values")
+    __slots__ = ("group", "exponents")
 
     def __init__(self, group: UnitGroup, exponents: tuple[int, ...]):
         if len(exponents) != len(group.components):
@@ -133,7 +148,6 @@ class DirichletCharacter:
                 raise ValueError(f"exponent {c} out of range for order {comp.order}")
         self.group = group
         self.exponents = tuple(exponents)
-        self._values = None
 
     @property
     def modulus(self) -> int:
@@ -164,17 +178,14 @@ class DirichletCharacter:
         return complex(np.cos(ang), np.sin(ang))
 
     def values(self) -> np.ndarray:
-        """chi(n) for n = 0..m-1 as a complex array (cached)."""
-        if self._values is None:
-            e = self.group.exponent
-            grid = self.group.dlog_grid()
-            t = np.zeros(self.modulus, dtype=np.int64)
-            for c, comp, row in zip(self.exponents, self.group.components, grid):
-                t += c * (e // comp.order) * row
-            vals = np.exp(2j * pi * (t % e) / e)
-            vals[~self.group.unit_mask()] = 0
-            self._values = vals
-        return self._values
+        """chi(n) for n = 0..m-1 as a complex array."""
+        e = self.group.exponent
+        t = np.zeros(self.modulus, dtype=np.int64)
+        for c, comp, row in zip(self.exponents, self.group.components, self.group.dlog_grid):
+            t += c * (e // comp.order) * row
+        vals = np.exp(2j * pi * (t % e) / e)
+        vals[~self.group.unit_mask] = 0
+        return vals
 
     @property
     def conductor(self) -> int:
@@ -192,7 +203,8 @@ class DirichletCharacter:
 
     @property
     def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
+        return self.modulus % 4 != 2 and all(
+            _primitive_exponent(comp, c) for c, comp in zip(self.exponents, self.group.components))
 
     def __eq__(self, other):
         return (isinstance(other, DirichletCharacter)

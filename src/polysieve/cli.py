@@ -342,8 +342,6 @@ _HANDLERS = {
     "bad-moduli": _run_bad_moduli,
 }
 
-_GNUPLOT_COMMANDS = {"farey-stats", "sieve-scan"}
-
 
 def _render(args, config, result, table, blocks, duration) -> str:
     if args.format == "json":

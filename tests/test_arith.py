@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polysieve.arith as arith
 from oracles import trial_division_factorize, trial_division_is_prime
 from polysieve.arith import (LAMBDA_LIMIT, Factorization, euler_phi,
                              factorize, is_prime, moebius, primes_up_to,
@@ -121,6 +122,23 @@ def test_von_mangoldt_table_matches_pointwise():
         von_mangoldt_table(-1)
     with pytest.raises(BudgetError):
         von_mangoldt_table(LAMBDA_LIMIT + 1)
+
+
+def test_von_mangoldt_table_prefixes_are_read_only_and_fresh(monkeypatch):
+    def fresh(limit):
+        monkeypatch.setattr(arith, "_lambda_stream", None)
+        return von_mangoldt_table(limit)
+
+    monkeypatch.setattr(arith, "_lambda_stream", None)
+    calls = [(limit, von_mangoldt_table(limit)) for limit in (10 ** 4, 50, 10 ** 5)]
+    for limit, (T, L) in calls:
+        assert not T.flags.writeable and not L.flags.writeable
+        with pytest.raises(ValueError):
+            T[0] = 0
+        FT, FL = fresh(limit)
+        assert np.array_equal(T, FT) and np.array_equal(L, FL)
+        RT, RL = von_mangoldt_table(limit)
+        assert np.array_equal(T, RT) and np.array_equal(L, RL)
 
 
 def test_factorization_dataclass():

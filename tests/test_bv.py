@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 from math import fsum
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -13,14 +15,14 @@ import polysieve.boxes as boxes
 import polysieve.bv as bv
 from oracles import (loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
                      loop_sup_abs_psi_chi)
-from polysieve.arith import euler_phi, von_mangoldt
+from polysieve.arith import euler_phi, von_mangoldt, von_mangoldt_table
 from polysieve.boxes import fold_moduli, value_counts
 from polysieve.bv import (DiscrepancyPoint, ExponentProfile, check_setting, default_eps_bad,
                           discrepancy_sum, exponent_profile,
                           max_progression_discrepancy,
                           max_progression_discrepancy_detail, mean_value_sum,
                           prime_value_weight)
-from polysieve.characters import enumerate_characters
+from polysieve.characters import enumerate_characters, unit_group
 from polysieve.mvpoly import FactoredPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
@@ -294,12 +296,41 @@ def test_mean_value_matches_character_table_recomputation():
 
 @pytest.mark.parametrize("x", STREAM_X)
 def test_mean_value_matches_loop_reference_exactly(x):
-    for d in CHAR_MODULI:
+    for d in (*CHAR_MODULI, 64, 128, 120, 194, 243):
         P = parse_poly(f"x1+{d - 1}")   # Q = 1 boxes the single point q = 1
         sups = [loop_sup_abs_psi_chi(chi, x) for chi in enumerate_characters(d)
                 if chi.is_primitive]
         expected = fsum([1 * d / euler_phi(d) * fsum(sups)] if sups else [])
         assert mean_value_sum(P, 1, x).value == expected
+
+
+def test_mean_value_reference_moduli_span_several_blocks():
+    # mod 243 at x = 4000, checked above, runs several character blocks
+    T, _ = von_mangoldt_table(4000)
+    terms = int(np.sum(T % 3 != 0))
+    assert len(unit_group(243).primitive_exponents) * terms > 3 * bv._SUP_BLOCK
+
+
+def test_row_max_abs_is_the_hypot_max_on_near_ties():
+    # a rotated copy of each entry ties its modulus; np.abs and np.hypot
+    # put about 3 % of such pairs in opposite strict order
+    rng = np.random.default_rng(5)
+    z = 100 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
+    c = np.column_stack([z, z * np.exp(1j * rng.uniform(0, 2 * math.pi, 4000)), z / 3])
+    for rows in (c, c[:, ::-1], c[:, :0]):
+        assert np.array_equal(bv._row_max_abs(rows),
+                              np.max(np.hypot(rows.real, rows.imag), axis=1, initial=0.0))
+
+
+def test_mean_value_memory_does_not_grow_with_the_character_tables():
+    P = parse_poly("x1+3000")   # d = 3001, prime: 2999 primitive characters
+    tracemalloc.start()
+    try:
+        mean_value_sum(P, 1, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_default_eps_bad():

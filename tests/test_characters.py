@@ -85,6 +85,20 @@ def test_primitive_count_matches_divisor_oracle():
         assert got == primitive_character_count(m, euler_phi), m
 
 
+PRIMITIVE_RULE_MODULI = (*range(1, 301), *(2 ** e for e in range(9, 11)),
+                         3 ** 5, 4 * 9 * 25, 8 * 3 * 5 * 7)
+
+
+@pytest.mark.parametrize("m", PRIMITIVE_RULE_MODULI)
+def test_primitive_exponents_are_the_primitive_characters(m):
+    rows = unit_group(m).primitive_exponents
+    chars = enumerate_characters(m)
+    got = [tuple(r) for r in rows.tolist()]
+    assert got == [c.exponents for c in chars if c.is_primitive]
+    assert len(got) == primitive_character_count(m, euler_phi)
+    assert [c.is_primitive for c in chars] == [c.conductor == m for c in chars]
+
+
 def test_induced_characters_match_non_primitives():
     for m in (8, 12, 45):
         chars = enumerate_characters(m)
