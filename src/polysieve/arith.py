@@ -190,7 +190,6 @@ def euler_phi(n: int) -> int:
 
 # -- the prime-power stream ------------------------------------------------
 
-# (limit, T, L): the stream up to the largest limit asked so far.
 _lambda_stream: tuple[int, np.ndarray, np.ndarray] | None = None
 
 # Largest limit von_mangoldt_table builds: its dense table takes 8 bytes per n.

@@ -294,15 +294,12 @@ class MeanValueReport:
 
 def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
     """sup over y <= x of |psi(y, chi)| for each primitive character mod d,
-    from the prime-power stream (T, L) up to x.
-
-    Terms with gcd(T, d) > 1 would only repeat a prefix sum, so they are
-    dropped.  A block of characters is one exponent matrix
-    t = (sum_i c_i (e / s_i) dlog_i(T)) mod e, exact in int64 under
-    CHAR_MODULUS_CAP: each of the at most 7 components adds
-    c_i (e / s_i) dlog_i < e s_i <= 10^10.  roots[t] are the floats of
-    chi.values()[T % d] (the same operations on the same integers).
-    """
+    from the prime-power stream (T, L) up to x.  Terms with gcd(T, d) > 1
+    only repeat a prefix sum, so they are dropped.  Per block of characters
+    C, t = (C @ W) mod e with W_i = (e / s_i) dlog_i(T) is exact in int64
+    under CHAR_MODULUS_CAP: each of at most 7 components adds < e s_i <= 10^10.
+    roots[t] are the floats of chi.values()[T % d] (same operations on the
+    same integers), and np.hypot rounds like the scalar abs of a complex."""
     group = unit_group(d)
     residues = T % d
     unit = group.unit_mask[residues]
@@ -311,32 +308,16 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
     W = steps[:, None] * group.dlog_grid[:, residues[unit]]
     L = L[unit]
     roots = np.exp(2j * pi * np.arange(e) / e)
-    chars = group.primitive_exponents
+    chars = group.primitive_exponents()
     step = max(1, _SUP_BLOCK // max(len(L), 1))
     sups = []
     for i in range(0, len(chars), step):
-        t = chars[i:i + step] @ W
-        t -= t // e * e   # t % e, about twice as fast
-        c = roots[t]
-        c *= L
-        sups += _row_max_abs(np.cumsum(c, axis=1, out=c)).tolist()
+        c = np.cumsum(roots[chars[i:i + step] @ W % e] * L, axis=1)
+        sups += np.max(np.hypot(c.real, c.imag), axis=1, initial=0.0).tolist()
     return sups
 
 
-def _row_max_abs(c: np.ndarray) -> np.ndarray:
-    """np.max(np.hypot(c.real, c.imag), axis=1, initial=0.0), where np.hypot
-    rounds like the scalar abs of a complex.  The faster np.abs can be an
-    ulp or two off, so it only picks the entries within 2^-40 of their row's
-    largest, and np.hypot decides among them."""
-    a = np.abs(c)
-    near = a >= np.max(a, axis=1, initial=0.0, keepdims=True) * (1 - 2 ** -40)
-    a[:] = 0.0
-    a[near] = np.hypot(c.real[near], c.imag[near])
-    return np.max(a, axis=1, initial=0.0)
-
-
-def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1,
-                   char_cap: int = CHAR_MODULUS_CAP) -> MeanValueReport:
+def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1) -> MeanValueReport:
     """Sum over q ~ Q of P(q)/phi(P(q)) times the sum over primitive
     characters mod P(q) of sup_{y <= x} |psi(y, chi)|.
 
@@ -347,8 +328,8 @@ def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1,
     T, L = von_mangoldt_table(max(int(x), 0))
     parts = []
     for d in sorted(moduli):
-        if d > char_cap:
-            raise BudgetError("mean value sum modulus", d, char_cap)
+        if d > CHAR_MODULUS_CAP:
+            raise BudgetError("mean value sum modulus", d, CHAR_MODULUS_CAP)
         if sups := _primitive_sups(d, T, L):
             parts.append(moduli[d] * d / euler_phi(d) * fsum(sups))
     return MeanValueReport(value=fsum(parts), moduli=moduli,

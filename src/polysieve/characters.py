@@ -6,9 +6,8 @@ uses the generator pair {-1, 5}.  A character stores one exponent per
 component; its value at n is a root of unity whose exponent (numerator over
 the group exponent) is computed in exact integer arithmetic, so character
 equality and triviality tests never touch floating point.  Complex value
-tables are materialized on demand.  The primitive characters also come as
-one exponent matrix (UnitGroup.primitive_exponents), so a kernel over all of
-them needs no object per character.
+tables are materialized on demand.  UnitGroup.primitive_exponents() gives
+the primitive characters as one exponent matrix, with no object per character.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, lcm, pi
+from math import gcd, lcm, pi, prod
 
 import numpy as np
 
@@ -45,10 +44,9 @@ def _least_primitive_root(q: int, s: int) -> int:
 
 
 def _primitive_exponent(comp: CyclicComponent, c):
-    """Whether exponent c (int or array) on comp may belong to a primitive
-    character: any c on the -1 component of 2^e (e >= 3), else c coprime to
-    the prime power.  With m != 2 (mod 4) this is conductor == m by the local
-    criterion of DirichletCharacter.conductor."""
+    """Whether exponent c (int or array) on comp fits a primitive character:
+    any c on the -1 component of 2^e (e >= 3), else c coprime to the prime
+    power; with m != 2 (mod 4), conductor == m by the local criterion."""
     if comp.modulus % 8 == 0 and comp.generator == comp.modulus - 1:
         return np.ones_like(c, dtype=bool)
     return np.gcd(c, comp.modulus) == 1
@@ -97,9 +95,7 @@ class UnitGroup:
                 components.append(CyclicComponent(q, s, g, tuple(_walk_dlog(q, g, s))))
         self.components = tuple(components)
         self.exponent = lcm(*(c.order for c in components)) if components else 1
-        self.order = 1
-        for c in components:
-            self.order *= c.order
+        self.order = prod(c.order for c in components)
 
     @cached_property
     def dlog_grid(self) -> np.ndarray:
@@ -109,7 +105,6 @@ class UnitGroup:
         rows = [np.asarray(c.dlog, dtype=np.int64)[n % c.modulus] for c in self.components]
         return np.vstack(rows) if rows else np.zeros((0, m), dtype=np.int64)
 
-    @cached_property
     def primitive_exponents(self) -> np.ndarray:
         """The exponent vectors of the primitive characters mod m, one row
         each in the order of enumerate_characters: the product of the sets

@@ -22,7 +22,8 @@ from polysieve.bv import (DiscrepancyPoint, ExponentProfile, check_setting, defa
                           max_progression_discrepancy,
                           max_progression_discrepancy_detail, mean_value_sum,
                           prime_value_weight)
-from polysieve.characters import enumerate_characters, unit_group
+from polysieve.characters import CHAR_MODULUS_CAP, enumerate_characters, unit_group
+from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
@@ -308,18 +309,13 @@ def test_mean_value_reference_moduli_span_several_blocks():
     # mod 243 at x = 4000, checked above, runs several character blocks
     T, _ = von_mangoldt_table(4000)
     terms = int(np.sum(T % 3 != 0))
-    assert len(unit_group(243).primitive_exponents) * terms > 3 * bv._SUP_BLOCK
+    assert len(unit_group(243).primitive_exponents()) * terms > 3 * bv._SUP_BLOCK
 
 
-def test_row_max_abs_is_the_hypot_max_on_near_ties():
-    # a rotated copy of each entry ties its modulus; np.abs and np.hypot
-    # put about 3 % of such pairs in opposite strict order
-    rng = np.random.default_rng(5)
-    z = 100 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
-    c = np.column_stack([z, z * np.exp(1j * rng.uniform(0, 2 * math.pi, 4000)), z / 3])
-    for rows in (c, c[:, ::-1], c[:, :0]):
-        assert np.array_equal(bv._row_max_abs(rows),
-                              np.max(np.hypot(rows.real, rows.imag), axis=1, initial=0.0))
+def test_mean_value_refuses_moduli_above_the_character_cap():
+    with pytest.raises(BudgetError):
+        mean_value_sum(parse_poly(f"x1+{CHAR_MODULUS_CAP}"), 1, 10)   # d = 10^5 + 1
+    assert mean_value_sum(parse_poly(f"x1+{CHAR_MODULUS_CAP - 1}"), 1, 10).value > 0
 
 
 def test_mean_value_memory_does_not_grow_with_the_character_tables():

@@ -91,7 +91,7 @@ PRIMITIVE_RULE_MODULI = (*range(1, 301), *(2 ** e for e in range(9, 11)),
 
 @pytest.mark.parametrize("m", PRIMITIVE_RULE_MODULI)
 def test_primitive_exponents_are_the_primitive_characters(m):
-    rows = unit_group(m).primitive_exponents
+    rows = unit_group(m).primitive_exponents()
     chars = enumerate_characters(m)
     got = [tuple(r) for r in rows.tolist()]
     assert got == [c.exponents for c in chars if c.is_primitive]
