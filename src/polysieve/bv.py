@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, log, pi, prod
+from math import fsum, gcd, inf, log, pi, prod
 
 import numpy as np
 
@@ -254,6 +254,8 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
         raise ValueError("eps_bad must be positive")
     try:
         comparator = x / log(x) ** A if x > 1 else None
+        if comparator == inf:   # a float quotient overflows without raising
+            raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"x/(log x)^A is out of float range at x={x}, A={A}") from None
     threshold = Fraction(eps_bad) * Q ** k

@@ -18,8 +18,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .boxes import count_bad_moduli
@@ -80,20 +79,39 @@ def _int_grid(text: str) -> list[int]:
 
 
 def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
+    """Plain JSON values from a parsed flag or a dataclass report: dataclasses
+    as dicts, tuples as lists, Fractions as strings."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonify(v) for v in items]
-    return obj
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return str(obj) if isinstance(obj, Fraction) else obj
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for plain values only: dicts
+    with str keys, lists, str, int, float, bool and None.  Anything else,
+    tuples and numpy scalars included, raises TypeError."""
+    kind = type(obj)
+    inner = pad + "  "
+    if kind is list and obj:
+        items = (map(int.__repr__, obj) if all(type(v) is int for v in obj)
+                 else [_dumps(v, inner) for v in obj])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if kind is dict and obj:
+        if not all(type(k) is str for k in obj):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind in (float, bool, type(None), list, dict):   # the empty list and dict too
+        return json.dumps(obj)   # float.__repr__ or NaN, Infinity; true, false, null
+    raise TypeError(f"not a plain JSON value: {kind.__name__}")
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +199,9 @@ def build_parser() -> _Parser:
 
 
 # -- handlers ----------------------------------------------------------------
-# Each returns (result_dict, table, gnuplot_blocks); table is (header, rows)
-# or None, gnuplot_blocks is a list of (title, [(x, y), ...]) or None.
-
-
-def _parse_factors(texts) -> FactoredPoly:
-    return FactoredPoly([parse_poly(t) for t in texts])
+# Each returns (result, table): result holds plain JSON values with str keys;
+# table is None or (header, rows, plotted), where gnuplot draws each plotted
+# column against the first.
 
 
 def _run_congruence_count(args):
@@ -194,32 +209,23 @@ def _run_congruence_count(args):
     corners = tuple(int(c) for c in args.K.split(",")) if args.K else (0,) * P.num_vars
     inst = CongruenceInstance(P=P, a=args.a, m=args.m, K=corners,
                               H=args.H, L=args.L, R=args.R)
-    rep = congruence_count_bound(inst)
-    result = {"count": rep.count, "bound": rep.bound, "ratio": rep.ratio,
-              "r": rep.r, "k": rep.k, "ell": rep.ell}
-    return result, None, None
+    return dataclasses.asdict(congruence_count_bound(inst)), None
 
 
 def _run_farey_stats(args):
     P = parse_poly(args.P)
     comps = [close_points_comparator(P.total_degree(), P.num_vars, args.Q, N) for N in args.N]
     system = build_farey(P, args.Q, min_modulus=args.min_modulus, workers=args.workers)
-    spacing = min_spacing(system) if system.distinct_count >= 2 else None
-    rows = []
-    for N, comp in zip(args.N, comps):
-        count = max_close_points(system, N)
-        rows.append({"N": N, "close_count": count, "comparator": comp,
-                     "ratio": count / comp})
+    spacing = str(min_spacing(system)) if system.distinct_count >= 2 else None
+    header = ["N", "close_count", "comparator", "ratio"]
+    counts = [max_close_points(system, N) for N in args.N]
+    rows = [[N, count, comp, count / comp] for N, count, comp in zip(args.N, counts, comps)]
     result = {"distinct_count": system.distinct_count,
               "total_count": system.total_count,
               "skipped_unit_moduli": system.skipped_unit_moduli,
               "skipped_filtered": system.skipped_filtered,
-              "min_spacing": spacing, "per_N": rows}
-    table = (["N", "close_count", "comparator", "ratio"],
-             [[r["N"], r["close_count"], r["comparator"], r["ratio"]] for r in rows])
-    blocks = [("close_count", [(r["N"], r["close_count"]) for r in rows]),
-              ("comparator", [(r["N"], r["comparator"]) for r in rows])]
-    return result, table, blocks
+              "min_spacing": spacing, "per_N": [dict(zip(header, row)) for row in rows]}
+    return result, (header, rows, ["close_count", "comparator"])
 
 
 def _split_seed(seed: int, counter: int) -> int:
@@ -236,6 +242,8 @@ def _run_sieve_scan(args):
     k = P.total_degree()
     ell = P.num_vars
     r_star, moduli = box_moduli(P, args.Q, args.min_modulus, args.workers)
+    if min(args.N) < 1:
+        raise ValueError(f"N must be >= 1, got {min(args.N)}")
     family = SEQUENCE_FAMILIES[args.sequence]
     rows = []
     try:   # every N reuses one expansion of the moduli, which ends with the op
@@ -246,86 +254,70 @@ def _run_sieve_scan(args):
     finally:
         _signed_divisors.cache_clear()
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,
-              "sequence": args.sequence, "rows": rows}
+              "sequence": args.sequence, "rows": [dataclasses.asdict(r) for r in rows]}
     header = ["N", "empirical", "trivial_bound", "zhao_conjecture", "old_bound",
               "new_bound", "new_bound_applicable"]
-    table = (header, [[r.N, r.empirical, r.trivial_bound, r.zhao_conjecture,
-                       r.old_bound, r.new_bound, int(r.new_bound_applicable)]
-                      for r in rows])
-    blocks = [("empirical", [(r.N, r.empirical) for r in rows]),
-              ("trivial_bound", [(r.N, r.trivial_bound) for r in rows]),
-              ("new_bound", [(r.N, r.new_bound) for r in rows])]
-    return result, table, blocks
+    table = [[r.N, r.empirical, r.trivial_bound, r.zhao_conjecture, r.old_bound,
+              r.new_bound, int(r.new_bound_applicable)] for r in rows]
+    return result, (header, table, ["empirical", "trivial_bound", "new_bound"])
 
 
 def _run_exponents(args):
     prof = exponent_profile(args.k, args.ell)
-    result = {"k": prof.k, "ell": prof.ell, "r": prof.r, "rho": prof.rho,
-              "level_exponent": prof.level_exponent,
-              "k_times_level_exponent": prof.k * prof.level_exponent,
-              "variable_condition_rhs": prof.variable_condition_rhs,
-              "conjectural_level_exponent": prof.conjectural_level_exponent,
-              "maynard_rhs": prof.maynard_rhs}
-    return result, None, None
+    return dict(_jsonify(prof), k_times_level_exponent=str(prof.k * prof.level_exponent)), None
 
 
 def _run_check_setting(args):
-    report = check_setting(_parse_factors(args.P))
-    return _jsonify(report), None, None
+    return _jsonify(check_setting(FactoredPoly([parse_poly(t) for t in args.P]))), None
 
 
 def _run_bv_sum(args):
-    F = _parse_factors(args.P)
+    F = FactoredPoly([parse_poly(t) for t in args.P])
     rep = discrepancy_sum(F, args.Q, args.x, eps_bad=args.eps_bad, A=args.A,
                           workers=args.workers)
-    return _jsonify(rep), None, None
+    return _jsonify(rep), None
 
 
 def _run_meanvalue_sum(args):
     rep = mean_value_sum(parse_poly(args.P), args.Q, args.x, workers=args.workers)
-    result = dict(dataclasses.asdict(rep), Q=args.Q, x=args.x)
-    return result, None, None
+    return {"value": rep.value, "moduli": {str(d): c for d, c in rep.moduli.items()},
+            "skipped_unit_moduli": rep.skipped_unit_moduli, "Q": args.Q, "x": args.x}, None
 
 
 def _run_norm_form(args):
     spec = NumberFieldSpec.from_text(args.f, truncation=args.truncation)
     form = norm_form(spec)
-    result = {"polynomial": form.to_text(var_prefix="q"),
-              "json": form.to_json_dict(), "degree": spec.degree,
-              "num_vars": spec.num_form_vars}
-    return result, None, None
+    return {"polynomial": form.to_text(var_prefix="q"),
+            "json": form.to_json_dict(), "degree": spec.degree,
+            "num_vars": spec.num_form_vars}, None
 
 
 def _run_prime_value_sieve(args):
     spec = NumberFieldSpec.from_text(args.f, truncation=args.truncation)
     rep = prime_value_sieve(spec, args.Q)
-    result = {"count": rep.count, "distinct": rep.distinct,
-              "max_multiplicity": rep.max_multiplicity,
-              "density_ratio": rep.density_ratio,
-              "maynard_condition_ok": rep.maynard_condition_ok,
-              "values": {str(v): [list(q) for q in qs] for v, qs in sorted(rep.values.items())}}
-    return result, None, None
+    return {"count": rep.count, "distinct": rep.distinct,
+            "max_multiplicity": rep.max_multiplicity,
+            "density_ratio": rep.density_ratio,
+            "maynard_condition_ok": rep.maynard_condition_ok,
+            "values": {str(v): [list(q) for q in qs] for v, qs in sorted(rep.values.items())}}, None
 
 
 def _run_corollary_search(args):
     spec = NumberFieldSpec.from_text(args.f, truncation=args.truncation)
     rep = prime_divisor_search(spec, args.X, args.theta)
-    result = {"count": rep.count, "prime_count": rep.prime_count,
-              "density": rep.density, "q_range": rep.q_range,
-              "theta": rep.theta, "X": rep.X,
-              "witnesses": [{"p": w.p, "divisors": list(w.divisors),
-                             "representations": {str(d): list(q) for d, q in
-                                                 sorted(w.representations.items())}}
-                            for w in rep.witnesses]}
-    return result, None, None
+    return {"count": rep.count, "prime_count": rep.prime_count,
+            "density": rep.density, "q_range": rep.q_range,
+            "theta": str(rep.theta), "X": rep.X,
+            "witnesses": [{"p": w.p, "divisors": list(w.divisors),
+                           "representations": {str(d): list(q) for d, q in
+                                               sorted(w.representations.items())}}
+                          for w in rep.witnesses]}, None
 
 
 def _run_bad_moduli(args):
-    P = parse_poly(args.P)
-    rep = count_bad_moduli(P, args.Q, args.eps_bad, workers=args.workers)
-    result = {"count": rep.count, "box_size": rep.box_size, "eps": rep.eps,
-              "comparator": rep.comparator, "ratio": rep.ratio}
-    return result, None, None
+    rep = count_bad_moduli(parse_poly(args.P), args.Q, args.eps_bad, workers=args.workers)
+    return {"count": rep.count, "box_size": rep.box_size, "eps": rep.eps,
+            "comparator": rep.comparator, "ratio": rep.ratio}, None
 
 
 _HANDLERS = {
@@ -343,36 +335,25 @@ _HANDLERS = {
 }
 
 
-def _render(args, config, result, table, blocks, duration) -> str:
+def _render(args, config, result, table, duration) -> str:
     if args.format == "json":
         report = {"command": args.command, "config": config,
                   "version": __version__, "seed": args.seed,
-                  "duration_s": duration, "result": _jsonify(result)}
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    header_line = "# polysieve {} {} config={}".format(
-        __version__, args.command, json.dumps(config, sort_keys=True))
-    if args.format == "csv":
-        lines = [header_line]
+                  "duration_s": duration, "result": result}
+        return _dumps(report) + "\n"
+    lines = ["# polysieve {} {} config={}".format(
+        __version__, args.command, json.dumps(config, sort_keys=True))]
+    if args.format == "gnuplot":   # two-column blocks separated by blank lines
         if table is None:
-            lines.append("key,value")
-            flat = _jsonify(result)
-            for key in sorted(flat):
-                lines.append(f"{key},{json.dumps(flat[key], sort_keys=True)}")
-        else:
-            header, rows = table
-            lines.append(",".join(header))
-            for row in rows:
-                lines.append(",".join(str(_jsonify(c)) for c in row))
-        return "\n".join(lines) + "\n"
-    # gnuplot: two-column blocks separated by blank lines
-    if blocks is None:
-        raise CliError(f"format gnuplot is not supported for {args.command}")
-    lines = [header_line]
-    for title, points in blocks:
-        lines.append(f"# {title}")
-        for x, y in points:
-            lines.append(f"{x} {y}")
-        lines.append("")
+            raise CliError(f"format gnuplot is not supported for {args.command}")
+        header, rows, plotted = table
+        for col in map(header.index, plotted):
+            lines += [f"# {header[col]}", *(f"{row[0]} {row[col]}" for row in rows), ""]
+    elif table is None:
+        lines.append("key,value")
+        lines += [f"{key},{json.dumps(result[key], sort_keys=True)}" for key in sorted(result)]
+    else:
+        lines += [",".join(table[0]), *(",".join(map(str, row)) for row in table[1])]
     return "\n".join(lines) + "\n"
 
 
@@ -380,9 +361,9 @@ def run(args) -> str:
     """Dispatch a parsed configuration and render the report text."""
     config = resolve_config(args)
     start = time.perf_counter()
-    result, table, blocks = _HANDLERS[args.command](args)
+    result, table = _HANDLERS[args.command](args)
     duration = time.perf_counter() - start
-    return _render(args, config, result, table, blocks, duration)
+    return _render(args, config, result, table, duration)
 
 
 def main(argv=None) -> int:

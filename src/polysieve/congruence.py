@@ -14,7 +14,7 @@ reduce in int64 for m < 2^31 and on exact object ints otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, inf
+from math import comb, e, gcd, inf, log2
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .errors import BudgetError
 from .mvpoly import MvPoly
 
 DEFAULT_COUNT_BUDGET = 5_000_000
+# Largest size in bits of r = C(k+ell, ell) - 1 that r_parameter computes (a
+# report prints at most 4300 digits, about 14300 bits); past it, BudgetError.
+R_PARAMETER_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,10 @@ def r_parameter(k: int, ell: int) -> int:
     """r = C(k+ell, ell) - 1, the exponent parameter of the box-count bound."""
     if k < 0 or ell < 1:
         raise ValueError("need k >= 0 and ell >= 1")
+    m = max(min(k, ell), 1)   # 2^m <= C(k+ell, m) <= (e (k+ell) / m)^m
+    bits = m if m > R_PARAMETER_BITS else int(m * (log2(k + ell) - log2(m) + log2(e)))
+    if bits > R_PARAMETER_BITS:
+        raise BudgetError("bits of r = C(k+ell, ell) - 1", bits, R_PARAMETER_BITS)
     return comb(k + ell, ell) - 1
 
 

@@ -255,8 +255,10 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     is a norm-form value on positive coordinates.
 
     The norm values over 1 <= q_i <= X^(1/n) that are primes d < X, each
-    with its first point in box order, are read off one sieve up to X.  Each
-    such d then walks p = 1 + j*d while p <= X and p^tn <= d^td (exact).
+    with its first point in box order, are read off one sieve up to X.  The
+    walk is one vectorised pass: every p = 1 + j*d with j >= 1, p <= X and
+    p^tn <= d^td (exact) of every d goes into one array, the prime p are kept
+    and grouped by one stable sort, so each p lists its d in increasing order.
     Before the sieve, a theta = tn/td whose powers d^td could pass
     THETA_POWER_BITS bits raises BudgetError, as does X above
     arith.PRIME_SIEVE_LIMIT.
@@ -288,15 +290,22 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     est = np.exp(np.log(low) * (td / tn))
     last, last_hi = (np.floor((est * (1 + e) - 1) / low)
                      for e in (-WALK_END_MARGIN, WALK_END_MARGIN))
-    hits: dict[int, list[int]] = {}
-    for i, d in enumerate(reps):
-        top = (X if i >= len(low) else 1 + int(last[i]) * d if last[i] == last_hi[i]
-               else integer_nth_root(d ** td, tn))
-        for p in (1 + d + d * np.flatnonzero(flags[d + 1:top + 1:d])).tolist():
-            hits.setdefault(p, []).append(d)
-    witnesses = tuple(DivisorWitness(p=p, divisors=tuple(ds),
-                                     representations={d: reps[d] for d in ds})
-                      for p, ds in sorted(hits.items()))
+    steps = (X - 1) // norm_primes   # of d: the j >= 1 with p = 1 + j d in range
+    steps[:len(low)] = np.minimum(steps[:len(low)], last)
+    for i in np.flatnonzero(last != last_hi).tolist():
+        steps[i] = (integer_nth_root(int(low[i]) ** td, tn) - 1) // int(low[i])
+    div = np.repeat(norm_primes, steps)
+    p = np.arange(1, len(div) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+    p *= div   # in place: these arrays hold one entry per step
+    p += 1
+    keep = np.flatnonzero(flags[p])
+    keep = keep[np.argsort(p[keep], kind="stable")]   # each p keeps its d in increasing order
+    p, div = p[keep], div[keep]   # drops the step arrays before the witnesses are built
+    ps, starts = np.unique(p, return_index=True)
+    divs, bounds = div.tolist(), starts.tolist() + [len(keep)]
+    witnesses = tuple(DivisorWitness(p=p, divisors=tuple(divs[a:b]),
+                                     representations={d: reps[d] for d in divs[a:b]})
+                      for p, a, b in zip(ps.tolist(), bounds, bounds[1:]))
     prime_count = int(np.count_nonzero(flags))
     return DivisorSearchReport(
         X=X, theta=theta, count=len(witnesses), prime_count=prime_count,

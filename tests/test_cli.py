@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polysieve.boxes as boxes
 import polysieve.cli as cli
@@ -79,6 +84,9 @@ def test_empty_polynomial_is_validation_error(capsys):
      "--eps-bad", "0.001"),
     ("bv-sum", "--P", "x1^2+x2^2", "--Q", "1", "--x", "1.5", "--A", "2000",
      "--eps-bad", "0.001"),
+    # (log x)^A is finite but the quotient x/(log x)^A overflows to inf
+    ("bv-sum", "--P", "x1^2+x2^2", "--Q", "1", "--x", "10", "--A", "-860",
+     "--eps-bad", "12"),
     ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--M", str(10 ** 23)),
     ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "4", "--min-modulus", "inf"),
     # comparators out of float range, refused before the count
@@ -88,6 +96,9 @@ def test_empty_polynomial_is_validation_error(capsys):
     # count = 10^400 over a finite bound
     ("congruence-count", "--P", "x1^2+x2^2", "--m", "1", "--H", str(10 ** 100),
      "--R", str(10 ** 200)),
+    # N < 1 is refused before a sequence is built, however large
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8," + str(-10 ** 23)),
+    ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "0"),
     # a constant P has r = 0, so the close-point exponent 1/(r(k+1)) is undefined
     ("farey-stats", "--P", "5", "--Q", "2", "--N", "4"),
 ])
@@ -128,6 +139,9 @@ def test_budget_is_resource_error(capsys):
      "--theta", "1/2"),
     # the exact powers d^td compared against p^tn would not fit in memory
     ("corollary-search", "--f", "t^2+1", "--X", "60000", "--theta", "1/" + str(10 ** 400)),
+    # r = C(k+ell, ell) - 1 would have about 2 * 10^23 bits
+    ("exponents", "--k", str(10 ** 23), "--ell", str(10 ** 23)),
+    ("exponents", "--k", "1000000", "--ell", "1000000"),
 ])
 def test_huge_limit_is_resource_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -397,3 +411,153 @@ def test_reused_parser_prints_what_a_fresh_process_prints(capsys, argv):
     assert err == fresh.stderr
     assert _without_duration(out) == _without_duration(fresh.stdout)
     assert build_parser() is build_parser()
+
+
+# -- the report writer ----------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+JSON_TEXT = st.text(st.one_of(st.characters(),
+                              st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\xe9\U0001f600')))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), JSON_TEXT,
+    st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200).map(lambda n: n * (-1) ** n),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300]))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=5) | st.lists(st.integers(), max_size=5)
+                      | st.dictionaries(JSON_TEXT, children, max_size=5)),
+    max_leaves=40)
+
+
+@given(JSON_TREES)
+@settings(max_examples=200)
+def test_writer_matches_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: 2}, {"a": {2: "b"}}, {"a": 1, 2: 3},
+    (1, 2), {"a": (1,)}, [1, (2,)],
+    np.float64(1.5), [np.float64(1.5)], {"a": [1, np.int64(2)]}, np.int64(3),
+    {1, 2}, 1 + 2j,
+], ids=repr)
+def test_writer_refuses_what_is_not_plain_json(obj):
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
+SMALL_OPS = {
+    "congruence-count": ("--P", "x1^2+x2^2", "--m", "3", "--H", "3", "--R", "1"),
+    "farey-stats": ("--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16"),
+    "sieve-scan": ("--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16"),
+    "exponents": ("--k", "3", "--ell", "2"),
+    "check-setting": ("--P", "x1^3+2*x2^3", "--P", "x3^2+x4^2"),
+    "bv-sum": ("--P", "x1^2+x2^2", "--Q", "2", "--x", "200"),
+    # moduli 8, 13 and 18: a numeric key sort would put 8 first
+    "meanvalue-sum": ("--P", "x1^2+x2^2", "--Q", "2", "--x", "10"),
+    "norm-form": ("--f", "t^3-2", "--truncation", "1"),
+    "prime-value-sieve": ("--f", "t^3-2", "--Q", "3"),
+    "corollary-search": ("--f", "t^2+1", "--X", "100", "--theta", "2/5"),
+    "bad-moduli": ("--P", "x1^2-x2^2", "--Q", "4", "--eps-bad", "0.5"),
+}
+
+
+def test_small_ops_cover_every_subcommand():
+    assert set(SMALL_OPS) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_OPS))
+def test_json_report_is_the_stdlib_indented_text(capsys, command):
+    code, out, err = run_cli(capsys, command, *SMALL_OPS[command], "--workers", "1")
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_meanvalue_moduli_keys_sort_as_strings(capsys):
+    out = run_cli(capsys, "meanvalue-sum", *SMALL_OPS["meanvalue-sum"])[1]
+    assert out.index('"13": 2') < out.index('"18": 1') < out.index('"8": 1')
+
+
+# Outputs of the text formats, recorded before the writer and the handlers
+# changed; only the default --workers (the core count) varies by host.
+@pytest.mark.parametrize("argv, expected", [
+    (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16", "--format", "csv",
+      "--seed", "1"),
+     '# polysieve 0.1.0 sieve-scan config={{"M": 0, "N": [8, 16], "P": "x1^2+x2^2", "Q": 2, '
+     '"command": "sieve-scan", "format": "csv", "min_modulus": null, "seed": 1, '
+     '"sequence": "pm1", "workers": {workers}}}\n'
+     'N,empirical,trivial_bound,zhao_conjecture,old_bound,new_bound,new_bound_applicable\n'
+     '8,36.25,48.0,48.0,128.00296578225078,30.554931325133328,1\n'
+     '16,26.5,64.0,64.0,191.38682543787687,58.35023926772587,1\n'),
+    (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16", "--format", "csv"),
+     '# polysieve 0.1.0 sieve-scan config={{"M": 0, "N": [8, 16], "P": "x1^2+x2^2", "Q": 2, '
+     '"command": "sieve-scan", "format": "csv", "min_modulus": null, "seed": 0, '
+     '"sequence": "pm1", "workers": {workers}}}\n'
+     'N,empirical,trivial_bound,zhao_conjecture,old_bound,new_bound,new_bound_applicable\n'
+     '8,34.25,48.0,48.0,128.00296578225078,30.554931325133328,1\n'
+     '16,30.0,64.0,64.0,191.38682543787687,58.35023926772587,1\n'),
+    (("farey-stats", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16", "--format", "gnuplot"),
+     '# polysieve 0.1.0 farey-stats config={{"N": [8, 16], "P": "x1^2+x2^2", "Q": 2, '
+     '"command": "farey-stats", "format": "gnuplot", "min_modulus": null, "seed": 0, '
+     '"workers": {workers}}}\n'
+     '# close_count\n8 5\n16 4\n\n'
+     '# comparator\n8 3.819366415641666\n16 3.6468899542328668\n\n'),
+    (("meanvalue-sum", "--P", "x1^2+x2^2", "--Q", "2", "--x", "10", "--format", "csv"),
+     '# polysieve 0.1.0 meanvalue-sum config={{"P": "x1^2+x2^2", "Q": 2, '
+     '"command": "meanvalue-sum", "format": "csv", "seed": 0, "workers": {workers}, '
+     '"x": 10.0}}\n'
+     'key,value\nQ,2\nmoduli,{{"13": 2, "18": 1, "8": 1}}\nskipped_unit_moduli,0\n'
+     'value,74.91710741927595\nx,10.0\n'),
+    (("corollary-search", "--f", "t^2+1", "--X", "30", "--theta", "1/3", "--format", "csv"),
+     '# polysieve 0.1.0 corollary-search config={{"X": 30, "command": "corollary-search", '
+     '"f": "t^2+1", "format": "csv", "seed": 0, "theta": "1/3", "truncation": 0, '
+     '"workers": {workers}}}\n'
+     'key,value\nX,30\ncount,4\ndensity,0.4\nprime_count,10\nq_range,5\ntheta,"1/3"\n'
+     'witnesses,[{{"divisors": [2], "p": 3, "representations": {{"2": [1, 1]}}}}, '
+     '{{"divisors": [2], "p": 5, "representations": {{"2": [1, 1]}}}}, '
+     '{{"divisors": [2], "p": 7, "representations": {{"2": [1, 1]}}}}, '
+     '{{"divisors": [5], "p": 11, "representations": {{"5": [1, 2]}}}}]\n'),
+])
+def test_text_formats_keep_their_bytes(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == expected.format(workers=os.cpu_count() or 1)
+
+
+# -- numeric flags, drawn -----------------------------------------------------------
+
+# Spellings argparse's int, float and Fraction parsers meet; ints stay small
+# so that no drawn box, modulus or sieve runs long, and the huge values are
+# refused by a budget or a range check before any work.
+NUMERIC_TEXT = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e30", "1e300", "-1e300",
+                     "1e-300", "-0", "0.0", "+5", "1_0", " 7", "", "0x10", str(10 ** 23),
+                     str(-10 ** 23), str(10 ** 400), "1/" + str(10 ** 400)]))
+
+
+@pytest.mark.parametrize("command", sorted(GRID_BASES))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_numeric_flags_drawn(command, data):
+    base = GRID_BASES[command]
+    numeric = [flag for flag in base[::2] if flag not in ("--P", "--f")]
+    drawn = data.draw(st.sets(st.sampled_from(numeric), min_size=1, max_size=2), label="flags")
+    argv = [command]
+    for flag, value in zip(base[::2], base[1::2]):
+        argv += [flag, data.draw(NUMERIC_TEXT, label=flag) if flag in drawn else value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--workers", "1"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0])
+    else:
+        json.loads(out, parse_constant=_reject_constant)

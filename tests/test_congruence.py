@@ -1,13 +1,13 @@
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import count_by_enumeration, count_by_residue_classes
-from polysieve.congruence import (CongruenceInstance, congruence_count_bound,
-                                  count_solutions, r_parameter)
+from polysieve.congruence import (R_PARAMETER_BITS, CongruenceInstance,
+                                  congruence_count_bound, count_solutions, r_parameter)
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import MvPoly, parse_poly
 
@@ -36,6 +36,23 @@ def test_r_parameter():
     assert r_parameter(3, 2) == 9
     assert r_parameter(2, 1) == 2
     assert r_parameter(2, 2) == 5
+
+
+@pytest.mark.parametrize("k, ell", [(0, 7), (1, 10 ** 400), (10 ** 23, 1), (3, 10 ** 23),
+                                    (5000, 5000), (200, 9000), (26000, 1)])
+def test_r_parameter_under_the_bit_cap(k, ell):
+    r = r_parameter(k, ell)
+    assert r == comb(k + ell, ell) - 1
+    assert r.bit_length() <= R_PARAMETER_BITS
+
+
+@pytest.mark.parametrize("k, ell", [(10 ** 23, 10 ** 23), (10 ** 6, 10 ** 6), (40000, 40000),
+                                    (10 ** 400, 10 ** 400), (20000, 10 ** 23)])
+def test_r_parameter_refuses_past_the_bit_cap(k, ell):
+    # C(k+ell, ell) has more than R_PARAMETER_BITS bits (C(80000, 40000) has
+    # about 80000); a bound on its size refuses it before it is computed
+    with pytest.raises(BudgetError):
+        r_parameter(k, ell)
 
 
 def test_validation():

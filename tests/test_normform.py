@@ -234,6 +234,42 @@ def test_prime_divisor_search_exact_walk_ends(monkeypatch, theta):
     assert got == loop_prime_divisor_search(GAUSS, 3000, theta)
 
 
+# The fields of the benchmark's corollary-search pool.
+POOL_FIELDS = [f"t^2+{c}" if b == 0 else f"t^2+t+{c}" for c in range(1, 13) for b in (0, 1)]
+
+
+def _assert_search_matches_loop(spec, X, theta):
+    got = prime_divisor_search(spec, X, theta)
+    assert got == loop_prime_divisor_search(spec, X, theta)
+    # plain ints, as the report writer takes no numpy scalars
+    assert all(type(w.p) is int and all(type(d) is int for d in w.divisors)
+               for w in got.witnesses)
+    return got
+
+
+@pytest.mark.parametrize("field", POOL_FIELDS)
+@pytest.mark.parametrize("X", [2, 3, 100, 3000])
+def test_one_pass_walk_matches_loop_reference_on_pool_fields(field, X):
+    spec = NumberFieldSpec.from_text(field)
+    for theta in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
+        _assert_search_matches_loop(spec, X, theta)
+
+
+@pytest.mark.parametrize("X", [2, 3, 100, 200, 255])
+def test_one_pass_walk_at_the_smallest_theta(X):
+    # td * bits(X) = 8192 * 8 is the largest THETA_POWER_BITS allows
+    _assert_search_matches_loop(GAUSS, X, Fraction(1, 8192))
+
+
+def test_one_pass_walk_without_steps():
+    # no norm prime below X: q1^2 + q1 q2 + 12 q2^2 >= 14 on the box
+    rep = _assert_search_matches_loop(NumberFieldSpec.from_text("t^2+t+12"), 10, Fraction(1, 3))
+    assert rep.count == 0 and rep.witnesses == ()
+    # the one norm prime 2 < 3^theta takes no step
+    rep = _assert_search_matches_loop(GAUSS, 3, Fraction(99, 100))
+    assert rep.count == 0 and rep.prime_count == 2
+
+
 @pytest.mark.parametrize("spec", ORACLE_FIELDS + [CUBE2, QUARTIC], ids=repr)
 @pytest.mark.parametrize("Q", [1, 2, 3, 7])
 def test_prime_value_sieve_matches_loop_reference(spec, Q):
