@@ -21,7 +21,6 @@ def main():
     ap.add_argument("--Q", type=int, default=2)
     ap.add_argument("--A", type=float, default=2.0)
     ap.add_argument("--x-max", type=float, default=20000)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     F = FactoredPoly([parse_poly(t) for t in args.factors])
@@ -37,7 +36,7 @@ def main():
     print(f"{'x':>10} {'sum':>12} {'x/(log x)^A':>14} {'ratio':>10} "
           f"{'nonzero q':>10} {'excluded':>9}")
     while x <= args.x_max:
-        rep = discrepancy_sum(F, args.Q, x, A=args.A, workers=args.workers)
+        rep = discrepancy_sum(F, args.Q, x, A=args.A)
         ratio = rep.value / rep.comparator
         print(f"{x:>10.0f} {rep.value:>12.4f} {rep.comparator:>14.4f} "
               f"{ratio:>10.4f} {rep.nonzero_weight_tuples:>10} "

@@ -17,13 +17,11 @@ from math import fsum, gcd, inf, log, pi, prod
 import numpy as np
 
 from .arith import euler_phi, factorize, moebius, von_mangoldt, von_mangoldt_table
-from .boxes import check_box_budget, fold_moduli, map_chunks, value_counts
+from .boxes import box_values, check_box_budget, fold_moduli
 from .characters import CHAR_MODULUS_CAP, unit_group
-from .congruence import r_parameter
+from .congruence import R_PARAMETER_BITS, r_parameter
 from .errors import BudgetError
 from .mvpoly import FactoredPoly, MvPoly
-
-_PARALLEL_MIN = 512
 
 # Complex entries per block of the character sup kernel: keeps its memory flat.
 _SUP_BLOCK = 2 ** 14
@@ -47,6 +45,9 @@ def exponent_profile(k: int, ell: int) -> ExponentProfile:
         raise ValueError("need k >= 1 and ell >= 1")
     r = r_parameter(k, ell)
     R = r * (k + 1)
+    # k(5R - 1) bounds every integer of the profile, so all of them can be printed
+    if (bits := (k * (5 * R - 1)).bit_length()) > R_PARAMETER_BITS:
+        raise BudgetError("bits of the exponent fractions", bits, R_PARAMETER_BITS)
     rho = Fraction(R, R - 1)
     level = 1 / (2 * k + Fraction(k, 1) / (2 * rho))
     return ExponentProfile(
@@ -227,13 +228,8 @@ class DiscrepancySumReport:
     weight_sum: float
 
 
-def _discrepancy_chunk(args) -> list[float]:
-    x, moduli = args
-    return [max_progression_discrepancy(m, x) for m in moduli]
-
-
 def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = None,
-                    A: float = 2.0, workers: int = 1) -> DiscrepancySumReport:
+                    A: float = 2.0) -> DiscrepancySumReport:
     """Sum over q ~ Q with |P(q)| > eps_bad * Q^k of
     weight(q) * phi(P(q)) / Q^ell * discrepancy(P(q), x).
 
@@ -241,9 +237,8 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     only those tuples cost a discrepancy evaluation.  One box pass counts the
     factor-value tuples; each distinct tuple is classified once and weighted
     by its multiplicity, and the discrepancy is computed once per distinct
-    modulus (the moduli are split across workers).  The final reductions are
-    fsums of the same multiset of terms, so the result does not depend on the
-    worker count.
+    modulus.  The final reductions are fsums, so the result does not depend
+    on the order of the tuples.
     """
     ell = F.num_vars
     k = F.product.total_degree()
@@ -261,7 +256,8 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     threshold = Fraction(eps_bad) * Q ** k
     weighted = []   # (weight, modulus, multiplicity)
     excluded = negative = nonzero = 0
-    for vals, mult in value_counts(F, Q, workers=workers).items():
+    rows, counts = box_values(F, Q)
+    for vals, mult in zip(rows.tolist(), counts.tolist()):
         m = prod(vals)
         if abs(m) <= threshold:
             excluded += mult
@@ -270,10 +266,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
         elif (w := prime_value_weight(vals)) != 0.0:
             nonzero += mult
             weighted.append((w, m, mult))
-    moduli = list(dict.fromkeys(m for _, m, _ in weighted))
-    discs = map_chunks(_discrepancy_chunk, moduli, (x,), workers,
-                       Q ** ell >= _PARALLEL_MIN)
-    disc = dict(zip(moduli, (d for part in discs for d in part)))
+    disc = {m: max_progression_discrepancy(m, x) for m in {m for _, m, _ in weighted}}
     parts, weights = [], []
     for w, m, mult in weighted:
         weights += [w] * mult
@@ -319,14 +312,14 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
     return sups
 
 
-def mean_value_sum(P: MvPoly, Q: int, x: float, workers: int = 1) -> MeanValueReport:
+def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     """Sum over q ~ Q of P(q)/phi(P(q)) times the sum over primitive
     characters mod P(q) of sup_{y <= x} |psi(y, chi)|.
 
     Moduli are |P(q)|; tuples with |P(q)| <= 1 contribute nothing (there is
     no primitive character to sum over by the convention adopted here).
     """
-    moduli, skipped, _ = fold_moduli(value_counts(P, Q, workers=workers))
+    moduli, skipped, _ = fold_moduli(*box_values(P, Q))
     T, L = von_mangoldt_table(max(int(x), 0))
     parts = []
     for d in sorted(moduli):

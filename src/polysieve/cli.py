@@ -51,7 +51,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"not a rational number: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
 def _finite_float(text: str) -> float:
@@ -72,9 +72,9 @@ def _int_grid(text: str) -> list[int]:
     try:
         grid = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"not an integer grid: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not an integer grid: {text!r}") from exc
     if not grid:
-        raise CliError(f"empty grid: {text!r}")
+        raise argparse.ArgumentTypeError(f"empty grid: {text!r}")
     return grid
 
 
@@ -124,7 +124,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "gnuplot"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+                       help="echoed in config; every run is one process")
         if poly:
             p.add_argument("--P", required=True, help="polynomial text, e.g. 'x1^2+x2^2'")
         if factors:
@@ -215,7 +216,7 @@ def _run_congruence_count(args):
 def _run_farey_stats(args):
     P = parse_poly(args.P)
     comps = [close_points_comparator(P.total_degree(), P.num_vars, args.Q, N) for N in args.N]
-    system = build_farey(P, args.Q, min_modulus=args.min_modulus, workers=args.workers)
+    system = build_farey(P, args.Q, min_modulus=args.min_modulus)
     spacing = str(min_spacing(system)) if system.distinct_count >= 2 else None
     header = ["N", "close_count", "comparator", "ratio"]
     counts = [max_close_points(system, N) for N in args.N]
@@ -241,7 +242,7 @@ def _run_sieve_scan(args):
     P = parse_poly(args.P)
     k = P.total_degree()
     ell = P.num_vars
-    r_star, moduli = box_moduli(P, args.Q, args.min_modulus, args.workers)
+    r_star, moduli = box_moduli(P, args.Q, args.min_modulus)
     if min(args.N) < 1:
         raise ValueError(f"N must be >= 1, got {min(args.N)}")
     family = SEQUENCE_FAMILIES[args.sequence]
@@ -273,13 +274,12 @@ def _run_check_setting(args):
 
 def _run_bv_sum(args):
     F = FactoredPoly([parse_poly(t) for t in args.P])
-    rep = discrepancy_sum(F, args.Q, args.x, eps_bad=args.eps_bad, A=args.A,
-                          workers=args.workers)
+    rep = discrepancy_sum(F, args.Q, args.x, eps_bad=args.eps_bad, A=args.A)
     return _jsonify(rep), None
 
 
 def _run_meanvalue_sum(args):
-    rep = mean_value_sum(parse_poly(args.P), args.Q, args.x, workers=args.workers)
+    rep = mean_value_sum(parse_poly(args.P), args.Q, args.x)
     return {"value": rep.value, "moduli": {str(d): c for d, c in rep.moduli.items()},
             "skipped_unit_moduli": rep.skipped_unit_moduli, "Q": args.Q, "x": args.x}, None
 
@@ -315,7 +315,7 @@ def _run_corollary_search(args):
 
 
 def _run_bad_moduli(args):
-    rep = count_bad_moduli(parse_poly(args.P), args.Q, args.eps_bad, workers=args.workers)
+    rep = count_bad_moduli(parse_poly(args.P), args.Q, args.eps_bad)
     return {"count": rep.count, "box_size": rep.box_size, "eps": rep.eps,
             "comparator": rep.comparator, "ratio": rep.ratio}, None
 

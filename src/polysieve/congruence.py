@@ -22,9 +22,10 @@ from .errors import BudgetError
 from .mvpoly import MvPoly
 
 DEFAULT_COUNT_BUDGET = 5_000_000
-# Largest size in bits of r = C(k+ell, ell) - 1 that r_parameter computes (a
-# report prints at most 4300 digits, about 14300 bits); past it, BudgetError.
-R_PARAMETER_BITS = 1 << 16
+# Largest size in bits of r = C(k+ell, ell) - 1 that r_parameter computes, and
+# of the exponent fractions built from it; past it, BudgetError.  Python prints
+# an int of at most 4300 digits (sys.get_int_max_str_digits), 14284 bits.
+R_PARAMETER_BITS = 14_000
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,3 @@ class BudgetError(RuntimeError):
         self.what = what
         self.required = required
         self.budget = budget
-
-    def __reduce__(self):
-        # Rebuild from the three fields: an error raised in a pool worker is
-        # pickled back to the parent, and the default would pass only the
-        # message.
-        return type(self), (self.what, self.required, self.budget)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import euler_phi
-from .boxes import fold_moduli, value_counts
+from .boxes import box_values, fold_moduli
 from .congruence import r_parameter
 from .errors import BudgetError
 from .mvpoly import MvPoly
@@ -42,7 +42,7 @@ class FareySystem:
     skipped_filtered: int
 
 
-def build_farey(P: MvPoly, Q: int, min_modulus=None, workers: int = 1,
+def build_farey(P: MvPoly, Q: int, min_modulus=None,
                 point_budget: int = DEFAULT_POINT_BUDGET) -> FareySystem:
     """Construct the Farey system for P over the dyadic box q ~ Q.
 
@@ -50,8 +50,7 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None, workers: int = 1,
     (counted apart from the |P(q)| <= 1 skips).  The point budget is checked
     before any point is allocated.
     """
-    retained, skipped_unit, skipped_filtered = fold_moduli(
-        value_counts(P, Q, workers=workers), min_modulus)
+    retained, skipped_unit, skipped_filtered = fold_moduli(*box_values(P, Q), min_modulus)
     total = 0
     for d, mult in retained.items():
         total += euler_phi(d) * mult

@@ -24,7 +24,7 @@ from math import comb, fsum, log2, pi
 import numpy as np
 
 from .arith import euler_phi, factorize
-from .boxes import fold_moduli, value_counts
+from .boxes import box_values, fold_moduli
 from .congruence import r_parameter
 from .errors import BudgetError
 from .mvpoly import MvPoly
@@ -93,12 +93,11 @@ SEQUENCE_FAMILIES = {
 EXACT_BITS = 44
 
 
-def box_moduli(P: MvPoly, Q: int, min_modulus=None,
-               workers: int = 1) -> tuple[int, dict[int, int]]:
+def box_moduli(P: MvPoly, Q: int, min_modulus=None) -> tuple[int, dict[int, int]]:
     """(r*, retained moduli with multiplicities) from one box pass; r* is the
     largest multiplicity of a single value P(q)."""
-    counts = value_counts(P, Q, workers=workers)
-    return max(counts.values()), fold_moduli(counts, min_modulus)[0]
+    values, counts = box_values(P, Q)
+    return int(counts.max()), fold_moduli(values, counts, min_modulus)[0]
 
 
 def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, int], int]:
@@ -174,11 +173,11 @@ def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int],
 
 
 def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,
-              workers: int = 1, budget: int = DEFAULT_WORK_BUDGET) -> int | float:
+              budget: int = DEFAULT_WORK_BUDGET) -> int | float:
     """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2.  A
     min_modulus keeps only tuples with |P(q)| >= min_modulus; moduli
     |P(q)| <= 1 never enter."""
-    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus, workers)[1], budget)
+    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[1], budget)
 
 
 def empirical_delta(seq: SieveSequence, moduli: dict[int, int]) -> float:

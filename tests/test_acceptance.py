@@ -19,7 +19,7 @@ from oracles import (count_by_enumeration, count_by_residue_classes,
                      exp_sums_all_residues, farey_points, field_multiply,
                      quadratic_close_count_int64, sum_sq_over_points)
 from polysieve.arith import euler_phi
-from polysieve.boxes import value_counts
+from polysieve.boxes import box_values
 from polysieve.bv import discrepancy_sum, exponent_profile, max_progression_discrepancy_detail
 from polysieve.characters import enumerate_characters
 from polysieve.congruence import CongruenceInstance, count_solutions
@@ -233,7 +233,7 @@ def test_criterion_10_explicit_trivial_bound():
         while done < 20:
             P = pool[int(rng.integers(0, len(pool)))]
             Q = int(rng.integers(1, 5))
-            retained = {abs(v): c for v, c in value_counts(P, Q).items()
+            retained = {abs(v): c for v, c in zip(*(a.tolist() for a in box_values(P, Q)))
                         if abs(v) > 1}
             if not retained:
                 continue

@@ -1,16 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polysieve.boxes as boxes
 from oracles import loop_value_counts, representation_count
-from polysieve.boxes import count_bad_moduli, fold_moduli, value_counts
+from polysieve.boxes import box_values, count_bad_moduli, fold_moduli
 from polysieve.errors import BudgetError
-from polysieve.mvpoly import FactoredPoly, parse_poly
+from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 P_DIFF_SQ = parse_poly("x1^2-x2^2")
@@ -32,22 +32,22 @@ def test_representation_counts():
 
 
 def test_max_representation():
-    assert max(value_counts(P_SUM_SQ, 2).values()) == 2
-    assert max(value_counts(parse_poly("x1^2"), 5).values()) == 1
-    assert max(value_counts(parse_poly("x1^2*x2^2"), 2).values()) == 2
+    assert box_values(P_SUM_SQ, 2)[1].max() == 2
+    assert box_values(parse_poly("x1^2"), 5)[1].max() == 1
+    assert box_values(parse_poly("x1^2*x2^2"), 2)[1].max() == 2
 
 
-def test_value_counts_total():
+def test_box_values_total():
     for Q in (1, 2, 3, 5):
-        counts = value_counts(P_SUM_SQ, Q)
-        assert sum(counts.values()) == Q ** 2
-        for m, c in counts.items():
+        values, counts = box_values(P_SUM_SQ, Q)
+        assert counts.sum() == Q ** 2
+        for m, c in zip(values.tolist(), counts.tolist()):
             assert representation_count(P_SUM_SQ, m, Q) == c
 
 
 def test_rep_max_bounds():
     for Q in (1, 2, 4):
-        r = max(value_counts(P_DIFF_SQ, Q).values())
+        r = box_values(P_DIFF_SQ, Q)[1].max()
         assert 1 <= r <= Q ** 2
 
 
@@ -60,6 +60,18 @@ def test_bad_moduli_examples():
                 if abs(q1 * q1 - q2 * q2) * 2 <= 64)
     assert rep.count == brute
     assert rep.ratio == pytest.approx(22 / ((0.5) ** 0.5 * 64))
+
+
+@pytest.mark.parametrize("text", ["x1^2-x2^2", "x1^3-3*x1*x2^2+x2^3-40",
+                                  "4611686018427387904*x1-4611686018427387904*x2^2"])
+@pytest.mark.parametrize("eps", [0, Fraction(1, 2), 5, 10 ** 40])
+def test_bad_moduli_matches_loop(text, eps):
+    # the last P is past the int64 guard; eps = 10^40 puts b above every |v|
+    P = parse_poly(text)
+    for Q in (1, 2, 3, 6):
+        bound = eps * Q ** P.total_degree()
+        brute = sum(c for v, c in loop_value_counts(P, Q).items() if abs(v) <= bound)
+        assert count_bad_moduli(P, Q, eps).count == brute
 
 
 def test_bad_moduli_zero_eps_ratio_is_none():
@@ -76,51 +88,20 @@ def test_bad_moduli_monotone_in_eps(Q, e1, e2):
 
 def test_budget_error():
     with pytest.raises(BudgetError):
-        value_counts(parse_poly("x1+x2+x3"), 1000, budget=10 ** 6)
-
-
-def test_parallel_matches_serial(monkeypatch):
-    monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
-    for Q in (2, 5):
-        assert value_counts(P_DIFF_SQ, Q, workers=2) == value_counts(P_DIFF_SQ, Q)
+        box_values(parse_poly("x1+x2+x3"), 1000, budget=10 ** 6)
 
 
 def test_fold_moduli():
-    assert fold_moduli(value_counts(P_DIFF_SQ, 2)) == ({5: 2}, 2, 0)  # 5 and -5
+    assert fold_moduli(*box_values(P_DIFF_SQ, 2)) == ({5: 2}, 2, 0)  # 5 and -5
     for Q in (2, 3, 4):
         values = [q1 * q1 - q2 * q2 for q1, q2 in product(range(Q, 2 * Q), repeat=2)]
-        moduli, unit, filtered = fold_moduli(value_counts(P_DIFF_SQ, Q), min_modulus=20)
+        moduli, unit, filtered = fold_moduli(*box_values(P_DIFF_SQ, Q), min_modulus=20)
         assert unit == values.count(0) == Q
         assert filtered == sum(1 for v in values if 1 < abs(v) < 20)
         assert moduli == {d: sum(1 for v in values if abs(v) == d)
                           for d in {abs(v) for v in values if abs(v) >= 20}}
     with pytest.raises(ValueError):
-        fold_moduli(value_counts(P_DIFF_SQ, 2), min_modulus=float("nan"))
-
-
-def test_pool_is_capped(monkeypatch):
-    sizes = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            return map(fn, chunks)
-
-    monkeypatch.setattr(boxes, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(boxes.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
-    assert value_counts(P_DIFF_SQ, 5, workers=64) == value_counts(P_DIFF_SQ, 5)
-    assert sizes == [2]
-    value_counts(P_DIFF_SQ, 1, workers=64)  # one leading range: no pool
-    assert sizes == [2]
+        fold_moduli(*box_values(P_DIFF_SQ, 2), min_modulus=float("nan"))
 
 
 GRID_POLYS = [
@@ -131,31 +112,88 @@ GRID_POLYS = [
 ]
 
 
+def as_counter(values, counts) -> Counter:
+    """The layer's arrays as the oracle's Counter, rows as tuples."""
+    keys = values.tolist() if values.ndim == 1 else map(tuple, values.tolist())
+    return Counter(dict(zip(keys, counts.tolist())))
+
+
+def check_box_values(P, Q):
+    """box_values against the per-point loop: strictly ascending values (rows
+    in lexicographic order), counts summing to the box size, Python ints."""
+    values, counts = box_values(P, Q)
+    keys = list(as_counter(values, counts))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert counts.sum() == Q ** P.num_vars
+    assert all(type(v) is int for k in keys for v in (k if isinstance(k, tuple) else (k,)))
+    assert as_counter(values, counts) == loop_value_counts(P, Q)
+    return values
+
+
 @pytest.mark.parametrize("P", GRID_POLYS, ids=repr)
 @pytest.mark.parametrize("Q", [1, 2, 3, 7])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_value_counts_matches_loop_reference(monkeypatch, P, Q, workers):
-    monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
-    got = value_counts(P, Q, workers=workers)
-    expected = loop_value_counts(P, Q)
-    assert got == expected
-    assert list(got.items()) == list(expected.items())   # first-seen key order
-    keys = [k if isinstance(k, tuple) else (k,) for k in got]
-    assert all(type(v) is int for k in keys for v in k)   # Python ints, not np.int64
+def test_box_values_matches_loop_reference(P, Q):
+    check_box_values(P, Q)
 
 
 # coefficient_abs_sum * (2Q - 1)^k is 2^63 - 1 (int64 holds every value) and
 # 2^63 (the guard fails and the grid is exact Python ints; int64 would wrap
 # the value 2^63 to -2^63 without a warning).  2^63 - 1 = 7 * 1317624576693539401.
-@pytest.mark.parametrize("text, Q, dtype", [
+GUARD_CASES = [
     ("1317624576693539401*x1", 4, np.int64),
     ("4611686018427387904*x1+4611686018427387903*x2", 1, np.int64),
     ("4611686018427387904*x1+4611686018427387904*x2", 1, object),
     ("4611686018427387904*x1-4611686018427387904*x2^2", 1, object),
-])
+]
+
+
+@pytest.mark.parametrize("text, Q, dtype", GUARD_CASES)
 def test_grid_overflow_guard_boundary(text, Q, dtype):
     P = parse_poly(text)
     assert P.coefficient_abs_sum() * (2 * Q - 1) ** P.total_degree() in (2 ** 63 - 1, 2 ** 63)
     assert P.grid([range(Q, 2 * Q)] * P.num_vars).dtype == dtype
-    assert value_counts(P, Q) == loop_value_counts(P, Q)
-    assert max(abs(v) for v in value_counts(P, Q)) in (2 ** 63 - 1, 2 ** 63, 0)
+    values = check_box_values(P, Q)
+    assert max(abs(v) for v in values.tolist()) in (2 ** 63 - 1, 2 ** 63, 0)
+
+
+COEFFS = st.one_of(st.integers(-40, 40), st.sampled_from([2 ** 62, -2 ** 62, 3 * 2 ** 61 + 1]))
+
+
+@st.composite
+def box_polys(draw, factored=True):
+    """An MvPoly in 1 to 3 variables, or a FactoredPoly of two factors on
+    disjoint variables; huge coefficients take the grid past the int64 guard."""
+    ell = draw(st.integers(1, 3))
+
+    def poly(used):   # nonconstant in used[0], free in the variables of used
+        exps = st.tuples(*[st.integers(0, 3) if i in used else st.just(0) for i in range(ell)])
+        terms = draw(st.dictionaries(exps, COEFFS, max_size=4))
+        terms[tuple(int(i == used[0]) for i in range(ell))] = draw(COEFFS.filter(bool))
+        return MvPoly(ell, terms)
+
+    if factored and ell > 1 and draw(st.booleans()):
+        return FactoredPoly([poly([0]), poly(list(range(1, ell)))])
+    return poly(list(range(ell)))
+
+
+@given(st.one_of(box_polys(), st.sampled_from([parse_poly(t) for t, _, _ in GUARD_CASES])),
+       st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_box_values_property(P, Q):
+    check_box_values(P, Q)
+
+
+@given(box_polys(factored=False), st.integers(1, 7), st.none() | st.floats(allow_nan=False))
+@settings(max_examples=60, deadline=None)
+def test_fold_moduli_property(P, Q, min_modulus):
+    moduli, unit, filtered = {}, 0, 0
+    for v, c in loop_value_counts(P, Q).items():
+        if abs(v) <= 1:
+            unit += c
+        elif min_modulus is not None and abs(v) < min_modulus:
+            filtered += c
+        else:
+            moduli[abs(v)] = moduli.get(abs(v), 0) + c
+    got = fold_moduli(*box_values(P, Q), min_modulus)
+    assert got == (moduli, unit, filtered)
+    assert list(got[0]) == sorted(moduli)

@@ -16,7 +16,7 @@ import polysieve.bv as bv
 from oracles import (loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
                      loop_sup_abs_psi_chi)
 from polysieve.arith import euler_phi, von_mangoldt, von_mangoldt_table
-from polysieve.boxes import fold_moduli, value_counts
+from polysieve.boxes import box_values, fold_moduli
 from polysieve.bv import (DiscrepancyPoint, ExponentProfile, check_setting, default_eps_bad,
                           discrepancy_sum, exponent_profile,
                           max_progression_discrepancy,
@@ -243,19 +243,15 @@ LOOP_SUM_CASES = (
 )
 
 
-def test_discrepancy_sum_matches_loop_reference_exactly(monkeypatch):
+def test_discrepancy_sum_matches_loop_reference_exactly():
     # one discrepancy per distinct modulus, weighted by multiplicity, gives
-    # the per-tuple loop's report bit for bit, serially and split in pools
-    for workers in (1, 2):
-        if workers == 2:
-            monkeypatch.setattr(bv, "_PARALLEL_MIN", 1)
-            monkeypatch.setattr(boxes, "_PARALLEL_MIN", 1)
-        for texts, Qs, eps_bad in LOOP_SUM_CASES:
-            F = FactoredPoly([parse_poly(t) for t in texts])
-            for Q in Qs:
-                for x in (10.0, 200.0, 2000.0):
-                    assert (discrepancy_sum(F, Q, x, eps_bad=eps_bad, workers=workers)
-                            == loop_discrepancy_sum(F, Q, x, eps_bad=eps_bad))
+    # the per-tuple loop's report bit for bit
+    for texts, Qs, eps_bad in LOOP_SUM_CASES:
+        F = FactoredPoly([parse_poly(t) for t in texts])
+        for Q in Qs:
+            for x in (10.0, 200.0, 2000.0):
+                assert (discrepancy_sum(F, Q, x, eps_bad=eps_bad)
+                        == loop_discrepancy_sum(F, Q, x, eps_bad=eps_bad))
 
 
 def test_discrepancy_sum_negative_tuple_reporting():
@@ -275,7 +271,7 @@ def test_mean_value_examples():
 def test_mean_value_moduli_are_the_box_fold():
     for P in (P_SUM_SQ, parse_poly("x1^2-x2^2")):
         rep = mean_value_sum(P, 2, 10)
-        moduli, unit, _ = fold_moduli(value_counts(P, 2))
+        moduli, unit, _ = fold_moduli(*box_values(P, 2))
         assert rep.moduli == moduli
         assert rep.skipped_unit_moduli == unit
 

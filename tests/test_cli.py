@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -122,7 +124,7 @@ def test_budget_is_resource_error(capsys):
     ("meanvalue-sum", "--P", "x1^2+x2^2", "--Q", "2", "--x", "1e12"),
     ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "2", "--x", "1e12", "--eps-bad", "0.001"),
     ("corollary-search", "--f", "t^2+1", "--X", "1" + "0" * 400, "--theta", "2/5"),
-    # raised in a pool worker and pickled back to the parent
+    # the Lambda table up to x = 10^8 is over its budget at a bigger box too
     ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "32", "--x", "1e8", "--eps-bad", "0.001",
      "--workers", "2"),
     # the constant term is outside the range of the exact factorization
@@ -142,6 +144,10 @@ def test_budget_is_resource_error(capsys):
     # r = C(k+ell, ell) - 1 would have about 2 * 10^23 bits
     ("exponents", "--k", str(10 ** 23), "--ell", str(10 ** 23)),
     ("exponents", "--k", "1000000", "--ell", "1000000"),
+    # r would have about 40000 bits: more than the 4300 digits Python prints
+    ("exponents", "--k", "20000", "--ell", "20000"),
+    # r = k prints, but rho and the level exponent hold k^2 r
+    ("exponents", "--k", str(10 ** 2000), "--ell", "1"),
 ])
 def test_huge_limit_is_resource_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -150,6 +156,25 @@ def test_huge_limit_is_resource_error(capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "resource"
+
+
+def test_exponents_print_the_largest_r_under_the_cap(capsys):
+    r = run_json(capsys, "exponents", "--k", "5000", "--ell", "5000")["result"]["r"]
+    assert r == math.comb(10000, 5000) - 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("farey-stats", "--P", "x1^2+x2^2", "--Q", "2", "--N", "a,b"), "not an integer grid: 'a,b'"),
+    (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", ","), "empty grid: ','"),
+    (("corollary-search", "--f", "t^2+1", "--X", "100", "--theta", "1/0"),
+     "not a rational number: '1/0'"),
+])
+def test_flag_parsers_keep_their_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": f"argument {argv[-2]}: {message}", "kind": "validation"}
 
 
 # One numeric flag of one subcommand changes at a time; every other value
@@ -330,16 +355,30 @@ def test_corollary_search_smoke(capsys):
     assert rep["config"]["theta"] == "2/5"
 
 
-def test_workers_flag_does_not_change_results(capsys):
-    base = run_json(capsys, "bad-moduli", "--P", "x1^2-x2^2", "--Q", "8",
-                    "--eps-bad", "0.5", "--workers", "1")
-    multi = run_json(capsys, "bad-moduli", "--P", "x1^2-x2^2", "--Q", "8",
-                     "--eps-bad", "0.5", "--workers", "2")
-    assert base["result"] == multi["result"]
+def test_no_module_imports_a_process_pool():
+    for path in sorted((SRC / "polysieve").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+        names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not names & {"concurrent", "concurrent.futures", "multiprocessing"}, path.name
+
+
+@pytest.mark.parametrize("command", ["farey-stats", "sieve-scan", "bv-sum", "meanvalue-sum",
+                                     "bad-moduli"])
+def test_workers_flag_changes_no_byte(capsys, command):
+    # the flag is only echoed in config; the duration is the one other field that varies
+    outs = []
+    for workers in ("1", "2"):
+        code, out, err = run_cli(capsys, command, *SMALL_OPS[command], "--workers", workers)
+        assert code == 0, err
+        assert re.search(f'"workers": {workers},?\n', out)
+        outs.append(re.sub(r'"(duration_s|workers)": .*\n', "", out))
+    assert outs[0] == outs[1]
 
 
 def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch):
-    original, calls = boxes.value_counts, []
+    original, calls = boxes.box_values, []
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -348,8 +387,8 @@ def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch):
     # wherever the box pass is looked up from
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("polysieve") and \
-                getattr(mod, "value_counts", None) is original:
-            monkeypatch.setattr(mod, "value_counts", counting)
+                getattr(mod, "box_values", None) is original:
+            monkeypatch.setattr(mod, "box_values", counting)
     rep = run_json(capsys, "sieve-scan", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3",
                    "--N", "9,27,81,243", "--min-modulus", "20")
     assert len(calls) == 1

@@ -1,5 +1,5 @@
 import random
-from math import comb, gcd
+from math import comb, gcd, log2
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,11 @@ def test_r_parameter_under_the_bit_cap(k, ell):
     r = r_parameter(k, ell)
     assert r == comb(k + ell, ell) - 1
     assert r.bit_length() <= R_PARAMETER_BITS
+
+
+def test_r_parameter_bit_cap_is_printable():
+    # Python refuses to print an int of more than 4300 digits
+    assert R_PARAMETER_BITS < 4300 * log2(10)
 
 
 @pytest.mark.parametrize("k, ell", [(10 ** 23, 10 ** 23), (10 ** 6, 10 ** 6), (40000, 40000),

@@ -12,6 +12,7 @@ from oracles import (dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_resid
 
 import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi
+from polysieve.boxes import box_values
 from polysieve.errors import BudgetError
 from polysieve.farey import build_farey, min_spacing
 from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, SieveSequence,
@@ -131,9 +132,8 @@ def test_montgomery_vaughan_inequality():
 def test_trivial_bound_inequality():
     rng = np.random.default_rng(15)
     for Q in (1, 2, 3):
-        counts = {abs(v): c for v, c in
-                  __import__("polysieve.boxes", fromlist=["value_counts"])
-                  .value_counts(P_SUM_SQ, Q).items() if abs(v) > 1}
+        counts = {abs(v): c for v, c in zip(*(a.tolist() for a in box_values(P_SUM_SQ, Q)))
+                  if abs(v) > 1}
         D = max(counts)
         r_star = max(counts.values())
         for _ in range(5):
