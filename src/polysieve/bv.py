@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, inf, log, pi, prod
+from math import floor, fsum, gcd, inf, log, pi, prod
 
 import numpy as np
 
@@ -162,8 +162,10 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
     """sup over y <= x and coprime residues a of |psi(y; m, a) - y/phi(m)|.
 
     Between jump points the difference is linear in y, so the sup is at y = x
-    or at a one-sided limit of a jump; the returned point says which.  Each class
-    is summed in order in one pass over the stably sorted stream, whatever m.
+    or at a one-sided limit of a jump; the returned point says which.  Each
+    prefix psi(t; m, a) of the stably class-sorted stream is an exact int64
+    cumsum of L * 2^53 in two 29-bit halves (below 2^53 under LAMBDA_LIMIT),
+    rounded once, whatever m.  Ties go to the smallest t, left limit first.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -171,32 +173,35 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
         raise ValueError(f"need x >= 1, got {x}")
     phi = euler_phi(m)
     T, L = von_mangoldt_table(int(x))
-    keep = np.logical_and.reduce([T % p != 0 for p, _ in factorize(m).prime_powers])
-    T, L, R = T[keep], L[keep], T[keep] % m
+    drop = np.searchsorted(T, [p ** e for p, _ in factorize(m).prime_powers   # gcd(t, m) > 1
+                               for e in range(1, int(x).bit_length()) if p ** e <= x])
+    T, L = np.delete(T, drop), np.delete(L, drop)
+    if not len(T):   # every coprime class is empty; the first is 1
+        return DiscrepancyPoint(x / phi, 1, float(x), False)
+    R = T % m
     order = np.argsort(R.astype(np.min_scalar_type(m - 1)), kind="stable")   # radix if small
-    edges = np.concatenate(([-1], R[order], [-1]))   # sorted residues, padded
-    first = edges[1:] != edges[:-1]   # class starts, then True
-    after, s, c = [], 0.0, 0.0
-    for ln, start in zip(L[order].tolist(), first.tolist()):
-        if start:
-            s = c = 0.0
-        y = ln - c
-        s, c = s + y, ((s + y) - s) - y   # Kahan: c is what s + y lost of y
-        after.append(s)
-    after = np.array(after)
-    dev = np.empty((len(T), 2))   # (before, after) each jump, in stream order
-    dev[order] = np.column_stack([np.where(first[:-1], 0.0, np.roll(after, 1)), after])
-    dev = np.abs(dev - (T / phi)[:, None])
-    best = DiscrepancyPoint(0.0, 1, 0.0, False)
-    if len(T):
-        i, side = divmod(int(np.argmax(dev)), 2)
-        best = DiscrepancyPoint(float(dev[i, side]), int(R[i]), float(T[i]), side == 0)
+    T, L, R = T[order], L[order], R[order]
+    start = np.flatnonzero(np.concatenate(([True], R[1:] != R[:-1])))   # residues ascending
+    stop = np.append(start[1:], len(T))
+    K = np.ldexp(L, 53).astype(np.int64)   # exact: 2^52 <= K < 2^58
+    hi, lo = [(s := np.cumsum(k)) - np.repeat(s[start] - k[start], stop - start)
+              for k in (K >> 29, K & (2 ** 29 - 1))]   # each class restarts at 0
+    after = np.ldexp(np.ldexp(hi.astype(float), 29) + lo, -53)
+    before = np.concatenate(([0.0], after[:-1]))
+    before[start] = 0.0
+    left = np.abs(before - T / phi)
+    dev = np.maximum(left, np.abs(after - T / phi))
+    ties = np.flatnonzero(dev == dev.max())
+    i = ties[np.argmin(T[ties])]
+    best = DiscrepancyPoint(float(dev[i]), int(R[i]), float(T[i]), bool(left[i] == dev[i]))
     # y = x: class totals, and x/phi for the first empty class (0 at m if none)
-    present = set(edges[1:-1][first[1:]].tolist())
-    empty = next((a for a in range(1, m) if a not in present and gcd(a, m) == 1), m)
-    ends = np.append(np.abs(after[first[1:]] - x / phi), x / phi if empty < m else 0.0)
+    residues = R[start]
+    coprime = (a for a in range(1, m) if gcd(a, m) == 1)
+    empty = m if len(start) == phi else next(
+        a for a, r in zip(coprime, np.append(residues, m)) if a != r)
+    ends = np.append(np.abs(after[stop - 1] - x / phi), x / phi if empty < m else 0.0)
     if (value := ends.max()) > best.value:
-        residues = np.append(edges[1:-1][first[1:]], empty)
+        residues = np.append(residues, empty)
         best = DiscrepancyPoint(float(value), int(residues[ends == value].min()), float(x), False)
     return best
 
@@ -253,7 +258,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
             raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"x/(log x)^A is out of float range at x={x}, A={A}") from None
-    threshold = Fraction(eps_bad) * Q ** k
+    threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
     weighted = []   # (weight, modulus, multiplicity)
     excluded = negative = nonzero = 0
     rows, counts = box_values(F, Q)

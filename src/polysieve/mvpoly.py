@@ -117,7 +117,7 @@ class MvPoly:
         if len(axes) != self.num_vars:
             raise ValueError(f"grid has {len(axes)} axes, expected {self.num_vars}")
         k = max(map(sum, self.terms), default=0)
-        top = max((abs(v) for a in axes for v in a), default=0)
+        top = max((max(max(a), -min(a)) for a in axes if a), default=0)
         dtype = np.int64 if self.coefficient_abs_sum() * max(top, 1) ** k < 2 ** 63 else object
         xs = [np.array(a, dtype=dtype).reshape([-1] + [1] * (len(axes) - 1 - i))
               for i, a in enumerate(axes)]

@@ -6,7 +6,8 @@ two different routes to the same number.
 
 The loop references at the end walk every n <= x and read Lambda pointwise
 through ``von_mangoldt``.  They add the same terms in the same order as the
-library's prime-power stream kernels, so the two must agree exactly.
+library's prime-power stream kernels, or sum them exactly and round once
+where the kernel rounds correctly, so the two must agree exactly.
 """
 
 import cmath
@@ -467,45 +468,28 @@ def loop_sup_abs_psi_chi(chi, x: float) -> float:
     return best
 
 
-class KahanSum:
-    """Compensated running accumulator for long prefix-sum loops."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self, value: float = 0.0):
-        self.total = value
-        self._c = 0.0
-
-    def add(self, x: float) -> float:
-        t = x - self._c
-        s = self.total + t
-        self._c = (s - self.total) - t
-        self.total = s
-        return s
-
-
 def loop_discrepancy(m: int, x: float) -> tuple[float, int, float, bool]:
     """(value, residue, y, left_limit) of the sup over y <= x and coprime a of
     |psi(y; m, a) - y/phi(m)|, scanning both one-sided limits at each jump
-    with one compensated accumulator per class."""
+    with one exact Fraction sum per class, rounded by float() at each step."""
     phi = sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
-    acc = {a: KahanSum() for a in range(m) if gcd(a, m) == 1}
+    acc = {a: Fraction(0) for a in range(m) if gcd(a, m) == 1}
     best = (0.0, 1, 0.0, False)
     for t in range(2, int(x) + 1):
         ln = von_mangoldt(t)
         if not ln or t % m not in acc:
             continue
         a = t % m
-        s = acc[a]
         drift = t / phi
-        before = abs(s.total - drift)
+        before = abs(float(acc[a]) - drift)
         if before > best[0]:
             best = (before, a, float(t), True)
-        after = abs(s.add(ln) - drift)
+        acc[a] += Fraction(ln)
+        after = abs(float(acc[a]) - drift)
         if after > best[0]:
             best = (after, a, float(t), False)
     for a, s in acc.items():
-        v = abs(s.total - x / phi)
+        v = abs(float(s) - x / phi)
         if v > best[0]:
             best = (v, a, float(x), False)
     return best

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysieve.arith as arith
 import polysieve.boxes as boxes
 import polysieve.bv as bv
 from oracles import (loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
@@ -164,6 +166,22 @@ def test_discrepancy_matches_loop_reference_property(m, x):
     assert astuple(max_progression_discrepancy_detail(m, x)) == loop_discrepancy(m, x)
 
 
+def test_discrepancy_prefixes_are_correctly_rounded():
+    # the sup mod 23 up to 500 is the left limit at 463 in class 3: the
+    # correctly rounded prefix gives ...478, a compensated running sum ...548
+    prefix = fsum(von_mangoldt(t) for t in range(3, 463, 23))
+    assert abs(prefix - 463 / 22) == 11.856746473605478
+    assert max_progression_discrepancy_detail(23, 500) == DiscrepancyPoint(
+        11.856746473605478, 3, 463.0, True)
+
+
+def test_lambda_limit_keeps_the_exact_prefix_sums_in_int64():
+    # each L * 2^53 is below 2^58 and the stream has fewer than 2^24 terms,
+    # so the cumsums of the 29-bit halves stay below 2^53
+    assert arith.LAMBDA_LIMIT < 2 ** 24
+    assert math.log(arith.LAMBDA_LIMIT) < 32
+
+
 @pytest.mark.parametrize("m", [10 ** 9 + 7, 2 ** 61 - 1])
 def test_discrepancy_when_every_class_holds_one_term(m):
     # m is a prime above x, so each prime power t <= x is alone in its class:
@@ -252,6 +270,36 @@ def test_discrepancy_sum_matches_loop_reference_exactly():
             for x in (10.0, 200.0, 2000.0):
                 assert (discrepancy_sum(F, Q, x, eps_bad=eps_bad)
                         == loop_discrepancy_sum(F, Q, x, eps_bad=eps_bad))
+
+
+def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch):
+    # a pool bv-sum op: the per-modulus hooks of the benchmark tracer count
+    # calls of bv.max_progression_discrepancy
+    F = FactoredPoly([P_SUM_SQ, parse_poly("x3^2+x3*x4+3*x4^2")])
+    calls = []
+    kernel = bv.max_progression_discrepancy
+    monkeypatch.setattr(bv, "max_progression_discrepancy",
+                        lambda m, x: calls.append(m) or kernel(m, x))
+    rep = discrepancy_sum(F, 4, 5000.0)
+    moduli = set()
+    for q in itertools.product(range(4, 8), repeat=4):
+        vals = F.evaluate(q)
+        if abs(math.prod(vals)) > Fraction(rep.eps_bad) * 4 ** 4 and prime_value_weight(vals):
+            moduli.add(math.prod(vals))
+    assert rep.nonzero_weight_tuples > len(moduli) > 1
+    assert sorted(calls) == sorted(moduli)
+
+
+def test_discrepancy_sum_threshold_boundary():
+    # values of x1^2+x2^2 on {2, 3}^2 are 8, 13, 13, 18; eps_bad * Q^2 = 13
+    # excludes the 13s, and so does the next float up; the next float down
+    # keeps them
+    F = FactoredPoly([P_SUM_SQ])
+    for eps_bad, excluded in ((3.25, 3), (math.nextafter(3.25, math.inf), 3),
+                              (math.nextafter(3.25, 0), 1)):
+        rep = discrepancy_sum(F, 2, 200.0, eps_bad=eps_bad)
+        assert rep.excluded_small == excluded
+        assert rep == loop_discrepancy_sum(F, 2, 200.0, eps_bad=eps_bad)
 
 
 def test_discrepancy_sum_negative_tuple_reporting():
