@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import euler_phi, factorize, moebius, von_mangoldt, von_mangoldt_table
 from .boxes import box_values, check_box_budget, fold_moduli
-from .characters import CHAR_MODULUS_CAP, unit_group
+from .characters import unit_group
 from .congruence import R_PARAMETER_BITS, r_parameter
 from .errors import BudgetError
 from .mvpoly import FactoredPoly, MvPoly
@@ -158,6 +158,22 @@ class DiscrepancyPoint:
     left_limit: bool   # True when the sup is approached from below a jump
 
 
+def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the prime-power stream (T, L) coprime to m.  The stream
+    holds every prime power up to its last term, and a term shares a prime
+    with m iff it is a power of one of m's primes: one searchsorted finds them."""
+    top = int(T[-1]) if len(T) else 0
+    powers = []
+    for p, _ in factorize(m).prime_powers:
+        q = p
+        while q <= top:
+            powers.append(q)
+            q *= p
+    keep = np.ones(len(T), dtype=bool)
+    keep[np.searchsorted(T, powers)] = False
+    return T[keep], L[keep]
+
+
 def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
     """sup over y <= x and coprime residues a of |psi(y; m, a) - y/phi(m)|.
 
@@ -172,10 +188,7 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     phi = euler_phi(m)
-    T, L = von_mangoldt_table(int(x))
-    drop = np.searchsorted(T, [p ** e for p, _ in factorize(m).prime_powers   # gcd(t, m) > 1
-                               for e in range(1, int(x).bit_length()) if p ** e <= x])
-    T, L = np.delete(T, drop), np.delete(L, drop)
+    T, L = _coprime_terms(m, *von_mangoldt_table(int(x)))
     if not len(T):   # every coprime class is empty; the first is 1
         return DiscrepancyPoint(x / phi, 1, float(x), False)
     R = T % m
@@ -301,14 +314,13 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
     roots[t] are the floats of chi.values()[T % d] (same operations on the
     same integers), and np.hypot rounds like the scalar abs of a complex."""
     group = unit_group(d)
-    residues = T % d
-    unit = group.unit_mask[residues]
-    e = group.exponent
-    steps = np.array([e // comp.order for comp in group.components], dtype=np.int64)
-    W = steps[:, None] * group.dlog_grid[:, residues[unit]]
-    L = L[unit]
-    roots = np.exp(2j * pi * np.arange(e) / e)
     chars = group.primitive_exponents()
+    if not len(chars):   # d = 2 (mod 4) has no primitive character
+        return []
+    T, L = _coprime_terms(d, T, L)
+    e = group.exponent
+    W = np.array([e // comp.order * comp.dlog[T % comp.modulus] for comp in group.components])
+    roots = np.exp(2j * pi * np.arange(e) / e)
     step = max(1, _SUP_BLOCK // max(len(L), 1))
     sups = []
     for i in range(0, len(chars), step):
@@ -323,13 +335,12 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
 
     Moduli are |P(q)|; tuples with |P(q)| <= 1 contribute nothing (there is
     no primitive character to sum over by the convention adopted here).
+    unit_group raises BudgetError at the first modulus above CHAR_MODULUS_CAP.
     """
     moduli, skipped, _ = fold_moduli(*box_values(P, Q))
     T, L = von_mangoldt_table(max(int(x), 0))
     parts = []
     for d in sorted(moduli):
-        if d > CHAR_MODULUS_CAP:
-            raise BudgetError("mean value sum modulus", d, CHAR_MODULUS_CAP)
         if sups := _primitive_sups(d, T, L):
             parts.append(moduli[d] * d / euler_phi(d) * fsum(sups))
     return MeanValueReport(value=fsum(parts), moduli=moduli,

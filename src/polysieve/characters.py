@@ -2,20 +2,22 @@
 
 The unit group (Z/m)* is decomposed into cyclic components via CRT over the
 prime powers of m: odd p^e uses the least primitive root, 2^e for e >= 3
-uses the generator pair {-1, 5}.  A character stores one exponent per
-component; its value at n is a root of unity whose exponent (numerator over
-the group exponent) is computed in exact integer arithmetic, so character
-equality and triviality tests never touch floating point.  Complex value
-tables are materialized on demand.  UnitGroup.primitive_exponents() gives
-the primitive characters as one exponent matrix, with no object per character.
+uses the generator pair {-1, 5}.  Each component holds one read-only int64
+discrete-log table over its prime power q, built from the powers of its
+generator.  A character stores one exponent per component; its value at n is
+a root of unity whose exponent (numerator over the group exponent) is
+computed in exact integer arithmetic, so character equality and triviality
+tests never touch floating point.  Complex value tables are materialized on
+demand.  UnitGroup.primitive_exponents() gives the primitive characters as
+one exponent matrix, with no object per character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
-from math import gcd, lcm, pi, prod
+from math import gcd, isqrt, lcm, pi, prod
 
 import numpy as np
 
@@ -25,16 +27,16 @@ from .errors import BudgetError
 CHAR_MODULUS_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicComponent:
     modulus: int      # the prime power q this component lives in
     order: int
     generator: int
-    dlog: tuple[int, ...]  # index n mod q -> exponent of generator, -1 on non-units
+    dlog: np.ndarray  # read-only int64: n mod q -> exponent of generator, -1 on non-units
 
 
 def _least_primitive_root(q: int, s: int) -> int:
-    """Smallest primitive root mod the odd prime power q, where s = phi(q)."""
+    """Smallest primitive root mod q = 4 or an odd prime power, where s = phi(q)."""
     s_primes = [p for p, _ in factorize(s).prime_powers]
     g = 2
     while True:
@@ -52,58 +54,51 @@ def _primitive_exponent(comp: CyclicComponent, c):
     return np.gcd(c, comp.modulus) == 1
 
 
-def _walk_dlog(q: int, g: int, s: int) -> list[int]:
-    table = [-1] * q
-    v = 1
-    for t in range(s):
-        table[v] = t
-        v = v * g % q
-    return table
+def _powers(g: int, s: int, q: int) -> np.ndarray:
+    """g^t mod q for t < s: giant steps g^(jB) times baby steps g^i, B ~ sqrt(s)."""
+    B = isqrt(s) + 1
+    baby = np.array([pow(g, i, q) for i in range(B)], dtype=np.int64)
+    giant = np.array([pow(g, j, q) for j in range(0, s, B)], dtype=np.int64)
+    return (giant[:, None] * baby % q).ravel()[:s]
+
+
+def _component(q: int, order: int, g: int, n: np.ndarray, t) -> CyclicComponent:
+    """The component mod q generated by g, whose dlog takes n[i] to t[i]."""
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[n] = t
+    dlog.flags.writeable = False
+    return CyclicComponent(q, order, g, dlog)
 
 
 class UnitGroup:
-    """Cyclic decomposition of (Z/m)* with discrete-log tables per component."""
+    """Cyclic decomposition of (Z/m)* with discrete-log tables per component.
+
+    Moduli above CHAR_MODULUS_CAP raise BudgetError: the tables take O(q)
+    memory per prime power q, and the product giant * baby in _powers is
+    exact in int64 only while q^2 < 2^63.
+    """
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
+        if m > CHAR_MODULUS_CAP:
+            raise BudgetError("character modulus", m, CHAR_MODULUS_CAP)
         self.modulus = m
         components: list[CyclicComponent] = []
         for p, e in factorize(m).prime_powers:
             q = p ** e
-            if p == 2:
-                if e == 1:
-                    continue
-                if e == 2:
-                    components.append(CyclicComponent(4, 2, 3, tuple(_walk_dlog(4, 3, 2))))
-                    continue
-                # (Z/2^e)* = <-1> x <5>
-                half = q // 4
-                da = [-1] * q
-                db = [-1] * q
-                for aa in (0, 1):
-                    v = q - 1 if aa else 1
-                    for bb in range(half):
-                        da[v] = aa
-                        db[v] = bb
-                        v = v * 5 % q
-                components.append(CyclicComponent(q, 2, q - 1, tuple(da)))
-                components.append(CyclicComponent(q, half, 5, tuple(db)))
-            else:
+            if p == 2 and e >= 3:   # (Z/2^e)* = <-1> x <5>: the units are +-5^b
+                s = q // 4
+                n = np.concatenate((g5 := _powers(5, s, q), q - g5))
+                components += [_component(q, 2, q - 1, n, np.repeat([0, 1], s)),
+                               _component(q, s, 5, n, np.tile(np.arange(s), 2))]
+            elif q > 2:
                 s = q // p * (p - 1)
                 g = _least_primitive_root(q, s)
-                components.append(CyclicComponent(q, s, g, tuple(_walk_dlog(q, g, s))))
+                components.append(_component(q, s, g, _powers(g, s, q), np.arange(s)))
         self.components = tuple(components)
         self.exponent = lcm(*(c.order for c in components)) if components else 1
         self.order = prod(c.order for c in components)
-
-    @cached_property
-    def dlog_grid(self) -> np.ndarray:
-        """Array [i, n] = dlog of n in component i, for n = 0..m-1."""
-        m = self.modulus
-        n = np.arange(m, dtype=np.int64)
-        rows = [np.asarray(c.dlog, dtype=np.int64)[n % c.modulus] for c in self.components]
-        return np.vstack(rows) if rows else np.zeros((0, m), dtype=np.int64)
 
     def primitive_exponents(self) -> np.ndarray:
         """The exponent vectors of the primitive characters mod m, one row
@@ -114,10 +109,6 @@ class UnitGroup:
             c = np.flatnonzero(_primitive_exponent(comp, np.arange(comp.order)))
             rows = np.column_stack([np.repeat(rows, len(c), axis=0), np.tile(c, len(rows))])
         return rows
-
-    @cached_property
-    def unit_mask(self) -> np.ndarray:
-        return np.gcd(np.arange(self.modulus, dtype=np.int64), self.modulus) == 1
 
 
 @lru_cache(maxsize=256)
@@ -161,7 +152,7 @@ class DirichletCharacter:
         e = self.group.exponent
         t = 0
         for c, comp in zip(self.exponents, self.group.components):
-            t += c * (e // comp.order) * comp.dlog[n % comp.modulus]
+            t += c * (e // comp.order) * int(comp.dlog[n % comp.modulus])
         return t % e
 
     def __call__(self, n: int) -> complex:
@@ -175,11 +166,12 @@ class DirichletCharacter:
     def values(self) -> np.ndarray:
         """chi(n) for n = 0..m-1 as a complex array."""
         e = self.group.exponent
+        n = np.arange(self.modulus, dtype=np.int64)
         t = np.zeros(self.modulus, dtype=np.int64)
-        for c, comp, row in zip(self.exponents, self.group.components, self.group.dlog_grid):
-            t += c * (e // comp.order) * row
+        for c, comp in zip(self.exponents, self.group.components):
+            t += c * (e // comp.order) * comp.dlog[n % comp.modulus]
         vals = np.exp(2j * pi * (t % e) / e)
-        vals[~self.group.unit_mask] = 0
+        vals[np.gcd(n, self.modulus) != 1] = 0   # m = 2 * odd has no component for 2
         return vals
 
     @property
@@ -212,11 +204,9 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
 
 
-def enumerate_characters(m: int, cap: int = CHAR_MODULUS_CAP) -> list[DirichletCharacter]:
+def enumerate_characters(m: int) -> list[DirichletCharacter]:
     """All phi(m) characters mod m, ordered lexicographically by exponent
     vector on the fixed component generators (principal character first)."""
-    if m > cap:
-        raise BudgetError("character enumeration modulus", m, cap)
     group = unit_group(m)
     return [DirichletCharacter(group, exps)
             for exps in product(*(range(c.order) for c in group.components))]

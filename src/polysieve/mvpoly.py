@@ -5,8 +5,7 @@ non-negative ints) to nonzero integer coefficients.  Pointwise arithmetic
 uses Python ints.  Box evaluation (``grid``) runs in numpy int64 only when
 coefficient_abs_sum * max|x|^k < 2^63, which bounds every partial sum and
 product; otherwise the same code runs on object arrays of Python ints, so no
-value ever overflows.  Instances are immutable after construction and safe to
-share across worker processes.
+value ever overflows.  Instances are immutable after construction.
 """
 
 from __future__ import annotations

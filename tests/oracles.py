@@ -424,6 +424,31 @@ def representation_count(P, m: int, Q: int) -> int:
                if P.evaluate(q) == m)
 
 
+def walk_dlog(q: int, g: int, s: int) -> list[int]:
+    """n mod q -> the t < s with g^t = n (mod q), -1 elsewhere, by walking
+    the powers of g one multiplication at a time."""
+    table = [-1] * q
+    v = 1
+    for t in range(s):
+        table[v] = t
+        v = v * g % q
+    return table
+
+
+def walk_dlog_2e(q: int) -> tuple[list[int], list[int]]:
+    """The dlog tables (a, b) of the components <-1> and <5> of (Z/2^e)*,
+    e >= 3, with n = (-1)^a 5^b (mod q), by walking 5^b and -5^b."""
+    da = [-1] * q
+    db = [-1] * q
+    for aa in (0, 1):
+        v = q - 1 if aa else 1
+        for bb in range(q // 4):
+            da[v] = aa
+            db[v] = bb
+            v = v * 5 % q
+    return da, db
+
+
 def scan_conductor(chi) -> int:
     """Smallest d | m such that chi(n) = 1 for every unit n == 1 (mod d),
     by scanning each divisor's progression."""

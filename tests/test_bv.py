@@ -373,6 +373,18 @@ def test_mean_value_memory_does_not_grow_with_the_character_tables():
     assert peak < 16 * 2 ** 20
 
 
+def test_mean_value_memory_at_large_moduli_stays_flat():
+    # 16 moduli near 10^5 at x = 10: only the per-component dlog tables are kept
+    unit_group.cache_clear()
+    tracemalloc.start()
+    try:
+        mean_value_sum(parse_poly("x1+99000"), 16, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_default_eps_bad():
     assert default_eps_bad(1, 2, 2.0, 1) == pytest.approx(
         math.log(3) ** -8, rel=1e-12)

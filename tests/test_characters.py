@@ -4,9 +4,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import loop_psi_chi, primitive_character_count, scan_conductor
+from oracles import (loop_psi_chi, primitive_character_count, scan_conductor, walk_dlog,
+                     walk_dlog_2e)
 from polysieve.arith import euler_phi, factorize, von_mangoldt
-from polysieve.characters import DirichletCharacter, enumerate_characters, unit_group
+from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
+                                  unit_group)
 from polysieve.errors import BudgetError
 
 
@@ -149,6 +151,25 @@ def test_conductor_matches_divisor_scan():
 def test_modulus_cap():
     with pytest.raises(BudgetError):
         enumerate_characters(200_001)
+
+
+def test_unit_group_refuses_moduli_above_the_cap():
+    with pytest.raises(BudgetError):
+        unit_group(CHAR_MODULUS_CAP + 1)
+    assert unit_group(CHAR_MODULUS_CAP).modulus == CHAR_MODULUS_CAP
+
+
+@pytest.mark.parametrize("m", [*range(1, 300), 2 ** 16, 3 ** 10, 7 ** 5, 99991])
+def test_dlog_tables_match_the_power_walk(m):
+    for comp in unit_group(m).components:
+        q = comp.modulus
+        if q % 8 == 0:
+            da, db = walk_dlog_2e(q)
+            expected = da if comp.generator == q - 1 else db
+        else:
+            expected = walk_dlog(q, comp.generator, comp.order)
+        assert comp.dlog.dtype == np.int64 and not comp.dlog.flags.writeable
+        assert np.array_equal(comp.dlog, expected)
 
 
 def test_group_structure_2_power():
