@@ -21,16 +21,15 @@ from .mvpoly import FactoredPoly, MvPoly
 DEFAULT_BOX_BUDGET = 5_000_000
 
 
-def check_box_budget(Q: int, ell: int, budget: int = DEFAULT_BOX_BUDGET) -> None:
+def check_box_budget(Q: int, ell: int) -> None:
     if Q < 1 or ell < 1:
         raise ValueError("Q and ell must be positive")
     size = Q ** ell
-    if size > budget:
-        raise BudgetError("box enumeration", size, budget)
+    if size > DEFAULT_BOX_BUDGET:
+        raise BudgetError("box enumeration", size, DEFAULT_BOX_BUDGET)
 
 
-def box_values(P: MvPoly | FactoredPoly, Q: int,
-               budget: int = DEFAULT_BOX_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+def box_values(P: MvPoly | FactoredPoly, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts): the distinct values P(q) over the box in ascending
     order and their multiplicities, from one grid pass.
 
@@ -38,7 +37,7 @@ def box_values(P: MvPoly | FactoredPoly, Q: int,
     order.  Past the int64 guard the values are an object array of Python ints.
     """
     ell = P.num_vars
-    check_box_budget(Q, ell, budget)
+    check_box_budget(Q, ell)
     vals = P.grid([range(Q, 2 * Q)] * ell)
     if vals.ndim == 1:
         return np.unique(vals, return_counts=True)
@@ -78,8 +77,7 @@ class BadModuliReport:
     ratio: float | None
 
 
-def count_bad_moduli(P: MvPoly, Q: int, eps,
-                     budget: int = DEFAULT_BOX_BUDGET) -> BadModuliReport:
+def count_bad_moduli(P: MvPoly, Q: int, eps) -> BadModuliReport:
     """Exact count of small-value tuples: |v| <= threshold is -b <= v <= b
     with b = floor(threshold), since the values are integers."""
     if eps < 0:
@@ -87,7 +85,7 @@ def count_bad_moduli(P: MvPoly, Q: int, eps,
     k = P.total_degree()
     ell = P.num_vars
     threshold = Fraction(eps) * Q ** k
-    values, counts = box_values(P, Q, budget)
+    values, counts = box_values(P, Q)
     # b past the largest |v| counts the same, and then fits the values' dtype
     b = min(floor(threshold), max(-int(values[0]), int(values[-1])))
     lo, hi = np.searchsorted(values, -b, "left"), np.searchsorted(values, b, "right")

@@ -56,15 +56,14 @@ class CongruenceInstance:
             raise ValueError("P must have total degree >= 2")
 
 
-def count_solutions(inst: CongruenceInstance,
-                    budget: int = DEFAULT_COUNT_BUDGET) -> int:
+def count_solutions(inst: CongruenceInstance) -> int:
     """Exact number of (x, y) in the box with a*P(x) == y (mod m), from one
     MvPoly.grid pass over min(m, H)^ell residue tuples."""
     m, H, ell = inst.m, inst.H, inst.P.num_vars
     side = min(m, H)
     work = side ** ell
-    if work > budget:
-        raise BudgetError("congruence residue grid", work, budget)
+    if work > DEFAULT_COUNT_BUDGET:
+        raise BudgetError("congruence residue grid", work, DEFAULT_COUNT_BUDGET)
     base, rem = divmod(H, m)
     vals = inst.P.grid([[(k + 1 + j) % m for j in range(side)] for k in inst.K])
     if m >= 2 ** 31:
@@ -101,8 +100,7 @@ class CongruenceBoundReport:
     ell: int
 
 
-def congruence_count_bound(inst: CongruenceInstance,
-                           budget: int = DEFAULT_COUNT_BUDGET) -> CongruenceBoundReport:
+def congruence_count_bound(inst: CongruenceInstance) -> CongruenceBoundReport:
     k = inst.P.total_degree()
     ell = inst.P.num_vars
     r = r_parameter(k, ell)
@@ -113,7 +111,7 @@ def congruence_count_bound(inst: CongruenceInstance,
         bound = inf
     if bound == inf:
         raise ValueError("the comparator H^ell ((R/m)^e + (R/H^k)^e) is out of float range")
-    count = count_solutions(inst, budget)
+    count = count_solutions(inst)
     try:
         ratio = count / bound
     except OverflowError:

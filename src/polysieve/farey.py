@@ -42,20 +42,19 @@ class FareySystem:
     skipped_filtered: int
 
 
-def build_farey(P: MvPoly, Q: int, min_modulus=None,
-                point_budget: int = DEFAULT_POINT_BUDGET) -> FareySystem:
+def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
     """Construct the Farey system for P over the dyadic box q ~ Q.
 
     min_modulus, when given, keeps only tuples with |P(q)| >= min_modulus
-    (counted apart from the |P(q)| <= 1 skips).  The point budget is checked
-    before any point is allocated.
+    (counted apart from the |P(q)| <= 1 skips).  The point count is checked
+    against DEFAULT_POINT_BUDGET before any point is allocated.
     """
     retained, skipped_unit, skipped_filtered = fold_moduli(*box_values(P, Q), min_modulus)
     total = 0
     for d, mult in retained.items():
         total += euler_phi(d) * mult
-        if total > point_budget:
-            raise BudgetError("farey point set", total, point_budget)
+        if total > DEFAULT_POINT_BUDGET:
+            raise BudgetError("farey point set", total, DEFAULT_POINT_BUDGET)
     nums = [np.flatnonzero(np.gcd(np.arange(d), d) == 1) for d in retained]
     sizes = [len(r) for r in nums]
     a = np.concatenate([np.zeros(0, dtype=np.int64)] + nums)

@@ -61,9 +61,9 @@ def ones_sequence(N: int, M: int = 0) -> SieveSequence:
     return SieveSequence(M, np.ones(N))
 
 
-def spike_sequence(N: int, M: int = 0, position: int = 0) -> SieveSequence:
+def spike_sequence(N: int, M: int = 0) -> SieveSequence:
     c = np.zeros(N)
-    c[position] = 1.0
+    c[0] = 1.0
     return SieveSequence(M, c)
 
 
@@ -143,24 +143,23 @@ def fft_work(N: int) -> int:
     return 2 * N * (2 * N).bit_length()
 
 
-def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int],
-                     budget: int = DEFAULT_WORK_BUDGET) -> int | float:
+def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int]) -> int | float:
     """The sum over the moduli d >= 2, weighted by multiplicity, and the
     reduced a/d of |S(a/d)|^2: an exact integer for real integer coefficients
     within the EXACT_BITS guard, else an fsum.
 
     The work estimate is fft_work(N) + terms (ramanujan_weights) + the sum
-    of 1 + (N-1)//e over the weights e (the strided sums).  It is refused
-    before the FFT, and its lower bound with len(moduli) for terms before any
-    factorization.
+    of 1 + (N-1)//e over the weights e (the strided sums).  Past
+    DEFAULT_WORK_BUDGET it is refused before the FFT, and its lower bound
+    with len(moduli) for terms before any factorization.
     """
     N, c = seq.N, seq.coeffs
-    if fft_work(N) + len(moduli) > budget:
-        raise BudgetError("sieve sum", fft_work(N) + len(moduli), budget)
+    if fft_work(N) + len(moduli) > DEFAULT_WORK_BUDGET:
+        raise BudgetError("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
     phi_total, weights, terms = ramanujan_weights(moduli, N)
     work = fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights)
-    if work > budget:
-        raise BudgetError("sieve sum", work, budget)
+    if work > DEFAULT_WORK_BUDGET:
+        raise BudgetError("sieve sum", work, DEFAULT_WORK_BUDGET)
     R = _autocorrelation(c)
     exact = (seq.norm_sq * log2(2 * N) < 2 ** EXACT_BITS and N * seq.norm_sq < 2 ** 53
              and not c.imag.any() and np.array_equal(c.real, np.rint(c.real)))
@@ -172,12 +171,11 @@ def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int],
     return fsum([float(R[0]) * phi_total] + [2.0 * w * float(s) for w, s in sums])
 
 
-def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None,
-              budget: int = DEFAULT_WORK_BUDGET) -> int | float:
+def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None) -> int | float:
     """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2.  A
     min_modulus keeps only tuples with |P(q)| >= min_modulus; moduli
     |P(q)| <= 1 never enter."""
-    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[1], budget)
+    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[1])
 
 
 def empirical_delta(seq: SieveSequence, moduli: dict[int, int]) -> float:

@@ -233,7 +233,7 @@ _FACTOR_NUM_RE = re.compile(r"\d+")
 _FACTOR_VAR_RE = re.compile(r"([A-Za-z]+)(\d*)(?:\^(\d+))?")
 
 
-def parse_poly(text: str, num_vars: int | None = None, var_prefix: str = "x") -> MvPoly:
+def parse_poly(text: str, num_vars: int | None = None) -> MvPoly:
     """Parse polynomial text like ``3*x1^2*x2 - x3^3 + 7``.
 
     Whitespace-insensitive; variables are x1..xL (1-based).  A bare variable
@@ -269,8 +269,8 @@ def parse_poly(text: str, num_vars: int | None = None, var_prefix: str = "x") ->
             if not fm:
                 raise ValueError(f"cannot parse factor {factor!r}")
             name, digits, expo = fm.groups()
-            if name != var_prefix and not (name.isalpha() and not digits):
-                raise ValueError(f"unknown variable {factor!r} (expected {var_prefix}<i>)")
+            if name != "x" and not (name.isalpha() and not digits):
+                raise ValueError(f"unknown variable {factor!r} (expected x<i>)")
             index = int(digits) if digits else 1
             if index < 1:
                 raise ValueError(f"variable index must be >= 1 in {factor!r}")

@@ -26,6 +26,8 @@ from .mvpoly import MvPoly, parse_poly
 # Largest size in bits of the exact power d^td that prime_divisor_search
 # compares p^tn against.
 THETA_POWER_BITS = 1 << 16
+# Most norm values, (X^(1/n))^(n-truncation), that prime_divisor_search sieves.
+NORM_VALUE_BUDGET = 20_000_000
 # Relative margin inside which a float d^(td/tn) leaves a walk end undecided.
 WALK_END_MARGIN = 2.0 ** -40
 
@@ -118,7 +120,7 @@ class NumberFieldSpec:
     @classmethod
     def from_text(cls, text: str, truncation: int = 0) -> "NumberFieldSpec":
         """Parse a univariate polynomial in t (or x1), e.g. ``t^3 - 2``."""
-        poly = parse_poly(text, num_vars=1, var_prefix="x")
+        poly = parse_poly(text, num_vars=1)
         n = poly.total_degree()
         coeffs = [0] * (n + 1)
         for (e,), c in poly.terms.items():
@@ -206,12 +208,11 @@ class PrimeValueReport:
     maynard_condition_ok: bool        # ell >= 3 * degree / 4, exact
 
 
-def prime_value_sieve(spec: NumberFieldSpec, Q: int,
-                      budget: int = 5_000_000) -> PrimeValueReport:
+def prime_value_sieve(spec: NumberFieldSpec, Q: int) -> PrimeValueReport:
     """Prime values of the norm form over q ~ Q, each with its points in box
     order; is_prime runs once per distinct value >= 2, in first-seen order."""
     ell = spec.num_form_vars
-    check_box_budget(Q, ell, budget)
+    check_box_budget(Q, ell)
     vals = norm_form(spec).grid([range(Q, 2 * Q)] * ell)
     distinct, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
     distinct = distinct.tolist()
@@ -249,8 +250,7 @@ class DivisorSearchReport:
     witnesses: tuple[DivisorWitness, ...]
 
 
-def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
-                         budget: int = 20_000_000) -> DivisorSearchReport:
+def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchReport:
     """Find primes p <= X such that p-1 has a prime divisor d >= p^theta that
     is a norm-form value on positive coordinates.
 
@@ -259,18 +259,20 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta,
     walk is one vectorised pass: every p = 1 + j*d with j >= 1, p <= X and
     p^tn <= d^td (exact) of every d goes into one array, the prime p are kept
     and grouped by one stable sort, so each p lists its d in increasing order.
-    Before the sieve, a theta = tn/td whose powers d^td could pass
-    THETA_POWER_BITS bits raises BudgetError, as does X above
-    arith.PRIME_SIEVE_LIMIT.
+    Before the sieve, more than NORM_VALUE_BUDGET norm values raise
+    BudgetError, as do a theta = tn/td whose powers d^td could pass
+    THETA_POWER_BITS bits and X above arith.PRIME_SIEVE_LIMIT.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
+    if X < 1:
+        raise ValueError(f"X must be >= 1, got {X}")
     n = spec.degree
     ell = spec.num_form_vars
     qmax = integer_nth_root(X, n)
-    if qmax < 1 or (qmax ** ell) > budget:
-        raise BudgetError("norm value sieve", max(qmax, 1) ** ell, budget)
+    if qmax ** ell > NORM_VALUE_BUDGET:
+        raise BudgetError("norm value sieve", qmax ** ell, NORM_VALUE_BUDGET)
     tn, td = theta.numerator, theta.denominator
     # every d is below X, so d^td has at most td * bits(X) bits
     if td * X.bit_length() > THETA_POWER_BITS:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_value_counts, representation_count
+from polysieve import boxes
 from polysieve.boxes import box_values, count_bad_moduli, fold_moduli
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
@@ -86,9 +87,10 @@ def test_bad_moduli_monotone_in_eps(Q, e1, e2):
             <= count_bad_moduli(P_DIFF_SQ, Q, hi).count)
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
+    monkeypatch.setattr(boxes, "DEFAULT_BOX_BUDGET", 10 ** 6)
     with pytest.raises(BudgetError):
-        box_values(parse_poly("x1+x2+x3"), 1000, budget=10 ** 6)
+        box_values(parse_poly("x1+x2+x3"), 1000)
 
 
 def test_fold_moduli():

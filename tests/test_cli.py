@@ -1,5 +1,7 @@
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -111,6 +113,17 @@ def test_bad_numeric_input_is_validation_error(capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "validation"
+
+
+@pytest.mark.parametrize("X", ["0", "-5"])
+def test_corollary_search_refuses_x_below_one(capsys, X):
+    code, out, err = run_cli(capsys, "corollary-search", "--f", "t^2+1", "--X", X,
+                             "--theta", "1/2")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": f"X must be >= 1, got {X}", "kind": "validation"}
 
 
 def test_budget_is_resource_error(capsys):
@@ -364,6 +377,26 @@ def test_no_module_imports_a_process_pool():
         assert not names & {"concurrent", "concurrent.futures", "multiprocessing"}, path.name
 
 
+def test_no_public_callable_takes_a_budget():
+    # each work cap is a module constant read at call time, set in tests by monkeypatch
+    checked = []
+    for path in sorted((SRC / "polysieve").glob("[!_]*.py")):
+        mod = importlib.import_module(f"polysieve.{path.stem}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = ([(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                        if not attr.startswith("_")] if inspect.isclass(obj) else [(name, obj)])
+            for qualname, fn in members:
+                if callable(fn):
+                    params = inspect.signature(fn).parameters
+                    checked.append(f"{path.stem}.{qualname}")
+                    assert not [p for p in params if p == "budget" or p.endswith("_budget")], \
+                        checked[-1]
+    assert {"boxes.box_values", "farey.build_farey", "normform.NumberFieldSpec.from_text",
+            "arith.factorize"} <= set(checked)
+
+
 @pytest.mark.parametrize("command", ["farey-stats", "sieve-scan", "bv-sum", "meanvalue-sum",
                                      "bad-moduli"])
 def test_workers_flag_changes_no_byte(capsys, command):
@@ -557,6 +590,12 @@ def test_meanvalue_moduli_keys_sort_as_strings(capsys):
      '{{"divisors": [2], "p": 5, "representations": {{"2": [1, 1]}}}}, '
      '{{"divisors": [2], "p": 7, "representations": {{"2": [1, 1]}}}}, '
      '{{"divisors": [5], "p": 11, "representations": {{"5": [1, 2]}}}}]\n'),
+    *((("corollary-search", "--f", "t^2+1", "--X", X, "--theta", "1/2", "--format", "csv"),
+       f'# polysieve 0.1.0 corollary-search config={{{{"X": {X}, "command": "corollary-search", '
+       '"f": "t^2+1", "format": "csv", "seed": 0, "theta": "1/2", "truncation": 0, '
+       '"workers": {workers}}}\n'
+       f'key,value\nX,{X}\ncount,0\ndensity,0.0\nprime_count,{primes}\nq_range,1\n'
+       'theta,"1/2"\nwitnesses,[]\n') for X, primes in (("1", 0), ("2", 1))),
 ])
 def test_text_formats_keep_their_bytes(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import count_by_enumeration, count_by_residue_classes
+from polysieve import congruence
 from polysieve.congruence import (R_PARAMETER_BITS, CongruenceInstance,
                                   congruence_count_bound, count_solutions, r_parameter)
 from polysieve.errors import BudgetError
@@ -71,13 +72,17 @@ def test_validation():
         make_instance(K=(1,))
 
 
-def test_budget():
+def test_budget(monkeypatch):
     # the grid has min(m, H)^ell points: refused exactly above the budget
     for m, H in ((5003, 1000), (1000, 5003), (1000, 1000)):
         inst = make_instance(m=m, H=H, R=7)
-        assert count_solutions(inst, budget=10 ** 6) == count_solutions(inst)
+        count = count_solutions(inst)
+        monkeypatch.setattr(congruence, "DEFAULT_COUNT_BUDGET", 10 ** 6)
+        assert count_solutions(inst) == count
+        monkeypatch.setattr(congruence, "DEFAULT_COUNT_BUDGET", 10 ** 6 - 1)
         with pytest.raises(BudgetError):
-            count_solutions(inst, budget=10 ** 6 - 1)
+            count_solutions(inst)
+        monkeypatch.undo()
     with pytest.raises(BudgetError):
         count_solutions(make_instance(m=5003, H=5000))
 

@@ -138,9 +138,10 @@ def test_comparator_value():
         2 ** (2 + 2 / 15) * 64 ** (-1 / 15), rel=1e-12)
 
 
-def test_point_budget():
+def test_point_budget(monkeypatch):
+    monkeypatch.setattr(farey, "DEFAULT_POINT_BUDGET", 1000)
     with pytest.raises(BudgetError):
-        build_farey(P_SUM_SQ, 40, point_budget=1000)
+        build_farey(P_SUM_SQ, 40)
 
 
 def test_points_sorted_and_reduced():
@@ -151,12 +152,14 @@ def test_points_sorted_and_reduced():
         assert 0 < p < 1
 
 
-def test_point_budget_boundary():
+def test_point_budget_boundary(monkeypatch):
     # the x1^2+x2^2 system at Q=2 has 34 points: at the budget it is built,
     # one below it is refused before any point is allocated
-    assert build_farey(P_SUM_SQ, 2, point_budget=34).total_count == 34
+    monkeypatch.setattr(farey, "DEFAULT_POINT_BUDGET", 34)
+    assert build_farey(P_SUM_SQ, 2).total_count == 34
+    monkeypatch.setattr(farey, "DEFAULT_POINT_BUDGET", 33)
     with pytest.raises(BudgetError, match=r"^farey point set: requires 34, budget is 33$"):
-        build_farey(P_SUM_SQ, 2, point_budget=33)
+        build_farey(P_SUM_SQ, 2)
 
 
 def _quadratic_forms(max_ac, max_b):

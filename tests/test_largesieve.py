@@ -182,14 +182,15 @@ def test_sequence_families_deterministic():
     assert set(np.unique(a.coeffs.real)) <= {-1.0, 1.0}
     u = random_unit_sequence(16, seed=7)
     assert np.allclose(np.abs(u.coeffs), 1.0)
-    s = spike_sequence(8, position=3)
+    s = spike_sequence(8)
     assert s.norm_sq == 1.0
 
 
-def test_budget():
+def test_budget(monkeypatch):
     seq = ones_sequence(10)
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", 100)
     with pytest.raises(BudgetError):
-        sieve_sum(seq, P_SUM_SQ, 30, budget=100)
+        sieve_sum(seq, P_SUM_SQ, 30)
 
 
 def test_reported_ratios_are_finite():
@@ -260,18 +261,21 @@ def test_ramanujan_weights():
         ramanujan_weights({1: 1}, 5)
 
 
-def test_budget_is_the_work_estimate():
+def test_budget_is_the_work_estimate(monkeypatch):
     moduli = box_moduli(FORMS[1], 4)[1]
     seq = random_sign_sequence(100, seed=1)
     _, weights, terms = ramanujan_weights(moduli, 100)
     work = 200 * 8 + terms + sum(1 + 99 // e for e in weights)
-    assert moduli_sieve_sum(seq, moduli, budget=work) == exact_sieve_sum(seq.coeffs.real, moduli)
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", work)
+    assert moduli_sieve_sum(seq, moduli) == exact_sieve_sum(seq.coeffs.real, moduli)
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", work - 1)
     with pytest.raises(BudgetError) as info:
-        moduli_sieve_sum(seq, moduli, budget=work - 1)
+        moduli_sieve_sum(seq, moduli)
     assert info.value.required == work
     # the lower bound with len(moduli) refuses before any factorization
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", 200 * 8 + len(moduli) - 1)
     with pytest.raises(BudgetError) as info:
-        moduli_sieve_sum(seq, moduli, budget=200 * 8 + len(moduli) - 1)
+        moduli_sieve_sum(seq, moduli)
     assert info.value.required == 200 * 8 + len(moduli)
 
 

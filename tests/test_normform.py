@@ -6,7 +6,7 @@ import sympy
 
 from oracles import (field_multiply, loop_prime_divisor_search,
                      loop_prime_value_sieve, sylvester_resultant)
-from polysieve import normform
+from polysieve import boxes, normform
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
 from polysieve.normform import (NumberFieldSpec, _divisors_with_sign,
@@ -184,15 +184,42 @@ def test_prime_divisor_search_vacuous_threshold():
     assert rep.witnesses == ()
 
 
-def test_prime_divisor_search_validation_and_budget():
+def test_prime_divisor_search_validation_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         prime_divisor_search(GAUSS, 100, Fraction(7, 5))
+    monkeypatch.setattr(normform, "NORM_VALUE_BUDGET", 1000)
     with pytest.raises(BudgetError):
-        prime_divisor_search(GAUSS, 10 ** 9, Fraction(2, 5), budget=1000)
+        prime_divisor_search(GAUSS, 10 ** 9, Fraction(2, 5))
+    monkeypatch.undo()
     # td * bits(X) against THETA_POWER_BITS = 2^16; X = 200 has 8 bits
     assert prime_divisor_search(GAUSS, 200, Fraction(1, 8192)).count > 0
     with pytest.raises(BudgetError):
         prime_divisor_search(GAUSS, 200, Fraction(1, 8193))
+
+
+@pytest.mark.parametrize("X", [0, -5])
+def test_prime_divisor_search_refuses_x_below_one(X):
+    with pytest.raises(ValueError, match=rf"^X must be >= 1, got {X}$"):
+        prime_divisor_search(GAUSS, X, Fraction(1, 2))
+
+
+def test_prime_divisor_search_budget_boundary(monkeypatch):
+    # X = 100 gives qmax = 10 and 10^2 norm values for t^2+1
+    monkeypatch.setattr(normform, "NORM_VALUE_BUDGET", 100)
+    assert prime_divisor_search(GAUSS, 100, Fraction(2, 5)).q_range == 10
+    monkeypatch.setattr(normform, "NORM_VALUE_BUDGET", 99)
+    with pytest.raises(BudgetError, match=r"^norm value sieve: requires 100, budget is 99$"):
+        prime_divisor_search(GAUSS, 100, Fraction(2, 5))
+
+
+def test_prime_value_sieve_budget_boundary(monkeypatch):
+    # the box cap is read from boxes at call time: Q = 3 gives 3^2 tuples
+    expected = prime_value_sieve(GAUSS, 3)
+    monkeypatch.setattr(boxes, "DEFAULT_BOX_BUDGET", 9)
+    assert prime_value_sieve(GAUSS, 3) == expected
+    monkeypatch.setattr(boxes, "DEFAULT_BOX_BUDGET", 8)
+    with pytest.raises(BudgetError, match=r"^box enumeration: requires 9, budget is 8$"):
+        prime_value_sieve(GAUSS, 3)
 
 
 ORACLE_FIELDS = [NumberFieldSpec.from_text("t^2+1"), NumberFieldSpec.from_text("t^2+t+3"),
