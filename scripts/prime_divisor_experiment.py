@@ -26,7 +26,7 @@ def main():
                   Fraction(1, 2), Fraction(3, 5)):
         rep = prime_divisor_search(spec, args.X, theta)
         sample = ", ".join(
-            f"{w.p}:{w.divisors[-1]}" for w in rep.witnesses[-3:])
+            f"{p}:{ds[-1]}" for p, ds in zip(rep.primes[-3:], rep.divisors[-3:]))
         print(f"{str(theta):>8} {rep.count:>8} {rep.density:>9.4f} {sample:>40}")
 
 

@@ -20,14 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from . import __version__
+from . import __version__, largesieve
 from .boxes import count_bad_moduli
 from .bv import check_setting, discrepancy_sum, exponent_profile, mean_value_sum
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
-from .largesieve import (DEFAULT_WORK_BUDGET, SEQUENCE_FAMILIES, _signed_divisors,
-                         box_moduli, delta_bounds, empirical_delta, fft_work)
+from .largesieve import (SEQUENCE_FAMILIES, _signed_divisors, box_moduli, delta_bounds,
+                         empirical_delta, fft_work)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
 
@@ -236,9 +236,10 @@ def _split_seed(seed: int, counter: int) -> int:
 
 def _run_sieve_scan(args):
     # the sieve work of one N is at least fft_work(N) > N: refuse before
-    # building a sequence
-    if fft_work(max(args.N)) > DEFAULT_WORK_BUDGET:
-        raise BudgetError("sieve sequence FFT", fft_work(max(args.N)), DEFAULT_WORK_BUDGET)
+    # building a sequence, against the cap as the kernel reads it
+    cap = largesieve.DEFAULT_WORK_BUDGET
+    if fft_work(max(args.N)) > cap:
+        raise BudgetError("sieve sequence FFT", fft_work(max(args.N)), cap)
     P = parse_poly(args.P)
     k = P.total_degree()
     ell = P.num_vars
@@ -299,7 +300,7 @@ def _run_prime_value_sieve(args):
             "max_multiplicity": rep.max_multiplicity,
             "density_ratio": rep.density_ratio,
             "maynard_condition_ok": rep.maynard_condition_ok,
-            "values": {str(v): [list(q) for q in qs] for v, qs in sorted(rep.values.items())}}, None
+            "values": {str(v): qs for v, qs in rep.values.items()}}, None
 
 
 def _run_corollary_search(args):
@@ -308,10 +309,9 @@ def _run_corollary_search(args):
     return {"count": rep.count, "prime_count": rep.prime_count,
             "density": rep.density, "q_range": rep.q_range,
             "theta": str(rep.theta), "X": rep.X,
-            "witnesses": [{"p": w.p, "divisors": list(w.divisors),
-                           "representations": {str(d): list(q) for d, q in
-                                               sorted(w.representations.items())}}
-                          for w in rep.witnesses]}, None
+            "witnesses": [{"p": p, "divisors": ds,
+                           "representations": {str(d): rep.representations[d] for d in ds}}
+                          for p, ds in zip(rep.primes, rep.divisors)]}, None
 
 
 def _run_bad_moduli(args):

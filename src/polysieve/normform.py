@@ -200,7 +200,7 @@ class PrimeValueReport:
     Q: int
     num_vars: int
     degree: int
-    values: dict[int, list[tuple[int, ...]]]
+    values: dict[int, list[list[int]]]
     count: int
     distinct: int
     max_multiplicity: int
@@ -220,7 +220,7 @@ def prime_value_sieve(spec: NumberFieldSpec, Q: int) -> PrimeValueReport:
     for i in np.argsort(first).tolist():
         prime[i] = distinct[i] >= 2 and is_prime(distinct[i])
     hit = np.flatnonzero(prime[inverse])
-    values: dict[int, list[tuple[int, ...]]] = {}
+    values: dict[int, list[list[int]]] = {}
     for v, q in zip(vals[hit].tolist(), _box_points(hit, Q, Q, ell)):
         values.setdefault(v, []).append(q)
     count = sum(len(qs) for qs in values.values())
@@ -233,21 +233,20 @@ def prime_value_sieve(spec: NumberFieldSpec, Q: int) -> PrimeValueReport:
 
 
 @dataclass(frozen=True)
-class DivisorWitness:
-    p: int
-    divisors: tuple[int, ...]                    # qualifying prime divisors of p-1
-    representations: dict[int, tuple[int, ...]]  # divisor -> one q with N(q) = divisor
-
-
-@dataclass(frozen=True)
 class DivisorSearchReport:
+    """The witnesses as columns: primes[i] is a found p and divisors[i] its
+    qualifying prime divisors d of p - 1 in increasing order;
+    representations maps every norm prime d < X, ascending, to its first
+    point in box order."""
     X: int
     theta: Fraction
     count: int
     prime_count: int
     density: float
     q_range: int
-    witnesses: tuple[DivisorWitness, ...]
+    primes: list[int]
+    divisors: list[list[int]]
+    representations: dict[int, list[int]]
 
 
 def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchReport:
@@ -258,7 +257,8 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     with its first point in box order, are read off one sieve up to X.  The
     walk is one vectorised pass: every p = 1 + j*d with j >= 1, p <= X and
     p^tn <= d^td (exact) of every d goes into one array, the prime p are kept
-    and grouped by one stable sort, so each p lists its d in increasing order.
+    and grouped by one stable sort into the report's columns of plain ints:
+    the p ascending, each with its list of d in increasing order.
     Before the sieve, more than NORM_VALUE_BUDGET norm values raise
     BudgetError, as do a theta = tn/td whose powers d^td could pass
     THETA_POWER_BITS bits and X above arith.PRIME_SIEVE_LIMIT.
@@ -302,19 +302,17 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     p += 1
     keep = np.flatnonzero(flags[p])
     keep = keep[np.argsort(p[keep], kind="stable")]   # each p keeps its d in increasing order
-    p, div = p[keep], div[keep]   # drops the step arrays before the witnesses are built
+    p, div = p[keep], div[keep]   # drops the step arrays before the lists are built
     ps, starts = np.unique(p, return_index=True)
     divs, bounds = div.tolist(), starts.tolist() + [len(keep)]
-    witnesses = tuple(DivisorWitness(p=p, divisors=tuple(divs[a:b]),
-                                     representations={d: reps[d] for d in divs[a:b]})
-                      for p, a, b in zip(ps.tolist(), bounds, bounds[1:]))
+    divisors = [divs[a:b] for a, b in zip(bounds, bounds[1:])]
     prime_count = int(np.count_nonzero(flags))
     return DivisorSearchReport(
-        X=X, theta=theta, count=len(witnesses), prime_count=prime_count,
-        density=len(witnesses) / prime_count if prime_count else 0.0,
-        q_range=qmax, witnesses=witnesses)
+        X=X, theta=theta, count=len(divisors), prime_count=prime_count,
+        density=len(divisors) / prime_count if prime_count else 0.0,
+        q_range=qmax, primes=ps.tolist(), divisors=divisors, representations=reps)
 
 
-def _box_points(index: np.ndarray, lo: int, side: int, ell: int) -> list[tuple[int, ...]]:
+def _box_points(index: np.ndarray, lo: int, side: int, ell: int) -> list[list[int]]:
     """The points of the grid [lo, lo + side)^ell at the given flat indices."""
-    return list(zip(*((c + lo).tolist() for c in np.unravel_index(index, (side,) * ell))))
+    return (np.column_stack(np.unravel_index(index, (side,) * ell)) + lo).tolist()

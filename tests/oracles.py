@@ -22,8 +22,8 @@ from polysieve.arith import (euler_phi, factorize, is_prime, moebius, primes_up_
                              von_mangoldt)
 from polysieve.bv import (DiscrepancySumReport, default_eps_bad,
                           max_progression_discrepancy, prime_value_weight)
-from polysieve.normform import (DivisorSearchReport, DivisorWitness,
-                                PrimeValueReport, integer_nth_root, norm_form)
+from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
+                                norm_form)
 
 
 def trial_division_factorize(n: int) -> list[tuple[int, int]]:
@@ -319,11 +319,11 @@ def loop_prime_value_sieve(spec, Q: int) -> PrimeValueReport:
     testing every value >= 2 for primality."""
     ell = spec.num_form_vars
     form = norm_form(spec)
-    values: dict[int, list[tuple[int, ...]]] = {}
+    values: dict[int, list[list[int]]] = {}
     for q in product(range(Q, 2 * Q), repeat=ell):
         v = form.evaluate(q)
         if v >= 2 and is_prime(v):
-            values.setdefault(v, []).append(q)
+            values.setdefault(v, []).append(list(q))
     count = sum(len(qs) for qs in values.values())
     return PrimeValueReport(
         Q=Q, num_vars=ell, degree=spec.degree, values=values, count=count,
@@ -346,19 +346,19 @@ def loop_prime_divisor_search(spec, X: int, theta) -> DivisorSearchReport:
         v = form.evaluate(q)
         if 2 <= v < X and v not in norm_primes and is_prime(v):
             norm_primes[v] = q
-    witnesses = []
+    found, divisors = [], []
     primes = primes_up_to(X)
     for p in primes:
         hits = [d for d in factorize(p - 1).divisors()
                 if d in norm_primes and d ** theta.denominator >= p ** theta.numerator]
         if hits:
-            witnesses.append(DivisorWitness(
-                p=p, divisors=tuple(hits),
-                representations={d: norm_primes[d] for d in hits}))
+            found.append(p)
+            divisors.append(hits)
     return DivisorSearchReport(
-        X=X, theta=theta, count=len(witnesses), prime_count=len(primes),
-        density=len(witnesses) / len(primes) if primes else 0.0,
-        q_range=qmax, witnesses=tuple(witnesses))
+        X=X, theta=theta, count=len(found), prime_count=len(primes),
+        density=len(found) / len(primes) if primes else 0.0, q_range=qmax,
+        primes=found, divisors=divisors,
+        representations={d: list(q) for d, q in sorted(norm_primes.items())})
 
 
 def field_multiply(spec, u, v) -> tuple[int, ...]:

@@ -173,29 +173,29 @@ def test_criterion_07_divisor_search():
         theta = Fraction(2, 5)
         X = 10 ** 5
         rep = prime_divisor_search(spec, X, theta)
-        ps = {w.p for w in rep.witnesses}
+        ps = set(rep.primes)
         assert rep.count > 0
         assert 11 in ps and 13 not in ps
         # re-verify every reported witness from scratch
-        for w in rep.witnesses:
-            for d in w.divisors:
-                assert (w.p - 1) % d == 0
+        for p, ds in zip(rep.primes, rep.divisors):
+            for d in ds:
+                assert (p - 1) % d == 0
                 assert sympy.isprime(d)
-                q = w.representations[d]
+                q = rep.representations[d]
                 assert all(1 <= qi <= rep.q_range for qi in q)
                 assert form.evaluate(q) == d
-                assert d ** 5 >= w.p ** 2
+                assert d ** 5 >= p ** 2
         # independent full recomputation: for this field the prime norm
         # values with positive coordinates are exactly 2 and primes = 1 mod 4
         prime_set = set(sympy.primerange(2, X + 1))
         expected = {}
         for p in sorted(prime_set):
-            hits = tuple(d for d in sympy.divisors(p - 1)
-                         if d in prime_set and (d == 2 or d % 4 == 1)
-                         and d ** 5 >= p ** 2)
+            hits = [d for d in sympy.divisors(p - 1)
+                    if d in prime_set and (d == 2 or d % 4 == 1)
+                    and d ** 5 >= p ** 2]
             if hits:
                 expected[p] = hits
-        assert {w.p: w.divisors for w in rep.witnesses} == expected
+        assert dict(zip(rep.primes, rep.divisors)) == expected
 
 
 def test_criterion_08_weighted_discrepancy_hand_value():

@@ -458,6 +458,20 @@ def test_sieve_scan_drops_its_expansion_when_refused(capsys, monkeypatch):
     assert largesieve._signed_divisors.cache_info().currsize == 0
 
 
+def test_sieve_scan_fft_check_reads_the_kernel_cap(capsys, monkeypatch):
+    # the pre-check reads largesieve's cap at call time, as the kernel does
+    argv = ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "1500000")
+    work = largesieve.fft_work(1500000)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(err)["error"] == f"sieve sequence FFT: requires {work}, budget is 50000000"
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", work)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and json.loads(err)["error"].startswith("sieve sum: ")
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", 10 ** 9)
+    assert run_json(capsys, *argv)["result"]["rows"][0]["N"] == 1500000
+
+
 def _without_duration(text):
     return re.sub(r'"duration_s": [^,\n]+', '"duration_s": null', text)
 
@@ -596,6 +610,11 @@ def test_meanvalue_moduli_keys_sort_as_strings(capsys):
        '"workers": {workers}}}\n'
        f'key,value\nX,{X}\ncount,0\ndensity,0.0\nprime_count,{primes}\nq_range,1\n'
        'theta,"1/2"\nwitnesses,[]\n') for X, primes in (("1", 0), ("2", 1))),
+    (("prime-value-sieve", "--f", "t^2+1", "--Q", "2", "--format", "csv"),
+     '# polysieve 0.1.0 prime-value-sieve config={{"Q": 2, "command": "prime-value-sieve", '
+     '"f": "t^2+1", "format": "csv", "seed": 0, "truncation": 0, "workers": {workers}}}\n'
+     'key,value\ncount,2\ndensity_ratio,0.34657359027997264\ndistinct,1\n'
+     'max_multiplicity,2\nmaynard_condition_ok,true\nvalues,{{"13": [[2, 3], [3, 2]]}}\n'),
 ])
 def test_text_formats_keep_their_bytes(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)

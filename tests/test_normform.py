@@ -136,36 +136,35 @@ def test_divisors_with_sign_of_a_large_prime():
 
 def test_prime_value_sieve_examples():
     rep = prime_value_sieve(GAUSS, 1)
-    assert dict(rep.values) == {2: [(1, 1)]}
+    assert dict(rep.values) == {2: [[1, 1]]}
     assert rep.maynard_condition_ok  # 2 >= 3*2/4
     assert rep.density_ratio is None  # log Q vanishes at Q = 1
 
     rep2 = prime_value_sieve(GAUSS, 2)
     assert set(rep2.values) == {13}
-    assert rep2.values[13] == [(2, 3), (3, 2)]
+    assert rep2.values[13] == [[2, 3], [3, 2]]
     assert rep2.max_multiplicity == 2 and rep2.count == 2
 
     rep3 = prime_value_sieve(CUBE2_TRUNC, 2)
-    assert dict(rep3.values) == {43: [(3, 2)]}
+    assert dict(rep3.values) == {43: [[3, 2]]}
     assert not rep3.maynard_condition_ok  # 2 < 9/4
 
 
 def test_prime_divisor_search_small():
     rep = prime_divisor_search(GAUSS, 100, Fraction(2, 5))
-    ps = {w.p for w in rep.witnesses}
+    ps = set(rep.primes)
     assert 11 in ps
     assert 13 not in ps
     assert rep.count == len(ps) > 0
-    w11 = next(w for w in rep.witnesses if w.p == 11)
-    assert w11.divisors == (5,)
-    assert norm_form(GAUSS).evaluate(w11.representations[5]) == 5
+    assert rep.divisors[rep.primes.index(11)] == [5]
+    assert norm_form(GAUSS).evaluate(rep.representations[5]) == 5
 
 
 def test_prime_divisor_search_matches_full_oracle():
     X = 3000
     theta = Fraction(2, 5)
     rep = prime_divisor_search(GAUSS, X, theta)
-    got = {w.p: set(w.divisors) for w in rep.witnesses}
+    got = {p: set(ds) for p, ds in zip(rep.primes, rep.divisors)}
     expected = {}
     for p in sympy.primerange(2, X + 1):
         hits = set()
@@ -181,7 +180,7 @@ def test_prime_divisor_search_matches_full_oracle():
 def test_prime_divisor_search_vacuous_threshold():
     rep = prime_divisor_search(GAUSS, 50, Fraction(99, 100))
     assert rep.count == 0
-    assert rep.witnesses == ()
+    assert rep.primes == [] and rep.divisors == []
 
 
 def test_prime_divisor_search_validation_and_budget(monkeypatch):
@@ -239,8 +238,7 @@ def test_prime_divisor_search_matches_loop_reference(spec, X, theta):
     got = prime_divisor_search(spec, X, theta)
     expected = loop_prime_divisor_search(spec, X, theta)
     assert got == expected
-    for w, v in zip(got.witnesses, expected.witnesses):
-        assert list(w.representations.items()) == list(v.representations.items())
+    assert list(got.representations.items()) == list(expected.representations.items())
 
 
 @pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(1, 2), Fraction(999, 1000)], ids=str)
@@ -269,8 +267,9 @@ def _assert_search_matches_loop(spec, X, theta):
     got = prime_divisor_search(spec, X, theta)
     assert got == loop_prime_divisor_search(spec, X, theta)
     # plain ints, as the report writer takes no numpy scalars
-    assert all(type(w.p) is int and all(type(d) is int for d in w.divisors)
-               for w in got.witnesses)
+    assert all(type(p) is int for p in got.primes)
+    assert all(type(d) is int for ds in got.divisors for d in ds)
+    assert all(type(c) is int for q in got.representations.values() for c in q)
     return got
 
 
@@ -291,7 +290,7 @@ def test_one_pass_walk_at_the_smallest_theta(X):
 def test_one_pass_walk_without_steps():
     # no norm prime below X: q1^2 + q1 q2 + 12 q2^2 >= 14 on the box
     rep = _assert_search_matches_loop(NumberFieldSpec.from_text("t^2+t+12"), 10, Fraction(1, 3))
-    assert rep.count == 0 and rep.witnesses == ()
+    assert rep.count == 0 and rep.primes == [] and rep.divisors == []
     # the one norm prime 2 < 3^theta takes no step
     rep = _assert_search_matches_loop(GAUSS, 3, Fraction(99, 100))
     assert rep.count == 0 and rep.prime_count == 2
@@ -304,3 +303,5 @@ def test_prime_value_sieve_matches_loop_reference(spec, Q):
     expected = loop_prime_value_sieve(spec, Q)
     assert got == expected
     assert list(got.values.items()) == list(expected.values.items())
+    # plain ints, as the report writer takes no numpy scalars
+    assert all(type(c) is int for qs in got.values.values() for q in qs for c in q)

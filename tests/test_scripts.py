@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from polysieve.normform import NumberFieldSpec, prime_divisor_search
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +27,23 @@ def test_script_runs(tmp_path, script, args):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_prime_divisor_experiment_prints_the_search():
+    # each theta row: its count, and the largest qualifying d of the last three p
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "prime_divisor_experiment.py"),
+                           "--X", "1000"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert len(rows) == 5
+    spec = NumberFieldSpec.from_text("t^2+1")
+    for row in rows:
+        theta, count, _, samples = row.split(maxsplit=3)
+        rep = prime_divisor_search(spec, 1000, Fraction(theta))
+        assert int(count) == rep.count
+        assert samples.split(", ") == [f"{p}:{ds[-1]}" for p, ds in
+                                       zip(rep.primes[-3:], rep.divisors[-3:])]
 
 
 @pytest.mark.parametrize("workload", ["spacing", "primes", "boxes"])
