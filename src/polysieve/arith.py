@@ -1,6 +1,6 @@
-"""Elementary arithmetic functions: factorization, Lambda, mu, phi,
-deterministic primality, the numpy prime sieve, and the prime-power stream
-(T, Lambda(T)) that every Lambda-weighted sum reads.
+"""Elementary arithmetic functions: factorization, phi, deterministic
+primality, the numpy prime sieve, and the prime-power stream (T, Lambda(T))
+that every Lambda-weighted sum reads.
 
 Everything here is deterministic: primality uses a Miller-Rabin witness set
 that is exact for all 64-bit inputs, and factorization uses trial division
@@ -160,25 +160,6 @@ def factorize(n: int) -> Factorization:
             stack.append(d)
             stack.append(m // d)
     return Factorization(n, tuple(sorted(factors.items())))
-
-
-def von_mangoldt(n: int) -> float:
-    """log p when n is a prime power p^e, else 0."""
-    if n < 1:
-        raise ValueError(f"von_mangoldt expects n >= 1, got {n}")
-    if n < 2:
-        return 0.0
-    pp = factorize(n).prime_powers
-    if len(pp) == 1:
-        return log(pp[0][0])
-    return 0.0
-
-
-def moebius(n: int) -> int:
-    pp = factorize(n).prime_powers
-    if any(e > 1 for _, e in pp):
-        return 0
-    return -1 if len(pp) % 2 else 1
 
 
 def euler_phi(n: int) -> int:

@@ -1,6 +1,7 @@
-"""Exponent arithmetic for polynomial moduli, prime-tuple weights, maximal
-progression discrepancies, and the two desk-scale average sums built from
-them.
+"""Exponent arithmetic for polynomial moduli, maximal progression
+discrepancies, and the two desk-scale average sums built from them: the
+discrepancy sum over tuples of distinct prime factor values and the mean
+value sum over primitive characters.
 
 All exponent arithmetic is exact rational (fractions.Fraction).  With
 R = r(k+1) and r = C(k+ell, ell) - 1, the admissible level exponent
@@ -16,7 +17,7 @@ from math import floor, fsum, gcd, inf, log, pi, prod
 
 import numpy as np
 
-from .arith import euler_phi, factorize, moebius, von_mangoldt, von_mangoldt_table
+from .arith import euler_phi, factorize, von_mangoldt_table
 from .boxes import box_values, check_box_budget, fold_moduli
 from .characters import unit_group
 from .congruence import R_PARAMETER_BITS, r_parameter
@@ -129,27 +130,6 @@ def check_setting(F: FactoredPoly) -> SettingReport:
         top_coeffs_are_one=top_ok)
 
 
-def prime_value_weight(vals) -> float:
-    """mu^2(prod vals) times the product of Lambda(v) over the factor values
-    vals = (H_1(q), ..., H_m(q)) of a tuple q.
-
-    Nonzero only when every factor value is a prime power and the product is
-    squarefree.  Defined as 0 whenever some factor value is < 1 (Lambda of a
-    nonpositive integer has no meaning here).
-    """
-    if any(v < 1 for v in vals):
-        return 0.0
-    weight = 1.0
-    for v in vals:
-        lam = von_mangoldt(v)
-        if lam == 0.0:
-            return 0.0
-        weight *= lam
-    if moebius(prod(vals)) == 0:
-        return 0.0
-    return weight
-
-
 @dataclass(frozen=True)
 class DiscrepancyPoint:
     value: float
@@ -249,14 +229,18 @@ class DiscrepancySumReport:
 def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = None,
                     A: float = 2.0) -> DiscrepancySumReport:
     """Sum over q ~ Q with |P(q)| > eps_bad * Q^k of
-    weight(q) * phi(P(q)) / Q^ell * discrepancy(P(q), x).
+    weight(q) * phi(P(q)) / Q^ell * discrepancy(P(q), x), where
+    weight(q) = mu^2(P(q)) prod_j Lambda(H_j(q)).
 
-    The weight forces every factor value prime and the product squarefree, so
-    only those tuples cost a discrepancy evaluation.  One box pass counts the
-    factor-value tuples; each distinct tuple is classified once and weighted
-    by its multiplicity, and the discrepancy is computed once per distinct
-    modulus.  The final reductions are fsums, so the result does not depend
-    on the order of the tuples.
+    For factor values >= 1 the weight is nonzero exactly when the H_j(q) are
+    pairwise distinct primes, and is then prod_j log H_j(q); only those
+    tuples cost a discrepancy evaluation.  One box pass counts the
+    factor-value tuples; each distinct tuple is tested once, value by value
+    through the cached factorize, and weighted by its multiplicity, and the
+    discrepancy is computed once per distinct modulus, in row order, so a
+    modulus above FACTOR_LIMIT is refused at the first in the box.  The
+    final reductions are fsums, so the result does not depend on the order
+    of the tuples.
     """
     ell = F.num_vars
     k = F.product.total_degree()
@@ -281,10 +265,12 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
             excluded += mult
         elif any(v < 1 for v in vals):
             negative += mult
-        elif (w := prime_value_weight(vals)) != 0.0:
+        elif all(factorize(v).prime_powers == ((v, 1),) for v in vals) \
+                and len(set(vals)) == len(vals):
             nonzero += mult
-            weighted.append((w, m, mult))
-    disc = {m: max_progression_discrepancy(m, x) for m in {m for _, m, _ in weighted}}
+            weighted.append((prod(map(log, vals)), m, mult))
+    moduli = dict.fromkeys(m for _, m, _ in weighted)
+    disc = {m: max_progression_discrepancy(m, x) for m in moduli}
     parts, weights = [], []
     for w, m, mult in weighted:
         weights += [w] * mult

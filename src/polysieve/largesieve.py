@@ -171,13 +171,6 @@ def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int]) -> int | float:
     return fsum([float(R[0]) * phi_total] + [2.0 * w * float(s) for w, s in sums])
 
 
-def sieve_sum(seq: SieveSequence, P: MvPoly, Q: int, min_modulus=None) -> int | float:
-    """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2.  A
-    min_modulus keeps only tuples with |P(q)| >= min_modulus; moduli
-    |P(q)| <= 1 never enter."""
-    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[1])
-
-
 def empirical_delta(seq: SieveSequence, moduli: dict[int, int]) -> float:
     """moduli_sieve_sum / norm_sq, the measured sieve constant for this
     sequence; an exact integer total gives the correctly rounded quotient."""

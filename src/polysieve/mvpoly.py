@@ -10,7 +10,6 @@ value ever overflows.  Instances are immutable after construction.
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import combinations
 from math import prod
@@ -57,15 +56,6 @@ class MvPoly:
     @classmethod
     def constant(cls, num_vars: int, value: int) -> "MvPoly":
         return cls(num_vars, {(0,) * num_vars: value})
-
-    @classmethod
-    def variable(cls, num_vars: int, index: int) -> "MvPoly":
-        """The monomial x_index (1-based index)."""
-        if not 1 <= index <= num_vars:
-            raise ValueError(f"variable index {index} out of range 1..{num_vars}")
-        exps = [0] * num_vars
-        exps[index - 1] = 1
-        return cls(num_vars, {tuple(exps): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -217,13 +207,6 @@ class MvPoly:
             "terms": [{"exps": list(e), "coef": str(c)} for e, c in self._key],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MvPoly":
-        return cls(d["num_vars"], {tuple(t["exps"]): int(t["coef"]) for t in d["terms"]})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def __repr__(self):
         return f"MvPoly({self.num_vars}, {self.to_text()!r})"
 
@@ -342,10 +325,6 @@ class FactoredPoly:
             first, *rest = (self.factors[i - 1] for i in indices)
             out.append((indices, prod(rest, start=first)))
         return out
-
-    def evaluate(self, x) -> tuple[int, ...]:
-        """The tuple of factor values at an integer point."""
-        return tuple(f.evaluate(x) for f in self.factors)
 
     def grid(self, axes) -> np.ndarray:
         """Factor values over the grid of MvPoly.grid: one row per point."""

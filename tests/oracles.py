@@ -4,13 +4,21 @@ Everything here is deliberately written from scratch against definitions,
 avoiding the library's own code paths, so an agreement test actually checks
 two different routes to the same number.
 
+A few routes here left the library because only tests called them:
+``von_mangoldt``, ``moebius`` and the tuple weight ``prime_value_weight``
+(Lambda times mu^2, on top of the library's ``factorize``), a
+FactoredPoly's factor values at one point, the JSON round trip of an
+MvPoly, and ``sieve_sum``, which composes the library's box and sieve
+steps.
+
 The loop references at the end walk every n <= x and read Lambda pointwise
-through ``von_mangoldt``.  They add the same terms in the same order as the
-library's prime-power stream kernels, or sum them exactly and round once
-where the kernel rounds correctly, so the two must agree exactly.
+through ``von_mangoldt`` above.  They add the same terms in the same order
+as the library's prime-power stream kernels, or sum them exactly and round
+once where the kernel rounds correctly, so the two must agree exactly.
 """
 
 import cmath
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -18,12 +26,72 @@ from math import fsum, gcd, log, prod
 
 import numpy as np
 
-from polysieve.arith import (euler_phi, factorize, is_prime, moebius, primes_up_to,
-                             von_mangoldt)
-from polysieve.bv import (DiscrepancySumReport, default_eps_bad,
-                          max_progression_discrepancy, prime_value_weight)
+from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
+from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
+from polysieve.largesieve import box_moduli, moduli_sieve_sum
+from polysieve.mvpoly import FactoredPoly, MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
                                 norm_form)
+
+
+def von_mangoldt(n: int) -> float:
+    """log p when n is a prime power p^e, else 0."""
+    if n < 1:
+        raise ValueError(f"von_mangoldt expects n >= 1, got {n}")
+    if n < 2:
+        return 0.0
+    pp = factorize(n).prime_powers
+    if len(pp) == 1:
+        return log(pp[0][0])
+    return 0.0
+
+
+def moebius(n: int) -> int:
+    pp = factorize(n).prime_powers
+    if any(e > 1 for _, e in pp):
+        return 0
+    return -1 if len(pp) % 2 else 1
+
+
+def prime_value_weight(vals) -> float:
+    """mu^2(prod vals) times the product of Lambda(v) over the factor values
+    vals = (H_1(q), ..., H_m(q)) of a tuple q.
+
+    Nonzero only when every factor value is a prime power and the product is
+    squarefree.  Defined as 0 whenever some factor value is < 1 (Lambda of a
+    nonpositive integer has no meaning here).
+    """
+    if any(v < 1 for v in vals):
+        return 0.0
+    weight = 1.0
+    for v in vals:
+        lam = von_mangoldt(v)
+        if lam == 0.0:
+            return 0.0
+        weight *= lam
+    if moebius(prod(vals)) == 0:
+        return 0.0
+    return weight
+
+
+def factor_values(F, x) -> tuple[int, ...]:
+    """The tuple of factor values of a FactoredPoly at an integer point."""
+    return tuple(f.evaluate(x) for f in F.factors)
+
+
+def poly_to_json(P) -> str:
+    return json.dumps(P.to_json_dict(), sort_keys=True)
+
+
+def poly_from_json_dict(d: dict) -> MvPoly:
+    return MvPoly(d["num_vars"], {tuple(t["exps"]): int(t["coef"]) for t in d["terms"]})
+
+
+def sieve_sum(seq, P, Q: int, min_modulus=None) -> int | float:
+    """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2, by the
+    library's box_moduli and moduli_sieve_sum.  A min_modulus keeps only
+    tuples with |P(q)| >= min_modulus; moduli |P(q)| <= 1 never enter."""
+    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[1])
 
 
 def trial_division_factorize(n: int) -> list[tuple[int, int]]:
@@ -310,7 +378,7 @@ def loop_value_counts(P, Q: int) -> Counter:
     in box order (a FactoredPoly's values are factor-value tuples)."""
     counts: Counter = Counter()
     for q in product(range(Q, 2 * Q), repeat=P.num_vars):
-        counts[P.evaluate(q)] += 1
+        counts[factor_values(P, q) if isinstance(P, FactoredPoly) else P.evaluate(q)] += 1
     return counts
 
 
@@ -525,8 +593,10 @@ def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
     """discrepancy_sum by walking every tuple of the box and computing one
     discrepancy per tuple of nonzero weight.
 
-    It shares the library's tuple weight and discrepancy kernel; what it
-    checks is the grouping by distinct tuple and distinct modulus."""
+    Each tuple is weighed by the definition, prime_value_weight above, and
+    only the discrepancy kernel is the library's; what it checks is the
+    library's distinct-primes weight and its grouping by distinct tuple and
+    distinct modulus."""
     ell = F.num_vars
     k = F.product.total_degree()
     if eps_bad is None:

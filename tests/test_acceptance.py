@@ -17,14 +17,14 @@ import sympy
 
 from oracles import (count_by_enumeration, count_by_residue_classes,
                      exp_sums_all_residues, farey_points, field_multiply,
-                     quadratic_close_count_int64, sum_sq_over_points)
+                     quadratic_close_count_int64, sieve_sum, sum_sq_over_points)
 from polysieve.arith import euler_phi
 from polysieve.boxes import box_values
 from polysieve.bv import discrepancy_sum, exponent_profile, max_progression_discrepancy_detail
 from polysieve.characters import enumerate_characters
 from polysieve.congruence import CongruenceInstance, count_solutions
 from polysieve.farey import build_farey, max_close_points, min_spacing
-from polysieve.largesieve import SieveSequence, sieve_sum
+from polysieve.largesieve import SieveSequence
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 from polysieve.normform import NumberFieldSpec, norm_form, prime_divisor_search
 

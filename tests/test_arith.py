@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polysieve.arith as arith
-from oracles import trial_division_factorize, trial_division_is_prime
+from oracles import moebius, trial_division_factorize, trial_division_is_prime, von_mangoldt
 from polysieve.arith import (LAMBDA_LIMIT, Factorization, euler_phi,
-                             factorize, is_prime, moebius, primes_up_to,
-                             von_mangoldt, von_mangoldt_table)
+                             factorize, is_prime, primes_up_to, von_mangoldt_table)
 from polysieve.errors import BudgetError
 
 

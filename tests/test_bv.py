@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 import polysieve.arith as arith
 import polysieve.boxes as boxes
 import polysieve.bv as bv
-from oracles import (loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
-                     loop_sup_abs_psi_chi)
-from polysieve.arith import euler_phi, von_mangoldt, von_mangoldt_table
+from oracles import (factor_values, loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
+                     loop_sup_abs_psi_chi, prime_value_weight, von_mangoldt)
+from polysieve.arith import euler_phi, von_mangoldt_table
 from polysieve.boxes import box_values, fold_moduli
 from polysieve.bv import (DiscrepancyPoint, ExponentProfile, check_setting, default_eps_bad,
                           discrepancy_sum, exponent_profile,
                           max_progression_discrepancy,
-                          max_progression_discrepancy_detail, mean_value_sum,
-                          prime_value_weight)
+                          max_progression_discrepancy_detail, mean_value_sum)
 from polysieve.characters import CHAR_MODULUS_CAP, enumerate_characters, unit_group
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, parse_poly
@@ -93,9 +92,9 @@ def test_check_setting_divisor_monotonicity():
 
 def test_prime_value_weight_examples():
     F = FactoredPoly([parse_poly("x1^2+x2^2"), parse_poly("x3^2+x4^2")])
-    w = prime_value_weight(F.evaluate((1, 1, 1, 2)))
+    w = prime_value_weight(factor_values(F, (1, 1, 1, 2)))
     assert w == pytest.approx(math.log(2) * math.log(5), rel=1e-12)
-    assert prime_value_weight(F.evaluate((1, 1, 1, 1))) == 0.0  # P = 4 not squarefree
+    assert prime_value_weight(factor_values(F, (1, 1, 1, 1))) == 0.0  # P = 4 not squarefree
     assert prime_value_weight((10,)) == 0.0  # 10 is no prime power
     assert prime_value_weight((9,)) == 0.0   # mu^2(9) = 0
     assert prime_value_weight((3,)) == pytest.approx(math.log(3))
@@ -258,6 +257,9 @@ LOOP_SUM_CASES = (
     (("x1^2-3*x2^2",), (1, 2, 3), 1e-9),   # negative factor values
     (("x1^2",), (1, 2, 3), None),           # no tuple has nonzero weight
     (("x1-x2",), (1, 2, 3), None),          # repeated zero, negative and prime values
+    (("x1", "x2"), (1, 2, 3), None),        # equal primes on the diagonal
+    (("x1^2", "x2"), (1, 2, 3), None),      # prime powers that are not primes
+    (("x1^3", "x2"), (1, 2, 3), None),
 )
 
 
@@ -283,7 +285,7 @@ def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch)
     rep = discrepancy_sum(F, 4, 5000.0)
     moduli = set()
     for q in itertools.product(range(4, 8), repeat=4):
-        vals = F.evaluate(q)
+        vals = factor_values(F, q)
         if abs(math.prod(vals)) > Fraction(rep.eps_bad) * 4 ** 4 and prime_value_weight(vals):
             moduli.add(math.prod(vals))
     assert rep.nonzero_weight_tuples > len(moduli) > 1

@@ -4,9 +4,9 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (loop_psi_chi, primitive_character_count, scan_conductor, walk_dlog,
-                     walk_dlog_2e)
-from polysieve.arith import euler_phi, factorize, von_mangoldt
+from oracles import (loop_psi_chi, primitive_character_count, scan_conductor, von_mangoldt,
+                     walk_dlog, walk_dlog_2e)
+from polysieve.arith import euler_phi, factorize
 from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
                                   unit_group)
 from polysieve.errors import BudgetError

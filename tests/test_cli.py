@@ -252,6 +252,24 @@ def test_bv_sum_checks_q_before_the_default_eps_bad(capsys, Q):
     assert json.loads(err) == {"error": "Q and ell must be positive", "kind": "validation"}
 
 
+def test_bv_sum_over_the_factorization_cap(capsys):
+    # 11 is prime, so x2's value 8^22 = 2^66 is factored and refused; a
+    # product of two primes near 2^40 is refused at the first in box order
+    for P1, P2, Q, n in (("x1", "x2^22", "8", 73786976294838206464),
+                         ("x1+1099511627776", "x2+1099511628000", "64",
+                          1208925820054433825845967)):
+        code, out, err = run_cli(capsys, "bv-sum", "--P", P1, "--P", P2, "--Q", Q, "--x", "100")
+        assert code == 3
+        assert out == ""
+        assert err == (f'{{"error": "factorization argument: requires {n}, '
+                       'budget is 9223372036854775808", "kind": "resource", '
+                       '"partial_progress": false}\n')
+    # no cube is prime, so no value of x2^22 is factored
+    rep = run_json(capsys, "bv-sum", "--P", "x1^3", "--P", "x2^22", "--Q", "8", "--x", "100")
+    assert rep["result"]["nonzero_weight_tuples"] == 0
+    assert rep["result"]["value"] == 0.0
+
+
 def test_determinism_up_to_duration(capsys):
     for args in (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
                   "--sequence", "pm1", "--seed", "42"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_residues,
-                     farey_points, pointwise_sieve_sum, sum_sq_over_points)
+                     farey_points, pointwise_sieve_sum, sieve_sum, sum_sq_over_points)
 
 import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi
@@ -19,7 +19,7 @@ from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, SieveSequence,
                                   box_moduli, delta_bounds, empirical_delta,
                                   moduli_sieve_sum, ones_sequence,
                                   random_sign_sequence, random_unit_sequence,
-                                  ramanujan_weights, sieve_sum, spike_sequence)
+                                  ramanujan_weights, spike_sequence)
 from polysieve.mvpoly import parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
