@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, fsum, gcd, inf, log, pi, prod
+from math import floor, fsum, gcd, inf, log, prod
 
 import numpy as np
 
 from .arith import euler_phi, factorize, von_mangoldt_table
 from .boxes import box_values, check_box_budget, fold_moduli
-from .characters import unit_group
+from .characters import root_table, unit_group
 from .congruence import R_PARAMETER_BITS, r_parameter
 from .errors import BudgetError
 from .mvpoly import FactoredPoly, MvPoly
@@ -292,27 +292,34 @@ class MeanValueReport:
 
 
 def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
-    """sup over y <= x of |psi(y, chi)| for each primitive character mod d,
-    from the prime-power stream (T, L) up to x.  Terms with gcd(T, d) > 1
-    only repeat a prefix sum, so they are dropped.  Per block of characters
-    C, t = (C @ W) mod e with W_i = (e / s_i) dlog_i(T) is exact in int64
-    under CHAR_MODULUS_CAP: each of at most 7 components adds < e s_i <= 10^10.
-    roots[t] are the floats of chi.values()[T % d] (same operations on the
-    same integers), and np.hypot rounds like the scalar abs of a complex."""
+    """sup over y <= x of |psi(y, chi)| from the prime-power stream (T, L)
+    up to x, for one primitive character mod d per conjugate pair (the row
+    whose mixed-radix key is <= its conjugate's), doubled unless chi is real:
+    |psi(y, chi-bar)| = |psi(y, chi)| as Lambda is real, and 2s is exact, so
+    the fsum is the one over every primitive character.  Terms with
+    gcd(T, d) > 1 only repeat a prefix sum, so they are dropped.  Per block
+    of characters C, t = (C @ W) mod e with W_i = (e / s_i) dlog_i(T) is exact
+    in int64 under CHAR_MODULUS_CAP: each of at most 7 components adds
+    < e s_i <= 10^10.  roots[t] are the floats of chi.values()[T % d], and
+    np.hypot rounds like the scalar abs of a complex."""
     group = unit_group(d)
     chars = group.primitive_exponents()
     if not len(chars):   # d = 2 (mod 4) has no primitive character
         return []
+    orders = [comp.order for comp in group.components]
+    key, ckey = (np.ravel_multi_index(c.T, orders) for c in (chars, -chars % orders))
+    keep = key <= ckey
+    chars, mult = chars[keep], np.where(key == ckey, 1.0, 2.0)[keep]
     T, L = _coprime_terms(d, T, L)
     e = group.exponent
     W = np.array([e // comp.order * comp.dlog[T % comp.modulus] for comp in group.components])
-    roots = np.exp(2j * pi * np.arange(e) / e)
+    roots = root_table(e)
     step = max(1, _SUP_BLOCK // max(len(L), 1))
     sups = []
     for i in range(0, len(chars), step):
         c = np.cumsum(roots[chars[i:i + step] @ W % e] * L, axis=1)
-        sups += np.max(np.hypot(c.real, c.imag), axis=1, initial=0.0).tolist()
-    return sups
+        sups.append(np.max(np.hypot(c.real, c.imag), axis=1, initial=0.0))
+    return (np.concatenate(sups) * mult).tolist()
 
 
 def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:

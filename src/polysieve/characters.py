@@ -7,9 +7,10 @@ discrete-log table over its prime power q, built from the powers of its
 generator.  A character stores one exponent per component; its value at n is
 a root of unity whose exponent (numerator over the group exponent) is
 computed in exact integer arithmetic, so character equality and triviality
-tests never touch floating point.  Complex value tables are materialized on
-demand.  UnitGroup.primitive_exponents() gives the primitive characters as
-one exponent matrix, with no object per character.
+tests never touch floating point.  Every complex value (chi(n), values(),
+the bv kernel) is read from the conjugate-symmetric root_table(e).
+UnitGroup.primitive_exponents() gives the primitive characters as one
+exponent matrix, with no object per character.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def _primitive_exponent(comp: CyclicComponent, c):
     if comp.modulus % 8 == 0 and comp.generator == comp.modulus - 1:
         return np.ones_like(c, dtype=bool)
     return np.gcd(c, comp.modulus) == 1
+
+
+def root_table(e: int) -> np.ndarray:
+    """exp(2 pi i k / e) for k < e, computed for k <= e/2 only: the entry at
+    e/2 is exactly -1 and roots[e - k] == conj(roots[k]) bit for bit."""
+    r = np.exp(2j * pi * np.arange(e // 2 + 1) / e)
+    if e % 2 == 0:
+        r[e // 2] = -1.0
+    return np.concatenate((r, np.conj(r[(e - 1) // 2:0:-1])))
 
 
 def _powers(g: int, s: int, q: int) -> np.ndarray:
@@ -121,7 +131,7 @@ class DirichletCharacter:
 
     chi(g_i) = zeta^(c_i * e / s_i) where zeta = e(1/e_group); values on
     non-units are 0.  Exact root-of-unity exponents are the primary
-    representation; value() materializes complex numbers.
+    representation; __call__ and values() read complex numbers from root_table.
     """
 
     __slots__ = ("group", "exponents")
@@ -159,9 +169,7 @@ class DirichletCharacter:
         t = self.value_exponent(n)
         if t is None:
             return 0j
-        e = self.group.exponent
-        ang = 2 * pi * t / e
-        return complex(np.cos(ang), np.sin(ang))
+        return complex(root_table(self.group.exponent)[t])
 
     def values(self) -> np.ndarray:
         """chi(n) for n = 0..m-1 as a complex array."""
@@ -170,7 +178,7 @@ class DirichletCharacter:
         t = np.zeros(self.modulus, dtype=np.int64)
         for c, comp in zip(self.exponents, self.group.components):
             t += c * (e // comp.order) * comp.dlog[n % comp.modulus]
-        vals = np.exp(2j * pi * (t % e) / e)
+        vals = root_table(e)[t % e]
         vals[np.gcd(n, self.modulus) != 1] = 0   # m = 2 * odd has no component for 2
         return vals
 

@@ -8,7 +8,7 @@ R//m + [d < R mod m] partners y in [L+1, L+R], so the count is
 (R//m) H^ell plus the sum of prod w_j over the points with d < R mod m.
 That product depends only on how many coordinates have j < H mod m: one
 bincount and a sum in Python ints give the count exactly.  The residues
-reduce in int64 for m < 2^31 and on exact object ints otherwise.
+reduce in int64 for m < 2^31, else on exact object ints, a slab at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .errors import BudgetError
 from .mvpoly import MvPoly
 
 DEFAULT_COUNT_BUDGET = 5_000_000
+# Residue tuples per slab of the grid: keeps the memory of object ints flat.
+_SLAB_POINTS = 2 ** 16
 # Largest size in bits of r = C(k+ell, ell) - 1 that r_parameter computes, and
 # of the exponent fractions built from it; past it, BudgetError.  Python prints
 # an int of at most 4300 digits (sys.get_int_max_str_digits), 14284 bits.
@@ -57,22 +59,28 @@ class CongruenceInstance:
 
 
 def count_solutions(inst: CongruenceInstance) -> int:
-    """Exact number of (x, y) in the box with a*P(x) == y (mod m), from one
-    MvPoly.grid pass over min(m, H)^ell residue tuples."""
+    """Exact number of (x, y) in the box with a*P(x) == y (mod m), from
+    MvPoly.grid passes over slabs of the leading axis of the residue grid."""
     m, H, ell = inst.m, inst.H, inst.P.num_vars
     side = min(m, H)
     work = side ** ell
     if work > DEFAULT_COUNT_BUDGET:
         raise BudgetError("congruence residue grid", work, DEFAULT_COUNT_BUDGET)
     base, rem = divmod(H, m)
-    vals = inst.P.grid([[(k + 1 + j) % m for j in range(side)] for k in inst.K])
-    if m >= 2 ** 31:
-        # int64 % m overflows once m >= 2^63, and the product below needs m^2 < 2^63
-        vals = vals.astype(object)
-    d = (inst.a % m * (vals % m) - (inst.L + 1) % m) % m
-    j_small = (np.arange(side) < rem).astype(np.intp)
-    small = sum(j_small.reshape([-1] + [1] * (ell - 1 - i)) for i in range(ell))
-    per_small = np.bincount(small.reshape(-1)[d < inst.R % m], minlength=ell + 1)
+    j_small = np.zeros(side, dtype=bool)   # j < H mod m, for j < side
+    j_small[:rem] = True
+    step = max(1, _SLAB_POINTS // side ** (ell - 1))
+    per_small = np.zeros(ell + 1, dtype=np.int64)
+    for lo in range(0, side, step):
+        cut = [slice(lo, lo + step)] + [slice(None)] * (ell - 1)
+        vals = inst.P.grid([[(k + 1 + j) % m for j in range(side)[c]]
+                            for k, c in zip(inst.K, cut)])
+        if m >= 2 ** 31:
+            # int64 % m overflows once m >= 2^63, and the product below needs m^2 < 2^63
+            vals = vals.astype(object)
+        d = (inst.a % m * (vals % m) - (inst.L + 1) % m) % m
+        small = sum(j_small[c].reshape([-1] + [1] * (ell - 1 - i)) for i, c in enumerate(cut))
+        per_small += np.bincount(small.reshape(-1)[d < inst.R % m], minlength=ell + 1)
     return inst.R // m * H ** ell + sum(
         n * (base + 1) ** c * base ** (ell - c) for c, n in enumerate(per_small.tolist()))
 

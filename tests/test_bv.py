@@ -23,7 +23,8 @@ from polysieve.bv import (DiscrepancyPoint, ExponentProfile, check_setting, defa
                           discrepancy_sum, exponent_profile,
                           max_progression_discrepancy,
                           max_progression_discrepancy_detail, mean_value_sum)
-from polysieve.characters import CHAR_MODULUS_CAP, enumerate_characters, unit_group
+from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
+                                  unit_group)
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, parse_poly
 
@@ -343,7 +344,7 @@ def test_mean_value_matches_character_table_recomputation():
 
 @pytest.mark.parametrize("x", STREAM_X)
 def test_mean_value_matches_loop_reference_exactly(x):
-    for d in (*CHAR_MODULI, 64, 128, 120, 194, 243):
+    for d in (*CHAR_MODULI, 64, 128, 120, 194, 243, 343):
         P = parse_poly(f"x1+{d - 1}")   # Q = 1 boxes the single point q = 1
         sups = [loop_sup_abs_psi_chi(chi, x) for chi in enumerate_characters(d)
                 if chi.is_primitive]
@@ -351,11 +352,54 @@ def test_mean_value_matches_loop_reference_exactly(x):
         assert mean_value_sum(P, 1, x).value == expected
 
 
+def _multiplicities(d):
+    # one stream term n = 1 with weight 1: each sup is 1, times its multiplicity
+    return bv._primitive_sups(d, np.array([1]), np.array([1.0]))
+
+
 def test_mean_value_reference_moduli_span_several_blocks():
-    # mod 243 at x = 4000, checked above, runs several character blocks
+    # mod 343 at x = 4000, checked above, runs its 126 conjugate representatives
+    # in several character blocks
     T, _ = von_mangoldt_table(4000)
-    terms = int(np.sum(T % 3 != 0))
-    assert len(unit_group(243).primitive_exponents()) * terms > 3 * bv._SUP_BLOCK
+    terms = int(np.sum(T % 7 != 0))
+    reps = len(_multiplicities(343))
+    assert reps == 126 and reps * terms > 3 * bv._SUP_BLOCK
+
+
+def _conjugate(chi):
+    return DirichletCharacter(chi.group, tuple(
+        -c % comp.order for c, comp in zip(chi.exponents, chi.group.components)))
+
+
+def test_conjugate_characters_have_bit_equal_loop_sups():
+    for d in (*CHAR_MODULI, 64, 128, 243):
+        for chi in enumerate_characters(d):
+            if chi.is_primitive and chi.exponents < _conjugate(chi).exponents:
+                assert loop_sup_abs_psi_chi(chi, 4000) == \
+                    loop_sup_abs_psi_chi(_conjugate(chi), 4000)
+
+
+def test_conjugate_pairs_count_twice_and_real_characters_once():
+    for d in (*CHAR_MODULI, 64, 128, 243, 343):
+        mult = _multiplicities(d)
+        real = [chi for chi in enumerate_characters(d)
+                if chi.is_primitive and _conjugate(chi) == chi]
+        assert set(mult) <= {1.0, 2.0}
+        assert sum(mult) == len(unit_group(d).primitive_exponents())
+        assert mult.count(1.0) == len(real)
+    assert _multiplicities(8).count(1.0) == 2
+    assert all(_multiplicities(p).count(1.0) == 1 for p in (3, 5, 7, 11, 13, 97))
+
+
+def test_chi_of_n_reads_the_value_table():
+    for m in CHAR_MODULI:
+        for chi in enumerate_characters(m):
+            vals = chi.values()
+            for n in range(-m, 2 * m):
+                z = chi(n)
+                assert type(z) is complex
+                assert np.array([z]).view(np.uint64).tolist() == \
+                    vals[[n % m]].view(np.uint64).tolist()   # bitwise, signed zeros too
 
 
 def test_mean_value_refuses_moduli_above_the_character_cap():

@@ -8,7 +8,7 @@ from oracles import (loop_psi_chi, primitive_character_count, scan_conductor, vo
                      walk_dlog, walk_dlog_2e)
 from polysieve.arith import euler_phi, factorize
 from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
-                                  unit_group)
+                                  root_table, unit_group)
 from polysieve.errors import BudgetError
 
 
@@ -57,6 +57,21 @@ def test_counts_and_invariants():
             units = np.gcd(n, m) == 1
             assert np.all(vals[~units] == 0)
             assert np.allclose(np.abs(vals[units]), 1.0, atol=1e-12)
+
+
+def test_root_table_is_conjugate_symmetric():
+    one = np.array([1 + 0j]).view(np.uint64).tolist()
+    for e in (*range(1, 3000), 30030, 65536, 99990):
+        roots = root_table(e)
+        k = np.arange(e)
+        bits = roots.view(np.uint64).reshape(e, 2)
+        conj_bits = np.conj(roots).view(np.uint64).reshape(e, 2)
+        pair = (k != 0) & (2 * k != e)   # roots[0] and roots[e/2] are their own conjugates
+        assert np.array_equal(bits[(e - k) % e][pair], conj_bits[pair]), e
+        assert bits[0].tolist() == one
+        if e % 2 == 0:
+            assert roots[e // 2].real == -1.0 and bits[e // 2, 1] == 0, e   # imaginary +0.0
+        assert np.allclose(roots, np.exp(2j * np.pi * k / e), rtol=0, atol=1e-14), e
 
 
 def test_orthogonality():

@@ -612,7 +612,7 @@ def test_meanvalue_moduli_keys_sort_as_strings(capsys):
      '"command": "meanvalue-sum", "format": "csv", "seed": 0, "workers": {workers}, '
      '"x": 10.0}}\n'
      'key,value\nQ,2\nmoduli,{{"13": 2, "18": 1, "8": 1}}\nskipped_unit_moduli,0\n'
-     'value,74.91710741927595\nx,10.0\n'),
+     'value,74.91710741927594\nx,10.0\n'),
     (("corollary-search", "--f", "t^2+1", "--X", "30", "--theta", "1/3", "--format", "csv"),
      '# polysieve 0.1.0 corollary-search config={{"X": 30, "command": "corollary-search", '
      '"f": "t^2+1", "format": "csv", "seed": 0, "theta": "1/3", "truncation": 0, '

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb, gcd, log2
 
 import pytest
@@ -145,6 +146,29 @@ def test_count_solutions_matches_oracles():
                     if gcd(a, m) == 1:
                         inst = CongruenceInstance(P=P, a=a, m=m, K=K, H=5, L=L, R=R)
                         assert count_solutions(inst) == count_by_enumeration(inst), inst
+
+
+@pytest.mark.parametrize("slab", (1, 5, 13))
+def test_count_solutions_is_the_same_in_any_slab_size(monkeypatch, slab):
+    monkeypatch.setattr(congruence, "_SLAB_POINTS", slab)
+    rng = random.Random(slab)
+    for i in range(150):
+        m = rng.choice(BIG_MODULI) if i % 3 == 0 else rng.randrange(1, 60)
+        inst = _random_instance(rng, m, rng.randrange(1, 7), big_shifts=i % 2 == 0)
+        assert count_solutions(inst) == count_by_enumeration(inst), inst
+
+
+def test_object_grid_memory_stays_flat():
+    # 250000 residue tuples on exact ints: the whole grid and its temporaries
+    # took 29 MiB; a slab of the leading axis at a time takes under 11 MiB
+    inst = make_instance(m=2 ** 61 - 1, H=500, R=77)
+    tracemalloc.start()
+    try:
+        count_solutions(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_count_solutions_box_much_wider_than_modulus():
