@@ -174,7 +174,7 @@ def euler_phi(n: int) -> int:
 _lambda_stream: tuple[int, np.ndarray, np.ndarray] | None = None
 
 # Largest limit von_mangoldt_table builds: its dense table takes 8 bytes per n.
-# bv.max_progression_discrepancy_detail sums exactly while it is < 2^24 and its log < 32.
+# bv.max_progression_discrepancy sums exactly while it is < 2^24 and its log < 32.
 LAMBDA_LIMIT = 10 ** 7
 
 

@@ -72,7 +72,6 @@ class BadModuliReport:
     count: int
     box_size: int
     eps: float
-    threshold: Fraction
     comparator: float
     ratio: float | None
 
@@ -93,4 +92,4 @@ def count_bad_moduli(P: MvPoly, Q: int, eps) -> BadModuliReport:
     comparator = float(eps) ** (1.0 / k) * Q ** ell if eps > 0 else 0.0
     ratio = count / comparator if comparator > 0 else None
     return BadModuliReport(count=count, box_size=Q ** ell, eps=float(eps),
-                           threshold=threshold, comparator=comparator, ratio=ratio)
+                           comparator=comparator, ratio=ratio)

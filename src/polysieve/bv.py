@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, fsum, gcd, inf, log, prod
+from math import floor, fsum, inf, log, prod
 
 import numpy as np
 
@@ -130,14 +130,6 @@ def check_setting(F: FactoredPoly) -> SettingReport:
         top_coeffs_are_one=top_ok)
 
 
-@dataclass(frozen=True)
-class DiscrepancyPoint:
-    value: float
-    residue: int
-    y: float
-    left_limit: bool   # True when the sup is approached from below a jump
-
-
 def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The terms of the prime-power stream (T, L) coprime to m.  The stream
     holds every prime power up to its last term, and a term shares a prime
@@ -154,14 +146,14 @@ def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np
     return T[keep], L[keep]
 
 
-def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
+def max_progression_discrepancy(m: int, x: float) -> float:
     """sup over y <= x and coprime residues a of |psi(y; m, a) - y/phi(m)|.
 
     Between jump points the difference is linear in y, so the sup is at y = x
-    or at a one-sided limit of a jump; the returned point says which.  Each
-    prefix psi(t; m, a) of the stably class-sorted stream is an exact int64
-    cumsum of L * 2^53 in two 29-bit halves (below 2^53 under LAMBDA_LIMIT),
-    rounded once, whatever m.  Ties go to the smallest t, left limit first.
+    or at a one-sided limit of a jump.  Each prefix psi(t; m, a) of the
+    stably class-sorted stream is an exact int64 cumsum of L * 2^53 in two
+    29-bit halves (below 2^53 under LAMBDA_LIMIT), rounded once, whatever m.
+    A coprime class with no term deviates by x/phi at y = x.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -169,12 +161,12 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
         raise ValueError(f"need x >= 1, got {x}")
     phi = euler_phi(m)
     T, L = _coprime_terms(m, *von_mangoldt_table(int(x)))
-    if not len(T):   # every coprime class is empty; the first is 1
-        return DiscrepancyPoint(x / phi, 1, float(x), False)
+    if not len(T):   # every coprime class is empty
+        return x / phi
     R = T % m
     order = np.argsort(R.astype(np.min_scalar_type(m - 1)), kind="stable")   # radix if small
     T, L, R = T[order], L[order], R[order]
-    start = np.flatnonzero(np.concatenate(([True], R[1:] != R[:-1])))   # residues ascending
+    start = np.flatnonzero(np.concatenate(([True], R[1:] != R[:-1])))
     stop = np.append(start[1:], len(T))
     K = np.ldexp(L, 53).astype(np.int64)   # exact: 2^52 <= K < 2^58
     hi, lo = [(s := np.cumsum(k)) - np.repeat(s[start] - k[start], stop - start)
@@ -182,25 +174,9 @@ def max_progression_discrepancy_detail(m: int, x: float) -> DiscrepancyPoint:
     after = np.ldexp(np.ldexp(hi.astype(float), 29) + lo, -53)
     before = np.concatenate(([0.0], after[:-1]))
     before[start] = 0.0
-    left = np.abs(before - T / phi)
-    dev = np.maximum(left, np.abs(after - T / phi))
-    ties = np.flatnonzero(dev == dev.max())
-    i = ties[np.argmin(T[ties])]
-    best = DiscrepancyPoint(float(dev[i]), int(R[i]), float(T[i]), bool(left[i] == dev[i]))
-    # y = x: class totals, and x/phi for the first empty class (0 at m if none)
-    residues = R[start]
-    coprime = (a for a in range(1, m) if gcd(a, m) == 1)
-    empty = m if len(start) == phi else next(
-        a for a, r in zip(coprime, np.append(residues, m)) if a != r)
-    ends = np.append(np.abs(after[stop - 1] - x / phi), x / phi if empty < m else 0.0)
-    if (value := ends.max()) > best.value:
-        residues = np.append(residues, empty)
-        best = DiscrepancyPoint(float(value), int(residues[ends == value].min()), float(x), False)
-    return best
-
-
-def max_progression_discrepancy(m: int, x: float) -> float:
-    return max_progression_discrepancy_detail(m, x).value
+    return float(max(np.abs(before - T / phi).max(), np.abs(after - T / phi).max(),
+                     np.abs(after[stop - 1] - x / phi).max(),
+                     x / phi if len(start) < phi else 0.0))
 
 
 def default_eps_bad(Q: int, k: int, A: float, m: int) -> float:
@@ -212,7 +188,7 @@ def default_eps_bad(Q: int, k: int, A: float, m: int) -> float:
 class DiscrepancySumReport:
     """The weighted average of maximal progression discrepancies over the box,
     with small moduli excluded, next to the x/(log x)^A comparator (None
-    when x <= 1, where log x is not positive)."""
+    at x = 1, where log x is 0)."""
     value: float
     comparator: float | None
     Q: int
@@ -256,6 +232,8 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"x/(log x)^A is out of float range at x={x}, A={A}") from None
     threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
+    if x < 1:   # the kernel's check, whether or not a tuple reaches the kernel
+        raise ValueError(f"need x >= 1, got {x}")
     weighted = []   # (weight, modulus, multiplicity)
     excluded = negative = nonzero = 0
     rows, counts = box_values(F, Q)

@@ -35,7 +35,6 @@ class FareySystem:
     a: np.ndarray
     d: np.ndarray
     mult: np.ndarray
-    Q: int
     distinct_count: int
     total_count: int
     skipped_unit_moduli: int
@@ -65,7 +64,7 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
     else:  # floor(a 2^k / d) is exact and separates points 1/max(d)^2 apart
         k = 2 * int(d.max()).bit_length()
         order = np.argsort((a.astype(object) << k) // d.astype(object), kind="stable")
-    return FareySystem(a=a[order], d=d[order], mult=mult[order], Q=Q,
+    return FareySystem(a=a[order], d=d[order], mult=mult[order],
                        distinct_count=len(a), total_count=total,
                        skipped_unit_moduli=skipped_unit, skipped_filtered=skipped_filtered)
 

@@ -50,9 +50,6 @@ class SieveSequence:
         self.coeffs = coeffs
         self.norm_sq = float(np.sum(np.abs(coeffs) ** 2))
 
-    def indices(self) -> np.ndarray:
-        return np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
-
     def __repr__(self):
         return f"SieveSequence(M={self.M}, N={self.N})"
 

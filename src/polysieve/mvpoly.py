@@ -170,9 +170,6 @@ class MvPoly:
     def __hash__(self):
         return hash((self.num_vars, self._key))
 
-    def __reduce__(self):
-        return (MvPoly, (self.num_vars, self.terms))
-
     # -- serialization -----------------------------------------------------
 
     def to_text(self, var_prefix: str = "x") -> str:
@@ -305,12 +302,6 @@ class FactoredPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredPoly is immutable")
-
-    def __reduce__(self):
-        return (FactoredPoly, (list(self.factors),))
-
-    def __len__(self):
-        return len(self.factors)
 
     def divisor_subsets(self) -> list[tuple[tuple[int, ...], MvPoly]]:
         """(1-based factor indices, product) over the 2^m - 1 nonempty subsets

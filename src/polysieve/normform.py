@@ -197,9 +197,6 @@ def norm_form(spec: NumberFieldSpec) -> MvPoly:
 @dataclass(frozen=True)
 class PrimeValueReport:
     """Prime values of the norm form on the dyadic box, grouped by value."""
-    Q: int
-    num_vars: int
-    degree: int
     values: dict[int, list[list[int]]]
     count: int
     distinct: int
@@ -227,9 +224,8 @@ def prime_value_sieve(spec: NumberFieldSpec, Q: int) -> PrimeValueReport:
     max_mult = max((len(qs) for qs in values.values()), default=0)
     ratio = count / (Q ** ell / log(Q)) if Q >= 2 else None
     return PrimeValueReport(
-        Q=Q, num_vars=ell, degree=spec.degree, values=values, count=count,
-        distinct=len(values), max_multiplicity=max_mult, density_ratio=ratio,
-        maynard_condition_ok=Fraction(ell) >= Fraction(3 * spec.degree, 4))
+        values=values, count=count, distinct=len(values), max_multiplicity=max_mult,
+        density_ratio=ratio, maynard_condition_ok=Fraction(ell) >= Fraction(3 * spec.degree, 4))
 
 
 @dataclass(frozen=True)

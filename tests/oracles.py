@@ -157,12 +157,17 @@ def pointwise_sieve_sum(coeffs, M: int, moduli) -> float:
     return fsum(parts)
 
 
+def window(seq) -> np.ndarray:
+    """The indices n of the window (M, M+N] of a SieveSequence."""
+    return np.arange(seq.M + 1, seq.M + seq.N + 1, dtype=np.int64)
+
+
 def exp_sums_all_residues(seq, m: int) -> np.ndarray:
     """S(a/m) for a = 0..m-1: fold n into residues mod m, then one DFT."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, seq.indices() % m, seq.coeffs)
+    np.add.at(folded, window(seq) % m, seq.coeffs)
     # entry a of m*ifft is sum_t folded[t] e(+a t / m)
     return m * np.fft.ifft(folded)
 
@@ -212,7 +217,7 @@ def exp_sum(seq, theta) -> complex:
 
 def sum_sq_over_points(seq, points) -> float:
     """Sum of |S(x)|^2 over exact rationals x, one numpy pass per point."""
-    n = seq.indices()
+    n = window(seq)
     total = 0.0
     for theta in points:
         theta = Fraction(theta)
@@ -394,8 +399,7 @@ def loop_prime_value_sieve(spec, Q: int) -> PrimeValueReport:
             values.setdefault(v, []).append(list(q))
     count = sum(len(qs) for qs in values.values())
     return PrimeValueReport(
-        Q=Q, num_vars=ell, degree=spec.degree, values=values, count=count,
-        distinct=len(values),
+        values=values, count=count, distinct=len(values),
         max_multiplicity=max((len(qs) for qs in values.values()), default=0),
         density_ratio=count / (Q ** ell / log(Q)) if Q >= 2 else None,
         maynard_condition_ok=Fraction(ell) >= Fraction(3 * spec.degree, 4))
@@ -564,7 +568,12 @@ def loop_sup_abs_psi_chi(chi, x: float) -> float:
 def loop_discrepancy(m: int, x: float) -> tuple[float, int, float, bool]:
     """(value, residue, y, left_limit) of the sup over y <= x and coprime a of
     |psi(y; m, a) - y/phi(m)|, scanning both one-sided limits at each jump
-    with one exact Fraction sum per class, rounded by float() at each step."""
+    with one exact Fraction sum per class, rounded by float() at each step.
+
+    The library kernel returns the value only, so this is the one place the
+    witness is computed: the first maximum in the scan, which takes the
+    smallest t, the left limit before the right, and at y = x the smallest
+    residue."""
     phi = sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
     acc = {a: Fraction(0) for a in range(m) if gcd(a, m) == 1}
     best = (0.0, 1, 0.0, False)

@@ -16,11 +16,11 @@ import pytest
 import sympy
 
 from oracles import (count_by_enumeration, count_by_residue_classes,
-                     exp_sums_all_residues, farey_points, field_multiply,
+                     exp_sums_all_residues, farey_points, field_multiply, loop_discrepancy,
                      quadratic_close_count_int64, sieve_sum, sum_sq_over_points)
 from polysieve.arith import euler_phi
 from polysieve.boxes import box_values
-from polysieve.bv import discrepancy_sum, exponent_profile, max_progression_discrepancy_detail
+from polysieve.bv import discrepancy_sum, exponent_profile, max_progression_discrepancy
 from polysieve.characters import enumerate_characters
 from polysieve.congruence import CongruenceInstance, count_solutions
 from polysieve.farey import build_farey, max_close_points, min_spacing
@@ -203,8 +203,7 @@ def test_criterion_08_weighted_discrepancy_hand_value():
         rep = discrepancy_sum(FactoredPoly([P_SUM_SQ]), 1, 10)
         expected = math.log(2) * (9 - math.log(105))
         assert abs(rep.value - expected) <= 1e-9
-        detail = max_progression_discrepancy_detail(2, 10)
-        assert detail.y == 9.0 and detail.left_limit
+        assert loop_discrepancy(2, 10) == (max_progression_discrepancy(2, 10), 1, 9.0, True)
 
 
 def test_criterion_09_character_suite():

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import astuple
 from fractions import Fraction
 from math import fsum
 
@@ -19,10 +18,8 @@ from oracles import (factor_values, loop_discrepancy, loop_discrepancy_sum, loop
                      loop_sup_abs_psi_chi, prime_value_weight, von_mangoldt)
 from polysieve.arith import euler_phi, von_mangoldt_table
 from polysieve.boxes import box_values, fold_moduli
-from polysieve.bv import (DiscrepancyPoint, ExponentProfile, check_setting, default_eps_bad,
-                          discrepancy_sum, exponent_profile,
-                          max_progression_discrepancy,
-                          max_progression_discrepancy_detail, mean_value_sum)
+from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad, discrepancy_sum,
+                          exponent_profile, max_progression_discrepancy, mean_value_sum)
 from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
                                   unit_group)
 from polysieve.errors import BudgetError
@@ -110,9 +107,9 @@ def test_weight_forces_squarefree_product():
 
 
 def test_discrepancy_hand_value():
-    d = max_progression_discrepancy_detail(2, 10)
-    assert d.value == pytest.approx(9 - math.log(105), rel=1e-12)
-    assert d.y == 9.0 and d.left_limit and d.residue == 1
+    value = max_progression_discrepancy(2, 10)
+    assert value == pytest.approx(9 - math.log(105), rel=1e-12)
+    assert loop_discrepancy(2, 10) == (value, 1, 9.0, True)
     assert max_progression_discrepancy(2, 2) == pytest.approx(2.0)
 
 
@@ -149,21 +146,27 @@ def test_discrepancy_matches_independent_oracle():
             _discrepancy_oracle(m, x), rel=1e-9)
 
 
+def _assert_matches_loop(m, x):
+    value = max_progression_discrepancy(m, x)
+    assert type(value) is float   # cli._dumps refuses numpy scalars
+    assert value == loop_discrepancy(m, x)[0]
+
+
 @pytest.mark.parametrize("x", STREAM_X)
 def test_discrepancy_matches_loop_reference_exactly(x):
     for m in STREAM_MODULI:
-        assert astuple(max_progression_discrepancy_detail(m, x)) == loop_discrepancy(m, x)
+        _assert_matches_loop(m, x)
 
 
 def test_discrepancy_matches_loop_reference_at_a_million():
     m = 10 ** 6 + 3
-    assert astuple(max_progression_discrepancy_detail(m, 5000)) == loop_discrepancy(m, 5000)
+    _assert_matches_loop(m, 5000)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3000), st.one_of(st.integers(1, 3000), st.floats(1, 3000)))
 def test_discrepancy_matches_loop_reference_property(m, x):
-    assert astuple(max_progression_discrepancy_detail(m, x)) == loop_discrepancy(m, x)
+    _assert_matches_loop(m, x)
 
 
 def test_discrepancy_prefixes_are_correctly_rounded():
@@ -171,8 +174,8 @@ def test_discrepancy_prefixes_are_correctly_rounded():
     # correctly rounded prefix gives ...478, a compensated running sum ...548
     prefix = fsum(von_mangoldt(t) for t in range(3, 463, 23))
     assert abs(prefix - 463 / 22) == 11.856746473605478
-    assert max_progression_discrepancy_detail(23, 500) == DiscrepancyPoint(
-        11.856746473605478, 3, 463.0, True)
+    assert max_progression_discrepancy(23, 500) == 11.856746473605478
+    assert loop_discrepancy(23, 500) == (11.856746473605478, 3, 463.0, True)
 
 
 def test_lambda_limit_keeps_the_exact_prefix_sums_in_int64():
@@ -188,18 +191,17 @@ def test_discrepancy_when_every_class_holds_one_term(m):
     # the jump at t goes from t/phi to |log p - t/phi|, and the largest is at
     # the largest prime, 997; every end value at y = x is smaller
     phi = m - 1
-    assert max_progression_discrepancy_detail(m, 1000) == DiscrepancyPoint(
-        abs(math.log(997) - 997 / phi), 997, 997.0, False)
+    assert max_progression_discrepancy(m, 1000) == abs(math.log(997) - 997 / phi)
     # no prime power up to x: only the empty classes at y = x remain
-    assert max_progression_discrepancy_detail(m, 1.5) == DiscrepancyPoint(
-        1.5 / phi, 1, 1.5, False)
+    assert max_progression_discrepancy(m, 1.5) == 1.5 / phi
 
 
 def test_discrepancy_tie_at_x_takes_the_smallest_residue():
     # mod 33 the classes 2 and 32 each hold one power of 2 up to 81, so they
-    # tie at y = x; the scan over residues keeps the first
-    assert max_progression_discrepancy_detail(33, 81) == DiscrepancyPoint(
-        abs(math.log(2) - 81 / 20), 2, 81.0, False)
+    # tie at y = x; the oracle's scan over residues keeps the first
+    value = abs(math.log(2) - 81 / 20)
+    assert max_progression_discrepancy(33, 81) == value
+    assert loop_discrepancy(33, 81) == (value, 2, 81.0, False)
 
 
 def test_discrepancy_grid_beats_random_probes():
@@ -227,6 +229,14 @@ def test_discrepancy_sum_zero_weights():
     F = FactoredPoly([parse_poly("x1^2")])
     rep = discrepancy_sum(F, 2, 50)
     assert rep.value == 0.0 and rep.nonzero_weight_tuples == 0
+
+
+@pytest.mark.parametrize("x", [0.5, 0, -3])
+@pytest.mark.parametrize("P", ["x1^2", "x1^2+x2^2"])
+def test_discrepancy_sum_refuses_x_below_one_before_the_box_pass(P, x):
+    # no tuple of x1^2 has nonzero weight, so its box never reaches the kernel
+    with pytest.raises(ValueError, match=f"^need x >= 1, got {x}$"):
+        discrepancy_sum(FactoredPoly([parse_poly(P)]), 2, x)
 
 
 def test_discrepancy_sum_matches_independent_recomputation():
@@ -314,7 +324,8 @@ def test_discrepancy_sum_negative_tuple_reporting():
 
 def test_mean_value_examples():
     assert mean_value_sum(P_SUM_SQ, 1, 10).value == 0.0  # no primitive chi mod 2
-    assert mean_value_sum(P_SUM_SQ, 2, 1.9).value == 0.0
+    for x in (1.9, 0.5, -3):   # any x below 2 sums no prime power
+        assert mean_value_sum(P_SUM_SQ, 2, x).value == 0.0
     got = mean_value_sum(P_SUM_SQ, 2, 10).value
     assert got > 0
 

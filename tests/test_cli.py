@@ -244,6 +244,18 @@ def test_bv_sum_comparator_is_null_at_x_at_most_one(capsys):
         assert '"comparator": null' in out
 
 
+@pytest.mark.parametrize("x", ["0.5", "-3"])
+@pytest.mark.parametrize("P", [("--P", "x1", "--P", "x2"), ("--P", "x1^2"),
+                               ("--P", "x1^2", "--P", "x2")])
+def test_bv_sum_refuses_x_below_one_whatever_the_box_holds(capsys, P, x):
+    # x1 * x2 has tuples of nonzero weight at Q = 2; the factor x1^2 is never
+    # prime, so no tuple reaches the kernel, and x is refused all the same
+    code, out, err = run_cli(capsys, "bv-sum", *P, "--Q", "2", "--x", x)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": f"need x >= 1, got {float(x)}", "kind": "validation"}
+
+
 @pytest.mark.parametrize("Q", ["-3", "-1", "0"])
 def test_bv_sum_checks_q_before_the_default_eps_bad(capsys, Q):
     code, out, err = run_cli(capsys, "bv-sum", "--P", "x1^2+x2^2", "--Q", Q, "--x", "10")

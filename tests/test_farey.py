@@ -27,7 +27,7 @@ def make_system(pairs):
     return FareySystem(a=np.array([v.numerator for v in vals], dtype=np.int64),
                        d=np.array([v.denominator for v in vals], dtype=np.int64),
                        mult=np.array([counts[v] for v in vals], dtype=np.int64),
-                       Q=0, distinct_count=len(vals), total_count=len(pairs),
+                       distinct_count=len(vals), total_count=len(pairs),
                        skipped_unit_moduli=0, skipped_filtered=0)
 
 

@@ -30,7 +30,7 @@ def test_sequence_invariants():
     assert seq.N == 3
     assert seq.norm_sq == pytest.approx(
         float(np.sum(np.abs(seq.coeffs) ** 2)), rel=1e-12)
-    assert list(seq.indices()) == [4, 5, 6]
+    assert seq.M == 3
     with pytest.raises(ValueError):
         SieveSequence(-1, [1])
     with pytest.raises(ValueError):

@@ -138,12 +138,3 @@ def test_immutable():
     P = parse_poly("x1")
     with pytest.raises(AttributeError):
         P.num_vars = 3
-
-
-def test_pickle_round_trip():
-    import pickle
-    P = parse_poly("3*x1^2*x2 - x3^3 + 7")
-    assert pickle.loads(pickle.dumps(P)) == P
-    F = FactoredPoly([parse_poly("x1^2+x2^2"), parse_poly("x3^2+x4^2")])
-    F2 = pickle.loads(pickle.dumps(F))
-    assert F2.product == F.product
