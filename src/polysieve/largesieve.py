@@ -83,10 +83,10 @@ SEQUENCE_FAMILIES = {
 
 
 # Integer coefficients give an integer autocorrelation R.  The FFT's absolute
-# error on R is below c 2^-53 norm_sq log2(2N) for a small constant c (Higham,
-# Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 24), so while
-# norm_sq log2(2N) < 2^EXACT_BITS rounding recovers R, and while
-# N norm_sq < 2^53 every strided float sum of the rounded R is exact.
+# error on R is below c 2^-53 norm_sq log2(n) for a small constant c, at the
+# transformed length n (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., ch. 24), so while norm_sq log2(n) < 2^EXACT_BITS rounding recovers
+# R, and while N norm_sq < 2^53 every strided float sum of the rounded R is exact.
 EXACT_BITS = 44
 
 
@@ -121,22 +121,32 @@ def _signed_divisors(moduli: tuple[tuple[int, int], ...]) -> tuple[int, dict[int
     return phi_total, {e: g for e, g in G.items() if g}, terms
 
 
-def _autocorrelation(coeffs: np.ndarray) -> np.ndarray:
-    """Re R(h) for 0 <= h < N.  The autocorrelations of the real and imaginary
-    parts add up to Re R, so their power spectra, each zero-padded to 2N and
-    formed in place in its rfft output, add before one inverse FFT."""
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:   # each odd part p = 3^b 5^c below best, doubled up to n
+        p, p5 = p5, 5 * p5
+        while p < best:
+            best, p = min(best, p << (-(-n // p) - 1).bit_length()), 3 * p
+    return best
+
+
+def _autocorrelation(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Re R(h) for 0 <= h < N at a length n >= 2N - 1, free of wraparound.  The
+    real and imaginary parts' autocorrelations add up to Re R, so their power
+    spectra, formed in place in the rfft outputs, add before one inverse FFT."""
     N, power = len(coeffs), None
     for part in (coeffs.real, coeffs.imag) if coeffs.imag.any() else (coeffs.real,):
-        f = np.fft.rfft(part, 2 * N)
+        f = np.fft.rfft(part, n)
         f.real *= f.real
         f.real += f.imag ** 2
         f.imag[:] = 0
         power = f if power is None else np.add(power, f, out=power)
-    return np.fft.irfft(power, 2 * N)[:N]
+    return np.fft.irfft(power, n)[:N]
 
 
 def fft_work(N: int) -> int:
-    """The work estimate of the autocorrelation FFT, zero-padded to 2N."""
+    """2N bits(2N), the work estimate of the FFT at _fft_length(2N - 1)."""
     return 2 * N * (2 * N).bit_length()
 
 
@@ -150,15 +160,15 @@ def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int]) -> int | float:
     DEFAULT_WORK_BUDGET it is refused before the FFT, and its lower bound
     with len(moduli) for terms before any factorization.
     """
-    N, c = seq.N, seq.coeffs
+    N, c, n = seq.N, seq.coeffs, _fft_length(2 * seq.N - 1)
     if fft_work(N) + len(moduli) > DEFAULT_WORK_BUDGET:
         raise BudgetError("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
     phi_total, weights, terms = ramanujan_weights(moduli, N)
     work = fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights)
     if work > DEFAULT_WORK_BUDGET:
         raise BudgetError("sieve sum", work, DEFAULT_WORK_BUDGET)
-    R = _autocorrelation(c)
-    exact = (seq.norm_sq * log2(2 * N) < 2 ** EXACT_BITS and N * seq.norm_sq < 2 ** 53
+    R = _autocorrelation(c, n)
+    exact = (seq.norm_sq * log2(n) < 2 ** EXACT_BITS and N * seq.norm_sq < 2 ** 53
              and not c.imag.any() and np.array_equal(c.real, np.rint(c.real)))
     if exact:
         np.rint(R, out=R)

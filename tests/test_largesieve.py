@@ -287,3 +287,59 @@ def test_integer_coefficients_exact_property(coeffs, M, moduli):
     seq = SieveSequence(M, coeffs)
     total = moduli_sieve_sum(seq, moduli)
     assert type(total) is int and total == exact_sieve_sum(coeffs, moduli)
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    top = 20000
+    smallest, m = {}, 2 * top
+    while not _is_5_smooth(m):
+        m += 1
+    for n in range(m, 0, -1):   # m is the smallest 5-smooth length >= n
+        if _is_5_smooth(n):
+            m = n
+        smallest[n] = m
+    for n in range(1, top + 1):
+        assert largesieve._fft_length(n) == smallest[n]
+        # the padding keeps fft_work's 2N bits(2N) an honest estimate: past
+        # 64 the worst ratio is 72/65 = 360/325, and past 327 it is below 1.1
+        assert n < 64 or 65 * smallest[n] <= 72 * n
+        assert n < 328 or smallest[n] <= 1.1 * n
+
+
+POOL_N = (100, 464, 2154, 10000, 144, 755, 3956, 20736, 196, 1139, 6613, 38416)
+
+
+def test_autocorrelation_runs_at_a_5_smooth_length(monkeypatch):
+    lengths = []
+
+    def spy(transform):
+        def call(a, n, *args, **kwargs):
+            lengths.append(n)
+            return transform(a, n, *args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(largesieve.np.fft, name, spy(getattr(np.fft, name)))
+    moduli = box_moduli(P_SUM_SQ, 3)[1]
+    for N in POOL_N + (389,):   # 389 is prime: 2N = 778 = 2 389
+        for family, calls in (("pm1", 2), ("unit", 3)):
+            lengths.clear()
+            moduli_sieve_sum(SEQUENCE_FAMILIES[family](N, 1), moduli)
+            assert len(lengths) == calls
+            assert all(_is_5_smooth(n) and n >= 2 * N - 1 for n in lengths)
+
+
+def test_exact_route_at_lengths_with_a_large_prime_factor():
+    # 2N - 1 = 777 = 3 7 37 and 2277 = 3^2 11 23 are padded to 800 and 2304
+    moduli = box_moduli(FORMS[1], 3)[1]
+    for family, N in product(("ones", "spike", "pm1"), (389, 1139)):
+        seq = SEQUENCE_FAMILIES[family](N, N)
+        total = moduli_sieve_sum(seq, moduli)
+        assert type(total) is int and total == exact_sieve_sum(seq.coeffs.real, moduli)
