@@ -18,7 +18,8 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__, largesieve
 from .boxes import count_bad_moduli
@@ -90,28 +91,39 @@ def _jsonify(obj):
     return str(obj) if isinstance(obj, Fraction) else obj
 
 
-def _dumps(obj, pad: str = "") -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) for plain values only: dicts
-    with str keys, lists, str, int, float, bool and None.  Anything else,
-    tuples and numpy scalars included, raises TypeError."""
-    kind = type(obj)
-    inner = pad + "  "
-    if kind is list and obj:
-        items = (map(int.__repr__, obj) if all(type(v) is int for v in obj)
-                 else [_dumps(v, inner) for v in obj])
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if kind is dict and obj:
-        if not all(type(k) is str for k in obj):
-            raise TypeError("JSON object keys must be str")
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind in (float, bool, type(None), list, dict):   # the empty list and dict too
-        return json.dumps(obj)   # float.__repr__ or NaN, Infinity; true, false, null
-    raise TypeError(f"not a plain JSON value: {kind.__name__}")
+# The report writer: the C encoder writes compact ASCII text (ensure_ascii is
+# on), and one sparse numpy pass puts "\n" and 2 spaces per depth after each
+# comma and non-empty opener and before each non-empty closer.  The encoder
+# takes tuples, int keys and np.float64; the tests check the handler contract.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "))
+# int8 codes (254 is -2): bit 0 set where the indent follows, the rest twice the depth step
+_KINDS = bytes(dict(zip(b'",[{]}', (4, 1, 3, 3, 254, 254))).get(c, 0) for c in range(256))
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), encoded in C."""
+    raw = text = _ENCODER.encode(obj).encode()
+    # blank escapes, paired from the left as a parser reads them, and empty containers
+    for blank in (b"\\\\", b'\\"', b"[]", b"{}"):
+        text = text.replace(blank, b"__")
+    marks = np.frombuffer(text.translate(_KINDS), np.int8)
+    pos = marks.nonzero()[0]
+    kind = marks[pos]
+    quote = kind == 4
+    keep = ~(np.logical_xor.accumulate(quote) | quote)   # outside strings
+    pos, kind = pos[keep], kind[keep]
+    run = np.add.accumulate(kind & -2) + 1   # "\n" and the indent of the depth after
+    ends = np.add.accumulate(run)
+    kept = np.zeros(len(raw) + (int(ends[-1]) if ends.size else 0), bool)
+    ends += pos + (kind & 1)   # after commas and openers, before closers
+    starts = ends - run
+    del text, marks, pos, kind, quote, keep, run   # before the full-length arrays
+    kept[0] = kept[starts] = kept[ends] = True
+    np.logical_xor.accumulate(kept, out=kept)   # True on the bytes of raw
+    out = np.full(kept.size, ord(" "), np.uint8)
+    out[kept] = np.frombuffer(raw, np.uint8)
+    out[starts] = ord("\n")
+    return str(out, "ascii")
 
 
 @lru_cache(maxsize=None)
@@ -371,17 +383,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text = run(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except BudgetError as exc:
         print(json.dumps({"error": str(exc), "kind": "resource",
                           "partial_progress": False}), file=sys.stderr)
         return 3
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:   # OSError: --out is not writable
         print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

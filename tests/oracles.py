@@ -9,7 +9,8 @@ A few routes here left the library because only tests called them:
 (Lambda times mu^2, on top of the library's ``factorize``), a
 FactoredPoly's factor values at one point, the JSON round trip of an
 MvPoly, and ``sieve_sum``, which composes the library's box and sieve
-steps.
+steps.  ``assert_plain_json`` checks the handler contract, which the report
+writer's C encoder does not.
 
 The loop references at the end walk every n <= x and read Lambda pointwise
 through ``von_mangoldt`` above.  They add the same terms in the same order
@@ -77,6 +78,24 @@ def prime_value_weight(vals) -> float:
 def factor_values(F, x) -> tuple[int, ...]:
     """The tuple of factor values of a FactoredPoly at an integer point."""
     return tuple(f.evaluate(x) for f in F.factors)
+
+
+def assert_plain_json(obj) -> None:
+    """The handler contract, by exact type: dicts with str keys, lists, str,
+    int, float, bool and None.  Anything else, tuples, int keys and numpy
+    scalars included, raises TypeError.  The report writer's C encoder
+    accepts tuples, int keys and np.float64, so the tests check it here."""
+    kind = type(obj)
+    if kind is dict:
+        if not all(type(k) is str for k in obj):
+            raise TypeError("JSON object keys must be str")
+        for value in obj.values():
+            assert_plain_json(value)
+    elif kind is list:
+        for value in obj:
+            assert_plain_json(value)
+    elif kind not in (str, int, float, bool, type(None)):
+        raise TypeError(f"not a plain JSON value: {kind.__name__}")
 
 
 def poly_to_json(P) -> str:

@@ -148,7 +148,7 @@ def test_discrepancy_matches_independent_oracle():
 
 def _assert_matches_loop(m, x):
     value = max_progression_discrepancy(m, x)
-    assert type(value) is float   # cli._dumps refuses numpy scalars
+    assert type(value) is float   # oracles.assert_plain_json refuses numpy scalars
     assert value == loop_discrepancy(m, x)[0]
 
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ import polysieve.cli as cli
 import polysieve.largesieve as largesieve
 from polysieve.cli import build_parser, main
 from polysieve.errors import BudgetError
+
+from oracles import assert_plain_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -358,6 +361,18 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["result"]["level_exponent"] == "6/29"
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_is_validation_error(capsys, tmp_path, where):
+    # a missing directory, and a directory in place of a file
+    code, out, err = run_cli(capsys, "exponents", "--k", "3", "--ell", "2",
+                             "--out", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["kind"] == "validation"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bv_sum_smoke(capsys):
     import math
     rep = run_json(capsys, "bv-sum", "--P", "x1^2+x2^2", "--Q", "1", "--x", "10")
@@ -553,14 +568,32 @@ def test_writer_matches_json_dumps(obj):
 
 
 @pytest.mark.parametrize("obj", [
-    {1: 2}, {"a": {2: "b"}}, {"a": 1, 2: 3},
-    (1, 2), {"a": (1,)}, [1, (2,)],
-    np.float64(1.5), [np.float64(1.5)], {"a": [1, np.int64(2)]}, np.int64(3),
-    {1, 2}, 1 + 2j,
+    '\\"', '\\\\"', 'a\\\\', {'\\"': ['\\\\', '"\\'], 'a\\\\': '\\\\\\"'},
+    {"[": "]", "{a,b}": "c: d", ",": [":", "}", "{", "[]", "{}"], "]}": {"x,": ",["}},
+    [[[[[]]]]], {"a": {}}, [{}], [[], {}, [{}, []], {"b": []}], {"": [[{"": {}}]]},
+    1, -0.0, "x", "", None, True, float("nan"),
 ], ids=repr)
+def test_writer_matches_json_dumps_on_awkward_text(obj):
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+# refused by the writer's C encoder
+WRITER_REFUSES = [{"a": 1, 2: 3}, {"a": [1, np.int64(2)]}, np.int64(3), {1, 2}, 1 + 2j]
+# accepted by the C encoder; the handler contract is checked by the oracle
+ORACLE_REFUSES = [{1: 2}, {"a": {2: "b"}}, (1, 2), {"a": (1,)}, [1, (2,)],
+                  np.float64(1.5), [np.float64(1.5)]]
+
+
+@pytest.mark.parametrize("obj", WRITER_REFUSES, ids=repr)
 def test_writer_refuses_what_is_not_plain_json(obj):
     with pytest.raises(TypeError):
         cli._dumps(obj)
+
+
+@pytest.mark.parametrize("obj", WRITER_REFUSES + ORACLE_REFUSES, ids=repr)
+def test_oracle_refuses_what_is_not_plain_json(obj):
+    with pytest.raises(TypeError):
+        assert_plain_json(obj)
 
 
 SMALL_OPS = {
@@ -581,6 +614,44 @@ SMALL_OPS = {
 
 def test_small_ops_cover_every_subcommand():
     assert set(SMALL_OPS) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_OPS))
+def test_handler_results_are_plain_json(command):
+    args = build_parser().parse_args([command, *SMALL_OPS[command]])
+    result, _ = cli._HANDLERS[command](args)
+    assert_plain_json(result)
+    assert_plain_json(cli.resolve_config(args))
+
+
+@pytest.fixture(scope="module")
+def large_report():
+    # the witness list of the corollary search: a 341 kB report
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["corollary-search", "--f", "t^2+t+2", "--X", "60000", "--theta", "1/2",
+                     "--workers", "1"])
+    assert code == 0
+    return buf.getvalue()
+
+
+def test_large_report_is_the_stdlib_indented_text(large_report):
+    assert len(large_report) > 300_000
+    assert large_report == json.dumps(json.loads(large_report), sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_memory_stays_within_five_times_its_text(large_report):
+    # the C encoder alone peaks near 4 times; full-length int64 index arrays
+    # in the re-indent would take it near 10
+    report = json.loads(large_report)
+    tracemalloc.start()
+    try:
+        text = cli._dumps(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text + "\n" == large_report
+    assert peak <= 5 * len(text)
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_OPS))
