@@ -1,9 +1,9 @@
 """Dyadic boxes q ~ Q: value multiplicities and representation-count statistics.
 
-The box is the product of [Q, 2Q) over each of the L coordinates, evaluated
-as one numpy grid (MvPoly.grid) and grouped by one sort into its distinct
-values, ascending, with their multiplicities.  Everything runs in the calling
-process; the CLI's --workers flag is echoed in reports and starts no process.
+The box [Q, 2Q)^L is evaluated as one numpy grid by box_grid, its one builder.
+box_values groups it by one sort into distinct values, ascending, with their
+multiplicities; the small-value count reads it with no sort.  Everything runs
+in the calling process; --workers is echoed in reports and starts no process.
 """
 
 from __future__ import annotations
@@ -29,6 +29,12 @@ def check_box_budget(Q: int, ell: int) -> None:
         raise BudgetError("box enumeration", size, DEFAULT_BOX_BUDGET)
 
 
+def box_grid(P: MvPoly | FactoredPoly, Q: int) -> np.ndarray:
+    """P's values over the box [Q, 2Q)^ell, as MvPoly.grid, after the budget check."""
+    check_box_budget(Q, P.num_vars)
+    return P.grid([range(Q, 2 * Q)] * P.num_vars)
+
+
 def box_values(P: MvPoly | FactoredPoly, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts): the distinct values P(q) over the box in ascending
     order and their multiplicities, from one grid pass.
@@ -36,9 +42,7 @@ def box_values(P: MvPoly | FactoredPoly, Q: int) -> tuple[np.ndarray, np.ndarray
     A FactoredPoly's values are rows of factor values, in lexicographic
     order.  Past the int64 guard the values are an object array of Python ints.
     """
-    ell = P.num_vars
-    check_box_budget(Q, ell)
-    vals = P.grid([range(Q, 2 * Q)] * ell)
+    vals = box_grid(P, Q)
     if vals.ndim == 1:
         return np.unique(vals, return_counts=True)
     # np.unique(axis=0) refuses object arrays; lexsort sorts by the last key first
@@ -77,18 +81,16 @@ class BadModuliReport:
 
 
 def count_bad_moduli(P: MvPoly, Q: int, eps) -> BadModuliReport:
-    """Exact count of small-value tuples: |v| <= threshold is -b <= v <= b
-    with b = floor(threshold), since the values are integers."""
+    """Exact count of small-value tuples on the grid: |v| <= threshold is
+    |v| <= b with b = floor(threshold), since the values are integers."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     k = P.total_degree()
+    if k < 1:
+        raise ValueError("P must have total degree >= 1")
     ell = P.num_vars
-    threshold = Fraction(eps) * Q ** k
-    values, counts = box_values(P, Q)
-    # b past the largest |v| counts the same, and then fits the values' dtype
-    b = min(floor(threshold), max(-int(values[0]), int(values[-1])))
-    lo, hi = np.searchsorted(values, -b, "left"), np.searchsorted(values, b, "right")
-    count = int(counts[lo:hi].sum())
+    b = floor(Fraction(eps) * Q ** k)
+    count = int(np.count_nonzero(np.abs(box_grid(P, Q)) <= b))
     comparator = float(eps) ** (1.0 / k) * Q ** ell if eps > 0 else 0.0
     ratio = count / comparator if comparator > 0 else None
     return BadModuliReport(count=count, box_size=Q ** ell, eps=float(eps),

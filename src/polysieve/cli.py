@@ -327,9 +327,7 @@ def _run_corollary_search(args):
 
 
 def _run_bad_moduli(args):
-    rep = count_bad_moduli(parse_poly(args.P), args.Q, args.eps_bad)
-    return {"count": rep.count, "box_size": rep.box_size, "eps": rep.eps,
-            "comparator": rep.comparator, "ratio": rep.ratio}, None
+    return dataclasses.asdict(count_bad_moduli(parse_poly(args.P), args.Q, args.eps_bad)), None
 
 
 _HANDLERS = {

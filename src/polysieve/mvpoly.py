@@ -279,7 +279,7 @@ class FactoredPoly:
     verified.
     """
 
-    __slots__ = ("num_vars", "factors", "variable_sets", "product")
+    __slots__ = ("num_vars", "factors", "product")
 
     def __init__(self, factors):
         factors = list(factors)
@@ -297,7 +297,6 @@ class FactoredPoly:
                 raise ValueError(f"factors {i} and {j} share variables {sorted(a & b)}")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "variable_sets", tuple(var_sets))
         object.__setattr__(self, "product", prod(factors[1:], start=factors[0]))
 
     def __setattr__(self, name, value):

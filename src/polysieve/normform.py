@@ -19,7 +19,7 @@ from math import log, log2
 import numpy as np
 
 from .arith import factorize, is_prime, prime_flags
-from .boxes import check_box_budget
+from .boxes import box_grid, check_box_budget
 from .errors import BudgetError
 from .mvpoly import MvPoly, parse_poly
 
@@ -209,8 +209,8 @@ def prime_value_sieve(spec: NumberFieldSpec, Q: int) -> PrimeValueReport:
     """Prime values of the norm form over q ~ Q, each with its points in box
     order; is_prime runs once per distinct value >= 2, in first-seen order."""
     ell = spec.num_form_vars
-    check_box_budget(Q, ell)
-    vals = norm_form(spec).grid([range(Q, 2 * Q)] * ell)
+    check_box_budget(Q, ell)   # before the norm form, whose determinant is the costly part
+    vals = box_grid(norm_form(spec), Q)
     distinct, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
     distinct = distinct.tolist()
     prime = np.zeros(len(distinct), dtype=bool)

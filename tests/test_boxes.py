@@ -65,14 +65,36 @@ def test_bad_moduli_examples():
 
 @pytest.mark.parametrize("text", ["x1^2-x2^2", "x1^3-3*x1*x2^2+x2^3-40",
                                   "4611686018427387904*x1-4611686018427387904*x2^2"])
-@pytest.mark.parametrize("eps", [0, Fraction(1, 2), 5, 10 ** 40])
+@pytest.mark.parametrize("eps", [0, Fraction(1, 2), 5, 2 ** 60, 2 ** 61, 10 ** 40])
 def test_bad_moduli_matches_loop(text, eps):
-    # the last P is past the int64 guard; eps = 10^40 puts b above every |v|
+    # the last P is past the int64 guard; eps = 2^61 (quadratics at Q = 2) and
+    # 2^60 (the cubic at Q = 2, the quadratics at Q = 3) put b in [2^63, 2^64),
+    # past int64 but inside uint64; eps = 10^40 puts b above every |v|
     P = parse_poly(text)
     for Q in (1, 2, 3, 6):
         bound = eps * Q ** P.total_degree()
         brute = sum(c for v, c in loop_value_counts(P, Q).items() if abs(v) <= bound)
         assert count_bad_moduli(P, Q, eps).count == brute
+
+
+def test_bad_moduli_reads_one_grid_with_no_sort(monkeypatch):
+    grids, grid = [], MvPoly.grid
+    monkeypatch.setattr(MvPoly, "grid", lambda self, axes: grids.append(axes) or grid(self, axes))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box was sorted")
+
+    monkeypatch.setattr(boxes, "box_values", refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    assert count_bad_moduli(P_DIFF_SQ, 8, Fraction(1, 2)).count == 22
+    assert len(grids) == 1
+
+
+def test_bad_moduli_refuses_a_constant_before_the_box():
+    # k = 0 leaves eps^(1/k) undefined; Q = 10^9 would be over the box budget
+    for eps in (0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="total degree >= 1"):
+            count_bad_moduli(parse_poly("5"), 10 ** 9, eps)
 
 
 def test_bad_moduli_zero_eps_ratio_is_none():

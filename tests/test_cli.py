@@ -108,6 +108,9 @@ def test_empty_polynomial_is_validation_error(capsys):
     ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "0"),
     # a constant P has r = 0, so the close-point exponent 1/(r(k+1)) is undefined
     ("farey-stats", "--P", "5", "--Q", "2", "--N", "4"),
+    # and k = 0, so the bad-moduli comparator eps^(1/k) is undefined
+    ("bad-moduli", "--P", "5", "--Q", "2", "--eps-bad", "0.5"),
+    ("bad-moduli", "--P", "5", "--Q", "2", "--eps-bad", "0"),
 ])
 def test_bad_numeric_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

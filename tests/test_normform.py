@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import sympy
 from oracles import (field_multiply, loop_prime_divisor_search,
                      loop_prime_value_sieve, sylvester_resultant)
 from polysieve import boxes, normform
+from polysieve.cli import main
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
 from polysieve.normform import (NumberFieldSpec, _divisors_with_sign,
@@ -219,6 +221,18 @@ def test_prime_value_sieve_budget_boundary(monkeypatch):
     monkeypatch.setattr(boxes, "DEFAULT_BOX_BUDGET", 8)
     with pytest.raises(BudgetError, match=r"^box enumeration: requires 9, budget is 8$"):
         prime_value_sieve(GAUSS, 3)
+
+
+def test_over_budget_prime_value_sieve_refuses_before_the_norm_form(monkeypatch, capsys):
+    # the norm form's determinant grows steeply with the degree; the box
+    # 4^12 is refused before it is built
+    def refuse(spec):
+        raise AssertionError("the norm form was built")
+
+    monkeypatch.setattr(normform, "norm_form", refuse)
+    assert main(["prime-value-sieve", "--f", "t^12+2", "--Q", "4"]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "box enumeration: requires 16777216, budget is 5000000"
 
 
 ORACLE_FIELDS = [NumberFieldSpec.from_text("t^2+1"), NumberFieldSpec.from_text("t^2+t+3"),
