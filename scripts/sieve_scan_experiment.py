@@ -11,7 +11,8 @@ Writes <out-dir>/sieve_scan.csv and <out-dir>/sieve_scan.gp (gnuplot blocks).
 import argparse
 import os
 
-from polysieve.largesieve import SEQUENCE_FAMILIES, box_moduli, delta_bounds, empirical_delta
+from polysieve.boxes import box_moduli
+from polysieve.largesieve import SEQUENCE_FAMILIES, delta_bounds, empirical_delta, sieve_sequence
 from polysieve.mvpoly import parse_poly
 
 
@@ -26,13 +27,13 @@ def main():
 
     P = parse_poly(args.P)
     k, ell = P.total_degree(), P.num_vars
-    r_star, moduli = box_moduli(P, args.Q)
+    moduli, _, _, r_star = box_moduli(P, args.Q)
     lo, hi = args.Q ** k, args.Q ** (2 * k)
     grid = sorted({int(lo * (hi / lo) ** (i / 11)) for i in range(12)})
 
     rows = []
     for N in grid:
-        seq = SEQUENCE_FAMILIES[args.sequence](N, args.seed)
+        seq = sieve_sequence(args.sequence, N, args.seed)
         emp = empirical_delta(seq, moduli)
         rows.append(delta_bounds(k, ell, args.Q, N, r_star, empirical=emp))
 

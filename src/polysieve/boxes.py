@@ -2,8 +2,9 @@
 
 The box [Q, 2Q)^L is evaluated as one numpy grid by box_grid, its one builder.
 box_values groups it by one sort into distinct values, ascending, with their
-multiplicities; the small-value count reads it with no sort.  Everything runs
-in the calling process; --workers is echoed in reports and starts no process.
+multiplicities; box_moduli, the one modulus-grouping step, folds them onto the
+moduli |P(q)|.  The small-value count reads the grid with no sort.  Everything
+runs in the calling process; --workers is echoed in reports and starts no process.
 """
 
 from __future__ import annotations
@@ -51,10 +52,12 @@ def box_values(P: MvPoly | FactoredPoly, Q: int) -> tuple[np.ndarray, np.ndarray
     return rows[starts], np.diff(starts, append=len(rows))
 
 
-def fold_moduli(values, counts, min_modulus=None) -> tuple[dict[int, int], int, int]:
-    """Fold value multiplicities onto moduli |v|: (moduli, skipped_unit,
-    skipped_filtered), where |v| <= 1 is a unit skip and |v| < min_modulus
-    (when given) a filtered one.  The moduli ascend."""
+def box_moduli(P: MvPoly, Q: int, min_modulus=None) -> tuple[dict[int, int], int, int, int]:
+    """The box's values grouped by modulus |P(q)| from one box_values pass:
+    (moduli, skipped_unit, skipped_filtered, r_star), where |P(q)| <= 1 is a
+    unit skip, |P(q)| < min_modulus (when given) a filtered one, and r_star
+    the largest multiplicity of a single value P(q).  The moduli ascend."""
+    values, counts = box_values(P, Q)
     if isinstance(min_modulus, float) and isnan(min_modulus):
         raise ValueError("min_modulus must not be NaN")
     d, where = np.unique(np.abs(values), return_inverse=True)
@@ -63,7 +66,8 @@ def fold_moduli(values, counts, min_modulus=None) -> tuple[dict[int, int], int, 
     d, mult = d.tolist(), mult.tolist()
     unit = bisect_left(d, 2)   # Python comparisons: exact against a float bound
     kept = unit if min_modulus is None else max(unit, bisect_left(d, min_modulus))
-    return dict(zip(d[kept:], mult[kept:])), sum(mult[:unit]), sum(mult[unit:kept])
+    return (dict(zip(d[kept:], mult[kept:])), sum(mult[:unit]), sum(mult[unit:kept]),
+            int(counts.max()))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from math import floor, fsum, inf, log, prod
 import numpy as np
 
 from .arith import euler_phi, factorize, von_mangoldt_table
-from .boxes import box_values, check_box_budget, fold_moduli
+from .boxes import box_moduli, box_values, check_box_budget
 from .characters import root_table, unit_group
 from .congruence import R_PARAMETER_BITS, r_parameter
 from .errors import BudgetError
@@ -308,11 +308,11 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     no primitive character to sum over by the convention adopted here).
     unit_group raises BudgetError at the first modulus above CHAR_MODULUS_CAP.
     """
-    moduli, skipped, _ = fold_moduli(*box_values(P, Q))
+    moduli, skipped, _, _ = box_moduli(P, Q)
     T, L = von_mangoldt_table(max(int(x), 0))
     parts = []
-    for d in sorted(moduli):
+    for d, mult in moduli.items():
         if sups := _primitive_sups(d, T, L):
-            parts.append(moduli[d] * d / euler_phi(d) * fsum(sups))
+            parts.append(mult * d / euler_phi(d) * fsum(sups))
     return MeanValueReport(value=fsum(parts), moduli=moduli,
                            skipped_unit_moduli=skipped)

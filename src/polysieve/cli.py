@@ -22,13 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__, largesieve
-from .boxes import count_bad_moduli
+from .boxes import box_moduli, count_bad_moduli
 from .bv import check_setting, discrepancy_sum, exponent_profile, mean_value_sum
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
-from .largesieve import (SEQUENCE_FAMILIES, _signed_divisors, box_moduli, delta_bounds,
-                         empirical_delta, fft_work)
+from .largesieve import (SEQUENCE_FAMILIES, _signed_divisors, delta_bounds, empirical_delta,
+                         fft_work, sieve_sequence)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
 
@@ -255,14 +255,13 @@ def _run_sieve_scan(args):
     P = parse_poly(args.P)
     k = P.total_degree()
     ell = P.num_vars
-    r_star, moduli = box_moduli(P, args.Q, args.min_modulus)
+    moduli, _, _, r_star = box_moduli(P, args.Q, args.min_modulus)
     if min(args.N) < 1:
         raise ValueError(f"N must be >= 1, got {min(args.N)}")
-    family = SEQUENCE_FAMILIES[args.sequence]
     rows = []
     try:   # every N reuses one expansion of the moduli, which ends with the op
         for N in args.N:
-            seq = family(N, _split_seed(args.seed, N), args.M)
+            seq = sieve_sequence(args.sequence, N, _split_seed(args.seed, N), args.M)
             emp = empirical_delta(seq, moduli)
             rows.append(delta_bounds(k, ell, args.Q, N, r_star, empirical=emp))
     finally:
@@ -380,6 +379,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise CliError(f"--out must name a file in an existing directory, got {args.out!r}")
         text = run(args)
         if args.out:
             with open(args.out, "w") as fh:

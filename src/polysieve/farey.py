@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import euler_phi
-from .boxes import box_values, fold_moduli
+from .boxes import box_moduli
 from .congruence import r_parameter
 from .errors import BudgetError
 from .mvpoly import MvPoly
@@ -48,7 +48,7 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
     (counted apart from the |P(q)| <= 1 skips).  The point count is checked
     against DEFAULT_POINT_BUDGET before any point is allocated.
     """
-    retained, skipped_unit, skipped_filtered = fold_moduli(*box_values(P, Q), min_modulus)
+    retained, skipped_unit, skipped_filtered, _ = box_moduli(P, Q, min_modulus)
     total = 0
     for d, mult in retained.items():
         total += euler_phi(d) * mult

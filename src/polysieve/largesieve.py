@@ -1,9 +1,9 @@
-"""The sieve sum over polynomial moduli, and the four comparator bounds for
-the normalized sieve constant.
+"""The sieve sum over polynomial moduli, its test sequences (sieve_sequence
+builds each one), and the four comparator bounds for the sieve constant.
 
-The double sum runs over q ~ Q and reduced fractions a/P(q).  After one box
-pass groups the values by modulus, expanding the square with Ramanujan's sum
-c_d(h) = sum_{e | (d,h)} e mu(d/e) (Hardy-Wright, Thm 271) gives, with
+The double sum runs over q ~ Q and reduced fractions a/P(q).  Once
+boxes.box_moduli has grouped the values by modulus, expanding the square with
+Ramanujan's sum c_d(h) = sum_{e | (d,h)} e mu(d/e) (Hardy-Wright, Thm 271) gives, with
 R(h) = sum_n a_{n+h} conj(a_n) and G(e) = sum_{d = 0 mod e} mult_d mu(d/e),
 
     sum_d mult_d sum_{(a,d)=1} |S(a/d)|^2
@@ -24,10 +24,8 @@ from math import comb, fsum, log2, pi
 import numpy as np
 
 from .arith import euler_phi, factorize
-from .boxes import box_values, fold_moduli
 from .congruence import r_parameter
 from .errors import BudgetError
-from .mvpoly import MvPoly
 
 DEFAULT_WORK_BUDGET = 50_000_000
 
@@ -54,32 +52,18 @@ class SieveSequence:
         return f"SieveSequence(M={self.M}, N={self.N})"
 
 
-def ones_sequence(N: int, M: int = 0) -> SieveSequence:
-    return SieveSequence(M, np.ones(N))
-
-
-def spike_sequence(N: int, M: int = 0) -> SieveSequence:
-    c = np.zeros(N)
-    c[0] = 1.0
-    return SieveSequence(M, c)
-
-
-def random_sign_sequence(N: int, seed: int, M: int = 0) -> SieveSequence:
-    rng = np.random.default_rng(seed)
-    return SieveSequence(M, rng.choice([-1.0, 1.0], size=N))
-
-
-def random_unit_sequence(N: int, seed: int, M: int = 0) -> SieveSequence:
-    rng = np.random.default_rng(seed)
-    return SieveSequence(M, np.exp(2j * pi * rng.random(N)))
-
-
-SEQUENCE_FAMILIES = {
-    "ones": lambda N, seed, M=0: ones_sequence(N, M),
-    "spike": lambda N, seed, M=0: spike_sequence(N, M),
-    "pm1": lambda N, seed, M=0: random_sign_sequence(N, seed, M),
-    "unit": lambda N, seed, M=0: random_unit_sequence(N, seed, M),
+SEQUENCE_FAMILIES = {   # name -> coefficient builder (N, rng) -> array
+    "ones": lambda N, rng: np.ones(N),
+    "spike": lambda N, rng: np.eye(1, N)[0],
+    "pm1": lambda N, rng: rng.choice([-1.0, 1.0], size=N),
+    "unit": lambda N, rng: np.exp(2j * pi * rng.random(N)),
 }
+
+
+def sieve_sequence(family: str, N: int, seed: int, M: int = 0) -> SieveSequence:
+    """The SEQUENCE_FAMILIES sequence on the window (M, M+N], drawn from a
+    generator seeded with seed."""
+    return SieveSequence(M, SEQUENCE_FAMILIES[family](N, np.random.default_rng(seed)))
 
 
 # Integer coefficients give an integer autocorrelation R.  The FFT's absolute
@@ -88,13 +72,6 @@ SEQUENCE_FAMILIES = {
 # 2nd ed., ch. 24), so while norm_sq log2(n) < 2^EXACT_BITS rounding recovers
 # R, and while N norm_sq < 2^53 every strided float sum of the rounded R is exact.
 EXACT_BITS = 44
-
-
-def box_moduli(P: MvPoly, Q: int, min_modulus=None) -> tuple[int, dict[int, int]]:
-    """(r*, retained moduli with multiplicities) from one box pass; r* is the
-    largest multiplicity of a single value P(q)."""
-    values, counts = box_values(P, Q)
-    return int(counts.max()), fold_moduli(values, counts, min_modulus)[0]
 
 
 def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, int], int]:

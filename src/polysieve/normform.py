@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, log2
+from math import comb, log, log2
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .mvpoly import MvPoly, parse_poly
 THETA_POWER_BITS = 1 << 16
 # Most norm values, (X^(1/n))^(n-truncation), that prime_divisor_search sieves.
 NORM_VALUE_BUDGET = 20_000_000
+# Most work n 2^(n-1) C(n+ell-1, ell-1) of norm_form's Laplace expansion: its
+# row subsets, times n rows, times the degree-n monomials in ell variables.
+NORM_FORM_BUDGET = 500_000_000
 # Relative margin inside which a float d^(td/tn) leaves a walk end undecided.
 WALK_END_MARGIN = 2.0 ** -40
 
@@ -190,8 +193,12 @@ def _det_poly(matrix: list[list[MvPoly]], ell: int) -> MvPoly:
 
 
 def norm_form(spec: NumberFieldSpec) -> MvPoly:
-    """The incomplete norm form as an exact MvPoly, homogeneous of degree n."""
-    return _det_poly(multiplication_matrix(spec), spec.num_form_vars)
+    """The incomplete norm form as an exact MvPoly, homogeneous of degree n;
+    past NORM_FORM_BUDGET the work estimate is refused first."""
+    n, ell = spec.degree, spec.num_form_vars
+    if (est := n * 2 ** (n - 1) * comb(n + ell - 1, ell - 1)) > NORM_FORM_BUDGET:
+        raise BudgetError("norm form determinant", est, NORM_FORM_BUDGET)
+    return _det_poly(multiplication_matrix(spec), ell)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ import numpy as np
 
 from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
-from polysieve.largesieve import box_moduli, moduli_sieve_sum
+from polysieve.boxes import box_moduli
+from polysieve.largesieve import moduli_sieve_sum
 from polysieve.mvpoly import FactoredPoly, MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
                                 norm_form)
@@ -110,7 +111,7 @@ def sieve_sum(seq, P, Q: int, min_modulus=None) -> int | float:
     """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2, by the
     library's box_moduli and moduli_sieve_sum.  A min_modulus keeps only
     tuples with |P(q)| >= min_modulus; moduli |P(q)| <= 1 never enter."""
-    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[1])
+    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[0])
 
 
 def trial_division_factorize(n: int) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import loop_value_counts, representation_count
 from polysieve import boxes
-from polysieve.boxes import box_values, count_bad_moduli, fold_moduli
+from polysieve.boxes import box_moduli, box_values, count_bad_moduli
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 
@@ -116,16 +116,16 @@ def test_budget_error(monkeypatch):
 
 
 def test_fold_moduli():
-    assert fold_moduli(*box_values(P_DIFF_SQ, 2)) == ({5: 2}, 2, 0)  # 5 and -5
+    assert box_moduli(P_DIFF_SQ, 2)[:3] == ({5: 2}, 2, 0)  # 5 and -5
     for Q in (2, 3, 4):
         values = [q1 * q1 - q2 * q2 for q1, q2 in product(range(Q, 2 * Q), repeat=2)]
-        moduli, unit, filtered = fold_moduli(*box_values(P_DIFF_SQ, Q), min_modulus=20)
+        moduli, unit, filtered, _ = box_moduli(P_DIFF_SQ, Q, min_modulus=20)
         assert unit == values.count(0) == Q
         assert filtered == sum(1 for v in values if 1 < abs(v) < 20)
         assert moduli == {d: sum(1 for v in values if abs(v) == d)
                           for d in {abs(v) for v in values if abs(v) >= 20}}
     with pytest.raises(ValueError):
-        fold_moduli(*box_values(P_DIFF_SQ, 2), min_modulus=float("nan"))
+        box_moduli(P_DIFF_SQ, 2, min_modulus=float("nan"))
 
 
 GRID_POLYS = [
@@ -218,6 +218,6 @@ def test_fold_moduli_property(P, Q, min_modulus):
             filtered += c
         else:
             moduli[abs(v)] = moduli.get(abs(v), 0) + c
-    got = fold_moduli(*box_values(P, Q), min_modulus)
+    got = box_moduli(P, Q, min_modulus)[:3]
     assert got == (moduli, unit, filtered)
     assert list(got[0]) == sorted(moduli)

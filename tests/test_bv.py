@@ -17,7 +17,7 @@ import polysieve.bv as bv
 from oracles import (factor_values, loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
                      loop_sup_abs_psi_chi, prime_value_weight, von_mangoldt)
 from polysieve.arith import euler_phi, von_mangoldt_table
-from polysieve.boxes import box_values, fold_moduli
+from polysieve.boxes import box_moduli
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad, discrepancy_sum,
                           exponent_profile, max_progression_discrepancy, mean_value_sum)
 from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
@@ -333,7 +333,7 @@ def test_mean_value_examples():
 def test_mean_value_moduli_are_the_box_fold():
     for P in (P_SUM_SQ, parse_poly("x1^2-x2^2")):
         rep = mean_value_sum(P, 2, 10)
-        moduli, unit, _ = fold_moduli(*box_values(P, 2))
+        moduli, unit, _, _ = box_moduli(P, 2)
         assert rep.moduli == moduli
         assert rep.skipped_unit_moduli == unit
 

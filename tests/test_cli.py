@@ -365,10 +365,14 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["missing/x.json", "."])
-def test_unwritable_out_is_validation_error(capsys, tmp_path, where):
-    # a missing directory, and a directory in place of a file
+def test_unwritable_out_is_validation_error(capsys, monkeypatch, tmp_path, where):
+    # a missing directory, and a directory in place of a file, are refused
+    # before the handler runs
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "exponents", ran.append)
     code, out, err = run_cli(capsys, "exponents", "--k", "3", "--ell", "2",
                              "--out", str(tmp_path / where))
+    assert ran == []
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -458,7 +462,14 @@ def test_workers_flag_changes_no_byte(capsys, command):
     assert outs[0] == outs[1]
 
 
-def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, key, size", [
+    pytest.param(("sieve-scan", "--N", "9,27,81,243", "--min-modulus", "20"), "rows", 4,
+                 id="sieve-scan"),
+    pytest.param(("farey-stats", "--N", "9,27,81,243", "--min-modulus", "20"), "per_N", 4,
+                 id="farey-stats"),
+    pytest.param(("meanvalue-sum", "--x", "100"), "moduli", 9, id="meanvalue-sum"),
+])
+def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch, argv, key, size):
     original, calls = boxes.box_values, []
 
     def counting(*args, **kwargs):
@@ -470,10 +481,9 @@ def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch):
         if getattr(mod, "__name__", "").startswith("polysieve") and \
                 getattr(mod, "box_values", None) is original:
             monkeypatch.setattr(mod, "box_values", counting)
-    rep = run_json(capsys, "sieve-scan", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3",
-                   "--N", "9,27,81,243", "--min-modulus", "20")
+    rep = run_json(capsys, *argv, "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3")
     assert len(calls) == 1
-    assert len(rep["result"]["rows"]) == 4
+    assert len(rep["result"][key]) == size
 
 
 def test_sieve_scan_expands_its_moduli_once(capsys, monkeypatch):

@@ -12,14 +12,11 @@ from oracles import (dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_resid
 
 import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi
-from polysieve.boxes import box_values
+from polysieve.boxes import box_moduli, box_values
 from polysieve.errors import BudgetError
 from polysieve.farey import build_farey, min_spacing
-from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, SieveSequence,
-                                  box_moduli, delta_bounds, empirical_delta,
-                                  moduli_sieve_sum, ones_sequence,
-                                  random_sign_sequence, random_unit_sequence,
-                                  ramanujan_weights, spike_sequence)
+from polysieve.largesieve import (DeltaReport, SieveSequence, delta_bounds, empirical_delta,
+                                  moduli_sieve_sum, ramanujan_weights, sieve_sequence)
 from polysieve.mvpoly import parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
@@ -38,7 +35,7 @@ def test_sequence_invariants():
 
 
 def test_exp_sum_trivial():
-    seq = ones_sequence(5)
+    seq = sieve_sequence("ones", 5, 0)
     assert exp_sum(seq, 0) == pytest.approx(5)
     two = SieveSequence(0, [1, 1])
     assert abs(exp_sum(two, Fraction(1, 2))) < 1e-12  # e(1/2) + e(1) = 0
@@ -87,7 +84,7 @@ def test_sieve_sum_q1_examples():
 
 def test_sieve_sum_matches_farey_points():
     system = build_farey(P_SUM_SQ, 2)
-    seq = random_unit_sequence(16, seed=2)
+    seq = sieve_sequence("unit", 16, 2)
     direct = sieve_sum(seq, P_SUM_SQ, 2)
     via_points = sum_sq_over_points(seq, farey_points(system))
     assert direct == pytest.approx(via_points, rel=1e-9)
@@ -97,13 +94,13 @@ def test_sieve_sum_paths_agree():
     moduli = [q1 * q1 + q2 * q2 for q1 in range(3, 6) for q2 in range(3, 6)]
     # N in {1, 2} is where a per-modulus pointwise route used to be chosen
     for N, M in ((40, 0), (1, 0), (2, 0), (2, 7)):
-        seq = random_sign_sequence(N, seed=9, M=M)
+        seq = sieve_sequence("pm1", N, 9, M)
         assert sieve_sum(seq, P_SUM_SQ, 3) == pytest.approx(
             pointwise_sieve_sum(seq.coeffs, M, moduli), rel=1e-9)
 
 
 def test_sieve_sum_filter_and_additivity():
-    seq = random_sign_sequence(10, seed=5)
+    seq = sieve_sequence("pm1", 10, 5)
     full = sieve_sum(seq, P_SUM_SQ, 2)
     starred = sieve_sum(seq, P_SUM_SQ, 2, min_modulus=9)
     # moduli are 8, 13, 13, 18; the star filter drops 8
@@ -144,7 +141,7 @@ def test_trivial_bound_inequality():
 
 
 def test_empirical_delta():
-    moduli = box_moduli(P_SUM_SQ, 1)[1]
+    moduli = box_moduli(P_SUM_SQ, 1)[0]
     assert empirical_delta(SieveSequence(0, [1, 0]), moduli) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         empirical_delta(SieveSequence(0, [0, 0]), moduli)
@@ -176,18 +173,18 @@ def test_delta_bounds_validation():
 
 
 def test_sequence_families_deterministic():
-    a = random_sign_sequence(32, seed=7)
-    b = random_sign_sequence(32, seed=7)
+    a = sieve_sequence("pm1", 32, 7)
+    b = sieve_sequence("pm1", 32, 7)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert set(np.unique(a.coeffs.real)) <= {-1.0, 1.0}
-    u = random_unit_sequence(16, seed=7)
+    u = sieve_sequence("unit", 16, 7)
     assert np.allclose(np.abs(u.coeffs), 1.0)
-    s = spike_sequence(8)
+    s = sieve_sequence("spike", 8, 0)
     assert s.norm_sq == 1.0
 
 
 def test_budget(monkeypatch):
-    seq = ones_sequence(10)
+    seq = sieve_sequence("ones", 10, 0)
     monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", 100)
     with pytest.raises(BudgetError):
         sieve_sum(seq, P_SUM_SQ, 30)
@@ -196,10 +193,10 @@ def test_budget(monkeypatch):
 def test_reported_ratios_are_finite():
     # reporting-only paths: the all-ones ratio at large N and the seed-mean
     # ratio carry no assertion beyond being well defined
-    moduli = box_moduli(P_SUM_SQ, 2)[1]
-    big = empirical_delta(ones_sequence(400), moduli)
+    moduli = box_moduli(P_SUM_SQ, 2)[0]
+    big = empirical_delta(sieve_sequence("ones", 400, 0), moduli)
     assert big > 0
-    mean = np.mean([empirical_delta(random_sign_sequence(64, seed=s), moduli)
+    mean = np.mean([empirical_delta(sieve_sequence("pm1", 64, s), moduli)
                     for s in range(20)])
     assert np.isfinite(mean) and mean > 0
 
@@ -209,11 +206,11 @@ FORMS = [parse_poly(t) for t in ("x1^2+x2^2", "x1^2+x1*x2+3*x2^2", "2*x1^2-x1*x2
 
 def test_integer_families_match_exact_oracle():
     # x1^2+x2^2 at Q = 5 has moduli 50..162: with N <= 40 every modulus is >= N
-    assert min(box_moduli(P_SUM_SQ, 5)[1]) == 50
+    assert min(box_moduli(P_SUM_SQ, 5)[0]) == 50
     for P, Q, min_modulus in product(FORMS, (2, 3, 5, 8), (None, 50)):
-        moduli = box_moduli(P, Q, min_modulus)[1]
+        moduli = box_moduli(P, Q, min_modulus)[0]
         for family, N, M in product(("ones", "spike", "pm1"), (1, 2, 3, 7, 40, 150), (0, 11)):
-            seq = SEQUENCE_FAMILIES[family](N, N + Q, M)
+            seq = sieve_sequence(family, N, N + Q, M)
             total = sieve_sum(seq, P, Q, min_modulus=min_modulus)
             exact = exact_sieve_sum(seq.coeffs.real, moduli)
             assert type(total) is int and total == exact
@@ -222,8 +219,8 @@ def test_integer_families_match_exact_oracle():
 
 def test_unit_family_matches_pointwise_and_dft():
     for P, Q, N, M in ((P_SUM_SQ, 2, 1, 0), (FORMS[1], 3, 37, 11), (FORMS[2], 2, 150, 4)):
-        moduli = box_moduli(P, Q)[1]
-        seq = random_unit_sequence(N, seed=N, M=M)
+        moduli = box_moduli(P, Q)[0]
+        seq = sieve_sequence("unit", N, N, M)
         total = moduli_sieve_sum(seq, moduli)
         expanded = [d for d, mult in moduli.items() for _ in range(mult)]
         assert total == pytest.approx(pointwise_sieve_sum(seq.coeffs, M, expanded), rel=1e-12)
@@ -231,8 +228,8 @@ def test_unit_family_matches_pointwise_and_dft():
 
 
 def test_exact_route_needs_the_guard(monkeypatch):
-    moduli = box_moduli(FORMS[1], 3)[1]
-    seq = random_sign_sequence(90, seed=4)
+    moduli = box_moduli(FORMS[1], 3)[0]
+    seq = sieve_sequence("pm1", 90, 4)
     exact = moduli_sieve_sum(seq, moduli)
     assert type(exact) is int
     monkeypatch.setattr(largesieve, "EXACT_BITS", 0)
@@ -246,7 +243,7 @@ def test_empirical_quotient_correctly_rounded_past_2_53():
     # d = 2^61 + 197 is prime, so three ones give N (d - N) = 3 (d - 3), past
     # 2^53: rounding the total to a float first would be off by an ulp here
     d = 2 ** 61 + 197
-    seq = ones_sequence(3)
+    seq = sieve_sequence("ones", 3, 0)
     assert moduli_sieve_sum(seq, {d: 1}) == 3 * (d - 3) == exact_sieve_sum([1, 1, 1], {d: 1})
     assert empirical_delta(seq, {d: 1}) == float(d - 3) != float(3 * (d - 3)) / 3
 
@@ -262,8 +259,8 @@ def test_ramanujan_weights():
 
 
 def test_budget_is_the_work_estimate(monkeypatch):
-    moduli = box_moduli(FORMS[1], 4)[1]
-    seq = random_sign_sequence(100, seed=1)
+    moduli = box_moduli(FORMS[1], 4)[0]
+    seq = sieve_sequence("pm1", 100, 1)
     _, weights, terms = ramanujan_weights(moduli, 100)
     work = 200 * 8 + terms + sum(1 + 99 // e for e in weights)
     monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", work)
@@ -327,19 +324,19 @@ def test_autocorrelation_runs_at_a_5_smooth_length(monkeypatch):
 
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(largesieve.np.fft, name, spy(getattr(np.fft, name)))
-    moduli = box_moduli(P_SUM_SQ, 3)[1]
+    moduli = box_moduli(P_SUM_SQ, 3)[0]
     for N in POOL_N + (389,):   # 389 is prime: 2N = 778 = 2 389
         for family, calls in (("pm1", 2), ("unit", 3)):
             lengths.clear()
-            moduli_sieve_sum(SEQUENCE_FAMILIES[family](N, 1), moduli)
+            moduli_sieve_sum(sieve_sequence(family, N, 1), moduli)
             assert len(lengths) == calls
             assert all(_is_5_smooth(n) and n >= 2 * N - 1 for n in lengths)
 
 
 def test_exact_route_at_lengths_with_a_large_prime_factor():
     # 2N - 1 = 777 = 3 7 37 and 2277 = 3^2 11 23 are padded to 800 and 2304
-    moduli = box_moduli(FORMS[1], 3)[1]
+    moduli = box_moduli(FORMS[1], 3)[0]
     for family, N in product(("ones", "spike", "pm1"), (389, 1139)):
-        seq = SEQUENCE_FAMILIES[family](N, N)
+        seq = sieve_sequence(family, N, N)
         total = moduli_sieve_sum(seq, moduli)
         assert type(total) is int and total == exact_sieve_sum(seq.coeffs.real, moduli)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,40 @@ def test_over_budget_prime_value_sieve_refuses_before_the_norm_form(monkeypatch,
     assert main(["prime-value-sieve", "--f", "t^12+2", "--Q", "4"]) == 3
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "box enumeration: requires 16777216, budget is 5000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm-form", "--f", "t^11+2"),
+    ("prime-value-sieve", "--f", "t^11+2", "--Q", "1"),
+    ("corollary-search", "--f", "t^11+2", "--X", "100", "--theta", "1/3"),
+], ids=lambda argv: argv[0])
+def test_degree_11_norm_form_is_refused_before_the_determinant(capsys, argv):
+    # 11 2^10 C(21, 10) = 3972993024; the determinant itself ran past 30 s
+    start = time.perf_counter()
+    assert main(list(argv)) == 3
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "norm form determinant: requires 3972993024, budget is 500000000",
+        "kind": "resource", "partial_progress": False}
+
+
+def test_norm_form_budget_boundary(monkeypatch):
+    # t^3 - 2 in 3 variables: 3 2^2 C(5, 2) = 120
+    expected = norm_form(CUBE2)
+    monkeypatch.setattr(normform, "NORM_FORM_BUDGET", 120)
+    assert norm_form(CUBE2) == expected
+    monkeypatch.setattr(normform, "NORM_FORM_BUDGET", 119)
+    with pytest.raises(BudgetError, match=r"^norm form determinant: requires 120, budget is 119$"):
+        norm_form(CUBE2)
+
+
+def test_the_budget_admits_degree_10(monkeypatch):
+    # n = ell = 10 estimates 10 2^9 C(19, 9) = 472975360, under the budget;
+    # the determinant itself (about 19 s) is stubbed out
+    monkeypatch.setattr(normform, "_det_poly", lambda matrix, ell: (len(matrix), ell))
+    assert norm_form(NumberFieldSpec.from_text("t^10+2")) == (10, 10)
 
 
 ORACLE_FIELDS = [NumberFieldSpec.from_text("t^2+1"), NumberFieldSpec.from_text("t^2+t+3"),
