@@ -96,7 +96,9 @@ def check_setting(F: FactoredPoly) -> SettingReport:
     """Per-factor exponent data, the variable-count condition, and the
     divisor level-exponent monotonicity, all in exact arithmetic.
 
-    Disjointness of factor variable sets is enforced by FactoredPoly itself.
+    The divisors are the 2^m - 1 subset products, by increasing bitmask
+    (factor 1 = lowest bit).  The factors' variables are disjoint, so no terms
+    merge: degrees and used-variable counts add, top coefficients multiply.
     """
     checks = []
     for i, f in enumerate(F.factors):
@@ -108,26 +110,25 @@ def check_setting(F: FactoredPoly) -> SettingReport:
             index=i + 1, degree=kj, num_vars_used=lj, used_variables=tuple(used),
             min_top_coeff=f.min_top_coeff(), profile=prof,
             variable_condition_ok=Fraction(lj) >= prof.variable_condition_rhs))
-    k = F.product.total_degree()
-    ell = len(F.product.used_variables())
+    k = sum(c.degree for c in checks)
+    ell = sum(c.num_vars_used for c in checks)
     prof = exponent_profile(k, ell)
     divisors = []
-    for indices, dpoly in F.divisor_subsets():
-        dk = dpoly.total_degree()
-        dell = len(dpoly.used_variables())
+    for mask in range(1, 1 << len(checks)):
+        part = [c for c in checks if mask >> (c.index - 1) & 1]
+        dk = sum(c.degree for c in part)
+        dell = sum(c.num_vars_used for c in part)
         dlevel = exponent_profile(dk, dell).level_exponent
         divisors.append(DivisorCheck(
-            factor_indices=indices, degree=dk, num_vars_used=dell,
+            factor_indices=tuple(c.index for c in part), degree=dk, num_vars_used=dell,
             level_exponent=dlevel, monotone_ok=prof.level_exponent <= dlevel))
-    top_ok = F.product.min_top_coeff() == 1 and all(
-        c.min_top_coeff == 1 for c in checks)
     return SettingReport(
         factors=tuple(checks), divisors=tuple(divisors), product_degree=k,
-        product_num_vars_used=ell, product_min_top_coeff=F.product.min_top_coeff(),
+        product_num_vars_used=ell, product_min_top_coeff=prod(c.min_top_coeff for c in checks),
         product_profile=prof,
         all_variable_conditions_ok=all(c.variable_condition_ok for c in checks),
         all_divisors_monotone=all(d.monotone_ok for d in divisors),
-        top_coeffs_are_one=top_ok)
+        top_coeffs_are_one=all(c.min_top_coeff == 1 for c in checks))
 
 
 def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +220,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     of the tuples.
     """
     ell = F.num_vars
-    k = F.product.total_degree()
+    k = sum(f.total_degree() for f in F.factors)
     check_box_budget(Q, ell)
     if eps_bad is None:
         eps_bad = default_eps_bad(Q, k, A, len(F.factors))

@@ -20,9 +20,6 @@ from .errors import BudgetError
 from .mvpoly import MvPoly
 
 DEFAULT_POINT_BUDGET = 3_000_000
-# Float keys a/d sort exactly while max d < 2^FLOAT_KEY_BITS: distinct reduced
-# fractions differ by at least 1/(d_i d_j) > 2^-52, twice their rounding error.
-FLOAT_KEY_BITS = 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +56,11 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
     a = np.concatenate([np.zeros(0, dtype=np.int64)] + nums)
     d, mult = (np.repeat(np.array(list(x), dtype=np.int64), sizes)
                for x in (retained.keys(), retained.values()))
-    if not len(d) or d.max() < 2 ** FLOAT_KEY_BITS:
-        order = np.argsort(a / d, kind="stable")
-    else:  # floor(a 2^k / d) is exact and separates points 1/max(d)^2 apart
-        k = 2 * int(d.max()).bit_length()
-        order = np.argsort((a.astype(object) << k) // d.astype(object), kind="stable")
+    # Float keys a/d sort exactly while max d < 2^26: distinct reduced fractions
+    # differ by > 2^-52, twice their rounding error.  Each phi(d) is at most the
+    # point budget, and phi(n) > 1.08*10^7 for n >= 2^26 by n/phi(n) < e^gamma
+    # log log n + 3/log log n, n >= 3 (Rosser and Schoenfeld 1962).
+    order = np.argsort(a / d, kind="stable")
     return FareySystem(a=a[order], d=d[order], mult=mult[order],
                        distinct_count=len(a), total_count=total,
                        skipped_unit_moduli=skipped_unit, skipped_filtered=skipped_filtered)

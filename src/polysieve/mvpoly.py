@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
-from math import prod
 
 import numpy as np
 
@@ -273,13 +272,12 @@ def parse_poly(text: str, num_vars: int | None = None) -> MvPoly:
 class FactoredPoly:
     """A polynomial given as a product of factors on disjoint variable sets.
 
-    Factors are embedded over the union variable list so every factor can be
-    evaluated on a full coordinate tuple.  Disjointness and nonconstancy are
-    enforced; irreducibility of the factors is a user assertion and is not
-    verified.
+    Only the factors are kept (the product is never expanded), embedded over
+    the union variable list.  Disjointness and nonconstancy are enforced;
+    irreducibility of the factors is a user assertion and is not verified.
     """
 
-    __slots__ = ("num_vars", "factors", "product")
+    __slots__ = ("num_vars", "factors")
 
     def __init__(self, factors):
         factors = list(factors)
@@ -297,24 +295,9 @@ class FactoredPoly:
                 raise ValueError(f"factors {i} and {j} share variables {sorted(a & b)}")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "product", prod(factors[1:], start=factors[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredPoly is immutable")
-
-    def divisor_subsets(self) -> list[tuple[tuple[int, ...], MvPoly]]:
-        """(1-based factor indices, product) over the 2^m - 1 nonempty subsets
-        of factors, by increasing bitmask (factor 1 = lowest bit).
-
-        These are exactly the nonconstant monic-subset divisors used when a
-        squarefree product of prime factor values is split into divisors.
-        """
-        out = []
-        for mask in range(1, 1 << len(self.factors)):
-            indices = tuple(i + 1 for i in range(len(self.factors)) if mask >> i & 1)
-            first, *rest = (self.factors[i - 1] for i in indices)
-            out.append((indices, prod(rest, start=first)))
-        return out
 
     def grid(self, axes) -> np.ndarray:
         """Factor values over the grid of MvPoly.grid: one row per point."""

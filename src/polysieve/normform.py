@@ -192,13 +192,18 @@ def _det_poly(matrix: list[list[MvPoly]], ell: int) -> MvPoly:
     return rec((1 << n) - 1)
 
 
-def norm_form(spec: NumberFieldSpec) -> MvPoly:
-    """The incomplete norm form as an exact MvPoly, homogeneous of degree n;
-    past NORM_FORM_BUDGET the work estimate is refused first."""
+def check_norm_form_budget(spec: NumberFieldSpec) -> None:
+    """Refuse a norm form whose determinant's work estimate exceeds NORM_FORM_BUDGET."""
     n, ell = spec.degree, spec.num_form_vars
     if (est := n * 2 ** (n - 1) * comb(n + ell - 1, ell - 1)) > NORM_FORM_BUDGET:
         raise BudgetError("norm form determinant", est, NORM_FORM_BUDGET)
-    return _det_poly(multiplication_matrix(spec), ell)
+
+
+def norm_form(spec: NumberFieldSpec) -> MvPoly:
+    """The incomplete norm form as an exact MvPoly, homogeneous of degree n;
+    past NORM_FORM_BUDGET the work estimate is refused first."""
+    check_norm_form_budget(spec)
+    return _det_poly(multiplication_matrix(spec), spec.num_form_vars)
 
 
 @dataclass(frozen=True)
@@ -262,9 +267,9 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     p^tn <= d^td (exact) of every d goes into one array, the prime p are kept
     and grouped by one stable sort into the report's columns of plain ints:
     the p ascending, each with its list of d in increasing order.
-    Before the sieve, more than NORM_VALUE_BUDGET norm values raise
-    BudgetError, as do a theta = tn/td whose powers d^td could pass
-    THETA_POWER_BITS bits and X above arith.PRIME_SIEVE_LIMIT.
+    Before the sieve, in this order, more than NORM_VALUE_BUDGET norm values,
+    a theta = tn/td whose powers d^td could pass THETA_POWER_BITS bits, a norm
+    form past NORM_FORM_BUDGET and X above PRIME_SIEVE_LIMIT raise BudgetError.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -281,6 +286,7 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     if td * X.bit_length() > THETA_POWER_BITS:
         raise BudgetError("bits of d^td for theta's denominator", td * X.bit_length(),
                           THETA_POWER_BITS)
+    check_norm_form_budget(spec)   # the sieve below costs a byte per integer up to X
     flags = prime_flags(X)
     vals = norm_form(spec).grid([range(1, qmax + 1)] * ell)
     small = np.flatnonzero((vals >= 2) & (vals <= X - 1))

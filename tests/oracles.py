@@ -625,9 +625,10 @@ def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
     Each tuple is weighed by the definition, prime_value_weight above, and
     only the discrepancy kernel is the library's; what it checks is the
     library's distinct-primes weight and its grouping by distinct tuple and
-    distinct modulus."""
+    distinct modulus.  The degree k is read off the symbolic product of
+    the factors, not summed from the factor degrees as the library does."""
     ell = F.num_vars
-    k = F.product.total_degree()
+    k = prod(F.factors[1:], start=F.factors[0]).total_degree()
     if eps_bad is None:
         eps_bad = default_eps_bad(Q, k, A, len(F.factors))
     threshold = Fraction(eps_bad) * Q ** k

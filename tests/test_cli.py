@@ -22,6 +22,7 @@ import polysieve.cli as cli
 import polysieve.largesieve as largesieve
 from polysieve.cli import build_parser, main
 from polysieve.errors import BudgetError
+from polysieve.mvpoly import MvPoly
 
 from oracles import assert_plain_json
 
@@ -405,6 +406,35 @@ def test_check_setting_smoke(capsys):
     rep = run_json(capsys, "check-setting", "--P", "x1^3+2*x2^3")
     assert rep["result"]["all_variable_conditions_ok"] is True
     assert rep["result"]["product_profile"]["level_exponent"] == "24/179"
+
+
+def test_bv_sum_and_check_setting_expand_no_product(monkeypatch, capsys):
+    # the factors' variables are disjoint, so the product's data follow from
+    # the factors' and no polynomial product is expanded
+    def refuse(self, other):
+        raise AssertionError("a polynomial product was expanded")
+
+    monkeypatch.setattr(MvPoly, "__mul__", refuse)
+    factors = ("--P", "x1^2+x2^2", "--P", "x3^2+x4", "--P", "x5+2*x6^3")
+    run_json(capsys, "check-setting", *factors)
+    run_json(capsys, "bv-sum", *factors, "--Q", "2", "--x", "10")
+
+
+def _binary_form(j, k=14):
+    """x_a^k + x_a^(k-1) x_b + ... + x_b^k in a = 2j - 1, b = 2j: k + 1 terms."""
+    return "+".join(f"x{2 * j - 1}^{k - i}*x{2 * j}^{i}" for i in range(k + 1))
+
+
+@pytest.mark.parametrize("argv", [("bv-sum", "--Q", "1", "--x", "10"), ("check-setting",)],
+                         ids=lambda argv: argv[0])
+def test_six_factor_setting_does_not_hang(argv):
+    # the symbolic product of six 15-term factors has 15^6 terms; expanding it
+    # and its 62 proper subset products ran past 60 s
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    factors = [arg for j in range(1, 7) for arg in ("--P", _binary_form(j))]
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv, *factors], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_prime_value_sieve_smoke(capsys):

@@ -187,12 +187,14 @@ def test_kernels_match_oracles_on_quadratic_forms():
                 assert max_close_points(system, N) == quadratic_close_count_int64(pts, N)
 
 
-def test_exact_sort_matches_float_keys(monkeypatch):
-    system = build_farey(parse_poly("4*x1^2+3*x1*x2+4*x2^2"), 4)
-    monkeypatch.setattr(farey, "FLOAT_KEY_BITS", 0)
-    exact = build_farey(parse_poly("4*x1^2+3*x1*x2+4*x2^2"), 4)
-    for name in ("a", "d", "mult"):
-        assert np.array_equal(getattr(system, name), getattr(exact, name))
+def test_point_budget_keeps_float_sort_keys_exact():
+    # build_farey sorts on float keys a/d, exact while every d < 2^26, and every
+    # d it keeps has phi(d) <= DEFAULT_POINT_BUDGET.  For n >= 3, n/phi(n) <
+    # e^gamma log log n + 3/log log n (Rosser-Schoenfeld 1962), so phi(n) >
+    # n / (that bound), which increases with n; at n = 2^26 it must pass the budget.
+    loglog = np.log(np.log(2 ** 26))
+    assert 2 ** 26 / (np.exp(np.euler_gamma) * loglog + 3 / loglog) > 1.08e7 \
+        > farey.DEFAULT_POINT_BUDGET
 
 
 pair = st.integers(1, 12).flatmap(lambda d: st.tuples(st.integers(0, d - 1), st.just(d)))

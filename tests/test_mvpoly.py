@@ -1,10 +1,12 @@
 import json
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import horner_eval, poly_from_json_dict, poly_to_json
+from polysieve.bv import check_setting, exponent_profile
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 
 
@@ -103,26 +105,44 @@ def test_embed_and_used_variables():
     assert E.used_variables() == frozenset({1, 2})
 
 
-def test_factored_poly_divisors():
-    h1 = parse_poly("x1^2+x2^2")
-    f1 = FactoredPoly([h1])
-    assert len(f1.divisor_subsets()) == 1
-    h2 = parse_poly("x3^2+x4^2")
-    f2 = FactoredPoly([h1, h2])
-    divs = f2.divisor_subsets()
-    assert len(divs) == 3
-    assert f2.product == h1.embed(4) * h2
-    h3 = parse_poly("x5+x6")
-    assert len(FactoredPoly([h1, h2, h3]).divisor_subsets()) == 7
+@st.composite
+def factored_polys(draw):
+    """1 to 4 factors on disjoint blocks of 1 to 3 variables, each with up to
+    5 terms of exponents up to 3, nonconstant in its block's first variable."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    ell, factors, start = sum(sizes), [], 0
+    for size in sizes:
+        block = range(start, start + size)
+        exps = st.tuples(*[st.integers(0, 3) if i in block else st.just(0) for i in range(ell)])
+        terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=4))
+        lead = tuple(draw(st.integers(1, 3)) if i == start else 0 for i in range(ell))
+        terms[lead] = draw(st.integers(-9, 9).filter(bool))
+        factors.append(MvPoly(ell, terms))
+        start += size
+    return FactoredPoly(factors)
 
 
-def test_factored_poly_divisor_values_divide_product():
-    f = FactoredPoly([parse_poly("x1^2+x2^2"), parse_poly("x3^2+x4^2")])
-    for x in ((1, 2, 3, 4), (2, 2, 5, 1), (-3, 1, 0, 2)):
-        pv = f.product.evaluate(x)
-        for _, d in f.divisor_subsets():
-            dv = d.evaluate(x)
-            assert dv != 0 and pv % dv == 0
+@given(factored_polys())
+@settings(max_examples=150, deadline=None)
+def test_check_setting_matches_symbolic_subset_products(F):
+    # the oracle expands every subset product with MvPoly.__mul__; check_setting
+    # reads the same data off the factors, as their variables are disjoint
+    rep = check_setting(F)
+    m = len(F.factors)
+    assert [d.factor_indices for d in rep.divisors] == [
+        tuple(i + 1 for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
+    for d in rep.divisors:
+        first, *rest = (F.factors[i - 1] for i in d.factor_indices)
+        product = prod(rest, start=first)
+        assert d.degree == product.total_degree()
+        assert d.num_vars_used == len(product.used_variables())
+        assert d.level_exponent == exponent_profile(d.degree, d.num_vars_used).level_exponent
+    product = prod(F.factors[1:], start=F.factors[0])
+    assert rep.product_degree == product.total_degree()
+    assert rep.product_num_vars_used == len(product.used_variables())
+    assert rep.product_min_top_coeff == product.min_top_coeff()
+    assert rep.top_coeffs_are_one == (product.min_top_coeff() == 1 and all(
+        f.min_top_coeff() == 1 for f in F.factors))
 
 
 def test_factored_poly_rejects_overlap_and_constants():

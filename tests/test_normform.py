@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -251,6 +255,22 @@ def test_degree_11_norm_form_is_refused_before_the_determinant(capsys, argv):
     assert json.loads(err) == {
         "error": "norm form determinant: requires 3972993024, budget is 500000000",
         "kind": "resource", "partial_progress": False}
+
+
+def test_corollary_search_refuses_the_norm_form_before_the_prime_sieve():
+    # 11 2^10 C(20, 9) = 1891901440; the prime sieve up to X = 10^8 that ran
+    # first took about 2 s
+    argv = ["corollary-search", "--f", "t^11+2", "--truncation", "1", "--X", "100000000",
+            "--theta", "1/3"]
+    env = dict(os.environ, PYTHONPATH=str(Path(normform.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3
+    assert proc.stderr == json.dumps({
+        "error": "norm form determinant: requires 1891901440, budget is 500000000",
+        "kind": "resource", "partial_progress": False}) + "\n"
 
 
 def test_norm_form_budget_boundary(monkeypatch):
