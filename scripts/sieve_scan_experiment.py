@@ -31,11 +31,8 @@ def main():
     lo, hi = args.Q ** k, args.Q ** (2 * k)
     grid = sorted({int(lo * (hi / lo) ** (i / 11)) for i in range(12)})
 
-    rows = []
-    for N in grid:
-        seq = sieve_sequence(args.sequence, N, args.seed)
-        emp = empirical_delta(seq, moduli)
-        rows.append(delta_bounds(k, ell, args.Q, N, r_star, empirical=emp))
+    emps = empirical_delta(moduli, 0, grid, lambda N: sieve_sequence(args.sequence, N, args.seed))
+    rows = [delta_bounds(k, ell, args.Q, N, r_star, empirical=emp) for N, emp in zip(grid, emps)]
 
     print(f"P = {P.to_text()},  Q = {args.Q},  k = {k}, ell = {ell}, "
           f"r* = {r_star},  sequence = {args.sequence}")

@@ -93,8 +93,8 @@ def count_bad_moduli(P: MvPoly, Q: int, eps) -> BadModuliReport:
     if k < 1:
         raise ValueError("P must have total degree >= 1")
     ell = P.num_vars
-    b = floor(Fraction(eps) * Q ** k)
-    count = int(np.count_nonzero(np.abs(box_grid(P, Q)) <= b))
+    values = box_grid(P, Q)   # its value-bits guard also bounds Q^k
+    count = int(np.count_nonzero(np.abs(values) <= floor(Fraction(eps) * Q ** k)))
     comparator = float(eps) ** (1.0 / k) * Q ** ell if eps > 0 else 0.0
     ratio = count / comparator if comparator > 0 else None
     return BadModuliReport(count=count, box_size=Q ** ell, eps=float(eps),

@@ -26,6 +26,8 @@ from .mvpoly import FactoredPoly, MvPoly
 
 # Complex entries per block of the character sup kernel: keeps its memory flat.
 _SUP_BLOCK = 2 ** 14
+# Subset divisors 2^m - 1 that check_setting lists: 16 factors, about 18 MB of JSON.
+SETTING_DIVISOR_BUDGET = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,10 @@ def check_setting(F: FactoredPoly) -> SettingReport:
     The divisors are the 2^m - 1 subset products, by increasing bitmask
     (factor 1 = lowest bit).  The factors' variables are disjoint, so no terms
     merge: degrees and used-variable counts add, top coefficients multiply.
+    More than SETTING_DIVISOR_BUDGET divisors are refused before any profile.
     """
+    if (1 << len(F.factors)) - 1 > SETTING_DIVISOR_BUDGET:
+        raise BudgetError("setting divisors", (1 << len(F.factors)) - 1, SETTING_DIVISOR_BUDGET)
     checks = []
     for i, f in enumerate(F.factors):
         kj = f.total_degree()

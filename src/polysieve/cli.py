@@ -27,8 +27,8 @@ from .bv import check_setting, discrepancy_sum, exponent_profile, mean_value_sum
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
-from .largesieve import (SEQUENCE_FAMILIES, _signed_divisors, delta_bounds, empirical_delta,
-                         fft_work, sieve_sequence)
+from .largesieve import (SEQUENCE_FAMILIES, delta_bounds, empirical_delta, fft_work,
+                         sieve_sequence)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
 
@@ -258,14 +258,13 @@ def _run_sieve_scan(args):
     moduli, _, _, r_star = box_moduli(P, args.Q, args.min_modulus)
     if min(args.N) < 1:
         raise ValueError(f"N must be >= 1, got {min(args.N)}")
-    rows = []
-    try:   # every N reuses one expansion of the moduli, which ends with the op
-        for N in args.N:
-            seq = sieve_sequence(args.sequence, N, _split_seed(args.seed, N), args.M)
-            emp = empirical_delta(seq, moduli)
-            rows.append(delta_bounds(k, ell, args.Q, N, r_star, empirical=emp))
-    finally:
-        _signed_divisors.cache_clear()
+    # each N's comparators are checked with its sieve work, before any FFT
+    bounds = []
+    emps = empirical_delta(
+        moduli, args.M, args.N,
+        lambda N: sieve_sequence(args.sequence, N, _split_seed(args.seed, N), args.M),
+        lambda N: bounds.append(delta_bounds(k, ell, args.Q, N, r_star)))
+    rows = [dataclasses.replace(b, empirical=emp) for b, emp in zip(bounds, emps)]
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,
               "sequence": args.sequence, "rows": [dataclasses.asdict(r) for r in rows]}
     header = ["N", "empirical", "trivial_bound", "zhao_conjecture", "old_bound",

@@ -7,19 +7,20 @@ Ramanujan's sum c_d(h) = sum_{e | (d,h)} e mu(d/e) (Hardy-Wright, Thm 271) gives
 R(h) = sum_n a_{n+h} conj(a_n) and G(e) = sum_{d = 0 mod e} mult_d mu(d/e),
 
     sum_d mult_d sum_{(a,d)=1} |S(a/d)|^2
-        = R(0) sum_d mult_d phi(d) + 2 sum_{e<N} e G(e) Re sum_{j>=1, je<N} R(je).
+        = R(0) sum_d mult_d phi(d) + 2 sum_{e<N} e G(e) Re sum_{j>=1, je<N} R(je)
+        = R(0) sum_d mult_d phi(d) + 2 Re sum_{0<h<N} R(h) W(h),
 
-One zero-padded FFT gives all of R and each divisor e costs one strided sum;
-nothing is done per residue, and the window offset M drops out.  Reported
-bounds set every (QN)^o(1) and implied constant to 1 - they are
-comparators, not certified bounds.
+with the divisor-weight table W(h) = sum_{e | h} e G(e).  One zero-padded FFT
+gives all of R and one dot product the sum; as e | h < N forces e < N, one
+table at a grid's largest N serves every N.  Nothing is done per residue, and
+the window offset M drops out.  Reported bounds set every (QN)^o(1) and
+implied constant to 1 - they are comparators, not certified bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, fsum, log2, pi
+from math import comb, log2, pi
 
 import numpy as np
 
@@ -39,10 +40,7 @@ class SieveSequence:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim != 1 or len(coeffs) == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
-        if M < 0:
-            raise ValueError(f"M must be >= 0, got {M}")
-        if M + len(coeffs) > 2 ** 63 - 1:
-            raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
+        check_window(M, len(coeffs))
         self.M = M
         self.N = len(coeffs)
         self.coeffs = coeffs
@@ -50,6 +48,14 @@ class SieveSequence:
 
     def __repr__(self):
         return f"SieveSequence(M={self.M}, N={self.N})"
+
+
+def check_window(M: int, N: int) -> None:
+    """The window (M, M+N] must start at M >= 0 and end below 2^63."""
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+    if M + N > 2 ** 63 - 1:
+        raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
 
 
 SEQUENCE_FAMILIES = {   # name -> coefficient builder (N, rng) -> array
@@ -69,23 +75,18 @@ def sieve_sequence(family: str, N: int, seed: int, M: int = 0) -> SieveSequence:
 # Integer coefficients give an integer autocorrelation R.  The FFT's absolute
 # error on R is below c 2^-53 norm_sq log2(n) for a small constant c, at the
 # transformed length n (Higham, Accuracy and Stability of Numerical Algorithms,
-# 2nd ed., ch. 24), so while norm_sq log2(n) < 2^EXACT_BITS rounding recovers
-# R, and while N norm_sq < 2^53 every strided float sum of the rounded R is exact.
+# 2nd ed., ch. 24), so while norm_sq log2(n) < 2^EXACT_BITS rounding recovers R.
+# Its int64 dot product with W is exact while norm_sq (N-1) sum_e |G(e)| < 2^63,
+# as |R(h)| <= norm_sq and sum_{h<N} |W(h)| <= sum_e |e G(e)| (N-1)/e.
 EXACT_BITS = 44
 
 
 def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, int], int]:
     """(sum_d mult_d phi(d), {e: G(e)} over the e < N with G(e) != 0, terms),
     where e = d/s runs over the squarefree s | d and terms counts the pairs."""
-    phi_total, G, terms = _signed_divisors(tuple(moduli.items()))
-    return phi_total, {e: g for e, g in G.items() if e < N}, terms
-
-
-@lru_cache(maxsize=1)   # ramanujan_weights before the cut, for the last moduli
-def _signed_divisors(moduli: tuple[tuple[int, int], ...]) -> tuple[int, dict[int, int], int]:
     phi_total = terms = 0
     G: dict[int, int] = {}
-    for d, mult in moduli:
+    for d, mult in moduli.items():
         if d < 2:
             raise ValueError(f"moduli must be >= 2, got {d}")
         phi_total += mult * euler_phi(d)
@@ -95,7 +96,7 @@ def _signed_divisors(moduli: tuple[tuple[int, int], ...]) -> tuple[int, dict[int
         terms += len(signed)
         for e, w in signed:
             G[e] = G.get(e, 0) + w
-    return phi_total, {e: g for e, g in G.items() if g}, terms
+    return phi_total, {e: g for e, g in G.items() if g and e < N}, terms
 
 
 def _fft_length(n: int) -> int:
@@ -127,41 +128,60 @@ def fft_work(N: int) -> int:
     return 2 * N * (2 * N).bit_length()
 
 
-def moduli_sieve_sum(seq: SieveSequence, moduli: dict[int, int]) -> int | float:
-    """The sum over the moduli d >= 2, weighted by multiplicity, and the
-    reduced a/d of |S(a/d)|^2: an exact integer for real integer coefficients
-    within the EXACT_BITS guard, else an fsum.
+def sieve_sums(moduli: dict[int, int], M: int, grid, sequence,
+               check=None) -> list[tuple[float, int | float]]:
+    """(norm_sq, total) of sequence(N), the sequence on (M, M+N], at each N of
+    grid in order: total sums |S(a/d)|^2 over the moduli d >= 2, weighted by
+    multiplicity, and the reduced a/d, exactly for real integer coefficients
+    within the EXACT_BITS guard, else as a float.
 
-    The work estimate is fft_work(N) + terms (ramanujan_weights) + the sum
-    of 1 + (N-1)//e over the weights e (the strided sums).  Past
-    DEFAULT_WORK_BUDGET it is refused before the FFT, and its lower bound
-    with len(moduli) for terms before any factorization.
+    Before anything is built, each N in grid order has its window checked,
+    then its work estimate fft_work(N) + terms (ramanujan_weights) + the sum
+    of 1 + (N-1)//e over the weights e < N refused past DEFAULT_WORK_BUDGET
+    (first its lower bound, with len(moduli) for terms), then check(N) run.
     """
-    N, c, n = seq.N, seq.coeffs, _fft_length(2 * seq.N - 1)
-    if fft_work(N) + len(moduli) > DEFAULT_WORK_BUDGET:
-        raise BudgetError("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
-    phi_total, weights, terms = ramanujan_weights(moduli, N)
-    work = fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights)
-    if work > DEFAULT_WORK_BUDGET:
-        raise BudgetError("sieve sum", work, DEFAULT_WORK_BUDGET)
-    R = _autocorrelation(c, n)
-    exact = (seq.norm_sq * log2(n) < 2 ** EXACT_BITS and N * seq.norm_sq < 2 ** 53
-             and not c.imag.any() and np.array_equal(c.real, np.rint(c.real)))
-    if exact:
-        np.rint(R, out=R)
-    sums = [(e * g, R[e::e].sum()) for e, g in weights.items()]
-    if exact:
-        return int(R[0]) * phi_total + 2 * sum(w * int(s) for w, s in sums)
-    return fsum([float(R[0]) * phi_total] + [2.0 * w * float(s) for w, s in sums])
+    top, weights = max(grid), None
+    for N in grid:
+        check_window(M, N)
+        if fft_work(N) + len(moduli) > DEFAULT_WORK_BUDGET:
+            raise BudgetError("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
+        if weights is None:   # the one expansion of the moduli
+            phi_total, weights, terms = ramanujan_weights(moduli, top)
+        work = fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights if e < N)
+        if work > DEFAULT_WORK_BUDGET:
+            raise BudgetError("sieve sum", work, DEFAULT_WORK_BUDGET)
+        if check:
+            check(N)
+    # sum_e |e G(e)| bounds every W(h) and the partial sums that build it
+    wide = sum(abs(e * g) for e, g in weights.items()) >= 2 ** 63
+    W = np.zeros(top, dtype=object if wide else np.int64)
+    for e, g in weights.items():
+        W[e::e] += e * g
+    g_abs, out = sum(map(abs, weights.values())), []
+    for N in grid:
+        seq = sequence(N)
+        c, n = seq.coeffs, _fft_length(2 * N - 1)
+        R = _autocorrelation(c, n)
+        if (seq.norm_sq * log2(n) < 2 ** EXACT_BITS and not c.imag.any()
+                and np.array_equal(c.real, np.rint(c.real))):
+            R = np.rint(R, out=R).astype(np.int64)
+            if wide or int(seq.norm_sq) * (N - 1) * g_abs >= 2 ** 63:
+                R = R.astype(object)
+            total = int(R[0]) * phi_total + 2 * int(R @ W[:N])
+        else:
+            total = float(R[0]) * phi_total + 2.0 * float(R @ W[:N].astype(float))
+        out.append((seq.norm_sq, total))
+    return out
 
 
-def empirical_delta(seq: SieveSequence, moduli: dict[int, int]) -> float:
-    """moduli_sieve_sum / norm_sq, the measured sieve constant for this
-    sequence; an exact integer total gives the correctly rounded quotient."""
-    if seq.norm_sq <= 0:
+def empirical_delta(moduli: dict[int, int], M: int, grid, sequence,
+                    check=None) -> list[float]:
+    """total / norm_sq of each sieve_sums entry, the measured sieve constant
+    of sequence(N); an exact integer total gives the correctly rounded quotient."""
+    sums = sieve_sums(moduli, M, grid, sequence, check)
+    if any(norm_sq <= 0 for norm_sq, _ in sums):
         raise ValueError("sequence norm is zero")
-    total = moduli_sieve_sum(seq, moduli)
-    return total / (int(seq.norm_sq) if isinstance(total, int) else seq.norm_sq)
+    return [t / (int(s) if isinstance(t, int) else s) for s, t in sums]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import BudgetError
+
 Exponents = tuple[int, ...]
+
+# Bits of grid's value bound coefficient_abs_sum * max|x|^k (as normform.THETA_POWER_BITS).
+GRID_VALUE_BITS = 2 ** 16
 
 
 class MvPoly:
@@ -99,14 +104,20 @@ class MvPoly:
 
         Each axis is broadcast along its own dimension.  The dtype is int64
         when coefficient_abs_sum * max|x|^k < 2^63 (checked in Python ints),
-        else object, which runs the same code on exact Python ints.
+        else object, which runs the same code on exact Python ints.  A bound
+        of that product past GRID_VALUE_BITS bits is refused first.
         """
         axes = [list(a) for a in axes]
         if len(axes) != self.num_vars:
             raise ValueError(f"grid has {len(axes)} axes, expected {self.num_vars}")
         k = max(map(sum, self.terms), default=0)
         top = max((max(max(a), -min(a)) for a in axes if a), default=0)
-        dtype = np.int64 if self.coefficient_abs_sum() * max(top, 1) ** k < 2 ** 63 else object
+        c, t = self.coefficient_abs_sum(), max(top, 1)
+        bits = c.bit_length() + k * t.bit_length()   # 2^(bits-1-k) <= c t^k < 2^bits
+        if bits > GRID_VALUE_BITS:
+            raise BudgetError("grid value bits", bits, GRID_VALUE_BITS)
+        # the exact power is formed only when bits - 1 - k < 63, where t^k < 2^126
+        dtype = np.int64 if bits <= 63 or (bits - 1 - k < 63 and c * t ** k < 2 ** 63) else object
         xs = [np.array(a, dtype=dtype).reshape([-1] + [1] * (len(axes) - 1 - i))
               for i, a in enumerate(axes)]
         out = np.zeros([len(a) for a in axes], dtype=dtype)

@@ -8,8 +8,10 @@ A few routes here left the library because only tests called them:
 ``von_mangoldt``, ``moebius`` and the tuple weight ``prime_value_weight``
 (Lambda times mu^2, on top of the library's ``factorize``), a
 FactoredPoly's factor values at one point, the JSON round trip of an
-MvPoly, and ``sieve_sum``, which composes the library's box and sieve
-steps.  ``assert_plain_json`` checks the handler contract, which the report
+MvPoly, ``moduli_sieve_sum`` and ``sieve_sum``, which compose the
+library's box and sieve steps, and ``strided_sieve_sum``, the Ramanujan
+expansion with one strided sum per divisor, which the library's
+divisor-weight table replaced.  ``assert_plain_json`` checks the handler contract, which the report
 writer's C encoder does not.
 
 The loop references at the end walk every n <= x and read Lambda pointwise
@@ -30,7 +32,7 @@ import numpy as np
 from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
-from polysieve.largesieve import moduli_sieve_sum
+from polysieve.largesieve import sieve_sums
 from polysieve.mvpoly import FactoredPoly, MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
                                 norm_form)
@@ -107,10 +109,15 @@ def poly_from_json_dict(d: dict) -> MvPoly:
     return MvPoly(d["num_vars"], {tuple(t["exps"]): int(t["coef"]) for t in d["terms"]})
 
 
+def moduli_sieve_sum(seq, moduli: dict) -> int | float:
+    """The library's sieve_sums on the one-point grid of seq."""
+    return sieve_sums(moduli, seq.M, [seq.N], lambda N: seq)[0][1]
+
+
 def sieve_sum(seq, P, Q: int, min_modulus=None) -> int | float:
     """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2, by the
-    library's box_moduli and moduli_sieve_sum.  A min_modulus keeps only
-    tuples with |P(q)| >= min_modulus; moduli |P(q)| <= 1 never enter."""
+    library's box_moduli and sieve_sums.  A min_modulus keeps only tuples
+    with |P(q)| >= min_modulus; moduli |P(q)| <= 1 never enter."""
     return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[0])
 
 
@@ -220,6 +227,30 @@ def exact_sieve_sum(int_coeffs, moduli: dict) -> int:
             s += R[abs(h)] * moebius(d // g) * (euler_phi(d) // euler_phi(d // g))
         total += mult * s
     return total
+
+
+def strided_sieve_sum(seq, moduli: dict) -> int | float:
+    """The sieve sum over {d: mult} by the Ramanujan-sum expansion, one divisor
+    at a time: R(0) sum_d mult_d phi(d) + 2 sum_{e<N} e G(e) sum_{j>=1} R(je),
+    with R(h) = Re sum_n a_{n+h} conj(a_n) by direct correlation and
+    G(e) = sum_{e | d} mult_d mu(d/e) by trial division.  Exact in Python ints
+    for real integer coefficients, else fsums of floats."""
+    c = np.asarray(seq.coeffs)
+    N = len(c)
+    if not c.imag.any() and np.array_equal(c.real, np.rint(c.real)):
+        a = [int(x) for x in c.real]
+        R = [sum(a[n + h] * a[n] for n in range(N - h)) for h in range(N)]
+        add = sum
+    else:
+        R = [fsum((c[h:] * np.conj(c[:N - h])).real) for h in range(N)]
+        add = fsum
+    G, phi_total = Counter(), 0
+    for d, mult in moduli.items():
+        phi_total += mult * euler_phi(d)
+        for e in range(1, min(d, N - 1) + 1):
+            if d % e == 0:
+                G[e] += mult * moebius(d // e)
+    return add([R[0] * phi_total] + [2 * e * g * add(R[e::e]) for e, g in G.items()])
 
 
 def exp_sum(seq, theta) -> complex:

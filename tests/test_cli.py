@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polysieve.boxes as boxes
+import polysieve.bv as bv
 import polysieve.cli as cli
 import polysieve.largesieve as largesieve
 from polysieve.cli import build_parser, main
-from polysieve.errors import BudgetError
 from polysieve.mvpoly import MvPoly
 
 from oracles import assert_plain_json
@@ -437,6 +438,32 @@ def test_six_factor_setting_does_not_hang(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_check_setting_refuses_past_the_divisor_budget(capsys, monkeypatch):
+    # 20 factors have 2^20 - 1 subset divisors: refused before any profile
+    factors = [arg for i in range(1, 21) for arg in ("--P", f"x{i}")]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check-setting", *factors)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "setting divisors: requires 1048575, budget is 65536"
+    # the cap itself is allowed
+    monkeypatch.setattr(bv, "SETTING_DIVISOR_BUDGET", 7)
+    assert len(run_json(capsys, "check-setting", *factors[:6])["result"]["divisors"]) == 7
+    assert run_cli(capsys, "check-setting", *factors[:8])[0] == 3
+
+
+def test_bad_moduli_refuses_a_huge_power(capsys):
+    # 3^(10^8) would have 1.6 10^8 bits: refused before any power is taken
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bad-moduli", "--P", "x1^100000000", "--Q", "2",
+                             "--eps-bad", "1")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "grid value bits: requires 200000001, budget is 65536"
+
+
 def test_prime_value_sieve_smoke(capsys):
     rep = run_json(capsys, "prime-value-sieve", "--f", "t^2+1", "--Q", "2")
     assert rep["result"]["values"] == {"13": [[2, 3], [3, 2]]}
@@ -516,34 +543,64 @@ def test_sieve_scan_makes_one_box_pass(capsys, monkeypatch, argv, key, size):
     assert len(rep["result"][key]) == size
 
 
-def test_sieve_scan_expands_its_moduli_once(capsys, monkeypatch):
-    seen = []
+def _count_expansions(monkeypatch):
+    """The largest N of each signed-divisor expansion (ramanujan_weights)."""
+    original, calls = largesieve.ramanujan_weights, []
 
-    def recording(seq, moduli):
-        out = largesieve.empirical_delta(seq, moduli)
-        info = largesieve._signed_divisors.cache_info()
-        seen.append((info.misses, info.hits))
-        return out
+    def counting(moduli, N):
+        calls.append(N)
+        return original(moduli, N)
 
-    monkeypatch.setattr(cli, "empirical_delta", recording)
-    largesieve._signed_divisors.cache_clear()
-    rep = run_json(capsys, "sieve-scan", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3",
-                   "--N", "9,27,81,243")
-    assert seen == [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert len(rep["result"]["rows"]) == 4
-    # the expansion ends with the op
-    assert largesieve._signed_divisors.cache_info().currsize == 0
+    monkeypatch.setattr(largesieve, "ramanujan_weights", counting)
+    return calls
 
 
-def test_sieve_scan_drops_its_expansion_when_refused(capsys, monkeypatch):
-    def refusing(seq, moduli):
-        largesieve.empirical_delta(seq, moduli)
-        raise BudgetError("sieve sum", 2, 1)
+def test_sieve_scan_expands_its_moduli_once_per_op(capsys, monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    for _ in range(2):   # nothing carries over from one op to the next
+        rep = run_json(capsys, "sieve-scan", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "3",
+                       "--N", "27,9,243,81,9")
+        assert [row["N"] for row in rep["result"]["rows"]] == [27, 9, 243, 81, 9]
+    assert calls == [243, 243]
 
-    monkeypatch.setattr(cli, "empirical_delta", refusing)
-    code, _, err = run_cli(capsys, "sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8")
-    assert code == 3 and "sieve sum" in err
-    assert largesieve._signed_divisors.cache_info().currsize == 0
+
+def test_sieve_scan_expands_its_moduli_once_when_refused(capsys, monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    argv = ("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16")
+    # N = 16 passes the lower bound (3 moduli), then fails the full estimate
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", largesieve.fft_work(16) + 3)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == "" and json.loads(err)["error"].startswith("sieve sum: ")
+    assert calls == [16]
+    # a refusal at the first N's lower bound comes before any expansion
+    monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", largesieve.fft_work(16) + 2)
+    code, _, err = run_cli(capsys, *argv[:-1], "16,8")
+    assert code == 3 and json.loads(err)["error"] == "sieve sum: requires 195, budget is 194"
+    assert calls == [16]
+
+
+WINDOW_M = str(2 ** 63 - 1 - 1136000)   # the window (M, M+N] fits for N <= 1136000
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    # the second N fails the full estimate: 451 moduli's divisor terms
+    (("--N", "1000,1100000"), 3, "sieve sum: requires 54557480, budget is 50000000"),
+    # the first N fails the lower bound fft_work(N) + len(moduli)
+    (("--N", "1136363,8"), 3, "sieve sum: requires 50000423, budget is 50000000"),
+    # the budget check of an earlier N wins over the window of a later one
+    (("--N", "1136000,1136363", "--M", WINDOW_M), 3,
+     "sieve sum: requires 56342888, budget is 50000000"),
+    (("--N", "1136363,1136000", "--M", WINDOW_M), 2,
+     f"window (M, M+N] must end below 2^63, got M={WINDOW_M}"),
+    # the comparators of the first N (k = 1) fail before a later N's budget
+    (("--P", "x1+x2", "--N", "8,1100000"), 2,
+     "need k >= 2, ell >= 1, Q >= 1, N >= 1, r_star >= 1"),
+])
+def test_sieve_scan_reports_the_first_error_of_the_grid(capsys, argv, code, error):
+    got, out, err = run_cli(capsys, "sieve-scan", "--P", "x1^2+x2^2", "--Q", "30", *argv)
+    assert (got, out) == (code, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == error
 
 
 def test_sieve_scan_fft_check_reads_the_kernel_cap(capsys, monkeypatch):

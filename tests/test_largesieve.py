@@ -5,21 +5,28 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_residues,
-                     farey_points, pointwise_sieve_sum, sieve_sum, sum_sq_over_points)
+                     farey_points, moduli_sieve_sum, pointwise_sieve_sum, sieve_sum,
+                     strided_sieve_sum, sum_sq_over_points)
 
 import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi
 from polysieve.boxes import box_moduli, box_values
 from polysieve.errors import BudgetError
 from polysieve.farey import build_farey, min_spacing
-from polysieve.largesieve import (DeltaReport, SieveSequence, delta_bounds, empirical_delta,
-                                  moduli_sieve_sum, ramanujan_weights, sieve_sequence)
+from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, SieveSequence, delta_bounds,
+                                  empirical_delta, ramanujan_weights, sieve_sequence,
+                                  sieve_sums)
 from polysieve.mvpoly import parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
+
+
+def delta_of(seq, moduli):
+    """empirical_delta on the one-point grid of seq."""
+    return empirical_delta(moduli, seq.M, [seq.N], lambda N: seq)[0]
 
 
 def test_sequence_invariants():
@@ -142,9 +149,9 @@ def test_trivial_bound_inequality():
 
 def test_empirical_delta():
     moduli = box_moduli(P_SUM_SQ, 1)[0]
-    assert empirical_delta(SieveSequence(0, [1, 0]), moduli) == pytest.approx(1.0)
+    assert delta_of(SieveSequence(0, [1, 0]), moduli) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        empirical_delta(SieveSequence(0, [0, 0]), moduli)
+        delta_of(SieveSequence(0, [0, 0]), moduli)
 
 
 def test_delta_bounds_values():
@@ -194,9 +201,9 @@ def test_reported_ratios_are_finite():
     # reporting-only paths: the all-ones ratio at large N and the seed-mean
     # ratio carry no assertion beyond being well defined
     moduli = box_moduli(P_SUM_SQ, 2)[0]
-    big = empirical_delta(sieve_sequence("ones", 400, 0), moduli)
+    big = delta_of(sieve_sequence("ones", 400, 0), moduli)
     assert big > 0
-    mean = np.mean([empirical_delta(sieve_sequence("pm1", 64, s), moduli)
+    mean = np.mean([delta_of(sieve_sequence("pm1", 64, s), moduli)
                     for s in range(20)])
     assert np.isfinite(mean) and mean > 0
 
@@ -214,7 +221,7 @@ def test_integer_families_match_exact_oracle():
             total = sieve_sum(seq, P, Q, min_modulus=min_modulus)
             exact = exact_sieve_sum(seq.coeffs.real, moduli)
             assert type(total) is int and total == exact
-            assert empirical_delta(seq, moduli) == float(Fraction(exact, int(seq.norm_sq)))
+            assert delta_of(seq, moduli) == float(Fraction(exact, int(seq.norm_sq)))
 
 
 def test_unit_family_matches_pointwise_and_dft():
@@ -245,7 +252,7 @@ def test_empirical_quotient_correctly_rounded_past_2_53():
     d = 2 ** 61 + 197
     seq = sieve_sequence("ones", 3, 0)
     assert moduli_sieve_sum(seq, {d: 1}) == 3 * (d - 3) == exact_sieve_sum([1, 1, 1], {d: 1})
-    assert empirical_delta(seq, {d: 1}) == float(d - 3) != float(3 * (d - 3)) / 3
+    assert delta_of(seq, {d: 1}) == float(d - 3) != float(3 * (d - 3)) / 3
 
 
 def test_ramanujan_weights():
@@ -284,6 +291,49 @@ def test_integer_coefficients_exact_property(coeffs, M, moduli):
     seq = SieveSequence(M, coeffs)
     total = moduli_sieve_sum(seq, moduli)
     assert type(total) is int and total == exact_sieve_sum(coeffs, moduli)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(st.integers(2, 400), st.integers(1, 5), min_size=1, max_size=8),
+       st.sampled_from(sorted(SEQUENCE_FAMILIES)),
+       st.lists(st.integers(1, 70), min_size=1, max_size=5),
+       st.integers(0, 50), st.integers(0, 2 ** 32))
+@example({12: 2, 35: 1, 97: 3}, "pm1", [40, 7, 40, 1, 23], 3, 0)
+@example({12: 2, 35: 1, 97: 3}, "unit", [40, 7, 40, 1, 23], 3, 0)
+def test_grid_kernel_matches_strided_oracle(moduli, family, grid, M, seed):
+    # one table at max(grid) serves every N, in any order and with repeats
+    built = []
+
+    def sequence(N):
+        built.append(N)
+        return sieve_sequence(family, N, seed + N, M)
+
+    sums = sieve_sums(moduli, M, grid, sequence)
+    assert built == grid and len(sums) == len(grid)
+    for N, (norm_sq, total) in zip(grid, sums):
+        seq = sieve_sequence(family, N, seed + N, M)
+        assert norm_sq == seq.norm_sq
+        if family == "unit":
+            scale = seq.norm_sq * sum(mult * (d + N) for d, mult in moduli.items())
+            assert type(total) is float
+            assert total == pytest.approx(strided_sieve_sum(seq, moduli), rel=1e-9,
+                                          abs=1e-12 * scale)
+        else:
+            assert type(total) is int
+            assert total == strided_sieve_sum(seq, moduli) == exact_sieve_sum(seq.coeffs.real,
+                                                                               moduli)
+
+
+def test_exact_past_the_int64_bounds():
+    # one prime modulus 61: G(61) = mult, G(1) = -mult, and on 64 ones the dot
+    # product R[:N] W[:N] is -1833 mult.  mult = 2^53 keeps the table W in
+    # int64 (sum_e |e G(e)| = 62 mult) but takes the dot past 2^63; mult = 2^58
+    # takes W past it too.  int64 arithmetic would wrap in both.
+    seq = sieve_sequence("ones", 64, 0)
+    for mult in (2 ** 53, 2 ** 58):
+        total = moduli_sieve_sum(seq, {61: mult})
+        assert type(total) is int and total == 64 * 60 * mult - 2 * 1833 * mult
+        assert total == strided_sieve_sum(seq, {61: mult}) == exact_sieve_sum([1] * 64, {61: mult})
 
 
 def _is_5_smooth(m):

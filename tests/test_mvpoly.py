@@ -1,13 +1,15 @@
 import json
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import horner_eval, poly_from_json_dict, poly_to_json
 from polysieve.bv import check_setting, exponent_profile
-from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
+from polysieve.errors import BudgetError
+from polysieve.mvpoly import GRID_VALUE_BITS, FactoredPoly, MvPoly, parse_poly
 
 
 def test_parse_and_eval_trivial():
@@ -158,3 +160,22 @@ def test_immutable():
     P = parse_poly("x1")
     with pytest.raises(AttributeError):
         P.num_vars = 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 70), st.integers(1, 2 ** 40), st.integers(1, 2 ** 70), st.integers(-2, 2))
+def test_grid_dtype_is_the_exact_int64_guard(k, top, coef, offset):
+    # the bit-length comparison takes the same choice as c t^k < 2^63 in
+    # Python ints, for a random c and for one next to 2^63 / t^k
+    for c in (coef, max(1, 2 ** 63 // top ** k + offset)):
+        dtype = np.int64 if c * top ** k < 2 ** 63 else object
+        assert MvPoly(1, {(k,): c}).grid([[top]]).dtype == dtype
+
+
+def test_grid_value_bits_cap():
+    # 3^32767 has 51935 bits; the bound 1 + 32767 bits(3) is the cap less one
+    at_cap = MvPoly(1, {(32767,): 1})
+    assert at_cap.grid([[2, 3]]).tolist() == [2 ** 32767, 3 ** 32767]
+    with pytest.raises(BudgetError) as info:
+        MvPoly(1, {(32768,): 1}).grid([[2, 3]])
+    assert (info.value.required, info.value.budget) == (65537, GRID_VALUE_BITS)
