@@ -32,12 +32,13 @@ DEFAULT_WORK_BUDGET = 50_000_000
 
 
 class SieveSequence:
-    """Complex coefficients a_n on the window (M, M+N]."""
+    """Coefficients a_n on the window (M, M+N]: float64 for real input,
+    complex128 for complex input."""
 
     __slots__ = ("M", "N", "coeffs", "norm_sq")
 
     def __init__(self, M: int, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        coeffs = np.asarray(coeffs, dtype=np.complex128 if np.iscomplexobj(coeffs) else np.float64)
         if coeffs.ndim != 1 or len(coeffs) == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
         check_window(M, len(coeffs))

@@ -1,8 +1,9 @@
 """Exact sparse multivariate integer polynomials.
 
 A polynomial in x1..xL is a map from exponent vectors (length-L tuples of
-non-negative ints) to nonzero integer coefficients.  Pointwise arithmetic
-uses Python ints.  Box evaluation (``grid``) runs in numpy int64 only when
+non-negative ints) to nonzero integer coefficients.  Point evaluation and
+products (``*``) use Python ints; there is no sum or difference of
+polynomials.  Box evaluation (``grid``) runs in numpy int64 only when
 coefficient_abs_sum * max|x|^k < 2^63, which bounds every partial sum and
 product; otherwise the same code runs on object arrays of Python ints, so no
 value ever overflows.  Instances are immutable after construction.
@@ -54,12 +55,6 @@ class MvPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MvPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, num_vars: int, value: int) -> "MvPoly":
-        return cls(num_vars, {(0,) * num_vars: value})
 
     # -- queries -----------------------------------------------------------
 
@@ -129,7 +124,7 @@ class MvPoly:
             out += term
         return out.reshape(-1)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- embedding and products --------------------------------------------
 
     def embed(self, num_vars: int) -> "MvPoly":
         """Re-express over a larger variable list (pad exponent vectors)."""
@@ -139,19 +134,6 @@ class MvPoly:
             return self
         pad = (0,) * (num_vars - self.num_vars)
         return MvPoly(num_vars, {e + pad: c for e, c in self.terms.items()})
-
-    def __add__(self, other: "MvPoly") -> "MvPoly":
-        self._check_compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MvPoly(self.num_vars, terms)
-
-    def __neg__(self) -> "MvPoly":
-        return MvPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MvPoly") -> "MvPoly":
-        return self + (-other)
 
     def __mul__(self, other) -> "MvPoly":
         if isinstance(other, int):

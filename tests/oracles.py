@@ -9,10 +9,12 @@ A few routes here left the library because only tests called them:
 (Lambda times mu^2, on top of the library's ``factorize``), a
 FactoredPoly's factor values at one point, the JSON round trip of an
 MvPoly, ``moduli_sieve_sum`` and ``sieve_sum``, which compose the
-library's box and sieve steps, and ``strided_sieve_sum``, the Ramanujan
+library's box and sieve steps, ``strided_sieve_sum``, the Ramanujan
 expansion with one strided sum per divisor, which the library's
-divisor-weight table replaced.  ``assert_plain_json`` checks the handler contract, which the report
-writer's C encoder does not.
+divisor-weight table replaced, and ``laplace_norm_form``, the memoised
+Laplace expansion of the norm form, which the library's dense level
+expansion replaced.  ``assert_plain_json`` checks the handler contract,
+which the report writer's C encoder does not.
 
 The loop references at the end walk every n <= x and read Lambda pointwise
 through ``von_mangoldt`` above.  They add the same terms in the same order
@@ -24,6 +26,7 @@ import cmath
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import fsum, gcd, log, prod
 
@@ -499,6 +502,35 @@ def field_multiply(spec, u, v) -> tuple[int, ...]:
         for i in range(n):
             out[top - n + i] -= c * spec.coeffs[i]
     return tuple(out[:n])
+
+
+def laplace_norm_form(spec) -> MvPoly:
+    """The norm form as the determinant of multiplication by alpha =
+    sum q_i w^(i-1), whose (row, col) entry is the sum over i of q_(i+1)
+    times coordinate row of w^i w^col (field_multiply): a Laplace expansion
+    along the first column left, memoised on the rows left, over dicts of
+    exponent tuples."""
+    n, ell = spec.degree, spec.num_form_vars
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    entry = {(col, i): field_multiply(spec, unit[i], unit[col]) for col in range(n)
+             for i in range(ell)}
+
+    @lru_cache(maxsize=None)
+    def minor(rows: tuple[int, ...]) -> dict:
+        if not rows:
+            return {(0,) * ell: 1}
+        col, total = n - len(rows), {}
+        for pos, r in enumerate(rows):
+            coeffs = [(-1) ** pos * entry[col, i][r] for i in range(ell)]
+            if not any(coeffs):
+                continue
+            for e, v in minor(rows[:pos] + rows[pos + 1:]).items():
+                for i, c in enumerate(coeffs):
+                    key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    total[key] = total.get(key, 0) + c * v
+        return total
+
+    return MvPoly(ell, minor(tuple(range(n))))
 
 
 def _window_hits(v: int, m: int, L: int, R: int) -> int:

@@ -9,15 +9,17 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from oracles import (field_multiply, loop_prime_divisor_search,
+from oracles import (field_multiply, laplace_norm_form, loop_prime_divisor_search,
                      loop_prime_value_sieve, sylvester_resultant)
 from polysieve import boxes, normform
 from polysieve.cli import main
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
 from polysieve.normform import (NumberFieldSpec, _divisors_with_sign,
-                                integer_nth_root, norm_form,
+                                check_norm_form_budget, integer_nth_root, norm_form,
                                 prime_divisor_search, prime_value_sieve)
 
 GAUSS = NumberFieldSpec.from_text("t^2+1")
@@ -257,20 +259,59 @@ def test_degree_11_norm_form_is_refused_before_the_determinant(capsys, argv):
         "kind": "resource", "partial_progress": False}
 
 
+def _run_cli(argv, timeout):
+    """The CLI in a fresh interpreter, killed (TimeoutExpired) after timeout s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(normform.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_corollary_search_refuses_the_norm_form_before_the_prime_sieve():
     # 11 2^10 C(20, 9) = 1891901440; the prime sieve up to X = 10^8 that ran
     # first took about 2 s
     argv = ["corollary-search", "--f", "t^11+2", "--truncation", "1", "--X", "100000000",
             "--theta", "1/3"]
-    env = dict(os.environ, PYTHONPATH=str(Path(normform.__file__).parent.parent))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_cli(argv, timeout=60)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 3
     assert proc.stderr == json.dumps({
         "error": "norm form determinant: requires 1891901440, budget is 500000000",
         "kind": "resource", "partial_progress": False}) + "\n"
+
+
+@pytest.mark.parametrize("argv, timeout", [
+    # a dense degree 9 in 9 variables: about 1 s, so 30 s leaves a slow host room
+    (("--f", "t^9+t^8+3*t+2"), 30),
+    # one diagonal path of row subsets; building all 2^20 of them takes about 15 s
+    (("--f", "t^20+3", "--truncation", "19"), 5),
+], ids=["dense-degree-9", "diagonal-degree-20"])
+def test_norm_form_finishes_in_time(argv, timeout):
+    proc = _run_cli(["norm-form", *argv], timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_degree_160_is_refused_before_the_irreducibility_battery():
+    # the battery's squarefree test on this dense f runs past 100 s
+    rng = random.Random(160)
+    f = "+".join(["t^160"] + [f"{rng.randint(1, 9)}*t^{i}" for i in range(159, -1, -1)])
+    proc = _run_cli(["norm-form", "--f", f], timeout=2)
+    assert proc.returncode == 3 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    error = json.loads(line)
+    assert error["kind"] == "resource"
+    assert error["error"].startswith("norm form determinant: requires ")
+
+
+def test_spec_refuses_a_norm_form_past_the_budget_from_degree_26():
+    # 25 2^24 = 419430400 passes at one variable; 26 2^25 = 872415232 does not
+    assert norm_form(NumberFieldSpec.from_text("t^25+2", truncation=24)) \
+        == parse_poly("x1^25")
+    with pytest.raises(BudgetError, match=r"^norm form determinant: requires 872415232, "
+                                          r"budget is 500000000$"):
+        NumberFieldSpec.from_text("t^26+2", truncation=25)
+    with pytest.raises(ValueError, match="root"):   # t = 1 is still found below degree 26
+        NumberFieldSpec.from_text("t^25-1", truncation=24)
 
 
 def test_norm_form_budget_boundary(monkeypatch):
@@ -283,11 +324,43 @@ def test_norm_form_budget_boundary(monkeypatch):
         norm_form(CUBE2)
 
 
-def test_the_budget_admits_degree_10(monkeypatch):
+def test_the_budget_admits_degree_10():
     # n = ell = 10 estimates 10 2^9 C(19, 9) = 472975360, under the budget;
-    # the determinant itself (about 19 s) is stubbed out
-    monkeypatch.setattr(normform, "_det_poly", lambda matrix, ell: (len(matrix), ell))
-    assert norm_form(NumberFieldSpec.from_text("t^10+2")) == (10, 10)
+    # the determinant itself takes about 2 s
+    spec = NumberFieldSpec.from_text("t^10+2")
+    check_norm_form_budget(spec)
+    form = norm_form(spec)
+    assert form.num_vars == 10 and all(sum(e) == 10 for e in form.terms)
+    rng = random.Random(10)
+    for _ in range(5):
+        q = [rng.randint(-3, 3) for _ in range(10)]
+        assert form.evaluate(q) == sylvester_resultant(list(spec.coeffs), q)
+
+
+@st.composite
+def monic_fields(draw):
+    """A monic f of degree 2-7 that passes the irreducibility battery, its
+    constant term small or near +-10^18."""
+    n = draw(st.integers(2, 7))
+    c0 = draw(st.integers(-9, 9) | st.integers(10 ** 18 - 99, 10 ** 18 + 99)
+              | st.integers(-10 ** 18 - 99, -10 ** 18 + 99))
+    middle = draw(st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1))
+    try:
+        return NumberFieldSpec((c0, *middle, 1))
+    except ValueError:
+        assume(False)
+
+
+# t^3 + 10^18 + 3 in 3 variables has a product of row sums past 2^63, so it
+# runs on Python ints; the small fields and its truncations run in int64
+@example(NumberFieldSpec.from_text(f"t^3+{10 ** 18 + 3}"))
+@example(NumberFieldSpec.from_text("t^7+t^6+3*t+2"))
+@settings(max_examples=30)
+@given(monic_fields())
+def test_norm_form_matches_the_laplace_expansion(spec):
+    for truncation in range(spec.degree):
+        truncated = NumberFieldSpec(spec.coeffs, truncation)
+        assert norm_form(truncated) == laplace_norm_form(truncated)
 
 
 ORACLE_FIELDS = [NumberFieldSpec.from_text("t^2+1"), NumberFieldSpec.from_text("t^2+t+3"),
