@@ -314,8 +314,8 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     no primitive character to sum over by the convention adopted here).
     unit_group raises BudgetError at the first modulus above CHAR_MODULUS_CAP.
     """
-    moduli, skipped, _, _ = box_moduli(P, Q)
     T, L = von_mangoldt_table(max(int(x), 0))
+    moduli, skipped, _, _ = box_moduli(P, Q)
     parts = []
     for d, mult in moduli.items():
         if sups := _primitive_sups(d, T, L):

@@ -252,17 +252,17 @@ def _run_sieve_scan(args):
     cap = largesieve.DEFAULT_WORK_BUDGET
     if fft_work(max(args.N)) > cap:
         raise BudgetError("sieve sequence FFT", fft_work(max(args.N)), cap)
+    if min(args.N) < 1:
+        raise ValueError(f"N must be >= 1, got {min(args.N)}")
     P = parse_poly(args.P)
     k = P.total_degree()
     ell = P.num_vars
     moduli, _, _, r_star = box_moduli(P, args.Q, args.min_modulus)
-    if min(args.N) < 1:
-        raise ValueError(f"N must be >= 1, got {min(args.N)}")
     # each N's comparators are checked with its sieve work, before any FFT
     bounds = []
     emps = empirical_delta(
         moduli, args.M, args.N,
-        lambda N: sieve_sequence(args.sequence, N, _split_seed(args.seed, N), args.M),
+        lambda N: sieve_sequence(args.sequence, N, _split_seed(args.seed, N)),
         lambda N: bounds.append(delta_bounds(k, ell, args.Q, N, r_star)))
     rows = [dataclasses.replace(b, empirical=emp) for b, emp in zip(bounds, emps)]
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,

@@ -1,5 +1,7 @@
-"""The sieve sum over polynomial moduli, its test sequences (sieve_sequence
-builds each one), and the four comparator bounds for the sieve constant.
+"""The sieve sum over polynomial moduli, its test sequences, and the four
+comparator bounds for the sieve constant.  A sequence is its coefficient
+array a_1..a_N (sieve_sequence builds each one): float64 for a real family,
+complex128 for a complex one; the window offset M is an argument of the sum.
 
 The double sum runs over q ~ Q and reduced fractions a/P(q).  Once
 boxes.box_moduli has grouped the values by modulus, expanding the square with
@@ -30,35 +32,6 @@ from .errors import BudgetError
 
 DEFAULT_WORK_BUDGET = 50_000_000
 
-
-class SieveSequence:
-    """Coefficients a_n on the window (M, M+N]: float64 for real input,
-    complex128 for complex input."""
-
-    __slots__ = ("M", "N", "coeffs", "norm_sq")
-
-    def __init__(self, M: int, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.complex128 if np.iscomplexobj(coeffs) else np.float64)
-        if coeffs.ndim != 1 or len(coeffs) == 0:
-            raise ValueError("coeffs must be a nonempty 1-d array")
-        check_window(M, len(coeffs))
-        self.M = M
-        self.N = len(coeffs)
-        self.coeffs = coeffs
-        self.norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-
-    def __repr__(self):
-        return f"SieveSequence(M={self.M}, N={self.N})"
-
-
-def check_window(M: int, N: int) -> None:
-    """The window (M, M+N] must start at M >= 0 and end below 2^63."""
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-    if M + N > 2 ** 63 - 1:
-        raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
-
-
 SEQUENCE_FAMILIES = {   # name -> coefficient builder (N, rng) -> array
     "ones": lambda N, rng: np.ones(N),
     "spike": lambda N, rng: np.eye(1, N)[0],
@@ -67,10 +40,10 @@ SEQUENCE_FAMILIES = {   # name -> coefficient builder (N, rng) -> array
 }
 
 
-def sieve_sequence(family: str, N: int, seed: int, M: int = 0) -> SieveSequence:
-    """The SEQUENCE_FAMILIES sequence on the window (M, M+N], drawn from a
-    generator seeded with seed."""
-    return SieveSequence(M, SEQUENCE_FAMILIES[family](N, np.random.default_rng(seed)))
+def sieve_sequence(family: str, N: int, seed: int) -> np.ndarray:
+    """The SEQUENCE_FAMILIES coefficients a_1..a_N, drawn from a generator
+    seeded with seed: float64 for ones, spike and pm1, complex128 for unit."""
+    return SEQUENCE_FAMILIES[family](N, np.random.default_rng(seed))
 
 
 # Integer coefficients give an integer autocorrelation R.  The FFT's absolute
@@ -111,11 +84,12 @@ def _fft_length(n: int) -> int:
 
 
 def _autocorrelation(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Re R(h) for 0 <= h < N at a length n >= 2N - 1, free of wraparound.  The
-    real and imaginary parts' autocorrelations add up to Re R, so their power
-    spectra, formed in place in the rfft outputs, add before one inverse FFT."""
+    """Re R(h) for 0 <= h < N at a length n >= 2N - 1, free of wraparound.  A
+    complex array's real and imaginary parts' autocorrelations add up to Re R,
+    so their power spectra, formed in place in the rfft outputs, add before
+    one inverse FFT; a real array is transformed as it is."""
     N, power = len(coeffs), None
-    for part in (coeffs.real, coeffs.imag) if coeffs.imag.any() else (coeffs.real,):
+    for part in (coeffs.real, coeffs.imag) if np.iscomplexobj(coeffs) else (coeffs,):
         f = np.fft.rfft(part, n)
         f.real *= f.real
         f.real += f.imag ** 2
@@ -131,19 +105,27 @@ def fft_work(N: int) -> int:
 
 def sieve_sums(moduli: dict[int, int], M: int, grid, sequence,
                check=None) -> list[tuple[float, int | float]]:
-    """(norm_sq, total) of sequence(N), the sequence on (M, M+N], at each N of
-    grid in order: total sums |S(a/d)|^2 over the moduli d >= 2, weighted by
-    multiplicity, and the reduced a/d, exactly for real integer coefficients
-    within the EXACT_BITS guard, else as a float.
+    """(norm_sq, total) of sequence(N), the coefficient array a_n on the window
+    (M, M+N], at each N of grid in order: total sums |S(a/d)|^2 over the
+    moduli d >= 2, weighted by multiplicity, and the reduced a/d, exactly for
+    integer coefficients in a real array within the EXACT_BITS guard, else as
+    a float.  A complex array takes the float path even where its imaginary
+    part is zero.
 
-    Before anything is built, each N in grid order has its window checked,
-    then its work estimate fft_work(N) + terms (ramanujan_weights) + the sum
-    of 1 + (N-1)//e over the weights e < N refused past DEFAULT_WORK_BUDGET
+    Before anything is built, M >= 0 is checked, then each N in grid order
+    is checked to be >= 1 with its window ending below 2^63, then its work
+    estimate fft_work(N) + terms (ramanujan_weights) + the sum of
+    1 + (N-1)//e over the weights e < N refused past DEFAULT_WORK_BUDGET
     (first its lower bound, with len(moduli) for terms), then check(N) run.
     """
     top, weights = max(grid), None
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
     for N in grid:
-        check_window(M, N)
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        if M + N > 2 ** 63 - 1:
+            raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
         if fft_work(N) + len(moduli) > DEFAULT_WORK_BUDGET:
             raise BudgetError("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
         if weights is None:   # the one expansion of the moduli
@@ -160,18 +142,18 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence,
         W[e::e] += e * g
     g_abs, out = sum(map(abs, weights.values())), []
     for N in grid:
-        seq = sequence(N)
-        c, n = seq.coeffs, _fft_length(2 * N - 1)
+        c, n = sequence(N), _fft_length(2 * N - 1)
+        norm_sq = float(np.sum(np.abs(c) ** 2))
         R = _autocorrelation(c, n)
-        if (seq.norm_sq * log2(n) < 2 ** EXACT_BITS and not c.imag.any()
-                and np.array_equal(c.real, np.rint(c.real))):
+        if (norm_sq * log2(n) < 2 ** EXACT_BITS and not np.iscomplexobj(c)
+                and np.array_equal(c, np.rint(c))):
             R = np.rint(R, out=R).astype(np.int64)
-            if wide or int(seq.norm_sq) * (N - 1) * g_abs >= 2 ** 63:
+            if wide or int(norm_sq) * (N - 1) * g_abs >= 2 ** 63:
                 R = R.astype(object)
             total = int(R[0]) * phi_total + 2 * int(R @ W[:N])
         else:
             total = float(R[0]) * phi_total + 2.0 * float(R @ W[:N].astype(float))
-        out.append((seq.norm_sq, total))
+        out.append((norm_sq, total))
     return out
 
 

@@ -112,16 +112,22 @@ def poly_from_json_dict(d: dict) -> MvPoly:
     return MvPoly(d["num_vars"], {tuple(t["exps"]): int(t["coef"]) for t in d["terms"]})
 
 
-def moduli_sieve_sum(seq, moduli: dict) -> int | float:
-    """The library's sieve_sums on the one-point grid of seq."""
-    return sieve_sums(moduli, seq.M, [seq.N], lambda N: seq)[0][1]
+def norm_sq(coeffs) -> float:
+    """sum_n |a_n|^2, formed as sieve_sums forms it."""
+    return float(np.sum(np.abs(coeffs) ** 2))
 
 
-def sieve_sum(seq, P, Q: int, min_modulus=None) -> int | float:
+def moduli_sieve_sum(coeffs, M: int, moduli: dict) -> int | float:
+    """The library's sieve_sums of coeffs on the window (M, M+N], N = len(coeffs)."""
+    coeffs = np.asarray(coeffs)
+    return sieve_sums(moduli, M, [len(coeffs)], lambda N: coeffs)[0][1]
+
+
+def sieve_sum(coeffs, M: int, P, Q: int, min_modulus=None) -> int | float:
     """The double sum over q ~ Q and reduced a/P(q) of |S(a/P(q))|^2, by the
     library's box_moduli and sieve_sums.  A min_modulus keeps only tuples
     with |P(q)| >= min_modulus; moduli |P(q)| <= 1 never enter."""
-    return moduli_sieve_sum(seq, box_moduli(P, Q, min_modulus)[0])
+    return moduli_sieve_sum(coeffs, M, box_moduli(P, Q, min_modulus)[0])
 
 
 def trial_division_factorize(n: int) -> list[tuple[int, int]]:
@@ -187,32 +193,32 @@ def pointwise_sieve_sum(coeffs, M: int, moduli) -> float:
     return fsum(parts)
 
 
-def window(seq) -> np.ndarray:
-    """The indices n of the window (M, M+N] of a SieveSequence."""
-    return np.arange(seq.M + 1, seq.M + seq.N + 1, dtype=np.int64)
+def window(coeffs, M: int) -> np.ndarray:
+    """The indices n of the window (M, M+N] of coeffs, N = len(coeffs)."""
+    return np.arange(M + 1, M + len(coeffs) + 1, dtype=np.int64)
 
 
-def exp_sums_all_residues(seq, m: int) -> np.ndarray:
+def exp_sums_all_residues(coeffs, M: int, m: int) -> np.ndarray:
     """S(a/m) for a = 0..m-1: fold n into residues mod m, then one DFT."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, window(seq) % m, seq.coeffs)
+    np.add.at(folded, window(coeffs, M) % m, coeffs)
     # entry a of m*ifft is sum_t folded[t] e(+a t / m)
     return m * np.fft.ifft(folded)
 
 
-def coprime_residue_sum(seq, d: int) -> float:
-    values = exp_sums_all_residues(seq, d)
+def coprime_residue_sum(coeffs, M: int, d: int) -> float:
+    values = exp_sums_all_residues(coeffs, M, d)
     mask = np.gcd(np.arange(d), d) == 1
     mask[0] = False
     return float(np.sum(np.abs(values[mask]) ** 2))
 
 
-def dft_sieve_sum(seq, moduli: dict) -> float:
+def dft_sieve_sum(coeffs, M: int, moduli: dict) -> float:
     """The sieve sum over {d: mult} by one length-d DFT per modulus (the
     per-residue route), added in increasing d with an fsum."""
-    return fsum(moduli[d] * coprime_residue_sum(seq, d) for d in sorted(moduli))
+    return fsum(moduli[d] * coprime_residue_sum(coeffs, M, d) for d in sorted(moduli))
 
 
 def exact_sieve_sum(int_coeffs, moduli: dict) -> int:
@@ -232,13 +238,14 @@ def exact_sieve_sum(int_coeffs, moduli: dict) -> int:
     return total
 
 
-def strided_sieve_sum(seq, moduli: dict) -> int | float:
+def strided_sieve_sum(coeffs, moduli: dict) -> int | float:
     """The sieve sum over {d: mult} by the Ramanujan-sum expansion, one divisor
     at a time: R(0) sum_d mult_d phi(d) + 2 sum_{e<N} e G(e) sum_{j>=1} R(je),
     with R(h) = Re sum_n a_{n+h} conj(a_n) by direct correlation and
-    G(e) = sum_{e | d} mult_d mu(d/e) by trial division.  Exact in Python ints
-    for real integer coefficients, else fsums of floats."""
-    c = np.asarray(seq.coeffs)
+    G(e) = sum_{e | d} mult_d mu(d/e) by trial division; the window offset
+    drops out.  Exact in Python ints for real integer coefficients, else
+    fsums of floats."""
+    c = np.asarray(coeffs)
     N = len(c)
     if not c.imag.any() and np.array_equal(c.real, np.rint(c.real)):
         a = [int(x) for x in c.real]
@@ -256,27 +263,27 @@ def strided_sieve_sum(seq, moduli: dict) -> int | float:
     return add([R[0] * phi_total] + [2 * e * g * add(R[e::e]) for e, g in G.items()])
 
 
-def exp_sum(seq, theta) -> complex:
+def exp_sum(coeffs, M: int, theta) -> complex:
     """S(theta) = sum a_n e(n theta) at an exact rational theta = a/m, term by
     term with the phase reduced through (a*n mod m)/m, accumulated with fsum."""
     theta = Fraction(theta)
     a, m = theta.numerator, theta.denominator
     re, im = [], []
-    for n, coef in enumerate(seq.coeffs, start=seq.M + 1):
+    for n, coef in enumerate(coeffs, start=M + 1):
         z = complex(coef) * cmath.exp(2j * cmath.pi * ((a * n) % m) / m)
         re.append(z.real)
         im.append(z.imag)
     return complex(fsum(re), fsum(im))
 
 
-def sum_sq_over_points(seq, points) -> float:
+def sum_sq_over_points(coeffs, M: int, points) -> float:
     """Sum of |S(x)|^2 over exact rationals x, one numpy pass per point."""
-    n = window(seq)
+    n = window(coeffs, M)
     total = 0.0
     for theta in points:
         theta = Fraction(theta)
         ang = 2 * np.pi / theta.denominator * ((theta.numerator * n) % theta.denominator)
-        total += abs(np.sum(seq.coeffs * np.exp(1j * ang))) ** 2
+        total += abs(np.sum(coeffs * np.exp(1j * ang))) ** 2
     return total
 
 

@@ -17,14 +17,14 @@ import sympy
 
 from oracles import (count_by_enumeration, count_by_residue_classes,
                      exp_sums_all_residues, farey_points, field_multiply, loop_discrepancy,
-                     quadratic_close_count_int64, sieve_sum, sum_sq_over_points)
+                     norm_sq, quadratic_close_count_int64, sieve_sum,
+                     sum_sq_over_points)
 from polysieve.arith import euler_phi
 from polysieve.boxes import box_values
 from polysieve.bv import discrepancy_sum, exponent_profile, max_progression_discrepancy
 from polysieve.characters import enumerate_characters
 from polysieve.congruence import CongruenceInstance, count_solutions
 from polysieve.farey import build_farey, max_close_points, min_spacing
-from polysieve.largesieve import SieveSequence
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 from polysieve.normform import NumberFieldSpec, norm_form, prime_divisor_search
 
@@ -66,9 +66,8 @@ def test_criterion_01_parseval():
             N = int(rng.integers(1, m + 1))
             M = int(rng.integers(0, 64))
             coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
-            seq = SieveSequence(M, coeffs)
-            total = float(np.sum(np.abs(exp_sums_all_residues(seq, m)) ** 2))
-            assert abs(total - m * seq.norm_sq) <= 1e-9 * m * seq.norm_sq
+            total = float(np.sum(np.abs(exp_sums_all_residues(coeffs, M, m)) ** 2))
+            assert abs(total - m * norm_sq(coeffs)) <= 1e-9 * m * norm_sq(coeffs)
 
 
 def test_criterion_02_montgomery_vaughan():
@@ -82,9 +81,9 @@ def test_criterion_02_montgomery_vaughan():
             inv_delta = 1 / float(delta)
             for _ in range(20):
                 N = int(rng.integers(1, 501))
-                seq = SieveSequence(0, rng.normal(size=N) + 1j * rng.normal(size=N))
-                lhs = sum_sq_over_points(seq, points)
-                rhs = (inv_delta + N) * seq.norm_sq
+                seq = rng.normal(size=N) + 1j * rng.normal(size=N)
+                lhs = sum_sq_over_points(seq, 0, points)
+                rhs = (inv_delta + N) * norm_sq(seq)
                 assert lhs <= rhs * (1 + 1e-9)
 
 
@@ -239,8 +238,8 @@ def test_criterion_10_explicit_trivial_bound():
             D = max(retained)
             r_star = max(retained.values())
             N = int(rng.integers(1, 201))
-            seq = SieveSequence(0, rng.normal(size=N) + 1j * rng.normal(size=N))
-            lhs = sieve_sum(seq, P, Q)
-            rhs = r_star * (D ** 2 + N) * seq.norm_sq
+            seq = rng.normal(size=N) + 1j * rng.normal(size=N)
+            lhs = sieve_sum(seq, 0, P, Q)
+            rhs = r_star * (D ** 2 + N) * norm_sq(seq)
             assert lhs <= rhs * (1 + 1e-9)
             done += 1

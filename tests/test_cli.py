@@ -617,6 +617,27 @@ def test_sieve_scan_fft_check_reads_the_kernel_cap(capsys, monkeypatch):
     assert run_json(capsys, *argv)["result"]["rows"][0]["N"] == 1500000
 
 
+def _refuse_the_box(*args, **kwargs):
+    raise AssertionError("the box was built")
+
+
+def test_sieve_scan_refuses_n_below_1_before_the_box(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "box_moduli", _refuse_the_box)
+    code, out, err = run_cli(capsys, "sieve-scan", "--P", "x1^2+x2^2", "--Q", "2000",
+                             "--N", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "N must be >= 1, got 0"
+
+
+def test_meanvalue_sum_refuses_the_lambda_table_before_the_box(capsys, monkeypatch):
+    monkeypatch.setattr(bv, "box_moduli", _refuse_the_box)
+    code, out, err = run_cli(capsys, "meanvalue-sum", "--P", "x1^2+x2^2+1", "--Q", "2000",
+                             "--x", "100000000")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == ("von Mangoldt table limit: requires 100000000, "
+                                        "budget is 10000000")
+
+
 def _without_duration(text):
     return re.sub(r'"duration_s": [^,\n]+', '"duration_s": null', text)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_residues,
-                     farey_points, moduli_sieve_sum, pointwise_sieve_sum, sieve_sum,
+                     farey_points, moduli_sieve_sum, norm_sq, pointwise_sieve_sum, sieve_sum,
                      strided_sieve_sum, sum_sq_over_points)
 
 import polysieve.largesieve as largesieve
@@ -16,44 +16,62 @@ from polysieve.arith import euler_phi
 from polysieve.boxes import box_moduli, box_values
 from polysieve.errors import BudgetError
 from polysieve.farey import build_farey, min_spacing
-from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, SieveSequence, delta_bounds,
-                                  empirical_delta, ramanujan_weights, sieve_sequence,
-                                  sieve_sums)
+from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, delta_bounds, empirical_delta,
+                                  ramanujan_weights, sieve_sequence, sieve_sums)
 from polysieve.mvpoly import parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 
 
-def delta_of(seq, moduli):
-    """empirical_delta on the one-point grid of seq."""
-    return empirical_delta(moduli, seq.M, [seq.N], lambda N: seq)[0]
+def delta_of(coeffs, M, moduli):
+    """empirical_delta of coeffs on the window (M, M+N], N = len(coeffs)."""
+    coeffs = np.asarray(coeffs)
+    return empirical_delta(moduli, M, [len(coeffs)], lambda N: coeffs)[0]
 
 
-def test_sequence_invariants():
-    seq = SieveSequence(3, [1, 1j, -2])
-    assert seq.N == 3
-    assert seq.norm_sq == pytest.approx(
-        float(np.sum(np.abs(seq.coeffs) ** 2)), rel=1e-12)
-    assert seq.M == 3
-    with pytest.raises(ValueError):
-        SieveSequence(-1, [1])
-    with pytest.raises(ValueError):
-        SieveSequence(0, [])
+def test_sieve_sums_refuses_a_window_before_building_a_sequence():
+    built = []
+
+    def sequence(N):
+        built.append(N)
+        return np.ones(N)
+
+    with pytest.raises(ValueError, match=r"^M must be >= 0, got -1$"):
+        sieve_sums({5: 1}, -1, [3], sequence)
+    with pytest.raises(ValueError, match=r"^N must be >= 1, got 0$"):
+        sieve_sums({5: 1}, 0, [3, 0], sequence)
+    with pytest.raises(ValueError, match=r"^window \(M, M\+N\] must end below 2\^63, got M=9"):
+        sieve_sums({5: 1}, 2 ** 63 - 3, [2, 3], sequence)
+    assert built == []
+
+
+def test_sequence_dtypes_choose_the_path():
+    # the real families stay float64 and take the exact path; unit is complex
+    moduli = box_moduli(P_SUM_SQ, 2)[0]
+    for family in sorted(SEQUENCE_FAMILIES):
+        seq = sieve_sequence(family, 12, 3)
+        assert seq.shape == (12,)
+        total = moduli_sieve_sum(seq, 0, moduli)
+        if family == "unit":
+            assert seq.dtype == np.complex128 and type(total) is float
+        else:
+            assert seq.dtype == np.float64 and type(total) is int
+    # a complex array takes the float path even with a zero imaginary part
+    assert type(moduli_sieve_sum(np.ones(12, dtype=complex), 0, moduli)) is float
 
 
 def test_exp_sum_trivial():
     seq = sieve_sequence("ones", 5, 0)
-    assert exp_sum(seq, 0) == pytest.approx(5)
-    two = SieveSequence(0, [1, 1])
-    assert abs(exp_sum(two, Fraction(1, 2))) < 1e-12  # e(1/2) + e(1) = 0
+    assert exp_sum(seq, 0, 0) == pytest.approx(5)
+    two = [1, 1]
+    assert abs(exp_sum(two, 0, Fraction(1, 2))) < 1e-12  # e(1/2) + e(1) = 0
 
 
 def test_exp_sum_matches_extended_precision_oracle():
     rng = np.random.default_rng(11)
     coeffs = rng.normal(size=20) + 1j * rng.normal(size=20)
-    seq = SieveSequence(7, coeffs)
     theta = Fraction(3, 7)
-    got = exp_sum(seq, theta)
+    got = exp_sum(coeffs, 7, theta)
     mpmath.mp.dps = 40
     acc = mpmath.mpc(0)
     for off, c in enumerate(coeffs):
@@ -65,12 +83,12 @@ def test_exp_sum_matches_extended_precision_oracle():
 
 def test_all_residues_matches_pointwise():
     rng = np.random.default_rng(3)
-    seq = SieveSequence(5, rng.normal(size=17) + 1j * rng.normal(size=17))
-    bulk = exp_sums_all_residues(seq, 13)
+    seq = rng.normal(size=17) + 1j * rng.normal(size=17)
+    bulk = exp_sums_all_residues(seq, 5, 13)
     for a in range(13):
-        assert abs(bulk[a] - exp_sum(seq, Fraction(a, 13) if a else 0)) < 1e-9
-    single = exp_sums_all_residues(seq, 1)
-    assert single[0] == pytest.approx(np.sum(seq.coeffs), rel=1e-12)
+        assert abs(bulk[a] - exp_sum(seq, 5, Fraction(a, 13) if a else 0)) < 1e-9
+    single = exp_sums_all_residues(seq, 5, 1)
+    assert single[0] == pytest.approx(np.sum(seq), rel=1e-12)
 
 
 def test_parseval():
@@ -78,22 +96,22 @@ def test_parseval():
     for _ in range(25):
         m = int(rng.integers(2, 120))
         N = int(rng.integers(1, m + 1))
-        seq = SieveSequence(int(rng.integers(0, 9)),
-                            rng.normal(size=N) + 1j * rng.normal(size=N))
-        total = float(np.sum(np.abs(exp_sums_all_residues(seq, m)) ** 2))
-        assert total == pytest.approx(m * seq.norm_sq, rel=1e-9)
+        M = int(rng.integers(0, 9))
+        seq = rng.normal(size=N) + 1j * rng.normal(size=N)
+        total = float(np.sum(np.abs(exp_sums_all_residues(seq, M, m)) ** 2))
+        assert total == pytest.approx(m * norm_sq(seq), rel=1e-9)
 
 
 def test_sieve_sum_q1_examples():
-    assert sieve_sum(SieveSequence(0, [1, 1]), P_SUM_SQ, 1) < 1e-12
-    assert sieve_sum(SieveSequence(0, [1, 0]), P_SUM_SQ, 1) == pytest.approx(1.0)
+    assert sieve_sum([1, 1], 0, P_SUM_SQ, 1) < 1e-12
+    assert sieve_sum([1, 0], 0, P_SUM_SQ, 1) == pytest.approx(1.0)
 
 
 def test_sieve_sum_matches_farey_points():
     system = build_farey(P_SUM_SQ, 2)
     seq = sieve_sequence("unit", 16, 2)
-    direct = sieve_sum(seq, P_SUM_SQ, 2)
-    via_points = sum_sq_over_points(seq, farey_points(system))
+    direct = sieve_sum(seq, 0, P_SUM_SQ, 2)
+    via_points = sum_sq_over_points(seq, 0, farey_points(system))
     assert direct == pytest.approx(via_points, rel=1e-9)
 
 
@@ -101,19 +119,19 @@ def test_sieve_sum_paths_agree():
     moduli = [q1 * q1 + q2 * q2 for q1 in range(3, 6) for q2 in range(3, 6)]
     # N in {1, 2} is where a per-modulus pointwise route used to be chosen
     for N, M in ((40, 0), (1, 0), (2, 0), (2, 7)):
-        seq = sieve_sequence("pm1", N, 9, M)
-        assert sieve_sum(seq, P_SUM_SQ, 3) == pytest.approx(
-            pointwise_sieve_sum(seq.coeffs, M, moduli), rel=1e-9)
+        seq = sieve_sequence("pm1", N, 9)
+        assert sieve_sum(seq, M, P_SUM_SQ, 3) == pytest.approx(
+            pointwise_sieve_sum(seq, M, moduli), rel=1e-9)
 
 
 def test_sieve_sum_filter_and_additivity():
     seq = sieve_sequence("pm1", 10, 5)
-    full = sieve_sum(seq, P_SUM_SQ, 2)
-    starred = sieve_sum(seq, P_SUM_SQ, 2, min_modulus=9)
+    full = sieve_sum(seq, 0, P_SUM_SQ, 2)
+    starred = sieve_sum(seq, 0, P_SUM_SQ, 2, min_modulus=9)
     # moduli are 8, 13, 13, 18; the star filter drops 8
     mods = [8, 13, 13, 18]
     parts = {m: sum_sq_over_points(
-        seq, [Fraction(a, m) for a in range(1, m) if np.gcd(a, m) == 1])
+        seq, 0, [Fraction(a, m) for a in range(1, m) if np.gcd(a, m) == 1])
         for m in set(mods)}
     assert full == pytest.approx(sum(parts[m] for m in mods), rel=1e-9)
     assert starred == pytest.approx(sum(parts[m] for m in mods if m >= 9), rel=1e-9)
@@ -127,9 +145,9 @@ def test_montgomery_vaughan_inequality():
         pts = list(dict.fromkeys(farey_points(system)))
         for _ in range(5):
             N = int(rng.integers(1, 300))
-            seq = SieveSequence(0, rng.normal(size=N) + 1j * rng.normal(size=N))
-            lhs = sum_sq_over_points(seq, pts)
-            rhs = (1 / float(delta) + N) * seq.norm_sq
+            seq = rng.normal(size=N) + 1j * rng.normal(size=N)
+            lhs = sum_sq_over_points(seq, 0, pts)
+            rhs = (1 / float(delta) + N) * norm_sq(seq)
             assert lhs <= rhs * (1 + 1e-9)
 
 
@@ -142,16 +160,16 @@ def test_trivial_bound_inequality():
         r_star = max(counts.values())
         for _ in range(5):
             N = int(rng.integers(1, 200))
-            seq = SieveSequence(0, rng.normal(size=N))
-            lhs = sieve_sum(seq, P_SUM_SQ, Q)
-            assert lhs <= r_star * (D ** 2 + N) * seq.norm_sq * (1 + 1e-9)
+            seq = rng.normal(size=N)
+            lhs = sieve_sum(seq, 0, P_SUM_SQ, Q)
+            assert lhs <= r_star * (D ** 2 + N) * norm_sq(seq) * (1 + 1e-9)
 
 
 def test_empirical_delta():
     moduli = box_moduli(P_SUM_SQ, 1)[0]
-    assert delta_of(SieveSequence(0, [1, 0]), moduli) == pytest.approx(1.0)
+    assert delta_of([1, 0], 0, moduli) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        delta_of(SieveSequence(0, [0, 0]), moduli)
+        delta_of([0, 0], 0, moduli)
 
 
 def test_delta_bounds_values():
@@ -182,28 +200,28 @@ def test_delta_bounds_validation():
 def test_sequence_families_deterministic():
     a = sieve_sequence("pm1", 32, 7)
     b = sieve_sequence("pm1", 32, 7)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    assert set(np.unique(a.coeffs.real)) <= {-1.0, 1.0}
+    assert np.array_equal(a, b)
+    assert set(np.unique(a)) <= {-1.0, 1.0}
     u = sieve_sequence("unit", 16, 7)
-    assert np.allclose(np.abs(u.coeffs), 1.0)
+    assert np.allclose(np.abs(u), 1.0)
     s = sieve_sequence("spike", 8, 0)
-    assert s.norm_sq == 1.0
+    assert norm_sq(s) == 1.0
 
 
 def test_budget(monkeypatch):
     seq = sieve_sequence("ones", 10, 0)
     monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", 100)
     with pytest.raises(BudgetError):
-        sieve_sum(seq, P_SUM_SQ, 30)
+        sieve_sum(seq, 0, P_SUM_SQ, 30)
 
 
 def test_reported_ratios_are_finite():
     # reporting-only paths: the all-ones ratio at large N and the seed-mean
     # ratio carry no assertion beyond being well defined
     moduli = box_moduli(P_SUM_SQ, 2)[0]
-    big = delta_of(sieve_sequence("ones", 400, 0), moduli)
+    big = delta_of(sieve_sequence("ones", 400, 0), 0, moduli)
     assert big > 0
-    mean = np.mean([delta_of(sieve_sequence("pm1", 64, s), moduli)
+    mean = np.mean([delta_of(sieve_sequence("pm1", 64, s), 0, moduli)
                     for s in range(20)])
     assert np.isfinite(mean) and mean > 0
 
@@ -217,33 +235,33 @@ def test_integer_families_match_exact_oracle():
     for P, Q, min_modulus in product(FORMS, (2, 3, 5, 8), (None, 50)):
         moduli = box_moduli(P, Q, min_modulus)[0]
         for family, N, M in product(("ones", "spike", "pm1"), (1, 2, 3, 7, 40, 150), (0, 11)):
-            seq = sieve_sequence(family, N, N + Q, M)
-            total = sieve_sum(seq, P, Q, min_modulus=min_modulus)
-            exact = exact_sieve_sum(seq.coeffs.real, moduli)
+            seq = sieve_sequence(family, N, N + Q)
+            total = sieve_sum(seq, M, P, Q, min_modulus=min_modulus)
+            exact = exact_sieve_sum(seq, moduli)
             assert type(total) is int and total == exact
-            assert delta_of(seq, moduli) == float(Fraction(exact, int(seq.norm_sq)))
+            assert delta_of(seq, M, moduli) == float(Fraction(exact, int(norm_sq(seq))))
 
 
 def test_unit_family_matches_pointwise_and_dft():
     for P, Q, N, M in ((P_SUM_SQ, 2, 1, 0), (FORMS[1], 3, 37, 11), (FORMS[2], 2, 150, 4)):
         moduli = box_moduli(P, Q)[0]
-        seq = sieve_sequence("unit", N, N, M)
-        total = moduli_sieve_sum(seq, moduli)
+        seq = sieve_sequence("unit", N, N)
+        total = moduli_sieve_sum(seq, M, moduli)
         expanded = [d for d, mult in moduli.items() for _ in range(mult)]
-        assert total == pytest.approx(pointwise_sieve_sum(seq.coeffs, M, expanded), rel=1e-12)
-        assert total == pytest.approx(dft_sieve_sum(seq, moduli), rel=1e-12)
+        assert total == pytest.approx(pointwise_sieve_sum(seq, M, expanded), rel=1e-12)
+        assert total == pytest.approx(dft_sieve_sum(seq, M, moduli), rel=1e-12)
 
 
 def test_exact_route_needs_the_guard(monkeypatch):
     moduli = box_moduli(FORMS[1], 3)[0]
     seq = sieve_sequence("pm1", 90, 4)
-    exact = moduli_sieve_sum(seq, moduli)
+    exact = moduli_sieve_sum(seq, 0, moduli)
     assert type(exact) is int
     monkeypatch.setattr(largesieve, "EXACT_BITS", 0)
-    rounded = moduli_sieve_sum(seq, moduli)
+    rounded = moduli_sieve_sum(seq, 0, moduli)
     assert type(rounded) is float and rounded == pytest.approx(exact, rel=1e-12)
-    half = SieveSequence(0, seq.coeffs / 2)
-    assert type(moduli_sieve_sum(half, moduli)) is float
+    half = seq / 2
+    assert type(moduli_sieve_sum(half, 0, moduli)) is float
 
 
 def test_empirical_quotient_correctly_rounded_past_2_53():
@@ -251,8 +269,8 @@ def test_empirical_quotient_correctly_rounded_past_2_53():
     # 2^53: rounding the total to a float first would be off by an ulp here
     d = 2 ** 61 + 197
     seq = sieve_sequence("ones", 3, 0)
-    assert moduli_sieve_sum(seq, {d: 1}) == 3 * (d - 3) == exact_sieve_sum([1, 1, 1], {d: 1})
-    assert delta_of(seq, {d: 1}) == float(d - 3) != float(3 * (d - 3)) / 3
+    assert moduli_sieve_sum(seq, 0, {d: 1}) == 3 * (d - 3) == exact_sieve_sum([1, 1, 1], {d: 1})
+    assert delta_of(seq, 0, {d: 1}) == float(d - 3) != float(3 * (d - 3)) / 3
 
 
 def test_ramanujan_weights():
@@ -271,15 +289,15 @@ def test_budget_is_the_work_estimate(monkeypatch):
     _, weights, terms = ramanujan_weights(moduli, 100)
     work = 200 * 8 + terms + sum(1 + 99 // e for e in weights)
     monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", work)
-    assert moduli_sieve_sum(seq, moduli) == exact_sieve_sum(seq.coeffs.real, moduli)
+    assert moduli_sieve_sum(seq, 0, moduli) == exact_sieve_sum(seq, moduli)
     monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", work - 1)
     with pytest.raises(BudgetError) as info:
-        moduli_sieve_sum(seq, moduli)
+        moduli_sieve_sum(seq, 0, moduli)
     assert info.value.required == work
     # the lower bound with len(moduli) refuses before any factorization
     monkeypatch.setattr(largesieve, "DEFAULT_WORK_BUDGET", 200 * 8 + len(moduli) - 1)
     with pytest.raises(BudgetError) as info:
-        moduli_sieve_sum(seq, moduli)
+        moduli_sieve_sum(seq, 0, moduli)
     assert info.value.required == 200 * 8 + len(moduli)
 
 
@@ -288,8 +306,7 @@ def test_budget_is_the_work_estimate(monkeypatch):
        st.integers(0, 50),
        st.dictionaries(st.integers(2, 240), st.integers(1, 4), min_size=1, max_size=6))
 def test_integer_coefficients_exact_property(coeffs, M, moduli):
-    seq = SieveSequence(M, coeffs)
-    total = moduli_sieve_sum(seq, moduli)
+    total = moduli_sieve_sum(coeffs, M, moduli)
     assert type(total) is int and total == exact_sieve_sum(coeffs, moduli)
 
 
@@ -306,22 +323,21 @@ def test_grid_kernel_matches_strided_oracle(moduli, family, grid, M, seed):
 
     def sequence(N):
         built.append(N)
-        return sieve_sequence(family, N, seed + N, M)
+        return sieve_sequence(family, N, seed + N)
 
     sums = sieve_sums(moduli, M, grid, sequence)
     assert built == grid and len(sums) == len(grid)
-    for N, (norm_sq, total) in zip(grid, sums):
-        seq = sieve_sequence(family, N, seed + N, M)
-        assert norm_sq == seq.norm_sq
+    for N, (norm, total) in zip(grid, sums):
+        seq = sieve_sequence(family, N, seed + N)
+        assert norm == norm_sq(seq)
         if family == "unit":
-            scale = seq.norm_sq * sum(mult * (d + N) for d, mult in moduli.items())
+            scale = norm_sq(seq) * sum(mult * (d + N) for d, mult in moduli.items())
             assert type(total) is float
             assert total == pytest.approx(strided_sieve_sum(seq, moduli), rel=1e-9,
                                           abs=1e-12 * scale)
         else:
             assert type(total) is int
-            assert total == strided_sieve_sum(seq, moduli) == exact_sieve_sum(seq.coeffs.real,
-                                                                               moduli)
+            assert total == strided_sieve_sum(seq, moduli) == exact_sieve_sum(seq, moduli)
 
 
 def test_exact_past_the_int64_bounds():
@@ -331,7 +347,7 @@ def test_exact_past_the_int64_bounds():
     # takes W past it too.  int64 arithmetic would wrap in both.
     seq = sieve_sequence("ones", 64, 0)
     for mult in (2 ** 53, 2 ** 58):
-        total = moduli_sieve_sum(seq, {61: mult})
+        total = moduli_sieve_sum(seq, 0, {61: mult})
         assert type(total) is int and total == 64 * 60 * mult - 2 * 1833 * mult
         assert total == strided_sieve_sum(seq, {61: mult}) == exact_sieve_sum([1] * 64, {61: mult})
 
@@ -378,7 +394,7 @@ def test_autocorrelation_runs_at_a_5_smooth_length(monkeypatch):
     for N in POOL_N + (389,):   # 389 is prime: 2N = 778 = 2 389
         for family, calls in (("pm1", 2), ("unit", 3)):
             lengths.clear()
-            moduli_sieve_sum(sieve_sequence(family, N, 1), moduli)
+            moduli_sieve_sum(sieve_sequence(family, N, 1), 0, moduli)
             assert len(lengths) == calls
             assert all(_is_5_smooth(n) and n >= 2 * N - 1 for n in lengths)
 
@@ -388,5 +404,5 @@ def test_exact_route_at_lengths_with_a_large_prime_factor():
     moduli = box_moduli(FORMS[1], 3)[0]
     for family, N in product(("ones", "spike", "pm1"), (389, 1139)):
         seq = sieve_sequence(family, N, N)
-        total = moduli_sieve_sum(seq, moduli)
-        assert type(total) is int and total == exact_sieve_sum(seq.coeffs.real, moduli)
+        total = moduli_sieve_sum(seq, 0, moduli)
+        assert type(total) is int and total == exact_sieve_sum(seq, moduli)

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, args", [
     ("sieve_scan_experiment.py", ["--Q", "2", "--out-dir", "out"]),
+    ("sieve_scan_experiment.py", ["--Q", "2", "--sequence", "unit", "--out-dir", "out"]),
     ("bv_level_experiment.py", ["--Q", "1", "--x-max", "1000"]),
     ("bv_level_experiment.py", ["--factors", "x1^2+x2^2", "x3^2+x4", "--Q", "1",
                                 "--x-max", "1000"]),
