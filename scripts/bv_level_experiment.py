@@ -10,7 +10,6 @@ Usage: python scripts/bv_level_experiment.py [--factors "x1^2+x2^2"]
 """
 
 import argparse
-from math import prod
 
 from polysieve.bv import check_setting, discrepancy_sum
 from polysieve.mvpoly import FactoredPoly, parse_poly
@@ -28,7 +27,7 @@ def main():
 
     setting = check_setting(F)
     level = setting.product_profile.level_exponent
-    print(f"P = {prod(F.factors[1:], start=F.factors[0]).to_text()}")
+    print(f"P = {' * '.join(f'({f.to_text()})' for f in F.factors)}")
     print(f"level exponent = {level} (so x ~ Q^{1 / level} admits Q = {args.Q})")
     print(f"variable conditions ok: {setting.all_variable_conditions_ok}, "
           f"divisor monotonicity: {setting.all_divisors_monotone}")

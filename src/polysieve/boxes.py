@@ -1,6 +1,6 @@
 """Dyadic boxes q ~ Q: value multiplicities and representation-count statistics.
 
-The box [Q, 2Q)^L is evaluated as one numpy grid by box_grid, its one builder.
+An MvPoly's box [Q, 2Q)^L is one numpy grid from box_grid, its one builder.
 box_values groups it by one sort into distinct values, ascending, with their
 multiplicities; box_moduli, the one modulus-grouping step, folds them onto the
 moduli |P(q)|.  The small-value count reads the grid with no sort.  Everything
@@ -17,7 +17,7 @@ from math import floor, isnan
 import numpy as np
 
 from .errors import BudgetError
-from .mvpoly import FactoredPoly, MvPoly
+from .mvpoly import MvPoly
 
 DEFAULT_BOX_BUDGET = 5_000_000
 
@@ -30,26 +30,17 @@ def check_box_budget(Q: int, ell: int) -> None:
         raise BudgetError("box enumeration", size, DEFAULT_BOX_BUDGET)
 
 
-def box_grid(P: MvPoly | FactoredPoly, Q: int) -> np.ndarray:
+def box_grid(P: MvPoly, Q: int) -> np.ndarray:
     """P's values over the box [Q, 2Q)^ell, as MvPoly.grid, after the budget check."""
     check_box_budget(Q, P.num_vars)
     return P.grid([range(Q, 2 * Q)] * P.num_vars)
 
 
-def box_values(P: MvPoly | FactoredPoly, Q: int) -> tuple[np.ndarray, np.ndarray]:
+def box_values(P: MvPoly, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts): the distinct values P(q) over the box in ascending
-    order and their multiplicities, from one grid pass.
-
-    A FactoredPoly's values are rows of factor values, in lexicographic
-    order.  Past the int64 guard the values are an object array of Python ints.
-    """
-    vals = box_grid(P, Q)
-    if vals.ndim == 1:
-        return np.unique(vals, return_counts=True)
-    # np.unique(axis=0) refuses object arrays; lexsort sorts by the last key first
-    rows = vals[np.lexsort(vals.T[::-1])]
-    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
-    return rows[starts], np.diff(starts, append=len(rows))
+    order and their multiplicities, from one grid pass.  Past the int64
+    guard the values are an object array of Python ints."""
+    return np.unique(box_grid(P, Q), return_counts=True)
 
 
 def box_moduli(P: MvPoly, Q: int, min_modulus=None) -> tuple[dict[int, int], int, int, int]:

@@ -11,6 +11,7 @@ asserted by the tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, fsum, inf, log, prod
@@ -216,11 +217,14 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
 
     For factor values >= 1 the weight is nonzero exactly when the H_j(q) are
     pairwise distinct primes, and is then prod_j log H_j(q); only those
-    tuples cost a discrepancy evaluation.  One box pass counts the
-    factor-value tuples; each distinct tuple is tested once, value by value
-    through the cached factorize, and weighted by its multiplicity, and the
-    discrepancy is computed once per distinct modulus, in row order, so a
-    modulus above FACTOR_LIMIT is refused at the first in the box.  The
+    tuples cost a discrepancy evaluation.  The variables are disjoint, so
+    the tuples are the product of the factors' boxes over their own
+    variables, in lexicographic order, with the counts multiplied (and by Q
+    per variable no factor uses).  Each distinct tuple is tested once, value
+    by value through the cached factorize; the first weighted one reads the
+    Lambda table, so LAMBDA_LIMIT is refused before the rest of the box.
+    The discrepancy is computed once per distinct modulus, in tuple order,
+    so a modulus above FACTOR_LIMIT is refused at the first in the box.  The
     final reductions are fsums, so the result does not depend on the order
     of the tuples.
     """
@@ -240,10 +244,18 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
     if x < 1:   # the kernel's check, whether or not a tuple reaches the kernel
         raise ValueError(f"need x >= 1, got {x}")
+    values, counts, free = [], np.ones(1, dtype=np.int64), ell
+    for f in F.factors:
+        used = sorted(f.used_variables())
+        v, c = box_values(MvPoly(len(used), {tuple(e[i - 1] for i in used): coef
+                                             for e, coef in f.terms.items()}), Q)
+        values.append(v.tolist())
+        counts = np.multiply.outer(counts, c).ravel()   # exact: at most Q^ell
+        free -= len(used)
+    counts *= Q ** free   # the variables no factor uses
     weighted = []   # (weight, modulus, multiplicity)
     excluded = negative = nonzero = 0
-    rows, counts = box_values(F, Q)
-    for vals, mult in zip(rows.tolist(), counts.tolist()):
+    for vals, mult in zip(itertools.product(*values), counts.tolist()):
         m = prod(vals)
         if abs(m) <= threshold:
             excluded += mult
@@ -251,6 +263,8 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
             negative += mult
         elif all(factorize(v).prime_powers == ((v, 1),) for v in vals) \
                 and len(set(vals)) == len(vals):
+            if not weighted:
+                von_mangoldt_table(int(x))   # LAMBDA_LIMIT before the rest of the box
             nonzero += mult
             weighted.append((prod(map(log, vals)), m, mult))
     moduli = dict.fromkeys(m for _, m, _ in weighted)

@@ -254,6 +254,8 @@ def _run_sieve_scan(args):
         raise BudgetError("sieve sequence FFT", fft_work(max(args.N)), cap)
     if min(args.N) < 1:
         raise ValueError(f"N must be >= 1, got {min(args.N)}")
+    if args.M < 0:
+        raise ValueError(f"M must be >= 0, got {args.M}")
     P = parse_poly(args.P)
     k = P.total_degree()
     ell = P.num_vars

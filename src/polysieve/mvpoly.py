@@ -124,16 +124,7 @@ class MvPoly:
             out += term
         return out.reshape(-1)
 
-    # -- embedding and products --------------------------------------------
-
-    def embed(self, num_vars: int) -> "MvPoly":
-        """Re-express over a larger variable list (pad exponent vectors)."""
-        if num_vars < self.num_vars:
-            raise ValueError("cannot embed into fewer variables")
-        if num_vars == self.num_vars:
-            return self
-        pad = (0,) * (num_vars - self.num_vars)
-        return MvPoly(num_vars, {e + pad: c for e, c in self.terms.items()})
+    # -- products ----------------------------------------------------------
 
     def __mul__(self, other) -> "MvPoly":
         if isinstance(other, int):
@@ -153,7 +144,7 @@ class MvPoly:
             raise TypeError(f"expected MvPoly, got {type(other).__name__}")
         if other.num_vars != self.num_vars:
             raise ValueError(
-                f"variable count mismatch: {self.num_vars} vs {other.num_vars}; embed first")
+                f"variable count mismatch: {self.num_vars} vs {other.num_vars}")
 
     def __eq__(self, other):
         return (isinstance(other, MvPoly) and self.num_vars == other.num_vars
@@ -265,9 +256,9 @@ def parse_poly(text: str, num_vars: int | None = None) -> MvPoly:
 class FactoredPoly:
     """A polynomial given as a product of factors on disjoint variable sets.
 
-    Only the factors are kept (the product is never expanded), embedded over
-    the union variable list.  Disjointness and nonconstancy are enforced;
-    irreducibility of the factors is a user assertion and is not verified.
+    Only the factors are kept, as given (the product is never expanded);
+    num_vars is the largest of theirs.  Disjointness and nonconstancy are
+    enforced; irreducibility of the factors is a user assertion, not verified.
     """
 
     __slots__ = ("num_vars", "factors")
@@ -276,8 +267,6 @@ class FactoredPoly:
         factors = list(factors)
         if not factors:
             raise ValueError("need at least one factor")
-        num_vars = max(f.num_vars for f in factors)
-        factors = [f.embed(num_vars) for f in factors]
         var_sets = []
         for i, f in enumerate(factors):
             if f.is_zero() or f.total_degree() < 1:
@@ -286,15 +275,11 @@ class FactoredPoly:
         for (i, a), (j, b) in combinations(enumerate(var_sets, start=1), 2):
             if a & b:
                 raise ValueError(f"factors {i} and {j} share variables {sorted(a & b)}")
-        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "num_vars", max(f.num_vars for f in factors))
         object.__setattr__(self, "factors", tuple(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredPoly is immutable")
-
-    def grid(self, axes) -> np.ndarray:
-        """Factor values over the grid of MvPoly.grid: one row per point."""
-        return np.stack([f.grid(axes) for f in self.factors], axis=1)
 
     def __repr__(self):
         inner = ", ".join(f.to_text() for f in self.factors)

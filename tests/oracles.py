@@ -36,7 +36,7 @@ from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
 from polysieve.largesieve import sieve_sums
-from polysieve.mvpoly import FactoredPoly, MvPoly
+from polysieve.mvpoly import MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
                                 norm_form)
 
@@ -82,8 +82,9 @@ def prime_value_weight(vals) -> float:
 
 
 def factor_values(F, x) -> tuple[int, ...]:
-    """The tuple of factor values of a FactoredPoly at an integer point."""
-    return tuple(f.evaluate(x) for f in F.factors)
+    """The tuple of factor values of a FactoredPoly at an integer point of
+    F.num_vars coordinates; each factor reads its own leading ones."""
+    return tuple(f.evaluate(x[:f.num_vars]) for f in F.factors)
 
 
 def assert_plain_json(obj) -> None:
@@ -441,10 +442,10 @@ def primitive_character_count(m: int, phi) -> int:
 
 def loop_value_counts(P, Q: int) -> Counter:
     """Multiplicity of each value over the box, one evaluate call per point
-    in box order (a FactoredPoly's values are factor-value tuples)."""
+    in box order."""
     counts: Counter = Counter()
     for q in product(range(Q, 2 * Q), repeat=P.num_vars):
-        counts[factor_values(P, q) if isinstance(P, FactoredPoly) else P.evaluate(q)] += 1
+        counts[P.evaluate(q)] += 1
     return counts
 
 
@@ -696,16 +697,20 @@ def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
     only the discrepancy kernel is the library's; what it checks is the
     library's distinct-primes weight and its grouping by distinct tuple and
     distinct modulus.  The degree k is read off the symbolic product of
-    the factors, not summed from the factor degrees as the library does."""
+    the factors, each padded to all ell variables, not summed from the
+    factor degrees as the library does; each tuple of the whole box is
+    evaluated factor by factor, not read off per-factor boxes."""
     ell = F.num_vars
-    k = prod(F.factors[1:], start=F.factors[0]).total_degree()
+    padded = [MvPoly(ell, {e + (0,) * (ell - f.num_vars): c for e, c in f.terms.items()})
+              for f in F.factors]
+    k = prod(padded[1:], start=padded[0]).total_degree()
     if eps_bad is None:
         eps_bad = default_eps_bad(Q, k, A, len(F.factors))
     threshold = Fraction(eps_bad) * Q ** k
     parts, weights = [], []
     excluded = negative = nonzero = 0
     for q in product(range(Q, 2 * Q), repeat=ell):
-        vals = [f.evaluate(q) for f in F.factors]
+        vals = factor_values(F, q)
         m = prod(vals)
         if abs(m) <= threshold:
             excluded += 1

@@ -11,7 +11,7 @@ from oracles import loop_value_counts, representation_count
 from polysieve import boxes
 from polysieve.boxes import box_moduli, box_values, count_bad_moduli
 from polysieve.errors import BudgetError
-from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
+from polysieve.mvpoly import MvPoly, parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 P_DIFF_SQ = parse_poly("x1^2-x2^2")
@@ -132,25 +132,18 @@ GRID_POLYS = [
     P_DIFF_SQ,                                    # zeros and negative values
     parse_poly("x1^3-3*x1*x2^2+x2^3-40"),
     parse_poly("x1*x2*x3-x2^2-7"),
-    FactoredPoly([parse_poly("x1^2+x2^2"), parse_poly("x3-2*x4")]),
 ]
 
 
-def as_counter(values, counts) -> Counter:
-    """The layer's arrays as the oracle's Counter, rows as tuples."""
-    keys = values.tolist() if values.ndim == 1 else map(tuple, values.tolist())
-    return Counter(dict(zip(keys, counts.tolist())))
-
-
 def check_box_values(P, Q):
-    """box_values against the per-point loop: strictly ascending values (rows
-    in lexicographic order), counts summing to the box size, Python ints."""
+    """box_values against the per-point loop: strictly ascending values,
+    counts summing to the box size, Python ints."""
     values, counts = box_values(P, Q)
-    keys = list(as_counter(values, counts))
+    keys = values.tolist()
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert counts.sum() == Q ** P.num_vars
-    assert all(type(v) is int for k in keys for v in (k if isinstance(k, tuple) else (k,)))
-    assert as_counter(values, counts) == loop_value_counts(P, Q)
+    assert all(type(v) is int for v in keys)
+    assert Counter(dict(zip(keys, counts.tolist()))) == loop_value_counts(P, Q)
     return values
 
 
@@ -184,20 +177,13 @@ COEFFS = st.one_of(st.integers(-40, 40), st.sampled_from([2 ** 62, -2 ** 62, 3 *
 
 
 @st.composite
-def box_polys(draw, factored=True):
-    """An MvPoly in 1 to 3 variables, or a FactoredPoly of two factors on
-    disjoint variables; huge coefficients take the grid past the int64 guard."""
+def box_polys(draw):
+    """An MvPoly in 1 to 3 variables, nonconstant in x1; huge coefficients
+    take the grid past the int64 guard."""
     ell = draw(st.integers(1, 3))
-
-    def poly(used):   # nonconstant in used[0], free in the variables of used
-        exps = st.tuples(*[st.integers(0, 3) if i in used else st.just(0) for i in range(ell)])
-        terms = draw(st.dictionaries(exps, COEFFS, max_size=4))
-        terms[tuple(int(i == used[0]) for i in range(ell))] = draw(COEFFS.filter(bool))
-        return MvPoly(ell, terms)
-
-    if factored and ell > 1 and draw(st.booleans()):
-        return FactoredPoly([poly([0]), poly(list(range(1, ell)))])
-    return poly(list(range(ell)))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * ell), COEFFS, max_size=4))
+    terms[(1,) + (0,) * (ell - 1)] = draw(COEFFS.filter(bool))
+    return MvPoly(ell, terms)
 
 
 @given(st.one_of(box_polys(), st.sampled_from([parse_poly(t) for t, _, _ in GUARD_CASES])),
@@ -207,7 +193,7 @@ def test_box_values_property(P, Q):
     check_box_values(P, Q)
 
 
-@given(box_polys(factored=False), st.integers(1, 7), st.none() | st.floats(allow_nan=False))
+@given(box_polys(), st.integers(1, 7), st.none() | st.floats(allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_fold_moduli_property(P, Q, min_modulus):
     moduli, unit, filtered = {}, 0, 0

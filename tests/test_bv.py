@@ -8,7 +8,7 @@ from math import fsum
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polysieve.arith as arith
@@ -23,7 +23,8 @@ from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad, discr
 from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
                                   unit_group)
 from polysieve.errors import BudgetError
-from polysieve.mvpoly import FactoredPoly, parse_poly
+from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
+from test_mvpoly import factored_polys
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 CHAR_MODULI = (*range(3, 41), 97)   # a character table mod d holds d^2 values
@@ -271,6 +272,10 @@ LOOP_SUM_CASES = (
     (("x1", "x2"), (1, 2, 3), None),        # equal primes on the diagonal
     (("x1^2", "x2"), (1, 2, 3), None),      # prime powers that are not primes
     (("x1^3", "x2"), (1, 2, 3), None),
+    (("x1", "x3"), (1, 2, 3), None),        # x2 is in no factor
+    (("x3^2+x4", "x1"), (1, 2, 3), None),   # factors in later variables first
+    (("x2", "x1^2+x3"), (1, 2, 3), None),   # interleaved variables
+    (("x1", "x2", "x4"), (1, 2, 3), None),
 )
 
 
@@ -283,6 +288,30 @@ def test_discrepancy_sum_matches_loop_reference_exactly():
             for x in (10.0, 200.0, 2000.0):
                 assert (discrepancy_sum(F, Q, x, eps_bad=eps_bad)
                         == loop_discrepancy_sum(F, Q, x, eps_bad=eps_bad))
+
+
+@given(factored_polys(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_discrepancy_sum_matches_loop_reference_on_factored_polys(F, data):
+    # the product of the factors' boxes against the walk over the whole box
+    Q = data.draw(st.integers(1, max(Q for Q in range(1, 28) if Q ** F.num_vars <= 729)))
+    try:
+        expected = loop_discrepancy_sum(F, Q, 200.0)
+    except BudgetError:   # the oracle factors products of prime powers past 2^63
+        assume(False)
+    assert discrepancy_sum(F, Q, 200.0) == expected
+
+
+def test_discrepancy_sum_evaluates_each_factor_on_its_own_box(monkeypatch):
+    # sum_j Q^(l_j) points, not m * Q^l: x3 is in no factor
+    sizes, grid = [], MvPoly.grid
+    monkeypatch.setattr(MvPoly, "grid", lambda self, axes: sizes.append(
+        math.prod(map(len, axes))) or grid(self, axes))
+    F = FactoredPoly([P_SUM_SQ, parse_poly("x4^2+x4*x5+3*x5^2"), parse_poly("x6")])
+    rep = discrepancy_sum(F, 3, 200.0)
+    assert sizes == [9, 9, 3]
+    assert rep.box_size == 3 ** 6
+    assert rep == loop_discrepancy_sum(F, 3, 200.0)
 
 
 def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch):

@@ -290,6 +290,34 @@ def test_bv_sum_over_the_factorization_cap(capsys):
     assert rep["result"]["value"] == 0.0
 
 
+LAMBDA_ERROR = ('{"error": "von Mangoldt table limit: requires 100000000, '
+                'budget is 10000000", "kind": "resource", "partial_progress": false}\n')
+BV_LAMBDA_ARGV = ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "2000", "--x", "100000000",
+                  "--workers", "1")
+
+
+def test_bv_sum_refuses_the_lambda_table_at_the_first_weighted_tuple(capsys, monkeypatch):
+    # (2003, 2011) is the first tuple of nonzero weight; the rest of the
+    # 4*10^6 tuples are never classified
+    def refuse(*args):
+        raise AssertionError("the discrepancy kernel ran")
+
+    monkeypatch.setattr(bv, "max_progression_discrepancy", refuse)
+    assert run_cli(capsys, *BV_LAMBDA_ARGV) == (3, "", LAMBDA_ERROR)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *BV_LAMBDA_ARGV], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", LAMBDA_ERROR)
+
+
+def test_bv_sum_lambda_limit_wins_over_a_weighted_modulus_past_2_63(capsys):
+    # the first weighted modulus, about 2^80, is refused by factorize at
+    # --x 100 (test_bv_sum_over_the_factorization_cap); past LAMBDA_LIMIT the
+    # Lambda table is refused first, at the first weighted tuple
+    argv = ("bv-sum", "--P", "x1+1099511627776", "--P", "x2+1099511628000", "--Q", "64")
+    assert run_cli(capsys, *argv, "--x", "100000000") == (3, "", LAMBDA_ERROR)
+
+
 def test_determinism_up_to_duration(capsys):
     for args in (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
                   "--sequence", "pm1", "--seed", "42"),
@@ -627,6 +655,14 @@ def test_sieve_scan_refuses_n_below_1_before_the_box(capsys, monkeypatch):
                              "--N", "0")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "N must be >= 1, got 0"
+
+
+def test_sieve_scan_refuses_m_below_0_before_the_box(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "box_moduli", _refuse_the_box)
+    code, out, err = run_cli(capsys, "sieve-scan", "--P", "x1^2+x2^2", "--Q", "2000",
+                             "--N", "4", "--M", "-1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "M must be >= 0, got -1"
 
 
 def test_meanvalue_sum_refuses_the_lambda_table_before_the_box(capsys, monkeypatch):

@@ -99,12 +99,14 @@ def test_json_round_trip():
     assert all(isinstance(t["coef"], str) for t in d["terms"])
 
 
-def test_embed_and_used_variables():
-    P = parse_poly("x1^2+x2^2")
-    E = P.embed(4)
-    assert E.num_vars == 4
-    assert E.evaluate((1, 2, 9, 9)) == 5
-    assert E.used_variables() == frozenset({1, 2})
+def test_used_variables_and_factors_kept_as_given():
+    P, H = parse_poly("x1^2+x2^2"), parse_poly("x4+x3*x4")
+    assert P.used_variables() == frozenset({1, 2})
+    assert H.used_variables() == frozenset({3, 4})
+    assert MvPoly(4, {(0, 2, 0, 0): 1}).used_variables() == frozenset({2})
+    F = FactoredPoly([P, H])
+    assert F.factors[0] is P and F.factors[1] is H
+    assert F.num_vars == 4
 
 
 @st.composite
