@@ -149,7 +149,7 @@ def factorize(n: int) -> Factorization:
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
-    # after trial division to 10^6, the cofactor has at most two prime factors
+    # the cofactor's primes exceed 10^6 (trial division): at most three below 2^63
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

@@ -21,13 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import __version__, largesieve
+from . import __version__
 from .boxes import box_moduli, count_bad_moduli
 from .bv import check_setting, discrepancy_sum, exponent_profile, mean_value_sum
 from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
-from .largesieve import (SEQUENCE_FAMILIES, delta_bounds, empirical_delta, fft_work,
+from .largesieve import (SEQUENCE_FAMILIES, check_grid, delta_bounds, empirical_delta,
                          sieve_sequence)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
@@ -132,9 +132,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=False, factors=False, field=False):
+    def common(p, poly=False, factors=False, field=False, table=False):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv", "gnuplot"), default="json")
+        # gnuplot draws a table: offered only where the handler returns one
+        formats = ("json", "csv", "gnuplot") if table else ("json", "csv")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
                        help="echoed in config; every run is one process")
@@ -157,13 +159,13 @@ def build_parser() -> _Parser:
     p.add_argument("--R", type=int, required=True)
 
     p = sub.add_parser("farey-stats", help="spacing statistics of the fraction system a/P(q)")
-    common(p, poly=True)
+    common(p, poly=True, table=True)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--N", type=_int_grid, required=True, help="grid, e.g. 16,64,256")
     p.add_argument("--min-modulus", type=_finite_float, default=None)
 
     p = sub.add_parser("sieve-scan", help="empirical sieve constant vs comparators over an N grid")
-    common(p, poly=True)
+    common(p, poly=True, table=True)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--N", type=_int_grid, required=True)
     p.add_argument("--M", type=int, default=0)
@@ -214,7 +216,8 @@ def build_parser() -> _Parser:
 # -- handlers ----------------------------------------------------------------
 # Each returns (result, table): result holds plain JSON values with str keys;
 # table is None or (header, rows, plotted), where gnuplot draws each plotted
-# column against the first.
+# column against the first.  Only a subcommand built with common(table=True)
+# returns a table, and only it offers --format gnuplot.
 
 
 def _run_congruence_count(args):
@@ -247,25 +250,14 @@ def _split_seed(seed: int, counter: int) -> int:
 
 
 def _run_sieve_scan(args):
-    # the sieve work of one N is at least fft_work(N) > N: refuse before
-    # building a sequence, against the cap as the kernel reads it
-    cap = largesieve.DEFAULT_WORK_BUDGET
-    if fft_work(max(args.N)) > cap:
-        raise BudgetError("sieve sequence FFT", fft_work(max(args.N)), cap)
-    if min(args.N) < 1:
-        raise ValueError(f"N must be >= 1, got {min(args.N)}")
-    if args.M < 0:
-        raise ValueError(f"M must be >= 0, got {args.M}")
+    check_grid(args.M, args.N)
     P = parse_poly(args.P)
-    k = P.total_degree()
-    ell = P.num_vars
+    k, ell = P.total_degree(), P.num_vars
     moduli, _, _, r_star = box_moduli(P, args.Q, args.min_modulus)
-    # each N's comparators are checked with its sieve work, before any FFT
-    bounds = []
-    emps = empirical_delta(
-        moduli, args.M, args.N,
-        lambda N: sieve_sequence(args.sequence, N, _split_seed(args.seed, N)),
-        lambda N: bounds.append(delta_bounds(k, ell, args.Q, N, r_star)))
+    # the comparators depend on no modulus: refused before any is factored
+    bounds = [delta_bounds(k, ell, args.Q, N, r_star) for N in args.N]
+    emps = empirical_delta(moduli, args.M, args.N,
+                           lambda N: sieve_sequence(args.sequence, N, _split_seed(args.seed, N)))
     rows = [dataclasses.replace(b, empirical=emp) for b, emp in zip(bounds, emps)]
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,
               "sequence": args.sequence, "rows": [dataclasses.asdict(r) for r in rows]}
@@ -354,8 +346,6 @@ def _render(args, config, result, table, duration) -> str:
     lines = ["# polysieve {} {} config={}".format(
         __version__, args.command, json.dumps(config, sort_keys=True))]
     if args.format == "gnuplot":   # two-column blocks separated by blank lines
-        if table is None:
-            raise CliError(f"format gnuplot is not supported for {args.command}")
         header, rows, plotted = table
         for col in map(header.index, plotted):
             lines += [f"# {header[col]}", *(f"{row[0]} {row[col]}" for row in rows), ""]

@@ -22,7 +22,7 @@ implied constant to 1 - they are comparators, not certified bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log2, pi
+from math import comb, isfinite, log2, pi
 
 import numpy as np
 
@@ -103,8 +103,19 @@ def fft_work(N: int) -> int:
     return 2 * N * (2 * N).bit_length()
 
 
-def sieve_sums(moduli: dict[int, int], M: int, grid, sequence,
-               check=None) -> list[tuple[float, int | float]]:
+def check_grid(M: int, grid) -> None:
+    """Refuse a grid before anything is built: the largest N's work estimate
+    fft_work(N) past DEFAULT_WORK_BUDGET (read at call time), then the
+    smallest N below 1, then M below 0."""
+    if fft_work(max(grid)) > DEFAULT_WORK_BUDGET:
+        raise BudgetError("sieve sequence FFT", fft_work(max(grid)), DEFAULT_WORK_BUDGET)
+    if min(grid) < 1:
+        raise ValueError(f"N must be >= 1, got {min(grid)}")
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+
+
+def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[float, int | float]]:
     """(norm_sq, total) of sequence(N), the coefficient array a_n on the window
     (M, M+N], at each N of grid in order: total sums |S(a/d)|^2 over the
     moduli d >= 2, weighted by multiplicity, and the reduced a/d, exactly for
@@ -112,18 +123,17 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence,
     a float.  A complex array takes the float path even where its imaginary
     part is zero.
 
-    Before anything is built, M >= 0 is checked, then each N in grid order
-    is checked to be >= 1 with its window ending below 2^63, then its work
-    estimate fft_work(N) + terms (ramanujan_weights) + the sum of
-    1 + (N-1)//e over the weights e < N refused past DEFAULT_WORK_BUDGET
-    (first its lower bound, with len(moduli) for terms), then check(N) run.
+    Only sums are computed here; a caller checks anything else first, as
+    sieve-scan does its comparators after check_grid.  Before anything is
+    built, check_grid runs, then each N in grid order has its window checked
+    to end below 2^63, then its work estimate fft_work(N) + terms
+    (ramanujan_weights) + the sum of 1 + (N-1)//e over the weights e < N
+    refused past DEFAULT_WORK_BUDGET (first its lower bound, with
+    len(moduli) for terms).
     """
+    check_grid(M, grid)
     top, weights = max(grid), None
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
     for N in grid:
-        if N < 1:
-            raise ValueError(f"N must be >= 1, got {N}")
         if M + N > 2 ** 63 - 1:
             raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
         if fft_work(N) + len(moduli) > DEFAULT_WORK_BUDGET:
@@ -133,8 +143,6 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence,
         work = fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights if e < N)
         if work > DEFAULT_WORK_BUDGET:
             raise BudgetError("sieve sum", work, DEFAULT_WORK_BUDGET)
-        if check:
-            check(N)
     # sum_e |e G(e)| bounds every W(h) and the partial sums that build it
     wide = sum(abs(e * g) for e, g in weights.items()) >= 2 ** 63
     W = np.zeros(top, dtype=object if wide else np.int64)
@@ -157,11 +165,11 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence,
     return out
 
 
-def empirical_delta(moduli: dict[int, int], M: int, grid, sequence,
-                    check=None) -> list[float]:
+def empirical_delta(moduli: dict[int, int], M: int, grid, sequence) -> list[float]:
     """total / norm_sq of each sieve_sums entry, the measured sieve constant
-    of sequence(N); an exact integer total gives the correctly rounded quotient."""
-    sums = sieve_sums(moduli, M, grid, sequence, check)
+    of sequence(N), with sieve_sums' checks in its order; an exact integer
+    total gives the correctly rounded quotient."""
+    sums = sieve_sums(moduli, M, grid, sequence)
     if any(norm_sq <= 0 for norm_sq, _ in sums):
         raise ValueError("sequence norm is zero")
     return [t / (int(s) if isinstance(t, int) else s) for s, t in sums]
@@ -195,18 +203,25 @@ def delta_bounds(k: int, ell: int, Q: int, N: int, r_star: int,
     conjectural: r* (Q^(ell+k) + N)
     older three-term bound with r0 = C(ell*k + ell - 1, ell) - 1
     new: Q^(ell + k/(r(k+1))) N^(1 - 1/(r(k+1))), r = C(k+ell, ell) - 1
+
+    A value out of float range raises ValueError.
     """
     if k < 2 or ell < 1 or Q < 1 or N < 1 or r_star < 1:
         raise ValueError("need k >= 2, ell >= 1, Q >= 1, N >= 1, r_star >= 1")
-    trivial = float(min(r_star * (Q ** (2 * k) + N), Q ** ell * (Q ** k + N)))
-    zhao = float(r_star * (Q ** (ell + k) + N))
-    r0 = comb(ell * k + ell - 1, ell) - 1
-    old = (Q ** float(ell * (k + 1))
-           + Q ** (ell - 1.0 / (2 * r0 * ell * k)) * N
-           + Q ** (ell + 1.0 / (2 * r0)) * N ** (1 - 1.0 / (2 * r0 * ell * k)))
-    r = r_parameter(k, ell)
-    e = 1.0 / (r * (k + 1))
-    new = Q ** (ell + k * e) * N ** (1 - e)
+    try:
+        trivial = float(min(r_star * (Q ** (2 * k) + N), Q ** ell * (Q ** k + N)))
+        zhao = float(r_star * (Q ** (ell + k) + N))
+        r0 = comb(ell * k + ell - 1, ell) - 1
+        old = (Q ** float(ell * (k + 1))
+               + Q ** (ell - 1.0 / (2 * r0 * ell * k)) * N
+               + Q ** (ell + 1.0 / (2 * r0)) * N ** (1 - 1.0 / (2 * r0 * ell * k)))
+        r = r_parameter(k, ell)
+        e = 1.0 / (r * (k + 1))
+        new = Q ** (ell + k * e) * N ** (1 - e)
+        if not all(map(isfinite, (trivial, zhao, old, new))):   # a product or sum hit inf
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"the comparators at N={N} are not all finite floats") from None
     return DeltaReport(k=k, ell=ell, Q=Q, N=N, r_star=r_star,
                        trivial_bound=trivial, zhao_conjecture=zhao,
                        old_bound=old, new_bound=new,

@@ -124,28 +124,6 @@ class MvPoly:
             out += term
         return out.reshape(-1)
 
-    # -- products ----------------------------------------------------------
-
-    def __mul__(self, other) -> "MvPoly":
-        if isinstance(other, int):
-            return MvPoly(self.num_vars, {e: c * other for e, c in self.terms.items()})
-        self._check_compat(other)
-        terms: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MvPoly(self.num_vars, terms)
-
-    __rmul__ = __mul__
-
-    def _check_compat(self, other):
-        if not isinstance(other, MvPoly):
-            raise TypeError(f"expected MvPoly, got {type(other).__name__}")
-        if other.num_vars != self.num_vars:
-            raise ValueError(
-                f"variable count mismatch: {self.num_vars} vs {other.num_vars}")
-
     def __eq__(self, other):
         return (isinstance(other, MvPoly) and self.num_vars == other.num_vars
                 and self.terms == other.terms)

@@ -8,9 +8,10 @@ A few routes here left the library because only tests called them:
 ``von_mangoldt``, ``moebius`` and the tuple weight ``prime_value_weight``
 (Lambda times mu^2, on top of the library's ``factorize``), a
 FactoredPoly's factor values at one point, the JSON round trip of an
-MvPoly, ``moduli_sieve_sum`` and ``sieve_sum``, which compose the
-library's box and sieve steps, ``strided_sieve_sum``, the Ramanujan
-expansion with one strided sum per divisor, which the library's
+MvPoly, ``poly_product``, the symbolic product of MvPolys, which no
+library path expands, ``moduli_sieve_sum`` and ``sieve_sum``, which
+compose the library's box and sieve steps, ``strided_sieve_sum``, the
+Ramanujan expansion with one strided sum per divisor, which the library's
 divisor-weight table replaced, and ``laplace_norm_form``, the memoised
 Laplace expansion of the norm form, which the library's dense level
 expansion replaced.  ``assert_plain_json`` checks the handler contract,
@@ -111,6 +112,22 @@ def poly_to_json(P) -> str:
 
 def poly_from_json_dict(d: dict) -> MvPoly:
     return MvPoly(d["num_vars"], {tuple(t["exps"]): int(t["coef"]) for t in d["terms"]})
+
+
+def poly_product(first, *rest) -> MvPoly:
+    """The symbolic product of MvPolys in the same variables, every term of
+    each against every term of the next."""
+    terms = first.terms
+    for P in rest:
+        if P.num_vars != first.num_vars:
+            raise ValueError(f"variable count mismatch: {first.num_vars} vs {P.num_vars}")
+        out: dict = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in P.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        terms = out
+    return MvPoly(first.num_vars, terms)
 
 
 def norm_sq(coeffs) -> float:
@@ -703,7 +720,7 @@ def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
     ell = F.num_vars
     padded = [MvPoly(ell, {e + (0,) * (ell - f.num_vars): c for e, c in f.terms.items()})
               for f in F.factors]
-    k = prod(padded[1:], start=padded[0]).total_degree()
+    k = poly_product(*padded).total_degree()
     if eps_bad is None:
         eps_bad = default_eps_bad(Q, k, A, len(F.factors))
     threshold = Fraction(eps_bad) * Q ** k

@@ -18,6 +18,10 @@ def test_factorize_examples():
     assert factorize(1).prime_powers == ()
     assert factorize(10403).prime_powers == ((101, 1), (103, 1))
     assert trial_division_factorize(10403) == [(101, 1), (103, 1)]
+    # three primes above the trial bound 10^6 fit below 2^63
+    assert factorize(1000003 * 1000033 * 1000037).prime_powers == (
+        (1000003, 1), (1000033, 1), (1000037, 1))
+    assert factorize(1000003 ** 3).prime_powers == ((1000003, 3),)
 
 
 def test_factorize_rejects_zero():

@@ -113,6 +113,8 @@ def test_empty_polynomial_is_validation_error(capsys):
     # and k = 0, so the bad-moduli comparator eps^(1/k) is undefined
     ("bad-moduli", "--P", "5", "--Q", "2", "--eps-bad", "0.5"),
     ("bad-moduli", "--P", "5", "--Q", "2", "--eps-bad", "0"),
+    # the comparator Q^(ell(k+1)) leaves the float range
+    ("sieve-scan", "--P", "x1^600-x2^600", "--Q", "2", "--N", "4", "--min-modulus", "1e300"),
 ])
 def test_bad_numeric_input_is_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -379,6 +381,17 @@ def test_gnuplot_rejected_where_unsupported(capsys):
     assert json.loads(err.strip())["kind"] == "validation"
 
 
+def test_gnuplot_is_refused_before_the_handler_runs(capsys, monkeypatch):
+    def refuse(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, "corollary-search", refuse)
+    code, out, err = run_cli(capsys, "corollary-search", "--f", "t^2+1", "--X", "10000000",
+                             "--theta", "1/2", "--format", "gnuplot")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["kind"] == "validation"
+
+
 def test_unknown_flag_is_single_line_error(capsys):
     code, out, err = run_cli(capsys, "exponents", "--k", "2", "--ell", "2",
                              "--bogus", "1")
@@ -437,13 +450,10 @@ def test_check_setting_smoke(capsys):
     assert rep["result"]["product_profile"]["level_exponent"] == "24/179"
 
 
-def test_bv_sum_and_check_setting_expand_no_product(monkeypatch, capsys):
+def test_bv_sum_and_check_setting_expand_no_product(capsys):
     # the factors' variables are disjoint, so the product's data follow from
-    # the factors' and no polynomial product is expanded
-    def refuse(self, other):
-        raise AssertionError("a polynomial product was expanded")
-
-    monkeypatch.setattr(MvPoly, "__mul__", refuse)
+    # the factors' and MvPoly has no product to expand
+    assert not hasattr(MvPoly, "__mul__") and not hasattr(MvPoly, "__rmul__")
     factors = ("--P", "x1^2+x2^2", "--P", "x3^2+x4", "--P", "x5+2*x6^3")
     run_json(capsys, "check-setting", *factors)
     run_json(capsys, "bv-sum", *factors, "--Q", "2", "--x", "10")
@@ -629,6 +639,17 @@ def test_sieve_scan_reports_the_first_error_of_the_grid(capsys, argv, code, erro
     assert (got, out) == (code, "")
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == error
+
+
+def test_sieve_scan_refuses_the_comparators_before_any_modulus_is_factored(capsys,
+                                                                           monkeypatch):
+    def refuse(moduli, N):
+        raise AssertionError("the moduli were factored")
+
+    monkeypatch.setattr(largesieve, "ramanujan_weights", refuse)
+    code, out, err = run_cli(capsys, "sieve-scan", "--P", "x1+x2", "--Q", "3", "--N", "4")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "need k >= 2, ell >= 1, Q >= 1, N >= 1, r_star >= 1"
 
 
 def test_sieve_scan_fft_check_reads_the_kernel_cap(capsys, monkeypatch):

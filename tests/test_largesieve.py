@@ -195,6 +195,12 @@ def test_delta_bounds_validation():
         delta_bounds(1, 2, 4, 256, 1)
     with pytest.raises(ValueError):
         delta_bounds(2, 2, 4, 256, 0)
+    # Q^(ell(k+1)) = 2^1202 is past the float range
+    with pytest.raises(ValueError, match="^the comparators at N=4 are not all finite floats$"):
+        delta_bounds(600, 2, 2, 4, 1)
+    # each factor of the old bound's second term is finite, their product inf
+    with pytest.raises(ValueError, match="not all finite floats"):
+        delta_bounds(2, 1, 10, 8 * 10 ** 307, 1)
 
 
 def test_sequence_families_deterministic():
