@@ -20,13 +20,15 @@ import numpy as np
 
 from .arith import euler_phi, factorize, von_mangoldt_table
 from .boxes import box_moduli, box_values, check_box_budget
-from .characters import root_table, unit_group
+from .characters import CHAR_MODULUS_CAP, root_table, unit_group
 from .congruence import R_PARAMETER_BITS, r_parameter
 from .errors import BudgetError
 from .mvpoly import FactoredPoly, MvPoly
 
 # Complex entries per block of the character sup kernel: keeps its memory flat.
 _SUP_BLOCK = 2 ** 14
+# Primitive characters times stream terms, summed over the moduli of mean_value_sum.
+MEAN_VALUE_BUDGET = 5 * 10 ** 8
 # Subset divisors 2^m - 1 that check_setting lists: 16 factors, about 18 MB of JSON.
 SETTING_DIVISOR_BUDGET = 2 ** 16
 
@@ -291,33 +293,35 @@ class MeanValueReport:
 
 def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
     """sup over y <= x of |psi(y, chi)| from the prime-power stream (T, L)
-    up to x, for one primitive character mod d per conjugate pair (the row
-    whose mixed-radix key is <= its conjugate's), doubled unless chi is real:
-    |psi(y, chi-bar)| = |psi(y, chi)| as Lambda is real, and 2s is exact, so
-    the fsum is the one over every primitive character.  Terms with
-    gcd(T, d) > 1 only repeat a prefix sum, so they are dropped.  Per block
-    of characters C, t = (C @ W) mod e with W_i = (e / s_i) dlog_i(T) is exact
-    in int64 under CHAR_MODULUS_CAP: each of at most 7 components adds
-    < e s_i <= 10^10.  roots[t] are the floats of chi.values()[T % d], and
-    np.hypot rounds like the scalar abs of a complex."""
+    up to x, for the rows of unit_group(d).primitive_pairs (one primitive
+    character per conjugate pair, cached with the group), doubled unless chi
+    is real: |psi(y, chi-bar)| = |psi(y, chi)| as Lambda is real, and 2s is
+    exact, so the fsum, in any order, is the one over every primitive
+    character.  Terms with gcd(T, d) > 1 only repeat a prefix sum, so they
+    are dropped.  Per block of characters C, t = (C @ W) mod e with
+    W_i = (e / s_i) dlog_i(T) is exact in int64 under CHAR_MODULUS_CAP: each
+    of at most 7 components adds < e s_i <= 10^10.  roots[t] are the floats
+    of chi.values()[T % d].  np.hypot rounds like the scalar abs of a complex
+    and runs only where s = re^2 + im^2 >= (1 - 2^-40) max s of the row: s is
+    within 2^-51 relative and hypot within 1 ulp, so the largest hypot's s is
+    within about 2^-47 of the row's max s and is never dropped."""
     group = unit_group(d)
-    chars = group.primitive_exponents()
+    chars, real = group.primitive_pairs
     if not len(chars):   # d = 2 (mod 4) has no primitive character
         return []
-    orders = [comp.order for comp in group.components]
-    key, ckey = (np.ravel_multi_index(c.T, orders) for c in (chars, -chars % orders))
-    keep = key <= ckey
-    chars, mult = chars[keep], np.where(key == ckey, 1.0, 2.0)[keep]
     T, L = _coprime_terms(d, T, L)
     e = group.exponent
     W = np.array([e // comp.order * comp.dlog[T % comp.modulus] for comp in group.components])
     roots = root_table(e)
     step = max(1, _SUP_BLOCK // max(len(L), 1))
-    sups = []
+    sups = np.zeros(len(chars))
     for i in range(0, len(chars), step):
         c = np.cumsum(roots[chars[i:i + step] @ W % e] * L, axis=1)
-        sups.append(np.max(np.hypot(c.real, c.imag), axis=1, initial=0.0))
-    return (np.concatenate(sups) * mult).tolist()
+        s = c.real * c.real + c.imag * c.imag
+        row, col = np.nonzero(s >= s.max(axis=1, initial=0.0)[:, None] * (1 - 2 ** -40))
+        np.maximum.at(sups, i + row, np.hypot(c.real[row, col], c.imag[row, col]))
+    sups[:len(chars) - real] *= 2
+    return sups.tolist()
 
 
 def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
@@ -326,10 +330,18 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
 
     Moduli are |P(q)|; tuples with |P(q)| <= 1 contribute nothing (there is
     no primitive character to sum over by the convention adopted here).
-    unit_group raises BudgetError at the first modulus above CHAR_MODULUS_CAP.
+    Before any kernel call, the smallest modulus above CHAR_MODULUS_CAP is
+    refused, then stream terms times primitive characters (phi(p^e) -
+    phi(p^(e-1)) per prime power p^e || d), summed over d, above MEAN_VALUE_BUDGET.
     """
     T, L = von_mangoldt_table(max(int(x), 0))
     moduli, skipped, _, _ = box_moduli(P, Q)
+    if big := next((d for d in moduli if d > CHAR_MODULUS_CAP), 0):
+        raise BudgetError("character modulus", big, CHAR_MODULUS_CAP)
+    work = len(T) * sum(prod(p ** (e - 2) * (p - 1) ** 2 if e > 1 else p - 2
+                             for p, e in factorize(d).prime_powers) for d in moduli)
+    if work > MEAN_VALUE_BUDGET:
+        raise BudgetError("mean value work", work, MEAN_VALUE_BUDGET)
     parts = []
     for d, mult in moduli.items():
         if sups := _primitive_sups(d, T, L):

@@ -10,13 +10,14 @@ computed in exact integer arithmetic, so character equality and triviality
 tests never touch floating point.  Every complex value (chi(n), values(),
 the bv kernel) is read from the conjugate-symmetric root_table(e).
 UnitGroup.primitive_exponents() gives the primitive characters as one
-exponent matrix, with no object per character.
+exponent matrix, with no object per character; UnitGroup.primitive_pairs
+keeps one row per conjugate pair of it on the cached group, for the bv kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm, pi, prod
 
@@ -113,12 +114,25 @@ class UnitGroup:
     def primitive_exponents(self) -> np.ndarray:
         """The exponent vectors of the primitive characters mod m, one row
         each in the order of enumerate_characters: the product of the sets
-        _primitive_exponent allows per component, or no rows if m = 2 (mod 4)."""
+        _primitive_exponent allows per component, or no rows if m = 2 (mod 4).
+        Built anew on each call; the bv kernel reads the cached primitive_pairs."""
         rows = np.zeros((int(self.modulus % 4 != 2), 0), dtype=np.int64)
         for comp in self.components:
             c = np.flatnonzero(_primitive_exponent(comp, np.arange(comp.order)))
             rows = np.column_stack([np.repeat(rows, len(c), axis=0), np.tile(c, len(rows))])
         return rows
+
+    @cached_property
+    def primitive_pairs(self) -> tuple[np.ndarray, int]:
+        """One row of primitive_exponents() per conjugate pair (its mixed-radix
+        key <= its conjugate's) as read-only int32, as every order is below
+        CHAR_MODULUS_CAP, and the number of self-conjugate rows, put last."""
+        rows, orders = self.primitive_exponents(), np.array([c.order for c in self.components])
+        radix = np.cumprod([1, *orders[::-1]])[-2::-1]   # place values; none if m <= 2
+        key, ckey = rows @ radix, -rows % orders @ radix
+        rows = np.concatenate((rows[key < ckey], rows[key == ckey])).astype(np.int32)
+        rows.flags.writeable = False
+        return rows, int(np.count_nonzero(key == ckey))
 
 
 @lru_cache(maxsize=256)

@@ -15,7 +15,8 @@ import polysieve.arith as arith
 import polysieve.boxes as boxes
 import polysieve.bv as bv
 from oracles import (factor_values, loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
-                     loop_sup_abs_psi_chi, prime_value_weight, von_mangoldt)
+                     loop_sup_abs_psi_chi, prime_value_weight, primitive_character_count,
+                     von_mangoldt)
 from polysieve.arith import euler_phi, von_mangoldt_table
 from polysieve.boxes import box_moduli
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad, discrepancy_sum,
@@ -429,6 +430,54 @@ def test_conjugate_pairs_count_twice_and_real_characters_once():
         assert mult.count(1.0) == len(real)
     assert _multiplicities(8).count(1.0) == 2
     assert all(_multiplicities(p).count(1.0) == 1 for p in (3, 5, 7, 11, 13, 97))
+
+
+# Weights on the stream 1, 2, 3, 4 mod 5 whose prefixes 2 and 4 under the
+# complex primitive character chi(2) = i have s = re^2 + im^2 equal or 1 ulp
+# apart, with the larger hypot at the other prefix than the larger s.
+NEAR_TIED_WEIGHTS = ([5.476804259388571, 5.763809441770934, 1.234690400788101, 12.011631333559034],
+                     [1.0019952973926836, 5.342838598015057, 2.094389177004455, 5.360606913443423])
+
+
+@pytest.mark.parametrize("weights", NEAR_TIED_WEIGHTS)
+def test_sup_is_the_largest_hypot_among_near_tied_prefixes(weights):
+    T, L = np.arange(1, 5), np.array(weights)
+    rows, real = unit_group(5).primitive_pairs
+    assert rows.tolist() == [[1], [2]] and real == 1   # chi(2) = i, then the real chi
+    c = np.cumsum(DirichletCharacter(unit_group(5), (1,)).values()[T] * L)[None, :]
+    s = c.real * c.real + c.imag * c.imag
+    h = np.hypot(c.real, c.imag)
+    assert abs(s[0, 1] - s[0, 3]) <= np.spacing(s.max()) and s.max() in (s[0, 1], s[0, 3])
+    assert np.argmax(s) != np.argmax(h)
+    assert bv._primitive_sups(5, T, L)[0] == 2 * h.max(axis=1)[0]
+
+
+def test_mean_value_work_is_primitive_characters_times_stream_terms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the character kernel ran")
+
+    T, _ = von_mangoldt_table(500)
+    cases = [(parse_poly(f"x1+{d - 1}"), 1) for d in (2, 4, 8, 32, 27, 120, 194, 343, 6683)]
+    for P, Q in (*cases, (P_SUM_SQ, 4)):   # the box of x1^2+x2^2 holds 10 moduli
+        moduli, _, _, _ = box_moduli(P, Q)
+        work = len(T) * sum(primitive_character_count(d, euler_phi) for d in moduli)
+        monkeypatch.setattr(bv, "MEAN_VALUE_BUDGET", work)
+        mean_value_sum(P, Q, 500)   # admitted at the budget
+        monkeypatch.setattr(bv, "MEAN_VALUE_BUDGET", work - 1)
+        monkeypatch.setattr(bv, "_primitive_sups", refuse)
+        with pytest.raises(BudgetError) as err:
+            mean_value_sum(P, Q, 500)
+        assert str(err.value) == f"mean value work: requires {work}, budget is {work - 1}"
+        monkeypatch.undo()
+
+
+def test_mean_value_names_the_smallest_modulus_above_the_cap_before_the_work(monkeypatch):
+    # moduli 99996..100011: the cap comes first, at 100001, before any kernel call
+    monkeypatch.setattr(bv, "MEAN_VALUE_BUDGET", 0)
+    monkeypatch.setattr(bv, "_primitive_sups", None)
+    with pytest.raises(BudgetError) as err:
+        mean_value_sum(parse_poly(f"x1+{CHAR_MODULUS_CAP - 20}"), 16, 10)
+    assert str(err.value) == f"character modulus: requires 100001, budget is {CHAR_MODULUS_CAP}"
 
 
 def test_chi_of_n_reads_the_value_table():

@@ -116,6 +116,30 @@ def test_primitive_exponents_are_the_primitive_characters(m):
     assert [c.is_primitive for c in chars] == [c.conductor == m for c in chars]
 
 
+@pytest.mark.parametrize("m", PRIMITIVE_RULE_MODULI)
+def test_primitive_pairs_and_their_conjugates_are_the_primitive_exponents(m):
+    group = unit_group(m)
+    rows, real = group.primitive_pairs
+    orders = [comp.order for comp in group.components]
+    pairs = [tuple(r) for r in rows.tolist()]
+    conj = [tuple(-c % s for c, s in zip(r, orders)) for r in pairs]
+    assert set(pairs) | set(conj) == {tuple(r) for r in group.primitive_exponents().tolist()}
+    assert 2 * len(pairs) - real == len(group.primitive_exponents())
+    # the self-conjugate rows come last, and each other row stands for a pair
+    assert [r == c for r, c in zip(pairs, conj)] == [False] * (len(pairs) - real) + [True] * real
+
+
+def test_primitive_pairs_are_read_only_int32_cached_with_the_group():
+    for m in (5, 8, 120, 99001, CHAR_MODULUS_CAP):
+        rows, _ = unit_group(m).primitive_pairs
+        assert rows.dtype == np.int32 and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        assert unit_group(m).primitive_pairs[0] is rows
+    unit_group.cache_clear()
+    assert unit_group(5).primitive_pairs[0] is not rows
+
+
 def test_induced_characters_match_non_primitives():
     for m in (8, 12, 45):
         chars = enumerate_characters(m)

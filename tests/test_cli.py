@@ -695,6 +695,25 @@ def test_meanvalue_sum_refuses_the_lambda_table_before_the_box(capsys, monkeypat
                                         "budget is 10000000")
 
 
+MEAN_VALUE_ARGV = ("meanvalue-sum", "--P", "x1+99000", "--Q", "1", "--x", "10000000")
+MEAN_VALUE_ERROR = ('{"error": "mean value work: requires 47028299470, budget is 500000000", '
+                    '"kind": "resource", "partial_progress": false}\n')
+
+
+def test_meanvalue_sum_refuses_the_kernel_work_before_any_kernel_call(capsys, monkeypatch):
+    # d = 99001 = 7 * 14143: 70,705 primitive characters times 665,134 stream
+    # terms, which the kernel would take minutes over
+    def refuse(*args):
+        raise AssertionError("the character kernel ran")
+
+    monkeypatch.setattr(bv, "_primitive_sups", refuse)
+    assert run_cli(capsys, *MEAN_VALUE_ARGV) == (3, "", MEAN_VALUE_ERROR)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *MEAN_VALUE_ARGV], env=env,
+                          capture_output=True, text=True, timeout=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", MEAN_VALUE_ERROR)
+
+
 def _without_duration(text):
     return re.sub(r'"duration_s": [^,\n]+', '"duration_s": null', text)
 
