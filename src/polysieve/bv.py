@@ -29,6 +29,9 @@ from .mvpoly import FactoredPoly, MvPoly
 _SUP_BLOCK = 2 ** 14
 # Primitive characters times stream terms, summed over the moduli of mean_value_sum.
 MEAN_VALUE_BUDGET = 5 * 10 ** 8
+# The distinct moduli of mean_value_sum, summed: the size of their unit groups'
+# tables, which take about 90 ns per unit to build near CHAR_MODULUS_CAP.
+UNIT_GROUP_BUDGET = 8 * 10 ** 7
 # Subset divisors 2^m - 1 that check_setting lists: 16 factors, about 18 MB of JSON.
 SETTING_DIVISOR_BUDGET = 2 ** 16
 
@@ -291,7 +294,7 @@ class MeanValueReport:
     skipped_unit_moduli: int
 
 
-def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
+def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray, resume: bool = False) -> list[float]:
     """sup over y <= x of |psi(y, chi)| from the prime-power stream (T, L)
     up to x, for the rows of unit_group(d).primitive_pairs (one primitive
     character per conjugate pair, cached with the group), doubled unless chi
@@ -304,24 +307,43 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray) -> list[float]:
     of chi.values()[T % d].  np.hypot rounds like the scalar abs of a complex
     and runs only where s = re^2 + im^2 >= (1 - 2^-40) max s of the row: s is
     within 2^-51 relative and hypot within 1 ulp, so the largest hypot's s is
-    within about 2^-47 of the row's max s and is never dropped."""
+    within about 2^-47 of the row's max s and is never dropped.
+
+    With resume (mean_value_sum's von_mangoldt_table prefixes only), the
+    kernel starts from group.sup_carry: k coprime terms summed, psi after
+    the k-th and the undoubled sup of every row.  It sums the terms past k
+    with the carried psi added into the first new column: a row's cumsum is
+    a sequential accumulate, so every prefix is the cold one bit for bit, and
+    the filter finds the new prefixes' largest hypot exactly, so its max with
+    the carried sup is the cold sup.  A first call, an evicted group or fewer
+    than k terms start from the empty carry; the new carry replaces the old
+    once the sums are done.  Without resume no carry is read or written."""
     group = unit_group(d)
     chars, real = group.primitive_pairs
     if not len(chars):   # d = 2 (mod 4) has no primitive character
         return []
     T, L = _coprime_terms(d, T, L)
+    carry = group.sup_carry if resume else None
+    if carry and carry[0] <= len(T):   # copies: the carry itself is never written
+        k, psi, sups = carry[0], carry[1].copy(), carry[2].copy()
+    else:   # the empty carry
+        k, psi, sups = 0, np.zeros(len(chars), dtype=complex), np.zeros(len(chars))
+    total, T, L = len(T), T[k:], L[k:]
     e = group.exponent
     W = np.array([e // comp.order * comp.dlog[T % comp.modulus] for comp in group.components])
     roots = root_table(e)
     step = max(1, _SUP_BLOCK // max(len(L), 1))
-    sups = np.zeros(len(chars))
-    for i in range(0, len(chars), step):
-        c = np.cumsum(roots[chars[i:i + step] @ W % e] * L, axis=1)
+    for i in range(0, len(chars) if len(L) else 0, step):
+        c = roots[chars[i:i + step] @ W % e] * L
+        c[:, 0] += psi[i:i + step]
+        np.cumsum(c, axis=1, out=c)
+        psi[i:i + step] = c[:, -1]
         s = c.real * c.real + c.imag * c.imag
-        row, col = np.nonzero(s >= s.max(axis=1, initial=0.0)[:, None] * (1 - 2 ** -40))
+        row, col = np.nonzero(s >= s.max(axis=1)[:, None] * (1 - 2 ** -40))
         np.maximum.at(sups, i + row, np.hypot(c.real[row, col], c.imag[row, col]))
-    sups[:len(chars) - real] *= 2
-    return sups.tolist()
+    if resume:
+        group.sup_carry = total, psi, sups
+    return (sups * np.repeat([2.0, 1.0], [len(chars) - real, real])).tolist()   # exact
 
 
 def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
@@ -332,7 +354,9 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     no primitive character to sum over by the convention adopted here).
     Before any kernel call, the smallest modulus above CHAR_MODULUS_CAP is
     refused, then stream terms times primitive characters (phi(p^e) -
-    phi(p^(e-1)) per prime power p^e || d), summed over d, above MEAN_VALUE_BUDGET.
+    phi(p^(e-1)) per prime power p^e || d), summed over d, above
+    MEAN_VALUE_BUDGET, then the sum of the moduli d above UNIT_GROUP_BUDGET.
+    Both estimates are the cold cost, whatever groups and carries are cached.
     """
     T, L = von_mangoldt_table(max(int(x), 0))
     moduli, skipped, _, _ = box_moduli(P, Q)
@@ -342,9 +366,11 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
                              for p, e in factorize(d).prime_powers) for d in moduli)
     if work > MEAN_VALUE_BUDGET:
         raise BudgetError("mean value work", work, MEAN_VALUE_BUDGET)
+    if (size := sum(moduli)) > UNIT_GROUP_BUDGET:
+        raise BudgetError("sum of unit group moduli", size, UNIT_GROUP_BUDGET)
     parts = []
     for d, mult in moduli.items():
-        if sups := _primitive_sups(d, T, L):
+        if sups := _primitive_sups(d, T, L, resume=True):
             parts.append(mult * d / euler_phi(d) * fsum(sups))
     return MeanValueReport(value=fsum(parts), moduli=moduli,
                            skipped_unit_moduli=skipped)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from math import fsum
 
@@ -480,6 +481,164 @@ def test_mean_value_names_the_smallest_modulus_above_the_cap_before_the_work(mon
     assert str(err.value) == f"character modulus: requires 100001, budget is {CHAR_MODULUS_CAP}"
 
 
+def _cold(P, Q, x):
+    unit_group.cache_clear()   # no group, so no carry, survives
+    return mean_value_sum(P, Q, x).value
+
+
+P_MOD_97 = parse_poly("x1+96")   # Q = 1 boxes the single modulus 97
+
+
+@pytest.mark.parametrize("xs", [
+    (500, 1000, 2000, 4000),     # up
+    (4000, 2000, 1000, 500),     # down: each op starts cold
+    (1000, 1000, 1234.5, 1234.5, 1000),   # repeated and same-stream x
+    (10, 4000, 2, 700, 1, 3000),
+])
+def test_mean_value_sweep_is_bit_equal_to_cold_ops(xs):
+    expected = [_cold(P_SUM_SQ, 4, x) for x in xs]
+    unit_group.cache_clear()
+    assert [mean_value_sum(P_SUM_SQ, 4, x).value for x in xs] == expected
+
+
+def test_mean_value_sweeps_interleaved_over_shared_moduli_are_bit_equal_to_cold_ops():
+    # x1+x2 at Q = 16 (moduli 32..62) and x1^2+x2^2 at Q = 4 share 32, 41, 50, 52 and 61
+    X1_X2 = parse_poly("x1+x2")
+    assert set(box_moduli(X1_X2, 16)[0]) & set(box_moduli(P_SUM_SQ, 4)[0]) == {32, 41, 50, 52, 61}
+    ops = [(P_SUM_SQ, 4, 500), (X1_X2, 16, 2000), (P_SUM_SQ, 4, 1000), (X1_X2, 16, 700),
+           (P_SUM_SQ, 4, 4000), (X1_X2, 16, 4000), (P_SUM_SQ, 4, 2000)]
+    expected = [_cold(*op) for op in ops]
+    unit_group.cache_clear()
+    assert [mean_value_sum(*op).value for op in ops] == expected
+
+
+def test_resumed_kernel_sups_are_bit_equal_to_cold_sups():
+    for d in (5, 8, 97, 120, 243, 343, 6683):
+        for xs in ((500, 1000, 4000), (4000, 500, 4000)):
+            expected = []
+            for x in xs:
+                unit_group.cache_clear()
+                expected.append(bv._primitive_sups(d, *von_mangoldt_table(x)))
+            unit_group.cache_clear()
+            assert [bv._primitive_sups(d, *von_mangoldt_table(x), resume=True)
+                    for x in xs] == expected
+
+
+def test_a_resumed_op_reads_the_carry_and_sums_only_new_terms():
+    expected = _cold(P_MOD_97, 1, 2000)
+    unit_group.cache_clear()
+    mean_value_sum(P_MOD_97, 1, 500)
+    k, psi, sups = unit_group(97).sup_carry
+    T, _ = von_mangoldt_table(500)
+    assert k == np.count_nonzero(T % 97) and k > 0
+    unit_group(97).sup_carry = k, np.zeros_like(psi), sups   # psi after k terms forgotten
+    assert mean_value_sum(P_MOD_97, 1, 2000).value != expected
+    unit_group(97).sup_carry = k, psi, sups
+    assert mean_value_sum(P_MOD_97, 1, 2000).value == expected
+
+
+def test_mean_value_carry_resumes_across_a_lambda_table_rebuild(monkeypatch):
+    expected = [_cold(P_SUM_SQ, 4, x) for x in (500, 3000)]
+    unit_group.cache_clear()
+    monkeypatch.setattr(arith, "_lambda_stream", None)
+    assert mean_value_sum(P_SUM_SQ, 4, 500).value == expected[0]
+    stream = arith._lambda_stream
+    assert stream[0] == 500 and unit_group(41).sup_carry[0] > 0   # 41 = 4^2 + 5^2
+    assert mean_value_sum(P_SUM_SQ, 4, 3000).value == expected[1]
+    assert arith._lambda_stream[0] == 3000 and arith._lambda_stream[1] is not stream[1]
+
+
+def test_mean_value_carry_holds_24_bytes_per_pair_row_and_goes_with_its_group():
+    expected = _cold(P_MOD_97, 1, 2000)
+    unit_group.cache_clear()
+    mean_value_sum(P_MOD_97, 1, 500)
+    group = weakref.ref(unit_group(97))
+    k, psi, sups = group().sup_carry
+    assert (psi.dtype, sups.dtype) == (np.complex128, np.float64)
+    assert psi.nbytes + sups.nbytes == 24 * len(group().primitive_pairs[0])
+    del k, psi, sups
+    for m in range(200, 200 + unit_group.cache_info().maxsize):   # evicts mod 97
+        unit_group(m)
+    assert group() is None   # and its carry with it
+    assert mean_value_sum(P_MOD_97, 1, 2000).value == expected   # starts cold
+
+
+@pytest.mark.parametrize("x", [4, 7, 2000])   # 3, 4 and 329 coprime terms carried
+def test_a_foreign_stream_neither_reads_nor_writes_the_carry(x):
+    # the 4-term stream mod 5 of test_sup_is_the_largest_hypot_among_near_tied_prefixes,
+    # between two sweep ops over the modulus 5
+    P = parse_poly("x1+4")
+    T, L = np.arange(1, 5), np.array(NEAR_TIED_WEIGHTS[0])
+    foreign, expected = bv._primitive_sups(5, T, L), _cold(P, 1, 4000)
+    unit_group.cache_clear()
+    mean_value_sum(P, 1, x)
+    carry = unit_group(5).sup_carry
+    assert bv._primitive_sups(5, T, L) == foreign
+    assert unit_group(5).sup_carry is carry
+    assert mean_value_sum(P, 1, 4000).value == expected
+
+
+def test_a_kernel_call_that_raises_leaves_the_carry_valid(monkeypatch):
+    expected = _cold(P_MOD_97, 1, 4000)
+    unit_group.cache_clear()
+    mean_value_sum(P_MOD_97, 1, 500)
+    carry = unit_group(97).sup_carry
+    before = [a.tobytes() for a in carry[1:]]
+    hypot, calls = np.hypot, []
+
+    def fail_at_the_third_block(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MemoryError
+        return hypot(*args)
+
+    monkeypatch.setattr(bv, "_SUP_BLOCK", 2 ** 10)   # 2 rows a block for the 475 new terms
+    monkeypatch.setattr(np, "hypot", fail_at_the_third_block)
+    with pytest.raises(MemoryError):
+        mean_value_sum(P_MOD_97, 1, 4000)
+    monkeypatch.undo()
+    assert unit_group(97).sup_carry is carry
+    assert [a.tobytes() for a in carry[1:]] == before
+    assert mean_value_sum(P_MOD_97, 1, 4000).value == expected
+
+
+def test_unit_group_budget_is_the_sum_of_the_distinct_moduli(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a unit group was built")
+
+    for P, Q in ((P_MOD_97, 1), (P_SUM_SQ, 4), (parse_poly("x1+3000"), 8)):
+        size = sum(box_moduli(P, Q)[0])
+        monkeypatch.setattr(bv, "UNIT_GROUP_BUDGET", size)
+        mean_value_sum(P, Q, 500)   # admitted at the budget
+        monkeypatch.setattr(bv, "UNIT_GROUP_BUDGET", size - 1)
+        monkeypatch.setattr(bv, "unit_group", refuse)
+        with pytest.raises(BudgetError) as err:
+            mean_value_sum(P, Q, 500)
+        assert str(err.value) == f"sum of unit group moduli: requires {size}, budget is {size - 1}"
+        monkeypatch.setattr(bv, "MEAN_VALUE_BUDGET", 0)   # checked first
+        with pytest.raises(BudgetError) as err:
+            mean_value_sum(P, Q, 500)
+        assert str(err.value).startswith("mean value work: requires ")
+        monkeypatch.undo()
+
+
+def test_mean_value_refusals_do_not_depend_on_cached_groups_or_carries(monkeypatch):
+    size = sum(box_moduli(P_SUM_SQ, 4)[0])
+    errors = []
+    for warm in (False, True):
+        unit_group.cache_clear()
+        if warm:
+            for x in (500, 1000, 2000):
+                mean_value_sum(P_SUM_SQ, 4, x)
+        for name, budget in (("UNIT_GROUP_BUDGET", size - 1), ("MEAN_VALUE_BUDGET", 1)):
+            monkeypatch.setattr(bv, name, budget)
+            with pytest.raises(BudgetError) as err:
+                mean_value_sum(P_SUM_SQ, 4, 2000)
+            errors.append((warm, str(err.value)))
+        monkeypatch.undo()
+    assert [e for w, e in errors if w] == [e for w, e in errors if not w]
+
+
 def test_chi_of_n_reads_the_value_table():
     for m in CHAR_MODULI:
         for chi in enumerate_characters(m):
@@ -509,7 +668,8 @@ def test_mean_value_memory_does_not_grow_with_the_character_tables():
 
 
 def test_mean_value_memory_at_large_moduli_stays_flat():
-    # 16 moduli near 10^5 at x = 10: only the per-component dlog tables are kept
+    # 16 moduli near 10^5 at x = 10: each cached group keeps its dlog tables,
+    # its pair rows and the kernel's carry (24 bytes per pair row)
     unit_group.cache_clear()
     tracemalloc.start()
     try:

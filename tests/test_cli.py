@@ -714,6 +714,19 @@ def test_meanvalue_sum_refuses_the_kernel_work_before_any_kernel_call(capsys, mo
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", MEAN_VALUE_ERROR)
 
 
+def test_meanvalue_sum_refuses_the_unit_group_build_within_2_s():
+    # 4096 moduli 95903..99998: work 1.5*10^8 passes MEAN_VALUE_BUDGET, and
+    # their unit groups would take about 30 s to build
+    argv = ("meanvalue-sum", "--P", "x1+91807", "--Q", "4096", "--x", "2")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=2)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1)
+    assert json.loads(proc.stderr) == {
+        "error": f"sum of unit group moduli: requires 401205248, budget is {bv.UNIT_GROUP_BUDGET}",
+        "kind": "resource", "partial_progress": False}
+
+
 def _without_duration(text):
     return re.sub(r'"duration_s": [^,\n]+', '"duration_s": null', text)
 

@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("bv_level_experiment.py", ["--factors", "x1^2+x2^2", "x3^2+x4", "--Q", "1",
                                 "--x-max", "1000"]),
     ("prime_divisor_experiment.py", ["--X", "1000"]),
+    ("meanvalue_sweep_experiment.py", ["--Q", "2", "--x-max", "2000"]),
     # x2 is in no factor, and P prints as its factors
     ("bv_level_experiment.py", ["--factors", "x1", "x3", "--Q", "2", "--x-max", "1000"]),
 ])
