@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, fsum, inf, log, prod
 
 import numpy as np
 
+from . import arith
 from .arith import euler_phi, factorize, von_mangoldt_table
 from .boxes import box_moduli, box_values, check_box_budget
 from .characters import CHAR_MODULUS_CAP, root_table, unit_group
@@ -27,6 +29,10 @@ from .mvpoly import FactoredPoly, MvPoly
 
 # Complex entries per block of the character sup kernel: keeps its memory flat.
 _SUP_BLOCK = 2 ** 14
+# Mean value totals a cached unit group keeps, one per stream length, oldest dropped.
+_SUP_TOTALS = 16
+# Distinct weighted moduli times stream terms: the discrepancy scans of discrepancy_sum.
+DISCREPANCY_BUDGET = 5 * 10 ** 7
 # Primitive characters times stream terms, summed over the moduli of mean_value_sum.
 MEAN_VALUE_BUDGET = 5 * 10 ** 8
 # The distinct moduli of mean_value_sum, summed: the size of their unit groups'
@@ -158,6 +164,7 @@ def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np
     return T[keep], L[keep]
 
 
+@lru_cache(maxsize=1 << 12, typed=True)
 def max_progression_discrepancy(m: int, x: float) -> float:
     """sup over y <= x and coprime residues a of |psi(y; m, a) - y/phi(m)|.
 
@@ -166,6 +173,10 @@ def max_progression_discrepancy(m: int, x: float) -> float:
     stably class-sorted stream is an exact int64 cumsum of L * 2^53 in two
     29-bit halves (below 2^53 under LAMBDA_LIMIT), rounded once, whatever m.
     A coprime class with no term deviates by x/phi at y = x.
+
+    The stream is a prefix of the grow-only von_mangoldt_table, so the value
+    depends on (m, x) alone and is memoized on them and on x's type (an int
+    and a float x divide a phi past 2^53 differently).  A raise is not kept.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -228,10 +239,12 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     per variable no factor uses).  Each distinct tuple is tested once, value
     by value through the cached factorize; the first weighted one reads the
     Lambda table, so LAMBDA_LIMIT is refused before the rest of the box.
-    The discrepancy is computed once per distinct modulus, in tuple order,
-    so a modulus above FACTOR_LIMIT is refused at the first in the box.  The
-    final reductions are fsums, so the result does not depend on the order
-    of the tuples.
+    After the box, the first weighted modulus above FACTOR_LIMIT in tuple
+    order is refused, then distinct weighted moduli times stream terms
+    above DISCREPANCY_BUDGET, counted cold whatever the kernel's memo holds.
+    The discrepancy is then read once per distinct modulus.  The final
+    reductions are fsums, so the result does not depend on the order of the
+    tuples.
     """
     ell = F.num_vars
     k = sum(f.total_degree() for f in F.factors)
@@ -273,6 +286,11 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
             nonzero += mult
             weighted.append((prod(map(log, vals)), m, mult))
     moduli = dict.fromkeys(m for _, m, _ in weighted)
+    if big := next((m for m in moduli if m > arith.FACTOR_LIMIT), 0):
+        factorize(big)   # the kernel's refusal, before the budget's
+    work = len(moduli) * len(von_mangoldt_table(int(x))[0]) if moduli else 0
+    if work > DISCREPANCY_BUDGET:
+        raise BudgetError("discrepancy work", work, DISCREPANCY_BUDGET)
     disc = {m: max_progression_discrepancy(m, x) for m in moduli}
     parts, weights = [], []
     for w, m, mult in weighted:
@@ -317,7 +335,8 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray, resume: bool = False) 
     the filter finds the new prefixes' largest hypot exactly, so its max with
     the carried sup is the cold sup.  A first call, an evicted group or fewer
     than k terms start from the empty carry; the new carry replaces the old
-    once the sums are done.  Without resume no carry is read or written."""
+    once the sums are done.  Without resume no carry is read or written.
+    mean_value_sum runs it only on a miss of the group's sup_totals."""
     group = unit_group(d)
     chars, real = group.primitive_pairs
     if not len(chars):   # d = 2 (mod 4) has no primitive character
@@ -356,7 +375,9 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     refused, then stream terms times primitive characters (phi(p^e) -
     phi(p^(e-1)) per prime power p^e || d), summed over d, above
     MEAN_VALUE_BUDGET, then the sum of the moduli d above UNIT_GROUP_BUDGET.
-    Both estimates are the cold cost, whatever groups and carries are cached.
+    Both estimates are the cold cost, whatever groups, carries and totals are
+    cached.  unit_group(d).sup_totals keeps the last _SUP_TOTALS fsum(sups)
+    by stream length (None if d = 2 (mod 4)): a hit is the kernel's float.
     """
     T, L = von_mangoldt_table(max(int(x), 0))
     moduli, skipped, _, _ = box_moduli(P, Q)
@@ -370,7 +391,12 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
         raise BudgetError("sum of unit group moduli", size, UNIT_GROUP_BUDGET)
     parts = []
     for d, mult in moduli.items():
-        if sups := _primitive_sups(d, T, L, resume=True):
-            parts.append(mult * d / euler_phi(d) * fsum(sups))
+        if len(T) not in (totals := unit_group(d).sup_totals):
+            sups = _primitive_sups(d, T, L, resume=True)
+            totals[len(T)] = fsum(sups) if sups else None
+            if len(totals) > _SUP_TOTALS:
+                del totals[next(iter(totals))]   # the oldest
+        if (total := totals[len(T)]) is not None:
+            parts.append(mult * d / euler_phi(d) * total)
     return MeanValueReport(value=fsum(parts), moduli=moduli,
                            skipped_unit_moduli=skipped)

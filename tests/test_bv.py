@@ -334,6 +334,137 @@ def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch)
     assert sorted(calls) == sorted(moduli)
 
 
+def _clear_memos():
+    bv.max_progression_discrepancy.cache_clear()
+    unit_group.cache_clear()   # and the carries and totals on the groups
+
+
+# at Q = 16 the factor values are 16..31 and 22..37: the 10 weighted moduli of
+# F_PRIMES are products of two of 17, 19, 23, 29, 31, and F_SHIFTED shares 9 of them
+F_PRIMES = FactoredPoly([parse_poly("x1"), parse_poly("x2")])
+F_SHIFTED = FactoredPoly([parse_poly("x1"), parse_poly("x2+6")])
+
+
+def _recorded_kernel(monkeypatch):
+    calls, kernel = [], bv.max_progression_discrepancy
+    monkeypatch.setattr(bv, "max_progression_discrepancy",
+                        lambda m, x: calls.append((m, x)) or kernel(m, x))
+    return calls, kernel
+
+
+@pytest.mark.parametrize("ops", [
+    [(F_PRIMES, x) for x in (500.0, 1000.0, 2000.0, 4000.0)],   # up
+    [(F_PRIMES, x) for x in (4000.0, 2000.0, 1000.0, 500.0)],   # down
+    [(F_PRIMES, x) for x in (1000.0, 1000.0, 1234.5, 1234.5, 1000.0)],   # repeated
+    [(F_PRIMES, 500.0), (F_SHIFTED, 2000.0), (F_PRIMES, 2000.0), (F_SHIFTED, 500.0),
+     (F_SHIFTED, 4000.0), (F_PRIMES, 4000.0), (F_SHIFTED, 2000.0)],   # interleaved
+])
+def test_discrepancy_sum_sweeps_are_bit_equal_to_cold_ops(monkeypatch, ops):
+    expected = []
+    for F, x in ops:
+        _clear_memos()
+        expected.append(discrepancy_sum(F, 16, x))
+    _clear_memos()
+    calls, kernel = _recorded_kernel(monkeypatch)
+    assert [discrepancy_sum(F, 16, x) for F, x in ops] == expected
+    # the body ran once per distinct (m, x): every repeat was a hit
+    info = kernel.cache_info()
+    assert (info.misses, info.hits) == (len(set(calls)), len(calls) - len(set(calls)))
+
+
+def test_shifted_and_unshifted_primes_share_moduli(monkeypatch):
+    calls, _ = _recorded_kernel(monkeypatch)
+    discrepancy_sum(F_PRIMES, 16, 100.0)
+    ours = set(calls)
+    calls.clear()
+    discrepancy_sum(F_SHIFTED, 16, 100.0)
+    assert (len(ours), len(ours & set(calls))) == (10, 9)
+
+
+def test_the_discrepancy_memo_keys_x_and_its_type():
+    # 5000.0, 5000.5 and 5000 read the same stream; each is its own entry
+    xs = (5000.0, 5000.5, 5000)
+    expected = []
+    for x in xs:
+        _clear_memos()
+        expected.append(discrepancy_sum(F_PRIMES, 16, x))
+    _clear_memos()
+    assert [discrepancy_sum(F_PRIMES, 16, x) for x in xs] == expected
+    info = bv.max_progression_discrepancy.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 30, 30)
+
+
+def test_the_discrepancy_memo_holds_at_most_its_maxsize():
+    kernel = bv.max_progression_discrepancy
+    assert kernel.cache_info().maxsize == 1 << 12
+    kernel.cache_clear()
+    for i in range(kernel.cache_info().maxsize + 100):
+        kernel(3, 1 + i / 4)
+    assert kernel.cache_info().currsize == kernel.cache_info().maxsize
+
+
+def test_a_refused_call_reaches_the_kernel_every_time(monkeypatch):
+    kernel = bv.max_progression_discrepancy
+    _clear_memos()
+    monkeypatch.setattr(arith, "FACTOR_LIMIT", 400)
+    arith.factorize.cache_clear()   # so 1003 = 17 * 59 and 493 = 17 * 29 meet the limit
+    for i, (m, x, error) in enumerate([(1003, 100.0, BudgetError)] * 2
+                                      + [(97, 0.5, ValueError)] * 2):
+        with pytest.raises(error):
+            kernel(m, x)
+        assert (kernel.cache_info().misses, kernel.cache_info().currsize) == (i + 1, 0)
+    # in tuple order (17, 19), (17, 23), then 17 * 29 is the first past the limit;
+    # DISCREPANCY_BUDGET would refuse too, and is checked after it
+    monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", 0)
+    for _ in range(2):
+        with pytest.raises(BudgetError) as err:
+            discrepancy_sum(F_PRIMES, 16, 100.0)
+        assert str(err.value) == "factorization argument: requires 493, budget is 400"
+    assert kernel.cache_info().currsize == 0
+
+
+def test_discrepancy_work_is_distinct_weighted_moduli_times_stream_terms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the discrepancy kernel ran")
+
+    F_FORMS = FactoredPoly([P_SUM_SQ, parse_poly("x3^2+x3*x4+3*x4^2")])
+    for F, Q, x in ((F_PRIMES, 16, 5000.0), (F_SHIFTED, 16, 100.5), (F_FORMS, 4, 5000.0)):
+        _clear_memos()
+        calls, _ = _recorded_kernel(monkeypatch)
+        expected = discrepancy_sum(F, Q, x)
+        work = len(calls) * len(von_mangoldt_table(int(x))[0])
+        monkeypatch.undo()
+        errors = []
+        for warm in (False, True):   # the memo holds every modulus of the op, or none
+            if not warm:
+                _clear_memos()
+            monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", work)
+            assert discrepancy_sum(F, Q, x) == expected   # admitted at the budget
+            monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", work - 1)
+            monkeypatch.setattr(bv, "max_progression_discrepancy", refuse)
+            with pytest.raises(BudgetError) as err:
+                discrepancy_sum(F, Q, x)
+            errors.append(str(err.value))
+            monkeypatch.undo()
+        assert errors == [f"discrepancy work: requires {work}, budget is {work - 1}"] * 2
+
+
+def test_discrepancy_work_without_a_weighted_tuple_is_zero(monkeypatch):
+    # no value of x1^2 is prime, so neither the stream nor the budget is read
+    monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", 0)
+    rep = discrepancy_sum(FactoredPoly([parse_poly("x1^2"), parse_poly("x2")]), 4, 1e12)
+    assert (rep.value, rep.nonzero_weight_tuples) == (0.0, 0)
+
+
+def test_a_weighted_modulus_past_2_63_is_refused_before_the_discrepancy_work(monkeypatch):
+    monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", 0)
+    F = FactoredPoly([parse_poly("x1+1099511627776"), parse_poly("x2+1099511628000")])
+    with pytest.raises(BudgetError) as err:
+        discrepancy_sum(F, 64, 100.0)
+    assert str(err.value) == ("factorization argument: requires 1208925820054433825845967, "
+                              f"budget is {arith.FACTOR_LIMIT}")
+
+
 def test_discrepancy_sum_threshold_boundary():
     # values of x1^2+x2^2 on {2, 3}^2 are 8, 13, 13, 18; eps_bad * Q^2 = 13
     # excludes the 13s, and so does the next float up; the next float down
@@ -482,7 +613,7 @@ def test_mean_value_names_the_smallest_modulus_above_the_cap_before_the_work(mon
 
 
 def _cold(P, Q, x):
-    unit_group.cache_clear()   # no group, so no carry, survives
+    _clear_memos()   # no group, so no carry and no total, survives
     return mean_value_sum(P, Q, x).value
 
 
@@ -532,8 +663,10 @@ def test_a_resumed_op_reads_the_carry_and_sums_only_new_terms():
     T, _ = von_mangoldt_table(500)
     assert k == np.count_nonzero(T % 97) and k > 0
     unit_group(97).sup_carry = k, np.zeros_like(psi), sups   # psi after k terms forgotten
+    unit_group(97).sup_totals.clear()   # so the op runs the kernel on the edited carry
     assert mean_value_sum(P_MOD_97, 1, 2000).value != expected
     unit_group(97).sup_carry = k, psi, sups
+    unit_group(97).sup_totals.clear()
     assert mean_value_sum(P_MOD_97, 1, 2000).value == expected
 
 
@@ -599,6 +732,7 @@ def test_a_kernel_call_that_raises_leaves_the_carry_valid(monkeypatch):
     monkeypatch.undo()
     assert unit_group(97).sup_carry is carry
     assert [a.tobytes() for a in carry[1:]] == before
+    assert list(unit_group(97).sup_totals) == [len(von_mangoldt_table(500)[0])]
     assert mean_value_sum(P_MOD_97, 1, 4000).value == expected
 
 
@@ -637,6 +771,57 @@ def test_mean_value_refusals_do_not_depend_on_cached_groups_or_carries(monkeypat
             errors.append((warm, str(err.value)))
         monkeypatch.undo()
     assert [e for w, e in errors if w] == [e for w, e in errors if not w]
+
+
+X1_X2 = parse_poly("x1+x2")   # at Q = 16 the moduli 32..62, 5 of them shared with P_SUM_SQ
+
+
+def _recorded_sups(monkeypatch):
+    calls, kernel = [], bv._primitive_sups
+    monkeypatch.setattr(bv, "_primitive_sups", lambda d, T, L, resume=False: calls.append(
+        (d, len(T))) or kernel(d, T, L, resume))
+    return calls
+
+
+def test_mean_value_sweeps_run_the_kernel_once_per_modulus_and_stream_length(monkeypatch):
+    ops = [(P_SUM_SQ, 4, 500), (X1_X2, 16, 2000), (P_SUM_SQ, 4, 1000), (X1_X2, 16, 500),
+           (P_SUM_SQ, 4, 500.5), (X1_X2, 16, 4000), (P_SUM_SQ, 4, 2000), (X1_X2, 16, 1000),
+           (P_SUM_SQ, 4, 4000), (X1_X2, 16, 2000)]
+    expected = [_cold(*op) for op in ops]
+    _clear_memos()
+    calls = _recorded_sups(monkeypatch)
+    assert [mean_value_sum(*op).value for op in ops] == expected
+    wanted = {(d, len(von_mangoldt_table(int(x))[0]))
+              for P, Q, x in ops for d in box_moduli(P, Q)[0]}
+    assert sorted(calls) == sorted(wanted)   # no pair twice: the rest were hits
+    # 34 = 2 (mod 4) has no primitive character: its lengths, oldest first, mark no total
+    assert unit_group(34).sup_totals == dict.fromkeys(
+        len(von_mangoldt_table(x)[0]) for x in (2000, 500, 4000, 1000))
+
+
+def test_a_group_keeps_its_last_sup_totals(monkeypatch):
+    xs = range(100, 1100, 50)   # 20 stream lengths, each with a prime in between
+    expected = [_cold(P_MOD_97, 1, x) for x in xs]
+    _clear_memos()
+    assert [mean_value_sum(P_MOD_97, 1, x).value for x in xs] == expected
+    lengths = [len(von_mangoldt_table(x)[0]) for x in xs]
+    assert len(set(lengths)) == 20 and bv._SUP_TOTALS == 16
+    assert list(unit_group(97).sup_totals) == lengths[-16:]   # the oldest 4 dropped
+    calls = _recorded_sups(monkeypatch)
+    assert [mean_value_sum(P_MOD_97, 1, x).value for x in xs[:2]] == expected[:2]
+    assert calls == [(97, n) for n in lengths[:2]]
+
+
+def test_unit_group_cache_clear_drops_the_sup_totals(monkeypatch):
+    _clear_memos()
+    value = mean_value_sum(P_MOD_97, 1, 500).value
+    group = weakref.ref(unit_group(97))
+    assert list(group().sup_totals) == [len(von_mangoldt_table(500)[0])]
+    unit_group.cache_clear()
+    assert group() is None and unit_group(97).sup_totals == {}
+    calls = _recorded_sups(monkeypatch)
+    assert mean_value_sum(P_MOD_97, 1, 500).value == value
+    assert calls == [(97, len(von_mangoldt_table(500)[0]))]
 
 
 def test_chi_of_n_reads_the_value_table():

@@ -320,6 +320,19 @@ def test_bv_sum_lambda_limit_wins_over_a_weighted_modulus_past_2_63(capsys):
     assert run_cli(capsys, *argv, "--x", "100000000") == (3, "", LAMBDA_ERROR)
 
 
+def test_bv_sum_refuses_the_discrepancy_work_before_any_scan():
+    # 9,045 weighted moduli times 665,134 stream terms, whose scans ran past
+    # 60 s; the refusal comes after classifying the 10^6 tuples, a few seconds
+    argv = ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "1000", "--x", "10000000")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1)
+    assert json.loads(proc.stderr) == {
+        "error": f"discrepancy work: requires 6016137030, budget is {bv.DISCREPANCY_BUDGET}",
+        "kind": "resource", "partial_progress": False}
+
+
 def test_determinism_up_to_duration(capsys):
     for args in (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
                   "--sequence", "pm1", "--seed", "42"),

@@ -23,6 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
                                 "--x-max", "1000"]),
     ("prime_divisor_experiment.py", ["--X", "1000"]),
     ("meanvalue_sweep_experiment.py", ["--Q", "2", "--x-max", "2000"]),
+    # at Q = 2 the moduli are 8, 13, 18 and 8, 10, 13: the second grid reads two totals
+    ("meanvalue_sweep_experiment.py", ["--P", "x1^2+x2^2", "--P", "x1*x2+4", "--Q", "2",
+                                       "--x-max", "2000"]),
     # x2 is in no factor, and P prints as its factors
     ("bv_level_experiment.py", ["--factors", "x1", "x3", "--Q", "2", "--x-max", "1000"]),
 ])
