@@ -234,13 +234,11 @@ def _run_farey_stats(args):
     system = build_farey(P, args.Q, min_modulus=args.min_modulus)
     spacing = str(min_spacing(system)) if system.distinct_count >= 2 else None
     header = ["N", "close_count", "comparator", "ratio"]
-    counts = [max_close_points(system, N) for N in args.N]
+    counts = max_close_points(system, args.N)
     rows = [[N, count, comp, count / comp] for N, count, comp in zip(args.N, counts, comps)]
-    result = {"distinct_count": system.distinct_count,
-              "total_count": system.total_count,
-              "skipped_unit_moduli": system.skipped_unit_moduli,
-              "skipped_filtered": system.skipped_filtered,
-              "min_spacing": spacing, "per_N": [dict(zip(header, row)) for row in rows]}
+    result = {key: getattr(system, key) for key in
+              ("distinct_count", "total_count", "skipped_unit_moduli", "skipped_filtered")}
+    result |= {"min_spacing": spacing, "per_N": [dict(zip(header, row)) for row in rows]}
     return result, (header, rows, ["close_count", "comparator"])
 
 

@@ -1,9 +1,10 @@
 """Farey systems of fractions a/P(q) and exact circular spacing statistics.
 
 A system is sorted integer arrays of its distinct points a/d with their
-multiplicities.  Floats only choose where to look; every comparison is
-decided by exact integer cross-multiplication.  Moduli are folded to |P(q)|,
-and tuples with |P(q)| <= 1 are skipped and counted.
+multiplicities.  Floats only choose where to look: a/d, a/d + 1 and x + 1/(2N)
+are each within 2^-50 of their float values, so floats more than 2^-40 apart
+compare exactly, and closer ones by integer cross-multiplication.  Moduli are
+folded to |P(q)|, and tuples with |P(q)| <= 1 are skipped and counted.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import euler_phi, factorize
 from .boxes import box_moduli
 from .congruence import r_parameter
 from .errors import BudgetError
@@ -46,14 +47,17 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
     against DEFAULT_POINT_BUDGET before any point is allocated.
     """
     retained, skipped_unit, skipped_filtered, _ = box_moduli(P, Q, min_modulus)
-    total = 0
+    total, sizes = 0, []
     for d, mult in retained.items():
-        total += euler_phi(d) * mult
+        sizes.append(euler_phi(d))
+        total += sizes[-1] * mult
         if total > DEFAULT_POINT_BUDGET:
             raise BudgetError("farey point set", total, DEFAULT_POINT_BUDGET)
-    nums = [np.flatnonzero(np.gcd(np.arange(d), d) == 1) for d in retained]
-    sizes = [len(r) for r in nums]
-    a = np.concatenate([np.zeros(0, dtype=np.int64)] + nums)
+    mask, starts = np.ones(sum(retained), dtype=bool), np.cumsum([0, *retained])[:-1]
+    for d, start in zip(retained, starts.tolist()):
+        for p, _ in factorize(d).prime_powers:
+            mask[start:start + d:p] = False
+    a = np.flatnonzero(mask) - np.repeat(starts, sizes)
     d, mult = (np.repeat(np.array(list(x), dtype=np.int64), sizes)
                for x in (retained.keys(), retained.values()))
     # Float keys a/d sort exactly while max d < 2^26: distinct reduced fractions
@@ -66,11 +70,9 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
                        skipped_unit_moduli=skipped_unit, skipped_filtered=skipped_filtered)
 
 
-def _exact(system: FareySystem, bound: int):
-    """(a, d) in int64 if the products formed are below bound < 2^63, else as Python ints."""
-    if bound < 2 ** 63:
-        return system.a, system.d
-    return system.a.astype(object), system.d.astype(object)
+def _exact(bound: int, *xs):
+    """xs in int64 if the products formed are below bound < 2^63, else as Python ints."""
+    return xs if bound < 2 ** 63 else tuple(x.astype(object) for x in xs)
 
 
 def min_spacing(system: FareySystem) -> Fraction:
@@ -78,7 +80,7 @@ def min_spacing(system: FareySystem) -> Fraction:
     floats pick the cyclic gaps p/q within relative 2^-40 of the smallest."""
     if system.distinct_count < 2:
         raise ValueError("minimum spacing needs at least 2 distinct points")
-    a, d = _exact(system, 2 * int(system.d.max()) ** 2)
+    a, d = _exact(2 * int(system.d.max()) ** 2, system.a, system.d)
     a1, d1 = np.roll(a, -1), np.roll(d, -1)
     a1[-1] += d1[-1]
     p, q = a1 * d - a * d1, d * d1
@@ -87,41 +89,41 @@ def min_spacing(system: FareySystem) -> Fraction:
     return min(Fraction(x, y) for x, y in set(zip(p[near].tolist(), q[near].tolist())))
 
 
-def max_close_points(system: FareySystem, N: int) -> int:
-    """Largest number of points (with multiplicity, self included) within
-    circular distance strictly less than 1/(2N) of a single point.
+def max_close_points(system: FareySystem, grid: list[int]) -> list[int]:
+    """Per N >= 1 of grid: the most points (with multiplicity, self included)
+    within circular distance strictly less than 1/(2N) of one point.
 
-    On the circle unrolled once, a float searchsorted places the window
-    ends, which then move until 2N(a_j d_i - a_i d_j) against d_i d_j puts
-    them exactly on the boundary (ties at 1/(2N) fall outside).
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    n = system.distinct_count
+    One float searchsorted places the right window ends R_i, the first j with
+    x_j >= x_i + 1/(2N) on the circle unrolled once.  As each float is within
+    2^-50 of its value, only ends whose needle is within 2^-40 of the key at R_i
+    or R_i - 1 move, by exact 2N(a_j d_i - a_i d_j) against d_i d_j (ties fall
+    outside).  j is left of i exactly when i is in j's right window, and R
+    ascends: with c the cumulative multiplicities and K_t = #{j: R_j <= t},
+    i's left count is c_i - c[K_i] + c_n - c[K_(i+n)]."""
+    if bad := [N for N in grid if N < 1]:
+        raise ValueError(f"N must be >= 1, got {bad[0]}")
+    a, d, n = system.a, system.d, system.distinct_count
     if n == 0:
         raise ValueError("empty Farey system")
-    two_n, dmax = 2 * N, int(system.d.max())
-    a, d = _exact(system, two_n * (int(system.a.max()) + dmax) * dmax)
-    ea, ed = np.concatenate((a, a + d)), np.concatenate((d, d))
-    keys = system.a / system.d
-    ext = np.concatenate((keys, keys + 1))
-    i, h = np.arange(n), 1 / two_n
-    # ext[j] < x_i + 1/(2N), and ext[j] <= x_i + 1 - 1/(2N)
-    right = _settle(np.searchsorted(ext, keys + h, "left"), i, n,
-                    lambda j: two_n * (ea[j] * d - a * ed[j]) < d * ed[j])
-    left = _settle(np.searchsorted(ext, keys + (1 - h), "right"), i, n,
-                   lambda j: two_n * ((a + d) * ed[j] - ea[j] * d) >= d * ed[j])
-    c = np.concatenate(([0], np.cumsum(np.concatenate((system.mult, system.mult)))))
-    return int((c[right] - c[i] + c[i + n] - c[left]).max())
+    ext = np.concatenate((a / d, a / d + 1))
+    c = np.cumsum(np.concatenate(([0], system.mult, system.mult)))
+    big, lo, counts = (int(a.max()) + int(d.max())) * int(d.max()), np.arange(1, n + 1), []
+    for N in map(int, grid):  # numpy integers would wrap in 2N * big
+        pos = np.maximum(np.searchsorted(ext, needle := ext[:n] + 1 / (2 * N), "left"), lo)
+        i = np.flatnonzero(np.minimum(ext[pos] - needle, needle - ext[pos - 1]) <= 2.0 ** -40)
+        # pos[i] stays in [i + 1, i + n]: x_i is below x_i + 1/(2N), x_i + 1 is not
+        while (step := _below(pos[i] - [[1], [0]], i, a, d, N, big).sum(0) - 1).any():
+            pos[i] += step
+        k = np.cumsum(np.bincount(pos, minlength=2 * n))
+        counts.append(int((c[pos] - c[k[:n]] - c[k[n:]]).max() + c[n]))
+    return counts
 
 
-def _settle(pos, i, n, below):
-    """Move each pos[i] to the first index j with below(j) false; it lies in
-    [i + 1, i + n], as ext[i] = x_i is below and ext[i + n] = x_i + 1 is not."""
-    pos = np.clip(pos, i + 1, i + n)
-    while (step := below(pos).astype(np.int64) - ~below(pos - 1)).any():
-        pos = pos + step
-    return pos
+def _below(j, i, a, d, N, big):
+    """Whether x_j < x_i + 1/(2N) exactly, x_j read on the circle unrolled once."""
+    wrap, j = np.divmod(j, len(a))
+    ai, di, aj, dj = _exact(2 * N * big, a[i], d[i], a[j] + wrap * d[j], d[j])
+    return 2 * N * (aj * di - ai * dj) < di * dj
 
 
 def close_points_comparator(k: int, ell: int, Q: int, N: int) -> float:

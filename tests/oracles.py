@@ -355,6 +355,22 @@ def farey_points(system) -> list[Fraction]:
             for _ in range(int(m))]
 
 
+def loop_farey_points(P, Q: int, min_modulus=None) -> tuple[list[Fraction], int, int]:
+    """(points, skipped_unit, skipped_filtered) over the box q ~ Q: for each q
+    with m = |P(q)| > 1 (and m >= min_modulus when given), every a/m with
+    0 <= a < m and gcd(a, m) = 1 as a Fraction; the points sorted."""
+    points, skipped_unit, skipped_filtered = [], 0, 0
+    for q in product(range(Q, 2 * Q), repeat=P.num_vars):
+        m = abs(horner_eval(P.terms, P.num_vars, q))
+        if m <= 1:
+            skipped_unit += 1
+        elif min_modulus is not None and m < min_modulus:
+            skipped_filtered += 1
+        else:
+            points += [Fraction(a, m) for a in range(m) if gcd(a, m) == 1]
+    return sorted(points), skipped_unit, skipped_filtered
+
+
 def loop_max_close_points(points: list[Fraction], N: int) -> int:
     """Largest number of points within circular distance < 1/(2N) of one
     point: two monotone window pointers over the sorted points (with

@@ -132,7 +132,7 @@ def test_criterion_04_close_point_algorithms():
             for Q in (1, 2, 3, 4):
                 system = build_farey(poly, Q)
                 for N in (Q ** k, 2 * Q ** k, Q ** (2 * k)):
-                    fast = max_close_points(system, N)
+                    fast = max_close_points(system, [N])[0]
                     slow = quadratic_close_count_int64(farey_points(system), N)
                     assert fast == slow, (poly.to_text(), Q, N)
 

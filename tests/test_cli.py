@@ -387,6 +387,32 @@ def test_gnuplot_format(capsys):
     assert any(line == "# close_count" for line in out.splitlines())
 
 
+def _farey_table(fmt, out):
+    """(blocks, rest): a farey-stats report's rows, one list per table block, and
+    every other part of it but the config line, which echoes the grid."""
+    if fmt == "json":
+        result = json.loads(out)["result"]
+        return [result.pop("per_N")], result
+    lines = out.splitlines()[1:]
+    if fmt == "csv":
+        return [lines[1:]], lines[0]
+    blocks = [b.splitlines() for b in "\n".join(lines).strip().split("\n\n")]
+    return [b[1:] for b in blocks], [b[0] for b in blocks]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "gnuplot"])
+def test_farey_stats_grid_rows_are_the_single_n_rows_in_grid_order(capsys, fmt):
+    grid = ["4096", "16", "256", "16"]
+    argv = ("farey-stats", "--P", "x1^2+x1*x2+3*x2^2", "--Q", "4", "--format", fmt)
+    blocks, rest = _farey_table(fmt, run_cli(capsys, *argv, "--N", ",".join(grid))[1])
+    singles = [_farey_table(fmt, run_cli(capsys, *argv, "--N", N)[1]) for N in grid]
+    assert all(single_rest == rest for _, single_rest in singles)
+    assert blocks == [[row for single, _ in singles for row in single[b]]
+                      for b in range(len(blocks))]
+    assert [str(row["N"]) if fmt == "json" else row.split(",")[0].split(" ")[0]
+            for row in blocks[0]] == grid
+
+
 def test_gnuplot_rejected_where_unsupported(capsys):
     code, out, err = run_cli(capsys, "exponents", "--k", "2", "--ell", "2",
                              "--format", "gnuplot")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (farey_points, loop_max_close_points, pairwise_min_spacing,
-                     quadratic_close_count, quadratic_close_count_int64)
+from oracles import (farey_points, loop_farey_points, loop_max_close_points,
+                     pairwise_min_spacing, quadratic_close_count,
+                     quadratic_close_count_int64)
 from polysieve import farey
 from polysieve.arith import euler_phi
 from polysieve.errors import BudgetError
@@ -74,20 +76,20 @@ def test_min_spacing_q2_matches_pairwise_oracle():
 
 
 def test_max_close_points_examples():
-    assert max_close_points(make_system([(1, 2)]), 64) == 1
-    assert max_close_points(make_system([(1, 3), (2, 3)]), 1) == 2
+    assert max_close_points(make_system([(1, 2)]), [64])[0] == 1
+    assert max_close_points(make_system([(1, 3), (2, 3)]), [1])[0] == 2
 
 
 def test_max_close_points_strict_tie_exclusion():
     # distance exactly 1/2N is excluded
     system = make_system([(0, 1), (1, 4)])
-    assert max_close_points(system, 2) == 1
-    assert max_close_points(system, 1) == 2
+    assert max_close_points(system, [2])[0] == 1
+    assert max_close_points(system, [1])[0] == 2
 
 
 def test_multiplicity_counted():
     system = make_system([(1, 2), (1, 2), (1, 2), (1, 3)])
-    assert max_close_points(system, 100) == 3
+    assert max_close_points(system, [100])[0] == 3
 
 
 def test_sliding_window_matches_quadratic_oracle_on_systems():
@@ -95,7 +97,7 @@ def test_sliding_window_matches_quadratic_oracle_on_systems():
         system = build_farey(poly, Q)
         k = poly.total_degree()
         for N in (Q ** k, 2 * Q ** k, Q ** (2 * k)):
-            assert (max_close_points(system, N)
+            assert (max_close_points(system, [N])[0]
                     == quadratic_close_count(farey_points(system), N))
 
 
@@ -108,7 +110,7 @@ franc = st.fractions(min_value=0, max_value=Fraction(99, 100)).map(
 def test_sliding_window_matches_quadratic_oracle_random(vals, N):
     pts = sorted(vals)
     system = make_system([(v.numerator, v.denominator) for v in pts])
-    assert max_close_points(system, N) == quadratic_close_count(pts, N)
+    assert max_close_points(system, [N])[0] == quadratic_close_count(pts, N)
 
 
 def test_wide_window_counts_max_multiplicity():
@@ -119,7 +121,7 @@ def test_wide_window_counts_max_multiplicity():
     assert Fraction(1, 2 * N) <= delta
     pts = farey_points(system)
     max_mult = max(sum(1 for p in pts if p == v) for v in distinct_points(system))
-    assert max_close_points(system, N) == max_mult
+    assert max_close_points(system, [N])[0] == max_mult
 
 
 def test_all_pairs_at_least_min_spacing():
@@ -182,9 +184,9 @@ def test_kernels_match_oracles_on_quadratic_forms():
         gaps = [y - x for x, y in zip(vals, vals[1:])] + [vals[0] + 1 - vals[-1]]
         assert min_spacing(system) == min(gaps)
         for N in (1, 2, 3, 16, 256, 4096, 10 ** 6, 10 ** 30):
-            assert max_close_points(system, N) == loop_max_close_points(pts, N), (Q, N)
+            assert max_close_points(system, [N])[0] == loop_max_close_points(pts, N), (Q, N)
             if Q == 5 and N < 10 ** 30:
-                assert max_close_points(system, N) == quadratic_close_count_int64(pts, N)
+                assert max_close_points(system, [N])[0] == quadratic_close_count_int64(pts, N)
 
 
 def test_point_budget_keeps_float_sort_keys_exact():
@@ -209,7 +211,7 @@ def test_kernels_match_oracles_on_repeated_pairs(pairs, repeats, N):
     pairs = pairs + [pairs[r % len(pairs)] for r in repeats]
     system = make_system(pairs)
     pts = farey_points(system)
-    assert max_close_points(system, N) == loop_max_close_points(pts, N) \
+    assert max_close_points(system, [N])[0] == loop_max_close_points(pts, N) \
         == quadratic_close_count(pts, N)
     if system.distinct_count >= 2:
         assert min_spacing(system) == pairwise_min_spacing(distinct_points(system))
@@ -225,7 +227,7 @@ def test_kernels_exact_beyond_int64_guard(pairs, N):
     pairs = [(a % d, d) for a, d in pairs]
     system = make_system(pairs)
     pts = farey_points(system)
-    assert max_close_points(system, N) == loop_max_close_points(pts, N) \
+    assert max_close_points(system, [N])[0] == loop_max_close_points(pts, N) \
         == quadratic_close_count(pts, N)
     if system.distinct_count >= 2:
         assert min_spacing(system) == pairwise_min_spacing(distinct_points(system))
@@ -243,6 +245,143 @@ def test_kernels_exact_when_float_keys_collide():
     assert len(set((system.a / system.d).tolist())) < system.distinct_count
     fp = farey_points(system)
     for N in (1, d * e // 2, d * e // 2 + 1, d * e, 2 * d * e, 3 * d * e, 10 ** 30):
-        assert max_close_points(system, N) == loop_max_close_points(fp, N) \
+        assert max_close_points(system, [N])[0] == loop_max_close_points(fp, N) \
             == quadratic_close_count(fp, N), N
     assert min_spacing(system) == pairwise_min_spacing(distinct_points(system))
+
+
+# -- the grid kernel: one call per grid, each N against the per-N oracles ------
+
+GRID = [4096, 16, 16, 1, 10 ** 30]
+
+
+def assert_grid_matches_oracles(system, grid, quadratic=True):
+    pts = farey_points(system)
+    got = max_close_points(system, grid)
+    assert got == [loop_max_close_points(pts, N) for N in grid], grid
+    if quadratic:
+        assert got == [quadratic_close_count(pts, N) for N in grid], grid
+
+
+def test_grid_kernel_on_unsorted_repeated_grids():
+    # 10^30 takes the Python-int path, the other N the int64 one, in one call
+    assert_grid_matches_oracles(build_farey(P_SUM_SQ, 2), GRID)
+    assert_grid_matches_oracles(build_farey(P_SUM_SQ, 3), GRID, quadratic=False)
+    rng = random.Random(20261019)
+    for poly in rng.sample(list(_quadratic_forms(4, 3)), 2):
+        system = build_farey(poly, 5)
+        assert_grid_matches_oracles(system, GRID, quadratic=False)
+        assert_grid_matches_oracles(system, GRID[::-1] + [2, 3, 256], quadratic=False)
+
+
+def test_grid_kernel_reads_numpy_integers_as_python_ints():
+    # at N = 10^17 the exact products need Python ints; an int64 N would wrap
+    # in the bound 2N (a_max + d_max) d_max and pick the int64 path
+    system = make_system([(1, 3), (2, 7), (1, 2), (1, 10 ** 6 + 3), (2, 10 ** 6 + 3)])
+    grid = np.array([10 ** 6, 10 ** 12, 10 ** 17])
+    assert max_close_points(system, grid) == max_close_points(system, grid.tolist()) \
+        == [loop_max_close_points(farey_points(system), N) for N in grid.tolist()] == [1, 1, 1]
+
+
+def test_grid_kernel_on_an_empty_grid():
+    assert max_close_points(make_system([(1, 2)]), []) == []
+
+
+def test_grid_kernel_on_exact_ties():
+    # every k/d with d | 24: at each N of the grid, 2N is a multiple of some d,
+    # so points lie exactly 1/(2N) from one another and fall outside
+    system = make_system([(a, d) for d in (2, 3, 4, 6, 8, 12, 24) for a in range(d)] * 2)
+    pts = farey_points(system)
+    grid = [12, 6, 1, 4, 12, 2, 3]
+    for N in grid:
+        assert any(y - x == Fraction(1, 2 * N) for x in pts for y in pts)
+    assert_grid_matches_oracles(system, grid)
+
+
+def test_grid_kernel_counts_windows_across_zero():
+    # at N = 8 only 1/100 sees four points (24/25, 97/100 and 1/25 besides
+    # itself), and two of them lie across 0 in its left window
+    system = make_system([(1, 100), (97, 100), (24, 25), (1, 25), (1, 2)])
+    assert max_close_points(system, [8, 1, 100, 8]) == [4, 5, 1, 4]
+    assert_grid_matches_oracles(system, [8, 10, 1, 100, 2, 3, 9])
+
+
+def _tie_pairs(grid):
+    dens = [d for d in range(1, 2 * max(grid) + 1) if any(2 * N % d == 0 for N in grid)]
+    return st.lists(st.sampled_from(dens).flatmap(
+        lambda d: st.tuples(st.integers(0, d - 1), st.just(d))), min_size=1, max_size=30)
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=5).flatmap(
+    lambda grid: st.tuples(st.just(grid), _tie_pairs(grid))))
+@settings(max_examples=100, deadline=None)
+def test_grid_kernel_on_denominators_dividing_2n(case):
+    grid, pairs = case
+    assert_grid_matches_oracles(make_system(pairs), grid)
+
+
+def test_grid_kernel_when_float_keys_collide():
+    # the mediants of test_kernels_exact_when_float_keys_collide, all N in one grid
+    d, a = 2 ** 30 + 1, 2 ** 29 + 1
+    e = -pow(a, -1, d) % d
+    b = (1 + a * e) // d
+    pts = [(a, d), (b, e), (a + b, d + e), (2 * a + b, 2 * d + e), (a + 2 * b, d + 2 * e)]
+    system = make_system(pts + pts[:2])
+    assert len(set((system.a / system.d).tolist())) < system.distinct_count
+    grid = [10 ** 30, d * e, 1, d * e // 2 + 1, d * e // 2, 3 * d * e, d * e, 2 * d * e]
+    assert_grid_matches_oracles(system, grid)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(2 ** 40 - 64, 2 ** 40)),
+                min_size=2, max_size=8),
+       st.lists(st.sampled_from([1, 2, 3, 2 ** 20, 2 ** 79, 10 ** 30]), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_grid_kernel_on_the_object_path(pairs, grid):
+    # products of these denominators overflow int64 at every N
+    assert_grid_matches_oracles(make_system([(a % d, d) for a, d in pairs]), grid)
+
+
+@pytest.mark.parametrize("grid, bad", [([0], 0), ([16, 256, -3], -3), ([4096, 0, -1], 0)])
+def test_grid_kernel_refuses_n_below_1_before_any_window(grid, bad):
+    # neither system can build a window: the N check comes first
+    unusable = FareySystem(a=None, d=None, mult=None, distinct_count=3, total_count=3,
+                           skipped_unit_moduli=0, skipped_filtered=0)
+    for system in (unusable, make_system([])):
+        with pytest.raises(ValueError, match=rf"^N must be >= 1, got {bad}$"):
+            max_close_points(system, grid)
+    with pytest.raises(ValueError, match="^empty Farey system$"):
+        max_close_points(make_system([]), [16])
+
+
+def test_build_farey_matches_the_fraction_oracle():
+    rng = random.Random(20261019)
+    for poly, Q, min_modulus in product(rng.sample(list(_quadratic_forms(4, 3)), 3), (5, 6),
+                                        (None, 40, 60.5)):
+        system = build_farey(poly, Q, min_modulus=min_modulus)
+        pts, skipped_unit, skipped_filtered = loop_farey_points(poly, Q, min_modulus)
+        assert sorted(farey_points(system)) == pts
+        assert (system.skipped_unit_moduli, system.skipped_filtered) \
+            == (skipped_unit, skipped_filtered)
+        if min_modulus is None:
+            assert skipped_filtered == 0
+
+
+def test_build_farey_matches_the_fraction_oracle_with_unit_skips():
+    for poly, Q in ((parse_poly("x1^2-x2^2"), 2), (parse_poly("x1-x2"), 3), (P_SUM_SQ, 1)):
+        system = build_farey(poly, Q)
+        pts, skipped_unit, skipped_filtered = loop_farey_points(poly, Q)
+        assert sorted(farey_points(system)) == pts
+        assert (system.skipped_unit_moduli, system.skipped_filtered) == (skipped_unit, 0)
+
+
+def test_farey_memory_at_q16_stays_below_the_two_search_kernel():
+    # x1^2+x2^2 at Q = 16 (99,228 distinct points): build_farey and the per-N
+    # kernel with two searches and two exact passes peaked at 13.73 MiB traced
+    build_farey(P_SUM_SQ, 16)   # factorizations cached, as in a warm process
+    tracemalloc.start()
+    try:
+        max_close_points(build_farey(P_SUM_SQ, 16), [16, 256, 4096])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.75 * 2 ** 20
