@@ -18,7 +18,7 @@ from math import gcd, isqrt, log
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import charge
 
 FACTOR_LIMIT = 2 ** 63
 
@@ -30,10 +30,9 @@ PRIME_SIEVE_LIMIT = 10 ** 8
 
 def prime_flags(limit: int) -> np.ndarray:
     """Boolean array f of length max(limit + 1, 0) with f[n] = n is prime,
-    by a numpy sieve of Eratosthenes.  Limits above PRIME_SIEVE_LIMIT raise
-    BudgetError before anything is allocated."""
-    if limit > PRIME_SIEVE_LIMIT:
-        raise BudgetError("prime sieve limit", limit, PRIME_SIEVE_LIMIT)
+    by a numpy sieve of Eratosthenes.  Limits above PRIME_SIEVE_LIMIT are
+    refused (BudgetError) before anything is allocated."""
+    charge("prime sieve limit", limit, PRIME_SIEVE_LIMIT)
     flags = np.ones(max(limit + 1, 0), dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(max(limit, 0)) + 1):
@@ -70,8 +69,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for 1 <= n <= 2^63."""
     if n < 1:
         raise ValueError(f"is_prime expects n >= 1, got {n}")
-    if n > FACTOR_LIMIT:
-        raise BudgetError("primality test argument", n, FACTOR_LIMIT)
+    charge("primality test argument", n, FACTOR_LIMIT)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -139,8 +137,7 @@ def factorize(n: int) -> Factorization:
     """Exact factorization of 1 <= n <= 2^63 (n=1 gives the empty product)."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    if n > FACTOR_LIMIT:
-        raise BudgetError("factorization argument", n, FACTOR_LIMIT)
+    charge("factorization argument", n, FACTOR_LIMIT)
     m = n
     factors: dict[int, int] = {}
     for p in _trial_primes(isqrt(n)):
@@ -185,13 +182,13 @@ def von_mangoldt_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     Every Lambda-weighted sum reads this stream.  L holds math.log(p),
     bit-identical to the pointwise path.  Both arrays are read-only prefixes
     of a grow-only module stream, cut from a dense table when it grows;
-    limits above LAMBDA_LIMIT raise BudgetError before anything is allocated.
+    limits above LAMBDA_LIMIT are refused (BudgetError) before anything is
+    allocated.
     """
     global _lambda_stream
     if limit < 0:
         raise ValueError(f"von_mangoldt_table expects limit >= 0, got {limit}")
-    if limit > LAMBDA_LIMIT:
-        raise BudgetError("von Mangoldt table limit", limit, LAMBDA_LIMIT)
+    charge("von Mangoldt table limit", limit, LAMBDA_LIMIT)
     if _lambda_stream is None or _lambda_stream[0] < limit:
         table = np.zeros(limit + 1)
         for p in primes_up_to(limit):

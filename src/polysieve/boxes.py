@@ -16,7 +16,7 @@ from math import floor, isnan
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import charge
 from .mvpoly import MvPoly
 
 DEFAULT_BOX_BUDGET = 5_000_000
@@ -25,9 +25,7 @@ DEFAULT_BOX_BUDGET = 5_000_000
 def check_box_budget(Q: int, ell: int) -> None:
     if Q < 1 or ell < 1:
         raise ValueError("Q and ell must be positive")
-    size = Q ** ell
-    if size > DEFAULT_BOX_BUDGET:
-        raise BudgetError("box enumeration", size, DEFAULT_BOX_BUDGET)
+    charge("box enumeration", Q ** ell, DEFAULT_BOX_BUDGET)
 
 
 def box_grid(P: MvPoly, Q: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from .arith import euler_phi, factorize, von_mangoldt_table
 from .boxes import box_moduli, box_values, check_box_budget
 from .characters import CHAR_MODULUS_CAP, root_table, unit_group
 from .congruence import R_PARAMETER_BITS, r_parameter
-from .errors import BudgetError
+from .errors import charge
 from .mvpoly import FactoredPoly, MvPoly
 
 # Complex entries per block of the character sup kernel: keeps its memory flat.
@@ -61,8 +61,7 @@ def exponent_profile(k: int, ell: int) -> ExponentProfile:
     r = r_parameter(k, ell)
     R = r * (k + 1)
     # k(5R - 1) bounds every integer of the profile, so all of them can be printed
-    if (bits := (k * (5 * R - 1)).bit_length()) > R_PARAMETER_BITS:
-        raise BudgetError("bits of the exponent fractions", bits, R_PARAMETER_BITS)
+    charge("bits of the exponent fractions", (k * (5 * R - 1)).bit_length(), R_PARAMETER_BITS)
     rho = Fraction(R, R - 1)
     level = 1 / (2 * k + Fraction(k, 1) / (2 * rho))
     return ExponentProfile(
@@ -115,8 +114,7 @@ def check_setting(F: FactoredPoly) -> SettingReport:
     merge: degrees and used-variable counts add, top coefficients multiply.
     More than SETTING_DIVISOR_BUDGET divisors are refused before any profile.
     """
-    if (1 << len(F.factors)) - 1 > SETTING_DIVISOR_BUDGET:
-        raise BudgetError("setting divisors", (1 << len(F.factors)) - 1, SETTING_DIVISOR_BUDGET)
+    charge("setting divisors", (1 << len(F.factors)) - 1, SETTING_DIVISOR_BUDGET)
     checks = []
     for i, f in enumerate(F.factors):
         kj = f.total_degree()
@@ -288,9 +286,8 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     moduli = dict.fromkeys(m for _, m, _ in weighted)
     if big := next((m for m in moduli if m > arith.FACTOR_LIMIT), 0):
         factorize(big)   # the kernel's refusal, before the budget's
-    work = len(moduli) * len(von_mangoldt_table(int(x))[0]) if moduli else 0
-    if work > DISCREPANCY_BUDGET:
-        raise BudgetError("discrepancy work", work, DISCREPANCY_BUDGET)
+    charge("discrepancy work", len(moduli) * len(von_mangoldt_table(int(x))[0]) if moduli else 0,
+           DISCREPANCY_BUDGET)
     disc = {m: max_progression_discrepancy(m, x) for m in moduli}
     parts, weights = [], []
     for w, m, mult in weighted:
@@ -381,14 +378,12 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     """
     T, L = von_mangoldt_table(max(int(x), 0))
     moduli, skipped, _, _ = box_moduli(P, Q)
-    if big := next((d for d in moduli if d > CHAR_MODULUS_CAP), 0):
-        raise BudgetError("character modulus", big, CHAR_MODULUS_CAP)
-    work = len(T) * sum(prod(p ** (e - 2) * (p - 1) ** 2 if e > 1 else p - 2
-                             for p, e in factorize(d).prime_powers) for d in moduli)
-    if work > MEAN_VALUE_BUDGET:
-        raise BudgetError("mean value work", work, MEAN_VALUE_BUDGET)
-    if (size := sum(moduli)) > UNIT_GROUP_BUDGET:
-        raise BudgetError("sum of unit group moduli", size, UNIT_GROUP_BUDGET)
+    charge("character modulus", next((d for d in moduli if d > CHAR_MODULUS_CAP), 0),
+           CHAR_MODULUS_CAP)
+    charge("mean value work", len(T) * sum(
+        prod(p ** (e - 2) * (p - 1) ** 2 if e > 1 else p - 2 for p, e in factorize(d).prime_powers)
+        for d in moduli), MEAN_VALUE_BUDGET)
+    charge("sum of unit group moduli", sum(moduli), UNIT_GROUP_BUDGET)
     parts = []
     for d, mult in moduli.items():
         if len(T) not in (totals := unit_group(d).sup_totals):

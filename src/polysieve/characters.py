@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm, pi, prod
 import numpy as np
 
 from .arith import factorize
-from .errors import BudgetError
+from .errors import charge
 
 CHAR_MODULUS_CAP = 100_000
 
@@ -87,7 +87,7 @@ def _component(q: int, order: int, g: int, n: np.ndarray, t) -> CyclicComponent:
 class UnitGroup:
     """Cyclic decomposition of (Z/m)* with discrete-log tables per component.
 
-    Moduli above CHAR_MODULUS_CAP raise BudgetError: the tables take O(q)
+    Moduli above CHAR_MODULUS_CAP are refused (BudgetError): the tables take O(q)
     memory per prime power q, and the product giant * baby in _powers is
     exact in int64 only while q^2 < 2^63.
     """
@@ -95,8 +95,7 @@ class UnitGroup:
     def __init__(self, m: int):
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
-        if m > CHAR_MODULUS_CAP:
-            raise BudgetError("character modulus", m, CHAR_MODULUS_CAP)
+        charge("character modulus", m, CHAR_MODULUS_CAP)
         self.modulus = m
         components: list[CyclicComponent] = []
         for p, e in factorize(m).prime_powers:

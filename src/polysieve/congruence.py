@@ -18,7 +18,7 @@ from math import comb, e, gcd, inf, log2
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import charge
 from .mvpoly import MvPoly
 
 DEFAULT_COUNT_BUDGET = 5_000_000
@@ -63,9 +63,7 @@ def count_solutions(inst: CongruenceInstance) -> int:
     MvPoly.grid passes over slabs of the leading axis of the residue grid."""
     m, H, ell = inst.m, inst.H, inst.P.num_vars
     side = min(m, H)
-    work = side ** ell
-    if work > DEFAULT_COUNT_BUDGET:
-        raise BudgetError("congruence residue grid", work, DEFAULT_COUNT_BUDGET)
+    charge("congruence residue grid", side ** ell, DEFAULT_COUNT_BUDGET)
     base, rem = divmod(H, m)
     j_small = np.zeros(side, dtype=bool)   # j < H mod m, for j < side
     j_small[:rem] = True
@@ -91,8 +89,7 @@ def r_parameter(k: int, ell: int) -> int:
         raise ValueError("need k >= 0 and ell >= 1")
     m = max(min(k, ell), 1)   # 2^m <= C(k+ell, m) <= (e (k+ell) / m)^m
     bits = m if m > R_PARAMETER_BITS else int(m * (log2(k + ell) - log2(m) + log2(e)))
-    if bits > R_PARAMETER_BITS:
-        raise BudgetError("bits of r = C(k+ell, ell) - 1", bits, R_PARAMETER_BITS)
+    charge("bits of r = C(k+ell, ell) - 1", bits, R_PARAMETER_BITS)
     return comb(k + ell, ell) - 1
 
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""The refusal rule of every work cap: each cap is checked by one
+charge(what, required, cap) call, which refuses with BudgetError when the
+estimate required is above the cap's value."""
 
 
 class BudgetError(RuntimeError):
@@ -13,3 +15,9 @@ class BudgetError(RuntimeError):
         self.what = what
         self.required = required
         self.budget = budget
+
+
+def charge(what: str, required, cap) -> None:
+    """Refuse with BudgetError(what, required, cap) when required > cap."""
+    if required > cap:
+        raise BudgetError(what, required, cap)

@@ -17,7 +17,7 @@ import numpy as np
 from .arith import euler_phi, factorize
 from .boxes import box_moduli
 from .congruence import r_parameter
-from .errors import BudgetError
+from .errors import charge
 from .mvpoly import MvPoly
 
 DEFAULT_POINT_BUDGET = 3_000_000
@@ -51,8 +51,7 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
     for d, mult in retained.items():
         sizes.append(euler_phi(d))
         total += sizes[-1] * mult
-        if total > DEFAULT_POINT_BUDGET:
-            raise BudgetError("farey point set", total, DEFAULT_POINT_BUDGET)
+        charge("farey point set", total, DEFAULT_POINT_BUDGET)
     mask, starts = np.ones(sum(retained), dtype=bool), np.cumsum([0, *retained])[:-1]
     for d, start in zip(retained, starts.tolist()):
         for p, _ in factorize(d).prime_powers:

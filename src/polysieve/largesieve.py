@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import euler_phi, factorize
 from .congruence import r_parameter
-from .errors import BudgetError
+from .errors import charge
 
 DEFAULT_WORK_BUDGET = 50_000_000
 
@@ -107,8 +107,7 @@ def check_grid(M: int, grid) -> None:
     """Refuse a grid before anything is built: the largest N's work estimate
     fft_work(N) past DEFAULT_WORK_BUDGET (read at call time), then the
     smallest N below 1, then M below 0."""
-    if fft_work(max(grid)) > DEFAULT_WORK_BUDGET:
-        raise BudgetError("sieve sequence FFT", fft_work(max(grid)), DEFAULT_WORK_BUDGET)
+    charge("sieve sequence FFT", fft_work(max(grid)), DEFAULT_WORK_BUDGET)
     if min(grid) < 1:
         raise ValueError(f"N must be >= 1, got {min(grid)}")
     if M < 0:
@@ -136,13 +135,11 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[flo
     for N in grid:
         if M + N > 2 ** 63 - 1:
             raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
-        if fft_work(N) + len(moduli) > DEFAULT_WORK_BUDGET:
-            raise BudgetError("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
+        charge("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
         if weights is None:   # the one expansion of the moduli
             phi_total, weights, terms = ramanujan_weights(moduli, top)
-        work = fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights if e < N)
-        if work > DEFAULT_WORK_BUDGET:
-            raise BudgetError("sieve sum", work, DEFAULT_WORK_BUDGET)
+        charge("sieve sum", fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights if e < N),
+               DEFAULT_WORK_BUDGET)
     # sum_e |e G(e)| bounds every W(h) and the partial sums that build it
     wide = sum(abs(e * g) for e, g in weights.items()) >= 2 ** 63
     W = np.zeros(top, dtype=object if wide else np.int64)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import charge
 
 Exponents = tuple[int, ...]
 
@@ -109,8 +109,7 @@ class MvPoly:
         top = max((max(max(a), -min(a)) for a in axes if a), default=0)
         c, t = self.coefficient_abs_sum(), max(top, 1)
         bits = c.bit_length() + k * t.bit_length()   # 2^(bits-1-k) <= c t^k < 2^bits
-        if bits > GRID_VALUE_BITS:
-            raise BudgetError("grid value bits", bits, GRID_VALUE_BITS)
+        charge("grid value bits", bits, GRID_VALUE_BITS)
         # the exact power is formed only when bits - 1 - k < 63, where t^k < 2^126
         dtype = np.int64 if bits <= 63 or (bits - 1 - k < 63 and c * t ** k < 2 ** 63) else object
         xs = [np.array(a, dtype=dtype).reshape([-1] + [1] * (len(axes) - 1 - i))

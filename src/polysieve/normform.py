@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import factorize, is_prime, prime_flags
 from .boxes import box_grid, check_box_budget
-from .errors import BudgetError
+from .errors import charge
 from .mvpoly import MvPoly, parse_poly
 
 # Largest size in bits of the exact power d^td that prime_divisor_search
@@ -162,8 +162,8 @@ def power_basis_table(spec: NumberFieldSpec) -> list[tuple[int, ...]]:
 def check_norm_form_budget(spec: NumberFieldSpec) -> None:
     """Refuse a norm form whose determinant's work estimate exceeds NORM_FORM_BUDGET."""
     n, ell = spec.degree, spec.num_form_vars
-    if (est := n * 2 ** (n - 1) * comb(n + ell - 1, ell - 1)) > NORM_FORM_BUDGET:
-        raise BudgetError("norm form determinant", est, NORM_FORM_BUDGET)
+    charge("norm form determinant", n * 2 ** (n - 1) * comb(n + ell - 1, ell - 1),
+           NORM_FORM_BUDGET)
 
 
 def norm_form(spec: NumberFieldSpec) -> MvPoly:
@@ -274,7 +274,7 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     the p ascending, each with its list of d in increasing order.
     Before the sieve, in this order, more than NORM_VALUE_BUDGET norm values,
     a theta = tn/td whose powers d^td could pass THETA_POWER_BITS bits, a norm
-    form past NORM_FORM_BUDGET and X above PRIME_SIEVE_LIMIT raise BudgetError.
+    form past NORM_FORM_BUDGET and X above PRIME_SIEVE_LIMIT are refused (BudgetError).
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -284,13 +284,10 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     n = spec.degree
     ell = spec.num_form_vars
     qmax = integer_nth_root(X, n)
-    if qmax ** ell > NORM_VALUE_BUDGET:
-        raise BudgetError("norm value sieve", qmax ** ell, NORM_VALUE_BUDGET)
+    charge("norm value sieve", qmax ** ell, NORM_VALUE_BUDGET)
     tn, td = theta.numerator, theta.denominator
     # every d is below X, so d^td has at most td * bits(X) bits
-    if td * X.bit_length() > THETA_POWER_BITS:
-        raise BudgetError("bits of d^td for theta's denominator", td * X.bit_length(),
-                          THETA_POWER_BITS)
+    charge("bits of d^td for theta's denominator", td * X.bit_length(), THETA_POWER_BITS)
     check_norm_form_budget(spec)   # the sieve below costs a byte per integer up to X
     flags = prime_flags(X)
     vals = norm_form(spec).grid([range(1, qmax + 1)] * ell)

@@ -1,11 +1,14 @@
 """Every public route of the library has a caller in the library or in the
 experiment scripts.  A route that only tests call belongs in
-tests/oracles.py, not in src/."""
+tests/oracles.py, not in src/.  Every work cap refuses through one
+errors.charge call whose `what` has its message pinned in test_refusals.py."""
 
 import ast
 import textwrap
 from collections import Counter
 from pathlib import Path
+
+from test_refusals import REFUSALS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -13,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED_UNCALLED = dict.fromkeys(
     ("DirichletCharacter.is_principal", "DirichletCharacter.conductor",
      "DirichletCharacter.is_primitive", "enumerate_characters", "MvPoly.evaluate"),
-    "bench/tracer.py patches this route or its class, and it leaves with ROADMAP item 1")
+    "bench/tracer.py names this route or its class (lines 123-128 patch MvPoly.evaluate and "
+    "DirichletCharacter's properties), so it leaves src/ with ROADMAP item 6, after a bench change")
 
 
 def _names(tree: ast.AST, method: bool) -> Counter:
@@ -69,3 +73,26 @@ def test_a_local_variable_does_not_stand_in_for_a_method():
     caller = ast.parse("import window\nwindow.width(None)\n")
     assert uncalled_routes([library], [caller]) == {"Window.indices"}
     assert uncalled_routes([library], []) == {"Window.indices", "width"}
+
+
+def _callee(node: ast.AST) -> str | None:
+    """The bare name of a called or raised function or class, if any."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_every_work_cap_refuses_through_charge_with_a_pinned_what():
+    pinned = {what for _, what, *_ in REFUSALS}
+    raised, charged = [], []
+    for path in sorted((ROOT / "src" / "polysieve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            site = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Raise) and node.exc and _callee(node.exc) == "BudgetError" \
+                    and path.name != "errors.py":
+                raised.append(site)
+            elif isinstance(node, ast.Call) and _callee(node) == "charge":
+                first = node.args[0] if node.args else None
+                charged.append((site, first.value if isinstance(first, ast.Constant) else None))
+    assert raised == []
+    assert [(site, what) for site, what in charged if what not in pinned] == []
+    assert {what for _, what in charged} == pinned
