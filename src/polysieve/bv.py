@@ -11,7 +11,8 @@ asserted by the tests.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,9 @@ _SUP_BLOCK = 2 ** 14
 _SUP_TOTALS = 16
 # Distinct weighted moduli times stream terms: the discrepancy scans of discrepancy_sum.
 DISCREPANCY_BUDGET = 5 * 10 ** 7
+# Box classifications discrepancy_sum keeps, and the bytes of their arrays.
+BOX_CLASS_ENTRIES = 64
+BOX_CLASS_BYTES = 2 ** 25
 # Primitive characters times stream terms, summed over the moduli of mean_value_sum.
 MEAN_VALUE_BUDGET = 5 * 10 ** 8
 # The distinct moduli of mean_value_sum, summed: the size of their unit groups'
@@ -223,6 +227,180 @@ class DiscrepancySumReport:
     weight_sum: float
 
 
+@dataclass(frozen=True)
+class _BoxClasses:
+    """The part of discrepancy_sum that does not depend on x: the three
+    tuple counts and the weight sum, the pending refusal, the distinct
+    weighted moduli, and per weighted tuple in tuple order its index into
+    them, its coefficient w * phi(m) / Q^ell and its multiplicity.
+    lambda_first: a weighted tuple comes before any refused one in tuple
+    order.  refusal: the factor value or modulus whose factorize refuses (0
+    if none); then the moduli and the per-tuple arrays are left empty."""
+    excluded: int
+    negative: int
+    nonzero: int
+    weight_sum: float
+    lambda_first: bool
+    refusal: int
+    moduli: np.ndarray
+    where: np.ndarray
+    coef: np.ndarray
+    mult: np.ndarray
+    nbytes: int
+
+
+def _at_most(sets: list[tuple[np.ndarray, np.ndarray]], bound: int) -> int:
+    """The tuples of the product of the sets (ascending values >= 1 with
+    their counts), each counted by the product of its counts, whose product
+    of values is <= bound: the bounds floor(bound / prefix product) left for
+    the later sets, then one searchsorted in the last."""
+    if prod(int(v[0]) if len(v) else bound + 1 for v, _ in sets) > bound:
+        return 0
+    dtype = np.int64 if bound < 2 ** 63 else object   # floor division never grows a bound
+    bounds, weights = np.array([bound], dtype), np.ones(1, np.int64)
+    for v, c in sets[:-1]:
+        n = np.searchsorted(v, bound, "right")   # exact: no later value is below 1
+        b = np.floor_divide.outer(bounds, v[:n].astype(dtype)).ravel()
+        keep = b > 0
+        bounds, weights = b[keep], np.multiply.outer(weights, c[:n]).ravel()[keep]
+    v, c = sets[-1]
+    cum = np.concatenate(([0], np.cumsum(c)))
+    return int(weights @ cum[np.searchsorted(v, bounds, "right")])
+
+
+def _first_refused(lists, starts, primes, bigs, threshold: int) -> tuple[int, int] | None:
+    """(flat index, value) of the first tuple, in tuple order, that factorize
+    refuses: m > threshold, every value >= 1, and at some place j a value
+    above FACTOR_LIMIT (positions bigs[j] into lists[j]) after prime values
+    (positions primes[t]); the values >= 1 of lists[t] start at starts[t].
+    Per j, the first such tuple takes at each place the first value whose
+    product with the largest completion exceeds the threshold; None if no
+    tuple is refused."""
+    first = None
+    for j, big in enumerate(bigs):
+        places = [*primes[:j], big, *(range(s, len(ns)) for ns, s in
+                                      zip(lists[j + 1:], starts[j + 1:]))]
+        if not all(places):
+            continue
+        cols = [[ns[i] for i in ix] for ns, ix in zip(lists, places)]
+        tails = [prod(col[-1] for col in cols[t:]) for t in range(len(cols) + 1)]
+        flat, made = 0, 1
+        for t, (col, ix) in enumerate(zip(cols, places)):
+            i = bisect_right(col, threshold // (made * tails[t + 1]))
+            if i == len(col):   # only at t = 0: the largest completion passes after it
+                break
+            made *= col[i]
+            flat = flat * len(lists[t]) + ix[i]
+            if t == j:
+                value = col[i]
+        else:
+            if first is None or flat < first[0]:
+                first = flat, value
+    return first
+
+
+def _classify_box(F: FactoredPoly, Q: int, threshold: int) -> _BoxClasses:
+    """The x-independent part of discrepancy_sum, from each factor's distinct
+    values, each tested once: sign, size against FACTOR_LIMIT, and primality
+    through the cached factorize, a factor's values only if every earlier
+    factor has a prime value (else no tuple reaches them).
+
+    The tuples are the product of the factors' distinct values, in
+    lexicographic order, with the counts multiplied (and by Q per variable
+    no factor uses).  |m| <= threshold and the sign classes are counted by
+    _at_most on the nonzero |values| and on the values >= 1.  The weighted
+    tuples are the products of prime values with m > threshold, built one
+    factor at a time, where a prime is distinct from the earlier ones iff it
+    does not divide their product; their weight is the left-to-right product
+    of math.log per value, and phi(m) the product of the p - 1."""
+    ell, limit = F.num_vars, arith.FACTOR_LIMIT
+    values, counts, free = [], [], ell
+    for f in F.factors:
+        used = sorted(f.used_variables())
+        v, c = box_values(MvPoly(len(used), {tuple(e[i - 1] for i in used): coef
+                                             for e, coef in f.terms.items()}), Q)
+        values.append(v)
+        counts.append(c)
+        free -= len(used)
+    every, scale = Q ** (ell - free), Q ** free   # the variables no factor uses
+    lists = [v.tolist() for v in values]
+    starts = [bisect_left(ns, 1) for ns in lists]   # the values >= 1 are a suffix
+    positive = [(v[s:], c[s:]) for v, c, s in zip(values, counts, starts)]
+    nonzero_abs = positive
+    if any(starts):
+        nonzero_abs = []
+        for v, c in zip(values, counts):
+            a, where = np.unique(np.abs(v[v != 0]), return_inverse=True)
+            merged = np.zeros(len(a), np.int64)
+            np.add.at(merged, where, c[v != 0])
+            nonzero_abs.append((a, merged))
+    small = every - prod(int(c.sum()) for _, c in nonzero_abs) + _at_most(nonzero_abs, threshold)
+    below_one = every - prod(int(c.sum()) for _, c in positive)
+    negative = below_one - small + _at_most(positive, threshold)
+    primes, bigs = [], []   # per factor, positions into its values; the big ones are a suffix
+    for ns, s in zip(lists, starts):
+        reached = all(primes)   # every earlier factor has a prime value
+        cut = bisect_right(ns, limit)
+        primes.append([i for i in range(s, cut) if ns[i] > 1
+                       and factorize(ns[i]).prime_powers == ((ns[i], 1),)] if reached else [])
+        bigs.append(range(cut, len(ns)) if reached else range(0))
+    refused = _first_refused(lists, starts, primes, bigs, threshold) if any(bigs) else None
+    wide = prod(ns[p[-1]] if p else 0 for ns, p in zip(lists, primes)) >= 2 ** 63
+    m = phi = np.ones(1, object if wide else np.int64)
+    w, mult, ok = np.ones(1), np.array([scale]), np.ones(1, bool)
+    for ns, c, p in zip(lists, counts, primes):   # the product of the primes, in tuple order
+        pv = np.array([ns[i] for i in p], m.dtype)
+        ok = (ok[:, None] & (m[:, None] % pv != 0)).ravel()   # p is new iff it does not divide m
+        m, phi = np.multiply.outer(m, pv).ravel(), np.multiply.outer(phi, pv - 1).ravel()
+        w = np.multiply.outer(w, [log(n) for n in pv.tolist()]).ravel()   # left to right
+        mult = np.multiply.outer(mult, c[p]).ravel()
+    keep = np.flatnonzero(ok & (m > threshold))
+    lambda_first = len(keep) > 0
+    if lambda_first and refused:   # the first weighted tuple against the first refused one
+        at = np.unravel_index(keep[0], [len(p) for p in primes])
+        lambda_first = bool(np.ravel_multi_index([p[i] for p, i in zip(primes, at)],
+                                                 [len(ns) for ns in lists]) < refused[0])
+    m, phi, w, mult = m[keep].tolist(), phi[keep], w[keep], mult[keep]
+    refusal = refused[1] if refused else next((n for n in m if n > limit), 0)
+    nonzero, weight_sum = int(mult.sum()), fsum(np.repeat(w, mult).tolist())
+    if refusal:   # every call refuses before a part is read
+        m, phi, w, mult = [], phi[:0], w[:0], mult[:0]
+    index: dict[int, int] = {}   # the distinct moduli, in tuple order
+    where = np.array([index.setdefault(n, len(index)) for n in m], np.int64)
+    coef = w * phi.astype(float) / Q ** ell   # phi(m): m is squarefree
+    moduli = np.array(list(index), np.int64)
+    return _BoxClasses(
+        excluded=small * scale, negative=negative * scale, nonzero=nonzero,
+        weight_sum=weight_sum, lambda_first=lambda_first, refusal=refusal,
+        moduli=moduli, where=where, coef=coef, mult=mult,
+        nbytes=sum(a.nbytes for a in (moduli, where, coef, mult)))
+
+
+_box_classes: OrderedDict = OrderedDict()   # key -> _BoxClasses, oldest first
+
+
+def _classes(F: FactoredPoly, Q: int, threshold: int) -> _BoxClasses:
+    """_classify_box memoized on what it reads: the factors, F.num_vars, Q,
+    the threshold and FACTOR_LIMIT.  At most BOX_CLASS_ENTRIES entries and
+    BOX_CLASS_BYTES bytes of arrays are kept, the least recently used
+    dropped first, and one larger than BOX_CLASS_BYTES alone is not kept;
+    _classes.cache_clear() empties it.  A raise is not kept."""
+    key = F.factors, F.num_vars, Q, threshold, arith.FACTOR_LIMIT
+    if (hit := _box_classes.get(key)) is not None:
+        _box_classes.move_to_end(key)
+        return hit
+    classes = _classify_box(F, Q, threshold)
+    if classes.nbytes <= BOX_CLASS_BYTES:
+        _box_classes[key] = classes
+        while len(_box_classes) > BOX_CLASS_ENTRIES or \
+                sum(c.nbytes for c in _box_classes.values()) > BOX_CLASS_BYTES:
+            _box_classes.popitem(last=False)   # the least recently used
+    return classes
+
+
+_classes.cache_clear = _box_classes.clear
+
+
 def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = None,
                     A: float = 2.0) -> DiscrepancySumReport:
     """Sum over q ~ Q with |P(q)| > eps_bad * Q^k of
@@ -233,16 +411,18 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     pairwise distinct primes, and is then prod_j log H_j(q); only those
     tuples cost a discrepancy evaluation.  The variables are disjoint, so
     the tuples are the product of the factors' boxes over their own
-    variables, in lexicographic order, with the counts multiplied (and by Q
-    per variable no factor uses).  Each distinct tuple is tested once, value
-    by value through the cached factorize; the first weighted one reads the
-    Lambda table, so LAMBDA_LIMIT is refused before the rest of the box.
-    After the box, the first weighted modulus above FACTOR_LIMIT in tuple
-    order is refused, then distinct weighted moduli times stream terms
-    above DISCREPANCY_BUDGET, counted cold whatever the kernel's memo holds.
-    The discrepancy is then read once per distinct modulus.  The final
-    reductions are fsums, so the result does not depend on the order of the
-    tuples.
+    variables, one box_values each, and each factor's distinct values are
+    classified once (_classify_box), memoized across calls on everything
+    but x (_classes).  The refusals keep the per-tuple order: the Lambda
+    table is read if the first weighted tuple comes before a factor value
+    above FACTOR_LIMIT in a tuple whose earlier values are all prime, then
+    that value is refused; else the first weighted modulus above
+    FACTOR_LIMIT in tuple order, then distinct weighted moduli times stream
+    terms above DISCREPANCY_BUDGET, counted cold whatever the kernel's memo
+    holds.  These run on every call, memoized or not.  The discrepancy is
+    then read once per distinct modulus, and each weighted tuple's part
+    w * phi(m) / Q^ell * disc(m), repeated by its multiplicity, is summed
+    by fsum, so the result does not depend on the order of the tuples.
     """
     ell = F.num_vars
     k = sum(f.total_degree() for f in F.factors)
@@ -260,44 +440,21 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
     if x < 1:   # the kernel's check, whether or not a tuple reaches the kernel
         raise ValueError(f"need x >= 1, got {x}")
-    values, counts, free = [], np.ones(1, dtype=np.int64), ell
-    for f in F.factors:
-        used = sorted(f.used_variables())
-        v, c = box_values(MvPoly(len(used), {tuple(e[i - 1] for i in used): coef
-                                             for e, coef in f.terms.items()}), Q)
-        values.append(v.tolist())
-        counts = np.multiply.outer(counts, c).ravel()   # exact: at most Q^ell
-        free -= len(used)
-    counts *= Q ** free   # the variables no factor uses
-    weighted = []   # (weight, modulus, multiplicity)
-    excluded = negative = nonzero = 0
-    for vals, mult in zip(itertools.product(*values), counts.tolist()):
-        m = prod(vals)
-        if abs(m) <= threshold:
-            excluded += mult
-        elif any(v < 1 for v in vals):
-            negative += mult
-        elif all(factorize(v).prime_powers == ((v, 1),) for v in vals) \
-                and len(set(vals)) == len(vals):
-            if not weighted:
-                von_mangoldt_table(int(x))   # LAMBDA_LIMIT before the rest of the box
-            nonzero += mult
-            weighted.append((prod(map(log, vals)), m, mult))
-    moduli = dict.fromkeys(m for _, m, _ in weighted)
-    if big := next((m for m in moduli if m > arith.FACTOR_LIMIT), 0):
-        factorize(big)   # the kernel's refusal, before the budget's
+    box = _classes(F, Q, threshold)
+    if box.lambda_first:
+        von_mangoldt_table(int(x))   # LAMBDA_LIMIT before the refusals of later tuples
+    if box.refusal:
+        factorize(box.refusal)   # the refusal of the first tuple or modulus past FACTOR_LIMIT
+    moduli = box.moduli.tolist()
     charge("discrepancy work", len(moduli) * len(von_mangoldt_table(int(x))[0]) if moduli else 0,
            DISCREPANCY_BUDGET)
-    disc = {m: max_progression_discrepancy(m, x) for m in moduli}
-    parts, weights = [], []
-    for w, m, mult in weighted:
-        weights += [w] * mult
-        parts += [w * euler_phi(m) / Q ** ell * disc[m]] * mult
+    disc = np.array([max_progression_discrepancy(m, x) for m in moduli], dtype=float)
+    parts = np.repeat(box.coef * disc[box.where], box.mult).tolist()
     return DiscrepancySumReport(
         value=fsum(parts), comparator=comparator, Q=Q, x=x, A=A,
         eps_bad=eps_bad, box_size=Q ** ell,
-        excluded_small=excluded, negative_factor_tuples=negative,
-        nonzero_weight_tuples=nonzero, weight_sum=fsum(weights))
+        excluded_small=box.excluded, negative_factor_tuples=box.negative,
+        nonzero_weight_tuples=box.nonzero, weight_sum=box.weight_sum)
 
 
 @dataclass(frozen=True)

@@ -81,9 +81,10 @@ def _int_grid(text: str) -> list[int]:
 
 def _jsonify(obj):
     """Plain JSON values from a parsed flag or a dataclass report: dataclasses
-    as dicts, tuples as lists, Fractions as strings."""
+    as dicts of their fields, one level at a time, tuples as lists, Fractions
+    as strings."""
     if dataclasses.is_dataclass(obj):
-        obj = dataclasses.asdict(obj)
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -95,7 +96,8 @@ def _jsonify(obj):
 # on), and one sparse numpy pass puts "\n" and 2 spaces per depth after each
 # comma and non-empty opener and before each non-empty closer.  The encoder
 # takes tuples, int keys and np.float64; the tests check the handler contract.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "))
+# A report is a tree, so the encoder keeps no marker of the containers it is in.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), check_circular=False)
 # int8 codes (254 is -2): bit 0 set where the indent follows, the rest twice the depth step
 _KINDS = bytes(dict(zip(b'",[{]}', (4, 1, 3, 3, 254, 254))).get(c, 0) for c in range(256))
 
@@ -104,7 +106,8 @@ def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), encoded in C."""
     raw = text = _ENCODER.encode(obj).encode()
     # blank escapes, paired from the left as a parser reads them, and empty containers
-    for blank in (b"\\\\", b'\\"', b"[]", b"{}"):
+    escapes = (b"\\\\", b'\\"') if b"\\" in raw else ()
+    for blank in (*escapes, b"[]", b"{}"):
         text = text.replace(blank, b"__")
     marks = np.frombuffer(text.translate(_KINDS), np.int8)
     pos = marks.nonzero()[0]
@@ -225,7 +228,7 @@ def _run_congruence_count(args):
     corners = tuple(int(c) for c in args.K.split(",")) if args.K else (0,) * P.num_vars
     inst = CongruenceInstance(P=P, a=args.a, m=args.m, K=corners,
                               H=args.H, L=args.L, R=args.R)
-    return dataclasses.asdict(congruence_count_bound(inst)), None
+    return _jsonify(congruence_count_bound(inst)), None
 
 
 def _run_farey_stats(args):
@@ -258,7 +261,7 @@ def _run_sieve_scan(args):
                            lambda N: sieve_sequence(args.sequence, N, _split_seed(args.seed, N)))
     rows = [dataclasses.replace(b, empirical=emp) for b, emp in zip(bounds, emps)]
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,
-              "sequence": args.sequence, "rows": [dataclasses.asdict(r) for r in rows]}
+              "sequence": args.sequence, "rows": _jsonify(rows)}
     header = ["N", "empirical", "trivial_bound", "zhao_conjecture", "old_bound",
               "new_bound", "new_bound_applicable"]
     table = [[r.N, r.empirical, r.trivial_bound, r.zhao_conjecture, r.old_bound,
@@ -317,7 +320,7 @@ def _run_corollary_search(args):
 
 
 def _run_bad_moduli(args):
-    return dataclasses.asdict(count_bad_moduli(parse_poly(args.P), args.Q, args.eps_bad)), None
+    return _jsonify(count_bad_moduli(parse_poly(args.P), args.Q, args.eps_bad)), None
 
 
 _HANDLERS = {

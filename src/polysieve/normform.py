@@ -34,6 +34,9 @@ NORM_VALUE_BUDGET = 20_000_000
 # At the cap, norm-form on a dense degree 10 in 10 variables takes about 3 s
 # on a 2-core x86-64 host.
 NORM_FORM_BUDGET = 500_000_000
+# Most entries of prime_divisor_search's walk, the (d, p = 1 + j d) it
+# checks: about 95 bytes each at their peak.
+DIVISOR_WALK_BUDGET = 3_000_000
 # Relative margin inside which a float d^(td/tn) leaves a walk end undecided.
 WALK_END_MARGIN = 2.0 ** -40
 
@@ -274,7 +277,8 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     the p ascending, each with its list of d in increasing order.
     Before the sieve, in this order, more than NORM_VALUE_BUDGET norm values,
     a theta = tn/td whose powers d^td could pass THETA_POWER_BITS bits, a norm
-    form past NORM_FORM_BUDGET and X above PRIME_SIEVE_LIMIT are refused (BudgetError).
+    form past NORM_FORM_BUDGET and X above PRIME_SIEVE_LIMIT are refused
+    (BudgetError); before the walk, more than DIVISOR_WALK_BUDGET entries.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -291,10 +295,10 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     check_norm_form_budget(spec)   # the sieve below costs a byte per integer up to X
     flags = prime_flags(X)
     vals = norm_form(spec).grid([range(1, qmax + 1)] * ell)
-    small = np.flatnonzero((vals >= 2) & (vals <= X - 1))
-    hit = small[flags[vals[small].astype(np.int64)]]
-    norm_primes, first = np.unique(vals[hit].astype(np.int64), return_index=True)
-    reps = dict(zip(norm_primes.tolist(), _box_points(hit[first], 1, qmax, ell)))
+    # a value past the flags is clipped to an end, then masked; Python ints are clipped first
+    index = vals if vals.dtype != object else np.clip(vals, 0, X).astype(np.int64)
+    hit = np.flatnonzero(flags.take(index, mode="clip") & (vals < X))
+    norm_primes, first = np.unique(vals[hit].astype(np.int64, copy=False), return_index=True)
     # Each d from d_star, the least d with d^td >= X^tn, walks up to X.  Below
     # it a float d^(td/tn) (relative error < 1e-13 as its log is < log X) fixes
     # the last step unless WALK_END_MARGIN moves it; only then is d^td rooted.
@@ -307,6 +311,8 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     steps[:len(low)] = np.minimum(steps[:len(low)], last)
     for i in np.flatnonzero(last != last_hi).tolist():
         steps[i] = (integer_nth_root(int(low[i]) ** td, tn) - 1) // int(low[i])
+    charge("divisor walk entries", int(steps.sum()), DIVISOR_WALK_BUDGET)
+    reps = dict(zip(norm_primes.tolist(), _box_points(hit[first], 1, qmax, ell)))
     div = np.repeat(norm_primes, steps)
     p = np.arange(1, len(div) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
     p *= div   # in place: these arrays hold one entry per step

@@ -336,6 +336,7 @@ def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch)
 
 def _clear_memos():
     bv.max_progression_discrepancy.cache_clear()
+    bv._classes.cache_clear()
     unit_group.cache_clear()   # and the carries and totals on the groups
 
 
@@ -352,12 +353,23 @@ def _recorded_kernel(monkeypatch):
     return calls, kernel
 
 
+def _recorded_classifier(monkeypatch):
+    calls, classify = [], bv._classify_box
+    monkeypatch.setattr(bv, "_classify_box", lambda F, Q, threshold: calls.append(F) or
+                        classify(F, Q, threshold))
+    return calls
+
+
+INTERLEAVED = [(F_PRIMES, 500.0), (F_SHIFTED, 2000.0), (F_PRIMES, 2000.0), (F_SHIFTED, 500.0),
+               (F_SHIFTED, 4000.0), (F_PRIMES, 4000.0), (F_SHIFTED, 2000.0)]
+
+
 @pytest.mark.parametrize("ops", [
     [(F_PRIMES, x) for x in (500.0, 1000.0, 2000.0, 4000.0)],   # up
     [(F_PRIMES, x) for x in (4000.0, 2000.0, 1000.0, 500.0)],   # down
     [(F_PRIMES, x) for x in (1000.0, 1000.0, 1234.5, 1234.5, 1000.0)],   # repeated
-    [(F_PRIMES, 500.0), (F_SHIFTED, 2000.0), (F_PRIMES, 2000.0), (F_SHIFTED, 500.0),
-     (F_SHIFTED, 4000.0), (F_PRIMES, 4000.0), (F_SHIFTED, 2000.0)],   # interleaved
+    INTERLEAVED,
+    random.Random(7).sample(INTERLEAVED * 2, 14),   # shuffled
 ])
 def test_discrepancy_sum_sweeps_are_bit_equal_to_cold_ops(monkeypatch, ops):
     expected = []
@@ -366,10 +378,52 @@ def test_discrepancy_sum_sweeps_are_bit_equal_to_cold_ops(monkeypatch, ops):
         expected.append(discrepancy_sum(F, 16, x))
     _clear_memos()
     calls, kernel = _recorded_kernel(monkeypatch)
+    classify = _recorded_classifier(monkeypatch)
     assert [discrepancy_sum(F, 16, x) for F, x in ops] == expected
     # the body ran once per distinct (m, x): every repeat was a hit
     info = kernel.cache_info()
     assert (info.misses, info.hits) == (len(set(calls)), len(calls) - len(set(calls)))
+    # and the box was classified once per factored polynomial
+    assert sorted(map(repr, classify)) == sorted({repr(F) for F, _ in ops})
+
+
+def test_the_box_classes_are_keyed_on_factors_q_and_threshold(monkeypatch):
+    # the same factors in other variables, another Q, another threshold, and
+    # another FACTOR_LIMIT each classify anew; another x, or another eps_bad
+    # with the same threshold, does not
+    _clear_memos()
+    classify = _recorded_classifier(monkeypatch)
+    F_OTHER = FactoredPoly([parse_poly("x2"), parse_poly("x1")])
+    for F, Q, x, eps_bad in ((F_PRIMES, 16, 100.0, None), (F_PRIMES, 16, 200.0, None),
+                             (F_PRIMES, 16, 100.0, 1e-9), (F_OTHER, 16, 100.0, None),
+                             (F_PRIMES, 8, 100.0, None), (F_PRIMES, 16, 100.0, 0.5)):
+        discrepancy_sum(F, Q, x, eps_bad=eps_bad)
+    assert len(classify) == 4   # the default threshold at Q = 16 is 0, as at 1e-9
+    monkeypatch.setattr(arith, "FACTOR_LIMIT", arith.FACTOR_LIMIT - 1)
+    discrepancy_sum(F_PRIMES, 16, 100.0)
+    assert len(classify) == 5
+
+
+@pytest.mark.parametrize("entries, nbytes", [(2, 1 << 20), (64, 900)])
+def test_the_box_classes_memo_holds_its_bounds(monkeypatch, entries, nbytes):
+    # F_PRIMES keeps 8 * (moduli + 3 * weighted tuples) bytes: 168, 336, 560
+    # and 560 at Q = 14, 15, 16, 17, so 900 bytes hold at most two of them
+    monkeypatch.setattr(bv, "BOX_CLASS_ENTRIES", entries)
+    monkeypatch.setattr(bv, "BOX_CLASS_BYTES", nbytes)
+    ops = [(F_PRIMES, Q, x) for Q in (14, 15, 16, 17) for x in (500.0, 1000.0)]
+    expected = []
+    for F, Q, x in ops:
+        _clear_memos()
+        expected.append(discrepancy_sum(F, Q, x))
+    _clear_memos()
+    got = []
+    for F, Q, x in ops * 2:
+        got.append(discrepancy_sum(F, Q, x))
+        kept = bv._box_classes.values()
+        assert len(kept) <= entries and sum(c.nbytes for c in kept) <= nbytes
+    assert got == expected * 2
+    bv._classes.cache_clear()
+    assert not bv._box_classes
 
 
 def test_shifted_and_unshifted_primes_share_moduli(monkeypatch):
@@ -447,6 +501,40 @@ def test_discrepancy_work_is_distinct_weighted_moduli_times_stream_terms(monkeyp
             errors.append(str(err.value))
             monkeypatch.undo()
         assert errors == [f"discrepancy work: requires {work}, budget is {work - 1}"] * 2
+
+
+@pytest.mark.parametrize("limit, first", [(28, "lambda"), (18, "factor")])
+def test_lambda_limit_and_factor_limit_refuse_at_the_first_weighted_or_offending_tuple(
+        monkeypatch, limit, first):
+    # F_PRIMES at Q = 16 in tuple order: (17, 19) is the first weighted tuple;
+    # under a FACTOR_LIMIT of 28, (17, 29) is the first offending one, after
+    # it, and under 18, (17, 19) itself offends first, at its value 19
+    monkeypatch.setattr(arith, "FACTOR_LIMIT", limit)
+    monkeypatch.setattr(arith, "LAMBDA_LIMIT", 50)
+    arith.factorize.cache_clear()
+    factor_error = f"factorization argument: requires {limit + 1}, budget is {limit}"
+    for warm in (False, True, True):
+        if not warm:
+            _clear_memos()
+        with pytest.raises(BudgetError) as err:
+            discrepancy_sum(F_PRIMES, 16, 100.0)
+        assert str(err.value) == (factor_error if first == "factor" else
+                                  "von Mangoldt table limit: requires 100, budget is 50")
+        with pytest.raises(BudgetError) as err:   # within LAMBDA_LIMIT
+            discrepancy_sum(F_PRIMES, 16, 40.0)
+        assert str(err.value) == factor_error
+    arith.factorize.cache_clear()
+
+
+def test_discrepancy_sum_matches_loop_reference_past_int64():
+    # factor values near 2^40, products and thresholds near 2^80: the counts
+    # run on Python ints; no weighted modulus reaches the kernel, which
+    # would refuse it; 4.47750303574005e22 * 3^3 lies between the 5th and 6th product
+    F = FactoredPoly([parse_poly("x1+1099511627774"), parse_poly("2*x2^2+1099511627774")])
+    for eps_bad in (1e-9, 2.0 ** 65, 4.47750303574005e22, 1e30):
+        rep = discrepancy_sum(F, 3, 200.0, eps_bad=eps_bad)
+        assert rep == loop_discrepancy_sum(F, 3, 200.0, eps_bad=eps_bad)
+    assert discrepancy_sum(F, 3, 200.0, eps_bad=4.47750303574005e22).excluded_small == 5
 
 
 def test_discrepancy_work_without_a_weighted_tuple_is_zero(monkeypatch):

@@ -322,14 +322,30 @@ def test_bv_sum_lambda_limit_wins_over_a_weighted_modulus_past_2_63(capsys):
 
 def test_bv_sum_refuses_the_discrepancy_work_before_any_scan():
     # 9,045 weighted moduli times 665,134 stream terms, whose scans ran past
-    # 60 s; the refusal comes after classifying the 10^6 tuples, a few seconds
+    # 60 s; the refusal comes after classifying the 1000 values of each
+    # factor and building the Lambda table: about 0.7 s on an idle 2-core
+    # host, twice that under load
     argv = ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "1000", "--x", "10000000")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1)
     assert json.loads(proc.stderr) == {
         "error": f"discrepancy work: requires 6016137030, budget is {bv.DISCREPANCY_BUDGET}",
+        "kind": "resource", "partial_progress": False}
+
+
+def test_corollary_search_refuses_the_divisor_walk_before_building_it():
+    # 20,168,058 walk entries took 1554 MiB; the refusal comes after the
+    # norm-value sieve: about 1.1 s on an idle 2-core host, twice that
+    # under load
+    argv = ("corollary-search", "--f", "t^2+1", "--X", "20000000", "--theta", "1/10")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1)
+    assert json.loads(proc.stderr) == {
+        "error": "divisor walk entries: requires 20168058, budget is 3000000",
         "kind": "resource", "partial_progress": False}
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from polysieve import arith, boxes, bv, characters, congruence, errors, farey, largesieve
+from polysieve import (arith, boxes, bv, characters, congruence, errors, farey, largesieve,
+                       normform)
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, parse_poly
 from polysieve.normform import NumberFieldSpec, norm_form, prime_divisor_search
@@ -93,6 +94,10 @@ REFUSALS = [
     ("normform.prime_divisor_search", "bits of d^td for theta's denominator", (),
      lambda: prime_divisor_search(NumberFieldSpec.from_text("t^2+1"), 1, Fraction(1, 65537)),
      "bits of d^td for theta's denominator: requires 65537, budget is 65536"),
+    ("normform.prime_divisor_search", "divisor walk entries",
+     ((normform, "DIVISOR_WALK_BUDGET", 28),),
+     lambda: prime_divisor_search(NumberFieldSpec.from_text("t^2+1"), 100, Fraction(1, 2)),
+     "divisor walk entries: requires 29, budget is 28"),
 ]
 
 
