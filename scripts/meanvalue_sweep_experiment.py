@@ -6,7 +6,7 @@ All of the grids run in one process, in ascending order, so each x reads the
 unit groups of the last one and resumes the character kernel from its prefix
 sums: a row's seconds are the cost of its new stream terms, not of all of them.
 A later P's grid meets the moduli it shares with an earlier one at the same
-x, and reads their totals from the groups without running the kernel.
+x, and reads their totals from the totals memo without running the kernel.
 
 Usage: python scripts/meanvalue_sweep_experiment.py [--P "x1^2+x2^2" ...]
        [--Q 4] [--x-min 500] [--x-max 64000]

@@ -9,6 +9,7 @@ Writes <out-dir>/sieve_scan.csv and <out-dir>/sieve_scan.gp (gnuplot blocks).
 """
 
 import argparse
+import dataclasses
 import os
 
 from polysieve.boxes import box_moduli
@@ -32,7 +33,8 @@ def main():
     grid = sorted({int(lo * (hi / lo) ** (i / 11)) for i in range(12)})
 
     emps = empirical_delta(moduli, 0, grid, lambda N: sieve_sequence(args.sequence, N, args.seed))
-    rows = [delta_bounds(k, ell, args.Q, N, r_star, empirical=emp) for N, emp in zip(grid, emps)]
+    rows = [dataclasses.replace(delta_bounds(k, ell, args.Q, N, r_star), empirical=emp)
+            for N, emp in zip(grid, emps)]
 
     print(f"P = {P.to_text()},  Q = {args.Q},  k = {k}, ell = {ell}, "
           f"r* = {r_star},  sequence = {args.sequence}")

@@ -12,7 +12,6 @@ asserted by the tests.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,13 +29,8 @@ from .mvpoly import FactoredPoly, MvPoly
 
 # Complex entries per block of the character sup kernel: keeps its memory flat.
 _SUP_BLOCK = 2 ** 14
-# Mean value totals a cached unit group keeps, one per stream length, oldest dropped.
-_SUP_TOTALS = 16
 # Distinct weighted moduli times stream terms: the discrepancy scans of discrepancy_sum.
 DISCREPANCY_BUDGET = 5 * 10 ** 7
-# Box classifications discrepancy_sum keeps, and the bytes of their arrays.
-BOX_CLASS_ENTRIES = 64
-BOX_CLASS_BYTES = 2 ** 25
 # Primitive characters times stream terms, summed over the moduli of mean_value_sum.
 MEAN_VALUE_BUDGET = 5 * 10 ** 8
 # The distinct moduli of mean_value_sum, summed: the size of their unit groups'
@@ -246,14 +240,13 @@ class _BoxClasses:
     where: np.ndarray
     coef: np.ndarray
     mult: np.ndarray
-    nbytes: int
 
 
 def _at_most(sets: list[tuple[np.ndarray, np.ndarray]], bound: int) -> int:
-    """The tuples of the product of the sets (ascending values >= 1 with
-    their counts), each counted by the product of its counts, whose product
-    of values is <= bound: the bounds floor(bound / prefix product) left for
-    the later sets, then one searchsorted in the last."""
+    """The tuples of the product of the sets (ascending values >= 1, which
+    may repeat, with their counts), each counted by the product of its
+    counts, whose product of values is <= bound: the bounds floor(bound /
+    prefix product) left for the later sets, then one searchsorted in the last."""
     if prod(int(v[0]) if len(v) else bound + 1 for v, _ in sets) > bound:
         return 0
     dtype = np.int64 if bound < 2 ** 63 else object   # floor division never grows a bound
@@ -299,11 +292,13 @@ def _first_refused(lists, starts, primes, bigs, threshold: int) -> tuple[int, in
     return first
 
 
-def _classify_box(F: FactoredPoly, Q: int, threshold: int) -> _BoxClasses:
-    """The x-independent part of discrepancy_sum, from each factor's distinct
-    values, each tested once: sign, size against FACTOR_LIMIT, and primality
-    through the cached factorize, a factor's values only if every earlier
-    factor has a prime value (else no tuple reaches them).
+@lru_cache(maxsize=1)
+def _classify_box(factors: tuple[MvPoly, ...], ell: int, Q: int, threshold: int,
+                  limit: int) -> _BoxClasses:
+    """The x-independent part of discrepancy_sum over the factors of F, with
+    ell = F.num_vars and limit = FACTOR_LIMIT, from each factor's distinct
+    values, each tested once: sign, size against limit, and primality through
+    the cached factorize, a factor's values only if every earlier factor has a prime value.
 
     The tuples are the product of the factors' distinct values, in
     lexicographic order, with the counts multiplied (and by Q per variable
@@ -312,10 +307,10 @@ def _classify_box(F: FactoredPoly, Q: int, threshold: int) -> _BoxClasses:
     tuples are the products of prime values with m > threshold, built one
     factor at a time, where a prime is distinct from the earlier ones iff it
     does not divide their product; their weight is the left-to-right product
-    of math.log per value, and phi(m) the product of the p - 1."""
-    ell, limit = F.num_vars, arith.FACTOR_LIMIT
+    of math.log per value, and phi(m) the product of the p - 1.  The last
+    box is kept for an --x sweep (F hashes by identity, so F is no argument)."""
     values, counts, free = [], [], ell
-    for f in F.factors:
+    for f in factors:
         used = sorted(f.used_variables())
         v, c = box_values(MvPoly(len(used), {tuple(e[i - 1] for i in used): coef
                                              for e, coef in f.terms.items()}), Q)
@@ -327,13 +322,11 @@ def _classify_box(F: FactoredPoly, Q: int, threshold: int) -> _BoxClasses:
     starts = [bisect_left(ns, 1) for ns in lists]   # the values >= 1 are a suffix
     positive = [(v[s:], c[s:]) for v, c, s in zip(values, counts, starts)]
     nonzero_abs = positive
-    if any(starts):
+    if any(starts):   # sorted, not merged: _at_most counts a repeated value as often
         nonzero_abs = []
         for v, c in zip(values, counts):
-            a, where = np.unique(np.abs(v[v != 0]), return_inverse=True)
-            merged = np.zeros(len(a), np.int64)
-            np.add.at(merged, where, c[v != 0])
-            nonzero_abs.append((a, merged))
+            order = np.argsort(np.abs(v[v != 0]), kind="stable")
+            nonzero_abs.append((np.abs(v[v != 0])[order], c[v != 0][order]))
     small = every - prod(int(c.sum()) for _, c in nonzero_abs) + _at_most(nonzero_abs, threshold)
     below_one = every - prod(int(c.sum()) for _, c in positive)
     negative = below_one - small + _at_most(positive, threshold)
@@ -372,33 +365,7 @@ def _classify_box(F: FactoredPoly, Q: int, threshold: int) -> _BoxClasses:
     return _BoxClasses(
         excluded=small * scale, negative=negative * scale, nonzero=nonzero,
         weight_sum=weight_sum, lambda_first=lambda_first, refusal=refusal,
-        moduli=moduli, where=where, coef=coef, mult=mult,
-        nbytes=sum(a.nbytes for a in (moduli, where, coef, mult)))
-
-
-_box_classes: OrderedDict = OrderedDict()   # key -> _BoxClasses, oldest first
-
-
-def _classes(F: FactoredPoly, Q: int, threshold: int) -> _BoxClasses:
-    """_classify_box memoized on what it reads: the factors, F.num_vars, Q,
-    the threshold and FACTOR_LIMIT.  At most BOX_CLASS_ENTRIES entries and
-    BOX_CLASS_BYTES bytes of arrays are kept, the least recently used
-    dropped first, and one larger than BOX_CLASS_BYTES alone is not kept;
-    _classes.cache_clear() empties it.  A raise is not kept."""
-    key = F.factors, F.num_vars, Q, threshold, arith.FACTOR_LIMIT
-    if (hit := _box_classes.get(key)) is not None:
-        _box_classes.move_to_end(key)
-        return hit
-    classes = _classify_box(F, Q, threshold)
-    if classes.nbytes <= BOX_CLASS_BYTES:
-        _box_classes[key] = classes
-        while len(_box_classes) > BOX_CLASS_ENTRIES or \
-                sum(c.nbytes for c in _box_classes.values()) > BOX_CLASS_BYTES:
-            _box_classes.popitem(last=False)   # the least recently used
-    return classes
-
-
-_classes.cache_clear = _box_classes.clear
+        moduli=moduli, where=where, coef=coef, mult=mult)
 
 
 def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = None,
@@ -412,8 +379,8 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     tuples cost a discrepancy evaluation.  The variables are disjoint, so
     the tuples are the product of the factors' boxes over their own
     variables, one box_values each, and each factor's distinct values are
-    classified once (_classify_box), memoized across calls on everything
-    but x (_classes).  The refusals keep the per-tuple order: the Lambda
+    classified once (_classify_box, which keeps the last box across an --x
+    sweep).  The refusals keep the per-tuple order: the Lambda
     table is read if the first weighted tuple comes before a factor value
     above FACTOR_LIMIT in a tuple whose earlier values are all prime, then
     that value is refused; else the first weighted modulus above
@@ -440,7 +407,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
     if x < 1:   # the kernel's check, whether or not a tuple reaches the kernel
         raise ValueError(f"need x >= 1, got {x}")
-    box = _classes(F, Q, threshold)
+    box = _classify_box(F.factors, ell, Q, threshold, arith.FACTOR_LIMIT)
     if box.lambda_first:
         von_mangoldt_table(int(x))   # LAMBDA_LIMIT before the refusals of later tuples
     if box.refusal:
@@ -466,7 +433,8 @@ class MeanValueReport:
     skipped_unit_moduli: int
 
 
-def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray, resume: bool = False) -> list[float]:
+def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray,
+                    carry=None) -> tuple[list[float], tuple | None]:
     """sup over y <= x of |psi(y, chi)| from the prime-power stream (T, L)
     up to x, for the rows of unit_group(d).primitive_pairs (one primitive
     character per conjugate pair, cached with the group), doubled unless chi
@@ -481,25 +449,23 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray, resume: bool = False) 
     within 2^-51 relative and hypot within 1 ulp, so the largest hypot's s is
     within about 2^-47 of the row's max s and is never dropped.
 
-    With resume (mean_value_sum's von_mangoldt_table prefixes only), the
-    kernel starts from group.sup_carry: k coprime terms summed, psi after
-    the k-th and the undoubled sup of every row.  It sums the terms past k
-    with the carried psi added into the first new column: a row's cumsum is
-    a sequential accumulate, so every prefix is the cold one bit for bit, and
-    the filter finds the new prefixes' largest hypot exactly, so its max with
-    the carried sup is the cold sup.  A first call, an evicted group or fewer
-    than k terms start from the empty carry; the new carry replaces the old
-    once the sums are done.  Without resume no carry is read or written.
-    mean_value_sum runs it only on a miss of the group's sup_totals."""
+    Returns the sups and the carry after them: k coprime terms summed, psi
+    after the k-th and the undoubled sup of every row (None if d = 2 (mod 4),
+    which has no primitive character).  Given the carry of a shorter prefix
+    of the same stream, it sums only the terms past k, with the carried psi
+    added into the first new column: a row's cumsum is a sequential
+    accumulate, so every prefix is the cold one bit for bit, and the filter
+    finds the new prefixes' largest hypot exactly, so its max with the
+    carried sup is the cold sup.  No carry, or one past len(T), starts
+    empty; the carry passed in is never written."""
     group = unit_group(d)
     chars, real = group.primitive_pairs
-    if not len(chars):   # d = 2 (mod 4) has no primitive character
-        return []
+    if not len(chars):   # d = 2 (mod 4)
+        return [], None
     T, L = _coprime_terms(d, T, L)
-    carry = group.sup_carry if resume else None
-    if carry and carry[0] <= len(T):   # copies: the carry itself is never written
+    if carry and carry[0] <= len(T):
         k, psi, sups = carry[0], carry[1].copy(), carry[2].copy()
-    else:   # the empty carry
+    else:
         k, psi, sups = 0, np.zeros(len(chars), dtype=complex), np.zeros(len(chars))
     total, T, L = len(T), T[k:], L[k:]
     e = group.exponent
@@ -514,9 +480,20 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray, resume: bool = False) 
         s = c.real * c.real + c.imag * c.imag
         row, col = np.nonzero(s >= s.max(axis=1)[:, None] * (1 - 2 ** -40))
         np.maximum.at(sups, i + row, np.hypot(c.real[row, col], c.imag[row, col]))
-    if resume:
-        group.sup_carry = total, psi, sups
-    return (sups * np.repeat([2.0, 1.0], [len(chars) - real, real])).tolist()   # exact
+    doubled = np.repeat([2.0, 1.0], [len(chars) - real, real])
+    return (sups * doubled).tolist(), (total, psi, sups)   # exact
+
+
+@lru_cache(maxsize=1 << 12)
+def _mean_value_total(d: int, limit: int) -> float | None:
+    """fsum of the primitive sups mod d over von_mangoldt_table(limit), or
+    None if d = 2 (mod 4).  The kernel resumes from unit_group(d).sup_carry
+    and replaces it once its sums are done, so a raise leaves the carry as
+    it was.  Keyed on the stream's last term, a sweep meets each
+    (modulus, stream) once while the entry is kept."""
+    group = unit_group(d)
+    sups, group.sup_carry = _primitive_sups(d, *von_mangoldt_table(limit), group.sup_carry)
+    return fsum(sups) if sups else None
 
 
 def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
@@ -529,11 +506,10 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     refused, then stream terms times primitive characters (phi(p^e) -
     phi(p^(e-1)) per prime power p^e || d), summed over d, above
     MEAN_VALUE_BUDGET, then the sum of the moduli d above UNIT_GROUP_BUDGET.
-    Both estimates are the cold cost, whatever groups, carries and totals are
-    cached.  unit_group(d).sup_totals keeps the last _SUP_TOTALS fsum(sups)
-    by stream length (None if d = 2 (mod 4)): a hit is the kernel's float.
+    Both estimates are the cold cost, whatever groups, carries and totals
+    (_mean_value_total) are cached.
     """
-    T, L = von_mangoldt_table(max(int(x), 0))
+    T, _ = von_mangoldt_table(max(int(x), 0))
     moduli, skipped, _, _ = box_moduli(P, Q)
     charge("character modulus", next((d for d in moduli if d > CHAR_MODULUS_CAP), 0),
            CHAR_MODULUS_CAP)
@@ -541,14 +517,8 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
         prod(p ** (e - 2) * (p - 1) ** 2 if e > 1 else p - 2 for p, e in factorize(d).prime_powers)
         for d in moduli), MEAN_VALUE_BUDGET)
     charge("sum of unit group moduli", sum(moduli), UNIT_GROUP_BUDGET)
-    parts = []
-    for d, mult in moduli.items():
-        if len(T) not in (totals := unit_group(d).sup_totals):
-            sups = _primitive_sups(d, T, L, resume=True)
-            totals[len(T)] = fsum(sups) if sups else None
-            if len(totals) > _SUP_TOTALS:
-                del totals[next(iter(totals))]   # the oldest
-        if (total := totals[len(T)]) is not None:
-            parts.append(mult * d / euler_phi(d) * total)
+    top = int(T[-1]) if len(T) else 0   # the stream's last term: one key per stream
+    parts = [mult * d / euler_phi(d) * total for d, mult in moduli.items()
+             if (total := _mean_value_total(d, top)) is not None]
     return MeanValueReport(value=fsum(parts), moduli=moduli,
                            skipped_unit_moduli=skipped)

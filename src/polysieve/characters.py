@@ -12,9 +12,8 @@ the bv kernel) is read from the conjugate-symmetric root_table(e).
 UnitGroup.primitive_exponents() gives the primitive characters as one
 exponent matrix, with no object per character; UnitGroup.primitive_pairs
 keeps one row per conjugate pair of it on the cached group, for the bv kernel,
-UnitGroup.sup_carry that kernel's prefix sums over the rows (24 bytes a row)
-and UnitGroup.sup_totals a few of its summed results, so that all three live
-exactly as long as unit_group's cache holds the group.
+and UnitGroup.sup_carry that kernel's prefix sums over the rows (24 bytes a
+row), so that both live exactly as long as unit_group's cache holds the group.
 """
 
 from __future__ import annotations
@@ -114,8 +113,6 @@ class UnitGroup:
         self.order = prod(c.order for c in components)
         # the bv kernel's (k, psi, sups) after k coprime stream terms, replaced whole
         self.sup_carry: tuple[int, np.ndarray, np.ndarray] | None = None
-        # bv.mean_value_sum's fsum of the sups per stream length, oldest first
-        self.sup_totals: dict[int, float | None] = {}
 
     def primitive_exponents(self) -> np.ndarray:
         """The exponent vectors of the primitive characters mod m, one row

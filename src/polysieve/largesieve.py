@@ -31,6 +31,8 @@ from .congruence import r_parameter
 from .errors import charge
 
 DEFAULT_WORK_BUDGET = 50_000_000
+# Distinct moduli sieve_sums factors, at 100-175 us each on the scalar factorize.
+SIEVE_MODULI_BUDGET = 10 ** 5
 
 SEQUENCE_FAMILIES = {   # name -> coefficient builder (N, rng) -> array
     "ones": lambda N, rng: np.ones(N),
@@ -128,7 +130,8 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[flo
     to end below 2^63, then its work estimate fft_work(N) + terms
     (ramanujan_weights) + the sum of 1 + (N-1)//e over the weights e < N
     refused past DEFAULT_WORK_BUDGET (first its lower bound, with
-    len(moduli) for terms).
+    len(moduli) for terms; at the first N, more than SIEVE_MODULI_BUDGET
+    moduli are refused in between, before any modulus is factored).
     """
     check_grid(M, grid)
     top, weights = max(grid), None
@@ -137,6 +140,7 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[flo
             raise ValueError(f"window (M, M+N] must end below 2^63, got M={M}")
         charge("sieve sum", fft_work(N) + len(moduli), DEFAULT_WORK_BUDGET)
         if weights is None:   # the one expansion of the moduli
+            charge("sieve moduli", len(moduli), SIEVE_MODULI_BUDGET)
             phi_total, weights, terms = ramanujan_weights(moduli, top)
         charge("sieve sum", fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights if e < N),
                DEFAULT_WORK_BUDGET)
@@ -192,9 +196,9 @@ class DeltaReport:
     empirical: float | None = None
 
 
-def delta_bounds(k: int, ell: int, Q: int, N: int, r_star: int,
-                 empirical: float | None = None) -> DeltaReport:
-    """Evaluate the comparator menu with all o(1) factors set to 1.
+def delta_bounds(k: int, ell: int, Q: int, N: int, r_star: int) -> DeltaReport:
+    """Evaluate the comparator menu with all o(1) factors set to 1; a
+    caller fills DeltaReport.empirical with dataclasses.replace.
 
     trivial: min(r* (Q^2k + N), Q^ell (Q^k + N))
     conjectural: r* (Q^(ell+k) + N)
@@ -222,5 +226,4 @@ def delta_bounds(k: int, ell: int, Q: int, N: int, r_star: int,
     return DeltaReport(k=k, ell=ell, Q=Q, N=N, r_star=r_star,
                        trivial_bound=trivial, zhao_conjecture=zhao,
                        old_bound=old, new_bound=new,
-                       new_bound_applicable=Q ** k <= N <= Q ** (2 * k),
-                       empirical=empirical)
+                       new_bound_applicable=Q ** k <= N <= Q ** (2 * k))

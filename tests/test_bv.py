@@ -27,6 +27,7 @@ from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerat
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 from test_mvpoly import factored_polys
+from test_routes import process_caches
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 CHAR_MODULI = (*range(3, 41), 97)   # a character table mod d holds d^2 values
@@ -334,10 +335,12 @@ def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch)
     assert sorted(calls) == sorted(moduli)
 
 
+MEMOS = process_caches()   # every cache the library keeps between calls
+
+
 def _clear_memos():
-    bv.max_progression_discrepancy.cache_clear()
-    bv._classes.cache_clear()
-    unit_group.cache_clear()   # and the carries and totals on the groups
+    for cache in MEMOS.values():
+        cache.cache_clear()
 
 
 # at Q = 16 the factor values are 16..31 and 22..37: the 10 weighted moduli of
@@ -351,13 +354,6 @@ def _recorded_kernel(monkeypatch):
     monkeypatch.setattr(bv, "max_progression_discrepancy",
                         lambda m, x: calls.append((m, x)) or kernel(m, x))
     return calls, kernel
-
-
-def _recorded_classifier(monkeypatch):
-    calls, classify = [], bv._classify_box
-    monkeypatch.setattr(bv, "_classify_box", lambda F, Q, threshold: calls.append(F) or
-                        classify(F, Q, threshold))
-    return calls
 
 
 INTERLEAVED = [(F_PRIMES, 500.0), (F_SHIFTED, 2000.0), (F_PRIMES, 2000.0), (F_SHIFTED, 500.0),
@@ -378,13 +374,13 @@ def test_discrepancy_sum_sweeps_are_bit_equal_to_cold_ops(monkeypatch, ops):
         expected.append(discrepancy_sum(F, 16, x))
     _clear_memos()
     calls, kernel = _recorded_kernel(monkeypatch)
-    classify = _recorded_classifier(monkeypatch)
     assert [discrepancy_sum(F, 16, x) for F, x in ops] == expected
     # the body ran once per distinct (m, x): every repeat was a hit
     info = kernel.cache_info()
     assert (info.misses, info.hits) == (len(set(calls)), len(calls) - len(set(calls)))
-    # and the box was classified once per factored polynomial
-    assert sorted(map(repr, classify)) == sorted({repr(F) for F, _ in ops})
+    # and the box was classified once per run of consecutive ops on one polynomial
+    runs = sum(1 for i, (F, _) in enumerate(ops) if i == 0 or F.factors != ops[i - 1][0].factors)
+    assert bv._classify_box.cache_info().misses == runs
 
 
 def test_the_box_classes_are_keyed_on_factors_q_and_threshold(monkeypatch):
@@ -392,38 +388,25 @@ def test_the_box_classes_are_keyed_on_factors_q_and_threshold(monkeypatch):
     # another FACTOR_LIMIT each classify anew; another x, or another eps_bad
     # with the same threshold, does not
     _clear_memos()
-    classify = _recorded_classifier(monkeypatch)
     F_OTHER = FactoredPoly([parse_poly("x2"), parse_poly("x1")])
     for F, Q, x, eps_bad in ((F_PRIMES, 16, 100.0, None), (F_PRIMES, 16, 200.0, None),
                              (F_PRIMES, 16, 100.0, 1e-9), (F_OTHER, 16, 100.0, None),
                              (F_PRIMES, 8, 100.0, None), (F_PRIMES, 16, 100.0, 0.5)):
         discrepancy_sum(F, Q, x, eps_bad=eps_bad)
-    assert len(classify) == 4   # the default threshold at Q = 16 is 0, as at 1e-9
+    # the default threshold at Q = 16 is 0, as at 1e-9
+    assert bv._classify_box.cache_info().misses == 4
     monkeypatch.setattr(arith, "FACTOR_LIMIT", arith.FACTOR_LIMIT - 1)
     discrepancy_sum(F_PRIMES, 16, 100.0)
-    assert len(classify) == 5
+    assert bv._classify_box.cache_info().misses == 5
 
 
-@pytest.mark.parametrize("entries, nbytes", [(2, 1 << 20), (64, 900)])
-def test_the_box_classes_memo_holds_its_bounds(monkeypatch, entries, nbytes):
-    # F_PRIMES keeps 8 * (moduli + 3 * weighted tuples) bytes: 168, 336, 560
-    # and 560 at Q = 14, 15, 16, 17, so 900 bytes hold at most two of them
-    monkeypatch.setattr(bv, "BOX_CLASS_ENTRIES", entries)
-    monkeypatch.setattr(bv, "BOX_CLASS_BYTES", nbytes)
-    ops = [(F_PRIMES, Q, x) for Q in (14, 15, 16, 17) for x in (500.0, 1000.0)]
-    expected = []
-    for F, Q, x in ops:
-        _clear_memos()
-        expected.append(discrepancy_sum(F, Q, x))
+def test_an_equal_factored_polynomial_reads_the_kept_box():
+    # FactoredPoly hashes by identity: a CLI op parses a new one each time
     _clear_memos()
-    got = []
-    for F, Q, x in ops * 2:
-        got.append(discrepancy_sum(F, Q, x))
-        kept = bv._box_classes.values()
-        assert len(kept) <= entries and sum(c.nbytes for c in kept) <= nbytes
-    assert got == expected * 2
-    bv._classes.cache_clear()
-    assert not bv._box_classes
+    ops = [FactoredPoly([parse_poly("x1"), parse_poly("x2")]) for _ in range(3)]
+    reports = [discrepancy_sum(F, 16, x) for F, x in zip(ops, (100.0, 200.0, 100.0))]
+    assert reports[0] == reports[2] != reports[1]
+    assert bv._classify_box.cache_info()[:2] == (2, 1)   # (hits, misses)
 
 
 def test_shifted_and_unshifted_primes_share_moduli(monkeypatch):
@@ -572,6 +555,24 @@ def test_discrepancy_sum_negative_tuple_reporting():
     assert rep.value >= 0.0
 
 
+def test_at_most_counts_repeated_values_as_the_brute_force_does():
+    # _classify_box passes each factor's nonzero |values| sorted, not merged,
+    # so a value may repeat with a count each time
+    rng = random.Random(3)
+    for _ in range(3000):
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            values = sorted(rng.randint(1, 12) for _ in range(rng.randint(0, 5)))
+            counts = [rng.randint(1, 4) for _ in values]
+            sets.append((np.array(values, np.int64), np.array(counts, np.int64)))
+        bound = rng.randint(0, 300)
+        expected = 0
+        for t in itertools.product(*(zip(v.tolist(), c.tolist()) for v, c in sets)):
+            if math.prod(n for n, _ in t) <= bound:
+                expected += math.prod(c for _, c in t)
+        assert bv._at_most(sets, bound) == expected
+
+
 def test_mean_value_examples():
     assert mean_value_sum(P_SUM_SQ, 1, 10).value == 0.0  # no primitive chi mod 2
     for x in (1.9, 0.5, -3):   # any x below 2 sums no prime power
@@ -615,7 +616,7 @@ def test_mean_value_matches_loop_reference_exactly(x):
 
 def _multiplicities(d):
     # one stream term n = 1 with weight 1: each sup is 1, times its multiplicity
-    return bv._primitive_sups(d, np.array([1]), np.array([1.0]))
+    return bv._primitive_sups(d, np.array([1]), np.array([1.0]))[0]
 
 
 def test_mean_value_reference_moduli_span_several_blocks():
@@ -669,7 +670,7 @@ def test_sup_is_the_largest_hypot_among_near_tied_prefixes(weights):
     h = np.hypot(c.real, c.imag)
     assert abs(s[0, 1] - s[0, 3]) <= np.spacing(s.max()) and s.max() in (s[0, 1], s[0, 3])
     assert np.argmax(s) != np.argmax(h)
-    assert bv._primitive_sups(5, T, L)[0] == 2 * h.max(axis=1)[0]
+    assert bv._primitive_sups(5, T, L)[0][0] == 2 * h.max(axis=1)[0]
 
 
 def test_mean_value_work_is_primitive_characters_times_stream_terms(monkeypatch):
@@ -716,7 +717,7 @@ P_MOD_97 = parse_poly("x1+96")   # Q = 1 boxes the single modulus 97
 ])
 def test_mean_value_sweep_is_bit_equal_to_cold_ops(xs):
     expected = [_cold(P_SUM_SQ, 4, x) for x in xs]
-    unit_group.cache_clear()
+    _clear_memos()
     assert [mean_value_sum(P_SUM_SQ, 4, x).value for x in xs] == expected
 
 
@@ -727,40 +728,40 @@ def test_mean_value_sweeps_interleaved_over_shared_moduli_are_bit_equal_to_cold_
     ops = [(P_SUM_SQ, 4, 500), (X1_X2, 16, 2000), (P_SUM_SQ, 4, 1000), (X1_X2, 16, 700),
            (P_SUM_SQ, 4, 4000), (X1_X2, 16, 4000), (P_SUM_SQ, 4, 2000)]
     expected = [_cold(*op) for op in ops]
-    unit_group.cache_clear()
+    _clear_memos()
     assert [mean_value_sum(*op).value for op in ops] == expected
 
 
 def test_resumed_kernel_sups_are_bit_equal_to_cold_sups():
+    # a carry past the stream, as 4000's at 500, starts empty
     for d in (5, 8, 97, 120, 243, 343, 6683):
         for xs in ((500, 1000, 4000), (4000, 500, 4000)):
-            expected = []
+            expected = [bv._primitive_sups(d, *von_mangoldt_table(x))[0] for x in xs]
+            got, carry = [], None
             for x in xs:
-                unit_group.cache_clear()
-                expected.append(bv._primitive_sups(d, *von_mangoldt_table(x)))
-            unit_group.cache_clear()
-            assert [bv._primitive_sups(d, *von_mangoldt_table(x), resume=True)
-                    for x in xs] == expected
+                sups, carry = bv._primitive_sups(d, *von_mangoldt_table(x), carry)
+                got.append(sups)
+            assert got == expected
 
 
 def test_a_resumed_op_reads_the_carry_and_sums_only_new_terms():
     expected = _cold(P_MOD_97, 1, 2000)
-    unit_group.cache_clear()
+    _clear_memos()
     mean_value_sum(P_MOD_97, 1, 500)
     k, psi, sups = unit_group(97).sup_carry
     T, _ = von_mangoldt_table(500)
     assert k == np.count_nonzero(T % 97) and k > 0
     unit_group(97).sup_carry = k, np.zeros_like(psi), sups   # psi after k terms forgotten
-    unit_group(97).sup_totals.clear()   # so the op runs the kernel on the edited carry
+    bv._mean_value_total.cache_clear()   # so the op runs the kernel on the edited carry
     assert mean_value_sum(P_MOD_97, 1, 2000).value != expected
     unit_group(97).sup_carry = k, psi, sups
-    unit_group(97).sup_totals.clear()
+    bv._mean_value_total.cache_clear()
     assert mean_value_sum(P_MOD_97, 1, 2000).value == expected
 
 
 def test_mean_value_carry_resumes_across_a_lambda_table_rebuild(monkeypatch):
     expected = [_cold(P_SUM_SQ, 4, x) for x in (500, 3000)]
-    unit_group.cache_clear()
+    _clear_memos()
     monkeypatch.setattr(arith, "_lambda_stream", None)
     assert mean_value_sum(P_SUM_SQ, 4, 500).value == expected[0]
     stream = arith._lambda_stream
@@ -771,7 +772,7 @@ def test_mean_value_carry_resumes_across_a_lambda_table_rebuild(monkeypatch):
 
 def test_mean_value_carry_holds_24_bytes_per_pair_row_and_goes_with_its_group():
     expected = _cold(P_MOD_97, 1, 2000)
-    unit_group.cache_clear()
+    _clear_memos()
     mean_value_sum(P_MOD_97, 1, 500)
     group = weakref.ref(unit_group(97))
     k, psi, sups = group().sup_carry
@@ -791,17 +792,18 @@ def test_a_foreign_stream_neither_reads_nor_writes_the_carry(x):
     P = parse_poly("x1+4")
     T, L = np.arange(1, 5), np.array(NEAR_TIED_WEIGHTS[0])
     foreign, expected = bv._primitive_sups(5, T, L), _cold(P, 1, 4000)
-    unit_group.cache_clear()
+    _clear_memos()
     mean_value_sum(P, 1, x)
     carry = unit_group(5).sup_carry
-    assert bv._primitive_sups(5, T, L) == foreign
-    assert unit_group(5).sup_carry is carry
+    before = [a.tobytes() for a in carry[1:]]
+    assert bv._primitive_sups(5, T, L)[0] == foreign[0]   # no carry passed
+    assert unit_group(5).sup_carry is carry and [a.tobytes() for a in carry[1:]] == before
     assert mean_value_sum(P, 1, 4000).value == expected
 
 
 def test_a_kernel_call_that_raises_leaves_the_carry_valid(monkeypatch):
     expected = _cold(P_MOD_97, 1, 4000)
-    unit_group.cache_clear()
+    _clear_memos()
     mean_value_sum(P_MOD_97, 1, 500)
     carry = unit_group(97).sup_carry
     before = [a.tobytes() for a in carry[1:]]
@@ -820,7 +822,7 @@ def test_a_kernel_call_that_raises_leaves_the_carry_valid(monkeypatch):
     monkeypatch.undo()
     assert unit_group(97).sup_carry is carry
     assert [a.tobytes() for a in carry[1:]] == before
-    assert list(unit_group(97).sup_totals) == [len(von_mangoldt_table(500)[0])]
+    assert bv._mean_value_total.cache_info().currsize == 1   # only x = 500's total
     assert mean_value_sum(P_MOD_97, 1, 4000).value == expected
 
 
@@ -848,7 +850,7 @@ def test_mean_value_refusals_do_not_depend_on_cached_groups_or_carries(monkeypat
     size = sum(box_moduli(P_SUM_SQ, 4)[0])
     errors = []
     for warm in (False, True):
-        unit_group.cache_clear()
+        _clear_memos()
         if warm:
             for x in (500, 1000, 2000):
                 mean_value_sum(P_SUM_SQ, 4, x)
@@ -866,8 +868,8 @@ X1_X2 = parse_poly("x1+x2")   # at Q = 16 the moduli 32..62, 5 of them shared wi
 
 def _recorded_sups(monkeypatch):
     calls, kernel = [], bv._primitive_sups
-    monkeypatch.setattr(bv, "_primitive_sups", lambda d, T, L, resume=False: calls.append(
-        (d, len(T))) or kernel(d, T, L, resume))
+    monkeypatch.setattr(bv, "_primitive_sups", lambda d, T, L, carry=None: calls.append(
+        (d, len(T))) or kernel(d, T, L, carry))
     return calls
 
 
@@ -882,32 +884,35 @@ def test_mean_value_sweeps_run_the_kernel_once_per_modulus_and_stream_length(mon
     wanted = {(d, len(von_mangoldt_table(int(x))[0]))
               for P, Q, x in ops for d in box_moduli(P, Q)[0]}
     assert sorted(calls) == sorted(wanted)   # no pair twice: the rest were hits
-    # 34 = 2 (mod 4) has no primitive character: its lengths, oldest first, mark no total
-    assert unit_group(34).sup_totals == dict.fromkeys(
-        len(von_mangoldt_table(x)[0]) for x in (2000, 500, 4000, 1000))
+    # 34 = 2 (mod 4) has no primitive character: its entries hold None, and are read
+    tops = sorted({int(von_mangoldt_table(x)[0][-1]) for x in (500, 1000, 2000, 4000)})
+    assert [bv._mean_value_total(34, top) for top in tops] == [None] * 4
+    assert len(calls) == len(wanted)
 
 
-def test_a_group_keeps_its_last_sup_totals(monkeypatch):
-    xs = range(100, 1100, 50)   # 20 stream lengths, each with a prime in between
-    expected = [_cold(P_MOD_97, 1, x) for x in xs]
+def test_the_totals_memo_holds_at_most_its_maxsize(monkeypatch):
+    total = bv._mean_value_total
+    assert total.cache_info().maxsize == 1 << 12
     _clear_memos()
-    assert [mean_value_sum(P_MOD_97, 1, x).value for x in xs] == expected
-    lengths = [len(von_mangoldt_table(x)[0]) for x in xs]
-    assert len(set(lengths)) == 20 and bv._SUP_TOTALS == 16
-    assert list(unit_group(97).sup_totals) == lengths[-16:]   # the oldest 4 dropped
+    for limit in range(total.cache_info().maxsize + 100):   # mod 3: one character
+        total(3, limit)
+    assert total.cache_info().currsize == total.cache_info().maxsize
     calls = _recorded_sups(monkeypatch)
-    assert [mean_value_sum(P_MOD_97, 1, x).value for x in xs[:2]] == expected[:2]
-    assert calls == [(97, n) for n in lengths[:2]]
+    total(3, 0)   # dropped first, so the kernel runs again
+    assert calls == [(3, 0)]
 
 
-def test_unit_group_cache_clear_drops_the_sup_totals(monkeypatch):
+def test_unit_group_cache_clear_drops_the_carry_but_not_the_totals(monkeypatch):
     _clear_memos()
     value = mean_value_sum(P_MOD_97, 1, 500).value
     group = weakref.ref(unit_group(97))
-    assert list(group().sup_totals) == [len(von_mangoldt_table(500)[0])]
+    assert group().sup_carry is not None
     unit_group.cache_clear()
-    assert group() is None and unit_group(97).sup_totals == {}
+    assert group() is None and unit_group(97).sup_carry is None
     calls = _recorded_sups(monkeypatch)
+    assert mean_value_sum(P_MOD_97, 1, 500).value == value
+    assert calls == []   # the total was kept: the op is not cold
+    bv._mean_value_total.cache_clear()
     assert mean_value_sum(P_MOD_97, 1, 500).value == value
     assert calls == [(97, len(von_mangoldt_table(500)[0]))]
 
@@ -943,7 +948,7 @@ def test_mean_value_memory_does_not_grow_with_the_character_tables():
 def test_mean_value_memory_at_large_moduli_stays_flat():
     # 16 moduli near 10^5 at x = 10: each cached group keeps its dlog tables,
     # its pair rows and the kernel's carry (24 bytes per pair row)
-    unit_group.cache_clear()
+    _clear_memos()
     tracemalloc.start()
     try:
         mean_value_sum(parse_poly("x1+99000"), 16, 10)

@@ -349,6 +349,20 @@ def test_corollary_search_refuses_the_divisor_walk_before_building_it():
         "kind": "resource", "partial_progress": False}
 
 
+def test_sieve_scan_refuses_the_factorisations_before_any_modulus_is_factored():
+    # 639,929 distinct moduli, whose factorisations took about 96 s and
+    # 432 MiB; the refusal comes after the box: about 0.7 s on an idle 2-core
+    # host, twice that under load
+    argv = ("sieve-scan", "--P", "x1^3+x2^3+x1", "--Q", "800", "--N", "4")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1)
+    assert json.loads(proc.stderr) == {
+        "error": f"sieve moduli: requires 639929, budget is {largesieve.SIEVE_MODULI_BUDGET}",
+        "kind": "resource", "partial_progress": False}
+
+
 def test_determinism_up_to_duration(capsys):
     for args in (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
                   "--sequence", "pm1", "--seed", "42"),

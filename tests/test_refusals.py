@@ -82,6 +82,10 @@ REFUSALS = [
     ("largesieve.sieve_sums", "sieve sum", ((largesieve, "DEFAULT_WORK_BUDGET", 122),),
      lambda: largesieve.sieve_sums({2: 1, 3: 1}, 0, [10], None),
      "sieve sum: requires 123, budget is 122"),
+    # the first N's lower bound passes, then the moduli are counted before any is factored
+    ("largesieve.sieve_sums", "sieve moduli", ((largesieve, "SIEVE_MODULI_BUDGET", 28),),
+     lambda: largesieve.sieve_sums(dict.fromkeys(range(2, 31), 1), 0, [10], None),
+     "sieve moduli: requires 29, budget is 28"),
     ("mvpoly.MvPoly.grid", "grid value bits", (),
      lambda: boxes.box_values(parse_poly("x1^65536"), 1),
      "grid value bits: requires 65537, budget is 65536"),
