@@ -293,12 +293,13 @@ def _first_refused(lists, starts, primes, bigs, threshold: int) -> tuple[int, in
 
 
 @lru_cache(maxsize=1)
-def _classify_box(factors: tuple[MvPoly, ...], ell: int, Q: int, threshold: int,
+def _classify_box(factors: tuple[MvPoly, ...], Q: int, threshold: int,
                   limit: int) -> _BoxClasses:
     """The x-independent part of discrepancy_sum over the factors of F, with
-    ell = F.num_vars and limit = FACTOR_LIMIT, from each factor's distinct
-    values, each tested once: sign, size against limit, and primality through
-    the cached factorize, a factor's values only if every earlier factor has a prime value.
+    limit = FACTOR_LIMIT, from each factor's distinct values, each tested
+    once: sign, size against limit, and primality through the cached
+    factorize, a factor's values only if every earlier factor has a prime
+    value.  The factors fix F.num_vars, as MvPoly equality includes it.
 
     The tuples are the product of the factors' distinct values, in
     lexicographic order, with the counts multiplied (and by Q per variable
@@ -309,6 +310,7 @@ def _classify_box(factors: tuple[MvPoly, ...], ell: int, Q: int, threshold: int,
     does not divide their product; their weight is the left-to-right product
     of math.log per value, and phi(m) the product of the p - 1.  The last
     box is kept for an --x sweep (F hashes by identity, so F is no argument)."""
+    ell = max(f.num_vars for f in factors)   # F.num_vars
     values, counts, free = [], [], ell
     for f in factors:
         used = sorted(f.used_variables())
@@ -407,7 +409,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
     if x < 1:   # the kernel's check, whether or not a tuple reaches the kernel
         raise ValueError(f"need x >= 1, got {x}")
-    box = _classify_box(F.factors, ell, Q, threshold, arith.FACTOR_LIMIT)
+    box = _classify_box(F.factors, Q, threshold, arith.FACTOR_LIMIT)
     if box.lambda_first:
         von_mangoldt_table(int(x))   # LAMBDA_LIMIT before the refusals of later tuples
     if box.refusal:

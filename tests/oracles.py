@@ -15,7 +15,9 @@ Ramanujan expansion with one strided sum per divisor, which the library's
 divisor-weight table replaced, and ``laplace_norm_form``, the memoised
 Laplace expansion of the norm form, which the library's dense level
 expansion replaced.  ``assert_plain_json`` checks the handler contract,
-which the report writer's C encoder does not.
+which the report writer's C encoder does not.  ``process_caches`` finds every cache a
+polysieve module keeps between calls, and ``clear_caches`` empties them
+all, so a cold test starts cold.
 
 The loop references at the end walk every n <= x and read Lambda pointwise
 through ``von_mangoldt`` above.  They add the same terms in the same order
@@ -24,7 +26,9 @@ once where the kernel rounds correctly, so the two must agree exactly.
 """
 
 import cmath
+import importlib
 import json
+import pkgutil
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +37,7 @@ from math import fsum, gcd, log, prod
 
 import numpy as np
 
+import polysieve
 from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
@@ -40,6 +45,24 @@ from polysieve.largesieve import sieve_sums
 from polysieve.mvpoly import MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
                                 norm_form)
+
+
+def process_caches() -> dict[str, object]:
+    """Every attribute with a cache_clear that a polysieve module defines
+    (not one it imports), by `module.name`."""
+    caches = {}
+    for info in pkgutil.iter_modules(polysieve.__path__):
+        module = importlib.import_module(f"polysieve.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == \
+                    module.__name__:
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def clear_caches() -> None:
+    for cache in process_caches().values():
+        cache.cache_clear()
 
 
 def von_mangoldt(n: int) -> float:

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import polysieve.arith as arith
 import polysieve.boxes as boxes
 import polysieve.bv as bv
-from oracles import (factor_values, loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
-                     loop_sup_abs_psi_chi, prime_value_weight, primitive_character_count,
-                     von_mangoldt)
+from oracles import (clear_caches, factor_values, loop_discrepancy, loop_discrepancy_sum,
+                     loop_psi_chi, loop_sup_abs_psi_chi, prime_value_weight,
+                     primitive_character_count, von_mangoldt)
 from polysieve.arith import euler_phi, von_mangoldt_table
 from polysieve.boxes import box_moduli
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad, discrepancy_sum,
@@ -27,7 +27,6 @@ from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerat
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 from test_mvpoly import factored_polys
-from test_routes import process_caches
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
 CHAR_MODULI = (*range(3, 41), 97)   # a character table mod d holds d^2 values
@@ -335,14 +334,6 @@ def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch)
     assert sorted(calls) == sorted(moduli)
 
 
-MEMOS = process_caches()   # every cache the library keeps between calls
-
-
-def _clear_memos():
-    for cache in MEMOS.values():
-        cache.cache_clear()
-
-
 # at Q = 16 the factor values are 16..31 and 22..37: the 10 weighted moduli of
 # F_PRIMES are products of two of 17, 19, 23, 29, 31, and F_SHIFTED shares 9 of them
 F_PRIMES = FactoredPoly([parse_poly("x1"), parse_poly("x2")])
@@ -370,9 +361,9 @@ INTERLEAVED = [(F_PRIMES, 500.0), (F_SHIFTED, 2000.0), (F_PRIMES, 2000.0), (F_SH
 def test_discrepancy_sum_sweeps_are_bit_equal_to_cold_ops(monkeypatch, ops):
     expected = []
     for F, x in ops:
-        _clear_memos()
+        clear_caches()
         expected.append(discrepancy_sum(F, 16, x))
-    _clear_memos()
+    clear_caches()
     calls, kernel = _recorded_kernel(monkeypatch)
     assert [discrepancy_sum(F, 16, x) for F, x in ops] == expected
     # the body ran once per distinct (m, x): every repeat was a hit
@@ -387,7 +378,7 @@ def test_the_box_classes_are_keyed_on_factors_q_and_threshold(monkeypatch):
     # the same factors in other variables, another Q, another threshold, and
     # another FACTOR_LIMIT each classify anew; another x, or another eps_bad
     # with the same threshold, does not
-    _clear_memos()
+    clear_caches()
     F_OTHER = FactoredPoly([parse_poly("x2"), parse_poly("x1")])
     for F, Q, x, eps_bad in ((F_PRIMES, 16, 100.0, None), (F_PRIMES, 16, 200.0, None),
                              (F_PRIMES, 16, 100.0, 1e-9), (F_OTHER, 16, 100.0, None),
@@ -395,14 +386,18 @@ def test_the_box_classes_are_keyed_on_factors_q_and_threshold(monkeypatch):
         discrepancy_sum(F, Q, x, eps_bad=eps_bad)
     # the default threshold at Q = 16 is 0, as at 1e-9
     assert bv._classify_box.cache_info().misses == 4
-    monkeypatch.setattr(arith, "FACTOR_LIMIT", arith.FACTOR_LIMIT - 1)
-    discrepancy_sum(F_PRIMES, 16, 100.0)
+    discrepancy_sum(F_PRIMES, 16, 100.0)   # the box is kept again ...
     assert bv._classify_box.cache_info().misses == 5
+    discrepancy_sum(F_PRIMES, 16, 100.0)   # ... and read
+    assert bv._classify_box.cache_info().misses == 5
+    monkeypatch.setattr(arith, "FACTOR_LIMIT", arith.FACTOR_LIMIT - 1)
+    discrepancy_sum(F_PRIMES, 16, 100.0)   # the same call but for the limit
+    assert bv._classify_box.cache_info().misses == 6
 
 
 def test_an_equal_factored_polynomial_reads_the_kept_box():
     # FactoredPoly hashes by identity: a CLI op parses a new one each time
-    _clear_memos()
+    clear_caches()
     ops = [FactoredPoly([parse_poly("x1"), parse_poly("x2")]) for _ in range(3)]
     reports = [discrepancy_sum(F, 16, x) for F, x in zip(ops, (100.0, 200.0, 100.0))]
     assert reports[0] == reports[2] != reports[1]
@@ -423,9 +418,9 @@ def test_the_discrepancy_memo_keys_x_and_its_type():
     xs = (5000.0, 5000.5, 5000)
     expected = []
     for x in xs:
-        _clear_memos()
+        clear_caches()
         expected.append(discrepancy_sum(F_PRIMES, 16, x))
-    _clear_memos()
+    clear_caches()
     assert [discrepancy_sum(F_PRIMES, 16, x) for x in xs] == expected
     info = bv.max_progression_discrepancy.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 30, 30)
@@ -442,7 +437,7 @@ def test_the_discrepancy_memo_holds_at_most_its_maxsize():
 
 def test_a_refused_call_reaches_the_kernel_every_time(monkeypatch):
     kernel = bv.max_progression_discrepancy
-    _clear_memos()
+    clear_caches()
     monkeypatch.setattr(arith, "FACTOR_LIMIT", 400)
     arith.factorize.cache_clear()   # so 1003 = 17 * 59 and 493 = 17 * 29 meet the limit
     for i, (m, x, error) in enumerate([(1003, 100.0, BudgetError)] * 2
@@ -466,7 +461,7 @@ def test_discrepancy_work_is_distinct_weighted_moduli_times_stream_terms(monkeyp
 
     F_FORMS = FactoredPoly([P_SUM_SQ, parse_poly("x3^2+x3*x4+3*x4^2")])
     for F, Q, x in ((F_PRIMES, 16, 5000.0), (F_SHIFTED, 16, 100.5), (F_FORMS, 4, 5000.0)):
-        _clear_memos()
+        clear_caches()
         calls, _ = _recorded_kernel(monkeypatch)
         expected = discrepancy_sum(F, Q, x)
         work = len(calls) * len(von_mangoldt_table(int(x))[0])
@@ -474,7 +469,7 @@ def test_discrepancy_work_is_distinct_weighted_moduli_times_stream_terms(monkeyp
         errors = []
         for warm in (False, True):   # the memo holds every modulus of the op, or none
             if not warm:
-                _clear_memos()
+                clear_caches()
             monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", work)
             assert discrepancy_sum(F, Q, x) == expected   # admitted at the budget
             monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", work - 1)
@@ -498,7 +493,7 @@ def test_lambda_limit_and_factor_limit_refuse_at_the_first_weighted_or_offending
     factor_error = f"factorization argument: requires {limit + 1}, budget is {limit}"
     for warm in (False, True, True):
         if not warm:
-            _clear_memos()
+            clear_caches()
         with pytest.raises(BudgetError) as err:
             discrepancy_sum(F_PRIMES, 16, 100.0)
         assert str(err.value) == (factor_error if first == "factor" else
@@ -702,7 +697,7 @@ def test_mean_value_names_the_smallest_modulus_above_the_cap_before_the_work(mon
 
 
 def _cold(P, Q, x):
-    _clear_memos()   # no group, so no carry and no total, survives
+    clear_caches()   # no group, so no carry and no total, survives
     return mean_value_sum(P, Q, x).value
 
 
@@ -717,7 +712,7 @@ P_MOD_97 = parse_poly("x1+96")   # Q = 1 boxes the single modulus 97
 ])
 def test_mean_value_sweep_is_bit_equal_to_cold_ops(xs):
     expected = [_cold(P_SUM_SQ, 4, x) for x in xs]
-    _clear_memos()
+    clear_caches()
     assert [mean_value_sum(P_SUM_SQ, 4, x).value for x in xs] == expected
 
 
@@ -728,7 +723,7 @@ def test_mean_value_sweeps_interleaved_over_shared_moduli_are_bit_equal_to_cold_
     ops = [(P_SUM_SQ, 4, 500), (X1_X2, 16, 2000), (P_SUM_SQ, 4, 1000), (X1_X2, 16, 700),
            (P_SUM_SQ, 4, 4000), (X1_X2, 16, 4000), (P_SUM_SQ, 4, 2000)]
     expected = [_cold(*op) for op in ops]
-    _clear_memos()
+    clear_caches()
     assert [mean_value_sum(*op).value for op in ops] == expected
 
 
@@ -746,7 +741,7 @@ def test_resumed_kernel_sups_are_bit_equal_to_cold_sups():
 
 def test_a_resumed_op_reads_the_carry_and_sums_only_new_terms():
     expected = _cold(P_MOD_97, 1, 2000)
-    _clear_memos()
+    clear_caches()
     mean_value_sum(P_MOD_97, 1, 500)
     k, psi, sups = unit_group(97).sup_carry
     T, _ = von_mangoldt_table(500)
@@ -761,7 +756,7 @@ def test_a_resumed_op_reads_the_carry_and_sums_only_new_terms():
 
 def test_mean_value_carry_resumes_across_a_lambda_table_rebuild(monkeypatch):
     expected = [_cold(P_SUM_SQ, 4, x) for x in (500, 3000)]
-    _clear_memos()
+    clear_caches()
     monkeypatch.setattr(arith, "_lambda_stream", None)
     assert mean_value_sum(P_SUM_SQ, 4, 500).value == expected[0]
     stream = arith._lambda_stream
@@ -772,7 +767,7 @@ def test_mean_value_carry_resumes_across_a_lambda_table_rebuild(monkeypatch):
 
 def test_mean_value_carry_holds_24_bytes_per_pair_row_and_goes_with_its_group():
     expected = _cold(P_MOD_97, 1, 2000)
-    _clear_memos()
+    clear_caches()
     mean_value_sum(P_MOD_97, 1, 500)
     group = weakref.ref(unit_group(97))
     k, psi, sups = group().sup_carry
@@ -792,7 +787,7 @@ def test_a_foreign_stream_neither_reads_nor_writes_the_carry(x):
     P = parse_poly("x1+4")
     T, L = np.arange(1, 5), np.array(NEAR_TIED_WEIGHTS[0])
     foreign, expected = bv._primitive_sups(5, T, L), _cold(P, 1, 4000)
-    _clear_memos()
+    clear_caches()
     mean_value_sum(P, 1, x)
     carry = unit_group(5).sup_carry
     before = [a.tobytes() for a in carry[1:]]
@@ -803,7 +798,7 @@ def test_a_foreign_stream_neither_reads_nor_writes_the_carry(x):
 
 def test_a_kernel_call_that_raises_leaves_the_carry_valid(monkeypatch):
     expected = _cold(P_MOD_97, 1, 4000)
-    _clear_memos()
+    clear_caches()
     mean_value_sum(P_MOD_97, 1, 500)
     carry = unit_group(97).sup_carry
     before = [a.tobytes() for a in carry[1:]]
@@ -850,7 +845,7 @@ def test_mean_value_refusals_do_not_depend_on_cached_groups_or_carries(monkeypat
     size = sum(box_moduli(P_SUM_SQ, 4)[0])
     errors = []
     for warm in (False, True):
-        _clear_memos()
+        clear_caches()
         if warm:
             for x in (500, 1000, 2000):
                 mean_value_sum(P_SUM_SQ, 4, x)
@@ -878,7 +873,7 @@ def test_mean_value_sweeps_run_the_kernel_once_per_modulus_and_stream_length(mon
            (P_SUM_SQ, 4, 500.5), (X1_X2, 16, 4000), (P_SUM_SQ, 4, 2000), (X1_X2, 16, 1000),
            (P_SUM_SQ, 4, 4000), (X1_X2, 16, 2000)]
     expected = [_cold(*op) for op in ops]
-    _clear_memos()
+    clear_caches()
     calls = _recorded_sups(monkeypatch)
     assert [mean_value_sum(*op).value for op in ops] == expected
     wanted = {(d, len(von_mangoldt_table(int(x))[0]))
@@ -893,7 +888,7 @@ def test_mean_value_sweeps_run_the_kernel_once_per_modulus_and_stream_length(mon
 def test_the_totals_memo_holds_at_most_its_maxsize(monkeypatch):
     total = bv._mean_value_total
     assert total.cache_info().maxsize == 1 << 12
-    _clear_memos()
+    clear_caches()
     for limit in range(total.cache_info().maxsize + 100):   # mod 3: one character
         total(3, limit)
     assert total.cache_info().currsize == total.cache_info().maxsize
@@ -903,7 +898,7 @@ def test_the_totals_memo_holds_at_most_its_maxsize(monkeypatch):
 
 
 def test_unit_group_cache_clear_drops_the_carry_but_not_the_totals(monkeypatch):
-    _clear_memos()
+    clear_caches()
     value = mean_value_sum(P_MOD_97, 1, 500).value
     group = weakref.ref(unit_group(97))
     assert group().sup_carry is not None
@@ -948,7 +943,7 @@ def test_mean_value_memory_does_not_grow_with_the_character_tables():
 def test_mean_value_memory_at_large_moduli_stays_flat():
     # 16 moduli near 10^5 at x = 10: each cached group keeps its dlog tables,
     # its pair rows and the kernel's carry (24 bytes per pair row)
-    _clear_memos()
+    clear_caches()
     tracemalloc.start()
     try:
         mean_value_sum(parse_poly("x1+99000"), 16, 10)

@@ -6,13 +6,11 @@ Every cache the library keeps between calls is documented in the README and
 cleared by the cold tests."""
 
 import ast
-import importlib
-import pkgutil
 import textwrap
 from collections import Counter
 from pathlib import Path
 
-import polysieve
+from oracles import clear_caches, process_caches
 from test_refusals import REFUSALS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,21 +101,7 @@ def test_every_work_cap_refuses_through_charge_with_a_pinned_what():
     assert {what for _, what in charged} == pinned
 
 
-def process_caches() -> dict[str, object]:
-    """Every attribute with a cache_clear that a polysieve module defines
-    (not one it imports), by `module.name`."""
-    caches = {}
-    for info in pkgutil.iter_modules(polysieve.__path__):
-        module = importlib.import_module(f"polysieve.{info.name}")
-        for name, value in vars(module).items():
-            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == \
-                    module.__name__:
-                caches[f"{info.name}.{name}"] = value
-    return caches
-
-
 def test_every_cache_is_documented_and_cleared_by_the_cold_tests():
-    from test_bv import _clear_memos
     from polysieve import bv, cli
     from polysieve.mvpoly import FactoredPoly, parse_poly
 
@@ -129,6 +113,6 @@ def test_every_cache_is_documented_and_cleared_by_the_cold_tests():
     bv.discrepancy_sum(FactoredPoly([parse_poly("x1"), parse_poly("x2")]), 16, 100.0)
     bv.mean_value_sum(parse_poly("x1^2+x2^2"), 2, 100)
     assert all(cache.cache_info().currsize for cache in caches.values())
-    _clear_memos()
+    clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == \
         dict.fromkeys(caches, 0)
