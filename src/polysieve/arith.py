@@ -3,11 +3,11 @@ primality, the numpy prime sieve, and the prime-power stream (T, Lambda(T))
 that every Lambda-weighted sum reads.
 
 Everything here is deterministic: primality uses a Miller-Rabin witness set
-that is exact for all 64-bit inputs, and factorization uses trial division
-followed by Brent's cycle variant of Pollard rho with a fixed parameter
-sequence.  The two dense tables, the prime sieve and the Lambda table, are
-capped (PRIME_SIEVE_LIMIT, LAMBDA_LIMIT) and refuse a larger limit with
-BudgetError before allocating.
+that is exact for all 64-bit inputs, and factorization trial-divides by one
+fixed table of the 564 primes below 2^12, then hands any cofactor to Brent's
+cycle variant of Pollard rho with a fixed parameter sequence.  The two dense
+tables, the prime sieve and the Lambda table, are capped (PRIME_SIEVE_LIMIT,
+LAMBDA_LIMIT) and refuse a larger limit with BudgetError before allocating.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 from .errors import charge
 
 FACTOR_LIMIT = 2 ** 63
-
-_TRIAL_LIMIT = 10 ** 6
 
 # Largest limit prime_flags sieves: the table takes one byte per n.
 PRIME_SIEVE_LIMIT = 10 ** 8
@@ -46,18 +44,10 @@ def primes_up_to(limit: int) -> list[int]:
     return np.flatnonzero(prime_flags(limit)).tolist()
 
 
-_trial: list[int] = []   # the primes <= _trial_bound
-_trial_bound = 1
-
-
-def _trial_primes(limit: int) -> list[int]:
-    """At least the primes <= min(limit, _TRIAL_LIMIT).  The list grows by
-    doubling, so factoring small numbers never builds the whole table."""
-    global _trial, _trial_bound
-    if _trial_bound < min(limit, _TRIAL_LIMIT):
-        _trial_bound = min(max(limit, 2 * _trial_bound), _TRIAL_LIMIT)
-        _trial = primes_up_to(_trial_bound)
-    return _trial
+# factorize trial-divides by the primes below _TRIAL_LIMIT, a table built at
+# import; Brent's rho takes any cofactor left over.
+_TRIAL_LIMIT = 2 ** 12
+_TRIAL_PRIMES = primes_up_to(_TRIAL_LIMIT)
 
 
 # Witnesses proving primality for every n < 3.3 * 10^24, hence for all
@@ -140,13 +130,13 @@ def factorize(n: int) -> Factorization:
     charge("factorization argument", n, FACTOR_LIMIT)
     m = n
     factors: dict[int, int] = {}
-    for p in _trial_primes(isqrt(n)):
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
-    # the cofactor's primes exceed 10^6 (trial division): at most three below 2^63
+    # the cofactor's primes exceed 2^12 (trial division): at most five below 2^63
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

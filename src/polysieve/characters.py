@@ -9,11 +9,11 @@ a root of unity whose exponent (numerator over the group exponent) is
 computed in exact integer arithmetic, so character equality and triviality
 tests never touch floating point.  Every complex value (chi(n), values(),
 the bv kernel) is read from the conjugate-symmetric root_table(e).
-UnitGroup.primitive_exponents() gives the primitive characters as one
-exponent matrix, with no object per character; UnitGroup.primitive_pairs
-keeps one row per conjugate pair of it on the cached group, for the bv kernel,
-and UnitGroup.sup_carry that kernel's prefix sums over the rows (24 bytes a
-row), so that both live exactly as long as unit_group's cache holds the group.
+UnitGroup.primitive_pairs keeps the primitive characters as one int32
+exponent matrix, one row per conjugate pair and no object per character,
+built one component at a time on the cached group for the bv kernel, and
+UnitGroup.sup_carry that kernel's prefix sums over the rows (24 bytes a row),
+so that both live exactly as long as unit_group's cache holds the group.
 """
 
 from __future__ import annotations
@@ -114,28 +114,31 @@ class UnitGroup:
         # the bv kernel's (k, psi, sups) after k coprime stream terms, replaced whole
         self.sup_carry: tuple[int, np.ndarray, np.ndarray] | None = None
 
-    def primitive_exponents(self) -> np.ndarray:
-        """The exponent vectors of the primitive characters mod m, one row
-        each in the order of enumerate_characters: the product of the sets
-        _primitive_exponent allows per component, or no rows if m = 2 (mod 4).
-        Built anew on each call; the bv kernel reads the cached primitive_pairs."""
-        rows = np.zeros((int(self.modulus % 4 != 2), 0), dtype=np.int64)
-        for comp in self.components:
-            c = np.flatnonzero(_primitive_exponent(comp, np.arange(comp.order)))
-            rows = np.column_stack([np.repeat(rows, len(c), axis=0), np.tile(c, len(rows))])
-        return rows
-
     @cached_property
     def primitive_pairs(self) -> tuple[np.ndarray, int]:
-        """One row of primitive_exponents() per conjugate pair (its mixed-radix
-        key <= its conjugate's) as read-only int32, as every order is below
-        CHAR_MODULUS_CAP, and the number of self-conjugate rows, put last."""
-        rows, orders = self.primitive_exponents(), np.array([c.order for c in self.components])
-        radix = np.cumprod([1, *orders[::-1]])[-2::-1]   # place values; none if m <= 2
-        key, ckey = rows @ radix, -rows % orders @ radix
-        rows = np.concatenate((rows[key < ckey], rows[key == ckey])).astype(np.int32)
+        """One exponent row per conjugate pair of primitive characters mod m
+        (the row lexicographically <= its conjugate), in the order of
+        enumerate_characters with the self-conjugate rows put last, as
+        read-only int32 (every order is below CHAR_MODULUS_CAP), and the
+        number of self-conjugate rows.  No rows if m = 2 (mod 4).
+
+        Built one component at a time over the exponents _primitive_exponent
+        allows: each row carries the sign of (row - its conjugate) so far,
+        and a row is dropped as soon as that sign is decided positive."""
+        rows = np.zeros((int(self.modulus % 4 != 2), 0), dtype=np.int32)
+        sign = np.zeros((len(rows), 1), dtype=np.int8)
+        for comp in self.components:
+            a = np.arange(comp.order, dtype=np.int32)
+            c = a[_primitive_exponent(comp, a)]
+            # a decided -1 stays; an undecided row takes the sign of c - conj(c)
+            signs = np.where(sign < 0, sign, np.sign(c - -c % comp.order).astype(np.int8))
+            keep = signs <= 0
+            rows = np.column_stack((rows.repeat(keep.sum(1), axis=0), (c * keep)[keep]))
+            sign = signs[keep][:, None]
+        sign = sign.ravel()
+        rows = np.concatenate((rows[sign < 0], rows[sign == 0]))
         rows.flags.writeable = False
-        return rows, int(np.count_nonzero(key == ckey))
+        return rows, int(np.count_nonzero(sign == 0))
 
 
 @lru_cache(maxsize=256)

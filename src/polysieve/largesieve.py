@@ -31,7 +31,7 @@ from .congruence import r_parameter
 from .errors import charge
 
 DEFAULT_WORK_BUDGET = 50_000_000
-# Distinct moduli sieve_sums factors, at 100-175 us each on the scalar factorize.
+# Distinct moduli sieve_sums factors, at 50-75 us each end to end in sieve-scan.
 SIEVE_MODULI_BUDGET = 10 ** 5
 
 SEQUENCE_FAMILIES = {   # name -> coefficient builder (N, rng) -> array

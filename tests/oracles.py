@@ -12,10 +12,12 @@ MvPoly, ``poly_product``, the symbolic product of MvPolys, which no
 library path expands, ``moduli_sieve_sum`` and ``sieve_sum``, which
 compose the library's box and sieve steps, ``strided_sieve_sum``, the
 Ramanujan expansion with one strided sum per divisor, which the library's
-divisor-weight table replaced, and ``laplace_norm_form``, the memoised
+divisor-weight table replaced, ``laplace_norm_form``, the memoised
 Laplace expansion of the norm form, which the library's dense level
-expansion replaced.  ``assert_plain_json`` checks the handler contract,
-which the report writer's C encoder does not.  ``process_caches`` finds every cache a
+expansion replaced, and ``primitive_exponents``, the full exponent matrix
+of the primitive characters, which the library's pair rows replaced.
+``assert_plain_json`` checks the handler contract, which the report
+writer's C encoder does not.  ``process_caches`` finds every cache a
 polysieve module keeps between calls, and ``clear_caches`` empties them
 all, so a cold test starts cold.
 
@@ -41,6 +43,7 @@ import polysieve
 from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
+from polysieve.characters import _primitive_exponent
 from polysieve.largesieve import sieve_sums
 from polysieve.mvpoly import MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
@@ -666,6 +669,17 @@ def walk_dlog_2e(q: int) -> tuple[list[int], list[int]]:
             db[v] = bb
             v = v * 5 % q
     return da, db
+
+
+def primitive_exponents(group) -> np.ndarray:
+    """The exponent vectors of the primitive characters mod m, one int64 row
+    each in the order of enumerate_characters: the product of the sets
+    _primitive_exponent allows per component, or no rows if m = 2 (mod 4)."""
+    rows = np.zeros((int(group.modulus % 4 != 2), 0), dtype=np.int64)
+    for comp in group.components:
+        c = np.flatnonzero(_primitive_exponent(comp, np.arange(comp.order)))
+        rows = np.column_stack([np.repeat(rows, len(c), axis=0), np.tile(c, len(rows))])
+    return rows
 
 
 def scan_conductor(chi) -> int:

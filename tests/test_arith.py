@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,10 +19,39 @@ def test_factorize_examples():
     assert factorize(1).prime_powers == ()
     assert factorize(10403).prime_powers == ((101, 1), (103, 1))
     assert trial_division_factorize(10403) == [(101, 1), (103, 1)]
-    # three primes above the trial bound 10^6 fit below 2^63
+    # three primes above the trial bound 2^12, none trial-divided: rho splits them
     assert factorize(1000003 * 1000033 * 1000037).prime_powers == (
         (1000003, 1), (1000033, 1), (1000037, 1))
     assert factorize(1000003 ** 3).prime_powers == ((1000003, 3),)
+
+
+# the primes on either side of the trial bound 2^12 = 4096
+_NEAR_TRIAL_BOUND = (4057, 4073, 4079, 4091, 4093, 4099, 4111, 4127, 4129, 4133)
+
+
+def _factorint(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+def test_factorize_matches_sympy_across_the_trial_bound():
+    rng = random.Random(12)
+    cases = [math.prod(rng.choices(_NEAR_TRIAL_BOUND, k=k)) for k in range(2, 6) for _ in range(30)]
+    cases += [p ** e for p in _NEAR_TRIAL_BOUND for e in range(2, 5)]
+    assert max(cases) < 2 ** 63
+    for n in cases:
+        assert factorize(n).prime_powers == _factorint(n), n
+
+
+@pytest.mark.parametrize("bits", range(40, 64))
+def test_factorize_matches_sympy_on_semiprimes_with_a_factor_above_the_trial_table(bits):
+    # one factor in (2^12, 10^6): above the trial table, so rho must find it
+    rng = random.Random(bits)
+    for _ in range(4):
+        p = sympy.nextprime(rng.randrange(2 ** 12, 10 ** 6 - 100))
+        q = sympy.prevprime(rng.randrange(2 ** (bits - 1), 2 ** bits) // p)
+        n = p * q
+        assert n < 2 ** 63 and p < 10 ** 6
+        assert factorize(n).prime_powers == _factorint(n), n
 
 
 def test_factorize_rejects_zero():

@@ -4,8 +4,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (loop_psi_chi, primitive_character_count, scan_conductor, von_mangoldt,
-                     walk_dlog, walk_dlog_2e)
+from oracles import (loop_psi_chi, primitive_character_count, primitive_exponents,
+                     scan_conductor, von_mangoldt, walk_dlog, walk_dlog_2e)
 from polysieve.arith import euler_phi, factorize
 from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
                                   root_table, unit_group)
@@ -108,7 +108,7 @@ PRIMITIVE_RULE_MODULI = (*range(1, 301), *(2 ** e for e in range(9, 11)),
 
 @pytest.mark.parametrize("m", PRIMITIVE_RULE_MODULI)
 def test_primitive_exponents_are_the_primitive_characters(m):
-    rows = unit_group(m).primitive_exponents()
+    rows = primitive_exponents(unit_group(m))
     chars = enumerate_characters(m)
     got = [tuple(r) for r in rows.tolist()]
     assert got == [c.exponents for c in chars if c.is_primitive]
@@ -123,10 +123,14 @@ def test_primitive_pairs_and_their_conjugates_are_the_primitive_exponents(m):
     orders = [comp.order for comp in group.components]
     pairs = [tuple(r) for r in rows.tolist()]
     conj = [tuple(-c % s for c, s in zip(r, orders)) for r in pairs]
-    assert set(pairs) | set(conj) == {tuple(r) for r in group.primitive_exponents().tolist()}
-    assert 2 * len(pairs) - real == len(group.primitive_exponents())
+    assert set(pairs) | set(conj) == {tuple(r) for r in primitive_exponents(group).tolist()}
+    assert 2 * len(pairs) - real == len(primitive_exponents(group))
     # the self-conjugate rows come last, and each other row stands for a pair
     assert [r == c for r, c in zip(pairs, conj)] == [False] * (len(pairs) - real) + [True] * real
+    # each part keeps the order of enumerate_characters
+    every = {tuple(r): tuple(-c % s for c, s in zip(r, orders))
+             for r in primitive_exponents(group).tolist()}
+    assert pairs == [r for r, c in every.items() if r < c] + [r for r, c in every.items() if r == c]
 
 
 def test_primitive_pairs_are_read_only_int32_cached_with_the_group():

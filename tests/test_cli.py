@@ -363,6 +363,20 @@ def test_sieve_scan_refuses_the_factorisations_before_any_modulus_is_factored():
         "kind": "resource", "partial_progress": False}
 
 
+def test_bv_sum_over_moduli_with_a_large_prime_cofactor_runs_in_seconds():
+    # every weighted modulus is (q1 + 2^40 - 2) q2, a prime above 10^12 times
+    # a prime q2: factorize must hand the large prime to rho after the 2^12
+    # trial table, not trial-divide up to its root (27-30 s on a 2-core host)
+    argv = ("bv-sum", "--P", "x1+1099511627774", "--P", "x2", "--Q", "1000", "--x", "10",
+            "--workers", "1")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "polysieve.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    assert (result["nonzero_weight_tuples"], result["value"]) == (4185, 2704506425846435.0)
+
+
 def test_determinism_up_to_duration(capsys):
     for args in (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16",
                   "--sequence", "pm1", "--seed", "42"),

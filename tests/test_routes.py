@@ -3,7 +3,8 @@ experiment scripts.  A route that only tests call belongs in
 tests/oracles.py, not in src/.  Every work cap refuses through one
 errors.charge call whose `what` has its message pinned in test_refusals.py.
 Every cache the library keeps between calls is documented in the README and
-cleared by the cold tests."""
+cleared by the cold tests, and no other module state is rebound at run time
+than the Lambda stream, which the README lists."""
 
 import ast
 import textwrap
@@ -116,3 +117,13 @@ def test_every_cache_is_documented_and_cleared_by_the_cold_tests():
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == \
         dict.fromkeys(caches, 0)
+
+
+def test_the_lambda_stream_is_the_only_name_a_global_statement_rebinds():
+    # module state rebound through `global` has no cache_clear; the README's
+    # "What a process keeps between calls" lists the Lambda stream, and no
+    # other such state may come back unlisted
+    rebound = {f"{path.stem}.{name}" for path in (ROOT / "src" / "polysieve").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Global) for name in node.names}
+    assert rebound == {"arith._lambda_stream"}
