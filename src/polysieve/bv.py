@@ -34,7 +34,8 @@ DISCREPANCY_BUDGET = 5 * 10 ** 7
 # Primitive characters times stream terms, summed over the moduli of mean_value_sum.
 MEAN_VALUE_BUDGET = 5 * 10 ** 8
 # The distinct moduli of mean_value_sum, summed: the size of their unit groups'
-# tables, which take about 90 ns per unit to build near CHAR_MODULUS_CAP.
+# tables, which take about 90 ns per unit to build near CHAR_MODULUS_CAP.  It
+# over-counts, as the moduli d = 2 (mod 4) build no group.
 UNIT_GROUP_BUDGET = 8 * 10 ** 7
 # Subset divisors 2^m - 1 that check_setting lists: 16 factors, about 18 MB of JSON.
 SETTING_DIVISOR_BUDGET = 2 ** 16
@@ -436,7 +437,7 @@ class MeanValueReport:
 
 
 def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray,
-                    carry=None) -> tuple[list[float], tuple | None]:
+                    carry=None) -> tuple[list[float], tuple]:
     """sup over y <= x of |psi(y, chi)| from the prime-power stream (T, L)
     up to x, for the rows of unit_group(d).primitive_pairs (one primitive
     character per conjugate pair, cached with the group), doubled unless chi
@@ -452,18 +453,15 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray,
     within about 2^-47 of the row's max s and is never dropped.
 
     Returns the sups and the carry after them: k coprime terms summed, psi
-    after the k-th and the undoubled sup of every row (None if d = 2 (mod 4),
-    which has no primitive character).  Given the carry of a shorter prefix
-    of the same stream, it sums only the terms past k, with the carried psi
-    added into the first new column: a row's cumsum is a sequential
-    accumulate, so every prefix is the cold one bit for bit, and the filter
-    finds the new prefixes' largest hypot exactly, so its max with the
-    carried sup is the cold sup.  No carry, or one past len(T), starts
+    after the k-th and the undoubled sup of every row.  Given the carry of a
+    shorter prefix of the same stream, it sums only the terms past k, with
+    the carried psi added into the first new column: a row's cumsum is a
+    sequential accumulate, so every prefix is the cold one bit for bit, and
+    the filter finds the new prefixes' largest hypot exactly, so its max with
+    the carried sup is the cold sup.  No carry, or one past len(T), starts
     empty; the carry passed in is never written."""
     group = unit_group(d)
     chars, real = group.primitive_pairs
-    if not len(chars):   # d = 2 (mod 4)
-        return [], None
     T, L = _coprime_terms(d, T, L)
     if carry and carry[0] <= len(T):
         k, psi, sups = carry[0], carry[1].copy(), carry[2].copy()
@@ -487,15 +485,15 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray,
 
 
 @lru_cache(maxsize=1 << 12)
-def _mean_value_total(d: int, limit: int) -> float | None:
-    """fsum of the primitive sups mod d over von_mangoldt_table(limit), or
-    None if d = 2 (mod 4).  The kernel resumes from unit_group(d).sup_carry
-    and replaces it once its sums are done, so a raise leaves the carry as
-    it was.  Keyed on the stream's last term, a sweep meets each
-    (modulus, stream) once while the entry is kept."""
+def _mean_value_total(d: int, limit: int) -> float:
+    """fsum of the primitive sups mod d over von_mangoldt_table(limit).  The
+    kernel resumes from unit_group(d).sup_carry and replaces it once its sums
+    are done, so a raise leaves the carry as it was.  Keyed on the stream's
+    last term, a sweep meets each (modulus, stream) once while the entry is
+    kept."""
     group = unit_group(d)
     sups, group.sup_carry = _primitive_sups(d, *von_mangoldt_table(limit), group.sup_carry)
-    return fsum(sups) if sups else None
+    return fsum(sups)
 
 
 def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
@@ -503,13 +501,14 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     characters mod P(q) of sup_{y <= x} |psi(y, chi)|.
 
     Moduli are |P(q)|; tuples with |P(q)| <= 1 contribute nothing (there is
-    no primitive character to sum over by the convention adopted here).
-    Before any kernel call, the smallest modulus above CHAR_MODULUS_CAP is
-    refused, then stream terms times primitive characters (phi(p^e) -
-    phi(p^(e-1)) per prime power p^e || d), summed over d, above
-    MEAN_VALUE_BUDGET, then the sum of the moduli d above UNIT_GROUP_BUDGET.
-    Both estimates are the cold cost, whatever groups, carries and totals
-    (_mean_value_total) are cached.
+    no primitive character to sum over by the convention adopted here), nor
+    do moduli d = 2 (mod 4), which have none: no group, kernel or total is
+    built for them.  Before any kernel call, the smallest modulus above
+    CHAR_MODULUS_CAP is refused, then stream terms times primitive characters
+    (phi(p^e) - phi(p^(e-1)) per prime power p^e || d), summed over every d,
+    above MEAN_VALUE_BUDGET, then the sum of every modulus d above
+    UNIT_GROUP_BUDGET.  Both estimates are the cold cost, whatever groups,
+    carries and totals (_mean_value_total) are cached.
     """
     T, _ = von_mangoldt_table(max(int(x), 0))
     moduli, skipped, _, _ = box_moduli(P, Q)
@@ -520,7 +519,7 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
         for d in moduli), MEAN_VALUE_BUDGET)
     charge("sum of unit group moduli", sum(moduli), UNIT_GROUP_BUDGET)
     top = int(T[-1]) if len(T) else 0   # the stream's last term: one key per stream
-    parts = [mult * d / euler_phi(d) * total for d, mult in moduli.items()
-             if (total := _mean_value_total(d, top)) is not None]
+    parts = [mult * d / euler_phi(d) * _mean_value_total(d, top)
+             for d, mult in moduli.items() if d % 4 != 2]
     return MeanValueReport(value=fsum(parts), moduli=moduli,
                            skipped_unit_moduli=skipped)

@@ -1,4 +1,4 @@
-"""Dirichlet characters mod m: enumeration, conductor and primitivity.
+"""Dirichlet characters mod m: unit groups, conductor and primitivity.
 
 The unit group (Z/m)* is decomposed into cyclic components via CRT over the
 prime powers of m: odd p^e uses the least primitive root, 2^e for e >= 3
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
-from math import gcd, isqrt, lcm, pi, prod
+from math import gcd, isqrt, lcm, pi
 
 import numpy as np
 
@@ -110,17 +109,16 @@ class UnitGroup:
                 components.append(_component(q, s, g, _powers(g, s, q), np.arange(s)))
         self.components = tuple(components)
         self.exponent = lcm(*(c.order for c in components)) if components else 1
-        self.order = prod(c.order for c in components)
         # the bv kernel's (k, psi, sups) after k coprime stream terms, replaced whole
         self.sup_carry: tuple[int, np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def primitive_pairs(self) -> tuple[np.ndarray, int]:
         """One exponent row per conjugate pair of primitive characters mod m
-        (the row lexicographically <= its conjugate), in the order of
-        enumerate_characters with the self-conjugate rows put last, as
-        read-only int32 (every order is below CHAR_MODULUS_CAP), and the
-        number of self-conjugate rows.  No rows if m = 2 (mod 4).
+        (the row lexicographically <= its conjugate), lexicographic by
+        exponent vector with the self-conjugate rows put last, as read-only
+        int32 (every order is below CHAR_MODULUS_CAP), and the number of
+        self-conjugate rows.  No rows if m = 2 (mod 4).
 
         Built one component at a time over the exponents _primitive_exponent
         allows: each row carries the sign of (row - its conjugate) so far,
@@ -230,11 +228,3 @@ class DirichletCharacter:
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, exponents={self.exponents})"
-
-
-def enumerate_characters(m: int) -> list[DirichletCharacter]:
-    """All phi(m) characters mod m, ordered lexicographically by exponent
-    vector on the fixed component generators (principal character first)."""
-    group = unit_group(m)
-    return [DirichletCharacter(group, exps)
-            for exps in product(*(range(c.order) for c in group.components))]

@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
         formats = ("json", "csv", "gnuplot") if table else ("json", "csv")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+        p.add_argument("--workers", type=_positive_int, default=1,
                        help="echoed in config; every run is one process")
         if poly:
             p.add_argument("--P", required=True, help="polynomial text, e.g. 'x1^2+x2^2'")

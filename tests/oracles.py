@@ -14,12 +14,14 @@ compose the library's box and sieve steps, ``strided_sieve_sum``, the
 Ramanujan expansion with one strided sum per divisor, which the library's
 divisor-weight table replaced, ``laplace_norm_form``, the memoised
 Laplace expansion of the norm form, which the library's dense level
-expansion replaced, and ``primitive_exponents``, the full exponent matrix
-of the primitive characters, which the library's pair rows replaced.
+expansion replaced, ``primitive_exponents``, the full exponent matrix
+of the primitive characters, which the library's pair rows replaced, and
+``enumerate_characters``, every character object mod m, which the
+library's kernel never builds.
 ``assert_plain_json`` checks the handler contract, which the report
 writer's C encoder does not.  ``process_caches`` finds every cache a
 polysieve module keeps between calls, and ``clear_caches`` empties them
-all, so a cold test starts cold.
+all and drops the Lambda stream, so a cold test starts cold.
 
 The loop references at the end walk every n <= x and read Lambda pointwise
 through ``von_mangoldt`` above.  They add the same terms in the same order
@@ -40,10 +42,11 @@ from math import fsum, gcd, log, prod
 import numpy as np
 
 import polysieve
+import polysieve.arith as arith
 from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
-from polysieve.characters import _primitive_exponent
+from polysieve.characters import DirichletCharacter, _primitive_exponent, unit_group
 from polysieve.largesieve import sieve_sums
 from polysieve.mvpoly import MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
@@ -64,8 +67,11 @@ def process_caches() -> dict[str, object]:
 
 
 def clear_caches() -> None:
+    """Empty every cache and drop the Lambda stream, the one piece of
+    module state without a cache_clear."""
     for cache in process_caches().values():
         cache.cache_clear()
+    arith._lambda_stream = None
 
 
 def von_mangoldt(n: int) -> float:
@@ -329,13 +335,6 @@ def sum_sq_over_points(coeffs, M: int, points) -> float:
         ang = 2 * np.pi / theta.denominator * ((theta.numerator * n) % theta.denominator)
         total += abs(np.sum(coeffs * np.exp(1j * ang))) ** 2
     return total
-
-
-def circular_lt(num_a: int, den_a: int, num_b: int, den_b: int, two_n: int) -> bool:
-    """Exact test: circular distance of a/b_den and b/b_den is < 1/two_n."""
-    p = abs(num_a * den_b - num_b * den_a)
-    q = den_a * den_b
-    return p * two_n < q or (q - p) * two_n < q
 
 
 def quadratic_close_count(points: list[Fraction], N: int) -> int:
@@ -669,6 +668,14 @@ def walk_dlog_2e(q: int) -> tuple[list[int], list[int]]:
             db[v] = bb
             v = v * 5 % q
     return da, db
+
+
+def enumerate_characters(m: int) -> list[DirichletCharacter]:
+    """All phi(m) characters mod m, ordered lexicographically by exponent
+    vector on the fixed component generators (principal character first)."""
+    group = unit_group(m)
+    return [DirichletCharacter(group, exps)
+            for exps in product(*(range(c.order) for c in group.components))]
 
 
 def primitive_exponents(group) -> np.ndarray:

