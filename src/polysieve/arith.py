@@ -1,6 +1,6 @@
-"""Elementary arithmetic functions: factorization, phi, deterministic
-primality, the numpy prime sieve, and the prime-power stream (T, Lambda(T))
-that every Lambda-weighted sum reads.
+"""Elementary arithmetic functions: factorization into the plain tuple of
+prime powers (p, e), phi, deterministic primality, the numpy prime sieve, and
+the prime-power stream (T, Lambda(T)) that every Lambda-weighted sum reads.
 
 Everything here is deterministic: primality uses a Miller-Rabin witness set
 that is exact for all 64-bit inputs, and factorization trial-divides by one
@@ -12,7 +12,6 @@ LAMBDA_LIMIT) and refuse a larger limit with BudgetError before allocating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log
 
@@ -50,8 +49,8 @@ _TRIAL_LIMIT = 2 ** 12
 _TRIAL_PRIMES = primes_up_to(_TRIAL_LIMIT)
 
 
-# Witnesses proving primality for every n < 3.3 * 10^24, hence for all
-# inputs up to FACTOR_LIMIT.
+# is_prime trial-divides by these primes, then takes them as the witnesses
+# proving primality for every n < 3.3 * 10^24, hence up to FACTOR_LIMIT.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -62,7 +61,7 @@ def is_prime(n: int) -> bool:
     charge("primality test argument", n, FACTOR_LIMIT)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -110,21 +109,9 @@ def _pollard_brent(n: int) -> int:
     raise RuntimeError(f"rho failed on {n}")  # not reachable for n <= 2^63
 
 
-@dataclass(frozen=True)
-class Factorization:
-    n: int
-    prime_powers: tuple[tuple[int, int], ...]
-
-    def divisors(self) -> list[int]:
-        divs = [1]
-        for p, e in self.prime_powers:
-            divs = [d * p ** j for d in divs for j in range(e + 1)]
-        return sorted(divs)
-
-
 @lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> Factorization:
-    """Exact factorization of 1 <= n <= 2^63 (n=1 gives the empty product)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers (p, e) of 1 <= n <= 2^63, p ascending; n = 1 gives ()."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     charge("factorization argument", n, FACTOR_LIMIT)
@@ -146,12 +133,12 @@ def factorize(n: int) -> Factorization:
             d = _pollard_brent(m)
             stack.append(d)
             stack.append(m // d)
-    return Factorization(n, tuple(sorted(factors.items())))
+    return tuple(sorted(factors.items()))
 
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in factorize(n).prime_powers:
+    for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 

@@ -151,7 +151,7 @@ def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np
     with m iff it is a power of one of m's primes: one searchsorted finds them."""
     top = int(T[-1]) if len(T) else 0
     powers = []
-    for p, _ in factorize(m).prime_powers:
+    for p, _ in factorize(m):
         q = p
         while q <= top:
             powers.append(q)
@@ -338,7 +338,7 @@ def _classify_box(factors: tuple[MvPoly, ...], Q: int, threshold: int,
         reached = all(primes)   # every earlier factor has a prime value
         cut = bisect_right(ns, limit)
         primes.append([i for i in range(s, cut) if ns[i] > 1
-                       and factorize(ns[i]).prime_powers == ((ns[i], 1),)] if reached else [])
+                       and factorize(ns[i]) == ((ns[i], 1),)] if reached else [])
         bigs.append(range(cut, len(ns)) if reached else range(0))
     refused = _first_refused(lists, starts, primes, bigs, threshold) if any(bigs) else None
     wide = prod(ns[p[-1]] if p else 0 for ns, p in zip(lists, primes)) >= 2 ** 63
@@ -515,7 +515,7 @@ def mean_value_sum(P: MvPoly, Q: int, x: float) -> MeanValueReport:
     charge("character modulus", next((d for d in moduli if d > CHAR_MODULUS_CAP), 0),
            CHAR_MODULUS_CAP)
     charge("mean value work", len(T) * sum(
-        prod(p ** (e - 2) * (p - 1) ** 2 if e > 1 else p - 2 for p, e in factorize(d).prime_powers)
+        prod(p ** (e - 2) * (p - 1) ** 2 if e > 1 else p - 2 for p, e in factorize(d))
         for d in moduli), MEAN_VALUE_BUDGET)
     charge("sum of unit group moduli", sum(moduli), UNIT_GROUP_BUDGET)
     top = int(T[-1]) if len(T) else 0   # the stream's last term: one key per stream

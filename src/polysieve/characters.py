@@ -40,7 +40,7 @@ class CyclicComponent:
 
 def _least_primitive_root(q: int, s: int) -> int:
     """Smallest primitive root mod q = 4 or an odd prime power, where s = phi(q)."""
-    s_primes = [p for p, _ in factorize(s).prime_powers]
+    s_primes = [p for p, _ in factorize(s)]
     g = 2
     while True:
         if gcd(g, q) == 1 and all(pow(g, s // f, q) != 1 for f in s_primes):
@@ -96,7 +96,7 @@ class UnitGroup:
         charge("character modulus", m, CHAR_MODULUS_CAP)
         self.modulus = m
         components: list[CyclicComponent] = []
-        for p, e in factorize(m).prime_powers:
+        for p, e in factorize(m):
             q = p ** e
             if p == 2 and e >= 3:   # (Z/2^e)* = <-1> x <5>: the units are +-5^b
                 s = q // 4

@@ -54,7 +54,7 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
         charge("farey point set", total, DEFAULT_POINT_BUDGET)
     mask, starts = np.ones(sum(retained), dtype=bool), np.cumsum([0, *retained])[:-1]
     for d, start in zip(retained, starts.tolist()):
-        for p, _ in factorize(d).prime_powers:
+        for p, _ in factorize(d):
             mask[start:start + d:p] = False
     a = np.flatnonzero(mask) - np.repeat(starts, sizes)
     d, mult = (np.repeat(np.array(list(x), dtype=np.int64), sizes)

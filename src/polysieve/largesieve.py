@@ -67,7 +67,7 @@ def ramanujan_weights(moduli: dict[int, int], N: int) -> tuple[int, dict[int, in
             raise ValueError(f"moduli must be >= 2, got {d}")
         phi_total += mult * euler_phi(d)
         signed = [(d, mult)]   # (d/s, mult mu(s))
-        for p, _ in factorize(d).prime_powers:
+        for p, _ in factorize(d):
             signed += [(e // p, -w) for e, w in signed]
         terms += len(signed)
         for e, w in signed:

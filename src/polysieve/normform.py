@@ -140,7 +140,10 @@ class NumberFieldSpec:
 
 
 def _divisors_with_sign(c0: int):
-    return sorted(s * d for d in factorize(c0).divisors() for s in (1, -1))
+    divs = [1]
+    for p, e in factorize(c0):
+        divs = [d * p ** j for d in divs for j in range(e + 1)]
+    return sorted(s * d for d in divs for s in (1, -1))
 
 
 def _eval_int_poly(coeffs, x: int) -> int:

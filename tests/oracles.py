@@ -40,6 +40,7 @@ from itertools import product
 from math import fsum, gcd, log, prod
 
 import numpy as np
+import sympy
 
 import polysieve
 import polysieve.arith as arith
@@ -80,14 +81,14 @@ def von_mangoldt(n: int) -> float:
         raise ValueError(f"von_mangoldt expects n >= 1, got {n}")
     if n < 2:
         return 0.0
-    pp = factorize(n).prime_powers
+    pp = factorize(n)
     if len(pp) == 1:
         return log(pp[0][0])
     return 0.0
 
 
 def moebius(n: int) -> int:
-    pp = factorize(n).prime_powers
+    pp = factorize(n)
     if any(e > 1 for _, e in pp):
         return 0
     return -1 if len(pp) % 2 else 1
@@ -541,7 +542,7 @@ def loop_prime_divisor_search(spec, X: int, theta) -> DivisorSearchReport:
     found, divisors = [], []
     primes = primes_up_to(X)
     for p in primes:
-        hits = [d for d in factorize(p - 1).divisors()
+        hits = [d for d in sympy.divisors(p - 1)
                 if d in norm_primes and d ** theta.denominator >= p ** theta.numerator]
         if hits:
             found.append(p)
@@ -693,7 +694,7 @@ def scan_conductor(chi) -> int:
     """Smallest d | m such that chi(n) = 1 for every unit n == 1 (mod d),
     by scanning each divisor's progression."""
     m = chi.modulus
-    for d in factorize(m).divisors():
+    for d in sympy.divisors(m):
         if all(chi.value_exponent(n) == 0 for n in range(1, m + 1, d)
                if gcd(n, m) == 1):
             return d

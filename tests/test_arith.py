@@ -9,20 +9,21 @@ from hypothesis import strategies as st
 
 import polysieve.arith as arith
 from oracles import moebius, trial_division_factorize, trial_division_is_prime, von_mangoldt
-from polysieve.arith import (LAMBDA_LIMIT, Factorization, euler_phi,
+from polysieve.arith import (LAMBDA_LIMIT, euler_phi,
                              factorize, is_prime, primes_up_to, von_mangoldt_table)
 from polysieve.errors import BudgetError
+from polysieve.normform import _divisors_with_sign
 
 
 def test_factorize_examples():
-    assert factorize(12).prime_powers == ((2, 2), (3, 1))
-    assert factorize(1).prime_powers == ()
-    assert factorize(10403).prime_powers == ((101, 1), (103, 1))
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(1) == ()
+    assert factorize(10403) == ((101, 1), (103, 1))
     assert trial_division_factorize(10403) == [(101, 1), (103, 1)]
     # three primes above the trial bound 2^12, none trial-divided: rho splits them
-    assert factorize(1000003 * 1000033 * 1000037).prime_powers == (
+    assert factorize(1000003 * 1000033 * 1000037) == (
         (1000003, 1), (1000033, 1), (1000037, 1))
-    assert factorize(1000003 ** 3).prime_powers == ((1000003, 3),)
+    assert factorize(1000003 ** 3) == ((1000003, 3),)
 
 
 # the primes on either side of the trial bound 2^12 = 4096
@@ -33,13 +34,17 @@ def _factorint(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(sympy.factorint(n).items()))
 
 
+def _plain_ints(f: tuple[tuple[int, int], ...]) -> bool:
+    return all(type(p) is int and type(e) is int for p, e in f)
+
+
 def test_factorize_matches_sympy_across_the_trial_bound():
     rng = random.Random(12)
     cases = [math.prod(rng.choices(_NEAR_TRIAL_BOUND, k=k)) for k in range(2, 6) for _ in range(30)]
     cases += [p ** e for p in _NEAR_TRIAL_BOUND for e in range(2, 5)]
     assert max(cases) < 2 ** 63
     for n in cases:
-        assert factorize(n).prime_powers == _factorint(n), n
+        assert factorize(n) == _factorint(n) and _plain_ints(factorize(n)), n
 
 
 @pytest.mark.parametrize("bits", range(40, 64))
@@ -51,7 +56,7 @@ def test_factorize_matches_sympy_on_semiprimes_with_a_factor_above_the_trial_tab
         q = sympy.prevprime(rng.randrange(2 ** (bits - 1), 2 ** bits) // p)
         n = p * q
         assert n < 2 ** 63 and p < 10 ** 6
-        assert factorize(n).prime_powers == _factorint(n), n
+        assert factorize(n) == _factorint(n) and _plain_ints(factorize(n)), n
 
 
 def test_factorize_rejects_zero():
@@ -61,22 +66,22 @@ def test_factorize_rejects_zero():
 
 @given(st.integers(1, 10 ** 5))
 def test_factorize_matches_trial_division(n):
-    assert list(factorize(n).prime_powers) == trial_division_factorize(n)
+    assert list(factorize(n)) == trial_division_factorize(n)
 
 
 @given(st.integers(1, 10 ** 12))
 def test_factorize_rebuilds(n):
     f = factorize(n)
-    assert math.prod(p ** e for p, e in f.prime_powers) == n
-    assert all(is_prime(p) for p, _ in f.prime_powers)
-    assert all(e >= 1 for _, e in f.prime_powers)
-    primes = [p for p, _ in f.prime_powers]
+    assert math.prod(p ** e for p, e in f) == n
+    assert all(is_prime(p) for p, _ in f)
+    assert all(e >= 1 for _, e in f)
+    primes = [p for p, _ in f]
     assert primes == sorted(primes)
 
 
 def test_divisors():
-    assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
-    assert factorize(1).divisors() == [1]
+    assert _divisors_with_sign(12) == [-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12]
+    assert _divisors_with_sign(1) == [-1, 1]
 
 
 def test_is_prime_small_and_edge():
@@ -176,8 +181,9 @@ def test_von_mangoldt_table_prefixes_are_read_only_and_fresh(monkeypatch):
 
 def test_factorization_dataclass():
     f = factorize(360)
-    assert isinstance(f, Factorization)
-    assert f.n == 360 and f.prime_powers == ((2, 3), (3, 2), (5, 1))
+    assert f == ((2, 3), (3, 2), (5, 1))
+    assert type(f) is tuple and all(type(pe) is tuple and len(pe) == 2 for pe in f)
+    assert _plain_ints(f)
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 10 ** 5])

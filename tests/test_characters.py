@@ -3,11 +3,12 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 
 from oracles import (enumerate_characters, loop_psi_chi, primitive_character_count,
                      primitive_exponents, scan_conductor, von_mangoldt, walk_dlog,
                      walk_dlog_2e)
-from polysieve.arith import euler_phi, factorize
+from polysieve.arith import euler_phi
 from polysieve.characters import CHAR_MODULUS_CAP, DirichletCharacter, root_table, unit_group
 from polysieve.errors import BudgetError
 
@@ -150,7 +151,7 @@ def test_induced_characters_match_non_primitives():
         tables = {c: c.values() for c in chars}
         n = np.arange(m)
         seen = set()
-        for d in factorize(m).divisors():
+        for d in sympy.divisors(m):
             if d == m:
                 continue
             for chi_d in enumerate_characters(d):

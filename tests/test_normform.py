@@ -143,6 +143,11 @@ def test_divisors_with_sign_of_a_large_prime():
     assert _divisors_with_sign(p) == [-p, -1, 1, p]
 
 
+@pytest.mark.parametrize("c0", [1, 2, 12, 360, 2 ** 10 * 3 ** 5, 1000003, 1000003 * 1000033])
+def test_divisors_with_sign_match_sympy(c0):
+    assert _divisors_with_sign(c0) == sorted(s * d for d in sympy.divisors(c0) for s in (1, -1))
+
+
 def test_prime_value_sieve_examples():
     rep = prime_value_sieve(GAUSS, 1)
     assert dict(rep.values) == {2: [[1, 1]]}

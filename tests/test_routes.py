@@ -21,7 +21,7 @@ ALLOWED_UNCALLED = dict.fromkeys(
     ("DirichletCharacter", "DirichletCharacter.is_principal", "DirichletCharacter.conductor",
      "DirichletCharacter.is_primitive", "MvPoly.evaluate"),
     "bench/tracer.py names this route or its class (lines 123-124 patch MvPoly.evaluate, "
-    "lines 125-128 DirichletCharacter's properties), so it leaves src/ with ROADMAP item 8, "
+    "lines 125-128 DirichletCharacter's properties), so it leaves src/ with ROADMAP item 9, "
     "after a bench change")
 
 
@@ -78,6 +78,41 @@ def test_a_local_variable_does_not_stand_in_for_a_method():
     caller = ast.parse("import window\nwindow.width(None)\n")
     assert uncalled_routes([library], [caller]) == {"Window.indices"}
     assert uncalled_routes([library], []) == {"Window.indices", "width"}
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """The names a module binds by import but never names, where a name in
+    the module's __all__ counts as used (a package re-exports that way)."""
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return imported - named - exported
+
+
+def test_no_library_module_imports_a_name_it_does_not_use():
+    unused = {path.name: names for path in sorted((ROOT / "src" / "polysieve").glob("*.py"))
+              if (names := unused_imports(ast.parse(path.read_text(), str(path))))}
+    assert unused == {}
+
+
+def test_an_import_counts_as_used_when_named_or_exported():
+    tree = ast.parse(textwrap.dedent("""
+        from __future__ import annotations
+        import os.path
+        from dataclasses import dataclass
+        from math import gcd, log as ln
+        from .errors import BudgetError
+
+        __all__ = ["BudgetError"]
+
+        def f(n):
+            return gcd(n, 6)
+    """))
+    assert unused_imports(tree) == {"os", "dataclass", "ln"}
 
 
 def _callee(node: ast.AST) -> str | None:
