@@ -13,7 +13,8 @@ import dataclasses
 import os
 
 from polysieve.boxes import box_moduli
-from polysieve.largesieve import SEQUENCE_FAMILIES, delta_bounds, empirical_delta, sieve_sequence
+from polysieve.largesieve import (SEQUENCE_FAMILIES, delta_bounds, empirical_delta,
+                                  sequence_autocorrelation)
 from polysieve.mvpoly import parse_poly
 
 
@@ -32,7 +33,8 @@ def main():
     lo, hi = args.Q ** k, args.Q ** (2 * k)
     grid = sorted({int(lo * (hi / lo) ** (i / 11)) for i in range(12)})
 
-    emps = empirical_delta(moduli, 0, grid, lambda N: sieve_sequence(args.sequence, N, args.seed))
+    emps = empirical_delta(moduli, 0, grid,
+                           lambda N: sequence_autocorrelation(args.sequence, N, args.seed))
     rows = [dataclasses.replace(delta_bounds(k, ell, args.Q, N, r_star), empirical=emp)
             for N, emp in zip(grid, emps)]
 

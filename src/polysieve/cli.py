@@ -28,7 +28,7 @@ from .congruence import CongruenceInstance, congruence_count_bound
 from .errors import BudgetError
 from .farey import build_farey, close_points_comparator, max_close_points, min_spacing
 from .largesieve import (SEQUENCE_FAMILIES, check_grid, delta_bounds, empirical_delta,
-                         sieve_sequence)
+                         sequence_autocorrelation)
 from .mvpoly import FactoredPoly, parse_poly
 from .normform import NumberFieldSpec, norm_form, prime_divisor_search, prime_value_sieve
 
@@ -257,8 +257,8 @@ def _run_sieve_scan(args):
     moduli, _, _, r_star = box_moduli(P, args.Q, args.min_modulus)
     # the comparators depend on no modulus: refused before any is factored
     bounds = [delta_bounds(k, ell, args.Q, N, r_star) for N in args.N]
-    emps = empirical_delta(moduli, args.M, args.N,
-                           lambda N: sieve_sequence(args.sequence, N, _split_seed(args.seed, N)))
+    emps = empirical_delta(moduli, args.M, args.N, lambda N: sequence_autocorrelation(
+        args.sequence, N, _split_seed(args.seed, N)))
     rows = [dataclasses.replace(b, empirical=emp) for b, emp in zip(bounds, emps)]
     result = {"k": k, "ell": ell, "Q": args.Q, "r_star": r_star,
               "sequence": args.sequence, "rows": _jsonify(rows)}

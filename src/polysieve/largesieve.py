@@ -15,8 +15,9 @@ R(h) = sum_n a_{n+h} conj(a_n) and G(e) = sum_{d = 0 mod e} mult_d mu(d/e),
 with the divisor-weight table W(h) = sum_{e | h} e G(e).  One zero-padded FFT
 gives all of R and one dot product the sum; as e | h < N forces e < N, one
 table at a grid's largest N serves every N.  Nothing is done per residue, and
-the window offset M drops out.  Reported bounds set every (QN)^o(1) and
-implied constant to 1 - they are comparators, not certified bounds.
+the window offset M drops out; R depends on no polynomial, so it is kept per
+(family, N, seed).  Reported bounds set every (QN)^o(1) and implied constant
+to 1 - they are comparators, not certified bounds.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .errors import charge
 DEFAULT_WORK_BUDGET = 50_000_000
 # Distinct moduli sieve_sums factors, at 50-75 us each end to end in sieve-scan.
 SIEVE_MODULI_BUDGET = 10 ** 5
+AUTOCORRELATION_CACHE_BYTES = 2 ** 21   # of R arrays kept by sequence_autocorrelation
+_autocorrelations: dict[tuple[str, int, int], tuple[float, np.ndarray]] = {}   # oldest first
 
 SEQUENCE_FAMILIES = {   # name -> coefficient builder (N, rng) -> array
     "ones": lambda N, rng: np.ones(N),
@@ -51,9 +54,10 @@ def sieve_sequence(family: str, N: int, seed: int) -> np.ndarray:
 # Integer coefficients give an integer autocorrelation R.  The FFT's absolute
 # error on R is below c 2^-53 norm_sq log2(n) for a small constant c, at the
 # transformed length n (Higham, Accuracy and Stability of Numerical Algorithms,
-# 2nd ed., ch. 24), so while norm_sq log2(n) < 2^EXACT_BITS rounding recovers R.
-# Its int64 dot product with W is exact while norm_sq (N-1) sum_e |G(e)| < 2^63,
-# as |R(h)| <= norm_sq and sum_{h<N} |W(h)| <= sum_e |e G(e)| (N-1)/e.
+# 2nd ed., ch. 24), so while norm_sq log2(n) < 2^EXACT_BITS rounding recovers R,
+# and the least integer dtype holding -norm_sq holds it, as |R(h)| <= R(0) = norm_sq
+# (Cauchy-Schwarz).  Its int64 dot product with W is exact while
+# norm_sq (N-1) sum_e |G(e)| < 2^63, as sum_{h<N} |W(h)| <= sum_e |e G(e)| (N-1)/e.
 EXACT_BITS = 44
 
 
@@ -85,19 +89,39 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _autocorrelation(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Re R(h) for 0 <= h < N at a length n >= 2N - 1, free of wraparound.  A
-    complex array's real and imaginary parts' autocorrelations add up to Re R,
-    so their power spectra, formed in place in the rfft outputs, add before
-    one inverse FFT; a real array is transformed as it is."""
-    N, power = len(coeffs), None
+def autocorrelation(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
+    """(norm_sq, R[h] = Re R(h) for 0 <= h < N), R read-only: the power spectra
+    of the real and imaginary parts at _fft_length(2N - 1), free of wraparound,
+    add before one inverse FFT; R is rounded as EXACT_BITS says on real integers."""
+    N, n, power = len(coeffs), _fft_length(2 * len(coeffs) - 1), None
+    norm_sq = float(np.sum(np.abs(coeffs) ** 2))
     for part in (coeffs.real, coeffs.imag) if np.iscomplexobj(coeffs) else (coeffs,):
         f = np.fft.rfft(part, n)
         f.real *= f.real
         f.real += f.imag ** 2
         f.imag[:] = 0
         power = f if power is None else np.add(power, f, out=power)
-    return np.fft.irfft(power, n)[:N]
+    R = np.fft.irfft(power, n)[:N].copy()
+    if (norm_sq * log2(n) < 2 ** EXACT_BITS and not np.iscomplexobj(coeffs)
+            and np.array_equal(coeffs, np.rint(coeffs))):
+        R = np.rint(R, out=R).astype(np.min_scalar_type(-int(norm_sq)))
+    R.flags.writeable = False
+    return norm_sq, R
+
+
+def sequence_autocorrelation(family: str, N: int, seed: int) -> tuple[float, np.ndarray]:
+    """autocorrelation(sieve_sequence(family, N, seed)), kept in _autocorrelations
+    while all its R arrays total at most AUTOCORRELATION_CACHE_BYTES (a miss
+    evicts the oldest); an R past the cap alone is returned but not kept."""
+    entry = _autocorrelations.pop((family, N, seed), None)
+    if entry is None:
+        entry = autocorrelation(sieve_sequence(family, N, seed))
+        kept = sum(R.nbytes for _, R in _autocorrelations.values())
+        while kept + entry[1].nbytes > AUTOCORRELATION_CACHE_BYTES >= entry[1].nbytes:
+            kept -= _autocorrelations.pop(next(iter(_autocorrelations)))[1].nbytes
+    if entry[1].nbytes <= AUTOCORRELATION_CACHE_BYTES:
+        _autocorrelations[family, N, seed] = entry
+    return entry
 
 
 def fft_work(N: int) -> int:
@@ -116,17 +140,16 @@ def check_grid(M: int, grid) -> None:
         raise ValueError(f"M must be >= 0, got {M}")
 
 
-def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[float, int | float]]:
-    """(norm_sq, total) of sequence(N), the coefficient array a_n on the window
-    (M, M+N], at each N of grid in order: total sums |S(a/d)|^2 over the
-    moduli d >= 2, weighted by multiplicity, and the reduced a/d, exactly for
-    integer coefficients in a real array within the EXACT_BITS guard, else as
-    a float.  A complex array takes the float path even where its imaginary
-    part is zero.
+def sieve_sums(moduli: dict[int, int], M: int, grid, spectrum) -> list[tuple[float, int | float]]:
+    """(norm_sq, total) at each N of grid in order, where spectrum(N) gives
+    the autocorrelation (norm_sq, R) of a coefficient array a_n on the window
+    (M, M+N]: total sums |S(a/d)|^2 over the moduli d >= 2, weighted by
+    multiplicity, and the reduced a/d, exactly when R has an integer dtype
+    (see autocorrelation), else as a float.
 
     Only sums are computed here; a caller checks anything else first, as
-    sieve-scan does its comparators after check_grid.  Before anything is
-    built, check_grid runs, then each N in grid order has its window checked
+    sieve-scan does its comparators after check_grid.  Before spectrum is
+    called, check_grid runs, then each N in grid order has its window checked
     to end below 2^63, then its work estimate fft_work(N) + terms
     (ramanujan_weights) + the sum of 1 + (N-1)//e over the weights e < N
     refused past DEFAULT_WORK_BUDGET (first its lower bound, with
@@ -142,7 +165,8 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[flo
         if weights is None:   # the one expansion of the moduli
             charge("sieve moduli", len(moduli), SIEVE_MODULI_BUDGET)
             phi_total, weights, terms = ramanujan_weights(moduli, top)
-        charge("sieve sum", fft_work(N) + terms + sum(1 + (N - 1) // e for e in weights if e < N),
+            E = np.fromiter(weights, np.int64, len(weights))
+        charge("sieve sum", fft_work(N) + terms + int(((N - 1) // E[E < N] + 1).sum()),
                DEFAULT_WORK_BUDGET)
     # sum_e |e G(e)| bounds every W(h) and the partial sums that build it
     wide = sum(abs(e * g) for e, g in weights.items()) >= 2 ** 63
@@ -151,12 +175,8 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[flo
         W[e::e] += e * g
     g_abs, out = sum(map(abs, weights.values())), []
     for N in grid:
-        c, n = sequence(N), _fft_length(2 * N - 1)
-        norm_sq = float(np.sum(np.abs(c) ** 2))
-        R = _autocorrelation(c, n)
-        if (norm_sq * log2(n) < 2 ** EXACT_BITS and not np.iscomplexobj(c)
-                and np.array_equal(c, np.rint(c))):
-            R = np.rint(R, out=R).astype(np.int64)
+        norm_sq, R = spectrum(N)
+        if np.issubdtype(R.dtype, np.integer):
             if wide or int(norm_sq) * (N - 1) * g_abs >= 2 ** 63:
                 R = R.astype(object)
             total = int(R[0]) * phi_total + 2 * int(R @ W[:N])
@@ -166,11 +186,11 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, sequence) -> list[tuple[flo
     return out
 
 
-def empirical_delta(moduli: dict[int, int], M: int, grid, sequence) -> list[float]:
-    """total / norm_sq of each sieve_sums entry, the measured sieve constant
-    of sequence(N), with sieve_sums' checks in its order; an exact integer
-    total gives the correctly rounded quotient."""
-    sums = sieve_sums(moduli, M, grid, sequence)
+def empirical_delta(moduli: dict[int, int], M: int, grid, spectrum) -> list[float]:
+    """total / norm_sq of each sieve_sums entry, the measured sieve constant of
+    the sequence behind spectrum, with sieve_sums' checks in its order; an
+    exact integer total gives the correctly rounded quotient."""
+    sums = sieve_sums(moduli, M, grid, spectrum)
     if any(norm_sq <= 0 for norm_sq, _ in sums):
         raise ValueError("sequence norm is zero")
     return [t / (int(s) if isinstance(t, int) else s) for s, t in sums]

@@ -21,7 +21,8 @@ library's kernel never builds.
 ``assert_plain_json`` checks the handler contract, which the report
 writer's C encoder does not.  ``process_caches`` finds every cache a
 polysieve module keeps between calls, and ``clear_caches`` empties them
-all and drops the Lambda stream, so a cold test starts cold.
+all, the autocorrelation dict too, and drops the Lambda stream, so a cold
+test starts cold.
 
 The loop references at the end walk every n <= x and read Lambda pointwise
 through ``von_mangoldt`` above.  They add the same terms in the same order
@@ -44,11 +45,12 @@ import sympy
 
 import polysieve
 import polysieve.arith as arith
+import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
 from polysieve.characters import DirichletCharacter, _primitive_exponent, unit_group
-from polysieve.largesieve import sieve_sums
+from polysieve.largesieve import autocorrelation, sieve_sums
 from polysieve.mvpoly import MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
                                 norm_form)
@@ -68,10 +70,11 @@ def process_caches() -> dict[str, object]:
 
 
 def clear_caches() -> None:
-    """Empty every cache and drop the Lambda stream, the one piece of
-    module state without a cache_clear."""
+    """Empty every cache, the autocorrelation dict with them, and drop the
+    Lambda stream: the two pieces of module state without a cache_clear."""
     for cache in process_caches().values():
         cache.cache_clear()
+    largesieve._autocorrelations.clear()
     arith._lambda_stream = None
 
 
@@ -164,14 +167,14 @@ def poly_product(first, *rest) -> MvPoly:
 
 
 def norm_sq(coeffs) -> float:
-    """sum_n |a_n|^2, formed as sieve_sums forms it."""
+    """sum_n |a_n|^2, formed as autocorrelation forms it."""
     return float(np.sum(np.abs(coeffs) ** 2))
 
 
 def moduli_sieve_sum(coeffs, M: int, moduli: dict) -> int | float:
     """The library's sieve_sums of coeffs on the window (M, M+N], N = len(coeffs)."""
     coeffs = np.asarray(coeffs)
-    return sieve_sums(moduli, M, [len(coeffs)], lambda N: coeffs)[0][1]
+    return sieve_sums(moduli, M, [len(coeffs)], lambda N: autocorrelation(coeffs))[0][1]
 
 
 def sieve_sum(coeffs, M: int, P, Q: int, min_modulus=None) -> int | float:

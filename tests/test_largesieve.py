@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 from itertools import product
@@ -7,17 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_residues,
+from oracles import (clear_caches, dft_sieve_sum, exact_sieve_sum, exp_sum, exp_sums_all_residues,
                      farey_points, moduli_sieve_sum, norm_sq, pointwise_sieve_sum, sieve_sum,
                      strided_sieve_sum, sum_sq_over_points)
 
 import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi
 from polysieve.boxes import box_moduli, box_values
+from polysieve.cli import main
 from polysieve.errors import BudgetError
 from polysieve.farey import build_farey, min_spacing
-from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, delta_bounds, empirical_delta,
-                                  ramanujan_weights, sieve_sequence, sieve_sums)
+from polysieve.largesieve import (SEQUENCE_FAMILIES, DeltaReport, autocorrelation, delta_bounds,
+                                  empirical_delta, ramanujan_weights, sieve_sequence, sieve_sums)
 from polysieve.mvpoly import parse_poly
 
 P_SUM_SQ = parse_poly("x1^2+x2^2")
@@ -26,7 +28,7 @@ P_SUM_SQ = parse_poly("x1^2+x2^2")
 def delta_of(coeffs, M, moduli):
     """empirical_delta of coeffs on the window (M, M+N], N = len(coeffs)."""
     coeffs = np.asarray(coeffs)
-    return empirical_delta(moduli, M, [len(coeffs)], lambda N: coeffs)[0]
+    return empirical_delta(moduli, M, [len(coeffs)], lambda N: autocorrelation(coeffs))[0]
 
 
 def test_sieve_sums_refuses_a_window_before_building_a_sequence():
@@ -34,7 +36,7 @@ def test_sieve_sums_refuses_a_window_before_building_a_sequence():
 
     def sequence(N):
         built.append(N)
-        return np.ones(N)
+        return autocorrelation(np.ones(N))
 
     with pytest.raises(ValueError, match=r"^M must be >= 0, got -1$"):
         sieve_sums({5: 1}, -1, [3], sequence)
@@ -329,7 +331,7 @@ def test_grid_kernel_matches_strided_oracle(moduli, family, grid, M, seed):
 
     def sequence(N):
         built.append(N)
-        return sieve_sequence(family, N, seed + N)
+        return autocorrelation(sieve_sequence(family, N, seed + N))
 
     sums = sieve_sums(moduli, M, grid, sequence)
     assert built == grid and len(sums) == len(grid)
@@ -412,3 +414,77 @@ def test_exact_route_at_lengths_with_a_large_prime_factor():
         seq = sieve_sequence(family, N, N)
         total = moduli_sieve_sum(seq, 0, moduli)
         assert type(total) is int and total == exact_sieve_sum(seq, moduli)
+
+
+def _kept_bytes():
+    return sum(R.nbytes for _, R in largesieve._autocorrelations.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SEQUENCE_FAMILIES)),
+       st.one_of(st.just(1), st.just(389), st.integers(1, 300)),
+       st.integers(0, 2 ** 63 - 1))
+def test_sequence_autocorrelation_is_a_fresh_autocorrelation_cold_and_warm(family, N, seed):
+    fresh_norm, fresh = autocorrelation(sieve_sequence(family, N, seed))
+    largesieve._autocorrelations.clear()
+    for _ in ("cold", "warm"):
+        norm, R = largesieve.sequence_autocorrelation(family, N, seed)
+        assert norm == fresh_norm and R.dtype == fresh.dtype and R.tobytes() == fresh.tobytes()
+        assert not R.flags.writeable and _kept_bytes() <= largesieve.AUTOCORRELATION_CACHE_BYTES
+    # an exact R is stored in the least integer dtype that holds -norm_sq
+    if family != "unit":
+        assert R.dtype == np.min_scalar_type(-int(norm)) and np.abs(R).max() == R[0] == norm
+
+
+def test_autocorrelation_cache_keeps_the_newest_under_its_cap(monkeypatch):
+    # a unit R is float64, 8 bytes a lag: N = 4 keeps 32 bytes, N = 2 keeps 16
+    monkeypatch.setattr(largesieve, "AUTOCORRELATION_CACHE_BYTES", 100)
+    largesieve._autocorrelations.clear()
+    seen = []
+
+    def call(N, seed):
+        entry = largesieve.sequence_autocorrelation("unit", N, seed)
+        assert _kept_bytes() <= 100
+        seen.append(list(largesieve._autocorrelations))
+        return entry
+
+    for seed in (0, 1, 2):
+        call(4, seed)
+    hit = call(4, 0)   # a hit becomes the newest entry, and is the same object
+    assert seen[-1] == [("unit", 4, 1), ("unit", 4, 2), ("unit", 4, 0)]
+    assert call(4, 0)[1] is hit[1]
+    call(2, 5)   # 96 + 16 bytes: the oldest entry leaves
+    assert seen[-1] == [("unit", 4, 2), ("unit", 4, 0), ("unit", 2, 5)]
+    # 160 bytes is past the cap: returned, not kept, and nothing evicted
+    norm, R = call(20, 0)
+    assert R.nbytes == 160 and R.tobytes() == autocorrelation(sieve_sequence("unit", 20, 0))[1].tobytes()
+    assert seen[-1] == seen[-2]
+    largesieve._autocorrelations.clear()
+
+
+def test_sieve_scan_reuses_the_autocorrelation_across_polynomials(monkeypatch, capsys):
+    transforms = []
+
+    def spy(a, n, *args, **kwargs):
+        transforms.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    def report(P, seed="3", family="pm1"):
+        assert main(["sieve-scan", "--P", P, "--Q", "3", "--N", "9,40,81",
+                     "--seed", seed, "--sequence", family]) == 0
+        return re.sub(r'^  "duration_s": .*\n', "", capsys.readouterr().out, flags=re.M)
+
+    rfft = np.fft.rfft
+    monkeypatch.setattr(largesieve.np.fft, "rfft", spy)
+    form, cold = "x1^2+x1*x2+3*x2^2", {}
+    for flags in (("3", "pm1"), ("4", "pm1"), ("3", "unit")):
+        clear_caches()
+        cold[flags] = report(form, *flags)
+    clear_caches()
+    report("x1^2+x2^2")
+    transforms.clear()
+    assert report(form) == cold["3", "pm1"] and transforms == []
+    # another seed or another family misses at every N: one rfft per real part
+    for flags, calls in ((("4", "pm1"), 3), (("3", "unit"), 6)):
+        transforms.clear()
+        assert report(form, *flags) == cold[flags] and len(transforms) == calls

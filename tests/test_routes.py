@@ -7,6 +7,8 @@ cleared by the cold tests, and no other module state is rebound at run time
 than the Lambda stream, which the README lists."""
 
 import ast
+import contextlib
+import io
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -139,22 +141,26 @@ def test_every_work_cap_refuses_through_charge_with_a_pinned_what():
 
 
 def test_every_cache_is_documented_and_cleared_by_the_cold_tests():
-    from polysieve import arith, bv, cli
+    from polysieve import arith, bv, cli, largesieve
     from polysieve.mvpoly import FactoredPoly, parse_poly
 
     caches = process_caches()
     readme = (ROOT / "README.md").read_text()
     kept = readme.split("## What a process keeps between calls\n", 1)[1].split("\n## ", 1)[0]
     assert [name for name in caches if f"`{name}" not in kept] == []
+    # a plain dict has no cache_clear, so process_caches cannot see it
+    assert "`largesieve.sequence_autocorrelation`" in kept
     cli.build_parser()
     bv.discrepancy_sum(FactoredPoly([parse_poly("x1"), parse_poly("x2")]), 16, 100.0)
     bv.mean_value_sum(parse_poly("x1^2+x2^2"), 2, 100)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sieve-scan", "--P", "x1^2+x2^2", "--Q", "2", "--N", "8,16"]) == 0
     assert all(cache.cache_info().currsize for cache in caches.values())
-    assert arith._lambda_stream is not None
+    assert arith._lambda_stream is not None and largesieve._autocorrelations
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == \
         dict.fromkeys(caches, 0)
-    assert arith._lambda_stream is None
+    assert arith._lambda_stream is None and largesieve._autocorrelations == {}
 
 
 def test_the_lambda_stream_is_the_only_name_a_global_statement_rebinds():
