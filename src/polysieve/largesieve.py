@@ -55,9 +55,10 @@ def sieve_sequence(family: str, N: int, seed: int) -> np.ndarray:
 # error on R is below c 2^-53 norm_sq log2(n) for a small constant c, at the
 # transformed length n (Higham, Accuracy and Stability of Numerical Algorithms,
 # 2nd ed., ch. 24), so while norm_sq log2(n) < 2^EXACT_BITS rounding recovers R,
-# and the least integer dtype holding -norm_sq holds it, as |R(h)| <= R(0) = norm_sq
-# (Cauchy-Schwarz).  Its int64 dot product with W is exact while
-# norm_sq (N-1) sum_e |G(e)| < 2^63, as sum_{h<N} |W(h)| <= sum_e |e G(e)| (N-1)/e.
+# and the least integer dtype holding -norm_sq - 1, hence norm_sq, holds it, as
+# |R(h)| <= R(0) = norm_sq (Cauchy-Schwarz).  Its int64 dot product with W is
+# exact while norm_sq (N-1) sum_e |G(e)| < 2^63, as
+# sum_{h<N} |W(h)| <= sum_e |e G(e)| (N-1)/e.
 EXACT_BITS = 44
 
 
@@ -104,7 +105,7 @@ def autocorrelation(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
     R = np.fft.irfft(power, n)[:N].copy()
     if (norm_sq * log2(n) < 2 ** EXACT_BITS and not np.iscomplexobj(coeffs)
             and np.array_equal(coeffs, np.rint(coeffs))):
-        R = np.rint(R, out=R).astype(np.min_scalar_type(-int(norm_sq)))
+        R = np.rint(R, out=R).astype(np.min_scalar_type(-int(norm_sq) - 1))
     R.flags.writeable = False
     return norm_sq, R
 

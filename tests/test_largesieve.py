@@ -424,6 +424,7 @@ def _kept_bytes():
 @given(st.sampled_from(sorted(SEQUENCE_FAMILIES)),
        st.one_of(st.just(1), st.just(389), st.integers(1, 300)),
        st.integers(0, 2 ** 63 - 1))
+@example(family="ones", N=128, seed=0)
 def test_sequence_autocorrelation_is_a_fresh_autocorrelation_cold_and_warm(family, N, seed):
     fresh_norm, fresh = autocorrelation(sieve_sequence(family, N, seed))
     largesieve._autocorrelations.clear()
@@ -431,9 +432,20 @@ def test_sequence_autocorrelation_is_a_fresh_autocorrelation_cold_and_warm(famil
         norm, R = largesieve.sequence_autocorrelation(family, N, seed)
         assert norm == fresh_norm and R.dtype == fresh.dtype and R.tobytes() == fresh.tobytes()
         assert not R.flags.writeable and _kept_bytes() <= largesieve.AUTOCORRELATION_CACHE_BYTES
-    # an exact R is stored in the least integer dtype that holds -norm_sq
+    # an exact R is stored in the least integer dtype that holds -norm_sq - 1, so R(0) fits
     if family != "unit":
-        assert R.dtype == np.min_scalar_type(-int(norm)) and np.abs(R).max() == R[0] == norm
+        assert R.dtype == np.min_scalar_type(-int(norm) - 1) and np.abs(R).max() == R[0] == norm
+
+
+@pytest.mark.parametrize("N", [127, 128, 32767, 32768])
+def test_autocorrelation_dtype_holds_R0_at_a_power_of_two_norm(N):
+    # ones has R(0) = norm_sq = N: at N = 2^7 or 2^15 the least dtype holding -N cannot hold N
+    norm, R = autocorrelation(np.ones(N))
+    assert int(R[0]) == N == norm and R.tobytes() == np.arange(N, 0, -1).astype(R.dtype).tobytes()
+    # the exact sieve sum agrees with the float path, which never narrows R
+    total = moduli_sieve_sum(np.ones(N), 0, {3: 1, 4: 1})
+    assert type(total) is int and total == pytest.approx(
+        moduli_sieve_sum(np.ones(N, dtype=complex), 0, {3: 1, 4: 1}), rel=1e-9)
 
 
 def test_autocorrelation_cache_keeps_the_newest_under_its_cap(monkeypatch):
