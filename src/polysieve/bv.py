@@ -324,12 +324,10 @@ def _classify_box(factors: tuple[MvPoly, ...], Q: int, threshold: int,
     lists = [v.tolist() for v in values]
     starts = [bisect_left(ns, 1) for ns in lists]   # the values >= 1 are a suffix
     positive = [(v[s:], c[s:]) for v, c, s in zip(values, counts, starts)]
-    nonzero_abs = positive
-    if any(starts):   # sorted, not merged: _at_most counts a repeated value as often
-        nonzero_abs = []
-        for v, c in zip(values, counts):
-            order = np.argsort(np.abs(v[v != 0]), kind="stable")
-            nonzero_abs.append((np.abs(v[v != 0])[order], c[v != 0][order]))
+    nonzero_abs = []   # sorted, not merged: _at_most counts a repeated value as often
+    for v, c in zip(values, counts):
+        order = np.argsort(np.abs(v[v != 0]), kind="stable")
+        nonzero_abs.append((np.abs(v[v != 0])[order], c[v != 0][order]))
     small = every - prod(int(c.sum()) for _, c in nonzero_abs) + _at_most(nonzero_abs, threshold)
     below_one = every - prod(int(c.sum()) for _, c in positive)
     negative = below_one - small + _at_most(positive, threshold)

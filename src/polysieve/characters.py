@@ -7,8 +7,8 @@ discrete-log table over its prime power q, built from the powers of its
 generator.  A character stores one exponent per component; its value at n is
 a root of unity whose exponent (numerator over the group exponent) is
 computed in exact integer arithmetic, so character equality and triviality
-tests never touch floating point.  Every complex value (chi(n), values(),
-the bv kernel) is read from the conjugate-symmetric root_table(e).
+tests never touch floating point.  The bv kernel reads every complex value
+from the conjugate-symmetric root_table(e).
 UnitGroup.primitive_pairs keeps the primitive characters as one int32
 exponent matrix, one row per conjugate pair and no object per character,
 built one component at a time on the cached group for the bv kernel, and
@@ -139,7 +139,7 @@ class UnitGroup:
         return rows, int(np.count_nonzero(sign == 0))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=128)
 def unit_group(m: int) -> UnitGroup:
     return UnitGroup(m)
 
@@ -148,8 +148,7 @@ class DirichletCharacter:
     """A character mod m given by one exponent per cyclic component.
 
     chi(g_i) = zeta^(c_i * e / s_i) where zeta = e(1/e_group); values on
-    non-units are 0.  Exact root-of-unity exponents are the primary
-    representation; __call__ and values() read complex numbers from root_table.
+    non-units are 0.  Exact root-of-unity exponents are the representation.
     """
 
     __slots__ = ("group", "exponents")
@@ -166,39 +165,6 @@ class DirichletCharacter:
     @property
     def modulus(self) -> int:
         return self.group.modulus
-
-    @property
-    def is_principal(self) -> bool:
-        return all(c == 0 for c in self.exponents)
-
-    def value_exponent(self, n: int):
-        """Exponent t with chi(n) = e(t / group.exponent); None on non-units."""
-        m = self.modulus
-        n %= m
-        if gcd(n, m) != 1:
-            return None
-        e = self.group.exponent
-        t = 0
-        for c, comp in zip(self.exponents, self.group.components):
-            t += c * (e // comp.order) * int(comp.dlog[n % comp.modulus])
-        return t % e
-
-    def __call__(self, n: int) -> complex:
-        t = self.value_exponent(n)
-        if t is None:
-            return 0j
-        return complex(root_table(self.group.exponent)[t])
-
-    def values(self) -> np.ndarray:
-        """chi(n) for n = 0..m-1 as a complex array."""
-        e = self.group.exponent
-        n = np.arange(self.modulus, dtype=np.int64)
-        t = np.zeros(self.modulus, dtype=np.int64)
-        for c, comp in zip(self.exponents, self.group.components):
-            t += c * (e // comp.order) * comp.dlog[n % comp.modulus]
-        vals = root_table(e)[t % e]
-        vals[np.gcd(n, self.modulus) != 1] = 0   # m = 2 * odd has no component for 2
-        return vals
 
     @property
     def conductor(self) -> int:

@@ -3,10 +3,10 @@
 A polynomial in x1..xL is a map from exponent vectors (length-L tuples of
 non-negative ints) to nonzero integer coefficients.  Point evaluation and
 products (``*``) use Python ints; there is no sum or difference of
-polynomials.  Box evaluation (``grid``) runs in numpy int64 only when
-coefficient_abs_sum * max|x|^k < 2^63, which bounds every partial sum and
-product; otherwise the same code runs on object arrays of Python ints, so no
-value ever overflows.  Instances are immutable after construction.
+polynomials.  Box evaluation (``grid``) runs in numpy int64 only when the
+sum of |coefficients| * max|x|^k < 2^63, which bounds every partial sum
+and product; otherwise the same code runs on object arrays of Python ints,
+so no value ever overflows.  Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import charge
 
 Exponents = tuple[int, ...]
 
-# Bits of grid's value bound coefficient_abs_sum * max|x|^k (as normform.THETA_POWER_BITS).
+# Bits of grid's value bound, the sum of |coefficients| * max|x|^k (as normform.THETA_POWER_BITS).
 GRID_VALUE_BITS = 2 ** 16
 
 
@@ -90,24 +90,21 @@ class MvPoly:
             total += v
         return total
 
-    def coefficient_abs_sum(self) -> int:
-        return sum(abs(c) for c in self.terms.values())
-
     def grid(self, axes) -> np.ndarray:
         """Values over the product of the integer sequences in axes, flat, in
         lexicographic order with the last coordinate fastest.
 
         Each axis is broadcast along its own dimension.  The dtype is int64
-        when coefficient_abs_sum * max|x|^k < 2^63 (checked in Python ints),
-        else object, which runs the same code on exact Python ints.  A bound
-        of that product past GRID_VALUE_BITS bits is refused first.
+        when the sum of |coefficients| * max|x|^k < 2^63 (checked in Python
+        ints), else object, which runs the same code on exact Python ints.
+        A bound of that product past GRID_VALUE_BITS bits is refused first.
         """
         axes = [list(a) for a in axes]
         if len(axes) != self.num_vars:
             raise ValueError(f"grid has {len(axes)} axes, expected {self.num_vars}")
         k = max(map(sum, self.terms), default=0)
         top = max((max(max(a), -min(a)) for a in axes if a), default=0)
-        c, t = self.coefficient_abs_sum(), max(top, 1)
+        c, t = sum(map(abs, self.terms.values())), max(top, 1)
         bits = c.bit_length() + k * t.bit_length()   # 2^(bits-1-k) <= c t^k < 2^bits
         charge("grid value bits", bits, GRID_VALUE_BITS)
         # the exact power is formed only when bits - 1 - k < 63, where t^k < 2^126

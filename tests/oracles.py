@@ -17,7 +17,10 @@ Laplace expansion of the norm form, which the library's dense level
 expansion replaced, ``primitive_exponents``, the full exponent matrix
 of the primitive characters, which the library's pair rows replaced, and
 ``enumerate_characters``, every character object mod m, which the
-library's kernel never builds.
+library's kernel never builds, with ``is_principal`` and the evaluators
+``value_exponent``, ``character_value`` (chi(n)) and ``character_values``
+(chi(n) for every n mod m), since the kernel reads root_table at its own
+exponents.
 ``assert_plain_json`` checks the handler contract, which the report
 writer's C encoder does not.  ``process_caches`` finds every cache a
 polysieve module keeps between calls, and ``clear_caches`` empties them
@@ -49,7 +52,8 @@ import polysieve.largesieve as largesieve
 from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
-from polysieve.characters import DirichletCharacter, _primitive_exponent, unit_group
+from polysieve.characters import (DirichletCharacter, _primitive_exponent, root_table,
+                                  unit_group)
 from polysieve.largesieve import autocorrelation, sieve_sums
 from polysieve.mvpoly import MvPoly
 from polysieve.normform import (DivisorSearchReport, PrimeValueReport, integer_nth_root,
@@ -682,6 +686,43 @@ def enumerate_characters(m: int) -> list[DirichletCharacter]:
             for exps in product(*(range(c.order) for c in group.components))]
 
 
+def is_principal(chi) -> bool:
+    return all(c == 0 for c in chi.exponents)
+
+
+def value_exponent(chi, n: int):
+    """Exponent t with chi(n) = e(t / group.exponent); None on non-units."""
+    m = chi.modulus
+    n %= m
+    if gcd(n, m) != 1:
+        return None
+    e = chi.group.exponent
+    t = 0
+    for c, comp in zip(chi.exponents, chi.group.components):
+        t += c * (e // comp.order) * int(comp.dlog[n % comp.modulus])
+    return t % e
+
+
+def character_value(chi, n: int) -> complex:
+    """chi(n), read from root_table at value_exponent(chi, n)."""
+    t = value_exponent(chi, n)
+    if t is None:
+        return 0j
+    return complex(root_table(chi.group.exponent)[t])
+
+
+def character_values(chi) -> np.ndarray:
+    """chi(n) for n = 0..m-1 as a complex array."""
+    e = chi.group.exponent
+    n = np.arange(chi.modulus, dtype=np.int64)
+    t = np.zeros(chi.modulus, dtype=np.int64)
+    for c, comp in zip(chi.exponents, chi.group.components):
+        t += c * (e // comp.order) * comp.dlog[n % comp.modulus]
+    vals = root_table(e)[t % e]
+    vals[np.gcd(n, chi.modulus) != 1] = 0   # m = 2 * odd has no component for 2
+    return vals
+
+
 def primitive_exponents(group) -> np.ndarray:
     """The exponent vectors of the primitive characters mod m, one int64 row
     each in the order of enumerate_characters: the product of the sets
@@ -698,7 +739,7 @@ def scan_conductor(chi) -> int:
     by scanning each divisor's progression."""
     m = chi.modulus
     for d in sympy.divisors(m):
-        if all(chi.value_exponent(n) == 0 for n in range(1, m + 1, d)
+        if all(value_exponent(chi, n) == 0 for n in range(1, m + 1, d)
                if gcd(n, m) == 1):
             return d
     return m
@@ -707,7 +748,7 @@ def scan_conductor(chi) -> int:
 def loop_psi_chi(y: float, chi) -> complex:
     """psi(y, chi) by fsum over n <= y of Lambda(n) chi(n), split into real
     and imaginary parts."""
-    vals = chi.values()
+    vals = character_values(chi)
     m = chi.modulus
     re, im = [], []
     for n in range(2, int(y) + 1):
@@ -722,7 +763,7 @@ def loop_psi_chi(y: float, chi) -> complex:
 
 def loop_sup_abs_psi_chi(chi, x: float) -> float:
     """sup over y <= x of |psi(y, chi)| from the running prefix at jumps."""
-    vals = chi.values()
+    vals = character_values(chi)
     m = chi.modulus
     best = 0.0
     acc = 0j

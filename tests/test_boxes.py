@@ -153,9 +153,10 @@ def test_box_values_matches_loop_reference(P, Q):
     check_box_values(P, Q)
 
 
-# coefficient_abs_sum * (2Q - 1)^k is 2^63 - 1 (int64 holds every value) and
-# 2^63 (the guard fails and the grid is exact Python ints; int64 would wrap
-# the value 2^63 to -2^63 without a warning).  2^63 - 1 = 7 * 1317624576693539401.
+# the sum of |coefficients| * (2Q - 1)^k is 2^63 - 1 (int64 holds every
+# value) and 2^63 (the guard fails and the grid is exact Python ints; int64
+# would wrap the value 2^63 to -2^63 without a warning).
+# 2^63 - 1 = 7 * 1317624576693539401.
 GUARD_CASES = [
     ("1317624576693539401*x1", 4, np.int64),
     ("4611686018427387904*x1+4611686018427387903*x2", 1, np.int64),
@@ -167,7 +168,8 @@ GUARD_CASES = [
 @pytest.mark.parametrize("text, Q, dtype", GUARD_CASES)
 def test_grid_overflow_guard_boundary(text, Q, dtype):
     P = parse_poly(text)
-    assert P.coefficient_abs_sum() * (2 * Q - 1) ** P.total_degree() in (2 ** 63 - 1, 2 ** 63)
+    assert sum(abs(c) for c in P.terms.values()) * (2 * Q - 1) ** P.total_degree() in \
+        (2 ** 63 - 1, 2 ** 63)
     assert P.grid([range(Q, 2 * Q)] * P.num_vars).dtype == dtype
     values = check_box_values(P, Q)
     assert max(abs(v) for v in values.tolist()) in (2 ** 63 - 1, 2 ** 63, 0)

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import polysieve.arith as arith
 import polysieve.boxes as boxes
 import polysieve.bv as bv
-from oracles import (clear_caches, enumerate_characters, factor_values, loop_discrepancy,
-                     loop_discrepancy_sum, loop_psi_chi, loop_sup_abs_psi_chi,
-                     prime_value_weight, primitive_character_count, primitive_exponents,
-                     von_mangoldt)
+from oracles import (character_value, character_values, clear_caches, enumerate_characters,
+                     factor_values, loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
+                     loop_sup_abs_psi_chi, prime_value_weight, primitive_character_count,
+                     primitive_exponents, von_mangoldt)
 from polysieve.arith import euler_phi, von_mangoldt_table
 from polysieve.boxes import box_moduli
 from polysieve.bv import (ExponentProfile, check_setting, default_eps_bad, discrepancy_sum,
@@ -660,7 +660,7 @@ def test_sup_is_the_largest_hypot_among_near_tied_prefixes(weights):
     T, L = np.arange(1, 5), np.array(weights)
     rows, real = unit_group(5).primitive_pairs
     assert rows.tolist() == [[1], [2]] and real == 1   # chi(2) = i, then the real chi
-    c = np.cumsum(DirichletCharacter(unit_group(5), (1,)).values()[T] * L)[None, :]
+    c = np.cumsum(character_values(DirichletCharacter(unit_group(5), (1,)))[T] * L)[None, :]
     s = c.real * c.real + c.imag * c.imag
     h = np.hypot(c.real, c.imag)
     assert abs(s[0, 1] - s[0, 3]) <= np.spacing(s.max()) and s.max() in (s[0, 1], s[0, 3])
@@ -933,9 +933,9 @@ def test_unit_group_cache_clear_drops_the_carry_but_not_the_totals(monkeypatch):
 def test_chi_of_n_reads_the_value_table():
     for m in CHAR_MODULI:
         for chi in enumerate_characters(m):
-            vals = chi.values()
+            vals = character_values(chi)
             for n in range(-m, 2 * m):
-                z = chi(n)
+                z = character_value(chi, n)
                 assert type(z) is complex
                 assert np.array([z]).view(np.uint64).tolist() == \
                     vals[[n % m]].view(np.uint64).tolist()   # bitwise, signed zeros too

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import sympy
 
-from oracles import (enumerate_characters, loop_psi_chi, primitive_character_count,
-                     primitive_exponents, scan_conductor, von_mangoldt, walk_dlog,
-                     walk_dlog_2e)
+from oracles import (character_value, character_values, enumerate_characters, is_principal,
+                     loop_psi_chi, primitive_character_count, primitive_exponents,
+                     scan_conductor, value_exponent, von_mangoldt, walk_dlog, walk_dlog_2e)
 from polysieve.arith import euler_phi
 from polysieve.characters import CHAR_MODULUS_CAP, DirichletCharacter, root_table, unit_group
 from polysieve.errors import BudgetError
@@ -17,19 +17,19 @@ def test_modulus_one():
     chars = enumerate_characters(1)
     assert len(chars) == 1
     chi = chars[0]
-    assert chi(0) == 1 and chi(7) == 1
+    assert character_value(chi, 0) == 1 and character_value(chi, 7) == 1
     assert chi.conductor == 1 and chi.is_primitive
 
 
 def test_modulus_four_hand_table():
     chars = enumerate_characters(4)
     assert len(chars) == 2
-    non_principal = [c for c in chars if not c.is_principal]
+    non_principal = [c for c in chars if not is_principal(c)]
     assert len(non_principal) == 1
     chi = non_principal[0]
-    assert chi(1) == pytest.approx(1)
-    assert chi(3) == pytest.approx(-1)
-    assert chi(2) == 0
+    assert character_value(chi, 1) == pytest.approx(1)
+    assert character_value(chi, 3) == pytest.approx(-1)
+    assert character_value(chi, 2) == 0
     assert chi.conductor == 4 and chi.is_primitive
 
 
@@ -37,14 +37,14 @@ def test_modulus_five():
     chars = enumerate_characters(5)
     assert len(chars) == 4
     assert sum(c.is_primitive for c in chars) == 3
-    principal = [c for c in chars if c.is_principal]
+    principal = [c for c in chars if is_principal(c)]
     assert len(principal) == 1 and principal[0].conductor == 1
 
 
 def test_enumeration_is_deterministic_and_first_is_principal():
     for m in (12, 35):
         chars = enumerate_characters(m)
-        assert chars[0].is_principal
+        assert is_principal(chars[0])
         assert [c.exponents for c in chars] == sorted(c.exponents for c in chars)
 
 
@@ -53,7 +53,7 @@ def test_counts_and_invariants():
         chars = enumerate_characters(m)
         assert len(chars) == euler_phi(m)
         for chi in chars:
-            vals = chi.values()
+            vals = character_values(chi)
             n = np.arange(m)
             units = np.gcd(n, m) == 1
             assert np.all(vals[~units] == 0)
@@ -78,8 +78,8 @@ def test_root_table_is_conjugate_symmetric():
 def test_orthogonality():
     for m in range(2, 61):
         for chi in enumerate_characters(m):
-            s = np.sum(chi.values())
-            if chi.is_principal:
+            s = np.sum(character_values(chi))
+            if is_principal(chi):
                 assert s == pytest.approx(euler_phi(m), rel=1e-9)
             else:
                 assert abs(s) < 1e-9
@@ -92,8 +92,8 @@ def test_complete_multiplicativity_exact_exponents():
             for a in range(1, m):
                 for b in range(a, m):
                     if gcd(a, m) == 1 and gcd(b, m) == 1:
-                        lhs = chi.value_exponent(a * b)
-                        rhs = (chi.value_exponent(a) + chi.value_exponent(b)) % e
+                        lhs = value_exponent(chi, a * b)
+                        rhs = (value_exponent(chi, a) + value_exponent(chi, b)) % e
                         assert lhs == rhs
 
 
@@ -148,7 +148,7 @@ def test_primitive_pairs_are_read_only_int32_cached_with_the_group():
 def test_induced_characters_match_non_primitives():
     for m in (8, 12, 45):
         chars = enumerate_characters(m)
-        tables = {c: c.values() for c in chars}
+        tables = {c: character_values(c) for c in chars}
         n = np.arange(m)
         seen = set()
         for d in sympy.divisors(m):
@@ -156,7 +156,7 @@ def test_induced_characters_match_non_primitives():
                 continue
             for chi_d in enumerate_characters(d):
                 # chi_d(n mod d) on the units mod m, 0 elsewhere
-                induced = np.where(np.gcd(n, m) == 1, chi_d.values()[n % d], 0)
+                induced = np.where(np.gcd(n, m) == 1, character_values(chi_d)[n % d], 0)
                 matches = [c for c, t in tables.items()
                            if np.allclose(t, induced, atol=1e-10)]
                 assert len(matches) == 1
@@ -172,7 +172,7 @@ def test_psi_chi_examples():
     chi0_mod2 = enumerate_characters(2)[0]
     # odd prime powers up to 10 are 3, 5, 7, 9 with Lambda = log(3*5*7*3)
     assert loop_psi_chi(10, chi0_mod2) == pytest.approx(math.log(315), rel=1e-12)
-    chi4 = [c for c in enumerate_characters(4) if not c.is_principal][0]
+    chi4 = [c for c in enumerate_characters(4) if not is_principal(c)][0]
     expected = von_mangoldt(5) + von_mangoldt(9) - von_mangoldt(3) - von_mangoldt(7)
     assert loop_psi_chi(10, chi4).real == pytest.approx(expected, rel=1e-12)
     assert loop_psi_chi(10, chi4).real == pytest.approx(math.log(5 / 7), rel=1e-12)

@@ -810,6 +810,32 @@ def test_meanvalue_sum_refuses_the_unit_group_build_within_2_s():
         "kind": "resource", "partial_progress": False}
 
 
+# Runs argv and prints its exit code and its ru_maxrss (KiB on Linux).  A
+# process keeps its peak RSS across exec, so the command is started from
+# this small launcher: forked from the test process, it would report the
+# test process's peak.
+PEAK_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_meanvalue_sum_over_300_moduli_near_10_5_peaks_below_192_mib():
+    # moduli 92107..92406: each cached unit group keeps its dlog tables, pair
+    # rows and carry, so the child peaked at 227 MiB with 256 groups cached
+    # and peaks at 149 MiB with 128
+    argv = ("meanvalue-sum", "--P", "x1+91807", "--Q", "300", "--x", "2", "--workers", "1")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m",
+                           "polysieve.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 192 * 1024
+
+
 def _without_duration(text):
     return re.sub(r'"duration_s": [^,\n]+', '"duration_s": null', text)
 
