@@ -255,8 +255,8 @@ def prime_value_sieve(spec: NumberFieldSpec, Q: int) -> PrimeValueReport:
 class DivisorSearchReport:
     """The witnesses as columns: primes[i] is a found p and divisors[i] its
     qualifying prime divisors d of p - 1 in increasing order;
-    representations maps every norm prime d < X, ascending, to its first
-    point in box order."""
+    representations maps each d that divisors names, ascending, to its
+    first point in box order."""
     X: int
     theta: Fraction
     count: int
@@ -272,12 +272,12 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     """Find primes p <= X such that p-1 has a prime divisor d >= p^theta that
     is a norm-form value on positive coordinates.
 
-    The norm values over 1 <= q_i <= X^(1/n) that are primes d < X, each
-    with its first point in box order, are read off one sieve up to X.  The
-    walk is one vectorised pass: every p = 1 + j*d with j >= 1, p <= X and
-    p^tn <= d^td (exact) of every d goes into one array, the prime p are kept
-    and grouped by one stable sort into the report's columns of plain ints:
-    the p ascending, each with its list of d in increasing order.
+    The norm values over 1 <= q_i <= X^(1/n) that are primes d < X are read
+    off one sieve up to X.  The walk is one vectorised pass: every p = 1 + j*d
+    with j >= 1, p <= X and p^tn <= d^td (exact) of every d goes into one
+    array, the prime p are kept and grouped by one stable sort into the
+    report's columns of plain ints: the p ascending, each with its list of d
+    in increasing order; then each named d gets its first point in box order.
     Before the sieve, in this order, more than NORM_VALUE_BUDGET norm values,
     a theta = tn/td whose powers d^td could pass THETA_POWER_BITS bits, a norm
     form past NORM_FORM_BUDGET and X above PRIME_SIEVE_LIMIT are refused
@@ -315,7 +315,6 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     for i in np.flatnonzero(last != last_hi).tolist():
         steps[i] = (integer_nth_root(int(low[i]) ** td, tn) - 1) // int(low[i])
     charge("divisor walk entries", int(steps.sum()), DIVISOR_WALK_BUDGET)
-    reps = dict(zip(norm_primes.tolist(), _box_points(hit[first], 1, qmax, ell)))
     div = np.repeat(norm_primes, steps)
     p = np.arange(1, len(div) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
     p *= div   # in place: these arrays hold one entry per step
@@ -323,6 +322,8 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     keep = np.flatnonzero(flags[p])
     keep = keep[np.argsort(p[keep], kind="stable")]   # each p keeps its d in increasing order
     p, div = p[keep], div[keep]   # drops the step arrays before the lists are built
+    rows = np.searchsorted(norm_primes, np.unique(div))   # of the d some witness names
+    reps = dict(zip(norm_primes[rows].tolist(), _box_points(hit[first[rows]], 1, qmax, ell)))
     ps, starts = np.unique(p, return_index=True)
     divs, bounds = div.tolist(), starts.tolist() + [len(keep)]
     divisors = [divs[a:b] for a, b in zip(bounds, bounds[1:])]

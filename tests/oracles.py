@@ -536,7 +536,8 @@ def loop_prime_value_sieve(spec, Q: int) -> PrimeValueReport:
 def loop_prime_divisor_search(spec, X: int, theta) -> DivisorSearchReport:
     """prime_divisor_search by testing every norm value below X for
     primality (a larger one cannot divide p - 1) and scanning the divisors of
-    p - 1 for every prime p <= X."""
+    p - 1 for every prime p <= X; each d some p names keeps the first point
+    in box order where its value is d."""
     theta = Fraction(theta)
     ell = spec.num_form_vars
     qmax = integer_nth_root(X, spec.degree)
@@ -546,7 +547,7 @@ def loop_prime_divisor_search(spec, X: int, theta) -> DivisorSearchReport:
         v = form.evaluate(q)
         if 2 <= v < X and v not in norm_primes and is_prime(v):
             norm_primes[v] = q
-    found, divisors = [], []
+    found, divisors, named = [], [], set()
     primes = primes_up_to(X)
     for p in primes:
         hits = [d for d in sympy.divisors(p - 1)
@@ -554,11 +555,12 @@ def loop_prime_divisor_search(spec, X: int, theta) -> DivisorSearchReport:
         if hits:
             found.append(p)
             divisors.append(hits)
+            named.update(hits)
     return DivisorSearchReport(
         X=X, theta=theta, count=len(found), prime_count=len(primes),
         density=len(found) / len(primes) if primes else 0.0, q_range=qmax,
         primes=found, divisors=divisors,
-        representations={d: list(q) for d, q in sorted(norm_primes.items())})
+        representations={d: list(norm_primes[d]) for d in sorted(named)})
 
 
 def field_multiply(spec, u, v) -> tuple[int, ...]:

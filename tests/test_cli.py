@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
@@ -834,6 +835,48 @@ def test_meanvalue_sum_over_300_moduli_near_10_5_peaks_below_192_mib():
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
     assert peak_kib < 192 * 1024
+
+
+def test_corollary_search_near_the_walk_cap_peaks_below_285_mib():
+    # 2,995,862 walk entries, just under DIVISOR_WALK_BUDGET: the child peaks
+    # at 271.5 MiB with points built after the walk for the named divisors
+    # alone, and at 298.8 MiB with one built for every norm prime below X
+    argv = ("corollary-search", "--f", "t^2+1", "--X", "2860000", "--theta", "1/10",
+            "--workers", "1", "--out", os.devnull)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m",
+                           "polysieve.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 285 * 1024
+
+
+# corollary-search --f t^2+1 --X 20000 --theta 1/3: 965 witnesses of one
+# divisor share one representations dict per divisor, and 34 of several build
+# their own, whose keys sort as text.  The digests were recorded before the
+# dicts were shared; the json one is taken with the duration_s line removed.
+COROLLARY_ARGV = ("corollary-search", "--f", "t^2+1", "--X", "20000", "--theta", "1/3")
+COROLLARY_SHA256 = {
+    "json": "9f52aa2125d6d70da096f95f930d5c7f8f060ede074da803cd9267e3036d9a73",
+    "csv": "1cde2cc8cc8bae0722efda9346c0f8ce7f2f038aaad7a35f2baf3d59c4918c3b",
+}
+WITNESS_6323 = {
+    "json": ('        "divisors": [\n          29,\n          109\n        ],\n'
+             '        "p": 6323,\n        "representations": {\n          "109": [\n'
+             '            3,\n            10\n          ],\n          "29": [\n'
+             '            2,\n            5\n          ]\n        }\n'),
+    "csv": '{"divisors": [29, 109], "p": 6323, "representations": {"109": [3, 10], "29": [2, 5]}}',
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_corollary_search_shared_and_own_witness_dicts_keep_their_bytes(capsys, fmt):
+    code, out, err = run_cli(capsys, *COROLLARY_ARGV, "--format", fmt)
+    assert (code, err) == (0, "")
+    out = re.sub(r'^  "duration_s": .*\n', "", out, flags=re.M)
+    assert hashlib.sha256(out.encode()).hexdigest() == COROLLARY_SHA256[fmt]
+    assert WITNESS_6323[fmt] in out
 
 
 def _without_duration(text):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,22 @@ def test_prime_divisor_search_matches_loop_reference(spec, X, theta):
     expected = loop_prime_divisor_search(spec, X, theta)
     assert got == expected
     assert list(got.representations.items()) == list(expected.representations.items())
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=repr)
+@pytest.mark.parametrize("X, theta", [(3000, Fraction(1, 3)), (3000, Fraction(99, 100)),
+                                      (20000, Fraction(1, 3))], ids=str)
+def test_representations_hold_each_named_divisor_at_its_first_point(spec, X, theta):
+    # the map narrows to the d some witness names: at t^2+1, X = 20000,
+    # theta = 1/3 that is 231 of the 1126 norm primes below X
+    rep = prime_divisor_search(spec, X, theta)
+    keys = list(rep.representations)
+    assert set(keys) == {d for ds in rep.divisors for d in ds}
+    assert keys == sorted(keys)
+    form, first = norm_form(spec), {}
+    for q in product(range(1, rep.q_range + 1), repeat=spec.num_form_vars):
+        first.setdefault(form.evaluate(q), list(q))
+    assert rep.representations == {d: first[d] for d in keys}
 
 
 @pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(1, 2), Fraction(999, 1000)], ids=str)
