@@ -322,7 +322,8 @@ def prime_divisor_search(spec: NumberFieldSpec, X: int, theta) -> DivisorSearchR
     keep = np.flatnonzero(flags[p])
     keep = keep[np.argsort(p[keep], kind="stable")]   # each p keeps its d in increasing order
     p, div = p[keep], div[keep]   # drops the step arrays before the lists are built
-    rows = np.searchsorted(norm_primes, np.unique(div))   # of the d some witness names
+    # the d some witness names (np.unique or np.isin here would import numpy.ma, ~15 ms, once)
+    rows = np.flatnonzero(np.bincount(np.searchsorted(norm_primes, div)))
     reps = dict(zip(norm_primes[rows].tolist(), _box_points(hit[first[rows]], 1, qmax, ell)))
     ps, starts = np.unique(p, return_index=True)
     divs, bounds = div.tolist(), starts.tolist() + [len(keep)]

@@ -839,7 +839,7 @@ def test_meanvalue_sum_over_300_moduli_near_10_5_peaks_below_192_mib():
 
 def test_corollary_search_near_the_walk_cap_peaks_below_285_mib():
     # 2,995,862 walk entries, just under DIVISOR_WALK_BUDGET: the child peaks
-    # at 271.5 MiB with points built after the walk for the named divisors
+    # at 264.6 MiB with points built after the walk for the named divisors
     # alone, and at 298.8 MiB with one built for every norm prime below X
     argv = ("corollary-search", "--f", "t^2+1", "--X", "2860000", "--theta", "1/10",
             "--workers", "1", "--out", os.devnull)

@@ -405,6 +405,18 @@ def test_representations_hold_each_named_divisor_at_its_first_point(spec, X, the
     assert rep.representations == {d: first[d] for d in keys}
 
 
+def test_corollary_search_leaves_numpy_ma_unimported():
+    # np.unique without indices, and np.isin through it, import numpy.ma on
+    # their first call: about 15 ms on the first corollary-search of a process
+    code = ("import os, sys; from polysieve.cli import main; "
+            "main(['corollary-search', '--f', 't^2+1', '--X', '60000', '--theta', '1/2', "
+            "'--out', os.devnull]); print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(normform.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("theta", [Fraction(2, 5), Fraction(1, 2), Fraction(999, 1000)], ids=str)
 @pytest.mark.parametrize("X", [10000, 30000])
 def test_prime_divisor_search_walk_bound_threshold(X, theta):
