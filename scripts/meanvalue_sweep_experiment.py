@@ -3,8 +3,9 @@
 at fixed Q, for each P given, with the seconds of each x.
 
 All of the grids run in one process, in ascending order, so each x reads the
-unit groups of the last one and resumes the character kernel from its prefix
-sums: a row's seconds are the cost of its new stream terms, not of all of them.
+box that boxes.box_values keeps and the unit groups of the last one, and
+resumes the character kernel from its prefix sums: a row's seconds are the
+cost of its new stream terms, not of the box or of all the terms.
 A later P's grid meets the moduli it shares with an earlier one at the same
 x, and reads their totals from the totals memo without running the kernel.
 

@@ -2,9 +2,10 @@
 
 An MvPoly's box [Q, 2Q)^L is one numpy grid from box_grid, its one builder.
 box_values groups it by one sort into distinct values, ascending, with their
-multiplicities; box_moduli, the one modulus-grouping step, folds them onto the
-moduli |P(q)|.  The small-value count reads the grid with no sort.  Everything
-runs in the calling process; --workers is echoed in reports and starts no process.
+multiplicities, and keeps the last two; box_moduli, the one modulus-grouping
+step, folds them onto the moduli |P(q)|.  The small-value count reads the grid
+with no sort.  Everything runs in the calling process; --workers is echoed in
+reports and starts no process.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, isnan
 
 import numpy as np
@@ -34,11 +36,16 @@ def box_grid(P: MvPoly, Q: int) -> np.ndarray:
     return P.grid([range(Q, 2 * Q)] * P.num_vars)
 
 
+@lru_cache(maxsize=2)
 def box_values(P: MvPoly, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts): the distinct values P(q) over the box in ascending
-    order and their multiplicities, from one grid pass.  Past the int64
-    guard the values are an object array of Python ints."""
-    return np.unique(box_grid(P, Q), return_counts=True)
+    order and their multiplicities, from one grid pass, both read-only.  Past
+    the int64 guard the values are an object array of Python ints.  The last
+    two (P, Q), an MvPoly keyed by value, are kept: an --x sweep of bv-sum
+    reads its two factor boxes op after op, one of meanvalue-sum its one box."""
+    values, counts = np.unique(box_grid(P, Q), return_counts=True)
+    values.flags.writeable = counts.flags.writeable = False
+    return values, counts
 
 
 def box_moduli(P: MvPoly, Q: int, min_modulus=None) -> tuple[dict[int, int], int, int, int]:
@@ -46,6 +53,7 @@ def box_moduli(P: MvPoly, Q: int, min_modulus=None) -> tuple[dict[int, int], int
     (moduli, skipped_unit, skipped_filtered, r_star), where |P(q)| <= 1 is a
     unit skip, |P(q)| < min_modulus (when given) a filtered one, and r_star
     the largest multiplicity of a single value P(q).  The moduli ascend."""
+    check_box_budget(Q, P.num_vars)   # on every call, whatever box_values keeps
     values, counts = box_values(P, Q)
     if isinstance(min_modulus, float) and isnan(min_modulus):
         raise ValueError("min_modulus must not be NaN")

@@ -222,27 +222,6 @@ class DiscrepancySumReport:
     weight_sum: float
 
 
-@dataclass(frozen=True)
-class _BoxClasses:
-    """The part of discrepancy_sum that does not depend on x: the three
-    tuple counts and the weight sum, the pending refusal, the distinct
-    weighted moduli, and per weighted tuple in tuple order its index into
-    them, its coefficient w * phi(m) / Q^ell and its multiplicity.
-    lambda_first: a weighted tuple comes before any refused one in tuple
-    order.  refusal: the factor value or modulus whose factorize refuses (0
-    if none); then the moduli and the per-tuple arrays are left empty."""
-    excluded: int
-    negative: int
-    nonzero: int
-    weight_sum: float
-    lambda_first: bool
-    refusal: int
-    moduli: np.ndarray
-    where: np.ndarray
-    coef: np.ndarray
-    mult: np.ndarray
-
-
 def _at_most(sets: list[tuple[np.ndarray, np.ndarray]], bound: int) -> int:
     """The tuples of the product of the sets (ascending values >= 1, which
     may repeat, with their counts), each counted by the product of its
@@ -293,27 +272,56 @@ def _first_refused(lists, starts, primes, bigs, threshold: int) -> tuple[int, in
     return first
 
 
-@lru_cache(maxsize=1)
-def _classify_box(factors: tuple[MvPoly, ...], Q: int, threshold: int,
-                  limit: int) -> _BoxClasses:
-    """The x-independent part of discrepancy_sum over the factors of F, with
-    limit = FACTOR_LIMIT, from each factor's distinct values, each tested
-    once: sign, size against limit, and primality through the cached
-    factorize, a factor's values only if every earlier factor has a prime
-    value.  The factors fix F.num_vars, as MvPoly equality includes it.
+def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = None,
+                    A: float = 2.0) -> DiscrepancySumReport:
+    """Sum over q ~ Q with |P(q)| > eps_bad * Q^k of
+    weight(q) * phi(P(q)) / Q^ell * discrepancy(P(q), x), where
+    weight(q) = mu^2(P(q)) prod_j Lambda(H_j(q)).
 
-    The tuples are the product of the factors' distinct values, in
-    lexicographic order, with the counts multiplied (and by Q per variable
-    no factor uses).  |m| <= threshold and the sign classes are counted by
-    _at_most on the nonzero |values| and on the values >= 1.  The weighted
-    tuples are the products of prime values with m > threshold, built one
-    factor at a time, where a prime is distinct from the earlier ones iff it
-    does not divide their product; their weight is the left-to-right product
-    of math.log per value, and phi(m) the product of the p - 1.  The last
-    box is kept for an --x sweep (F hashes by identity, so F is no argument)."""
-    ell = max(f.num_vars for f in factors)   # F.num_vars
+    The variables are disjoint, so the tuples are the product of the
+    factors' boxes over their own variables, one box_values each (kept for
+    an --x sweep), in lexicographic order with the counts multiplied (and by
+    Q per variable no factor uses).  Each factor's distinct values are
+    tested once for sign, size against FACTOR_LIMIT (read at call time) and
+    primality, a factor's only if every earlier factor has a prime value.
+    |m| <= threshold and the sign classes are counted by _at_most on the
+    nonzero |values| and on the values >= 1.  For values >= 1 the weight is
+    nonzero exactly when the H_j(q) are pairwise distinct primes, and is
+    then the left-to-right product of math.log H_j(q); those tuples with
+    m > threshold are built one factor at a time, a prime being new iff it
+    does not divide the earlier ones' product, and phi(m) is the product of
+    the p - 1.  Only they cost a discrepancy evaluation.
+
+    The refusals keep the per-tuple order: past a factor value above
+    FACTOR_LIMIT in a tuple whose earlier values are all prime, the Lambda
+    table is read if the first weighted tuple comes before it, then that
+    value is refused; else the Lambda table is read if a tuple is weighted,
+    then the first weighted modulus above FACTOR_LIMIT is refused, then
+    distinct weighted moduli times stream terms above DISCREPANCY_BUDGET,
+    counted cold whatever the kernel's memo holds.  The discrepancy is read
+    once per distinct modulus, ascending, and each weighted tuple's part
+    w * phi(m) / Q^ell * disc(m), repeated by its multiplicity, is summed by
+    fsum, so the result does not depend on the order of the tuples.
+    """
+    ell = F.num_vars
+    k = sum(f.total_degree() for f in F.factors)
+    check_box_budget(Q, ell)
+    if eps_bad is None:
+        eps_bad = default_eps_bad(Q, k, A, len(F.factors))
+    if eps_bad <= 0:
+        raise ValueError("eps_bad must be positive")
+    try:
+        comparator = x / log(x) ** A if x > 1 else None
+        if comparator == inf:   # a float quotient overflows without raising
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"x/(log x)^A is out of float range at x={x}, A={A}") from None
+    threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
+    if x < 1:   # the kernel's check, whether or not a tuple reaches the kernel
+        raise ValueError(f"need x >= 1, got {x}")
+    limit = arith.FACTOR_LIMIT
     values, counts, free = [], [], ell
-    for f in factors:
+    for f in F.factors:
         used = sorted(f.used_variables())
         v, c = box_values(MvPoly(len(used), {tuple(e[i - 1] for i in used): coef
                                              for e, coef in f.terms.items()}), Q)
@@ -349,80 +357,30 @@ def _classify_box(factors: tuple[MvPoly, ...], Q: int, threshold: int,
         w = np.multiply.outer(w, [log(n) for n in pv.tolist()]).ravel()   # left to right
         mult = np.multiply.outer(mult, c[p]).ravel()
     keep = np.flatnonzero(ok & (m > threshold))
-    lambda_first = len(keep) > 0
-    if lambda_first and refused:   # the first weighted tuple against the first refused one
-        at = np.unravel_index(keep[0], [len(p) for p in primes])
-        lambda_first = bool(np.ravel_multi_index([p[i] for p, i in zip(primes, at)],
-                                                 [len(ns) for ns in lists]) < refused[0])
-    m, phi, w, mult = m[keep].tolist(), phi[keep], w[keep], mult[keep]
-    refusal = refused[1] if refused else next((n for n in m if n > limit), 0)
-    nonzero, weight_sum = int(mult.sum()), fsum(np.repeat(w, mult).tolist())
-    if refusal:   # every call refuses before a part is read
-        m, phi, w, mult = [], phi[:0], w[:0], mult[:0]
-    index: dict[int, int] = {}   # the distinct moduli, in tuple order
-    where = np.array([index.setdefault(n, len(index)) for n in m], np.int64)
+    if refused:   # the first weighted tuple against the first refused one
+        if len(keep):
+            at = np.unravel_index(keep[0], [len(p) for p in primes])
+            if np.ravel_multi_index([p[i] for p, i in zip(primes, at)],
+                                    [len(ns) for ns in lists]) < refused[0]:
+                von_mangoldt_table(int(x))   # LAMBDA_LIMIT before the refused tuple
+        factorize(refused[1])
+    m, phi, w, mult = m[keep], phi[keep], w[keep], mult[keep]
+    T = von_mangoldt_table(int(x))[0] if len(m) else ()   # LAMBDA_LIMIT first
+    over = np.flatnonzero(m > limit)
+    if len(over):
+        factorize(int(m[over[0]]))   # the first weighted modulus past FACTOR_LIMIT
+    moduli, where = np.unique(m.astype(np.int64), return_inverse=True)
     coef = w * phi.astype(float) / Q ** ell   # phi(m): m is squarefree
-    moduli = np.array(list(index), np.int64)
-    return _BoxClasses(
-        excluded=small * scale, negative=negative * scale, nonzero=nonzero,
-        weight_sum=weight_sum, lambda_first=lambda_first, refusal=refusal,
-        moduli=moduli, where=where, coef=coef, mult=mult)
-
-
-def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = None,
-                    A: float = 2.0) -> DiscrepancySumReport:
-    """Sum over q ~ Q with |P(q)| > eps_bad * Q^k of
-    weight(q) * phi(P(q)) / Q^ell * discrepancy(P(q), x), where
-    weight(q) = mu^2(P(q)) prod_j Lambda(H_j(q)).
-
-    For factor values >= 1 the weight is nonzero exactly when the H_j(q) are
-    pairwise distinct primes, and is then prod_j log H_j(q); only those
-    tuples cost a discrepancy evaluation.  The variables are disjoint, so
-    the tuples are the product of the factors' boxes over their own
-    variables, one box_values each, and each factor's distinct values are
-    classified once (_classify_box, which keeps the last box across an --x
-    sweep).  The refusals keep the per-tuple order: the Lambda
-    table is read if the first weighted tuple comes before a factor value
-    above FACTOR_LIMIT in a tuple whose earlier values are all prime, then
-    that value is refused; else the first weighted modulus above
-    FACTOR_LIMIT in tuple order, then distinct weighted moduli times stream
-    terms above DISCREPANCY_BUDGET, counted cold whatever the kernel's memo
-    holds.  These run on every call, memoized or not.  The discrepancy is
-    then read once per distinct modulus, and each weighted tuple's part
-    w * phi(m) / Q^ell * disc(m), repeated by its multiplicity, is summed
-    by fsum, so the result does not depend on the order of the tuples.
-    """
-    ell = F.num_vars
-    k = sum(f.total_degree() for f in F.factors)
-    check_box_budget(Q, ell)
-    if eps_bad is None:
-        eps_bad = default_eps_bad(Q, k, A, len(F.factors))
-    if eps_bad <= 0:
-        raise ValueError("eps_bad must be positive")
-    try:
-        comparator = x / log(x) ** A if x > 1 else None
-        if comparator == inf:   # a float quotient overflows without raising
-            raise OverflowError
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"x/(log x)^A is out of float range at x={x}, A={A}") from None
-    threshold = floor(Fraction(eps_bad) * Q ** k)   # exact for the integer |m|
-    if x < 1:   # the kernel's check, whether or not a tuple reaches the kernel
-        raise ValueError(f"need x >= 1, got {x}")
-    box = _classify_box(F.factors, Q, threshold, arith.FACTOR_LIMIT)
-    if box.lambda_first:
-        von_mangoldt_table(int(x))   # LAMBDA_LIMIT before the refusals of later tuples
-    if box.refusal:
-        factorize(box.refusal)   # the refusal of the first tuple or modulus past FACTOR_LIMIT
-    moduli = box.moduli.tolist()
-    charge("discrepancy work", len(moduli) * len(von_mangoldt_table(int(x))[0]) if moduli else 0,
-           DISCREPANCY_BUDGET)
-    disc = np.array([max_progression_discrepancy(m, x) for m in moduli], dtype=float)
-    parts = np.repeat(box.coef * disc[box.where], box.mult).tolist()
+    weight_sum = fsum(np.repeat(w, mult).tolist())
+    del m, phi, w, keep, ok   # before the kernel, which reads none of them
+    charge("discrepancy work", len(moduli) * len(T), DISCREPANCY_BUDGET)
+    disc = np.array([max_progression_discrepancy(n, x) for n in moduli.tolist()], dtype=float)
+    parts = np.repeat(coef * disc[where], mult).tolist()
     return DiscrepancySumReport(
         value=fsum(parts), comparator=comparator, Q=Q, x=x, A=A,
-        eps_bad=eps_bad, box_size=Q ** ell,
-        excluded_small=box.excluded, negative_factor_tuples=box.negative,
-        nonzero_weight_tuples=box.nonzero, weight_sum=box.weight_sum)
+        eps_bad=eps_bad, box_size=Q ** ell, excluded_small=small * scale,
+        negative_factor_tuples=negative * scale, nonzero_weight_tuples=int(mult.sum()),
+        weight_sum=weight_sum)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,11 @@ def test_budget_error(monkeypatch):
     monkeypatch.setattr(boxes, "DEFAULT_BOX_BUDGET", 10 ** 6)
     with pytest.raises(BudgetError):
         box_values(parse_poly("x1+x2+x3"), 1000)
+    # box_moduli reads the budget at call time, whatever box_values keeps
+    box_moduli(P_SUM_SQ, 4)
+    monkeypatch.setattr(boxes, "DEFAULT_BOX_BUDGET", 15)
+    with pytest.raises(BudgetError, match=r"^box enumeration: requires 16, budget is 15$"):
+        box_moduli(P_SUM_SQ, 4)
 
 
 def test_fold_moduli():
@@ -173,6 +178,19 @@ def test_grid_overflow_guard_boundary(text, Q, dtype):
     assert P.grid([range(Q, 2 * Q)] * P.num_vars).dtype == dtype
     values = check_box_values(P, Q)
     assert max(abs(v) for v in values.tolist()) in (2 ** 63 - 1, 2 ** 63, 0)
+
+
+@pytest.mark.parametrize("text, Q", [("x1^2+x2^2", 3), (GUARD_CASES[2][0], 1)])
+def test_box_values_are_read_only_cold_and_warm(text, Q):
+    # the memo hands every caller the same arrays, on the int64 and the object path
+    box_values.cache_clear()
+    for _ in range(2):
+        values, counts = box_values(parse_poly(text), Q)
+        for array in (values, counts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+    assert box_values.cache_info()[:2] == (1, 1)   # (hits, misses)
 
 
 COEFFS = st.one_of(st.integers(-40, 40), st.sampled_from([2 ** 62, -2 ** 62, 3 * 2 ** 61 + 1]))

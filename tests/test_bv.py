@@ -369,39 +369,56 @@ def test_discrepancy_sum_sweeps_are_bit_equal_to_cold_ops(monkeypatch, ops):
     # the body ran once per distinct (m, x): every repeat was a hit
     info = kernel.cache_info()
     assert (info.misses, info.hits) == (len(set(calls)), len(calls) - len(set(calls)))
-    # and the box was classified once per run of consecutive ops on one polynomial
-    runs = sum(1 for i, (F, _) in enumerate(ops) if i == 0 or F.factors != ops[i - 1][0].factors)
-    assert bv._classify_box.cache_info().misses == runs
+    # and each factor box was built once: x2 over its own variable is x1, so
+    # F_PRIMES reads the box of x1 twice per op and F_SHIFTED those of x1 and
+    # x1 + 6, and the memo keeps both
+    built = 1 if all(F is F_PRIMES for F, _ in ops) else 2
+    assert boxes.box_values.cache_info()[:2] == (2 * len(ops) - built, built)   # (hits, misses)
 
 
-def test_the_box_classes_are_keyed_on_factors_q_and_threshold(monkeypatch):
-    # the same factors in other variables, another Q, another threshold, and
-    # another FACTOR_LIMIT each classify anew; another x, or another eps_bad
-    # with the same threshold, does not
+def test_the_box_memo_is_keyed_on_the_factor_box_and_q(monkeypatch):
     clear_caches()
-    F_OTHER = FactoredPoly([parse_poly("x2"), parse_poly("x1")])
-    for F, Q, x, eps_bad in ((F_PRIMES, 16, 100.0, None), (F_PRIMES, 16, 200.0, None),
-                             (F_PRIMES, 16, 100.0, 1e-9), (F_OTHER, 16, 100.0, None),
-                             (F_PRIMES, 8, 100.0, None), (F_PRIMES, 16, 100.0, 0.5)):
-        discrepancy_sum(F, Q, x, eps_bad=eps_bad)
-    # the default threshold at Q = 16 is 0, as at 1e-9
-    assert bv._classify_box.cache_info().misses == 4
-    discrepancy_sum(F_PRIMES, 16, 100.0)   # the box is kept again ...
-    assert bv._classify_box.cache_info().misses == 5
-    discrepancy_sum(F_PRIMES, 16, 100.0)   # ... and read
-    assert bv._classify_box.cache_info().misses == 5
-    monkeypatch.setattr(arith, "FACTOR_LIMIT", arith.FACTOR_LIMIT - 1)
-    discrepancy_sum(F_PRIMES, 16, 100.0)   # the same call but for the limit
-    assert bv._classify_box.cache_info().misses == 6
+    memo = boxes.box_values
+    # FACTOR_LIMIT is read at call time: the same call, refused at the
+    # discrepancy work before any modulus was factorized, is refused at the
+    # first weighted modulus past a lowered limit, 17 * 29, with no cache cleared
+    monkeypatch.setattr(bv, "DISCREPANCY_BUDGET", 0)
+    with pytest.raises(BudgetError, match="^discrepancy work"):
+        discrepancy_sum(F_PRIMES, 16, 100.0)
+    monkeypatch.setattr(arith, "FACTOR_LIMIT", 400)
+    with pytest.raises(BudgetError) as err:
+        discrepancy_sum(F_PRIMES, 16, 100.0)
+    assert str(err.value) == "factorization argument: requires 493, budget is 400"
+    assert memo.cache_info()[:2] == (3, 1)   # (hits, misses)
+    monkeypatch.undo()
+    # another x, another eps_bad or another threshold (0 at Q = 16 by
+    # default and at 1e-9, 128 at 0.5) reads the kept box of x1
+    for x, eps_bad in ((100.0, None), (200.0, None), (100.0, 1e-9), (100.0, 0.5)):
+        discrepancy_sum(F_PRIMES, 16, x, eps_bad=eps_bad)
+    assert memo.cache_info()[:2] == (11, 1)
+    # so does a factor moved to other variables in the same order ...
+    discrepancy_sum(FactoredPoly([parse_poly("x2"), parse_poly("x1")]), 16, 100.0)
+    assert memo.cache_info()[:2] == (13, 1)
+    # ... but another Q builds anew, and so does a factor whose variables
+    # come in another order: x3^2 + 3*x2 is x2^2 + 3*x1 over its own
+    # variables, while x4 reads the box of x1 at Q = 4 again
+    discrepancy_sum(F_PRIMES, 8, 100.0)
+    assert memo.cache_info()[:2] == (14, 2)
+    for text in ("x1^2+3*x2", "x3^2+3*x2"):
+        discrepancy_sum(FactoredPoly([parse_poly(text), parse_poly("x4")]), 4, 100.0)
+    assert memo.cache_info()[:2] == (15, 5)
 
 
-def test_an_equal_factored_polynomial_reads_the_kept_box():
-    # FactoredPoly hashes by identity: a CLI op parses a new one each time
+@pytest.mark.parametrize("op, built", [
+    (lambda x: discrepancy_sum(FactoredPoly([parse_poly("x1"), parse_poly("x2+6")]), 16, x), 2),
+    (lambda x: mean_value_sum(parse_poly("x1^2+x2^2"), 4, x), 1),
+], ids=["bv-sum", "meanvalue-sum"])
+def test_equal_polynomials_parsed_per_op_read_the_kept_boxes(op, built):
+    # a CLI op parses its polynomial anew; MvPoly keys the memo by value
     clear_caches()
-    ops = [FactoredPoly([parse_poly("x1"), parse_poly("x2")]) for _ in range(3)]
-    reports = [discrepancy_sum(F, 16, x) for F, x in zip(ops, (100.0, 200.0, 100.0))]
+    reports = [op(x) for x in (100.0, 200.0, 100.0)]
     assert reports[0] == reports[2] != reports[1]
-    assert bv._classify_box.cache_info()[:2] == (2, 1)   # (hits, misses)
+    assert boxes.box_values.cache_info()[:2] == (2 * built, built)   # (hits, misses)
 
 
 def test_shifted_and_unshifted_primes_share_moduli(monkeypatch):
@@ -551,7 +568,7 @@ def test_discrepancy_sum_negative_tuple_reporting():
 
 
 def test_at_most_counts_repeated_values_as_the_brute_force_does():
-    # _classify_box passes each factor's nonzero |values| sorted, not merged,
+    # discrepancy_sum passes each factor's nonzero |values| sorted, not merged,
     # so a value may repeat with a count each time
     rng = random.Random(3)
     for _ in range(3000):

@@ -837,6 +837,23 @@ def test_meanvalue_sum_over_300_moduli_near_10_5_peaks_below_192_mib():
     assert peak_kib < 192 * 1024
 
 
+def test_bv_sum_over_75_900_weighted_tuples_peaks_below_60_mib():
+    # the 276 primes of [2236, 4472) in ordered pairs: the child peaks at
+    # 54.2 MiB with the distinct moduli grouped by np.unique and the
+    # per-tuple moduli, phi and weights dropped before the kernel, at 55.5
+    # MiB with them kept through it, and at 59.9-60.0 MiB with the moduli
+    # grouped by a dict and a list of them kept through it
+    argv = ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "2236", "--x", "10",
+            "--workers", "1", "--out", os.devnull)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m",
+                           "polysieve.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 60 * 1024
+
+
 def test_corollary_search_near_the_walk_cap_peaks_below_285_mib():
     # 2,995,862 walk entries, just under DIVISOR_WALK_BUDGET: the child peaks
     # at 264.6 MiB with points built after the walk for the named divisors
