@@ -21,6 +21,12 @@ from .errors import charge
 
 FACTOR_LIMIT = 2 ** 63
 
+
+def exact_dtype(bound: int) -> type:
+    """int64 if bound, on every integer a kernel forms, is below 2^63, else object."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
 # Largest limit prime_flags sieves: the table takes one byte per n.
 PRIME_SIEVE_LIMIT = 10 ** 8
 

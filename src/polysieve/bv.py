@@ -20,7 +20,7 @@ from math import floor, fsum, inf, log, prod
 import numpy as np
 
 from . import arith
-from .arith import euler_phi, factorize, von_mangoldt_table
+from .arith import euler_phi, exact_dtype, factorize, von_mangoldt_table
 from .boxes import box_moduli, box_values, check_box_budget
 from .characters import CHAR_MODULUS_CAP, root_table, unit_group
 from .congruence import R_PARAMETER_BITS, r_parameter
@@ -145,13 +145,13 @@ def check_setting(F: FactoredPoly) -> SettingReport:
         top_coeffs_are_one=all(c.min_top_coeff == 1 for c in checks))
 
 
-def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of the prime-power stream (T, L) coprime to m.  The stream
-    holds every prime power up to its last term, and a term shares a prime
-    with m iff it is a power of one of m's primes: one searchsorted finds them."""
+def _coprime_terms(primes, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the prime-power stream (T, L) coprime to the primes.  The
+    stream holds every prime power up to its last term, and a term shares a
+    prime with them iff it is a power of one of them: one searchsorted finds them."""
     top = int(T[-1]) if len(T) else 0
     powers = []
-    for p, _ in factorize(m):
+    for p in primes:
         q = p
         while q <= top:
             powers.append(q)
@@ -162,8 +162,9 @@ def _coprime_terms(m: int, T: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np
 
 
 @lru_cache(maxsize=1 << 12, typed=True)
-def max_progression_discrepancy(m: int, x: float) -> float:
-    """sup over y <= x and coprime residues a of |psi(y; m, a) - y/phi(m)|.
+def max_progression_discrepancy(m: int, primes: tuple[int, ...], x: float) -> float:
+    """sup over y <= x and coprime residues a of |psi(y; m, a) - y/phi(m)|,
+    phi(m) formed from primes, the distinct primes of m.
 
     Between jump points the difference is linear in y, so the sup is at y = x
     or at a one-sided limit of a jump.  Each prefix psi(t; m, a) of the
@@ -179,8 +180,8 @@ def max_progression_discrepancy(m: int, x: float) -> float:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
-    phi = euler_phi(m)
-    T, L = _coprime_terms(m, *von_mangoldt_table(int(x)))
+    phi = m // prod(primes) * prod(p - 1 for p in primes)
+    T, L = _coprime_terms(primes, *von_mangoldt_table(int(x)))
     if not len(T):   # every coprime class is empty
         return x / phi
     R = T % m
@@ -229,7 +230,7 @@ def _at_most(sets: list[tuple[np.ndarray, np.ndarray]], bound: int) -> int:
     prefix product) left for the later sets, then one searchsorted in the last."""
     if prod(int(v[0]) if len(v) else bound + 1 for v, _ in sets) > bound:
         return 0
-    dtype = np.int64 if bound < 2 ** 63 else object   # floor division never grows a bound
+    dtype = exact_dtype(bound)   # floor division never grows a bound
     bounds, weights = np.array([bound], dtype), np.ones(1, np.int64)
     for v, c in sets[:-1]:
         n = np.searchsorted(v, bound, "right")   # exact: no later value is below 1
@@ -290,7 +291,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     then the left-to-right product of math.log H_j(q); those tuples with
     m > threshold are built one factor at a time, a prime being new iff it
     does not divide the earlier ones' product, and phi(m) is the product of
-    the p - 1.  Only they cost a discrepancy evaluation.
+    the p - 1.  Only they cost a discrepancy evaluation, given m's primes.
 
     The refusals keep the per-tuple order: past a factor value above
     FACTOR_LIMIT in a tuple whose earlier values are all prime, the Lambda
@@ -347,8 +348,7 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
                        and factorize(ns[i]) == ((ns[i], 1),)] if reached else [])
         bigs.append(range(cut, len(ns)) if reached else range(0))
     refused = _first_refused(lists, starts, primes, bigs, threshold) if any(bigs) else None
-    wide = prod(ns[p[-1]] if p else 0 for ns, p in zip(lists, primes)) >= 2 ** 63
-    m = phi = np.ones(1, object if wide else np.int64)
+    m = phi = np.ones(1, exact_dtype(prod(ns[p[-1]] if p else 0 for ns, p in zip(lists, primes))))
     w, mult, ok = np.ones(1), np.array([scale]), np.ones(1, bool)
     for ns, c, p in zip(lists, counts, primes):   # the product of the primes, in tuple order
         pv = np.array([ns[i] for i in p], m.dtype)
@@ -369,12 +369,16 @@ def discrepancy_sum(F: FactoredPoly, Q: int, x: float, eps_bad: float | None = N
     over = np.flatnonzero(m > limit)
     if len(over):
         factorize(int(m[over[0]]))   # the first weighted modulus past FACTOR_LIMIT
-    moduli, where = np.unique(m.astype(np.int64), return_inverse=True)
+    moduli, first, where = np.unique(m.astype(np.int64), return_index=True, return_inverse=True)
+    at = np.unravel_index(keep[first], [len(p) for p in primes])   # each modulus's first tuple
+    factors = [tuple(sorted(f)) for f in zip(*([ns[p[i]] for i in a.tolist()]
+                                               for ns, p, a in zip(lists, primes, at)))]
     coef = w * phi.astype(float) / Q ** ell   # phi(m): m is squarefree
     weight_sum = fsum(np.repeat(w, mult).tolist())
-    del m, phi, w, keep, ok   # before the kernel, which reads none of them
+    del m, phi, w, keep, ok, first, at   # before the kernel, which reads none of them
     charge("discrepancy work", len(moduli) * len(T), DISCREPANCY_BUDGET)
-    disc = np.array([max_progression_discrepancy(n, x) for n in moduli.tolist()], dtype=float)
+    disc = np.array([max_progression_discrepancy(n, f, x)
+                     for n, f in zip(moduli.tolist(), factors)], dtype=float)
     parts = np.repeat(coef * disc[where], mult).tolist()
     return DiscrepancySumReport(
         value=fsum(parts), comparator=comparator, Q=Q, x=x, A=A,
@@ -418,7 +422,7 @@ def _primitive_sups(d: int, T: np.ndarray, L: np.ndarray,
     empty; the carry passed in is never written."""
     group = unit_group(d)
     chars, real = group.primitive_pairs
-    T, L = _coprime_terms(d, T, L)
+    T, L = _coprime_terms([p for p, _ in factorize(d)], T, L)
     if carry and carry[0] <= len(T):
         k, psi, sups = carry[0], carry[1].copy(), carry[2].copy()
     else:

@@ -94,15 +94,13 @@ def _jsonify(obj):
 
 # The report writer: the C encoder writes compact ASCII text (ensure_ascii is
 # on), and one sparse numpy pass puts "\n" and 2 spaces per depth after each
-# comma and non-empty opener and before each non-empty closer.  It finds those
-# bytes through a 0/1 table, whose bool view scans 3 times faster than the int8
-# kinds, and reads their kinds there alone.  The encoder takes tuples, int keys
-# and np.float64; the tests check the handler contract.  A report has no cycle
-# (a shared dict is written at each place), so the encoder marks no container.
+# comma and non-empty opener and before each non-empty closer, read from one
+# translated copy of the text.  The encoder takes tuples, int keys and
+# np.float64; the tests check the handler contract.  A report has no cycle (a
+# shared dict is written at each place), so the encoder marks no container.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), check_circular=False)
 # int8 codes (254 is -2): bit 0 set where the indent follows, the rest twice the depth step
 _KINDS = bytes(dict(zip(b'",[{]}', (4, 1, 3, 3, 254, 254))).get(c, 0) for c in range(256))
-_MARKED = bytes(map(bool, _KINDS))
 
 
 def _dumps(obj) -> str:
@@ -112,8 +110,9 @@ def _dumps(obj) -> str:
     escapes = (b"\\\\", b'\\"') if b"\\" in raw else ()
     for blank in (*escapes, b"[]", b"{}"):
         text = text.replace(blank, b"__")
-    pos = np.flatnonzero(np.frombuffer(text.translate(_MARKED), np.bool_))
-    kind = np.frombuffer(text.translate(_KINDS), np.int8)[pos]
+    marks = np.frombuffer(text.translate(_KINDS), np.int8)
+    pos = marks.nonzero()[0]
+    kind = marks[pos]
     quote = kind == 4
     keep = ~(np.logical_xor.accumulate(quote) | quote)   # outside strings
     pos, kind = pos[keep], kind[keep]
@@ -122,11 +121,12 @@ def _dumps(obj) -> str:
     kept = np.zeros(len(raw) + (int(ends[-1]) if ends.size else 0), bool)
     ends += pos + (kind & 1)   # after commas and openers, before closers
     starts = ends - run
-    del text, pos, kind, quote, keep, run   # before the full-length arrays
+    del text, marks, pos, kind, quote, keep, run   # before the full-length arrays
     kept[0] = kept[starts] = kept[ends] = True
     np.logical_xor.accumulate(kept, out=kept)   # True on the bytes of raw
     out = np.full(kept.size, ord(" "), np.uint8)
     out[kept] = np.frombuffer(raw, np.uint8)
+    del kept, raw   # before the copy into text
     out[starts] = ord("\n")
     return str(out, "ascii")
 

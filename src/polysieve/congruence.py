@@ -7,8 +7,8 @@ w_j is 1 when m >= H).  A grid point with d = (a*P - L - 1) mod m has
 R//m + [d < R mod m] partners y in [L+1, L+R], so the count is
 (R//m) H^ell plus the sum of prod w_j over the points with d < R mod m.
 That product depends only on how many coordinates have j < H mod m: one
-bincount and a sum in Python ints give the count exactly.  The residues
-reduce in int64 for m < 2^31, else on exact object ints, a slab at a time.
+bincount and a sum in Python ints give the count exactly.  The residues reduce
+in int64 while (m-1)^2 < 2^63, else on exact object ints, a slab at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from math import comb, e, gcd, inf, log2
 
 import numpy as np
 
+from .arith import exact_dtype
 from .errors import charge
 from .mvpoly import MvPoly
 
@@ -73,8 +74,7 @@ def count_solutions(inst: CongruenceInstance) -> int:
         cut = [slice(lo, lo + step)] + [slice(None)] * (ell - 1)
         vals = inst.P.grid([[(k + 1 + j) % m for j in range(side)[c]]
                             for k, c in zip(inst.K, cut)])
-        if m >= 2 ** 31:
-            # int64 % m overflows once m >= 2^63, and the product below needs m^2 < 2^63
+        if exact_dtype((m - 1) ** 2) is object:   # (m-1)^2 bounds a % m * (vals % m)
             vals = vals.astype(object)
         d = (inst.a % m * (vals % m) - (inst.L + 1) % m) % m
         small = sum(j_small[c].reshape([-1] + [1] * (ell - 1 - i)) for i, c in enumerate(cut))

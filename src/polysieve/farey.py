@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi, factorize
+from .arith import euler_phi, exact_dtype, factorize
 from .boxes import box_moduli
 from .congruence import r_parameter
 from .errors import charge
@@ -69,17 +69,15 @@ def build_farey(P: MvPoly, Q: int, min_modulus=None) -> FareySystem:
                        skipped_unit_moduli=skipped_unit, skipped_filtered=skipped_filtered)
 
 
-def _exact(bound: int, *xs):
-    """xs in int64 if the products formed are below bound < 2^63, else as Python ints."""
-    return xs if bound < 2 ** 63 else tuple(x.astype(object) for x in xs)
-
-
 def min_spacing(system: FareySystem) -> Fraction:
     """Smallest circular distance between distinct point values, exact:
     floats pick the cyclic gaps p/q within relative 2^-40 of the smallest."""
     if system.distinct_count < 2:
         raise ValueError("minimum spacing needs at least 2 distinct points")
-    a, d = _exact(2 * int(system.d.max()) ** 2, system.a, system.d)
+    # a1 d < 2 max d^2 bounds every product; p and q, below max d^2 as every gap
+    # is below 1, would still come out exact mod 2^64 in int64 up to 2^64
+    dtype = exact_dtype(2 * int(system.d.max()) ** 2)
+    a, d = system.a.astype(dtype, copy=False), system.d.astype(dtype, copy=False)
     a1, d1 = np.roll(a, -1), np.roll(d, -1)
     a1[-1] += d1[-1]
     p, q = a1 * d - a * d1, d * d1
@@ -121,7 +119,8 @@ def max_close_points(system: FareySystem, grid: list[int]) -> list[int]:
 def _below(j, i, a, d, N, big):
     """Whether x_j < x_i + 1/(2N) exactly, x_j read on the circle unrolled once."""
     wrap, j = np.divmod(j, len(a))
-    ai, di, aj, dj = _exact(2 * N * big, a[i], d[i], a[j] + wrap * d[j], d[j])
+    dtype = exact_dtype(2 * N * big)
+    ai, di, aj, dj = (x.astype(dtype, copy=False) for x in (a[i], d[i], a[j] + wrap * d[j], d[j]))
     return 2 * N * (aj * di - ai * dj) < di * dj
 
 

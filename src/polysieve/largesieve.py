@@ -27,7 +27,7 @@ from math import comb, isfinite, log2, pi
 
 import numpy as np
 
-from .arith import euler_phi, factorize
+from .arith import euler_phi, exact_dtype, factorize
 from .congruence import r_parameter
 from .errors import charge
 
@@ -170,15 +170,15 @@ def sieve_sums(moduli: dict[int, int], M: int, grid, spectrum) -> list[tuple[flo
         charge("sieve sum", fft_work(N) + terms + int(((N - 1) // E[E < N] + 1).sum()),
                DEFAULT_WORK_BUDGET)
     # sum_e |e G(e)| bounds every W(h) and the partial sums that build it
-    wide = sum(abs(e * g) for e, g in weights.items()) >= 2 ** 63
-    W = np.zeros(top, dtype=object if wide else np.int64)
+    w_bound = sum(abs(e * g) for e, g in weights.items())
+    W = np.zeros(top, dtype=exact_dtype(w_bound))
     for e, g in weights.items():
         W[e::e] += e * g
     g_abs, out = sum(map(abs, weights.values())), []
     for N in grid:
         norm_sq, R = spectrum(N)
         if np.issubdtype(R.dtype, np.integer):
-            if wide or int(norm_sq) * (N - 1) * g_abs >= 2 ** 63:
+            if exact_dtype(max(w_bound, int(norm_sq) * (N - 1) * g_abs)) is object:
                 R = R.astype(object)
             total = int(R[0]) * phi_total + 2 * int(R @ W[:N])
         else:

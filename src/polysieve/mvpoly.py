@@ -16,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .arith import exact_dtype
 from .errors import charge
 
 Exponents = tuple[int, ...]
@@ -108,7 +109,7 @@ class MvPoly:
         bits = c.bit_length() + k * t.bit_length()   # 2^(bits-1-k) <= c t^k < 2^bits
         charge("grid value bits", bits, GRID_VALUE_BITS)
         # the exact power is formed only when bits - 1 - k < 63, where t^k < 2^126
-        dtype = np.int64 if bits <= 63 or (bits - 1 - k < 63 and c * t ** k < 2 ** 63) else object
+        dtype = exact_dtype(c * t ** k if bits - 1 - k < 63 else 2 ** (bits - 1 - k))
         xs = [np.array(a, dtype=dtype).reshape([-1] + [1] * (len(axes) - 1 - i))
               for i, a in enumerate(axes)]
         out = np.zeros([len(a) for a in axes], dtype=dtype)

@@ -19,7 +19,7 @@ from math import comb, log, log2, prod
 
 import numpy as np
 
-from .arith import factorize, is_prime, prime_flags
+from .arith import exact_dtype, factorize, is_prime, prime_flags
 from .boxes import box_grid, check_box_budget
 from .errors import charge
 from .mvpoly import MvPoly, parse_poly
@@ -184,17 +184,18 @@ def norm_form(spec: NumberFieldSpec) -> MvPoly:
     the monomials of its degree, and an entry times a minor is scattered up
     one degree through the index maps monomial -> monomial + e_i.  Only the
     row subsets that the full set reaches through nonzero entries are built,
-    found top-down first.  The dtype is int64 when the product over rows of
-    each row's absolute coefficient sum is below 2^63: it bounds the
-    permanent, and as every row sum is >= 1, every minor and partial sum;
-    else object, the same code on Python ints.
+    found top-down first.  The dtype is exact_dtype of the product over rows
+    of each row's absolute coefficient sum: it bounds the permanent, and as
+    every row sum is >= 1, every minor and partial sum.  For ell >= 2 every
+    row sum is >= 2 and every value formed is at most half that bound, so
+    int64 would stay exact for any bound below 2^64.
     """
     check_norm_form_budget(spec)
     n, ell = spec.degree, spec.num_form_vars
     table = power_basis_table(spec)
     entry = [[[table[i + col][row] for i in range(ell)] for row in range(n)] for col in range(n)]
     bound = prod(sum(abs(c) for column in entry for c in column[row]) for row in range(n))
-    dtype = np.int64 if bound < 2 ** 63 else object
+    dtype = exact_dtype(bound)
     levels = [{(1 << n) - 1}]   # levels[col]: the row subsets expanded along column col
     for col in range(n - 1):
         levels.append({mask & ~(1 << r) for mask in levels[-1] for r in range(n)

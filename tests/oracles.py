@@ -843,7 +843,8 @@ def loop_discrepancy_sum(F, Q: int, x: float, eps_bad=None,
         elif w := prime_value_weight(vals):
             nonzero += 1
             weights.append(w)
-            parts.append(w * euler_phi(m) / Q ** ell * max_progression_discrepancy(m, x))
+            disc = max_progression_discrepancy(m, tuple(sorted(vals)), x)   # distinct primes
+            parts.append(w * euler_phi(m) / Q ** ell * disc)
     return DiscrepancySumReport(
         value=fsum(parts), comparator=x / log(x) ** A if x > 1 else None,
         Q=Q, x=x, A=A, eps_bad=eps_bad, box_size=Q ** ell,

@@ -201,7 +201,7 @@ def test_criterion_08_weighted_discrepancy_hand_value():
         rep = discrepancy_sum(FactoredPoly([P_SUM_SQ]), 1, 10)
         expected = math.log(2) * (9 - math.log(105))
         assert abs(rep.value - expected) <= 1e-9
-        assert loop_discrepancy(2, 10) == (max_progression_discrepancy(2, 10), 1, 9.0, True)
+        assert loop_discrepancy(2, 10) == (max_progression_discrepancy(2, (2,), 10), 1, 9.0, True)
 
 
 def test_criterion_09_character_suite():

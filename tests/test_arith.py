@@ -15,6 +15,11 @@ from polysieve.errors import BudgetError
 from polysieve.normform import _divisors_with_sign
 
 
+def test_exact_dtype_is_int64_exactly_below_2_63():
+    assert arith.exact_dtype(0) is arith.exact_dtype(2 ** 63 - 1) is np.int64
+    assert arith.exact_dtype(2 ** 63) is arith.exact_dtype(2 ** 64) is object
+
+
 def test_factorize_examples():
     assert factorize(12) == ((2, 2), (3, 1))
     assert factorize(1) == ()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import polysieve.arith as arith
 import polysieve.boxes as boxes
 import polysieve.bv as bv
+import polysieve.cli as cli
 from oracles import (character_value, character_values, clear_caches, enumerate_characters,
                      factor_values, loop_discrepancy, loop_discrepancy_sum, loop_psi_chi,
                      loop_sup_abs_psi_chi, prime_value_weight, primitive_character_count,
@@ -109,18 +110,23 @@ def test_weight_forces_squarefree_product():
         math.log(3) * math.log(5), rel=1e-12)
 
 
+def _disc(m, x):
+    """The discrepancy kernel at m, given the primes of m."""
+    return max_progression_discrepancy(m, tuple(p for p, _ in arith.factorize(m)), x)
+
+
 def test_discrepancy_hand_value():
-    value = max_progression_discrepancy(2, 10)
+    value = _disc(2, 10)
     assert value == pytest.approx(9 - math.log(105), rel=1e-12)
     assert loop_discrepancy(2, 10) == (value, 1, 9.0, True)
-    assert max_progression_discrepancy(2, 2) == pytest.approx(2.0)
+    assert _disc(2, 2) == pytest.approx(2.0)
 
 
 def test_discrepancy_validation():
     with pytest.raises(ValueError):
-        max_progression_discrepancy(1, 10)
+        _disc(1, 10)
     with pytest.raises(ValueError):
-        max_progression_discrepancy(4, 0.5)
+        _disc(4, 0.5)
 
 
 def _discrepancy_oracle(m, x):
@@ -145,12 +151,12 @@ def _discrepancy_oracle(m, x):
 
 def test_discrepancy_matches_independent_oracle():
     for m, x in ((2, 10), (3, 50), (97, 10), (10, 200)):
-        assert max_progression_discrepancy(m, x) == pytest.approx(
+        assert _disc(m, x) == pytest.approx(
             _discrepancy_oracle(m, x), rel=1e-9)
 
 
 def _assert_matches_loop(m, x):
-    value = max_progression_discrepancy(m, x)
+    value = _disc(m, x)
     assert type(value) is float   # oracles.assert_plain_json refuses numpy scalars
     assert value == loop_discrepancy(m, x)[0]
 
@@ -177,7 +183,7 @@ def test_discrepancy_prefixes_are_correctly_rounded():
     # correctly rounded prefix gives ...478, a compensated running sum ...548
     prefix = fsum(von_mangoldt(t) for t in range(3, 463, 23))
     assert abs(prefix - 463 / 22) == 11.856746473605478
-    assert max_progression_discrepancy(23, 500) == 11.856746473605478
+    assert _disc(23, 500) == 11.856746473605478
     assert loop_discrepancy(23, 500) == (11.856746473605478, 3, 463.0, True)
 
 
@@ -194,23 +200,23 @@ def test_discrepancy_when_every_class_holds_one_term(m):
     # the jump at t goes from t/phi to |log p - t/phi|, and the largest is at
     # the largest prime, 997; every end value at y = x is smaller
     phi = m - 1
-    assert max_progression_discrepancy(m, 1000) == abs(math.log(997) - 997 / phi)
+    assert _disc(m, 1000) == abs(math.log(997) - 997 / phi)
     # no prime power up to x: only the empty classes at y = x remain
-    assert max_progression_discrepancy(m, 1.5) == 1.5 / phi
+    assert _disc(m, 1.5) == 1.5 / phi
 
 
 def test_discrepancy_tie_at_x_takes_the_smallest_residue():
     # mod 33 the classes 2 and 32 each hold one power of 2 up to 81, so they
     # tie at y = x; the oracle's scan over residues keeps the first
     value = abs(math.log(2) - 81 / 20)
-    assert max_progression_discrepancy(33, 81) == value
+    assert _disc(33, 81) == value
     assert loop_discrepancy(33, 81) == (value, 2, 81.0, False)
 
 
 def test_discrepancy_grid_beats_random_probes():
     rng = random.Random(5)
     for m, x in ((6, 300), (11, 120)):
-        sup = max_progression_discrepancy(m, x)
+        sup = _disc(m, x)
         phi = euler_phi(m)
         for _ in range(1000):
             y = rng.uniform(0.01, x)
@@ -323,7 +329,7 @@ def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch)
     calls = []
     kernel = bv.max_progression_discrepancy
     monkeypatch.setattr(bv, "max_progression_discrepancy",
-                        lambda m, x: calls.append(m) or kernel(m, x))
+                        lambda m, primes, x: calls.append(m) or kernel(m, primes, x))
     rep = discrepancy_sum(F, 4, 5000.0)
     moduli = set()
     for q in itertools.product(range(4, 8), repeat=4):
@@ -332,6 +338,36 @@ def test_discrepancy_sum_calls_the_kernel_once_per_distinct_modulus(monkeypatch)
             moduli.add(math.prod(vals))
     assert rep.nonzero_weight_tuples > len(moduli) > 1
     assert sorted(calls) == sorted(moduli)
+
+
+def test_a_bv_sum_ops_kernel_runs_call_neither_factorize_nor_euler_phi(monkeypatch, capsys):
+    # discrepancy_sum hands each distinct modulus the primes it multiplied
+    inside, kernel, runs, seen = [], bv.max_progression_discrepancy, [], []
+
+    def run(*args):
+        inside.append(args)
+        try:
+            return kernel(*args)
+        finally:
+            runs.append(inside.pop())
+
+    def spy(name, real):
+        def call(n):
+            if inside:
+                seen.append((name, n))
+            return real(n)
+        return call
+
+    clear_caches()
+    for module in (arith, bv):
+        for name in ("factorize", "euler_phi"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(bv, "max_progression_discrepancy", run)
+    assert cli.main(["bv-sum", "--P", "x1", "--P", "x2+6", "--Q", "16", "--x", "2000"]) == 0
+    capsys.readouterr()
+    assert len(runs) == 14 and kernel.cache_info().misses == 14   # every kernel body ran
+    assert all(m == math.prod(primes) for m, primes, _ in runs)
+    assert seen == []
 
 
 # at Q = 16 the factor values are 16..31 and 22..37: the 10 weighted moduli of
@@ -343,7 +379,7 @@ F_SHIFTED = FactoredPoly([parse_poly("x1"), parse_poly("x2+6")])
 def _recorded_kernel(monkeypatch):
     calls, kernel = [], bv.max_progression_discrepancy
     monkeypatch.setattr(bv, "max_progression_discrepancy",
-                        lambda m, x: calls.append((m, x)) or kernel(m, x))
+                        lambda m, primes, x: calls.append((m, x)) or kernel(m, primes, x))
     return calls, kernel
 
 
@@ -448,7 +484,7 @@ def test_the_discrepancy_memo_holds_at_most_its_maxsize():
     assert kernel.cache_info().maxsize == 1 << 12
     kernel.cache_clear()
     for i in range(kernel.cache_info().maxsize + 100):
-        kernel(3, 1 + i / 4)
+        kernel(3, (3,), 1 + i / 4)
     assert kernel.cache_info().currsize == kernel.cache_info().maxsize
 
 
@@ -456,11 +492,12 @@ def test_a_refused_call_reaches_the_kernel_every_time(monkeypatch):
     kernel = bv.max_progression_discrepancy
     clear_caches()
     monkeypatch.setattr(arith, "FACTOR_LIMIT", 400)
-    arith.factorize.cache_clear()   # so 1003 = 17 * 59 and 493 = 17 * 29 meet the limit
-    for i, (m, x, error) in enumerate([(1003, 100.0, BudgetError)] * 2
-                                      + [(97, 0.5, ValueError)] * 2):
+    arith.factorize.cache_clear()   # so 493 = 17 * 29 meets the limit
+    # the kernel reads no factorization: past LAMBDA_LIMIT its stream refuses
+    for i, (m, primes, x, error) in enumerate([(1003, (17, 59), 1e8, BudgetError)] * 2
+                                              + [(97, (97,), 0.5, ValueError)] * 2):
         with pytest.raises(error):
-            kernel(m, x)
+            kernel(m, primes, x)
         assert (kernel.cache_info().misses, kernel.cache_info().currsize) == (i + 1, 0)
     # in tuple order (17, 19), (17, 23), then 17 * 29 is the first past the limit;
     # DISCREPANCY_BUDGET would refuse too, and is checked after it
@@ -546,6 +583,13 @@ def test_a_weighted_modulus_past_2_63_is_refused_before_the_discrepancy_work(mon
         discrepancy_sum(F, 64, 100.0)
     assert str(err.value) == ("factorization argument: requires 1208925820054433825845967, "
                               f"budget is {arith.FACTOR_LIMIT}")
+
+
+def test_a_threshold_between_2_63_and_2_64_is_counted_on_python_ints():
+    # floor(10^19 * 1^2) = 10^19 is past int64, so _at_most's bounds are Python ints
+    rep = discrepancy_sum(F_PRIMES, 1, 10, eps_bad=1e19)
+    assert rep == loop_discrepancy_sum(F_PRIMES, 1, 10, eps_bad=1e19)
+    assert rep.excluded_small == 1
 
 
 def test_discrepancy_sum_threshold_boundary():

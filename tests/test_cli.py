@@ -293,6 +293,17 @@ def test_bv_sum_over_the_factorization_cap(capsys):
     assert rep["result"]["value"] == 0.0
 
 
+def test_bv_sum_refuses_a_product_of_two_primes_between_2_63_and_2_64(capsys):
+    # 3300000001 * 3300000059 is in [2^63, 2^64): the moduli are multiplied
+    # on Python ints, where int64 would wrap the product and refuse nothing
+    code, out, err = run_cli(capsys, "bv-sum", "--P", "x1+3300000000", "--P", "x2+3300000058",
+                             "--Q", "1", "--x", "10")
+    assert 2 ** 63 <= 3300000001 * 3300000059 < 2 ** 64
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == ("factorization argument: requires 10890000198000000059, "
+                                        "budget is 9223372036854775808")
+
+
 LAMBDA_ERROR = ('{"error": "von Mangoldt table limit: requires 100000000, '
                 'budget is 10000000", "kind": "resource", "partial_progress": false}\n')
 BV_LAMBDA_ARGV = ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "2000", "--x", "100000000",
@@ -837,10 +848,11 @@ def test_meanvalue_sum_over_300_moduli_near_10_5_peaks_below_192_mib():
     assert peak_kib < 192 * 1024
 
 
-def test_bv_sum_over_75_900_weighted_tuples_peaks_below_60_mib():
+def test_bv_sum_over_75_900_weighted_tuples_peaks_below_50_mib():
     # the 276 primes of [2236, 4472) in ordered pairs: the child peaks at
-    # 54.2 MiB with the distinct moduli grouped by np.unique and the
-    # per-tuple moduli, phi and weights dropped before the kernel, at 55.5
+    # 45 MiB with each distinct modulus handed its primes, and at 54.2 MiB
+    # with the kernel factoring every modulus (the distinct moduli grouped
+    # by np.unique, the per-tuple arrays dropped before the kernel), at 55.5
     # MiB with them kept through it, and at 59.9-60.0 MiB with the moduli
     # grouped by a dict and a list of them kept through it
     argv = ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "2236", "--x", "10",
@@ -851,7 +863,21 @@ def test_bv_sum_over_75_900_weighted_tuples_peaks_below_60_mib():
                           timeout=60)
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
-    assert peak_kib < 60 * 1024
+    assert peak_kib < 50 * 1024
+
+
+def test_norm_form_of_a_dense_degree_10_peaks_below_160_mib():
+    # a 20.3 MiB report: the child peaks at 150 MiB with the writer's mask
+    # and compact text dropped before the final copy, at 171.5 MiB with them
+    # kept through it, and at 185 MiB with a second translated copy of the text
+    argv = ("norm-form", "--f", "t^10+t^9+3*t+2", "--workers", "1", "--out", os.devnull)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m",
+                           "polysieve.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 160 * 1024
 
 
 def test_corollary_search_near_the_walk_cap_peaks_below_285_mib():

@@ -148,6 +148,16 @@ def test_count_solutions_matches_oracles():
                         assert count_solutions(inst) == count_by_enumeration(inst), inst
 
 
+@pytest.mark.parametrize("m", (3037000500, 3037000501))
+def test_residue_products_stay_exact_either_side_of_the_int64_edge(m):
+    # (m-1)^2 < 2^63 exactly for m <= 3037000500, where the residues stay on
+    # int64; at x = m, a*P(x) reduces (m-1)*(m-1), which int64 wraps at m + 1
+    assert ((m - 1) ** 2 < 2 ** 63) == (m == 3037000500)
+    for L, R in ((0, 1), (0, m - 5), (-3, 10)):
+        inst = CongruenceInstance(P=parse_poly("x1^2-1"), a=m - 1, m=m, K=(m - 1,), H=4, L=L, R=R)
+        assert count_solutions(inst) == count_by_enumeration(inst), inst
+
+
 @pytest.mark.parametrize("slab", (1, 5, 13))
 def test_count_solutions_is_the_same_in_any_slab_size(monkeypatch, slab):
     monkeypatch.setattr(congruence, "_SLAB_POINTS", slab)

@@ -80,6 +80,17 @@ def test_max_close_points_examples():
     assert max_close_points(make_system([(1, 3), (2, 3)]), [1])[0] == 2
 
 
+def test_max_close_points_compares_on_python_ints_past_2_63():
+    # 1/2 alone: the bound 2N (1 + 2) 2 is in [2^63, 2^64) at N = 2^60 + 1,
+    # and the point's next copy 3/2 is compared by 2N * 4 = 2^63 + 8, which
+    # int64 wraps to a negative number, so 3/2 would be counted as close
+    system = make_system([(1, 2), (1, 2), (1, 2)])
+    for N in (2 ** 61 // 3 + 1, 2 ** 60 + 1):   # the first N past the edge, and a wrap
+        assert 2 ** 63 <= 2 * N * 6 < 2 ** 64
+        assert max_close_points(system, [N]) == [3] == [loop_max_close_points(
+            farey_points(system), N)]
+
+
 def test_max_close_points_strict_tie_exclusion():
     # distance exactly 1/2N is excluded
     system = make_system([(0, 1), (1, 4)])

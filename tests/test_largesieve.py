@@ -47,6 +47,27 @@ def test_sieve_sums_refuses_a_window_before_building_a_sequence():
     assert built == []
 
 
+def test_the_divisor_weight_table_past_2_63_is_exact():
+    # G = {1: -2c, 5: c, 7: c}: sum |e G(e)| = 14c is in [2^63, 2^64), and
+    # W(35) = 10c is past 2^63, so an int64 table would wrap there
+    c = 12 * 10 ** 17
+    moduli = {5: c, 7: c}
+    [(norm_sq, total)] = sieve_sums(moduli, 0, [36], lambda N: autocorrelation(np.ones(N)))
+    assert 2 ** 63 <= 14 * c < 2 ** 64 and 10 * c >= 2 ** 63
+    assert total == exact_sieve_sum(np.ones(36), moduli)
+
+
+def test_the_dot_product_past_2_63_is_exact():
+    # an integer R with |R(h)| <= R(0), the sign of W(h) = -2 + 5[5 | h] + 7[7 | h]:
+    # the bound norm_sq (N - 1) sum |G| = 140 norm_sq is in [2^63, 2^64), and
+    # R @ W = 96 norm_sq, past 2^63, so an int64 dot product would wrap
+    norm_sq, W = 11 * 10 ** 16, [0] + [-2 + 5 * (h % 5 == 0) + 7 * (h % 7 == 0) for h in range(1, 36)]
+    R = np.array([norm_sq] + [norm_sq if w > 0 else -norm_sq for w in W[1:]])
+    [(_, total)] = sieve_sums({5: 1, 7: 1}, 0, [36], lambda N: (float(norm_sq), R))
+    assert 2 ** 63 <= 140 * norm_sq < 2 ** 64 and 96 * norm_sq >= 2 ** 63
+    assert total == norm_sq * 10 + 2 * sum(int(r) * w for r, w in zip(R, W))
+
+
 def test_sequence_dtypes_choose_the_path():
     # the real families stay float64 and take the exact path; unit is complex
     moduli = box_moduli(P_SUM_SQ, 2)[0]

@@ -358,8 +358,11 @@ def monic_fields(draw):
 
 
 # t^3 + 10^18 + 3 in 3 variables has a product of row sums past 2^63, so it
-# runs on Python ints; the small fields and its truncations run in int64
+# runs on Python ints; the small fields and its truncations run in int64.
+# t^3 - 3037000501 has the coefficient 3037000501^2 of q3^3 just past 2^63,
+# where an int64 run would wrap
 @example(NumberFieldSpec.from_text(f"t^3+{10 ** 18 + 3}"))
+@example(NumberFieldSpec.from_text("t^3-3037000501"))
 @example(NumberFieldSpec.from_text("t^7+t^6+3*t+2"))
 @settings(max_examples=30)
 @given(monic_fields())

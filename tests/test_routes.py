@@ -4,7 +4,9 @@ tests/oracles.py, not in src/.  Every work cap refuses through one
 errors.charge call whose `what` has its message pinned in test_refusals.py.
 Every cache the library keeps between calls is documented in the README and
 cleared by the cold tests, and no other module state is rebound at run time
-than the Lambda stream, which the README lists."""
+than the Lambda stream, which the README lists.  Only arith.exact_dtype
+decides whether int64 is exact: no other comparison with 2^63 is made but
+the named caps and checks of input."""
 
 import ast
 import contextlib
@@ -225,3 +227,52 @@ def test_the_lambda_stream_is_the_only_name_a_global_statement_rebinds():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Global) for name in node.names}
     assert rebound == {"arith._lambda_stream"}
+
+
+# The comparisons with 2^63 (or 2^63 - 1) that src/ may make, and why: every
+# choice between int64 and Python ints asks arith.exact_dtype.
+INT64_EDGES = {
+    "arith.exact_dtype": "the one decision that int64 is exact below 2^63",
+    "largesieve.sieve_sums": "input validation: the window (M, M+N] must end below 2^63",
+}
+
+
+def _constant(node: ast.AST):
+    """The value of an expression made of int constants and operators only, else None."""
+    if all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+           for n in ast.walk(node)):
+        return eval(compile(ast.Expression(node), "<constant>", "eval"), {"__builtins__": {}})
+    return None
+
+
+def int64_edges(tree: ast.Module, scope: str) -> set[str]:
+    """The qualified names of the functions of a module that compare with 2^63 or 2^63 - 1."""
+    found = set()
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found |= int64_edges(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Compare) and {2 ** 63 - 1, 2 ** 63} & {
+                _constant(side) for side in (child.left, *child.comparators)}:
+            found.add(scope)
+        found |= int64_edges(child, scope)
+    return found
+
+
+def test_only_exact_dtype_decides_when_int64_is_exact():
+    found = set().union(*(int64_edges(ast.parse(path.read_text(), str(path)), path.stem)
+                          for path in (ROOT / "src" / "polysieve").glob("*.py")))
+    assert found == set(INT64_EDGES)
+
+
+def test_the_int64_edge_guard_finds_a_comparison_in_any_scope():
+    tree = ast.parse(textwrap.dedent("""
+        LIMIT = 2 ** 63
+        class Grid:
+            def values(self, bound):
+                return np.int64 if bound < 2 ** 63 else object
+        def window(M, N):
+            wide = [M for _ in range(N) if M + N > 9223372036854775807]
+            return M % 2 ** 63, N < 2 ** 62, N < 63
+    """))
+    assert int64_edges(tree, "m") == {"m.Grid.values", "m.window"}
