@@ -105,7 +105,12 @@ _KINDS = bytes(dict(zip(b'",[{]}', (4, 1, 3, 3, 254, 254))).get(c, 0) for c in r
 
 def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), encoded in C."""
-    raw = text = _ENCODER.encode(obj).encode()
+    return _indent(_ENCODER.encode(obj).encode())
+
+
+def _indent(raw: bytes) -> str:
+    """The encoder's compact text raw, indented as _dumps writes it."""
+    text = raw
     # blank escapes, paired from the left as a parser reads them, and empty containers
     escapes = (b"\\\\", b'\\"') if b"\\" in raw else ()
     for blank in (*escapes, b"[]", b"{}"):
@@ -118,16 +123,19 @@ def _dumps(obj) -> str:
     pos, kind = pos[keep], kind[keep]
     run = np.add.accumulate(kind & -2) + 1   # "\n" and the indent of the depth after
     ends = np.add.accumulate(run)
-    kept = np.zeros(len(raw) + (int(ends[-1]) if ends.size else 0), bool)
+    size = len(raw) + (int(ends[-1]) if ends.size else 0)
     ends += pos + (kind & 1)   # after commas and openers, before closers
     starts = ends - run
     del text, marks, pos, kind, quote, keep, run   # before the full-length arrays
+    kept = np.zeros(size, bool)
     kept[0] = kept[starts] = kept[ends] = True
+    del ends
     np.logical_xor.accumulate(kept, out=kept)   # True on the bytes of raw
-    out = np.full(kept.size, ord(" "), np.uint8)
+    out = np.full(size, ord(" "), np.uint8)
+    out[starts] = ord("\n")
+    del starts
     out[kept] = np.frombuffer(raw, np.uint8)
     del kept, raw   # before the copy into text
-    out[starts] = ord("\n")
     return str(out, "ascii")
 
 
@@ -342,11 +350,6 @@ _HANDLERS = {
 
 
 def _render(args, config, result, table, duration) -> str:
-    if args.format == "json":
-        report = {"command": args.command, "config": config,
-                  "version": __version__, "seed": args.seed,
-                  "duration_s": duration, "result": result}
-        return _dumps(report) + "\n"
     lines = ["# polysieve {} {} config={}".format(
         __version__, args.command, json.dumps(config, sort_keys=True))]
     if args.format == "gnuplot":   # two-column blocks separated by blank lines
@@ -367,7 +370,12 @@ def run(args) -> str:
     start = time.perf_counter()
     result, table = _HANDLERS[args.command](args)
     duration = time.perf_counter() - start
-    return _render(args, config, result, table, duration)
+    if args.format != "json":
+        return _render(args, config, result, table, duration)
+    raw = _ENCODER.encode({"command": args.command, "config": config, "version": __version__,
+                           "seed": args.seed, "duration_s": duration, "result": result})
+    del result, table   # the report's objects go before its indented text is built
+    return _indent(raw.encode()) + "\n"
 
 
 def main(argv=None) -> int:

@@ -867,9 +867,9 @@ def test_bv_sum_over_75_900_weighted_tuples_peaks_below_50_mib():
 
 
 def test_norm_form_of_a_dense_degree_10_peaks_below_160_mib():
-    # a 20.3 MiB report: the child peaks at 150 MiB with the writer's mask
-    # and compact text dropped before the final copy, at 171.5 MiB with them
-    # kept through it, and at 185 MiB with a second translated copy of the text
+    # a 20.3 MiB report: the child peaks at 102-103 MiB with the report's
+    # objects freed once encoded, and at 150 or 170 MiB, by heap layout alone,
+    # with them kept through the indent (185 MiB with a second translated copy)
     argv = ("norm-form", "--f", "t^10+t^9+3*t+2", "--workers", "1", "--out", os.devnull)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m",
