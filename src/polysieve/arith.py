@@ -5,9 +5,10 @@ the prime-power stream (T, Lambda(T)) that every Lambda-weighted sum reads.
 Everything here is deterministic: primality uses a Miller-Rabin witness set
 that is exact for all 64-bit inputs, and factorization trial-divides by one
 fixed table of the 564 primes below 2^12, then hands any cofactor to Brent's
-cycle variant of Pollard rho with a fixed parameter sequence.  The two dense
-tables, the prime sieve and the Lambda table, are capped (PRIME_SIEVE_LIMIT,
-LAMBDA_LIMIT) and refuse a larger limit with BudgetError before allocating.
+cycle variant of Pollard rho with a fixed parameter sequence.  One sieve
+flags a window of integers, and the Lambda stream is built from its primes;
+both are capped (PRIME_SIEVE_LIMIT, LAMBDA_LIMIT) and refuse with BudgetError
+before allocating.
 """
 
 from __future__ import annotations
@@ -27,32 +28,26 @@ def exact_dtype(bound: int) -> type:
     return np.int64 if bound < 2 ** 63 else object
 
 
-# Largest limit prime_flags sieves: the table takes one byte per n.
+# Longest window prime_flags sieves: the window takes one byte per integer.
 PRIME_SIEVE_LIMIT = 10 ** 8
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array f of length max(limit + 1, 0) with f[n] = n is prime,
-    by a numpy sieve of Eratosthenes.  Limits above PRIME_SIEVE_LIMIT are
-    refused (BudgetError) before anything is allocated."""
-    charge("prime sieve limit", limit, PRIME_SIEVE_LIMIT)
-    flags = np.ones(max(limit + 1, 0), dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(max(limit, 0)) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
+def prime_flags(limit: int, lo: int = 0) -> np.ndarray:
+    """Boolean array f of length max(limit + 1 - lo, 0) with f[n - lo] = n is
+    prime, for the window lo <= n <= limit: a numpy sieve of Eratosthenes by
+    the base primes up to isqrt(limit), read from the window from 0.  A window
+    with limit - lo above PRIME_SIEVE_LIMIT is refused (BudgetError) first."""
+    charge("prime sieve limit", limit - lo, PRIME_SIEVE_LIMIT)
+    flags = np.ones(max(limit + 1 - lo, 0), dtype=bool)
+    flags[:max(2 - lo, 0)] = False
+    for p in np.flatnonzero(prime_flags(isqrt(limit))).tolist() if limit > 3 else ():
+        flags[max(p * p, -(-lo // p) * p) - lo::p] = False   # from p^2 or p's first in the window
     return flags
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, read from prime_flags."""
-    return np.flatnonzero(prime_flags(limit)).tolist()
-
-
-# factorize trial-divides by the primes below _TRIAL_LIMIT, a table built at
-# import; Brent's rho takes any cofactor left over.
-_TRIAL_LIMIT = 2 ** 12
-_TRIAL_PRIMES = primes_up_to(_TRIAL_LIMIT)
+# factorize trial-divides by the primes below 2^12, a table built at import;
+# Brent's rho takes any cofactor left over.
+_TRIAL_PRIMES = np.flatnonzero(prime_flags(2 ** 12)).tolist()
 
 
 # is_prime trial-divides by these primes, then takes them as the witnesses
@@ -153,7 +148,7 @@ def euler_phi(n: int) -> int:
 
 _lambda_stream: tuple[int, np.ndarray, np.ndarray] | None = None
 
-# Largest limit von_mangoldt_table builds: its dense table takes 8 bytes per n.
+# Largest limit von_mangoldt_table builds: its stream takes 16 bytes a term.
 # bv.max_progression_discrepancy sums exactly while it is < 2^24 and its log < 32.
 LAMBDA_LIMIT = 10 ** 7
 
@@ -162,26 +157,24 @@ def von_mangoldt_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The prime-power stream up to limit: (T, L) with T the prime powers
     <= limit in increasing order and L = Lambda(T).
 
-    Every Lambda-weighted sum reads this stream.  L holds math.log(p),
-    bit-identical to the pointwise path.  Both arrays are read-only prefixes
-    of a grow-only module stream, cut from a dense table when it grows;
-    limits above LAMBDA_LIMIT are refused (BudgetError) before anything is
-    allocated.
+    Every Lambda-weighted sum reads this stream.  L holds math.log(p) at each
+    p^k, bit-identical to the pointwise path; one stable argsort orders the
+    terms.  Both are read-only prefixes of a grow-only module stream; limits
+    above LAMBDA_LIMIT are refused (BudgetError) before anything is allocated.
     """
     global _lambda_stream
     if limit < 0:
         raise ValueError(f"von_mangoldt_table expects limit >= 0, got {limit}")
     charge("von Mangoldt table limit", limit, LAMBDA_LIMIT)
     if _lambda_stream is None or _lambda_stream[0] < limit:
-        table = np.zeros(limit + 1)
-        for p in primes_up_to(limit):
-            lp = log(p)
-            pk = p
-            while pk <= limit:
-                table[pk] = lp
-                pk *= p
-        T = np.flatnonzero(table)
-        L = table[T]
+        primes = np.flatnonzero(prime_flags(limit))
+        T, L = [primes], [np.fromiter(map(log, primes), float, len(primes))]
+        while len(T[-1]):   # p^(k+1) <= limit holds for a prefix of the primes
+            n = np.count_nonzero(T[-1] <= limit // primes[:len(T[-1])])
+            T.append(T[-1][:n] * primes[:n])
+            L.append(L[0][:n])
+        order = np.argsort(T := np.concatenate(T), kind="stable")
+        T, L = T[order], np.concatenate(L)[order]
         T.flags.writeable = L.flags.writeable = False
         _lambda_stream = limit, T, L
     _, T, L = _lambda_stream

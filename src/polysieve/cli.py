@@ -103,13 +103,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), check_circul
 _KINDS = bytes(dict(zip(b'",[{]}', (4, 1, 3, 3, 254, 254))).get(c, 0) for c in range(256))
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), encoded in C."""
-    return _indent(_ENCODER.encode(obj).encode())
-
-
 def _indent(raw: bytes) -> str:
-    """The encoder's compact text raw, indented as _dumps writes it."""
+    """The encoder's compact text raw, indented as json.dumps(indent=2) writes it."""
     text = raw
     # blank escapes, paired from the left as a parser reads them, and empty containers
     escapes = (b"\\\\", b'\\"') if b"\\" in raw else ()

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log, log2, prod
+from math import comb, isqrt, log, log2, prod
 
 import numpy as np
 
+from . import arith
 from .arith import exact_dtype, factorize, is_prime, prime_flags
 from .boxes import box_grid, check_box_budget
 from .errors import charge
@@ -39,6 +40,9 @@ NORM_FORM_BUDGET = 500_000_000
 DIVISOR_WALK_BUDGET = 3_000_000
 # Relative margin inside which a float d^(td/tn) leaves a walk end undecided.
 WALK_END_MARGIN = 2.0 ** -40
+# Most bytes of prime_value_sieve's window per distinct value: the window costs
+# 4-13 ns a byte, is_prime 1.7-4.7 us a value (2-core x86-64), even near 400.
+WINDOW_BYTES_PER_VALUE = 400
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -231,25 +235,33 @@ class PrimeValueReport:
 
 def prime_value_sieve(spec: NumberFieldSpec, Q: int) -> PrimeValueReport:
     """Prime values of the norm form over q ~ Q, each with its points in box
-    order; is_prime runs once per distinct value >= 2, in first-seen order."""
+    order.  The first value >= 2 seen above FACTOR_LIMIT is refused; then the
+    n distinct values >= 2, lo to hi, are read from prime_flags(hi, lo) if
+    isqrt(hi) <= hi - lo <= min(WINDOW_BYTES_PER_VALUE n, PRIME_SIEVE_LIMIT),
+    else (a sparse window, as of a truncated form) tested by is_prime."""
     ell = spec.num_form_vars
     check_box_budget(Q, ell)   # before the norm form, whose determinant is the costly part
     vals = box_grid(norm_form(spec), Q)
     distinct, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
-    distinct = distinct.tolist()
+    start = np.searchsorted(distinct, 2)
+    cand, limit = distinct[start:], arith.FACTOR_LIMIT   # ascending: lo and hi are its ends
+    if len(over := np.flatnonzero(cand > limit)):   # the one a test in box order meets first
+        charge("primality test argument", int(cand[over[first[start:][over].argmin()]]), limit)
     prime = np.zeros(len(distinct), dtype=bool)
-    for i in np.argsort(first).tolist():
-        prime[i] = distinct[i] >= 2 and is_prime(distinct[i])
+    lo, hi = (int(cand[0]), int(cand[-1])) if len(cand) else (0, 0)
+    if isqrt(hi) <= hi - lo <= min(WINDOW_BYTES_PER_VALUE * len(cand), arith.PRIME_SIEVE_LIMIT):
+        prime[start:] = prime_flags(hi, lo)[cand.astype(np.int64) - lo]   # hi < (10^8 + 1)^2
+    else:
+        prime[start:] = [is_prime(v) for v in cand.tolist()]
     hit = np.flatnonzero(prime[inverse])
     values: dict[int, list[list[int]]] = {}
     for v, q in zip(vals[hit].tolist(), _box_points(hit, Q, Q, ell)):
         values.setdefault(v, []).append(q)
-    count = sum(len(qs) for qs in values.values())
-    max_mult = max((len(qs) for qs in values.values()), default=0)
-    ratio = count / (Q ** ell / log(Q)) if Q >= 2 else None
     return PrimeValueReport(
-        values=values, count=count, distinct=len(values), max_multiplicity=max_mult,
-        density_ratio=ratio, maynard_condition_ok=Fraction(ell) >= Fraction(3 * spec.degree, 4))
+        values=values, count=len(hit), distinct=len(values),
+        max_multiplicity=max(map(len, values.values()), default=0),
+        density_ratio=len(hit) / (Q ** ell / log(Q)) if Q >= 2 else None,
+        maynard_condition_ok=Fraction(ell) >= Fraction(3 * spec.degree, 4))
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,24 @@ avoiding the library's own code paths, so an agreement test actually checks
 two different routes to the same number.
 
 A few routes here left the library because only tests called them:
-``von_mangoldt``, ``moebius`` and the tuple weight ``prime_value_weight``
-(Lambda times mu^2, on top of the library's ``factorize``), a
-FactoredPoly's factor values at one point, the JSON round trip of an
-MvPoly, ``poly_product``, the symbolic product of MvPolys, which no
-library path expands, ``moduli_sieve_sum`` and ``sieve_sum``, which
-compose the library's box and sieve steps, ``strided_sieve_sum``, the
-Ramanujan expansion with one strided sum per divisor, which the library's
-divisor-weight table replaced, ``laplace_norm_form``, the memoised
-Laplace expansion of the norm form, which the library's dense level
-expansion replaced, ``primitive_exponents``, the full exponent matrix
-of the primitive characters, which the library's pair rows replaced, and
+``primes_up_to``, the primes that ``prime_flags`` flags,
+``von_mangoldt``, ``moebius`` and the tuple weight
+``prime_value_weight`` (Lambda times mu^2, on top of the library's
+``factorize``), a FactoredPoly's factor values at one point, the JSON
+round trip of an MvPoly, ``poly_product``, the symbolic product of
+MvPolys, which no library path expands, ``moduli_sieve_sum`` and
+``sieve_sum``, which compose the library's box and sieve steps,
+``strided_sieve_sum``, the Ramanujan expansion with one strided sum per
+divisor, which the library's divisor-weight table replaced,
+``laplace_norm_form``, the memoised Laplace expansion of the norm form,
+which the library's dense level expansion replaced,
+``primitive_exponents``, the full exponent matrix of the primitive
+characters, which the library's pair rows replaced, and
 ``enumerate_characters``, every character object mod m, which the
 library's kernel never builds, with ``is_principal`` and the evaluators
-``value_exponent``, ``character_value`` (chi(n)) and ``character_values``
-(chi(n) for every n mod m), since the kernel reads root_table at its own
-exponents.
+``value_exponent``, ``character_value`` (chi(n)) and
+``character_values`` (chi(n) for every n mod m), since the kernel reads
+root_table at its own exponents.
 ``assert_plain_json`` checks the handler contract, which the report
 writer's C encoder does not.  ``process_caches`` finds every cache a
 polysieve module keeps between calls, and ``clear_caches`` empties them
@@ -49,7 +51,7 @@ import sympy
 import polysieve
 import polysieve.arith as arith
 import polysieve.largesieve as largesieve
-from polysieve.arith import euler_phi, factorize, is_prime, primes_up_to
+from polysieve.arith import euler_phi, factorize, is_prime, prime_flags
 from polysieve.bv import DiscrepancySumReport, default_eps_bad, max_progression_discrepancy
 from polysieve.boxes import box_moduli
 from polysieve.characters import (DirichletCharacter, _primitive_exponent, root_table,
@@ -202,6 +204,11 @@ def trial_division_factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit as plain ints, read from prime_flags."""
+    return np.flatnonzero(prime_flags(limit)).tolist()
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -4,13 +4,14 @@ import random
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import polysieve.arith as arith
-from oracles import moebius, trial_division_factorize, trial_division_is_prime, von_mangoldt
-from polysieve.arith import (LAMBDA_LIMIT, euler_phi,
-                             factorize, is_prime, primes_up_to, von_mangoldt_table)
+from oracles import (moebius, primes_up_to, trial_division_factorize, trial_division_is_prime,
+                     von_mangoldt)
+from polysieve.arith import (LAMBDA_LIMIT, euler_phi, factorize, is_prime, prime_flags,
+                             von_mangoldt_table)
 from polysieve.errors import BudgetError
 from polysieve.normform import _divisors_with_sign
 
@@ -156,7 +157,8 @@ def test_divisor_sum_identities():
 
 
 def test_von_mangoldt_table_matches_pointwise():
-    for limit in (0, 1, 2, 500, 37):
+    # the prime-power edges: 2^13, and 101^2 just below and at its square
+    for limit in (0, 1, 2, 500, 37, 2 ** 13, 101 ** 2 - 1, 101 ** 2):
         T, L = von_mangoldt_table(limit)
         assert T.dtype == np.int64 and L.dtype == np.float64
         assert T.tolist() == [n for n in range(1, limit + 1) if von_mangoldt(n)]
@@ -182,6 +184,34 @@ def test_von_mangoldt_table_prefixes_are_read_only_and_fresh(monkeypatch):
         assert np.array_equal(T, FT) and np.array_equal(L, FL)
         RT, RL = von_mangoldt_table(limit)
         assert np.array_equal(T, RT) and np.array_equal(L, RL)
+
+
+# windows [lo, limit] that start below 2, hold one value or none, cross the
+# square of a base prime, or start at one
+@given(st.integers(-50, 20_000).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo - 3, lo + 400))))
+@example((-5, 1))
+@example((0, 4))
+@example((-3, 40))
+@example((7, 7))
+@example((10, 9))
+@example((24, 26))
+@example((120, 122))
+@example((49, 49))
+@example((121, 300))
+@example((10201, 10250))
+def test_prime_flags_window_matches_trial_division(window):
+    lo, limit = window
+    flags = prime_flags(limit, lo)
+    assert flags.dtype == bool and len(flags) == max(limit + 1 - lo, 0)
+    assert flags.tolist() == [trial_division_is_prime(n) for n in range(lo, limit + 1)]
+
+
+def test_prime_flags_window_is_priced_by_its_length(monkeypatch):
+    monkeypatch.setattr(arith, "PRIME_SIEVE_LIMIT", 100)
+    assert len(prime_flags(1002, 902)) == 101
+    with pytest.raises(BudgetError, match="^prime sieve limit: requires 101, budget is 100$"):
+        prime_flags(1002, 901)
 
 
 def test_factorization_dataclass():

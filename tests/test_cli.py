@@ -866,6 +866,24 @@ def test_bv_sum_over_75_900_weighted_tuples_peaks_below_50_mib():
     assert peak_kib < 50 * 1024
 
 
+def test_bv_sum_refused_at_10_7_peaks_below_100_mib():
+    # 9,045 moduli times 665,134 stream terms: the Lambda stream is built
+    # before the refusal, and the child peaked at 134 MiB with the stream cut
+    # from a dense table of 8 bytes per n, at 68 MiB with it built from the primes
+    argv = ("bv-sum", "--P", "x1", "--P", "x2", "--Q", "1000", "--x", "10000000",
+            "--workers", "1")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, sys.executable, "-m",
+                           "polysieve.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 3
+    assert json.loads(proc.stderr) == {
+        "error": "discrepancy work: requires 6016137030, budget is 50000000",
+        "kind": "resource", "partial_progress": False}
+    assert peak_kib < 100 * 1024
+
+
 def test_norm_form_of_a_dense_degree_10_peaks_below_160_mib():
     # a 20.3 MiB report: the child peaks at 102-103 MiB with the report's
     # objects freed once encoded, and at 150 or 170 MiB, by heap layout alone,
@@ -966,10 +984,15 @@ JSON_TREES = st.recursive(
     max_leaves=40)
 
 
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) as the report writer encodes it."""
+    return cli._indent(cli._ENCODER.encode(obj).encode())
+
+
 @given(JSON_TREES)
 @settings(max_examples=200)
 def test_writer_matches_json_dumps(obj):
-    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("obj", [
@@ -979,7 +1002,7 @@ def test_writer_matches_json_dumps(obj):
     1, -0.0, "x", "", None, True, float("nan"),
 ], ids=repr)
 def test_writer_matches_json_dumps_on_awkward_text(obj):
-    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 # refused by the writer's C encoder
@@ -992,7 +1015,7 @@ ORACLE_REFUSES = [{1: 2}, {"a": {2: "b"}}, (1, 2), {"a": (1,)}, [1, (2,)],
 @pytest.mark.parametrize("obj", WRITER_REFUSES, ids=repr)
 def test_writer_refuses_what_is_not_plain_json(obj):
     with pytest.raises(TypeError):
-        cli._dumps(obj)
+        _dumps(obj)
 
 
 @pytest.mark.parametrize("obj", WRITER_REFUSES + ORACLE_REFUSES, ids=repr)
@@ -1051,7 +1074,7 @@ def test_writer_memory_stays_within_five_times_its_text(large_report):
     report = json.loads(large_report)
     tracemalloc.start()
     try:
-        text = cli._dumps(report)
+        text = _dumps(report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (field_multiply, laplace_norm_form, loop_prime_divisor_search,
                      loop_prime_value_sieve, sylvester_resultant)
-from polysieve import boxes, normform
+from polysieve import arith, boxes, normform
 from polysieve.cli import main
 from polysieve.errors import BudgetError
 from polysieve.mvpoly import parse_poly
@@ -234,6 +234,41 @@ def test_prime_value_sieve_budget_boundary(monkeypatch):
     monkeypatch.setattr(boxes, "DEFAULT_BOX_BUDGET", 8)
     with pytest.raises(BudgetError, match=r"^box enumeration: requires 9, budget is 8$"):
         prime_value_sieve(GAUSS, 3)
+
+
+def test_prime_value_sieve_refuses_the_first_seen_value_past_the_factor_limit(
+        monkeypatch, capsys):
+    # q1^2 - 5 q1 q2 + c q2^2 on {2, 3}^2: (2, 2) gives the first value past
+    # 2^63, (3, 2) the smallest
+    assert main(["prime-value-sieve", "--f", "t^2+5*t+2305843009213693960", "--Q", "2"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "primality test argument: requires 9223372036854775824, "
+        "budget is 9223372036854775808")
+    # the cap is read at call time: on [3, 6)^2, 34 at (3, 5) comes before 32 at (4, 4)
+    monkeypatch.setattr(arith, "FACTOR_LIMIT", 30)
+    with pytest.raises(BudgetError, match=r"^primality test argument: requires 34, budget is 30$"):
+        prime_value_sieve(GAUSS, 3)
+
+
+@pytest.mark.parametrize("spec, Q, scalar", [
+    (GAUSS, 30, False), (CUBE2, 6, False), (CUBE2_TRUNC, 30, True),
+    (NumberFieldSpec.from_text("t^2+10000019"), 1, True),
+], ids=["t^2+1", "t^3-2", "t^3-2 truncated", "one value"])
+def test_prime_value_sieve_tests_values_one_at_a_time_only_in_a_sparse_window(
+        monkeypatch, spec, Q, scalar):
+    # x1^2 + x2^2 over [30, 60)^2 takes about 12 bytes of window a distinct
+    # value, and x1^3 + 2 x2^3 about 630, past WINDOW_BYTES_PER_VALUE; the
+    # one value 10000020 would need a base sieve longer than its window
+    calls = []
+    monkeypatch.setattr(normform, "is_prime", lambda n: calls.append(n) or arith.is_prime(n))
+    assert prime_value_sieve(spec, Q) == loop_prime_value_sieve(spec, Q)
+    assert bool(calls) == scalar
+
+
+def test_prime_value_sieve_takes_no_window_past_the_sieve_cap(monkeypatch):
+    # the cap is read at call time: the 5,400-byte window of [30, 60)^2 is not taken
+    monkeypatch.setattr(arith, "PRIME_SIEVE_LIMIT", 100)
+    assert prime_value_sieve(GAUSS, 30) == loop_prime_value_sieve(GAUSS, 30)
 
 
 def test_over_budget_prime_value_sieve_refuses_before_the_norm_form(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Every public route of the library has a caller in the library or in the
-experiment scripts.  A route that only tests call belongs in
-tests/oracles.py, not in src/.  Every work cap refuses through one
+experiment scripts, and every private module function a caller in the
+library.  A route that only tests call belongs in tests/oracles.py or in the
+test that calls it, not in src/.  Every work cap refuses through one
 errors.charge call whose `what` has its message pinned in test_refusals.py.
 Every cache the library keeps between calls is documented in the README and
 cleared by the cold tests, and no other module state is rebound at run time
@@ -75,6 +76,35 @@ def test_every_public_route_has_a_caller_outside_tests():
     library, scripts = ([ast.parse(path.read_text(), str(path)) for path in folder.glob("*.py")]
                         for folder in (ROOT / "src" / "polysieve", ROOT / "scripts"))
     assert uncalled_routes(library, scripts) == set(ALLOWED_UNCALLED)
+
+
+def unnamed_private_functions(library: dict[str, ast.Module]) -> set[str]:
+    """The private module-level functions, as module.name, that no code of
+    the library modules names outside the function's own definition."""
+    named = sum((_names(tree, False) for tree in library.values()), Counter())
+    return {f"{module}.{node.name}" for module, tree in library.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and named[node.name] == _names(node, False)[node.name]}
+
+
+def test_every_private_module_function_has_a_caller_in_the_library():
+    library = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in (ROOT / "src" / "polysieve").glob("*.py")}
+    assert unnamed_private_functions(library) == set()
+
+
+def test_a_private_function_named_only_by_itself_is_reported():
+    library = ast.parse(textwrap.dedent("""
+        def _digits(n):
+            return _digits(n // 10) + 1 if n else 0
+
+        def _width(n):
+            return len(str(n))
+
+        def width(n):
+            return _width(n)
+    """))
+    assert unnamed_private_functions({"m": library}) == {"m._digits"}
 
 
 def test_a_local_variable_does_not_stand_in_for_a_method():
